@@ -33,6 +33,12 @@ mu_s_hat(z) = (i/z)^s.  All numerical transforms are guarded by a divergence
 monitor: if either 5% tail of the grid still contributes more than 1e-12 of
 the total absolute mass of the summand, :class:`DivergentTransform` is raised
 instead of returning a silently truncated value.
+
+Atoms are kept sorted by location and merged (locations closer than 1e-12
+become one atom).  That invariant is what pairing lam with -lam relies on:
+the mirror of every node is found by binary search in one pass
+(:func:`_mirror_index`), which serves the reflection law, the symmetry test
+of :func:`geometric_splitting` and the modular conjugation J alike.
 """
 
 from __future__ import annotations
@@ -240,11 +246,6 @@ def gridded(x0: float, h: float, values) -> MeasureOnR:
 # the maps gamma, Gamma, M_kappa
 # --------------------------------------------------------------------------
 
-def _atom_index(mu: MeasureOnR, loc: float) -> int | None:
-    hits = np.nonzero(np.abs(mu.atom_locs - loc) <= _MERGE_TOL)[0]
-    return int(hits[0]) if hits.size else None
-
-
 def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """gamma(mu) = mu + e_beta mu^vee for mu supported on [0, inf).
 
@@ -294,8 +295,11 @@ def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
             out_weights.append(w)       # (w + w) / (1 + 1)
         else:
             out_locs.extend([loc, -loc])
-            out_weights.extend([w / (1.0 + math.exp(-beta * loc)),
-                                w / (1.0 + math.exp(beta * loc))])
+            x = beta * loc
+            # past x ~ 700 e^{x} overflows; w e^{-x} / (1 + e^{-x}) does not
+            mirror = (w / (1.0 + math.exp(x)) if x <= 700.0
+                      else w * math.exp(-x) / (1.0 + math.exp(-x)))
+            out_weights.extend([w / (1.0 + math.exp(-x)), mirror])
 
     x0 = h = dens = None
     if mu.density is not None:
@@ -334,10 +338,9 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     keep = nu.atom_locs > _MERGE_TOL
     locs = nu.atom_locs[keep]
     weights = nu.atom_weights[keep] * (1.0 + np.exp(-beta * locs))
-    j0 = _atom_index(nu, 0.0)
-    if j0 is not None:
-        locs = np.concatenate([[0.0], locs])
-        weights = np.concatenate([[nu.atom_weights[j0]], weights])
+    w0 = nu.atom_weights[np.abs(nu.atom_locs) <= _MERGE_TOL][:1]
+    locs = np.concatenate([np.zeros(w0.size), locs])
+    weights = np.concatenate([w0, weights])
 
     x0 = h = dens = None
     if nu.density is not None:
@@ -354,6 +357,39 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
 # reflection law, Fourier transform, KMS
 # --------------------------------------------------------------------------
 
+def _mirror_index(nodes: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Pair every node of the sorted array ``nodes`` with its mirror.
+
+    Returns ``(first, count)``: ``count[j]`` nodes lie within ``tol`` of
+    -nodes[j] and ``first[j]`` is the index of the lowest of them (meaningful
+    only where ``count[j] > 0``).  ``tol`` is a scalar or one tolerance per
+    node."""
+    first = np.searchsorted(nodes, -nodes - tol, side="left")
+    last = np.searchsorted(nodes, -nodes + tol, side="right")
+    return first, last - first
+
+
+def _atom_reflection_defect(mu: MeasureOnR, c: float, sources) -> float:
+    """Largest relative defect of  mu({-lam}) = e^{-c lam} mu({lam})  over
+    the atoms selected by the mask ``sources``; inf when an atom outside
+    ``sources`` has no mirror, or when exactly one of target and mirror
+    vanishes."""
+    locs, weights = mu.atom_locs, mu.atom_weights
+    first, count = _mirror_index(locs, _MERGE_TOL)
+    found = count > 0
+    if np.any(~found & ~sources):
+        return math.inf
+    mirror = np.where(found, np.take(weights, first, mode="clip"), 0.0)[sources]
+    target = np.array([w * math.exp(-c * loc)
+                       for loc, w in zip(locs[sources], weights[sources])])
+    if np.any((target == 0.0) != (mirror == 0.0)):
+        return math.inf
+    live = target != 0.0
+    if not np.any(live):
+        return 0.0
+    return float(np.max(np.abs(mirror[live] - target[live]) / np.abs(target[live])))
+
+
 def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     """Largest relative defect in  d nu(-lam) = e^{-factor * beta * lam} d nu(lam).
 
@@ -363,27 +399,10 @@ def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     if beta <= 0.0:
         raise ParameterOutOfRange("need beta > 0")
     c = factor * beta
-    worst = 0.0
-
-    locs, weights = nu.atom_locs, nu.atom_weights
-    for loc, w in zip(locs, weights):
-        if loc < -_MERGE_TOL:
-            continue
-        j = _atom_index(nu, -loc)
-        target = w * math.exp(-c * loc)
-        mirror = weights[j] if j is not None else 0.0
-        if target == 0.0 and mirror == 0.0:
-            continue
-        if target == 0.0 or (j is None and target > 0.0):
-            return math.inf
-        worst = max(worst, abs(mirror - target) / abs(target))
-    for loc, w in zip(locs, weights):
-        if loc < -_MERGE_TOL and _atom_index(nu, -loc) is None and w > 0.0:
-            return math.inf
+    worst = _atom_reflection_defect(nu, c, nu.atom_locs >= -_MERGE_TOL)
 
     if nu.density is not None:
         nodes = nu.grid_nodes()
-        n = nodes.size
         if abs(nodes[0] + nodes[-1]) > 1e-9 * max(1.0, abs(nodes[-1])):
             return math.inf
         vals = nu.density
@@ -567,23 +586,6 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     return head + tail
 
 
-def nu_s_measure(s: float, beta: float, lam_max: float, step: float) -> MeasureOnR:
-    """The 2 beta-reflected companion of the Riesz measure,
-
-        d nu_s(p) = (1/GAMMA(s)) |p|^{s-2} p / (1 - e^{-2 beta p}) dp,
-
-    truncated symmetrically and sampled on the half-offset grid (+- step/2,
-    +- 3 step/2, ...); the density is positive on both half-lines."""
-    if s <= 0.0 or beta <= 0.0:
-        raise ParameterOutOfRange("need s > 0 and beta > 0")
-    n = int(round(lam_max / step))
-    pos = step * (0.5 + np.arange(n))
-    nodes = np.concatenate([-pos[::-1], pos])
-    dens = np.abs(nodes) ** (s - 1.0) * np.sign(nodes) \
-        / (-np.expm1(-2.0 * beta * nodes)) / gamma_function(s)
-    return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
-
-
 def riesz_kappa_check(s: float, beta: float, t: float,
                       lam_max: float = 40.0, step: float = 0.01) -> float:
     """Matched-truncation identity for the odd part of the Riesz transforms.
@@ -647,9 +649,7 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
     if _symmetry_defect(mu) > 1e-9:
         raise AsymmetricInput("geometric splitting needs a symmetric measure")
 
-    locs, weights = mu.atom_locs, mu.atom_weights
-    at_zero = _atom_index(mu, 0.0)
-    if mode == "plain" and at_zero is not None and weights[at_zero] > 0:
+    if mode == "plain" and np.any(np.abs(mu.atom_locs) <= _MERGE_TOL):
         raise AtomAtZero("the plain splitting density has a pole at lam = 0")
 
     if mode == "alternating":
@@ -669,8 +669,9 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
     minus_locs = nu.atom_locs < -_MERGE_TOL
     p_l, p_w = list(nu.atom_locs[plus_locs]), list(nu.atom_weights[plus_locs])
     m_l, m_w = list(nu.atom_locs[minus_locs]), list(nu.atom_weights[minus_locs])
-    if at_zero is not None and mode == "alternating":
-        half = 0.5 * nu.atom_weights[_atom_index(nu, 0.0)]
+    at_zero = nu.atom_weights[~plus_locs & ~minus_locs]
+    if at_zero.size and mode == "alternating":
+        half = 0.5 * at_zero[0]
         p_l.append(0.0), p_w.append(half)
         m_l.append(0.0), m_w.append(half)
 
@@ -689,15 +690,7 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
 
 def _symmetry_defect(mu: MeasureOnR) -> float:
     """Relative defect of mu under lam -> -lam."""
-    worst = 0.0
-    for loc, w in zip(mu.atom_locs, mu.atom_weights):
-        j = _atom_index(mu, -loc)
-        mirror = mu.atom_weights[j] if j is not None else 0.0
-        if w == 0.0 and mirror == 0.0:
-            continue
-        if w == 0.0 or mirror == 0.0:
-            return math.inf
-        worst = max(worst, abs(mirror - w) / abs(w))
+    worst = _atom_reflection_defect(mu, 0.0, np.ones(mu.atom_locs.size, dtype=bool))
     if mu.density is not None:
         nodes = mu.grid_nodes()
         if abs(nodes[0] + nodes[-1]) > 1e-9 * max(1.0, abs(nodes[-1])):

@@ -48,10 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
-from .measures import MeasureOnR, reflection_check
+from .measures import MeasureOnR, _mirror_index, reflection_check
 from .numerics import IdentityCheck, comp_sum, oscillatory_ft
-
-_MERGE_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -76,19 +74,17 @@ class DiscretizedSpace:
         if nu.density is not None:
             nodes_list.append(nu.grid_nodes())
             weights_list.append(nu.grid_quad_weights())
+        if not nodes_list:
+            raise ParameterOutOfRange("discretization needs atoms or a density")
         nodes = np.concatenate(nodes_list)
         weights = np.concatenate(weights_list)
         order = np.argsort(nodes, kind="stable")
         nodes, weights = nodes[order], weights[order]
         if np.any(weights <= 0.0):
             raise ParameterOutOfRange("discretization needs strictly positive weights")
-        mirror = np.empty(nodes.size, dtype=int)
-        for j, lam in enumerate(nodes):
-            hits = np.nonzero(np.abs(nodes + lam) <= 1e-9 * max(1.0, abs(lam)))[0]
-            if hits.size != 1:
-                raise ParameterOutOfRange(
-                    "node set must be symmetric with distinct nodes")
-            mirror[j] = hits[0]
+        mirror, count = _mirror_index(nodes, 1e-9 * np.maximum(1.0, np.abs(nodes)))
+        if np.any(count != 1):
+            raise ParameterOutOfRange("node set must be symmetric with distinct nodes")
         return DiscretizedSpace(nodes, weights, mirror)
 
     @property

@@ -29,8 +29,7 @@ Tail bounds, all elementary alternating/absolute estimates:
 
 ``szego_series_split`` sums the two one-sided halves (images n >= 0 and
 n <= -1 separately, adjacent pairs (2j, 2j+1) for absolute convergence);
-their sum reproduces the full kernel.  ``geometric_splitting`` is re-exported
-from :mod:`rphardy.measures` since the split lives on the spectral side.
+their sum reproduces the full kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .measures import geometric_splitting  # noqa: F401  (re-export)
 from .numerics import comp_sum
 
 _LATTICE_TOL = 1e-12

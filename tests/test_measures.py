@@ -105,6 +105,20 @@ def test_Gamma_map_single_atom():
     assert nu.total_mass() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_Gamma_map_survives_exp_overflow():
+    # e^{beta lam} overflows past beta lam ~ 709.8; the mirror weight is
+    # e^{-beta lam} / (1 + e^{-beta lam}) there, and underflows to 0 at 1000
+    nu = measures.Gamma_map(measures.atomic([(1000.0, 1.0)]), 1.0)
+    assert list(nu.atom_locs) == [1000.0]
+    assert list(nu.atom_weights) == [1.0]
+    nu = measures.Gamma_map(measures.atomic([(705.0, 2.0), (700.0, 2.0)]), 1.0)
+    weights = dict(zip(nu.atom_locs, nu.atom_weights))
+    assert weights[-705.0] == pytest.approx(2.0 * math.exp(-705.0), rel=1e-15)
+    # below the switch the mirror weight keeps its original form bit for bit
+    assert weights[-700.0] == 2.0 / (1.0 + math.exp(700.0))
+    assert weights[705.0] == weights[700.0] == 2.0
+
+
 def test_Gamma_map_keeps_an_atom_at_zero():
     nu = measures.Gamma_map(measures.atomic([(0.0, 0.8)]), 1.0)
     assert list(nu.atom_locs) == [0.0]

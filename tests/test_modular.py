@@ -31,6 +31,11 @@ def test_space_rejects_asymmetric_node_set():
         modular.DiscretizedSpace.from_measure(nu)
 
 
+def test_space_rejects_an_empty_measure():
+    with pytest.raises(ParameterOutOfRange):
+        modular.DiscretizedSpace.from_measure(measures.MeasureOnR())
+
+
 def test_inner_is_positive_definite():
     md = _setup()
     rng = np.random.default_rng(41)

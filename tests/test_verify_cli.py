@@ -252,6 +252,19 @@ def test_cli_modular_diagnostics(capsys):
     assert abs(psi) <= 1.0 + 1e-12      # psi(0) = 1 dominates |psi(t)|
 
 
+def test_cli_modular_empty_measure_exits_3(capsys):
+    # a zero weight drops the only atom, leaving nothing to discretize
+    rc = cli.main(["modular", "--atoms", "0.5:0"])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_measure_Gamma_far_atom_exits_0(capsys):
+    rc = cli.main(["measure", "--op", "Gamma", "--atoms", "1000:1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["atoms"] == [[1000.0, 1.0]]
+
+
 def test_cli_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus"])
