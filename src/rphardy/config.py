@@ -8,6 +8,7 @@ typo does not silently run with defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterOutOfRange
@@ -24,14 +25,17 @@ class Defaults:
     rng_seed: int = 7051          # seed for the randomized verification draws
 
     def validate(self) -> "Defaults":
-        if self.beta <= 0:
-            raise ParameterOutOfRange("beta must be > 0, got %r" % (self.beta,))
+        if not 0 < self.beta < math.inf:
+            raise ParameterOutOfRange("beta must be finite and > 0, got %r"
+                                      % (self.beta,))
         if self.series_terms < 1:
             raise ParameterOutOfRange("series_terms must be >= 1")
         if self.boundary_nodes < 4:
             raise ParameterOutOfRange("boundary_nodes must be >= 4")
-        if self.quad_tol <= 0 or self.grid_step <= 0 or self.grid_halfwidth <= 0:
-            raise ParameterOutOfRange("tolerances, grid step and width must be > 0")
+        if not all(0 < v < math.inf for v in
+                   (self.quad_tol, self.grid_step, self.grid_halfwidth)):
+            raise ParameterOutOfRange(
+                "tolerances, grid step and width must be finite and > 0")
         return self
 
 
@@ -54,5 +58,8 @@ def load_defaults(path: str | None = None) -> Defaults:
             "unknown config keys: %s (known: %s)" % (sorted(unknown), sorted(known))
         )
     for key, value in data.items():
-        setattr(cfg, key, type(getattr(cfg, key))(value))
+        try:
+            setattr(cfg, key, type(getattr(cfg, key))(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterOutOfRange("config key %s: %s" % (key, exc)) from exc
     return cfg.validate()

@@ -72,10 +72,11 @@ _MERGE_TOL = 1e-12
 class MeasureOnR:
     """Finite positive measure: atoms plus an optional gridded density.
 
-    ``atom_locs`` / ``atom_weights`` are parallel arrays (sorted, weights > 0,
-    locations closer than 1e-12 merged).  The density part lives on the
-    uniform grid ``grid_x0 + h * arange(len(values))`` and is integrated with
-    trapezoid weights (half weight at both ends).
+    ``atom_locs`` / ``atom_weights`` are parallel arrays (finite, sorted,
+    weights > 0, locations closer than 1e-12 merged).  The density part
+    (finite, nonnegative values) lives on the uniform grid
+    ``grid_x0 + h * arange(len(values))`` and is integrated with trapezoid
+    weights (half weight at both ends).
     """
 
     atom_locs: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -89,6 +90,9 @@ class MeasureOnR:
         self.atom_weights = np.asarray(self.atom_weights, dtype=float)
         if self.atom_locs.shape != self.atom_weights.shape:
             raise ParameterOutOfRange("atom arrays must be parallel")
+        if not (np.all(np.isfinite(self.atom_locs))
+                and np.all(np.isfinite(self.atom_weights))):
+            raise ParameterOutOfRange("atom locations and weights must be finite")
         if np.any(self.atom_weights < 0.0):
             raise ParameterOutOfRange("atom weights must be nonnegative")
         order = np.argsort(self.atom_locs, kind="stable")
@@ -101,6 +105,8 @@ class MeasureOnR:
             self.density = np.asarray(self.density, dtype=float)
             if self.density.ndim != 1 or self.density.size < 2:
                 raise ParameterOutOfRange("density must be a 1-d array, >= 2 nodes")
+            if not np.all(np.isfinite(self.density)):
+                raise ParameterOutOfRange("density values must be finite")
             if np.any(self.density < 0.0):
                 raise ParameterOutOfRange("density must be nonnegative")
 
@@ -536,26 +542,9 @@ def bergman_strip_measure(beta: float, halfwidth: float = None,
     return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
 
 
-def exp_tilt(mu: MeasureOnR, c: float) -> MeasureOnR:
-    """Multiply the measure by the density e^{c lam}."""
-    return mu.map_density(lambda lam: np.exp(c * np.asarray(lam, dtype=float)))
-
-
 # --------------------------------------------------------------------------
 # Riesz family
 # --------------------------------------------------------------------------
-
-def riesz_measure(s: float, lam_max: float, step: float) -> MeasureOnR:
-    """Truncation of d mu_s = p^{s-1} dp / GAMMA(s) to (0, lam_max], sampled
-    on the half-offset grid p = step/2, 3 step/2, ... (no node at the
-    endpoint singularity when s < 1)."""
-    if s <= 0.0:
-        raise ParameterOutOfRange("need s > 0")
-    n = int(round(lam_max / step))
-    nodes = step * (0.5 + np.arange(n))
-    dens = nodes ** (s - 1.0) / gamma_function(s)
-    return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
-
 
 def riesz_hat(s: float, z: complex) -> complex:
     """mu_s_hat(z) = (i / z)^s for Im z > 0 (principal power; the base lies

@@ -120,33 +120,6 @@ def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
     return c0 + comp_sum_real(terms)
 
 
-def rp_family_eval(group: str, mixing, g, beta: float = None) -> float:
-    """Mix a family over its spectral parameter:  Integral phi_lam(g) d mu(lam).
-
-    ``mixing`` is a :class:`rphardy.measures.MeasureOnR`; its support must lie
-    in [-1, 1] for the integers and in [0, inf) for the line and the circle.
-    """
-    _check_group(group)
-    lo, hi = (-1.0, 1.0) if group == "integers" else (0.0, math.inf)
-    mixing.require_support(lo, hi)
-
-    if group == "integers":
-        f = lambda lam: np.asarray(lam, dtype=float) ** abs(int(g))
-    elif group == "line":
-        f = lambda lam: np.exp(-np.asarray(lam, dtype=float) * abs(g))
-    else:
-        if beta is None:
-            raise ParameterOutOfRange("circle evaluation needs beta")
-        y = reduce_mod(float(g), beta)
-
-        def f(lam):
-            lam = np.asarray(lam, dtype=float)
-            return ((np.exp(-y * lam) + np.exp(-(beta - y) * lam))
-                    / (1.0 + np.exp(-beta * lam)))
-
-    return float(mixing.integrate(f).real)
-
-
 # --------------------------------------------------------------------------
 # Gram certificates
 # --------------------------------------------------------------------------
@@ -282,9 +255,11 @@ def strip_membership(beta: float, z: complex, t_grid=None,
     is geometrically outside but for which the grid finds no unimodularity
     witness is reported as "unknown" rather than misclassified.
     """
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    if not 0.0 < beta < math.inf:
+        raise ParameterOutOfRange("need finite beta > 0")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterOutOfRange("need a finite z, got %r" % (z,))
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 1e3, 60)
 

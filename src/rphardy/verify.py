@@ -3,14 +3,17 @@ grouped into suites and reported with one (defect, tolerance) pair each.
 
 Suites: "kernels", "series", "measures", "modular", "appendix" (and "all").
 Every check is deterministic — random draws are seeded from the
-configuration — so a report is reproducible bit-for-bit.  Gram positivity
-checks report the normalized eigenvalue deficit
-max(0, -lambda_min) / max(1, ||G||) against the PSD tolerance; series
+configuration — so a report is reproducible bit-for-bit.  Each check is a
+stream of ``(id, anchor, tol, defect)`` samples, one per input it tries; an
+identity's reported defect is the worst of its samples, and a NaN sample
+makes it fail.  Gram positivity checks report the normalized eigenvalue
+deficit max(0, -lambda_min) / max(1, ||G||) against the PSD tolerance; series
 soundness checks report the margin defect - tail_bound, which must be <= 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -38,6 +41,23 @@ def _res(cid: str, anchor: str, defect: float, tol: float) -> CheckResult:
     return CheckResult(cid, anchor, d, float(tol), bool(d <= tol))
 
 
+def _check(stream):
+    """Make a suite check ``check(cfg) -> list[CheckResult]`` from a sample
+    stream: ``stream(cfg)`` yields ``(id, anchor, tol, defect)`` per sample,
+    and each ``(id, anchor, tol)``, in order of first appearance, is reported
+    with the largest of its defects (``np.max``, so NaN wins)."""
+
+    @functools.wraps(stream)
+    def check(cfg: Defaults) -> list[CheckResult]:
+        samples: dict[tuple, list] = {}
+        for cid, anchor, tol, defect in stream(cfg):
+            samples.setdefault((cid, anchor, tol), []).append(defect)
+        return [_res(cid, anchor, np.max(defects), tol)
+                for (cid, anchor, tol), defects in samples.items()]
+
+    return check
+
+
 def _gram_defect(rep: numerics.GramReport) -> float:
     return max(0.0, -rep.min_eigenvalue) / max(1.0, rep.spectral_norm)
 
@@ -50,28 +70,25 @@ def _rng(cfg: Defaults, salt: int) -> np.random.Generator:
 # kernels suite
 # --------------------------------------------------------------------------
 
+@_check
 def check_hua(cfg: Defaults):
-    out = []
     for domain in (DISC, HALF_PLANE, Strip(cfg.beta)):
         rng = _rng(cfg, 11)
-        worst = 0.0
         for z in sample_interior(domain, rng, 50):
             comp = domain.boundary_components()[
                 int(rng.integers(len(domain.boundary_components())))]
             x = rng.uniform(0.0, 2.0 * math.pi) if domain is DISC \
                 else rng.uniform(-4.0, 4.0)
-            worst = max(worst, abs(kernels.poisson(domain, z, x, comp)
-                                   - kernels.hua_ratio(domain, z, x, comp)))
-        out.append(_res("kernels.hua.%s" % domain.name,
-                        "P_z(x) = |Q(z, x)|^2 / Q(z, z)", worst, 1e-10))
-    return out
+            yield ("kernels.hua.%s" % domain.name,
+                   "P_z(x) = |Q(z, x)|^2 / Q(z, z)", 1e-10,
+                   abs(kernels.poisson(domain, z, x, comp)
+                       - kernels.hua_ratio(domain, z, x, comp)))
 
 
+@_check
 def check_poisson_mass(cfg: Defaults):
-    out = []
     for domain in (DISC, HALF_PLANE, Strip(cfg.beta)):
         rng = _rng(cfg, 12)
-        worst = 0.0
         for z in sample_interior(domain, rng, 5):
             if domain is DISC:
                 mass = numerics.trapezoid_circle(
@@ -84,171 +101,151 @@ def check_poisson_mass(cfg: Defaults):
                         lambda x, c=comp: kernels.poisson(domain, z, x, c),
                         -np.inf, np.inf, tol=1e-10)
                     mass += val
-            worst = max(worst, abs(mass - 1.0))
-        out.append(_res("kernels.poisson-mass.%s" % domain.name,
-                        "Integral_boundary P_z(x) dx = 1", worst, 1e-8))
-    return out
+            yield ("kernels.poisson-mass.%s" % domain.name,
+                   "Integral_boundary P_z(x) dx = 1", 1e-8, abs(mass - 1.0))
 
 
+@_check
 def check_poisson_ft(cfg: Defaults):
-    worst = 0.0
     for lam in (0.5, 1.0, 2.0):
         for t in (-1.3, 0.4, 2.0):
             val = numerics.oscillatory_ft(
                 lambda x: kernels.poisson(HALF_PLANE, 1j * lam, x), t)
-            worst = max(worst, abs(val - math.exp(-lam * abs(t))))
-    return [_res("kernels.poisson-ft.half_plane",
-                 "Integral P_{i lam}(x) e^{itx} dx = e^{-lam |t|}",
-                 worst, 1e-8)]
+            yield ("kernels.poisson-ft.half_plane",
+                   "Integral P_{i lam}(x) e^{itx} dx = e^{-lam |t|}", 1e-8,
+                   abs(val - math.exp(-lam * abs(t))))
 
 
+@_check
 def check_disc_moments(cfg: Defaults):
-    worst = 0.0
     for lam in (0.3, 0.7, 0.95):
         for n in range(6):
             val = numerics.trapezoid_circle(
                 lambda t: np.exp(1j * n * t) * kernels.poisson(DISC, lam, t),
                 cfg.boundary_nodes)
-            worst = max(worst, abs(val - lam ** n))
-    return [_res("kernels.disc-moments",
-                 "Integral e^{int} P_lam(t) dt = lam^n", worst, 1e-8)]
+            yield ("kernels.disc-moments",
+                   "Integral e^{int} P_lam(t) dt = lam^n", 1e-8,
+                   abs(val - lam ** n))
 
 
+@_check
 def check_midline(cfg: Defaults):
     beta = cfg.beta
     strip = Strip(beta)
-    worst = 0.0
     for lam in (-1.0, 0.0, 0.8):
         for x in (-2.0, 0.3, 1.7):
-            worst = max(worst, abs(
-                kernels.poisson(strip, lam + 0.5j * beta, x, "lower")
-                - kernels.poisson_midline_strip(beta, lam, x)))
-    res = [_res("kernels.strip-midline-poisson",
-                "P_{lam + i beta/2}(x) = 1 / (2 beta cosh(pi (lam - x)/beta))",
-                worst, 1e-12)]
+            yield ("kernels.strip-midline-poisson",
+                   "P_{lam + i beta/2}(x) = 1 / (2 beta cosh(pi (lam - x)/beta))",
+                   1e-12,
+                   abs(kernels.poisson(strip, lam + 0.5j * beta, x, "lower")
+                       - kernels.poisson_midline_strip(beta, lam, x)))
     mid = kernels.bergman_strip(beta, 0.5j * beta, 0.5j * beta)
-    res.append(_res("kernels.bergman-midline",
-                    "Q(i beta/2, i beta/2)^2 = 1 / (16 beta^2)",
-                    abs(mid - 1.0 / (16.0 * beta * beta)), 1e-13))
-    return res
+    yield ("kernels.bergman-midline",
+           "Q(i beta/2, i beta/2)^2 = 1 / (16 beta^2)", 1e-13,
+           abs(mid - 1.0 / (16.0 * beta * beta)))
 
 
+@_check
 def check_rp_grams(cfg: Defaults):
     rng = _rng(cfg, 13)
-    out = []
 
-    def _push(cid, anchor, rep):
-        out.append(_res(cid, anchor, _gram_defect(rep), rep.tolerance))
+    def gram(cid, anchor, rep):
+        return cid, anchor, rep.tolerance, _gram_defect(rep)
 
     for lam in rng.uniform(-1.0, 1.0, size=4):
         pts = rng.integers(-20, 21, size=25)
-        _push("kernels.rp-gram.integers-pd",
-              "[lam^{|n_j - n_k|}] is PSD",
-              rpfunc.pd_gram("integers", float(lam), pts))
-        _push("kernels.rp-gram.integers-rp",
-              "[lam^{n_j + n_k}] is PSD on n >= 0",
-              rpfunc.rp_gram("integers", float(lam), rng.integers(0, 16, size=25)))
+        yield gram("kernels.rp-gram.integers-pd",
+                   "[lam^{|n_j - n_k|}] is PSD",
+                   rpfunc.pd_gram("integers", float(lam), pts))
+        yield gram("kernels.rp-gram.integers-rp",
+                   "[lam^{n_j + n_k}] is PSD on n >= 0",
+                   rpfunc.rp_gram("integers", float(lam),
+                                  rng.integers(0, 16, size=25)))
     for lam in rng.uniform(0.0, 4.0, size=4):
-        _push("kernels.rp-gram.line-pd",
-              "[e^{-lam |t_j - t_k|}] is PSD",
-              rpfunc.pd_gram("line", float(lam), rng.uniform(-8.0, 8.0, size=25)))
-        _push("kernels.rp-gram.line-rp",
-              "[e^{-lam (t_j + t_k)}] is PSD on t >= 0",
-              rpfunc.rp_gram("line", float(lam), rng.uniform(0.0, 8.0, size=25)))
+        yield gram("kernels.rp-gram.line-pd",
+                   "[e^{-lam |t_j - t_k|}] is PSD",
+                   rpfunc.pd_gram("line", float(lam),
+                                  rng.uniform(-8.0, 8.0, size=25)))
+        yield gram("kernels.rp-gram.line-rp",
+                   "[e^{-lam (t_j + t_k)}] is PSD on t >= 0",
+                   rpfunc.rp_gram("line", float(lam),
+                                  rng.uniform(0.0, 8.0, size=25)))
     for beta in (0.7, 2.0):
         for lam in rng.uniform(0.0, 5.0, size=3):
-            _push("kernels.rp-gram.circle-pd",
-                  "[phi_lam([y_j - y_k])] is PSD",
-                  rpfunc.pd_gram("circle", float(lam),
-                                 rng.uniform(0.0, beta, size=25), beta=beta))
-            _push("kernels.rp-gram.circle-rp",
-                  "[phi_lam([y_j + y_k])] is PSD on (0, beta/2)",
-                  rpfunc.rp_gram("circle", float(lam),
-                                 rng.uniform(0.01 * beta, 0.49 * beta, size=25),
-                                 beta=beta))
+            yield gram("kernels.rp-gram.circle-pd",
+                       "[phi_lam([y_j - y_k])] is PSD",
+                       rpfunc.pd_gram("circle", float(lam),
+                                      rng.uniform(0.0, beta, size=25), beta=beta))
+            yield gram("kernels.rp-gram.circle-rp",
+                       "[phi_lam([y_j + y_k])] is PSD on (0, beta/2)",
+                       rpfunc.rp_gram("circle", float(lam),
+                                      rng.uniform(0.01 * beta, 0.49 * beta, size=25),
+                                      beta=beta))
     for n in (0, 1, 2, 3):
         pairs = [(float(t), int(e)) for t, e in
                  zip(rng.uniform(-3.0, 3.0, size=20),
                      rng.choice([-1, 1], size=20))]
-        _push("kernels.rp-gram.signed-power",
-              "[(eps_j eps_k)^n e^{-n |t_j - t_k|}] is PSD",
-              rpfunc.param_rp_check(n, pairs))
-
-    # collapse repeated ids to their worst instance
-    best: dict[str, CheckResult] = {}
-    for r in out:
-        if r.id not in best or r.defect > best[r.id].defect:
-            best[r.id] = r
-    return list(best.values())
+        yield gram("kernels.rp-gram.signed-power",
+                   "[(eps_j eps_k)^n e^{-n |t_j - t_k|}] is PSD",
+                   rpfunc.param_rp_check(n, pairs))
 
 
+@_check
 def check_power_kernels(cfg: Defaults):
     rng = _rng(cfg, 14)
     strip = Strip(cfg.beta)
-    out = []
-    worst = 0.0
     for domain, scale in ((DISC, 1.0), (HALF_PLANE, 2.0 * math.pi), (strip, 1.0)):
         pts = sample_interior(domain, rng, 6)
         for z, w in zip(pts[:3], pts[3:]):
-            worst = max(worst, abs(kernels.power_kernel(domain, 1.0, z, w)
-                                   - scale * kernels.szego(domain, z, w)))
-    out.append(_res("kernels.power.s1",
-                    "Q_1 recovers the Szego kernel (x 2 pi on the half-plane)",
-                    worst, 1e-13))
+            yield ("kernels.power.s1",
+                   "Q_1 recovers the Szego kernel (x 2 pi on the half-plane)",
+                   1e-13, abs(kernels.power_kernel(domain, 1.0, z, w)
+                              - scale * kernels.szego(domain, z, w)))
     pts = sample_interior(strip, rng, 6)
-    worst = max(abs(kernels.power_kernel(strip, 2.0, z, w)
-                    - kernels.bergman_strip(cfg.beta, z, w))
-                for z, w in zip(pts[:3], pts[3:]))
-    out.append(_res("kernels.power.s2-bergman",
-                    "Q_2 = Q^2 on the strip", worst, 1e-13))
-    worst = 0.0
+    for z, w in zip(pts[:3], pts[3:]):
+        yield ("kernels.power.s2-bergman", "Q_2 = Q^2 on the strip", 1e-13,
+               abs(kernels.power_kernel(strip, 2.0, z, w)
+                   - kernels.bergman_strip(cfg.beta, z, w)))
     for domain in (DISC, HALF_PLANE, strip):
         pts = sample_interior(domain, rng, 10)
         for s in (0.5, 1.7):
             rep = kernels.kernel_gram(domain, pts, kind="power", s=s)
-            worst = max(worst, _gram_defect(rep))
-    out.append(_res("kernels.power.gram",
-                    "[Q_s(z_j, z_k)] is PSD for s > 0", worst, 1e-10))
+            yield ("kernels.power.gram", "[Q_s(z_j, z_k)] is PSD for s > 0",
+                   1e-10, _gram_defect(rep))
     rep = kernels.kernel_gram(strip, sample_interior(strip, rng, 10),
                               kind="bergman")
-    out.append(_res("kernels.bergman.gram", "[Q^2(z_j, z_k)] is PSD",
-                    _gram_defect(rep), 1e-10))
-    return out
+    yield ("kernels.bergman.gram", "[Q^2(z_j, z_k)] is PSD", 1e-10,
+           _gram_defect(rep))
 
 
+@_check
 def check_transfer(cfg: Defaults):
     rng = _rng(cfg, 15)
     strip = Strip(cfg.beta)
     disc_pts = 0.6 * np.sqrt(rng.uniform(0.1, 1.0, size=8)) \
         * np.exp(2j * math.pi * rng.uniform(size=8))
-    out = []
     for src, dst in ((DISC, HALF_PLANE), (HALF_PLANE, DISC),
                      (HALF_PLANE, strip), (strip, HALF_PLANE),
                      (DISC, strip), (strip, DISC)):
         lift = transfer_map(DISC, src)[0]
-        worst = 0.0
         for d1, d2 in zip(disc_pts[:4], disc_pts[4:]):
             chk = kernels.szego_transfer_check(src, dst, lift(d1), lift(d2))
-            worst = max(worst, chk.defect)
-        out.append(_res("kernels.transfer.%s-to-%s" % (src.name, dst.name),
-                        "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) "
-                        "Q_dst(phi z, phi w)", worst, 1e-12))
-    return out
+            yield ("kernels.transfer.%s-to-%s" % (src.name, dst.name),
+                   "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) "
+                   "Q_dst(phi z, phi w)", 1e-12, chk.defect)
 
 
+@_check
 def check_outer(cfg: Defaults):
-    out = []
-    worst = 0.0
     for lam in (0.7, 1.6):
         w = 1j * lam
         psi = lambda x: kernels.poisson(HALF_PLANE, w, x)
         for z in (0.4 + 0.9j, -1.1 + 0.5j, 2.0 + 2.0j):
             f = kernels.outer_from_modulus(psi, z)
-            worst = max(worst, abs(abs(f) - abs(kernels.outer_f(HALF_PLANE, w, z))))
-    out.append(_res("kernels.outer-modulus",
-                    "outer(|F_w|) and F_w agree in modulus", worst, 1e-7))
+            yield ("kernels.outer-modulus",
+                   "outer(|F_w|) and F_w agree in modulus", 1e-7,
+                   abs(abs(f) - abs(kernels.outer_f(HALF_PLANE, w, z))))
     rng = _rng(cfg, 16)
-    worst = 0.0
     for domain in (DISC, HALF_PLANE, Strip(cfg.beta)):
         if domain is DISC:
             ws = [0.0, 0.45, -0.7]
@@ -262,45 +259,39 @@ def check_outer(cfg: Defaults):
                     int(rng.integers(len(domain.boundary_components())))]
                 x = float(rng.uniform(-3.0, 3.0))
                 h = kernels.h_boundary(domain, w, comp, x)
-                worst = max(worst, abs(abs(h) - 1.0))
-    out.append(_res("kernels.flip-multiplier",
-                    "|h_w| = 1 on the boundary for w on the fixed set",
-                    worst, 1e-12))
-    return out
+                yield ("kernels.flip-multiplier",
+                       "|h_w| = 1 on the boundary for w on the fixed set",
+                       1e-12, abs(abs(h) - 1.0))
 
 
+@_check
 def check_flip_pairing(cfg: Defaults):
     funcs = [lambda z: 1.0,
              lambda z: z,
              lambda z: z * z,
              lambda z: 1.0 + 0.5 * z,
              lambda z: z ** 3 - 2.0 * z]
-    out = []
-    worst = 0.0
     for w, F in zip((0.0, 0.35, -0.5, 0.72, 0.9), funcs):
         chk = kernels.flip_pairing_check(DISC, w, F, nodes=cfg.boundary_nodes)
-        worst = max(worst, chk.defect)
-    out.append(_res("kernels.flip-pairing.disc",
-                    "<f*, theta_w f*> = |f(w)|^2 / Q(w, w)", worst, 1e-7))
+        yield ("kernels.flip-pairing.disc",
+               "<f*, theta_w f*> = |f(w)|^2 / Q(w, w)", 1e-7, chk.defect)
     beta = cfg.beta
-    worst = 0.0
     for x0, F in zip((-1.0, -0.3, 0.0, 0.6, 1.4), funcs):
         chk = kernels.flip_pairing_check(Strip(beta), x0 + 0.5j * beta, F,
                                          tol=1e-9)
-        worst = max(worst, chk.defect)
-    out.append(_res("kernels.flip-pairing.strip",
-                    "<f*, theta_w f*> = |f(w)|^2 / Q(w, w)", worst, 1e-7))
-    return out
+        yield ("kernels.flip-pairing.strip",
+               "<f*, theta_w f*> = |f(w)|^2 / Q(w, w)", 1e-7, chk.defect)
 
 
+@_check
 def check_strip_characterization(cfg: Defaults):
     beta = cfg.beta
     rng = _rng(cfg, 17)
     strip = Strip(beta)
-    miss_in = 0
-    for z in sample_interior(strip, rng, 100):
-        if rpfunc.strip_membership(beta, z).verdict != "interior":
-            miss_in += 1
+    miss_in = sum(rpfunc.strip_membership(beta, z).verdict != "interior"
+                  for z in sample_interior(strip, rng, 100))
+    yield ("kernels.strip-membership.interior",
+           "|c_t(z)| < 1 for all t > 0 inside the strip", 0.0, float(miss_in))
     miss_out = 0
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0)
@@ -309,119 +300,95 @@ def check_strip_characterization(cfg: Defaults):
         r = rpfunc.strip_membership(beta, complex(x, y))
         if r.verdict != "exterior" or r.witness_t is None:
             miss_out += 1
-    out = [_res("kernels.strip-membership.interior",
-                "|c_t(z)| < 1 for all t > 0 inside the strip",
-                float(miss_in), 0.0),
-           _res("kernels.strip-membership.exterior",
-                "|c_t(z)| >= 1 for some t > 0 outside the strip",
-                float(miss_out), 0.0)]
-    worst = 0.0
+    yield ("kernels.strip-membership.exterior",
+           "|c_t(z)| >= 1 for some t > 0 outside the strip", 0.0, float(miss_out))
     for x in (1.3, -0.4, 2.6):
         for z in (complex(x, 0.0), complex(x, beta)):
             r = rpfunc.strip_membership(beta, z)
-            if r.verdict != "boundary" or r.witness_t is None:
-                worst = math.inf
-                continue
-            worst = max(worst, abs(rpfunc.c_log_abs(beta, r.witness_t, z)))
-    out.append(_res("kernels.strip-membership.boundary-witness",
-                    "|c_{2 pi / |x|}(z)| = 1 on the boundary", worst, 1e-12))
-    return out
+            found = r.verdict == "boundary" and r.witness_t is not None
+            yield ("kernels.strip-membership.boundary-witness",
+                   "|c_{2 pi / |x|}(z)| = 1 on the boundary", 1e-12,
+                   abs(rpfunc.c_log_abs(beta, r.witness_t, z)) if found
+                   else math.inf)
 
 
 # --------------------------------------------------------------------------
 # series suite
 # --------------------------------------------------------------------------
 
+@_check
 def check_series_soundness(cfg: Defaults):
     rng = _rng(cfg, 21)
     n_top = max(cfg.series_terms, 1000)
-    margins = {"sinh": -math.inf, "szego": -math.inf, "bergman": -math.inf}
-    finals = {"sinh": 0.0, "szego": 0.0, "bergman": 0.0}
     for _ in range(100):
         beta = rng.uniform(1.5, 3.0)
         strip = Strip(beta)
         z, w = sample_interior(strip, rng, 2, margin=0.1)
         zeta = z - np.conj(w)
-        for n in (100, 1000, n_top):
+        # n_top first, so each soundness id is reported just before its
+        # accuracy id
+        for n in (n_top, 100, 1000):
             evs = {"sinh": periodize.sinh_series(beta, zeta, n),
                    "szego": periodize.szego_series(beta, z, w, n),
                    "bergman": periodize.bergman_series(beta, z, w, n)}
             for name, ev in evs.items():
-                margins[name] = max(margins[name], ev.defect - ev.tail_bound)
+                yield ("series.soundness.%s" % name,
+                       "partial-sum defect <= proven tail bound", 0.0,
+                       ev.defect - ev.tail_bound)
                 if n == n_top:
-                    finals[name] = max(finals[name], ev.defect)
-    out = []
-    for name in ("sinh", "szego", "bergman"):
-        out.append(_res("series.soundness.%s" % name,
-                        "partial-sum defect <= proven tail bound",
-                        margins[name], 0.0))
-        out.append(_res("series.accuracy.%s" % name,
-                        "defect at N = %d below 1e-6" % n_top,
-                        finals[name], 1e-6))
-    worst_margin = -math.inf
+                    yield ("series.accuracy.%s" % name,
+                           "defect at N = %d below 1e-6" % n_top, 1e-6,
+                           ev.defect)
     for _ in range(50):
         z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0))
         if abs(z - round(z.real)) < 0.1 and abs(z.imag) < 0.1:
             z += 0.3j
         for n in (100, 1000):
             ev = periodize.cosecant_series(z, n)
-            worst_margin = max(worst_margin, ev.defect - ev.tail_bound)
-    out.append(_res("series.soundness.cosecant",
-                    "pi/sin(pi z) partial-sum defect <= 8|z|/(3N)",
-                    worst_margin, 0.0))
-    return out
+            yield ("series.soundness.cosecant",
+                   "pi/sin(pi z) partial-sum defect <= 8|z|/(3N)", 0.0,
+                   ev.defect - ev.tail_bound)
 
 
+@_check
 def check_split(cfg: Defaults):
     rng = _rng(cfg, 22)
-    worst_margin = -math.inf
-    worst = 0.0
     for _ in range(10):
         beta = rng.uniform(1.5, 3.0)
         strip = Strip(beta)
         z, w = sample_interior(strip, rng, 2, margin=0.1)
         _, _, total = periodize.szego_series_split(beta, z, w, 2000)
-        worst_margin = max(worst_margin, total.defect - total.tail_bound)
-        worst = max(worst, total.defect)
-    return [_res("series.split.soundness",
-                 "Q^+ + Q^- recombination defect <= 1/(2 pi beta (N-1))",
-                 worst_margin, 0.0),
-            _res("series.split.accuracy",
-                 "Q^+ + Q^- = Q at N = 2000", worst, 1e-4)]
+        yield ("series.split.soundness",
+               "Q^+ + Q^- recombination defect <= 1/(2 pi beta (N-1))", 0.0,
+               total.defect - total.tail_bound)
+        yield ("series.split.accuracy", "Q^+ + Q^- = Q at N = 2000", 1e-4,
+               total.defect)
 
 
+@_check
 def check_circle_fourier(cfg: Defaults):
-    out = []
-    worst = 0.0
     for beta, lam in ((1.0, 1.0), (2.0, 0.7), (0.8, 2.0)):
         for y in (0.0, 0.3 * beta, 0.5 * beta):
             val = rpfunc.phi_circle_partial_sum(beta, lam, y, 20000)
-            worst = max(worst, abs(val - rpfunc.phi_circle(beta, lam, y)))
-    out.append(_res("series.circle-family.resummation",
-                    "sum c_n e^{2 pi i n y / beta} returns phi_lam([y])",
-                    worst, 1e-5))
+            yield ("series.circle-family.resummation",
+                   "sum c_n e^{2 pi i n y / beta} returns phi_lam([y])", 1e-5,
+                   abs(val - rpfunc.phi_circle(beta, lam, y)))
     beta, lam = 2.0, 0.7
     nodes = 8192
     ys = beta * np.arange(nodes) / nodes
     vals = np.array([rpfunc.phi_circle(beta, lam, y) for y in ys])
-    worst = 0.0
     for n in (0, 1, 5):
         approx = np.mean(vals * np.exp(-2j * math.pi * n * ys / beta))
-        worst = max(worst, abs(approx - rpfunc.phi_circle_fourier(beta, lam, n)))
-    out.append(_res("series.circle-family.coefficients",
-                    "c_n = (1/pi) s/(s^2+n^2) (1-e^{-beta lam})/(1+e^{-beta lam})",
-                    worst, 1e-6))
-    worst = 0.0
+        yield ("series.circle-family.coefficients",
+               "c_n = (1/pi) s/(s^2+n^2) (1-e^{-beta lam})/(1+e^{-beta lam})",
+               1e-6, abs(approx - rpfunc.phi_circle_fourier(beta, lam, n)))
     for beta, lam in ((1.0, 0.5), (1.0, 2.0), (2.0, 1.0)):
         for y in (0.0, 0.3 * beta, 0.8 * beta):
             chk = numerics.poisson_summation_check(beta, lam, y, 1000)
             ratio = -math.expm1(-lam * beta) / (1.0 + math.exp(-lam * beta))
-            worst = max(worst, abs(rpfunc.phi_circle(beta, lam, y)
-                                   - ratio * chk.rhs))
-    out.append(_res("series.circle-family.geometric-form",
-                    "phi_lam([y]) matches the two-sided geometric sum",
-                    worst, 1e-13))
-    return out
+            yield ("series.circle-family.geometric-form",
+                   "phi_lam([y]) matches the two-sided geometric sum", 1e-13,
+                   abs(rpfunc.phi_circle(beta, lam, y) - ratio * chk.rhs))
 
 
 # --------------------------------------------------------------------------
@@ -436,76 +403,64 @@ def _random_positive_atoms(rng, include_zero=False):
     return measures.atomic(zip(locs, weights))
 
 
+@_check
 def check_markov_semigroup(cfg: Defaults):
     rng = _rng(cfg, 31)
     betas = (0.5, 1.0, 3.0)
-    worst_refl = worst_kms = worst_phi = 0.0
     for k in range(10):
         beta = betas[k % 3]
         mu = _random_positive_atoms(rng, include_zero=(k % 3 == 2))
         nu = measures.Gamma_map(mu, beta)
-        worst_refl = max(worst_refl, measures.reflection_check(nu, beta))
-        worst_kms = max(worst_kms, measures.kms_check(nu, beta))
+        yield ("measures.reflection",
+               "d Gamma(mu)(-lam) = e^{-beta lam} d Gamma(mu)(lam)", 1e-12,
+               measures.reflection_check(nu, beta))
+        yield ("measures.kms", "nu_hat(i beta + t) = conj(nu_hat(t))", 1e-8,
+               measures.kms_check(nu, beta))
         phi_T, _ = measures.rp_circle_from_measure(mu, beta)
         for y in (0.0, 0.2 * beta, 0.5 * beta, 0.9 * beta):
             direct = math.fsum(
                 w * rpfunc.phi_circle(beta, lam, y)
                 for lam, w in zip(mu.atom_locs, mu.atom_weights))
-            worst_phi = max(worst_phi, abs(phi_T(y) - direct))
-    return [_res("measures.reflection",
-                 "d Gamma(mu)(-lam) = e^{-beta lam} d Gamma(mu)(lam)",
-                 worst_refl, 1e-12),
-            _res("measures.kms",
-                 "nu_hat(i beta + t) = conj(nu_hat(t))", worst_kms, 1e-8),
-            _res("measures.circle-consistency",
-                 "Gamma(mu)_hat(iy) = Integral phi_lam([y]) d mu(lam)",
-                 worst_phi, 1e-10)]
+            yield ("measures.circle-consistency",
+                   "Gamma(mu)_hat(iy) = Integral phi_lam([y]) d mu(lam)", 1e-10,
+                   abs(phi_T(y) - direct))
 
 
 def _measure_rel_defect(a: measures.MeasureOnR, b: measures.MeasureOnR) -> float:
-    if a.atom_locs.size != b.atom_locs.size:
+    """Worst relative defect of a's atom weights and density against b's;
+    inf when their atoms or grids do not line up."""
+    if (a.atom_locs.size != b.atom_locs.size
+            or (a.density is None) != (b.density is None)
+            or (a.density is not None and a.density.size != b.density.size)):
         return math.inf
-    worst = 0.0
+    defects = [0.0]
     if a.atom_locs.size:
         if float(np.max(np.abs(a.atom_locs - b.atom_locs))) > 1e-12:
             return math.inf
         scale = np.maximum(np.abs(b.atom_weights), 1e-300)
-        worst = float(np.max(np.abs(a.atom_weights - b.atom_weights) / scale))
-    if (a.density is None) != (b.density is None):
-        return math.inf
+        defects.append(np.max(np.abs(a.atom_weights - b.atom_weights) / scale))
     if a.density is not None:
-        if a.density.size != b.density.size:
-            return math.inf
         scale = float(np.max(np.abs(b.density))) or 1.0
-        worst = max(worst, float(np.max(np.abs(a.density - b.density))) / scale)
-    return worst
+        defects.append(float(np.max(np.abs(a.density - b.density))) / scale)
+    return float(np.max(defects))
 
 
+@_check
 def check_factorization(cfg: Defaults):
     rng = _rng(cfg, 32)
     betas = (0.5, 1.0, 3.0)
-    worst_fact = worst_round = 0.0
-    for k in range(10):
-        beta = betas[k % 3]
-        mu = _random_positive_atoms(rng, include_zero=(k % 2 == 0))
+    cases = [(_random_positive_atoms(rng, include_zero=(k % 2 == 0)), betas[k % 3])
+             for k in range(10)]
+    grid = measures.gridded(0.0, 0.05, np.exp(-np.arange(121) * 0.05))
+    cases += [(grid, 0.5), (grid, 2.0)]
+    for mu, beta in cases:
         lhs = measures.gamma_map(measures.M_kappa(mu, beta), beta)
         rhs = measures.Gamma_map(mu, beta)
-        worst_fact = max(worst_fact, _measure_rel_defect(lhs, rhs))
-        back = measures.Gamma_inverse(rhs, beta)
-        worst_round = max(worst_round, _measure_rel_defect(back, mu))
-    grid = measures.gridded(0.0, 0.05, np.exp(-np.arange(121) * 0.05))
-    for beta in (0.5, 2.0):
-        lhs = measures.gamma_map(measures.M_kappa(grid, beta), beta)
-        rhs = measures.Gamma_map(grid, beta)
-        worst_fact = max(worst_fact, _measure_rel_defect(lhs, rhs))
-        worst_round = max(worst_round,
-                          _measure_rel_defect(measures.Gamma_inverse(rhs, beta),
-                                              grid))
-    return [_res("measures.factorization",
-                 "gamma(M_kappa mu) = Gamma(mu), kappa = 1/(1+e^{-beta lam})",
-                 worst_fact, 1e-15),
-            _res("measures.gamma-roundtrip",
-                 "Gamma^{-1}(Gamma(mu)) = mu", worst_round, 1e-15)]
+        yield ("measures.factorization",
+               "gamma(M_kappa mu) = Gamma(mu), kappa = 1/(1+e^{-beta lam})",
+               1e-15, _measure_rel_defect(lhs, rhs))
+        yield ("measures.gamma-roundtrip", "Gamma^{-1}(Gamma(mu)) = mu", 1e-15,
+               _measure_rel_defect(measures.Gamma_inverse(rhs, beta), mu))
 
 
 def _safe_strip_pairs(rng, beta, n):
@@ -517,6 +472,7 @@ def _safe_strip_pairs(rng, beta, n):
     return pairs
 
 
+@_check
 def check_kernel_recovery(cfg: Defaults):
     rng = _rng(cfg, 33)
     beta = 2.0
@@ -526,44 +482,37 @@ def check_kernel_recovery(cfg: Defaults):
     nu_b = measures.bergman_strip_measure(beta, halfwidth=cfg.grid_halfwidth,
                                           step=cfg.grid_step)
     pairs = _safe_strip_pairs(rng, beta, 10)
-    worst_q = max(abs(measures.kernel_from_measure(nu_q, z, w)
-                      - kernels.szego(strip, z, w)) for z, w in pairs)
-    worst_b = max(abs(measures.kernel_from_measure(nu_b, z, w)
-                      - kernels.bergman_strip(beta, z, w)) for z, w in pairs)
-    worst_t = measures.theta_involution_check(nu_q, beta, pairs)
-    return [_res("measures.kernel-recovery.szego",
-                 "nu_hat(z - conj w) = (i/4 beta)/sinh(pi (z - conj w)/(2 beta))",
-                 worst_q, 1e-8),
-            _res("measures.kernel-recovery.bergman",
-                 "nu_hat(z - conj w) = Q(z, w)^2 for the lam d lam density",
-                 worst_b, 1e-8),
-            _res("measures.theta-invariance",
-                 "nu_hat(2 i beta - zeta) = nu_hat(zeta)", worst_t, 1e-8)]
+    for z, w in pairs:
+        yield ("measures.kernel-recovery.szego",
+               "nu_hat(z - conj w) = (i/4 beta)/sinh(pi (z - conj w)/(2 beta))",
+               1e-8, abs(measures.kernel_from_measure(nu_q, z, w)
+                         - kernels.szego(strip, z, w)))
+        yield ("measures.kernel-recovery.bergman",
+               "nu_hat(z - conj w) = Q(z, w)^2 for the lam d lam density",
+               1e-8, abs(measures.kernel_from_measure(nu_b, z, w)
+                         - kernels.bergman_strip(beta, z, w)))
+    yield ("measures.theta-invariance", "nu_hat(2 i beta - zeta) = nu_hat(zeta)",
+           1e-8, measures.theta_involution_check(nu_q, beta, pairs))
 
 
+@_check
 def check_riesz(cfg: Defaults):
-    worst = 0.0
     for s in (0.5, 1.0, 1.7):
         for z in (0.3 + 1.1j, -1.0 + 0.8j):
-            worst = max(worst, abs(measures.riesz_hat_quad(s, z)
-                                   - measures.riesz_hat(s, z)))
-    out = [_res("measures.riesz.transform",
-                "Integral p^{s-1} e^{izp} dp / GAMMA(s) = (i/z)^s",
-                worst, 1e-8)]
-    worst = 0.0
+            yield ("measures.riesz.transform",
+                   "Integral p^{s-1} e^{izp} dp / GAMMA(s) = (i/z)^s", 1e-8,
+                   abs(measures.riesz_hat_quad(s, z) - measures.riesz_hat(s, z)))
     for s in (0.5, 1.3):
         for t in (0.7, 2.0):
-            worst = max(worst, measures.riesz_kappa_check(s, 1.0, t))
-    out.append(_res("measures.riesz.odd-part",
-                    "nu_s - nu_s^vee has density p^{s-1}/GAMMA(s) on p > 0",
-                    worst, 1e-10))
-    return out
+            yield ("measures.riesz.odd-part",
+                   "nu_s - nu_s^vee has density p^{s-1}/GAMMA(s) on p > 0",
+                   1e-10, measures.riesz_kappa_check(s, 1.0, t))
 
 
+@_check
 def check_splitting(cfg: Defaults):
     rng = _rng(cfg, 34)
     beta = 1.0
-    out = []
     w = rng.uniform(0.2, 1.0, size=3)
     sym_atoms = measures.atomic([(0.7, w[0]), (-0.7, w[0]),
                                  (1.9, w[1]), (-1.9, w[1]),
@@ -579,19 +528,16 @@ def check_splitting(cfg: Defaults):
     zetas = [0.2 + 0.4j * beta, -1.0 + 1.1j * beta, 0.5 + 1.6j * beta]
     for name, mu, mode in cases:
         nu, nu_plus, _ = measures.geometric_splitting(mu, beta, mode)
-        worst = measures.reflection_check(nu, beta, factor=2.0)
-        out.append(_res("measures.splitting.%s.reflection" % name,
-                        "d nu(-lam) = e^{-2 beta lam} d nu(lam)", worst, 1e-13))
-        worst = 0.0
+        yield ("measures.splitting.%s.reflection" % name,
+               "d nu(-lam) = e^{-2 beta lam} d nu(lam)", 1e-13,
+               measures.reflection_check(nu, beta, factor=2.0))
         for zeta in zetas:
             lhs = measures.fourier(nu, zeta, monitor=False)
             rhs = measures.fourier(nu_plus, zeta, monitor=False) \
                 + measures.fourier(nu_plus, 2j * beta - zeta, monitor=False)
-            worst = max(worst, abs(lhs - rhs))
-        out.append(_res("measures.splitting.%s.one-sided" % name,
-                        "nu_hat(z) = nu_hat_+(z) + nu_hat_+(2 i beta - z)",
-                        worst, 1e-12))
-    return out
+            yield ("measures.splitting.%s.one-sided" % name,
+                   "nu_hat(z) = nu_hat_+(z) + nu_hat_+(2 i beta - z)", 1e-12,
+                   abs(lhs - rhs))
 
 
 # --------------------------------------------------------------------------
@@ -606,122 +552,113 @@ def _standard_setup(cfg: Defaults):
     return beta, md
 
 
+@_check
 def check_modular_algebra(cfg: Defaults):
     beta, md = _standard_setup(cfg)
     rng = _rng(cfg, 41)
-    return [_res("modular.jdj",
-                 "J Delta J = Delta^{-1}",
-                 modular.jdj_defect(md, rng), 1e-12),
-            _res("modular.j-involution", "J^2 = 1",
-                 modular.j_involution_defect(md, rng), 1e-14),
-            _res("modular.flow-unitarity",
-                 "||Delta^{-it/beta} v|| = ||v||",
-                 modular.flow_unitarity_defect(md, rng), 1e-13)]
+    yield ("modular.jdj", "J Delta J = Delta^{-1}", 1e-12,
+           modular.jdj_defect(md, rng))
+    yield ("modular.j-involution", "J^2 = 1", 1e-14,
+           modular.j_involution_defect(md, rng))
+    yield ("modular.flow-unitarity", "||Delta^{-it/beta} v|| = ||v||", 1e-13,
+           modular.flow_unitarity_defect(md, rng))
 
 
+@_check
 def check_modular_dynamics(cfg: Defaults):
     beta, md = _standard_setup(cfg)
     rng = _rng(cfg, 42)
     v = md.space.random_standard_vector(rng)
-    out = [_res("modular.standard-membership",
-                "v(lam) = conj(v(-lam)) on the standard subspace",
-                modular.standard_membership(md.space, v), 1e-15)]
+    yield ("modular.standard-membership",
+           "v(lam) = conj(v(-lam)) on the standard subspace", 1e-15,
+           modular.standard_membership(md.space, v))
     ts = np.linspace(-3.0, 3.0, 15)
     G = np.empty((ts.size, ts.size), dtype=complex)
     for j, tj in enumerate(ts):
         for k, tk in enumerate(ts):
             G[j, k] = modular.modular_coefficient(md, v, tj - tk)
-    rep = numerics.gram_report(G)
-    out.append(_res("modular.coefficient-pd",
-                    "psi(t) = <v, Delta^{-it/beta} v> is positive definite",
-                    _gram_defect(rep), 1e-10))
-    meas = modular.coefficient_measure(md, v)
-    out.append(_res("modular.coefficient-kms",
-                    "psi(i beta + t) = conj(psi(t))",
-                    measures.kms_check(meas, beta), 1e-8))
-    worst = max(abs(modular.modular_coefficient(md, v, -t)
-                    - modular.modular_coefficient(md, v, t).conjugate())
-                for t in (0.3, 1.1, 2.7))
-    out.append(_res("modular.coefficient-symmetry",
-                    "psi(-t) = conj(psi(t))", worst, 1e-14))
-    worst = 0.0
+    yield ("modular.coefficient-pd",
+           "psi(t) = <v, Delta^{-it/beta} v> is positive definite", 1e-10,
+           _gram_defect(numerics.gram_report(G)))
+    yield ("modular.coefficient-kms", "psi(i beta + t) = conj(psi(t))", 1e-8,
+           measures.kms_check(modular.coefficient_measure(md, v), beta))
+    for t in (0.3, 1.1, 2.7):
+        yield ("modular.coefficient-symmetry", "psi(-t) = conj(psi(t))", 1e-14,
+               abs(modular.modular_coefficient(md, v, -t)
+                   - modular.modular_coefficient(md, v, t).conjugate()))
     for b in (1.0, 2.0):
         for t in (0.0, 0.6, 1.9):
-            worst = max(worst, modular.psi_hardy_midline(b, t).defect)
-    out.append(_res("modular.midline-forms",
-                    "the two integral forms of the midline psi agree",
-                    worst, 1e-8))
-    return out
+            yield ("modular.midline-forms",
+                   "the two integral forms of the midline psi agree", 1e-8,
+                   modular.psi_hardy_midline(b, t).defect)
 
 
+@_check
 def check_commutation(cfg: Defaults):
     L, n = 4.0, 256
     rep = modular.commutation_check(L, n, s=3.0 * L / n,
                                     t=3.0 * (2.0 * math.pi) / L)
-    out = [_res("modular.weyl-compatible",
-                "V_s U_t = e^{its} U_t V_s exactly when t L in 2 pi Z",
-                rep.global_defect, 1e-12)]
+    yield ("modular.weyl-compatible",
+           "V_s U_t = e^{its} U_t V_s exactly when t L in 2 pi Z", 1e-12,
+           rep.global_defect)
     rep = modular.commutation_check(L, n, s=0.7, t=1.234)
-    out.append(_res("modular.weyl-interior",
-                    "Weyl relation exact at nodes that do not wrap",
-                    rep.interior_defect, 1e-13))
-    out.append(_res("modular.weyl-wrap-bound",
-                    "wrapped-node defect bounded by |e^{itL} - 1|",
-                    rep.global_defect - rep.wrap_phase, 1e-13))
-    return out
+    yield ("modular.weyl-interior",
+           "Weyl relation exact at nodes that do not wrap", 1e-13,
+           rep.interior_defect)
+    yield ("modular.weyl-wrap-bound",
+           "wrapped-node defect bounded by |e^{itL} - 1|", 1e-13,
+           rep.global_defect - rep.wrap_phase)
 
 
 # --------------------------------------------------------------------------
 # appendix suite
 # --------------------------------------------------------------------------
 
+@_check
 def check_poisson_summation(cfg: Defaults):
-    out = []
     for beta, lam in ((1.0, 0.5), (1.0, 2.0), (2.0, 1.0)):
         chk = numerics.poisson_summation_check(beta, lam, 0.3 * beta, 10000)
-        out.append(_res("appendix.poisson-summation.beta%g-lam%g" % (beta, lam),
-                        "periodized Lorentzian = two-sided geometric sum",
-                        chk.defect, chk.tail_bound))
-    return out
+        yield ("appendix.poisson-summation.beta%g-lam%g" % (beta, lam),
+               "periodized Lorentzian = two-sided geometric sum",
+               chk.tail_bound, chk.defect)
 
 
+@_check
 def check_sech(cfg: Defaults):
-    worst = max(numerics.sech_ft_check(xi).defect for xi in (0.0, 0.7, 2.3))
-    out = [_res("appendix.sech-ft",
-                "Integral e^{ix xi} sech x dx = pi / cosh(pi xi / 2)",
-                worst, 1e-10)]
-    worst = max(numerics.sech2_ft_check(lam).defect for lam in (0.0, 1.1, 3.0))
-    out.append(_res("appendix.sech2-ft",
-                    "FT(sech^2)(lam) = sqrt(pi/2) lam / sinh(pi lam / 2)",
-                    worst, 1e-8))
-    worst = max(numerics.sech_power_recursion_check(n, p).defect
-                for n in (1, 2, 3) for p in (0.5, 2.0))
-    out.append(_res("appendix.sech-power-recursion",
-                    "FT(sech^{n+2}) = (n^2+p^2)/(n(n+1)) FT(sech^n)",
-                    worst, 1e-8))
-    return out
+    for xi in (0.0, 0.7, 2.3):
+        yield ("appendix.sech-ft",
+               "Integral e^{ix xi} sech x dx = pi / cosh(pi xi / 2)", 1e-10,
+               numerics.sech_ft_check(xi).defect)
+    for lam in (0.0, 1.1, 3.0):
+        yield ("appendix.sech2-ft",
+               "FT(sech^2)(lam) = sqrt(pi/2) lam / sinh(pi lam / 2)", 1e-8,
+               numerics.sech2_ft_check(lam).defect)
+    for n in (1, 2, 3):
+        for p in (0.5, 2.0):
+            yield ("appendix.sech-power-recursion",
+                   "FT(sech^{n+2}) = (n^2+p^2)/(n(n+1)) FT(sech^n)", 1e-8,
+                   numerics.sech_power_recursion_check(n, p).defect)
 
 
+@_check
 def check_ftcosh(cfg: Defaults):
-    worst = 0.0
     for beta in (1.0, 2.0):
         for z in (0.4 + 0.5j * beta, -1.2 + 1.3j * beta):
-            worst = max(worst, numerics.ftcosh_check(beta, z).defect)
-    return [_res("appendix.fermi-ft",
-                 "(1/2 pi) Int e^{iz lam}/(1+e^{-2 beta lam}) d lam "
-                 "= (i/4 beta)/sinh(pi z/(2 beta))", worst, 1e-9)]
+            yield ("appendix.fermi-ft",
+                   "(1/2 pi) Int e^{iz lam}/(1+e^{-2 beta lam}) d lam "
+                   "= (i/4 beta)/sinh(pi z/(2 beta))", 1e-9,
+                   numerics.ftcosh_check(beta, z).defect)
 
 
+@_check
 def check_hyperbolic_abs(cfg: Defaults):
     grid = np.linspace(-2.0, 2.0, 5)
-    worst = 0.0
     for x in grid:
         for y in grid:
-            worst = max(worst, numerics.sinh_abs_check(x, y).defect,
-                        numerics.cosh_abs_check(x, y).defect)
-    return [_res("appendix.hyperbolic-modulus",
-                 "|sinh(x+iy)|^2 = sinh^2 x + sin^2 y (and the cosh twin)",
-                 worst, 1e-13)]
+            for chk in (numerics.sinh_abs_check(x, y), numerics.cosh_abs_check(x, y)):
+                yield ("appendix.hyperbolic-modulus",
+                       "|sinh(x+iy)|^2 = sinh^2 x + sin^2 y (and the cosh twin)",
+                       1e-13, chk.defect)
 
 
 # --------------------------------------------------------------------------

@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rphardy import measures, rpfunc
-from rphardy.errors import (
-    NegativeSupport, ParameterOutOfRange, SampleOutsidePositiveCone,
-)
+from rphardy import rpfunc
+from rphardy.errors import ParameterOutOfRange, SampleOutsidePositiveCone
 
 
 def test_phi_int_values_and_domain():
@@ -76,26 +74,6 @@ def test_phi_circle_partial_sum_converges():
     target = rpfunc.phi_circle(beta, lam, y)
     assert abs(rpfunc.phi_circle_partial_sum(beta, lam, y, 20000) - target) < 1e-5
     assert rpfunc.phi_circle_partial_sum(beta, 0.0, y, 10) == 1.0
-
-
-def test_rp_family_eval_matches_direct_sums():
-    mix = measures.atomic([(0.3, 1.0), (0.9, 0.5)])
-    got = rpfunc.rp_family_eval("integers", mix, 2)
-    assert got == pytest.approx(0.3 ** 2 + 0.5 * 0.9 ** 2, abs=1e-15)
-    got = rpfunc.rp_family_eval("line", mix, -2.0)
-    assert got == pytest.approx(math.exp(-0.6) + 0.5 * math.exp(-1.8), abs=1e-15)
-    got = rpfunc.rp_family_eval("circle", mix, 0.4, beta=1.0)
-    want = rpfunc.phi_circle(1.0, 0.3, 0.4) + 0.5 * rpfunc.phi_circle(1.0, 0.9, 0.4)
-    assert got == pytest.approx(want, abs=1e-15)
-
-
-def test_rp_family_eval_support_validation():
-    with pytest.raises(NegativeSupport):
-        rpfunc.rp_family_eval("line", measures.atomic([(-0.2, 1.0)]), 1.0)
-    with pytest.raises(NegativeSupport):
-        rpfunc.rp_family_eval("integers", measures.atomic([(1.5, 1.0)]), 1)
-    with pytest.raises(ParameterOutOfRange):
-        rpfunc.rp_family_eval("circle", measures.atomic([(0.5, 1.0)]), 1.0)
 
 
 def test_bad_group_name():

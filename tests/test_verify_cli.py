@@ -7,11 +7,142 @@ import math
 import numpy as np
 import pytest
 
-from rphardy import cli, measures, verify
+from rphardy import cli, kernels, measures, verify
 from rphardy.config import Defaults
 
 DISC_SZEGO = 0.14892851817706987 + 0.01985713575694265j  # z=0.3+0.2i, w=0.1-0.4i
 PI_CSC_03PI = 3.8832220774509332                          # pi / sin(0.3 pi)
+
+# (id, anchor, tol) of every run_suite("all") result at Defaults(), in order
+VERIFY_CONTRACT = [
+    ("kernels.hua.disc", "P_z(x) = |Q(z, x)|^2 / Q(z, z)", 1e-10),
+    ("kernels.hua.half_plane", "P_z(x) = |Q(z, x)|^2 / Q(z, z)", 1e-10),
+    ("kernels.hua.strip", "P_z(x) = |Q(z, x)|^2 / Q(z, z)", 1e-10),
+    ("kernels.poisson-mass.disc", "Integral_boundary P_z(x) dx = 1", 1e-08),
+    ("kernels.poisson-mass.half_plane", "Integral_boundary P_z(x) dx = 1", 1e-08),
+    ("kernels.poisson-mass.strip", "Integral_boundary P_z(x) dx = 1", 1e-08),
+    ("kernels.poisson-ft.half_plane",
+     "Integral P_{i lam}(x) e^{itx} dx = e^{-lam |t|}", 1e-08),
+    ("kernels.disc-moments", "Integral e^{int} P_lam(t) dt = lam^n", 1e-08),
+    ("kernels.strip-midline-poisson",
+     "P_{lam + i beta/2}(x) = 1 / (2 beta cosh(pi (lam - x)/beta))", 1e-12),
+    ("kernels.bergman-midline", "Q(i beta/2, i beta/2)^2 = 1 / (16 beta^2)", 1e-13),
+    ("kernels.rp-gram.integers-pd", "[lam^{|n_j - n_k|}] is PSD", 1e-10),
+    ("kernels.rp-gram.integers-rp", "[lam^{n_j + n_k}] is PSD on n >= 0", 1e-10),
+    ("kernels.rp-gram.line-pd", "[e^{-lam |t_j - t_k|}] is PSD", 1e-10),
+    ("kernels.rp-gram.line-rp", "[e^{-lam (t_j + t_k)}] is PSD on t >= 0", 1e-10),
+    ("kernels.rp-gram.circle-pd", "[phi_lam([y_j - y_k])] is PSD", 1e-10),
+    ("kernels.rp-gram.circle-rp",
+     "[phi_lam([y_j + y_k])] is PSD on (0, beta/2)", 1e-10),
+    ("kernels.rp-gram.signed-power",
+     "[(eps_j eps_k)^n e^{-n |t_j - t_k|}] is PSD", 1e-10),
+    ("kernels.power.s1",
+     "Q_1 recovers the Szego kernel (x 2 pi on the half-plane)", 1e-13),
+    ("kernels.power.s2-bergman", "Q_2 = Q^2 on the strip", 1e-13),
+    ("kernels.power.gram", "[Q_s(z_j, z_k)] is PSD for s > 0", 1e-10),
+    ("kernels.bergman.gram", "[Q^2(z_j, z_k)] is PSD", 1e-10),
+    ("kernels.transfer.disc-to-half_plane",
+     "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) Q_dst(phi z, phi w)", 1e-12),
+    ("kernels.transfer.half_plane-to-disc",
+     "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) Q_dst(phi z, phi w)", 1e-12),
+    ("kernels.transfer.half_plane-to-strip",
+     "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) Q_dst(phi z, phi w)", 1e-12),
+    ("kernels.transfer.strip-to-half_plane",
+     "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) Q_dst(phi z, phi w)", 1e-12),
+    ("kernels.transfer.disc-to-strip",
+     "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) Q_dst(phi z, phi w)", 1e-12),
+    ("kernels.transfer.strip-to-disc",
+     "Q_src(z, w) = sqrt(phi'(z)) conj(sqrt(phi'(w))) Q_dst(phi z, phi w)", 1e-12),
+    ("kernels.outer-modulus", "outer(|F_w|) and F_w agree in modulus", 1e-07),
+    ("kernels.flip-multiplier",
+     "|h_w| = 1 on the boundary for w on the fixed set", 1e-12),
+    ("kernels.flip-pairing.disc", "<f*, theta_w f*> = |f(w)|^2 / Q(w, w)", 1e-07),
+    ("kernels.flip-pairing.strip", "<f*, theta_w f*> = |f(w)|^2 / Q(w, w)", 1e-07),
+    ("kernels.strip-membership.interior",
+     "|c_t(z)| < 1 for all t > 0 inside the strip", 0.0),
+    ("kernels.strip-membership.exterior",
+     "|c_t(z)| >= 1 for some t > 0 outside the strip", 0.0),
+    ("kernels.strip-membership.boundary-witness",
+     "|c_{2 pi / |x|}(z)| = 1 on the boundary", 1e-12),
+    ("series.soundness.sinh", "partial-sum defect <= proven tail bound", 0.0),
+    ("series.accuracy.sinh", "defect at N = 10000 below 1e-6", 1e-06),
+    ("series.soundness.szego", "partial-sum defect <= proven tail bound", 0.0),
+    ("series.accuracy.szego", "defect at N = 10000 below 1e-6", 1e-06),
+    ("series.soundness.bergman", "partial-sum defect <= proven tail bound", 0.0),
+    ("series.accuracy.bergman", "defect at N = 10000 below 1e-6", 1e-06),
+    ("series.soundness.cosecant", "pi/sin(pi z) partial-sum defect <= 8|z|/(3N)", 0.0),
+    ("series.split.soundness",
+     "Q^+ + Q^- recombination defect <= 1/(2 pi beta (N-1))", 0.0),
+    ("series.split.accuracy", "Q^+ + Q^- = Q at N = 2000", 0.0001),
+    ("series.circle-family.resummation",
+     "sum c_n e^{2 pi i n y / beta} returns phi_lam([y])", 1e-05),
+    ("series.circle-family.coefficients",
+     "c_n = (1/pi) s/(s^2+n^2) (1-e^{-beta lam})/(1+e^{-beta lam})", 1e-06),
+    ("series.circle-family.geometric-form",
+     "phi_lam([y]) matches the two-sided geometric sum", 1e-13),
+    ("measures.reflection",
+     "d Gamma(mu)(-lam) = e^{-beta lam} d Gamma(mu)(lam)", 1e-12),
+    ("measures.kms", "nu_hat(i beta + t) = conj(nu_hat(t))", 1e-08),
+    ("measures.circle-consistency",
+     "Gamma(mu)_hat(iy) = Integral phi_lam([y]) d mu(lam)", 1e-10),
+    ("measures.factorization",
+     "gamma(M_kappa mu) = Gamma(mu), kappa = 1/(1+e^{-beta lam})", 1e-15),
+    ("measures.gamma-roundtrip", "Gamma^{-1}(Gamma(mu)) = mu", 1e-15),
+    ("measures.kernel-recovery.szego",
+     "nu_hat(z - conj w) = (i/4 beta)/sinh(pi (z - conj w)/(2 beta))", 1e-08),
+    ("measures.kernel-recovery.bergman",
+     "nu_hat(z - conj w) = Q(z, w)^2 for the lam d lam density", 1e-08),
+    ("measures.theta-invariance", "nu_hat(2 i beta - zeta) = nu_hat(zeta)", 1e-08),
+    ("measures.riesz.transform",
+     "Integral p^{s-1} e^{izp} dp / GAMMA(s) = (i/z)^s", 1e-08),
+    ("measures.riesz.odd-part",
+     "nu_s - nu_s^vee has density p^{s-1}/GAMMA(s) on p > 0", 1e-10),
+    ("measures.splitting.alternating-atoms.reflection",
+     "d nu(-lam) = e^{-2 beta lam} d nu(lam)", 1e-13),
+    ("measures.splitting.alternating-atoms.one-sided",
+     "nu_hat(z) = nu_hat_+(z) + nu_hat_+(2 i beta - z)", 1e-12),
+    ("measures.splitting.plain-atoms.reflection",
+     "d nu(-lam) = e^{-2 beta lam} d nu(lam)", 1e-13),
+    ("measures.splitting.plain-atoms.one-sided",
+     "nu_hat(z) = nu_hat_+(z) + nu_hat_+(2 i beta - z)", 1e-12),
+    ("measures.splitting.alternating-grid.reflection",
+     "d nu(-lam) = e^{-2 beta lam} d nu(lam)", 1e-13),
+    ("measures.splitting.alternating-grid.one-sided",
+     "nu_hat(z) = nu_hat_+(z) + nu_hat_+(2 i beta - z)", 1e-12),
+    ("measures.splitting.plain-grid.reflection",
+     "d nu(-lam) = e^{-2 beta lam} d nu(lam)", 1e-13),
+    ("measures.splitting.plain-grid.one-sided",
+     "nu_hat(z) = nu_hat_+(z) + nu_hat_+(2 i beta - z)", 1e-12),
+    ("modular.jdj", "J Delta J = Delta^{-1}", 1e-12),
+    ("modular.j-involution", "J^2 = 1", 1e-14),
+    ("modular.flow-unitarity", "||Delta^{-it/beta} v|| = ||v||", 1e-13),
+    ("modular.standard-membership",
+     "v(lam) = conj(v(-lam)) on the standard subspace", 1e-15),
+    ("modular.coefficient-pd",
+     "psi(t) = <v, Delta^{-it/beta} v> is positive definite", 1e-10),
+    ("modular.coefficient-kms", "psi(i beta + t) = conj(psi(t))", 1e-08),
+    ("modular.coefficient-symmetry", "psi(-t) = conj(psi(t))", 1e-14),
+    ("modular.midline-forms", "the two integral forms of the midline psi agree", 1e-08),
+    ("modular.weyl-compatible",
+     "V_s U_t = e^{its} U_t V_s exactly when t L in 2 pi Z", 1e-12),
+    ("modular.weyl-interior", "Weyl relation exact at nodes that do not wrap", 1e-13),
+    ("modular.weyl-wrap-bound", "wrapped-node defect bounded by |e^{itL} - 1|", 1e-13),
+    ("appendix.poisson-summation.beta1-lam0.5",
+     "periodized Lorentzian = two-sided geometric sum", 5.066059182116889e-06),
+    ("appendix.poisson-summation.beta1-lam2",
+     "periodized Lorentzian = two-sided geometric sum", 2.0264236728467556e-05),
+    ("appendix.poisson-summation.beta2-lam1",
+     "periodized Lorentzian = two-sided geometric sum", 2.0264236728467556e-05),
+    ("appendix.sech-ft", "Integral e^{ix xi} sech x dx = pi / cosh(pi xi / 2)", 1e-10),
+    ("appendix.sech2-ft", "FT(sech^2)(lam) = sqrt(pi/2) lam / sinh(pi lam / 2)", 1e-08),
+    ("appendix.sech-power-recursion",
+     "FT(sech^{n+2}) = (n^2+p^2)/(n(n+1)) FT(sech^n)", 1e-08),
+    ("appendix.fermi-ft",
+     "(1/2 pi) Int e^{iz lam}/(1+e^{-2 beta lam}) d lam "
+     "= (i/4 beta)/sinh(pi z/(2 beta))", 1e-09),
+    ("appendix.hyperbolic-modulus",
+     "|sinh(x+iy)|^2 = sinh^2 x + sin^2 y (and the cosh twin)", 1e-13),
+]
 
 
 # --------------------------------------------------------------------------
@@ -57,6 +188,51 @@ def test_suite_report_to_dict_schema():
     for row in d["results"]:
         assert set(row) == {"id", "anchor", "defect", "tol", "pass"}
     json.dumps(d)  # must be serializable as-is
+
+
+def test_run_suite_all_keeps_its_ids_anchors_tolerances_and_order(monkeypatch):
+    returned = []
+
+    def spy(check):
+        def call(cfg):
+            returned.append(check(cfg))
+            return returned[-1]
+        return call
+
+    for group, checks in verify.SUITES.items():
+        monkeypatch.setitem(verify.SUITES, group, [spy(c) for c in checks])
+    rep = verify.run_suite("all")
+    assert [(r.id, r.anchor, r.tol) for r in rep.results] == VERIFY_CONTRACT
+    # SUITES entries are plain calls that return their results, so timing
+    # a call times the check
+    assert len(returned) == sum(len(c) for c in verify.SUITES.values())
+    for out in returned:
+        assert type(out) is list
+        assert all(isinstance(r, verify.CheckResult) for r in out)
+
+
+def test_check_hua_fails_when_every_sample_is_nan(monkeypatch):
+    monkeypatch.setattr(kernels, "hua_ratio", lambda *args: math.nan)
+    results = verify.check_hua(Defaults())
+    assert [r.id for r in results] == ["kernels.hua.disc", "kernels.hua.half_plane",
+                                       "kernels.hua.strip"]
+    for r in results:
+        assert math.isnan(r.defect)
+        assert not r.passed
+
+
+def test_check_hua_fails_on_one_nan_sample(monkeypatch):
+    real = kernels.hua_ratio
+    calls = []
+
+    def hua_ratio(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 7 else real(*args)
+
+    monkeypatch.setattr(kernels, "hua_ratio", hua_ratio)
+    disc, half_plane, strip = verify.check_hua(Defaults())
+    assert math.isnan(disc.defect) and not disc.passed
+    assert half_plane.passed and strip.passed
 
 
 def test_suite_names_cover_the_registry():
@@ -161,6 +337,26 @@ def test_cli_verify_config_overrides_are_applied(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["failed"] == 0
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["--beta", "nan"], None),
+    (["--beta", "inf"], None),
+    ([], '{"beta": NaN}'),
+    ([], '{"grid_step": Infinity}'),
+    ([], '{"quad_tol": NaN}'),
+    ([], '{"grid_halfwidth": Infinity}'),
+    ([], '{"beta": "warm"}'),
+    ([], '{"series_terms": NaN}'),
+])
+def test_cli_verify_bad_setting_values_exit_3(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    rc = cli.main(["verify", "--suite", "series"] + argv)
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_rp_characterize_boundary_point(capsys):
     rc = cli.main(["rp", "--beta", "1.0", "--characterize", "--z", "0.4",
                    "--json"])
@@ -168,6 +364,14 @@ def test_cli_rp_characterize_boundary_point(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "boundary"
     assert abs(payload["witness_t"] - 2.0 * math.pi / 0.4) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--z", "nan+0.5i"],
+                                  ["--z", "0.3+0.5i", "--beta", "nan"]])
+def test_cli_rp_characterize_non_finite_input_exits_3(capsys, argv):
+    rc = cli.main(["rp", "--characterize"] + argv)
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_rp_gram_pd_is_psd(capsys):
@@ -199,6 +403,13 @@ def test_cli_measure_gamma_roundtrip(tmp_path, capsys):
     w = dict(zip(back.atom_locs, back.atom_weights))
     assert abs(w[0.7] - 1.0) < 1e-14
     assert abs(w[1.3] - 0.2) < 1e-14
+
+
+@pytest.mark.parametrize("atoms", ["1:nan,2:1", "nan:1,2:1", "inf:1", "1:inf"])
+def test_cli_measure_non_finite_atom_exits_3(capsys, atoms):
+    rc = cli.main(["measure", "--op", "Gamma", "--atoms", atoms])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_measure_requires_a_source():
