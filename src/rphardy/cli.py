@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from . import kernels, measures, modular, periodize, rpfunc, verify
 from .config import Defaults, load_defaults
 from .domains import DISC, HALF_PLANE, Strip
-from .errors import RPHardyError
+from .errors import ParameterOutOfRange, RPHardyError
 
 _DOMAINS = ("disc", "half-plane", "strip")
 
@@ -61,6 +62,19 @@ def _parse_atoms(text: str):
         loc, _, weight = chunk.partition(":")
         pairs.append((float(loc), float(weight)))
     return measures.atomic(pairs)
+
+
+def _parse_samples(text: str) -> list:
+    """Parse '0.1,0.5,2' into finite floats; an empty list or entry, or a
+    non-number, raises ParameterOutOfRange."""
+    try:
+        samples = [float(chunk) for chunk in text.split(",")]
+    except ValueError:
+        raise ParameterOutOfRange("--samples needs comma-separated numbers, "
+                                  "got %r" % text)
+    if not all(map(math.isfinite, samples)):
+        raise ParameterOutOfRange("--samples must be finite, got %r" % text)
+    return samples
 
 
 def _load_measure(args) -> measures.MeasureOnR:
@@ -146,7 +160,7 @@ def cmd_rp(args) -> int:
               % (res.verdict, res.witness_t, res.max_log_abs))
         return 0
     if args.gram:
-        samples = [float(s) for s in args.samples.split(",")]
+        samples = _parse_samples(args.samples)
         if args.gram == "pd":
             rep = rpfunc.pd_gram(args.group, args.lam, samples, beta=args.beta)
         elif args.gram == "rp":

@@ -115,10 +115,13 @@ def poisson(domain: Domain, z: complex, x: float, component: str = None) -> floa
     if isinstance(domain, Disc):
         if component not in (None, "circle"):
             raise ParameterOutOfRange("disc boundary component is 'circle'")
+        # 1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the
+        # sum of squares keeps full relative accuracy as r -> 1 at th = x,
+        # where the expanded form cancels to nothing
         r = abs(z)
-        th = cmath.phase(z)
-        den = 1.0 - 2.0 * r * math.cos(th - x) + r * r
-        return (1.0 - r * r) / (2.0 * math.pi * den)
+        d = 1.0 - r
+        half = math.sin(0.5 * (cmath.phase(z) - x))
+        return d * (1.0 + r) / (2.0 * math.pi * (d * d + 4.0 * r * half * half))
     if isinstance(domain, HalfPlane):
         if component not in (None, "line"):
             raise ParameterOutOfRange("half-plane boundary component is 'line'")

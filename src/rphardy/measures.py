@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_function
 
 from .errors import (
     AsymmetricInput,
@@ -252,6 +251,14 @@ def gridded(x0: float, h: float, values) -> MeasureOnR:
 # the maps gamma, Gamma, M_kappa
 # --------------------------------------------------------------------------
 
+def _require_beta(beta: float) -> None:
+    """The guard every beta-taking function here and in :mod:`periodize`
+    shares: NaN and inf fail too, with a message about beta rather than
+    about what it feeds."""
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise ParameterOutOfRange("need finite beta > 0, got %r" % (beta,))
+
+
 def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """gamma(mu) = mu + e_beta mu^vee for mu supported on [0, inf).
 
@@ -260,8 +267,7 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     extends to m(-lam) e^{-beta lam} on the negative axis; at the lone shared
     node lam = 0 the two branches agree (value m(0)), so nothing doubles.
     """
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     mu.require_support(0.0, math.inf)
 
     locs = list(mu.atom_locs)
@@ -290,8 +296,7 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
 
 def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """Gamma(mu) = (mu + mu^vee) / (1 + e^{-beta lam}) for mu on [0, inf)."""
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     mu.require_support(0.0, math.inf)
 
     out_locs, out_weights = [], []
@@ -328,6 +333,7 @@ def markov_weight(beta: float, lam):
 
 
 def M_kappa(mu: MeasureOnR, beta: float) -> MeasureOnR:
+    _require_beta(beta)
     return mu.map_density(lambda lam: markov_weight(beta, lam))
 
 
@@ -339,8 +345,7 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     Densities use the factor (1 + e^{-beta lam}) at every node including 0,
     where its value 2 undoes the halving m(0) -> m(0)/2 that continuity
     forces on the Gamma density at the origin."""
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     keep = nu.atom_locs > _MERGE_TOL
     locs = nu.atom_locs[keep]
     weights = nu.atom_weights[keep] * (1.0 + np.exp(-beta * locs))
@@ -402,8 +407,7 @@ def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     Returns inf when the support itself is asymmetric (for example a bare
     delta_lam with no mirror atom).
     """
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     c = factor * beta
     worst = _atom_reflection_defect(nu, c, nu.atom_locs >= -_MERGE_TOL)
 
@@ -465,6 +469,7 @@ def laplace(nu: MeasureOnR, y: float, monitor: bool = True) -> float:
 def kms_check(nu: MeasureOnR, beta: float, t_grid=None,
               monitor: bool = True) -> float:
     """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over the t grid."""
+    _require_beta(beta)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
     worst = 0.0
@@ -497,6 +502,7 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs,
     """Invariance of K(z, w) = nu_hat(z - conj w) under the strip flip
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
+    _require_beta(beta)
     worst = 0.0
     for z, w in pairs:
         zeta = complex(z) - complex(w).conjugate()
@@ -514,8 +520,7 @@ def szego_strip_measure(beta: float, halfwidth: float = None,
                         step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/2 pi) / (1 + e^{-2 beta lam}) of the strip Szego
     kernel, sampled on a symmetric grid."""
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     if halfwidth is None:
         halfwidth = 64.0 / beta
     n = int(round(halfwidth / step))
@@ -528,8 +533,7 @@ def bergman_strip_measure(beta: float, halfwidth: float = None,
                           step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/4 pi^2) lam / (1 - e^{-2 beta lam}) of the squared
     kernel; the lam = 0 node takes the continuous value 1 / (8 pi^2 beta)."""
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     if halfwidth is None:
         halfwidth = 64.0 / beta
     n = int(round(halfwidth / step))
@@ -565,6 +569,8 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     z = complex(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("transform needs Im z > 0")
+    from scipy.special import gamma as gamma_function  # loaded on first use
+
     g = gamma_function(s)
     m = max(2, math.ceil(2.0 / s))  # makes the q-exponent m*s - 1 >= 1
     head, _ = quad(lambda q: m * q ** (m * s - 1.0)
@@ -595,8 +601,11 @@ def riesz_kappa_check(s: float, beta: float, t: float,
     measure-theoretic object, which is why the comparison is made at matched
     symmetric truncation rather than through the monitored transforms.)
     """
-    if s <= 0.0 or beta <= 0.0:
-        raise ParameterOutOfRange("need s > 0 and beta > 0")
+    if s <= 0.0:
+        raise ParameterOutOfRange("need s > 0")
+    _require_beta(beta)
+    from scipy.special import gamma as gamma_function
+
     n = int(round(lam_max / step))
     p = step * (0.5 + np.arange(n))
     v = np.full(n, step)
@@ -630,8 +639,7 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
     quadrature level (a standalone half-grid would halve the weight of the
     innermost node and break nu = nu_plus + nu_minus).
     """
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_beta(beta)
     if mode not in ("alternating", "plain"):
         raise ParameterOutOfRange("mode must be 'alternating' or 'plain'")
 

@@ -8,6 +8,9 @@ Quadrature strategy
 * infinite intervals: double-exponential (tanh-sinh) nodes;
 * oscillatory Fourier integrals on the line: QUADPACK's QAWF cosine/sine weights.
 
+``scipy.integrate`` is imported inside the two routines that call it, so
+importing the package, and every closed-form evaluation, leaves scipy unloaded.
+
 Every routine returns an error estimate together with the value, and raises
 :class:`ToleranceNotReached` instead of silently returning garbage when the
 estimate misses the requested tolerance by a wide margin.
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import ParameterOutOfRange, ToleranceNotReached
 
@@ -65,6 +67,8 @@ def _tolerance_guard(value: complex, err: float, tol: float) -> None:
 
 def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
     """Integrate a real scalar function, returning ``(value, error_estimate)``."""
+    import scipy.integrate  # loaded on the first quadrature only
+
     if np.isinf(a) or np.isinf(b):
         res = scipy.integrate.tanhsinh(
             np.vectorize(f, otypes=[float]), a, b, atol=tol / 4, rtol=1e-13
@@ -99,6 +103,8 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     if t == 0.0:
         val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
         return complex(val)
+    import scipy.integrate
+
     w = abs(t)
     even = lambda x: f(x) + f(-x)
     odd = lambda x: f(x) - f(-x)

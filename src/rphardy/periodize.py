@@ -43,6 +43,7 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
+from .measures import _require_beta
 from .numerics import comp_sum
 
 _LATTICE_TOL = 1e-12
@@ -63,14 +64,19 @@ class SeriesEval:
         return self.defect <= self.tail_bound
 
 
-def _check_terms(N: int):
+def _check_inputs(N: int, *points):
+    """Reject N < 1 and non-finite points: NaN would pass the pole tests and
+    come back as a NaN defect."""
     if N < 1:
         raise ParameterOutOfRange("need at least one term")
+    if not all(cmath.isfinite(complex(p)) for p in points):
+        raise ParameterOutOfRange("series points must be finite, got %r"
+                                  % (points,))
 
 
 def cosecant_series(z: complex, N: int) -> SeriesEval:
     """Partial sum of  pi / sin(pi z) = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 - k^2)."""
-    _check_terms(N)
+    _check_inputs(N, z)
     z = complex(z)
     if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
         raise PoleOnLattice("z is an integer")
@@ -85,9 +91,8 @@ def cosecant_series(z: complex, N: int) -> SeriesEval:
 def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
     """Partial sum of  (pi/2 beta) / sinh(pi z / 2 beta)
     = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 + 4 k^2 beta^2)."""
-    _check_terms(N)
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _check_inputs(N, z)
+    _require_beta(beta)
     z = complex(z)
     if abs(z.real) <= _LATTICE_TOL and \
             abs(z.imag - 2.0 * beta * round(z.imag / (2.0 * beta))) <= _LATTICE_TOL:
@@ -111,9 +116,8 @@ def _zeta(beta, z, w):
 def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the strip Szego kernel,
     Q(z, w) = (i / 2 pi) sum_n (-1)^n / (z - conj(w) + 2 n beta i)."""
-    _check_terms(N)
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _check_inputs(N, z, w)
+    _require_beta(beta)
     zeta = _zeta(beta, z, w)
     k = np.arange(1.0, N + 1.0)
     terms = np.where(k % 2 == 0, 1.0, -1.0) * 2.0 * zeta \
@@ -129,9 +133,8 @@ def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the squared kernel,
     Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (z - conj(w) + 2 k i beta)^2,
     absolutely convergent with paired terms ~ -1 / (2 beta^2 k^2)."""
-    _check_terms(N)
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _check_inputs(N, z, w)
+    _require_beta(beta)
     zeta = _zeta(beta, z, w)
     k = np.arange(1.0, N + 1.0)
     d = 2j * beta * k
@@ -155,9 +158,8 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     most 1 / (2 beta j^2) once 2 j beta >= |zeta|, so each half carries a tail
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
-    _check_terms(N)
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _check_inputs(N, z, w)
+    _require_beta(beta)
     zeta = _zeta(beta, z, w)
 
     def one_sided(sign):

@@ -89,6 +89,29 @@ def test_poisson_positive(domain, subtests=None):
                 assert kernels.poisson(domain, z, x, comp) > 0.0
 
 
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
+def test_disc_poisson_near_the_boundary_matches_a_40_digit_oracle(eps):
+    """Relative error at most 1e-8 beyond what the rounding of |z| forces.
+
+    P_z depends on 1 - |z|, so a rounding error d in |z| moves it by about
+    d / (1 - |z|) relative; on the axes |z| is exact and that term is 0."""
+    mpmath = pytest.importorskip("mpmath")
+    r = 1.0 - eps
+    points = [complex(r, 0.0), complex(0.0, r), complex(-r, 0.0),
+              complex(0.0, -r)] + [cmath.rect(r, th) for th in (0.7, -2.5, 3.0)]
+    with mpmath.workdps(40):
+        for z in points:
+            zm = mpmath.mpc(z.real, z.imag)
+            rm, th = abs(zm), mpmath.arg(zm)
+            slack = 2.0 * float(abs(mpmath.mpf(abs(z)) - rm)) / eps
+            for x in (float(th), float(th) + 1e-6, float(th) + 0.3,
+                      float(th) + math.pi):
+                exact = (1 - rm * rm) / (2 * mpmath.pi
+                                         * (1 - 2 * rm * mpmath.cos(th - x) + rm * rm))
+                got = kernels.poisson(DISC, z, x)
+                assert float(abs(got - exact) / exact) <= 1e-8 + slack, (z, x)
+
+
 def test_poisson_midline_strip_matches_general_form():
     beta = 1.5
     got = kernels.poisson_midline_strip(beta, 0.4, -0.9)

@@ -361,3 +361,26 @@ def test_splitting_grid_halves_carry_trapezoid_weights():
     assert nu_plus.density is None          # halves are atomic
     assert nu_plus.total_mass() + nu_minus.total_mass() == pytest.approx(
         nu.total_mass(), abs=1e-15)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0])
+def test_beta_taking_maps_reject_a_bad_beta_by_name(beta):
+    mu = measures.atomic([(0.7, 1.0), (1.3, 0.2)])
+    nu = measures.Gamma_map(mu, 1.0)
+    sym = measures.atomic([(-0.5, 1.0), (0.5, 1.0)])
+    calls = [
+        lambda: measures.gamma_map(mu, beta),
+        lambda: measures.Gamma_map(mu, beta),
+        lambda: measures.M_kappa(mu, beta),
+        lambda: measures.Gamma_inverse(nu, beta),
+        lambda: measures.reflection_check(nu, beta),
+        lambda: measures.kms_check(nu, beta),
+        lambda: measures.theta_involution_check(nu, beta, [(0.1 + 0.2j, 0.3j)]),
+        lambda: measures.geometric_splitting(sym, beta, "alternating"),
+        lambda: measures.szego_strip_measure(beta),
+        lambda: measures.bergman_strip_measure(beta),
+        lambda: measures.riesz_kappa_check(0.5, beta, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterOutOfRange, match="beta"):
+            call()

@@ -39,6 +39,24 @@ def test_series_terms_validation():
         periodize.cosecant_series(0.3, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_reject_non_finite_input(bad):
+    z, w, beta = 0.3 + 0.2j, -0.1 + 0.5j, 1.0
+    calls = [
+        lambda: periodize.cosecant_series(complex(bad, 0.2), 100),
+        lambda: periodize.sinh_series(bad, z, 100),
+        lambda: periodize.sinh_series(beta, complex(0.3, bad), 100),
+    ]
+    for series in (periodize.szego_series, periodize.bergman_series,
+                   periodize.szego_series_split):
+        calls += [lambda f=series: f(bad, z, w, 100),
+                  lambda f=series: f(beta, complex(bad, 0.2), w, 100),
+                  lambda f=series: f(beta, z, complex(-0.1, bad), 100)]
+    for call in calls:
+        with pytest.raises(ParameterOutOfRange):
+            call()
+
+
 def test_cosecant_tail_bound_is_inf_outside_its_regime():
     # N < 2|z| is outside the bound's regime; the bound must not pretend
     ev = periodize.cosecant_series(30.5, 20)

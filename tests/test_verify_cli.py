@@ -295,6 +295,16 @@ def test_cli_kernel_outside_domain_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_kernel_disc_poisson_next_to_the_boundary_exits_0(capsys):
+    rc = cli.main(["kernel", "--domain", "disc", "--kind", "poisson",
+                   "--z", "0.999999999", "--x", "0", "--json"])
+    assert rc == 0
+    r = 0.999999999
+    expected = (1.0 + r) / (2.0 * math.pi * (1.0 - r))   # 1 - r is exact
+    got = json.loads(capsys.readouterr().out)["value"][0]
+    assert abs(got - expected) <= 1e-12 * expected
+
+
 def test_cli_verify_appendix_json(capsys):
     rc = cli.main(["verify", "--suite", "appendix", "--json"])
     assert rc == 0
@@ -381,6 +391,14 @@ def test_cli_rp_gram_pd_is_psd(capsys):
     assert json.loads(capsys.readouterr().out)["psd"] is True
 
 
+@pytest.mark.parametrize("samples", ["", "1,,2", "abc", "0.5,nan"])
+def test_cli_rp_malformed_samples_exit_3(capsys, samples):
+    rc = cli.main(["rp", "--group", "line", "--lam", "1", "--gram", "pd",
+                   "--samples=" + samples])
+    assert rc == 3
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_cli_rp_needs_a_mode():
     with pytest.raises(SystemExit) as exc:
         cli.main(["rp", "--group", "line"])
@@ -410,6 +428,12 @@ def test_cli_measure_non_finite_atom_exits_3(capsys, atoms):
     rc = cli.main(["measure", "--op", "Gamma", "--atoms", atoms])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_measure_nan_beta_names_beta(capsys):
+    rc = cli.main(["measure", "--op", "Gamma", "--beta", "nan", "--atoms", "1:1"])
+    assert rc == 3
+    assert "beta" in capsys.readouterr().err
 
 
 def test_cli_measure_requires_a_source():
@@ -442,6 +466,12 @@ def test_cli_series_szego_requires_w():
     with pytest.raises(SystemExit) as exc:
         cli.main(["series", "--kind", "szego", "--z", "0.3+0.5i"])
     assert exc.value.code == 2
+
+
+def test_cli_series_nan_beta_exits_3(capsys):
+    rc = cli.main(["series", "--kind", "sinh", "--beta", "nan", "--z", "0.3+0.2i"])
+    assert rc == 3
+    assert "beta" in capsys.readouterr().err
 
 
 def test_cli_series_pole_exits_3(capsys):
