@@ -61,6 +61,11 @@ class Domain:
             return "boundary"
         return "exterior"
 
+    def in_closure(self, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Elementwise ``locate(z, tol) != "exterior"`` for a complex array
+        (False for NaN)."""
+        raise NotImplementedError
+
     def require_interior(self, z: complex) -> complex:
         z = complex(z)
         if not self.contains(z):
@@ -88,6 +93,11 @@ class Disc(Domain):
     def on_boundary(self, z, tol=1e-12):
         return abs(abs(complex(z)) - 1.0) <= tol
 
+    def in_closure(self, z, tol=1e-12):
+        # np.hypot is the modulus Python's abs(complex) computes
+        r = np.hypot(z.real, z.imag)
+        return (r < 1.0) | (np.abs(r - 1.0) <= tol)
+
     def sigma(self, z):
         return complex(z).conjugate()
 
@@ -108,6 +118,9 @@ class HalfPlane(Domain):
 
     def on_boundary(self, z, tol=1e-12):
         return abs(complex(z).imag) <= tol
+
+    def in_closure(self, z, tol=1e-12):
+        return (z.imag > 0.0) | (np.abs(z.imag) <= tol)
 
     def sigma(self, z):
         return -complex(z).conjugate()
@@ -136,6 +149,11 @@ class Strip(Domain):
     def on_boundary(self, z, tol=1e-12):
         y = complex(z).imag
         return abs(y) <= tol or abs(y - self.beta) <= tol
+
+    def in_closure(self, z, tol=1e-12):
+        y = z.imag
+        return (((0.0 < y) & (y < self.beta)) | (np.abs(y) <= tol)
+                | (np.abs(y - self.beta) <= tol))
 
     def sigma(self, z):
         return self.beta * 1j + complex(z).conjugate()

@@ -58,7 +58,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import comp_sum, comp_sum_real, quad
+from .numerics import comp_sum, comp_sum_real, finite_array, quad, row_blocks
 
 _MERGE_TOL = 1e-12
 
@@ -432,38 +432,58 @@ def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     return worst
 
 
-def fourier(nu: MeasureOnR, z: complex, monitor: bool = True) -> complex:
+def fourier(nu: MeasureOnR, z, monitor: bool = True):
     """nu_hat(z) = Integral e^{i z lam} d nu(lam).
 
-    With ``monitor`` on, the gridded part must have decayed: if either 5%
-    tail of the grid contributes more than 1e-12 of the total absolute mass
-    of the summand, :class:`DivergentTransform` is raised.
+    ``z`` may be an array; the result then has its shape, and each value is
+    the one a scalar call gives.  With ``monitor`` on, the gridded part must
+    have decayed: if either 5% tail of the grid contributes more than 1e-12
+    of the total absolute mass of the summand, :class:`DivergentTransform`
+    is raised.
     """
-    z = complex(z)
-    total = 0.0 + 0.0j
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    iz = 1j * flat
+    total = np.zeros(iz.size, dtype=complex)
+    parts = []
     if nu.atom_locs.size:
-        total += comp_sum(np.exp(1j * z * nu.atom_locs) * nu.atom_weights)
+        parts.append((nu.atom_locs, nu.atom_weights, False))
     if nu.density is not None:
-        nodes = nu.grid_nodes()
-        summand = np.exp(1j * z * nodes) * nu.grid_quad_weights()
-        if monitor:
-            mags = np.abs(summand)
-            s = float(np.sum(mags))
-            if s > 0.0:
-                k = max(1, int(math.ceil(0.05 * mags.size)))
-                head = float(np.sum(mags[:k]))
-                tail = float(np.sum(mags[-k:]))
-                if max(head, tail) > 1e-12 * s:
-                    raise DivergentTransform(
-                        "grid tails still carry %.3g of the transform mass at "
-                        "z = %s; enlarge the grid" % (max(head, tail) / s, z))
-        total += comp_sum(summand)
-    return total
+        parts.append((nu.grid_nodes(), nu.grid_quad_weights(), monitor))
+    for nodes, weights, watch in parts:
+        for rows in row_blocks(iz.size, nodes.size):
+            summand = np.exp(iz[rows, None] * nodes) * weights
+            if watch:
+                _require_decay(summand, flat[rows])
+            total[rows] += comp_sum(summand)
+    return complex(total[0]) if zs.ndim == 0 else total.reshape(zs.shape)
+
+
+def _require_decay(summand: np.ndarray, zs: np.ndarray) -> None:
+    """The divergence monitor of :func:`fourier`, one row of ``summand`` per z."""
+    mags = np.abs(summand)
+    s = np.sum(mags, axis=1)
+    k = max(1, int(math.ceil(0.05 * mags.shape[1])))
+    edge = np.maximum(np.sum(mags[:, :k], axis=1), np.sum(mags[:, -k:], axis=1))
+    bad = (s > 0.0) & (edge > 1e-12 * s)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DivergentTransform(
+            "grid tails still carry %.3g of the transform mass at z = %s; "
+            "enlarge the grid" % (edge[i] / s[i], complex(zs[i])))
 
 
 def laplace(nu: MeasureOnR, y: float, monitor: bool = True) -> float:
     """Laplace transform Integral e^{-y lam} d nu(lam) = nu_hat(i y)."""
     return fourier(nu, 1j * y, monitor=monitor).real
+
+
+def _worst_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max |lhs - rhs|: NaN if any difference is NaN, 0.0 when empty.  The
+    modulus is np.hypot, which is libm's hypot as in Python's abs(complex);
+    np.abs on complex arrays may differ from it in the last bit."""
+    d = lhs - rhs
+    return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
 
 def kms_check(nu: MeasureOnR, beta: float, t_grid=None,
@@ -472,12 +492,9 @@ def kms_check(nu: MeasureOnR, beta: float, t_grid=None,
     _require_beta(beta)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
-    worst = 0.0
-    for t in t_grid:
-        lhs = fourier(nu, 1j * beta + t, monitor=monitor)
-        rhs = fourier(nu, t, monitor=monitor).conjugate()
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    t = finite_array(t_grid, "the t grid").ravel()
+    return _worst_gap(fourier(nu, 1j * beta + t, monitor=monitor),
+                      np.conj(fourier(nu, t, monitor=monitor)))
 
 
 def rp_circle_from_measure(mu: MeasureOnR, beta: float):
@@ -503,13 +520,10 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs,
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
     _require_beta(beta)
-    worst = 0.0
-    for z, w in pairs:
-        zeta = complex(z) - complex(w).conjugate()
-        lhs = fourier(nu, 2j * beta - zeta, monitor=monitor)
-        rhs = fourier(nu, zeta, monitor=monitor)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    zw = finite_array(pairs, "pair points", complex).reshape(-1, 2)
+    zeta = zw[:, 0] - np.conj(zw[:, 1])
+    return _worst_gap(fourier(nu, 2j * beta - zeta, monitor=monitor),
+                      fourier(nu, zeta, monitor=monitor))
 
 
 # --------------------------------------------------------------------------

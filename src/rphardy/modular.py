@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
 from .measures import MeasureOnR, _mirror_index, reflection_check
-from .numerics import IdentityCheck, comp_sum, oscillatory_ft
+from .numerics import IdentityCheck, comp_sum, oscillatory_ft, row_blocks
 
 
 # --------------------------------------------------------------------------
@@ -189,12 +189,21 @@ def standard_membership(space: DiscretizedSpace, v) -> float:
     return float(np.max(np.abs(v - np.conjugate(v[space.mirror]))))
 
 
-def modular_coefficient(md: ModularData, v, t: complex) -> complex:
+def modular_coefficient(md: ModularData, v, t):
     """psi(t) = <v, Delta^{-it/beta} v>, evaluated for complex t as the
-    transform sum |v_j|^2 e^{i t lam_j} w_j (t = i beta gives the KMS dual)."""
-    v = np.asarray(v)
-    return comp_sum(np.abs(v) ** 2 * np.exp(1j * complex(t) * md.space.nodes)
-                    * md.space.weights)
+    transform sum |v_j|^2 e^{i t lam_j} w_j (t = i beta gives the KMS dual).
+
+    ``t`` may be an array; the result then has its shape, and each value is
+    the one a scalar call gives.
+    """
+    ts = np.asarray(t, dtype=complex)
+    it = 1j * ts.ravel()
+    amp = np.abs(np.asarray(v)) ** 2
+    nodes = md.space.nodes
+    out = np.empty(it.size, dtype=complex)
+    for rows in row_blocks(it.size, nodes.size):
+        out[rows] = comp_sum(amp * np.exp(it[rows, None] * nodes) * md.space.weights)
+    return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
 def coefficient_measure(md: ModularData, v) -> MeasureOnR:

@@ -1,6 +1,26 @@
-"""Shared numerical machinery: quadrature, compensated sums, Gram reports,
+"""Shared numerical machinery: quadrature, exactly rounded sums, Gram reports,
 Fourier conventions, and the closed-form transform identities used as oracles
 by the higher-level modules.
+
+Summation
+---------
+:func:`comp_sum` and :func:`comp_sum_real` sum along the last axis, so an
+(m, n) array gives m row sums, and every row sum is bit for bit the float
+``math.fsum`` returns (or fsum's exception).  A row takes one of two paths,
+chosen by its length:
+
+* rows of at least ``_VECTOR_MIN_TERMS`` terms go through numpy, a whole
+  batch at once: two error-free extractions split the row into exactly
+  summable high parts and a tiny remainder (the ExtractVector step of Rump,
+  Ogita and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+  Comput. 31(1), 2008), the pieces are combined with the error-free TwoSum
+  of Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci.
+  Comput. 26(6), 2005, and a rounding certificate checks that the result is
+  the float nearest the exact sum;
+* shorter rows, and every row whose certificate fails (a near tie at half
+  an ulp, cancellation with sum|x| / |sum x| beyond about 1e17, inf, NaN,
+  terms near overflow or underflow), go to ``math.fsum(row.tolist())``,
+  which on a list is 2-4x faster than on an ndarray.
 
 Quadrature strategy
 -------------------
@@ -38,20 +58,150 @@ SQRT_TWO_PI = math.sqrt(TWO_PI)
 
 
 # --------------------------------------------------------------------------
-# compensated summation
+# exactly rounded summation
 # --------------------------------------------------------------------------
 
-def comp_sum_real(values) -> float:
-    """Exactly rounded sum of real terms (order-independent to the last ulp)."""
-    return math.fsum(values)
+# Rows shorter than this go straight to math.fsum.  The vectorized path
+# costs about 35 us per call plus 3-12 ns per term against fsum's 30-45 ns
+# per term, so for one complex sum (two rows) the two break even between 512
+# and 768 terms, and a batch of 16 rows wins from 256 (Xeon, 2 vCPUs,
+# numpy 2.4).
+_VECTOR_MIN_TERMS = 512
+_EPS = 2.0 ** -53          # unit roundoff of float64
 
 
-def comp_sum(values) -> complex:
-    """Compensated sum of complex terms: fsum on the real and imaginary parts."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    if arr.size == 0:
-        return 0.0 + 0.0j
-    return complex(math.fsum(arr.real.ravel()), math.fsum(arr.imag.ravel()))
+def _two_sum(a, b):
+    """Knuth's error-free TwoSum: s + e == a + b exactly (no overflow)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each row of the 2-d float array ``x``.
+
+    Long rows take the vectorized path: two error-free extractions, a TwoSum
+    combination and a rounding certificate.  A row whose certificate fails
+    and every short row is summed by ``math.fsum``, so each row is the float
+    fsum returns, or fsum's exception is raised.
+    """
+    m, n = x.shape
+    if n < _VECTOR_MIN_TERMS:
+        return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+    with np.errstate(all="ignore"):
+        q = np.abs(x)
+        mu = q.max(1)
+        # sigma = 2**k >= (n + 2) max|x|: then q = (sigma + x) - sigma is
+        # exact, a multiple of eps * sigma, and sum(q) is exact in any order,
+        # while p = x - q is exact with |p| <= eps * sigma (the ExtractVector
+        # step of Rump, Ogita and Oishi).  max|x| >= 2**-800 keeps both
+        # sigmas normal; sigma <= 2**990 keeps fsum's partials from overflowing
+        grow = (n + 1).bit_length()
+        k = np.frexp(mu)[1] + grow
+        sigma = np.ldexp(1.0, k)[:, None]
+        np.add(x, sigma, out=q)
+        q -= sigma
+        p = x - q
+        tau1 = q.sum(1)
+        sigma *= 2.0 ** (grow - 53)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        tau2 = q.sum(1)
+        # sum(x) = tau1 + tau2 + sum(p), a + b = tau1 + tau2 and r + g = a + c
+        # exactly, c = fl(b + fl(sum(p))), so |sum(x) - r| <= |g| + eps |c|
+        # + n eps sum|p|; the bound doubles both rounding terms and adds
+        # 2**-1022 for underflow.  Below half the gap from |r| down to its
+        # neighbour (the smaller gap), r is the float nearest the exact sum.
+        a, b = _two_sum(tau1, tau2)
+        c = b + p.sum(1)
+        r, g = _two_sum(a, c)
+        bound = abs(g) + (2.0 * _EPS * abs(c) + 2.0 * n * _EPS * np.abs(p, out=p).sum(1)
+                          + 2.0 ** -1022)
+        ar = abs(r)
+        ok = (bound < 0.5 * (ar - np.nextafter(ar, 0.0))) & (k >= grow - 800) & (k <= 990)
+        # an all-zero row sums to exactly 0, for which fsum gives +0.0
+        zero = mu == 0.0
+        r[zero] = 0.0
+    for i in (~(ok | zero)).nonzero()[0]:
+        r[i] = math.fsum(x[i].tolist())
+    return r
+
+
+def _rows(values, dtype):
+    """``values`` as a 2-d array of rows, plus the shape of the row sums."""
+    arr = np.atleast_1d(np.asarray(
+        values if isinstance(values, np.ndarray) else list(values), dtype=dtype))
+    return arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1]), arr.shape[:-1]
+
+
+def comp_sum_real(values):
+    """Exactly rounded sum of real terms along the last axis.
+
+    A 1-d input (or any iterable) gives a float; an (m, n) input gives m row
+    sums.  Every sum is bit for bit the float ``math.fsum`` returns for that
+    row, and fsum's ``OverflowError`` / ``ValueError`` is raised where it
+    would raise.
+    """
+    rows, shape = _rows(values, float)
+    sums = _fsum_rows(rows)
+    return float(sums[0]) if shape == () else sums.reshape(shape)
+
+
+def comp_sum(values):
+    """Exactly rounded sum of complex terms along the last axis: the real and
+    imaginary parts are each summed as by :func:`comp_sum_real`.
+
+    A 1-d input (or any iterable) gives a complex; an (m, n) input gives m
+    row sums.
+    """
+    rows, shape = _rows(values, complex)
+    m = rows.shape[0]
+    parts = _fsum_rows(np.concatenate((rows.real, rows.imag)))
+    sums = np.empty(m, dtype=complex)
+    sums.real = parts[:m]
+    sums.imag = parts[m:]
+    return complex(sums[0]) if shape == () else sums.reshape(shape)
+
+
+# --------------------------------------------------------------------------
+# array arguments
+# --------------------------------------------------------------------------
+
+_SCALARS = (complex, float, int)       # numpy float64/complex128 subclass these
+_BLOCK_TERMS = 1 << 16
+
+
+def is_batch(*args) -> bool:
+    """Whether any argument is an array (or sequence) with at least one axis.
+
+    Functions that accept arrays keep a scalar math/cmath body for Python
+    and numpy scalars and 0-d arrays: one element through numpy costs about
+    20x more than the scalar body, and quadrature integrands make tens of
+    thousands of such calls.
+    """
+    for a in args:      # a plain loop: any() over a generator costs 3x more
+        if not isinstance(a, _SCALARS) and np.ndim(a):
+            return True
+    return False
+
+
+def finite_array(values, what: str, dtype=float) -> np.ndarray:
+    """``values`` (an array or any iterable) as an array; raises
+    :class:`ParameterOutOfRange` naming ``what`` unless every entry is finite."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                     dtype=dtype)
+    if not np.all(np.isfinite(arr)):
+        raise ParameterOutOfRange("%s must be finite" % what)
+    return arr
+
+
+def row_blocks(m: int, n: int) -> list:
+    """Slices covering ``range(m)`` with at most about 2**16 / n rows each, so
+    an (m, n) batch of summands is built and summed one block at a time and
+    peak memory stays near that of a single block."""
+    step = max(1, _BLOCK_TERMS // max(n, 1))
+    return [slice(i, i + step) for i in range(0, m, step)]
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +312,9 @@ def gram_report(G: np.ndarray, tolerance: float = 1e-10) -> GramReport:
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if G.shape[0] != G.shape[1]:
         raise ParameterOutOfRange("Gram matrix must be square, got %r" % (G.shape,))
-    herm_defect = float(np.max(np.abs(G - G.conj().T))) if G.size else 0.0
+    if G.size == 0:
+        raise ParameterOutOfRange("Gram matrix is empty: no sample points")
+    herm_defect = float(np.max(np.abs(G - G.conj().T)))
     lo, hi = hermitian_extremes(G)
     norm = max(abs(lo), abs(hi))
     return GramReport(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
-from .numerics import GramReport, comp_sum_real, gram_report
+from .numerics import GramReport, comp_sum_real, finite_array, gram_report, is_batch
 
 GROUPS = ("integers", "line", "circle")
 
@@ -56,20 +56,34 @@ def _check_group(group: str) -> str:
 # the three families
 # --------------------------------------------------------------------------
 
-def phi_int(lam: float, n: int) -> float:
-    """lam^{|n|} on the integers; lam in [-1, 1]."""
-    if not -1.0 <= lam <= 1.0:
-        raise ParameterOutOfRange("integer family needs lam in [-1, 1]")
+def _check_family(group: str, lam: float, beta: float = None) -> None:
+    """The parameter ranges of the three families (NaN is out of range)."""
+    if group == "integers":
+        if not -1.0 <= lam <= 1.0:
+            raise ParameterOutOfRange("integer family needs lam in [-1, 1]")
+        return
+    if group == "circle" and not (beta is not None and beta > 0.0):
+        raise ParameterOutOfRange("circle needs beta > 0")
+    if not lam >= 0.0:
+        raise ParameterOutOfRange("%s family needs lam >= 0" % group)
+
+
+def phi_int(lam: float, n):
+    """lam^{|n|} on the integers; lam in [-1, 1].  ``n`` may be an array."""
+    _check_family("integers", lam)
+    if is_batch(n):
+        return np.power(lam, np.abs(np.trunc(n)))
     n = abs(int(n))
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
     return float(lam ** n)
 
 
-def phi_line(lam: float, t: float) -> float:
-    """e^{-lam |t|} on the line; lam >= 0."""
-    if lam < 0.0:
-        raise ParameterOutOfRange("line family needs lam >= 0")
+def phi_line(lam: float, t):
+    """e^{-lam |t|} on the line; lam >= 0.  ``t`` may be an array."""
+    _check_family("line", lam)
+    if is_batch(t):
+        return np.exp(-lam * np.abs(t))
     return math.exp(-lam * abs(t))
 
 
@@ -79,12 +93,15 @@ def reduce_mod(y: float, beta: float) -> float:
     return r + beta if r < 0.0 else r
 
 
-def phi_circle(beta: float, lam: float, y: float) -> float:
-    """The circle family at the class [y]; beta > 0, lam >= 0."""
-    if beta <= 0.0:
-        raise ParameterOutOfRange("circle needs beta > 0")
-    if lam < 0.0:
-        raise ParameterOutOfRange("circle family needs lam >= 0")
+def phi_circle(beta: float, lam: float, y):
+    """The circle family at the class [y]; beta > 0, lam >= 0.  ``y`` may be
+    an array."""
+    _check_family("circle", lam, beta)
+    if is_batch(y):
+        r = np.fmod(y, beta)
+        y = np.where(r < 0.0, r + beta, r)
+        return ((np.exp(-y * lam) + np.exp(-(beta - y) * lam))
+                / (1.0 + math.exp(-beta * lam)))
     y = reduce_mod(y, beta)
     return ((math.exp(-y * lam) + math.exp(-(beta - y) * lam))
             / (1.0 + math.exp(-beta * lam)))
@@ -95,10 +112,7 @@ def phi_circle_fourier(beta: float, lam: float, n: int) -> float:
 
     For lam = 0 the family degenerates to the constant 1: c_0 = 1, c_n = 0.
     """
-    if beta <= 0.0:
-        raise ParameterOutOfRange("circle needs beta > 0")
-    if lam < 0.0:
-        raise ParameterOutOfRange("circle family needs lam >= 0")
+    _check_family("circle", lam, beta)
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
     s = beta * lam / (2.0 * math.pi)
@@ -137,14 +151,8 @@ def pd_gram(group: str, lam: float, samples, beta: float = None,
     """Gram matrix phi(g_j - g_k) over arbitrary group samples (mod beta on
     the circle); PSD verdict certifies positive definiteness on the group."""
     _check_group(group)
-    phi = _phi_of(group, beta, lam)
-    xs = list(samples)
-    n = len(xs)
-    G = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            G[j, k] = phi(xs[j] - xs[k])
-    return gram_report(G, tolerance)
+    xs = finite_array(samples, "samples").ravel()
+    return gram_report(_phi_of(group, beta, lam)(xs[:, None] - xs[None, :]), tolerance)
 
 
 def rp_gram(group: str, lam: float, samples, beta: float = None,
@@ -156,22 +164,19 @@ def rp_gram(group: str, lam: float, samples, beta: float = None,
     :class:`SampleOutsidePositiveCone`.
     """
     _check_group(group)
-    xs = list(samples)
-    for s in xs:
-        if group == "integers" and (int(s) != s or s < 0):
-            raise SampleOutsidePositiveCone("integer cone is n >= 0, got %r" % (s,))
-        if group == "line" and s < 0:
-            raise SampleOutsidePositiveCone("line cone is t >= 0, got %r" % (s,))
-        if group == "circle" and not 0.0 < s < beta / 2.0:
-            raise SampleOutsidePositiveCone(
-                "circle cone is the open arc (0, beta/2), got %r" % (s,))
-    phi = _phi_of(group, beta, lam)
-    n = len(xs)
-    G = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            G[j, k] = phi(xs[j] + xs[k])
-    return gram_report(G, tolerance)
+    _check_family(group, lam, beta)
+    xs = finite_array(samples, "samples").ravel()
+    if group == "integers":
+        cone, inside = "integer cone is n >= 0", (np.trunc(xs) == xs) & (xs >= 0.0)
+    elif group == "line":
+        cone, inside = "line cone is t >= 0", xs >= 0.0
+    else:
+        cone = "circle cone is the open arc (0, beta/2)"
+        inside = (0.0 < xs) & (xs < beta / 2.0)
+    outside = ~inside
+    if np.any(outside):
+        raise SampleOutsidePositiveCone("%s, got %r" % (cone, float(xs[outside][0])))
+    return gram_report(_phi_of(group, beta, lam)(xs[:, None] + xs[None, :]), tolerance)
 
 
 def param_rp_check(n: int, samples, tolerance: float = 1e-10) -> GramReport:
@@ -182,17 +187,10 @@ def param_rp_check(n: int, samples, tolerance: float = 1e-10) -> GramReport:
     """
     if n < 0 or int(n) != n:
         raise ParameterOutOfRange("power must be a nonnegative integer")
-    pts = [(float(t), int(e)) for (t, e) in samples]
-    for _, e in pts:
-        if e not in (-1, 1):
-            raise ParameterOutOfRange("sign component must be +1 or -1")
-    m = len(pts)
-    G = np.empty((m, m))
-    for j in range(m):
-        tj, ej = pts[j]
-        for k in range(m):
-            tk, ek = pts[k]
-            G[j, k] = float((ej * ek) ** n) * math.exp(-n * abs(tj - tk))
+    t, eps = finite_array(samples, "samples").reshape(-1, 2).T
+    if not np.all((eps == 1.0) | (eps == -1.0)):
+        raise ParameterOutOfRange("sign component must be +1 or -1")
+    G = (eps[:, None] * eps[None, :]) ** n * np.exp(-n * np.abs(t[:, None] - t[None, :]))
     return gram_report(G, tolerance)
 
 
@@ -217,8 +215,18 @@ def c_func(beta: float, t: float, z: complex) -> complex:
     return cmath.exp(m) * val / (1.0 + math.exp(-beta * t))
 
 
-def c_log_abs(beta: float, t: float, z: complex) -> float:
-    """log |c_t(z)|, overflow-free for any z and t."""
+def c_log_abs(beta: float, t, z: complex):
+    """log |c_t(z)|, overflow-free for any z and t.  ``t`` may be an array."""
+    if is_batch(t):
+        t = np.asarray(t, dtype=float)
+        if beta <= 0.0 or not np.all(t > 0.0):
+            raise ParameterOutOfRange("need beta > 0 and t > 0")
+        a = 1j * t * complex(z)
+        b = -beta * t - a
+        m = np.maximum(a.real, b.real)
+        s = np.exp(a - m) + np.exp(b - m)
+        with np.errstate(divide="ignore"):     # |c_t| = 0 gives -inf
+            return m + np.log(np.hypot(s.real, s.imag)) - np.log1p(np.exp(-beta * t))
     if beta <= 0.0 or t <= 0.0:
         raise ParameterOutOfRange("need beta > 0 and t > 0")
     z = complex(z)
@@ -234,6 +242,11 @@ def c_log_abs(beta: float, t: float, z: complex) -> float:
 def g_func(beta: float, t: float, z: complex) -> complex:
     """g_t(z) = e^{t beta/2} e^{itz}; its Hardy norm on the strip is e^{|t| beta/2}."""
     return math.exp(t * beta / 2.0) * cmath.exp(1j * t * complex(z))
+
+
+# the default scan grid, built once: np.geomspace costs more than the scan
+_MEMBERSHIP_T_GRID = np.geomspace(1e-3, 1e3, 60)
+_MEMBERSHIP_T_GRID.flags.writeable = False
 
 
 @dataclass
@@ -260,8 +273,9 @@ def strip_membership(beta: float, z: complex, t_grid=None,
     z = complex(z)
     if not cmath.isfinite(z):
         raise ParameterOutOfRange("need a finite z, got %r" % (z,))
-    if t_grid is None:
-        t_grid = np.geomspace(1e-3, 1e3, 60)
+    t_grid = _MEMBERSHIP_T_GRID if t_grid is None else np.ravel(t_grid)
+    if t_grid.size == 0:
+        raise ParameterOutOfRange("the t grid is empty")
 
     y = z.imag
     if abs(y) <= boundary_tol or abs(y - beta) <= boundary_tol:
@@ -269,7 +283,7 @@ def strip_membership(beta: float, z: complex, t_grid=None,
         witness = 2.0 * math.pi / abs(x) if x != 0.0 else None
         return StripMembership("boundary", witness, 0.0)
 
-    logs = np.array([c_log_abs(beta, t, z) for t in t_grid])
+    logs = c_log_abs(beta, t_grid, z)
     worst = float(np.max(logs))
     if worst >= 0.0:
         witness = float(t_grid[int(np.argmax(logs >= 0.0))])

@@ -573,10 +573,7 @@ def check_modular_dynamics(cfg: Defaults):
            "v(lam) = conj(v(-lam)) on the standard subspace", 1e-15,
            modular.standard_membership(md.space, v))
     ts = np.linspace(-3.0, 3.0, 15)
-    G = np.empty((ts.size, ts.size), dtype=complex)
-    for j, tj in enumerate(ts):
-        for k, tk in enumerate(ts):
-            G[j, k] = modular.modular_coefficient(md, v, tj - tk)
+    G = modular.modular_coefficient(md, v, ts[:, None] - ts[None, :])
     yield ("modular.coefficient-pd",
            "psi(t) = <v, Delta^{-it/beta} v> is positive definite", 1e-10,
            _gram_defect(numerics.gram_report(G)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rphardy import kernels
+from rphardy import kernels, numerics
 from rphardy.domains import DISC, HALF_PLANE, Strip, sample_interior
 from rphardy.errors import (
     NonPositiveModulus, OutsideDomain, ParameterOutOfRange, PoleAtInput,
@@ -283,3 +283,75 @@ def test_szego_transfer_check_exact():
     z, w = sample_interior(DISC, rng, 2)
     chk = kernels.szego_transfer_check(DISC, STRIP, z, w)
     assert chk.defect < 1e-14
+
+
+# --------------------------------------------------------------------------
+# array evaluation
+# --------------------------------------------------------------------------
+
+ARRAY_KERNELS = [
+    ("szego", lambda d, z, w: kernels.szego(d, z, w)),
+    ("power0.5", lambda d, z, w: kernels.power_kernel(d, 0.5, z, w)),
+    ("power1.7", lambda d, z, w: kernels.power_kernel(d, 1.7, z, w)),
+    ("bergman", lambda d, z, w: kernels.bergman_strip(d.beta, z, w)),
+]
+
+
+def _array_points(domain, rng):
+    """Interior points, points 1e-6 from the boundary and, on the strip,
+    points 300 beta to the side (the asymptotic branches)."""
+    pts = [sample_interior(domain, rng, 10), sample_interior(domain, rng, 4, margin=1e-6)]
+    if domain is STRIP:
+        pts.append(sample_interior(domain, rng, 3) + 300.0 * STRIP.beta)
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("domain,k", [
+    pytest.param(domain, k, id="%s-%s" % (domain.name, name))
+    for domain in (DISC, HALF_PLANE, STRIP)
+    for name, k in ARRAY_KERNELS if name != "bergman" or domain is STRIP])
+def test_array_kernels_match_scalar_calls(domain, k):
+    pts = _array_points(domain, np.random.default_rng(31))
+    got = k(domain, pts[:, None], pts[None, :])
+    assert got.shape == (pts.size, pts.size)
+    want = np.array([[k(domain, complex(z), complex(w)) for w in pts] for z in pts])
+    ulp = np.spacing(np.abs(want))
+    assert np.all(np.abs(got.real - want.real) <= 4.0 * ulp)
+    assert np.all(np.abs(got.imag - want.imag) <= 4.0 * ulp)
+    # a 0-d call takes the scalar body and returns a Python scalar
+    assert type(k(domain, np.asarray(pts[0]), pts[1])) is complex
+
+
+BAD_ELEMENTS = [
+    (DISC, 1.5 + 0.0j, 0.2j, OutsideDomain),
+    (DISC, 1.0 + 0.0j, 1.0 + 0.0j, PoleAtInput),
+    (HALF_PLANE, 0.3 - 0.5j, 1.0j, OutsideDomain),
+    (HALF_PLANE, 0.5 + 0.0j, 0.5 + 0.0j, PoleAtInput),
+    (STRIP, 0.3 + 2.5j, 1.0j, OutsideDomain),
+    (STRIP, 0.7 + 0.0j, 0.7 + 0.0j, PoleAtInput),
+]
+
+
+@pytest.mark.parametrize("domain,z,w,exc,k", [
+    pytest.param(domain, z, w, exc, k, id="%s-%s-%s" % (domain.name, exc.__name__, name))
+    for domain, z, w, exc in BAD_ELEMENTS for name, k in ARRAY_KERNELS[:3]])
+def test_one_bad_element_raises_what_the_scalar_call_raises(domain, z, w, exc, k):
+    with pytest.raises(exc):
+        k(domain, z, w)
+    good = sample_interior(domain, np.random.default_rng(32), 5)
+    with pytest.raises(exc):
+        k(domain, np.append(good, z), np.append(good[::-1], w))
+
+
+@pytest.mark.parametrize("kind,s", [("szego", None), ("bergman", None), ("power", 1.7)])
+def test_kernel_gram_agrees_with_a_double_loop_reference(kind, s):
+    pts = sample_interior(STRIP, np.random.default_rng(33), 25)
+    k = {"szego": lambda a, b: kernels.szego(STRIP, a, b),
+         "bergman": lambda a, b: kernels.bergman_strip(STRIP.beta, a, b),
+         "power": lambda a, b: kernels.power_kernel(STRIP, s, a, b)}[kind]
+    ref = numerics.gram_report(np.array([[k(a, b) for b in pts] for a in pts]))
+    got = kernels.kernel_gram(STRIP, pts, kind=kind, s=s)
+    assert got.size == 25 and got.verdict == ref.verdict
+    for field in ("min_eigenvalue", "max_eigenvalue", "hermiticity_defect"):
+        assert getattr(got, field) == pytest.approx(getattr(ref, field),
+                                                    abs=1e-13 * ref.spectral_norm)

@@ -200,6 +200,19 @@ def test_fourier_monitor_flags_divergence():
     assert np.isfinite(val.real)
 
 
+def test_fourier_of_an_array_matches_scalar_calls_bit_for_bit():
+    mu = measures.gridded(0.0, 0.05, np.exp(-0.5 * (0.05 * np.arange(400)) ** 2))
+    g = measures.Gamma_map(mu, 1.0)
+    nu = measures.MeasureOnR([0.3, -0.3], [0.2, 0.1], grid_x0=g.grid_x0,
+                             grid_h=g.grid_h, density=g.density)
+    zs = np.array([[0.3 + 0.5j, -1.2 + 0.9j, 2.5], [0.0, 1j, -3.0 + 0.1j]])
+    got = measures.fourier(nu, zs)
+    assert got.shape == zs.shape
+    for z, val in zip(zs.ravel(), got.ravel()):
+        assert val == measures.fourier(nu, complex(z))
+    assert type(measures.fourier(nu, 0.2)) is complex
+
+
 def test_laplace_value():
     mu = measures.atomic([(0.7, 1.0)])
     assert measures.laplace(mu, 0.5) == pytest.approx(0.70468808971871343,
@@ -230,6 +243,27 @@ def test_rp_circle_from_measure_consistency():
     assert phi_R(0.0) == pytest.approx(1.0, abs=1e-15)
     assert phi_R(0.3) == pytest.approx(phi_R(-0.3), abs=1e-15)
     assert abs(phi_R(0.9)) <= phi_R(0.0)
+
+
+def test_kms_and_theta_checks_reject_non_finite_points():
+    nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
+    with pytest.raises(ParameterOutOfRange):
+        measures.theta_involution_check(nu, 1.0, [(complex(math.nan, 0.2), 0.3j)])
+    with pytest.raises(ParameterOutOfRange):
+        measures.kms_check(nu, 1.0, t_grid=[math.nan, 0.5])
+
+
+def test_kms_and_theta_checks_read_nan_when_a_transform_is_nan(monkeypatch):
+    def fourier_with_one_nan(nu, z, monitor=True):
+        out = np.zeros(np.shape(z), dtype=complex)
+        out[-1] = complex(math.nan, 0.0)
+        return out
+
+    nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
+    monkeypatch.setattr(measures, "fourier", fourier_with_one_nan)
+    assert math.isnan(measures.kms_check(nu, 1.0))
+    assert math.isnan(measures.theta_involution_check(
+        nu, 1.0, [(0.3 + 0.4j, 0.1 + 0.6j), (-0.5 + 0.7j, 0.2 + 0.2j)]))
 
 
 def test_theta_involution_check_small():

@@ -90,6 +90,19 @@ def test_standard_vectors_are_j_fixed():
         assert np.max(np.abs(w - v)) < 1e-13
 
 
+def test_modular_coefficient_of_an_array_matches_scalar_calls_bit_for_bit():
+    mu = measures.gridded(0.0, 0.05, np.exp(-(0.05 * np.arange(300)) ** 2))
+    md = modular.build_modular(measures.Gamma_map(mu, 1.0), 1.0)
+    v = md.space.random_standard_vector(np.random.default_rng(36))
+    ts = np.linspace(-3.0, 3.0, 7)
+    got = modular.modular_coefficient(md, v, ts[:, None] - ts[None, :] + 0.2j)
+    assert got.shape == (7, 7)
+    for j, tj in enumerate(ts):
+        for k, tk in enumerate(ts):
+            assert got[j, k] == modular.modular_coefficient(md, v, tj - tk + 0.2j)
+    assert type(modular.modular_coefficient(md, v, 0.4)) is complex
+
+
 def test_modular_coefficient_is_positive_definite_and_kms():
     md = _setup()
     rng = np.random.default_rng(46)

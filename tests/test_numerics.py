@@ -3,11 +3,15 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rphardy import numerics
+from rphardy import kernels, numerics, rpfunc
+from rphardy.domains import DISC
 from rphardy.errors import ParameterOutOfRange, ToleranceNotReached
 
 # mpmath oracles (40 digits, rounded to double)
@@ -34,6 +38,157 @@ def test_comp_sum_complex_parts_and_empty():
     assert numerics.comp_sum(vals) == 1.0 + 2.0j
     assert numerics.comp_sum([]) == 0.0 + 0.0j
     assert numerics.comp_sum(np.zeros((0,), dtype=complex)) == 0.0 + 0.0j
+
+
+# Property tests: every row sum must be the float math.fsum returns, bit for
+# bit (sign of zero and NaN included), or fsum's exception.  LONG rows are
+# long enough for the vectorized path.
+
+LONG = numerics._VECTOR_MIN_TERMS
+
+
+def _outcome(f, arg):
+    try:
+        return f(arg)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _fsum_outcome(row: np.ndarray):
+    return _outcome(math.fsum, row.tolist())
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _assert_matches_fsum(row: np.ndarray) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy RuntimeWarning escapes
+        got = _outcome(numerics.comp_sum_real, row)
+    want = _fsum_outcome(row)
+    assert _same(got, want), (got, want)
+
+
+def _gen_sum(rng, n: int, cond: float) -> np.ndarray:
+    """An ill-conditioned sum as in Ogita, Rump and Oishi's GenSum: half the
+    terms with exponents spread over log2(cond)/2, the other half cancelling
+    the running exact sum down to a small target."""
+    b = math.log2(cond)
+    n2 = n // 2
+    e = np.round(rng.uniform(0.0, b / 2.0, n2))
+    e[0], e[-1] = round(b / 2.0) + 1, 0
+    head = rng.uniform(-1.0, 1.0, n2) * 2.0 ** e
+    total = sum((Fraction(float(v)) for v in head), Fraction(0))
+    tail = []
+    for ek in np.round(np.linspace(b / 2.0, 0.0, n - n2)):
+        v = rng.uniform(-1.0, 1.0) * 2.0 ** ek - float(total)
+        tail.append(v)
+        total += Fraction(v)
+    row = np.concatenate([head, tail])
+    rng.shuffle(row)
+    return row
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(LONG, 3 * LONG),
+       log_cond=st.integers(0, 120))
+def test_comp_sum_real_matches_fsum_on_ill_conditioned_sums(seed, n, log_cond):
+    row = _gen_sum(np.random.default_rng(seed), n, 10.0 ** log_cond)
+    _assert_matches_fsum(row)
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3 * LONG),
+       lo=st.integers(-1100, 890), span=st.integers(0, 130), one_signed=st.booleans())
+def test_comp_sum_real_matches_fsum_on_random_magnitudes(seed, n, lo, span, one_signed):
+    rng = np.random.default_rng(seed)
+    row = np.ldexp(rng.standard_normal(n), rng.integers(lo, lo + span + 1, n))
+    _assert_matches_fsum(np.abs(row) if one_signed else row)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(LONG, 16 * LONG),
+       decay=st.floats(0.0, 50.0))
+def test_comp_sum_real_matches_fsum_on_positive_quadrature_like_rows(seed, n, decay):
+    # all terms of one sign: the partial sums grow to n times the largest
+    # term, the case that sizes the extraction constant
+    rng = np.random.default_rng(seed)
+    row = rng.uniform(0.0, 1.0, n) * np.exp(-decay * np.linspace(-1.0, 1.0, n) ** 2)
+    _assert_matches_fsum(row)
+    _assert_matches_fsum(-row)
+
+
+@given(a=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                   max_value=1e300),
+       nudge=st.sampled_from([0.0, 1.0, -1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_comp_sum_real_matches_fsum_at_and_next_to_half_ulp_ties(a, nudge, seed):
+    # a + half an ulp of a, exactly a tie (or just off it), padded to the
+    # tree length with pairs that cancel exactly
+    half = 0.5 * (math.nextafter(a, math.inf) - a)
+    rng = np.random.default_rng(seed)
+    pad = rng.standard_normal(LONG // 2) * (abs(a) + 1.0)
+    row = np.concatenate([[a, half, nudge * half * 2.0 ** -40], pad, -pad])
+    rng.shuffle(row)
+    _assert_matches_fsum(row)
+
+
+TINY = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        -2.2250738585072014e-308, 1e-310, -1e-310, 3e-320]
+
+
+@given(picks=st.lists(st.sampled_from(TINY), min_size=1, max_size=8),
+       n=st.sampled_from([3, LONG, 2 * LONG + 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_comp_sum_real_matches_fsum_on_signed_zeros_and_subnormals(picks, n, seed):
+    row = np.random.default_rng(seed).choice(picks, n)
+    _assert_matches_fsum(row)
+
+
+SPECIAL = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 1e308]
+
+
+@given(specials=st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=4),
+       n=st.sampled_from([5, LONG, 2 * LONG]), seed=st.integers(0, 2 ** 32 - 1))
+def test_comp_sum_real_matches_fsum_on_inf_nan_and_overflow(specials, n, seed):
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal(n) * 1e300
+    row[rng.choice(n, len(specials), replace=False)] = specials
+    _assert_matches_fsum(row)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(0, 6),
+       n=st.sampled_from([0, 7, LONG, 3 * LONG]))
+def test_a_batch_of_rows_equals_separate_calls(seed, m, n):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-20, 20, (m, n))
+    if m and n:
+        rows[rng.integers(m)] = 0.0
+        rows[rng.integers(m)] *= -0.0
+    got = numerics.comp_sum_real(rows)
+    assert got.shape == (m,)
+    for row, s in zip(rows, got):
+        assert _same(float(s), numerics.comp_sum_real(row))
+    z = rows + 1j * rng.standard_normal((m, n))
+    got = numerics.comp_sum(z.reshape(1, m, n))
+    assert got.shape == (1, m)
+    for row, s in zip(z, got[0]):
+        assert _same(s.real, math.fsum(row.real.tolist()))
+        assert _same(s.imag, math.fsum(row.imag.tolist()))
+
+
+def test_a_batch_raises_the_exception_of_its_first_failing_row():
+    rows = np.ones((3, LONG))
+    rows[1, :2] = math.inf, -math.inf          # fsum: ValueError
+    rows[2, :2] = 1e308, 1e308                 # fsum: OverflowError
+    with pytest.raises(ValueError):
+        numerics.comp_sum_real(rows)
+    with pytest.raises(OverflowError):
+        numerics.comp_sum_real(rows[2:])
 
 
 # --------------------------------------------------------------------------
@@ -136,6 +291,17 @@ def test_gram_report_flags_hermiticity_defect():
 def test_gram_report_rejects_non_square_input():
     with pytest.raises(ParameterOutOfRange):
         numerics.gram_report(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rpfunc.pd_gram("line", 1.0, []),
+    lambda: rpfunc.rp_gram("line", 1.0, []),
+    lambda: rpfunc.param_rp_check(2, []),
+    lambda: kernels.kernel_gram(DISC, []),
+], ids=["pd_gram", "rp_gram", "param_rp_check", "kernel_gram"])
+def test_an_empty_gram_is_rejected(build):
+    with pytest.raises(ParameterOutOfRange):
+        build()
 
 
 def test_hermitian_extremes_on_a_diagonal_matrix():

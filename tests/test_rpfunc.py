@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rphardy import rpfunc
+from rphardy import numerics, rpfunc
 from rphardy.errors import ParameterOutOfRange, SampleOutsidePositiveCone
 
 
@@ -132,6 +132,60 @@ def test_param_rp_check_psd_and_validation():
         rpfunc.param_rp_check(2, [(0.0, 2)])
 
 
+def _phi(group, lam, beta):
+    return {"integers": lambda g: rpfunc.phi_int(lam, g),
+            "line": lambda g: rpfunc.phi_line(lam, g),
+            "circle": lambda g: rpfunc.phi_circle(beta, lam, g)}[group]
+
+
+@pytest.mark.parametrize("group,beta", [("integers", None), ("line", None),
+                                        ("circle", 2.0)])
+def test_grams_agree_with_a_double_loop_reference(group, beta):
+    rng = np.random.default_rng(34)
+    lam = 0.6
+    phi = _phi(group, lam, beta)
+    if group == "integers":
+        xs = rng.integers(0, 12, 25).astype(float)
+    elif group == "line":
+        xs = rng.uniform(0.0, 3.0, 25)
+    else:
+        xs = rng.uniform(0.01, 0.99, 25)
+    for build, op in ((rpfunc.pd_gram, lambda a, b: a - b),
+                      (rpfunc.rp_gram, lambda a, b: a + b)):
+        ref = numerics.gram_report(np.array([[phi(op(a, b)) for b in xs] for a in xs]))
+        got = build(group, lam, xs, beta=beta)
+        assert got.size == 25 and got.verdict == ref.verdict
+        assert got.min_eigenvalue == pytest.approx(ref.min_eigenvalue,
+                                                   abs=1e-13 * ref.spectral_norm)
+        assert got.max_eigenvalue == pytest.approx(ref.max_eigenvalue, rel=1e-13)
+
+
+def test_param_rp_check_agrees_with_a_double_loop_reference():
+    rng = np.random.default_rng(35)
+    pts = [(float(t), int(e)) for t, e in zip(rng.uniform(-2.0, 2.0, 25),
+                                             rng.choice([-1, 1], 25))]
+    n = 3
+    ref = numerics.gram_report(np.array(
+        [[float((ej * ek) ** n) * math.exp(-n * abs(tj - tk)) for tk, ek in pts]
+         for tj, ej in pts]))
+    got = rpfunc.param_rp_check(n, pts)
+    assert got.verdict == ref.verdict
+    assert got.min_eigenvalue == pytest.approx(ref.min_eigenvalue,
+                                               abs=1e-13 * ref.spectral_norm)
+    assert got.max_eigenvalue == pytest.approx(ref.max_eigenvalue, rel=1e-13)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rpfunc.pd_gram("integers", 0.5, [0, math.nan]),
+    lambda: rpfunc.rp_gram("integers", 0.5, [0, math.inf]),
+    lambda: rpfunc.rp_gram("line", 0.5, [math.nan, 1.0]),
+    lambda: rpfunc.param_rp_check(2, [(math.nan, 1)]),
+], ids=["pd_gram", "rp_gram-integers", "rp_gram-line", "param_rp_check"])
+def test_grams_reject_non_finite_samples(build):
+    with pytest.raises(ParameterOutOfRange):
+        build()
+
+
 def test_c_func_frozen_value_and_errors():
     got = rpfunc.c_func(1.0, 0.8, 0.4 + 0.3j)
     want = 0.88931287031504383 + 0.046755120342274631j
@@ -204,3 +258,20 @@ def test_strip_membership_randomized():
         y = -off if side < 0 else beta + off
         z = complex(rng.uniform(-3, 3), y)
         assert rpfunc.strip_membership(beta, z).verdict == "exterior"
+
+
+def test_c_log_abs_on_a_t_array_matches_scalar_calls():
+    t = np.geomspace(1e-3, 1e3, 60)
+    for z in (0.3 + 0.4j, -2.0 + 1.7j, 5.0 - 0.2j, 40.0 + 0.5j):
+        got = rpfunc.c_log_abs(1.0, t, z)
+        want = np.array([rpfunc.c_log_abs(1.0, float(tk), z) for tk in t])
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    with pytest.raises(ParameterOutOfRange):
+        rpfunc.c_log_abs(1.0, np.array([0.5, 0.0]), 0.3j)
+
+
+def test_strip_membership_rejects_an_empty_or_bad_grid():
+    with pytest.raises(ParameterOutOfRange):
+        rpfunc.strip_membership(1.0, 0.3 + 0.4j, t_grid=[])
+    with pytest.raises(ParameterOutOfRange):
+        rpfunc.strip_membership(1.0, 0.3 + 0.4j, t_grid=[0.5, math.nan])
