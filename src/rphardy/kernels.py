@@ -309,13 +309,21 @@ def _power_kernel_array(domain: Domain, s: float, z: np.ndarray,
 
 
 def _complex_power(base: np.ndarray, s: float) -> np.ndarray:
-    """Principal base ** s by the rule Python's complex power follows:
-    repeated products for an integer exponent up to 100, the polar form
-    |base|^s e^{i s arg(base)} otherwise.  np.float_power and the imaginary
-    part of the complex np.log are libm's pow and atan2, as in CPython;
-    np.power and np.arctan2 on floats (and numpy's complex **) may not be."""
+    """Principal base ** s by the rule Python's complex power follows: for
+    an integer exponent up to 100, binary powering by repeated squaring (and
+    one reciprocal for s < 0), the polar form |base|^s e^{i s arg(base)}
+    otherwise.  np.float_power and the imaginary part of the complex np.log
+    are libm's pow and atan2, as in CPython; np.power and np.arctan2 on
+    floats (and numpy's complex **) may not be."""
     if s == math.floor(s) and abs(s) <= 100.0:
-        return base ** s if s >= 0 else _cdiv(1.0, base ** -s)
+        n, p, r = int(abs(s)), base, None
+        while True:
+            if n & 1:
+                r = p if r is None else _cmul(r, p)
+            n >>= 1
+            if not n:
+                return r if s > 0 else _cdiv(1.0, r)
+            p = _cmul(p, p)
     r = np.float_power(np.hypot(base.real, base.imag), s)
     phase = np.log(base).imag * s
     return _complex(r * np.cos(phase), r * np.sin(phase))

@@ -58,7 +58,8 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import comp_sum, comp_sum_real, finite_array, quad, row_blocks
+from .numerics import (comp_sum, comp_sum_real, finite_array, finite_pairs, quad,
+                       row_blocks)
 
 _MERGE_TOL = 1e-12
 
@@ -520,7 +521,7 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs,
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
     _require_beta(beta)
-    zw = finite_array(pairs, "pair points", complex).reshape(-1, 2)
+    zw = finite_pairs(pairs, "pair points", complex)
     zeta = zw[:, 0] - np.conj(zw[:, 1])
     return _worst_gap(fourier(nu, 2j * beta - zeta, monitor=monitor),
                       fourier(nu, zeta, monitor=monitor))

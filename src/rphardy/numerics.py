@@ -175,10 +175,10 @@ _BLOCK_TERMS = 1 << 16
 def is_batch(*args) -> bool:
     """Whether any argument is an array (or sequence) with at least one axis.
 
-    Functions that accept arrays keep a scalar math/cmath body for Python
+    The kernels and ``phi_circle`` keep a scalar math/cmath body for Python
     and numpy scalars and 0-d arrays: one element through numpy costs about
-    20x more than the scalar body, and quadrature integrands make tens of
-    thousands of such calls.
+    20x more than the scalar body, and quadrature integrands and the series
+    checks make tens of thousands of such calls.
     """
     for a in args:      # a plain loop: any() over a generator costs 3x more
         if not isinstance(a, _SCALARS) and np.ndim(a):
@@ -188,11 +188,29 @@ def is_batch(*args) -> bool:
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
     """``values`` (an array or any iterable) as an array; raises
-    :class:`ParameterOutOfRange` naming ``what`` unless every entry is finite."""
-    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
-                     dtype=dtype)
+    :class:`ParameterOutOfRange` naming ``what`` unless it is a rectangular
+    array of numbers, every one finite."""
+    try:
+        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
+                         dtype=dtype)
+    except ValueError:          # ragged, or an entry that is not a number
+        raise ParameterOutOfRange("%s must be a rectangular array of numbers"
+                                  % what) from None
     if not np.all(np.isfinite(arr)):
         raise ParameterOutOfRange("%s must be finite" % what)
+    return arr
+
+
+def finite_pairs(values, what: str, dtype=float) -> np.ndarray:
+    """:func:`finite_array` of a sequence of pairs, as an (m, 2) array; raises
+    :class:`ParameterOutOfRange` for anything but pairs (a flat list of two
+    numbers is not one pair)."""
+    arr = finite_array(values, what, dtype)
+    if arr.size == 0:
+        return arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ParameterOutOfRange("%s must be a sequence of pairs, got shape %r"
+                                  % (what, arr.shape))
     return arr
 
 

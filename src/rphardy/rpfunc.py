@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
-from .numerics import GramReport, comp_sum_real, finite_array, gram_report, is_batch
+from .numerics import (GramReport, comp_sum_real, finite_array, finite_pairs,
+                       gram_report, is_batch)
 
 GROUPS = ("integers", "line", "circle")
 
@@ -69,22 +70,22 @@ def _check_family(group: str, lam: float, beta: float = None) -> None:
 
 
 def phi_int(lam: float, n):
-    """lam^{|n|} on the integers; lam in [-1, 1].  ``n`` may be an array."""
+    """lam^{|n|} on the integers; lam in [-1, 1].  ``n`` may be an array; a
+    scalar ``n`` gives a float."""
     _check_family("integers", lam)
-    if is_batch(n):
-        return np.power(lam, np.abs(np.trunc(n)))
-    n = abs(int(n))
-    if lam == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return float(lam ** n)
+    return _as_float(np.power(lam, np.abs(np.trunc(n))))
 
 
 def phi_line(lam: float, t):
-    """e^{-lam |t|} on the line; lam >= 0.  ``t`` may be an array."""
+    """e^{-lam |t|} on the line; lam >= 0.  ``t`` may be an array; a scalar
+    ``t`` gives a float."""
     _check_family("line", lam)
-    if is_batch(t):
-        return np.exp(-lam * np.abs(t))
-    return math.exp(-lam * abs(t))
+    return _as_float(np.exp(-lam * np.abs(t)))
+
+
+def _as_float(values):
+    """A 0-d result as a Python float, an array result as it is."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def reduce_mod(y: float, beta: float) -> float:
@@ -187,7 +188,7 @@ def param_rp_check(n: int, samples, tolerance: float = 1e-10) -> GramReport:
     """
     if n < 0 or int(n) != n:
         raise ParameterOutOfRange("power must be a nonnegative integer")
-    t, eps = finite_array(samples, "samples").reshape(-1, 2).T
+    t, eps = finite_pairs(samples, "samples").T
     if not np.all((eps == 1.0) | (eps == -1.0)):
         raise ParameterOutOfRange("sign component must be +1 or -1")
     G = (eps[:, None] * eps[None, :]) ** n * np.exp(-n * np.abs(t[:, None] - t[None, :]))
@@ -216,27 +217,18 @@ def c_func(beta: float, t: float, z: complex) -> complex:
 
 
 def c_log_abs(beta: float, t, z: complex):
-    """log |c_t(z)|, overflow-free for any z and t.  ``t`` may be an array."""
-    if is_batch(t):
-        t = np.asarray(t, dtype=float)
-        if beta <= 0.0 or not np.all(t > 0.0):
-            raise ParameterOutOfRange("need beta > 0 and t > 0")
-        a = 1j * t * complex(z)
-        b = -beta * t - a
-        m = np.maximum(a.real, b.real)
-        s = np.exp(a - m) + np.exp(b - m)
-        with np.errstate(divide="ignore"):     # |c_t| = 0 gives -inf
-            return m + np.log(np.hypot(s.real, s.imag)) - np.log1p(np.exp(-beta * t))
-    if beta <= 0.0 or t <= 0.0:
+    """log |c_t(z)|, overflow-free for any z and t.  ``t`` may be an array; a
+    scalar ``t`` gives a float."""
+    t = np.asarray(t, dtype=float)
+    if beta <= 0.0 or not np.all(t > 0.0):
         raise ParameterOutOfRange("need beta > 0 and t > 0")
-    z = complex(z)
-    a = 1j * t * z
-    b = -beta * t - 1j * t * z
-    m = max(a.real, b.real)
-    mag = abs(cmath.exp(a - m) + cmath.exp(b - m))
-    if mag == 0.0:
-        return -math.inf
-    return m + math.log(mag) - math.log1p(math.exp(-beta * t))
+    a = 1j * t * complex(z)
+    b = -beta * t - a
+    m = np.maximum(a.real, b.real)
+    s = np.exp(a - m) + np.exp(b - m)
+    with np.errstate(divide="ignore"):     # |c_t| = 0 gives -inf
+        return _as_float(m + np.log(np.hypot(s.real, s.imag))
+                         - np.log1p(np.exp(-beta * t)))
 
 
 def g_func(beta: float, t: float, z: complex) -> complex:

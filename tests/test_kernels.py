@@ -294,6 +294,11 @@ ARRAY_KERNELS = [
     ("power0.5", lambda d, z, w: kernels.power_kernel(d, 0.5, z, w)),
     ("power1.7", lambda d, z, w: kernels.power_kernel(d, 1.7, z, w)),
     ("bergman", lambda d, z, w: kernels.bergman_strip(d.beta, z, w)),
+    # integer exponents take the repeated-squaring branch; on the disc the
+    # exponent is -s, so these also cover a negative integer exponent
+    ("power1", lambda d, z, w: kernels.power_kernel(d, 1.0, z, w)),
+    ("power2", lambda d, z, w: kernels.power_kernel(d, 2.0, z, w)),
+    ("power5", lambda d, z, w: kernels.power_kernel(d, 5.0, z, w)),
 ]
 
 

@@ -253,6 +253,17 @@ def test_kms_and_theta_checks_reject_non_finite_points():
         measures.kms_check(nu, 1.0, t_grid=[math.nan, 0.5])
 
 
+@pytest.mark.parametrize("pairs", [
+    [0.3 + 0.4j, 0.1 + 0.6j],                       # flat: not the pair (z, w)
+    [(0.3 + 0.4j, 0.1 + 0.6j), (0.2j,)],            # ragged
+    [0.3 + 0.4j, 0.1 + 0.6j, 0.2j],                 # odd length
+], ids=["flat", "ragged", "odd"])
+def test_theta_involution_check_needs_a_sequence_of_pairs(pairs):
+    nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
+    with pytest.raises(ParameterOutOfRange):
+        measures.theta_involution_check(nu, 1.0, pairs)
+
+
 def test_kms_and_theta_checks_read_nan_when_a_transform_is_nan(monkeypatch):
     def fourier_with_one_nan(nu, z, monitor=True):
         out = np.zeros(np.shape(z), dtype=complex)

@@ -132,6 +132,28 @@ def test_param_rp_check_psd_and_validation():
         rpfunc.param_rp_check(2, [(0.0, 2)])
 
 
+@pytest.mark.parametrize("samples", [
+    [0.5, 1.0],                     # flat: not the one pair (0.5, 1)
+    [(0.0, 1), (0.7, -1, 1)],       # ragged
+    [0.0, 1, 0.7],                  # odd length
+    [(0.0, 1), (0.7,)],
+], ids=["flat", "ragged", "odd", "short-pair"])
+def test_param_rp_check_needs_a_sequence_of_pairs(samples):
+    with pytest.raises(ParameterOutOfRange):
+        rpfunc.param_rp_check(2, samples)
+
+
+def test_scalar_arguments_give_floats_and_arrays_give_arrays():
+    t = np.array([0.0, -1.3, 2.0])
+    for f, arg in ((lambda x: rpfunc.phi_int(-0.6, x), -3),
+                   (lambda x: rpfunc.phi_line(0.8, x), -1.3),
+                   (lambda x: rpfunc.c_log_abs(1.0, x, 0.3 + 0.4j), 0.7)):
+        assert type(f(arg)) is float and type(f(np.float64(arg))) is float
+        got = f(np.abs(t) + 0.5)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == [f(float(x)) for x in np.abs(t) + 0.5]
+
+
 def _phi(group, lam, beta):
     return {"integers": lambda g: rpfunc.phi_int(lam, g),
             "line": lambda g: rpfunc.phi_line(lam, g),
@@ -265,7 +287,7 @@ def test_c_log_abs_on_a_t_array_matches_scalar_calls():
     for z in (0.3 + 0.4j, -2.0 + 1.7j, 5.0 - 0.2j, 40.0 + 0.5j):
         got = rpfunc.c_log_abs(1.0, t, z)
         want = np.array([rpfunc.c_log_abs(1.0, float(tk), z) for tk in t])
-        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(got, want)        # one body for both
     with pytest.raises(ParameterOutOfRange):
         rpfunc.c_log_abs(1.0, np.array([0.5, 0.0]), 0.3j)
 
