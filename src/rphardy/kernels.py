@@ -103,10 +103,10 @@ def szego(domain: Domain, z: complex, w: complex) -> complex:
     if isinstance(domain, Strip):
         b = domain.beta
         arg = math.pi * (z - w.conjugate()) / (2.0 * b)
-        if arg.real > 350.0:
+        if arg.real > _FAR:
             # 1/sinh(arg) = 2 e^{-arg} up to relative error e^{-2 Re arg}
             return 0.5j * cmath.exp(-arg) / b
-        if arg.real < -350.0:
+        if arg.real < -_FAR:
             return -0.5j * cmath.exp(arg) / b
         s = cmath.sinh(arg)
         if abs(s) <= _POLE_TOL:
@@ -127,13 +127,12 @@ def _szego_array(domain: Domain, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         return _cdiv(0.5j, math.pi * den)
     if isinstance(domain, Strip):
         b = domain.beta
-        d = z - np.conj(w)
-        arg = _complex(math.pi * d.real / (2.0 * b), math.pi * d.imag / (2.0 * b))
+        arg = _strip_arg(b, z, w)
         out = np.empty(arg.shape, dtype=complex)
-        far = arg.real > 350.0
+        far = arg.real > _FAR
         e = np.exp(-arg[far])
         out[far] = _complex(-0.5 * e.imag / b, 0.5 * e.real / b)
-        near = arg.real < -350.0
+        near = arg.real < -_FAR
         e = np.exp(arg[near])
         out[near] = _complex(0.5 * e.imag / b, -0.5 * e.real / b)
         mid = ~(far | near)
@@ -143,6 +142,28 @@ def _szego_array(domain: Domain, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         out[mid] = _cdiv(0.25j, b * s)
         return out
     raise UnsupportedPair("no szego kernel for %r" % (domain,))
+
+
+def _strip_arg(b: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """pi (z - conj(w)) / (2 beta) on arrays, rounded as the scalar bodies
+    round it."""
+    d = z - np.conj(w)
+    return _complex(math.pi * d.real / (2.0 * b), math.pi * d.imag / (2.0 * b))
+
+
+# Past |Re arg| = _FAR, arg = pi (z - conj(w)) / (2 beta), the strip Szego
+# kernel is (i / 2 beta) e^{-arg} (or its mirror -(i / 2 beta) e^{arg}) to
+# double precision; it underflows to a signed zero near |Re arg| = 745.
+_FAR = 350.0
+
+
+def _far_power_exponent(b: float, sign: float) -> complex:
+    """log(1 / 2 beta) + sign i pi/2: past _FAR the principal s-th power of
+    the strip Szego kernel is exp(s (this - sign arg)).  The phase
+    sign (pi/2 - Im arg) stays in [-pi/2, pi/2] on the closed strip, so this
+    is the principal branch, and the power underflows only where the power
+    itself does (the kernel's own underflow to -0j would read as the cut)."""
+    return complex(math.log(0.5 / b), sign * 0.5 * math.pi)
 
 
 # Complex products and quotients on arrays, computed as CPython computes them
@@ -276,6 +297,11 @@ def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
             raise PoleAtInput("power kernel pole on the half-plane")
         base = 1j / den
     elif isinstance(domain, Strip):
+        b = domain.beta
+        arg = math.pi * (z - w.conjugate()) / (2.0 * b)
+        if abs(arg.real) > _FAR:
+            sign = math.copysign(1.0, arg.real)
+            return cmath.exp(s * (_far_power_exponent(b, sign) - sign * arg))
         base = szego(domain, z, w)  # (i / 4 beta) / sinh(...), Re > 0 inside
     else:
         raise UnsupportedPair("no power kernel for %r" % (domain,))
@@ -300,9 +326,22 @@ def _power_kernel_array(domain: Domain, s: float, z: np.ndarray,
         _require_no_pole(np.abs(den) <= _POLE_TOL, "power kernel pole on the half-plane")
         base = _cdiv(1j, den)
     elif isinstance(domain, Strip):
-        base = _szego_array(domain, z, w)
+        b = domain.beta
+        arg = _strip_arg(b, z, w)
+        out = np.empty(arg.shape, dtype=complex)
+        for sign in (1.0, -1.0):
+            far = sign * arg.real > _FAR
+            e = _far_power_exponent(b, sign) - sign * arg[far]
+            out[far] = np.exp(_complex(s * e.real, s * e.imag))
+        mid = np.abs(arg.real) <= _FAR
+        out[mid] = _power_of_base(_szego_array(domain, z[mid], w[mid]), s)
+        return out
     else:
         raise UnsupportedPair("no power kernel for %r" % (domain,))
+    return _power_of_base(base, s)
+
+
+def _power_of_base(base: np.ndarray, s: float) -> np.ndarray:
     if np.any((base.real <= 0.0) & (base.imag == 0.0)):
         raise BranchCutViolation("power kernel base on the negative real axis")
     return _complex_power(base, s)
@@ -372,9 +411,9 @@ def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
         b = domain.beta
         ab = cmath.pi * (zb - w.conjugate()) / (2.0 * b)
         ar = cmath.pi * (zr - w.conjugate()) / (2.0 * b)
-        if ab.real > 350.0:
+        if ab.real > _FAR:
             return cmath.exp(ar - ab)
-        if ab.real < -350.0:
+        if ab.real < -_FAR:
             return cmath.exp(ab - ar)
         return cmath.sinh(ar) / cmath.sinh(ab)
     return szego(domain, zb, w) / szego(domain, zr, w)

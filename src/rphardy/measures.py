@@ -440,9 +440,13 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
     the one a scalar call gives.  With ``monitor`` on, the gridded part must
     have decayed: if either 5% tail of the grid contributes more than 1e-12
     of the total absolute mass of the summand, :class:`DivergentTransform`
-    is raised.
+    is raised.  So is a transform whose terms or sum overflow double
+    precision (|e^{i z lam}| = e^{-Im z lam} past about 1e308).  A z that is
+    not finite raises :class:`ParameterOutOfRange`.
     """
     zs = np.asarray(z, dtype=complex)
+    if not np.isfinite(zs).all():
+        raise ParameterOutOfRange("the transform needs finite z")
     flat = zs.ravel()
     iz = 1j * flat
     total = np.zeros(iz.size, dtype=complex)
@@ -451,12 +455,20 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
         parts.append((nu.atom_locs, nu.atom_weights, False))
     if nu.density is not None:
         parts.append((nu.grid_nodes(), nu.grid_quad_weights(), monitor))
-    for nodes, weights, watch in parts:
-        for rows in row_blocks(iz.size, nodes.size):
-            summand = np.exp(iz[rows, None] * nodes) * weights
-            if watch:
-                _require_decay(summand, flat[rows])
-            total[rows] += comp_sum(summand)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nodes, weights, watch in parts:
+            for rows in row_blocks(iz.size, nodes.size):
+                summand = np.exp(iz[rows, None] * nodes) * weights
+                if watch:
+                    _require_decay(summand, flat[rows])
+                try:
+                    total[rows] += comp_sum(summand)
+                except (OverflowError, ValueError):     # fsum: inf - inf, overflow
+                    total[rows] = np.nan
+    finite = np.isfinite(total)
+    if not finite.all():
+        raise DivergentTransform("the transform overflows at z = %s"
+                                 % complex(flat[np.argmin(finite)]))
     return complex(total[0]) if zs.ndim == 0 else total.reshape(zs.shape)
 
 

@@ -24,11 +24,20 @@ chosen by its length:
 
 Quadrature strategy
 -------------------
-* finite intervals: adaptive Gauss-Kronrod (QUADPACK QAGS), optional breakpoints;
-* infinite intervals: double-exponential (tanh-sinh) nodes;
-* oscillatory Fourier integrals on the line: QUADPACK's QAWF cosine/sine weights.
+Every real integral goes through QUADPACK (Piessens, de Doncker-Kapenga,
+Ueberhuber and Kahaner, *QUADPACK*, Springer 1983) via ``scipy.integrate.quad``:
 
-``scipy.integrate`` is imported inside the two routines that call it, so
+* finite intervals: adaptive Gauss-Kronrod (QAGS), or QAGP with breakpoints;
+* infinite intervals: QAGI, Gauss-Kronrod on the map x = a + (1 - t)/t, which
+  never evaluates the integrand at an infinite point; breakpoints split the
+  line into two QAGI tails and one QAGP piece between the outermost points;
+* oscillatory Fourier integrals on the line: QAWF cosine/sine weights.
+
+QUADPACK's error estimate bounds the true error of the peaked boundary
+integrands used here (Poisson masses near the boundary, flip pairings, the
+outer function), which the test suite checks against mpmath.
+
+``scipy.integrate`` is imported inside the one routine that calls it, so
 importing the package, and every closed-form evaluation, leaves scipy unloaded.
 
 Every routine returns an error estimate together with the value, and raises
@@ -233,19 +242,51 @@ def _tolerance_guard(value: complex, err: float, tol: float) -> None:
         )
 
 
-def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
-    """Integrate a real scalar function, returning ``(value, error_estimate)``."""
+def _quadpack(f, a, b, tol, **opts):
+    """``scipy.integrate.quad`` with the package's tolerances, returning
+    ``(value, error_estimate)``.  ``full_output`` keeps QUADPACK's failure
+    flags out of the warnings machinery: the error estimate goes through
+    :func:`_tolerance_guard` instead."""
     import scipy.integrate  # loaded on the first quadrature only
 
-    if np.isinf(a) or np.isinf(b):
-        res = scipy.integrate.tanhsinh(
-            np.vectorize(f, otypes=[float]), a, b, atol=tol / 4, rtol=1e-13
-        )
-        value, err = float(res.integral), float(res.error)
-    else:
-        value, err = scipy.integrate.quad(
-            f, a, b, epsabs=tol / 4, epsrel=1e-12, limit=400, points=points
-        )
+    return scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, **opts)[:2]
+
+
+def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
+    """Integrate a real scalar function over [a, b], returning
+    ``(value, error_estimate)``.
+
+    Infinite endpoints are allowed, with or without ``points``; as in
+    QUADPACK, only breakpoints strictly inside (a, b) are used.  Raises
+    :class:`ParameterOutOfRange` for a NaN endpoint or a breakpoint that is
+    not finite, and :class:`ToleranceNotReached` when the estimate misses
+    ``tol``.
+    """
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        raise ParameterOutOfRange("quadrature endpoints must not be NaN, got [%r, %r]"
+                                  % (a, b))
+    if b < a:
+        value, err = quad_real(f, b, a, tol=tol, points=points)
+        return -value, err
+    pieces = [(a, b, None)]
+    if points is not None:
+        pts = finite_array(points, "quadrature breakpoints").ravel()
+        pts = pts[(pts > a) & (pts < b)]
+        if pts.size and (math.isinf(a) or math.isinf(b)):
+            # QAGP takes no infinite endpoint: QAGI tails outside the
+            # outermost breakpoints, QAGP between them (it drops the two
+            # that are its own endpoints)
+            lo, hi = float(pts.min()), float(pts.max())
+            pieces = [(a, lo, None), (lo, hi, pts), (hi, b, None)]
+        elif pts.size:
+            pieces = [(a, b, pts)]
+    value = err = 0.0
+    for lo, hi, pts in pieces:
+        if lo < hi:
+            v, e = _quadpack(f, lo, hi, tol, epsrel=1e-12, limit=400, points=pts)
+            value += v
+            err += e
     _tolerance_guard(value, err, tol)
     return value, err
 
@@ -271,15 +312,11 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     if t == 0.0:
         val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
         return complex(val)
-    import scipy.integrate
-
     w = abs(t)
     even = lambda x: f(x) + f(-x)
     odd = lambda x: f(x) - f(-x)
-    re, re_err = scipy.integrate.quad(even, 0, np.inf, weight="cos", wvar=w,
-                                      epsabs=tol / 4, limlst=120)
-    im, im_err = scipy.integrate.quad(odd, 0, np.inf, weight="sin", wvar=w,
-                                      epsabs=tol / 4, limlst=120)
+    re, re_err = _quadpack(even, 0, np.inf, tol, weight="cos", wvar=w, limlst=120)
+    im, im_err = _quadpack(odd, 0, np.inf, tol, weight="sin", wvar=w, limlst=120)
     value = complex(re, math.copysign(1.0, t) * im)
     _tolerance_guard(value, re_err + im_err, tol)
     return value
@@ -353,14 +390,8 @@ def gram_report(G: np.ndarray, tolerance: float = 1e-10) -> GramReport:
 def ft_unitary(f, x: float, *, tol: float = 1e-10) -> complex:
     """Unitary-convention Fourier transform (1/sqrt(2 pi)) Int f(p) e^{ixp} dp."""
 
-    def integrand(p):
-        # tanh-sinh probes the literal endpoints, where cos(x * inf) has no
-        # value; the transform needs decaying f, so the true contribution is 0
-        if not math.isfinite(p):
-            return 0.0j
-        return f(p) * complex(math.cos(x * p), math.sin(x * p))
-
-    val, _ = quad(integrand, -np.inf, np.inf, tol=tol)
+    val, _ = quad(lambda p: f(p) * complex(math.cos(x * p), math.sin(x * p)),
+                  -np.inf, np.inf, tol=tol)
     return val / SQRT_TWO_PI
 
 
@@ -407,8 +438,6 @@ def poisson_summation_check(beta: float, lam: float, x: float, K: int) -> Identi
 
 def _sech_pow(u: float, n: int) -> float:
     """Overflow-free 1 / cosh(u)^n (underflows to 0 in the far tails)."""
-    if not math.isfinite(u):
-        return 0.0
     e = math.exp(-abs(u))
     return (2.0 * e / (1.0 + e * e)) ** n
 
@@ -416,11 +445,8 @@ def _sech_pow(u: float, n: int) -> float:
 def sech_ft_check(xi: float, *, tol: float = 1e-11) -> IdentityCheck:
     """Integral e^{i x xi} / cosh(x) dx  =  pi / cosh(pi xi / 2)."""
 
-    def integrand(u):
-        s = _sech_pow(u, 1)
-        return math.cos(xi * u) * s if s else 0.0
-
-    lhs, _ = quad_real(integrand, -np.inf, np.inf, tol=tol)
+    lhs, _ = quad_real(lambda u: math.cos(xi * u) * _sech_pow(u, 1),
+                       -np.inf, np.inf, tol=tol)
     rhs = math.pi / math.cosh(math.pi * xi / 2.0)
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
@@ -429,11 +455,8 @@ def sech2_ft_check(lam: float, *, tol: float = 1e-11) -> IdentityCheck:
     """(1/sqrt(2 pi)) Integral e^{i x lam} / cosh(x)^2 dx
     = sqrt(pi/2) * lam / sinh(pi lam / 2),  with limit sqrt(2/pi) at lam = 0."""
 
-    def integrand(u):
-        s = _sech_pow(u, 2)
-        return math.cos(lam * u) * s if s else 0.0
-
-    lhs, _ = quad_real(integrand, -np.inf, np.inf, tol=tol)
+    lhs, _ = quad_real(lambda u: math.cos(lam * u) * _sech_pow(u, 2),
+                       -np.inf, np.inf, tol=tol)
     lhs /= SQRT_TWO_PI
     if lam == 0.0:
         rhs = math.sqrt(2.0 / math.pi)
@@ -452,8 +475,7 @@ def sech_power_recursion_check(n: int, p: float, *, tol: float = 1e-11) -> Ident
         raise ParameterOutOfRange("recursion needs n >= 1")
 
     def integrand(u, k):
-        s = _sech_pow(u, k)
-        return math.cos(p * u) * s if s else 0.0
+        return math.cos(p * u) * _sech_pow(u, k)
 
     low, _ = quad_real(lambda u: integrand(u, n), -np.inf, np.inf, tol=tol)
     high, _ = quad_real(lambda u: integrand(u, n + 2), -np.inf, np.inf, tol=tol)
@@ -482,8 +504,6 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
         # e^{-y lam} / (1 + e^{-2 beta lam}), with the overflowing factor
         # folded into the exponent on the left tail where the product decays
         # like e^{(2 beta - y) lam}
-        if not math.isfinite(lam):
-            return 0.0
         if lam >= 0.0:
             return math.exp(-y * lam) / (1.0 + math.exp(-2.0 * beta * lam))
         return math.exp((2.0 * beta - y) * lam) / (1.0 + math.exp(2.0 * beta * lam))

@@ -99,7 +99,7 @@ def check_poisson_mass(cfg: Defaults):
                 for comp in domain.boundary_components():
                     val, _ = numerics.quad_real(
                         lambda x, c=comp: kernels.poisson(domain, z, x, c),
-                        -np.inf, np.inf, tol=1e-10)
+                        -np.inf, np.inf, tol=cfg.quad_tol)
                     mass += val
             yield ("kernels.poisson-mass.%s" % domain.name,
                    "Integral_boundary P_z(x) dx = 1", 1e-8, abs(mass - 1.0))
@@ -110,7 +110,8 @@ def check_poisson_ft(cfg: Defaults):
     for lam in (0.5, 1.0, 2.0):
         for t in (-1.3, 0.4, 2.0):
             val = numerics.oscillatory_ft(
-                lambda x: kernels.poisson(HALF_PLANE, 1j * lam, x), t)
+                lambda x: kernels.poisson(HALF_PLANE, 1j * lam, x), t,
+                tol=cfg.quad_tol)
             yield ("kernels.poisson-ft.half_plane",
                    "Integral P_{i lam}(x) e^{itx} dx = e^{-lam |t|}", 1e-8,
                    abs(val - math.exp(-lam * abs(t))))
@@ -501,7 +502,8 @@ def check_riesz(cfg: Defaults):
         for z in (0.3 + 1.1j, -1.0 + 0.8j):
             yield ("measures.riesz.transform",
                    "Integral p^{s-1} e^{izp} dp / GAMMA(s) = (i/z)^s", 1e-8,
-                   abs(measures.riesz_hat_quad(s, z) - measures.riesz_hat(s, z)))
+                   abs(measures.riesz_hat_quad(s, z, tol=cfg.quad_tol)
+                       - measures.riesz_hat(s, z)))
     for s in (0.5, 1.3):
         for t in (0.7, 2.0):
             yield ("measures.riesz.odd-part",
@@ -587,7 +589,7 @@ def check_modular_dynamics(cfg: Defaults):
         for t in (0.0, 0.6, 1.9):
             yield ("modular.midline-forms",
                    "the two integral forms of the midline psi agree", 1e-8,
-                   modular.psi_hardy_midline(b, t).defect)
+                   modular.psi_hardy_midline(b, t, tol=cfg.quad_tol).defect)
 
 
 @_check
@@ -644,7 +646,7 @@ def check_ftcosh(cfg: Defaults):
             yield ("appendix.fermi-ft",
                    "(1/2 pi) Int e^{iz lam}/(1+e^{-2 beta lam}) d lam "
                    "= (i/4 beta)/sinh(pi z/(2 beta))", 1e-9,
-                   numerics.ftcosh_check(beta, z).defect)
+                   numerics.ftcosh_check(beta, z, tol=cfg.quad_tol).defect)
 
 
 @_check

@@ -167,6 +167,47 @@ def test_power_kernel_interpolates_szego_and_bergman():
                - kernels.szego(DISC, z, w)) < 1e-16
 
 
+def _strip_power_oracle(mpmath, beta, s, z, w):
+    """Principal Q(z, w)^s on the strip at 30 digits."""
+    with mpmath.workdps(30):
+        d = mpmath.mpc(z.real, z.imag) - mpmath.conj(mpmath.mpc(w.real, w.imag))
+        q = (1j / (4 * beta)) / mpmath.sinh(mpmath.pi * d / (2 * beta))
+        return complex(q ** s)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.7, 2.0])
+def test_strip_power_kernel_far_apart(beta, s):
+    """Past |Re pi (z - conj w) / 2 beta| = 350 the power is taken from the
+    asymptotic form: no branch-cut error where the Szego kernel underflows,
+    the 30-digit value where the power is representable, and the scalar and
+    array bodies agree on both sides of the switch."""
+    mpmath = pytest.importorskip("mpmath")
+    strip = Strip(beta)
+    z = np.array([0.5j, 0.1j, 0.9j]) * beta
+    w = (np.array([220.0, 223.0, -223.0, 300.0, -300.0, 600.0, -600.0, 1e4])[:, None] * beta
+         + np.array([0.5j, 0.05j, 0.95j]) * beta).ravel()
+    got = kernels.power_kernel(strip, s, z[:, None], w[None, :])
+    for i, zi in enumerate(z):
+        for j, wj in enumerate(w):
+            want = kernels.power_kernel(strip, s, complex(zi), complex(wj))
+            assert got[i, j] == want
+            exact = _strip_power_oracle(mpmath, beta, s, zi, wj)
+            assert abs(want - exact) <= 1e-12 * abs(exact) + 1e-300
+    # the example that used to raise BranchCutViolation
+    assert kernels.power_kernel(Strip(1.0), 1.7, 0.5j, 600 + 0.5j) == 0.0
+    small = kernels.power_kernel(Strip(1.0), 0.5, 0.5j, 600 + 0.5j)
+    assert small != 0.0 and kernels.szego(Strip(1.0), 0.5j, 600 + 0.5j) == 0.0
+
+
+def test_power_kernel_gram_over_points_600_beta_apart():
+    beta = 2.0
+    strip = Strip(beta)
+    pts = np.array([0.5j, 600.0 + 0.3j, -600.0 + 0.7j, 0.4 + 0.2j]) * beta
+    rep = kernels.kernel_gram(strip, pts, kind="power", s=1.7)
+    assert rep.verdict and rep.min_eigenvalue > 0.0
+
+
 def test_power_kernel_rejects_bad_exponent():
     with pytest.raises(ParameterOutOfRange):
         kernels.power_kernel(DISC, 0.0, 0.1j, 0.0j)

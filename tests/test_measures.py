@@ -1,6 +1,7 @@
 """Measures on R: transforms gamma/Gamma/kappa, reflection, KMS, splittings."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,32 @@ def test_fourier_of_an_array_matches_scalar_calls_bit_for_bit():
     for z, val in zip(zs.ravel(), got.ravel()):
         assert val == measures.fourier(nu, complex(z))
     assert type(measures.fourier(nu, 0.2)) is complex
+
+
+@pytest.mark.parametrize("nu,z", [
+    (measures.atomic([(-800.0, 1.0), (-801.0, 1.0)]), 1 + 2j),
+    (measures.atomic([(-700.0, 1e300)]), 1j),
+    (measures.gridded(-800.0, 0.5, np.ones(5)), np.array([0.5, 2j, 1.0])),
+])
+def test_fourier_raises_when_the_transform_overflows(nu, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentTransform, match="overflows"):
+            measures.fourier(nu, z, monitor=False)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), np.array([0.5, math.inf])])
+def test_fourier_rejects_a_z_that_is_not_finite(z):
+    with pytest.raises(ParameterOutOfRange):
+        measures.fourier(measures.atomic([(1.0, 1.0)]), z)
+
+
+def test_kms_check_raises_when_a_transform_overflows():
+    nu = measures.atomic([(-800.0, 1.0), (-801.0, 1.0), (3.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentTransform):
+            measures.kms_check(nu, 2.0)
 
 
 def test_laplace_value():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rphardy import kernels, numerics, rpfunc
-from rphardy.domains import DISC
+from rphardy.domains import DISC, HALF_PLANE, Strip
 from rphardy.errors import ParameterOutOfRange, ToleranceNotReached
 
 # mpmath oracles (40 digits, rounded to double)
@@ -223,6 +223,141 @@ def test_quad_real_raises_when_the_estimate_misses():
         warnings.simplefilter("ignore")
         with pytest.raises(ToleranceNotReached):
             numerics.quad_real(lambda x: math.sin(1e7 * x), 0.0, 1.0, tol=1e-13)
+
+
+def test_quad_real_takes_breakpoints_on_infinite_intervals():
+    # |x| e^{-x^2} has a kink at 0; its integral over the line is 1
+    f = lambda x: abs(x) * math.exp(-x * x)
+    for pts in ([0.0], [-1.0, 0.0, 2.5], np.array([0.0, 0.0])):
+        val, err = numerics.quad_real(f, -np.inf, np.inf, points=pts)
+        assert abs(val - 1.0) <= max(err, 1e-15)
+    half, _ = numerics.quad_real(f, -np.inf, 0.0, points=[-1.0])
+    assert abs(half - 0.5) < 1e-13
+    tail, _ = numerics.quad_real(f, 1.0, np.inf, points=[1.0, 3.0])
+    assert abs(tail - 0.5 * math.exp(-1.0)) < 1e-13
+    flipped, _ = numerics.quad_real(f, np.inf, -np.inf, points=[0.0])
+    assert abs(flipped + 1.0) < 1e-13
+    # breakpoints outside the open interval are ignored, as QUADPACK does
+    for a, b, pts in ((0.0, 1.0, [2.0, 0.0]), (-np.inf, 0.0, [1.0, 0.0])):
+        assert (numerics.quad_real(f, a, b, points=pts)
+                == numerics.quad_real(f, a, b))
+
+
+def test_quad_real_lets_no_integration_warning_escape():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceNotReached):
+            numerics.quad_real(lambda x: math.sin(1e7 * x), 0.0, 1.0, tol=1e-13)
+        with pytest.raises(ToleranceNotReached):
+            numerics.quad_real(lambda x: 1.0 / (1.0 + abs(x)), -np.inf, np.inf)
+        with pytest.raises(ToleranceNotReached):
+            numerics.oscillatory_ft(lambda x: 1.0 / math.sqrt(1.0 + abs(x)), 1e-6,
+                                    tol=1e-14)
+
+
+@pytest.mark.parametrize("a,b,points", [
+    (math.nan, 1.0, None), (0.0, math.nan, None), (math.nan, np.inf, None),
+    (-np.inf, math.nan, [0.0]), (0.0, 1.0, [math.nan]), (-np.inf, np.inf, [np.inf])])
+def test_quad_real_rejects_nan_endpoints_and_non_finite_breakpoints(a, b, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange):
+            numerics.quad_real(lambda x: math.exp(-x * x), a, b, points=points)
+
+
+def _near_edge(rng, beta):
+    """A height 1e-3 to 0.3 beta from one of the two edges of the strip."""
+    d = beta * 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+    return d if rng.uniform() < 0.5 else beta - d
+
+
+ORACLE_FUNCS = [(lambda z: 1.0, lambda z: 1),
+                (lambda z: z, lambda z: z),
+                (lambda z: 1.0 + 0.5 * z, lambda z: 1 + z / 2),
+                (lambda z: z ** 3 - 2.0 * z, lambda z: z ** 3 - 2 * z)]
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 30 digits for the duration of one test."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        yield mpmath
+
+
+def test_quadrature_error_estimates_bound_the_true_error_near_the_boundary(mp):
+    """About 300 seeded near-boundary line integrals against exact or
+    30-digit values: the reported error estimate must cover the true error."""
+    rng = np.random.default_rng(20261018)
+    misses = []
+
+    def expect(what, value, err, truth):
+        if not abs(mp.mpmathify(value) - truth) <= err:
+            misses.append((what, value, err, complex(truth)))
+
+    # strip Poisson masses of the two lines: 1 - y/beta and y/beta
+    for _ in range(150):
+        beta = rng.uniform(0.5, 2.0)
+        strip = Strip(beta)
+        z = complex(rng.uniform(-3.0, 3.0), _near_edge(rng, beta))
+        for comp, truth in (("lower", 1 - mp.mpf(z.imag) / beta),
+                            ("upper", mp.mpf(z.imag) / beta)):
+            val, err = numerics.quad_real(
+                lambda x: kernels.poisson(strip, z, x, comp), -np.inf, np.inf)
+            expect(("strip", beta, z, comp), val, err, truth)
+    # half-plane Poisson masses: 1
+    for _ in range(100):
+        z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, math.log10(0.3)))
+        val, err = numerics.quad_real(lambda x: kernels.poisson(HALF_PLANE, z, x),
+                                      -np.inf, np.inf)
+        expect(("half-plane", z), val, err, mp.mpf(1))
+    # strip flip pairing <f*, theta_w f*> for f = F Q_w; the closed form
+    # Q(w, w) conj(F(w)) F(sigma w), sigma w = i beta + conj(w), is
+    # |F(w)|^2 Q(w, w) on the midline and holds for every interior w
+    for k in range(40):
+        beta = rng.uniform(0.5, 2.0)
+        strip = Strip(beta)
+        w = complex(rng.uniform(-1.5, 1.5), _near_edge(rng, beta))
+        F, F_mp = ORACLE_FUNCS[k % len(ORACLE_FUNCS)]
+        fstar = kernels.boundary_restriction(
+            strip, lambda zb: F(zb) * kernels.szego(strip, zb, w))
+        tfstar = kernels.theta_apply(strip, w, fstar)
+        val, err = 0.0j, 0.0
+        for comp in strip.boundary_components():
+            v, e = numerics.quad(lambda x: fstar(comp, x).conjugate() * tfstar(comp, x),
+                                 -np.inf, np.inf, tol=1e-9)
+            val += v
+            err += e
+        wm = mp.mpc(w.real, w.imag)
+        truth = (mp.conj(F_mp(wm)) * F_mp(mp.mpc(w.real, beta - w.imag))
+                 / (4 * beta * mp.sin(mp.pi * w.imag / beta)))
+        expect(("flip-pairing", beta, w, k % len(ORACLE_FUNCS)), val, err, truth)
+    assert misses == []
+
+
+def test_outer_function_error_estimate_bounds_its_true_error(mp, monkeypatch):
+    """One outer function 2e-3 above the line against mpmath: the summed
+    estimate E of its three quadratures bounds |F - F_true| by
+    |F| (e^{E / 2 pi} - 1)."""
+    lam, z = 0.7, 0.3 + 0.002j
+    errs = []
+    real_quad = numerics.quad
+
+    def recording_quad(*args, **kwargs):
+        val, err = real_quad(*args, **kwargs)
+        errs.append(err)
+        return val, err
+
+    monkeypatch.setattr(numerics, "quad", recording_quad)
+    F = kernels.outer_from_modulus(lambda x: kernels.poisson(HALF_PLANE, 1j * lam, x), z)
+    assert len(errs) == 3
+    zm, a = mp.mpc(z.real, z.imag), mp.mpf(z.real)
+    integral = mp.quad(
+        lambda p: (1 / (p - zm) - p / (1 + p * p))
+        * mp.log(lam / (mp.pi * (p * p + lam * lam))),
+        [-mp.inf, a - 2, a - 0.1, a - 0.01, a, a + 0.01, a + 0.1, a + 2, mp.inf])
+    truth = mp.exp(integral / (2j * mp.pi))
+    assert abs(mp.mpc(F) - truth) <= abs(F) * math.expm1(sum(errs) / (2.0 * math.pi))
 
 
 def test_oscillatory_ft_of_lorentzian_is_two_sided_exponential():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rphardy import cli, kernels, measures, verify
+from rphardy import cli, kernels, measures, numerics, verify
 from rphardy.config import Defaults
 
 DISC_SZEGO = 0.14892851817706987 + 0.01985713575694265j  # z=0.3+0.2i, w=0.1-0.4i
@@ -345,6 +345,29 @@ def test_cli_verify_config_overrides_are_applied(tmp_path, capsys):
                    "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["failed"] == 0
+
+
+@pytest.mark.parametrize("quad_tol", [None, 3e-11])
+def test_cli_verify_config_quad_tol_reaches_the_quadratures(tmp_path, capsys,
+                                                            monkeypatch, quad_tol):
+    """Every quadrature of the suite runs at quad_tol, except the checks
+    pinned at 1e-9 (outer modulus, strip flip pairing) and 1e-11 (sech)."""
+    tols = set()
+    real_quadpack = numerics._quadpack
+
+    def spy(f, a, b, tol, **opts):
+        tols.add(tol)
+        return real_quadpack(f, a, b, tol, **opts)
+
+    monkeypatch.setattr(numerics, "_quadpack", spy)
+    argv = ["verify", "--suite", "all", "--json"]
+    if quad_tol is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"quad_tol": quad_tol}))
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["failed"] == 0
+    assert tols == {quad_tol or Defaults().quad_tol, 1e-9, 1e-11}
 
 
 @pytest.mark.parametrize("argv,config", [
