@@ -30,6 +30,7 @@ import math
 import numpy as np
 
 from .errors import OutsideDomain, ParameterOutOfRange
+from .numerics import _complex, is_batch
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
 
@@ -77,7 +78,9 @@ class Domain:
         raise NotImplementedError
 
     def boundary_embed(self, component: str, x: float) -> complex:
-        """Embed the boundary parameter x of a component into the plane."""
+        """Embed the boundary parameter x of a component into the plane; an
+        array x gives the complex array of the same shape, each element the
+        scalar embedding bit for bit."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -107,6 +110,9 @@ class Disc(Domain):
     def boundary_embed(self, component, x):
         if component != "circle":
             raise ParameterOutOfRange("disc boundary component is 'circle'")
+        if is_batch(x):
+            # complex np.exp agrees with cmath.exp bit for bit
+            return np.exp(1j * np.asarray(x, dtype=float))
         return cmath.exp(1j * x)
 
 
@@ -131,6 +137,8 @@ class HalfPlane(Domain):
     def boundary_embed(self, component, x):
         if component != "line":
             raise ParameterOutOfRange("half-plane boundary component is 'line'")
+        if is_batch(x):
+            return _complex(x, 0.0)
         return complex(x)
 
 
@@ -162,11 +170,10 @@ class Strip(Domain):
         return ("lower", "upper")
 
     def boundary_embed(self, component, x):
-        if component == "lower":
-            return complex(x)
-        if component == "upper":
-            return complex(x, self.beta)
-        raise ParameterOutOfRange("strip boundary components are 'lower'/'upper'")
+        if component not in ("lower", "upper"):
+            raise ParameterOutOfRange("strip boundary components are 'lower'/'upper'")
+        y = 0.0 if component == "lower" else self.beta
+        return _complex(x, y) if is_batch(x) else complex(x, y)
 
     def __repr__(self):
         return "strip(beta=%g)" % self.beta

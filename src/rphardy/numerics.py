@@ -184,15 +184,26 @@ _BLOCK_TERMS = 1 << 16
 def is_batch(*args) -> bool:
     """Whether any argument is an array (or sequence) with at least one axis.
 
-    The kernels and ``phi_circle`` keep a scalar math/cmath body for Python
-    and numpy scalars and 0-d arrays: one element through numpy costs about
-    20x more than the scalar body, and quadrature integrands and the series
-    checks make tens of thousands of such calls.
+    A function that takes arrays picks its numpy body when this is true and
+    keeps a scalar math/cmath body for Python and numpy scalars and 0-d
+    arrays: one element through numpy costs about 20x more than the scalar
+    body, and QUADPACK integrands and the series checks make tens of
+    thousands of one-point calls.  Circle integrands take the array body:
+    :func:`trapezoid_circle` calls them once on all of its nodes.
     """
     for a in args:      # a plain loop: any() over a generator costs 3x more
         if not isinstance(a, _SCALARS) and np.ndim(a):
             return True
     return False
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array re + i im in the shape of ``re``, each part stored
+    exactly as given (re + 1j * im would turn a -0.0 real part into +0.0)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
@@ -296,9 +307,24 @@ def quad(f, a, b, *, tol: float = 1e-10, points=None):
 
     Infinite endpoints are allowed.  Returns ``(value, error_estimate)`` where
     the estimate is the sum of the real- and imaginary-part estimates.
+
+    The real and imaginary parts are two QUADPACK runs; ``f`` is called once
+    per distinct x, because the second run reuses the values the first one
+    computed (``f`` must be deterministic).
     """
-    re, re_err = quad_real(lambda x: f(x).real, a, b, tol=tol, points=points)
-    im, im_err = quad_real(lambda x: f(x).imag, a, b, tol=tol, points=points)
+    seen = {}
+
+    def real_part(x):
+        v = seen[x] = f(x)
+        return v.real
+
+    def imag_part(x):
+        # 0.0 and -0.0 share one key but may give different values
+        v = seen.get(x) if x else None
+        return (f(x) if v is None else v).imag
+
+    re, re_err = quad_real(real_part, a, b, tol=tol, points=points)
+    im, im_err = quad_real(imag_part, a, b, tol=tol, points=points)
     return complex(re, im), re_err + im_err
 
 
@@ -325,11 +351,24 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
 def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
     """Integral_0^{2 pi} f(t) dt by the n-node trapezoid rule.
 
+    ``f`` is called once, with the (n_nodes,) array of nodes 2 pi j / n, and
+    returns the (n_nodes,) array of values; a scalar result is taken as
+    constant on the circle.  Any other shape, and an ``n_nodes`` that is not
+    a positive integer, raises :class:`ParameterOutOfRange`.
+
     For smooth 2 pi-periodic integrands the rule converges geometrically, so
     2**10 nodes deliver machine accuracy for every circle integral used here.
     """
+    if not (isinstance(n_nodes, (int, np.integer)) and n_nodes >= 1):
+        raise ParameterOutOfRange("n_nodes must be a positive integer, got %r"
+                                  % (n_nodes,))
     t = TWO_PI * np.arange(n_nodes) / n_nodes
-    vals = np.asarray([f(tj) for tj in t], dtype=complex)
+    vals = np.asarray(f(t), dtype=complex)
+    try:
+        vals = np.broadcast_to(vals, t.shape)
+    except ValueError:
+        raise ParameterOutOfRange("circle integrand gave shape %r on %d nodes"
+                                  % (vals.shape, n_nodes)) from None
     return complex(TWO_PI / n_nodes * comp_sum(vals))
 
 

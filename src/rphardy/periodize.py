@@ -64,6 +64,14 @@ class SeriesEval:
         return self.defect <= self.tail_bound
 
 
+def _alternating(n: int, first: float = -1.0) -> np.ndarray:
+    """n signs alternating from ``first``: (-1)^k for k = 1..n by default,
+    filled by slicing (a float ``k % 2`` costs about 25x more)."""
+    s = np.full(n, -float(first))
+    s[::2] = first
+    return s
+
+
 def _check_inputs(N: int, *points):
     """Reject N < 1 and non-finite points: NaN would pass the pole tests and
     come back as a NaN defect."""
@@ -81,7 +89,7 @@ def cosecant_series(z: complex, N: int) -> SeriesEval:
     if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
         raise PoleOnLattice("z is an integer")
     k = np.arange(1.0, N + 1.0)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) * 2.0 * z / (z * z - k * k)
+    terms = _alternating(k.size) * 2.0 * z / (z * z - k * k)
     value = 1.0 / z + comp_sum(terms)
     closed = math.pi / cmath.sin(math.pi * z)
     bound = 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf
@@ -98,7 +106,7 @@ def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
             abs(z.imag - 2.0 * beta * round(z.imag / (2.0 * beta))) <= _LATTICE_TOL:
         raise PoleOnLattice("z lies on the lattice 2 i beta Z")
     k = np.arange(1.0, N + 1.0)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) * 2.0 * z / (z * z + 4.0 * beta * beta * k * k)
+    terms = _alternating(k.size) * 2.0 * z / (z * z + 4.0 * beta * beta * k * k)
     value = 1.0 / z + comp_sum(terms)
     closed = (math.pi / (2.0 * beta)) / cmath.sinh(math.pi * z / (2.0 * beta))
     bound = 2.0 * abs(z) / (3.0 * beta * beta * N) if N >= abs(z) / beta else math.inf
@@ -120,7 +128,7 @@ def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     _require_beta(beta)
     zeta = _zeta(beta, z, w)
     k = np.arange(1.0, N + 1.0)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) * 2.0 * zeta \
+    terms = _alternating(k.size) * 2.0 * zeta \
         / (zeta * zeta + 4.0 * beta * beta * k * k)
     value = (1j / (2.0 * math.pi)) * (1.0 / zeta + comp_sum(terms))
     closed = szego(Strip(beta), z, w)
@@ -169,8 +177,7 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
             n = np.arange(0.0, 2.0 * N)
         else:
             n = -np.arange(1.0, 2.0 * N + 1.0)
-        signs = np.where(np.mod(n, 2) == 0, 1.0, -1.0)
-        terms = signs / (zeta + 2j * beta * n)
+        terms = _alternating(n.size, sign) / (zeta + 2j * beta * n)
         return (1j / (2.0 * math.pi)) * comp_sum(terms)
 
     plus = one_sided(+1)

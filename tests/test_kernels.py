@@ -264,6 +264,80 @@ def test_theta_apply_is_an_involution(domain, w):
             assert abs(t2f(comp, x) - f(comp, x)) < 1e-13
 
 
+def _line_points():
+    """Parameters inside both switch points of the line Poisson kernels and
+    past them: |x| > 1e150 on the half-plane, |u| > 300 on the strip (and
+    past the Re arg = 350 of the strip flip multiplier)."""
+    rng = np.random.default_rng(41)
+    return np.concatenate([rng.uniform(-6.0, 6.0, 200), [0.0, -0.0],
+                           rng.uniform(380.0, 2000.0, 20), -rng.uniform(380.0, 2000.0, 20),
+                           [1e150, 2e150, -3e200, 1e300]])
+
+
+def _assert_array_is_scalar_bit_for_bit(got, scalar, xs):
+    want = np.array([scalar(x) for x in xs.tolist()])
+    assert got.shape == xs.shape and got.dtype == want.dtype
+    assert np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("domain,z,comp", [
+    (DISC, 0.3 + 0.2j, None), (DISC, -0.8 + 0.1j, "circle"),
+    (DISC, (1.0 - 1e-9) * cmath.exp(0.7j), None), (DISC, 1e-12 + 0.0j, None),
+    (HALF_PLANE, 0.4 + 0.8j, None), (HALF_PLANE, -2.0 + 1e-9j, "line"),
+    (STRIP, 0.3 + 0.5j, None), (STRIP, 0.3 + 0.5j, "upper"),
+    (STRIP, -1.0 + (2.0 - 1e-9) * 1j, "lower"), (STRIP, 2.0 + 1e-9j, "upper")],
+    ids=lambda v: str(v))
+def test_poisson_on_an_x_array_is_the_scalar_kernel_bit_for_bit(domain, z, comp):
+    xs = 2.0 * math.pi * np.arange(1024) / 1024 if domain is DISC else _line_points()
+    if domain is DISC:
+        xs = np.concatenate([xs, [cmath.phase(z), -3.0, 9.0]])
+    got = kernels.poisson(domain, z, xs, comp)
+    _assert_array_is_scalar_bit_for_bit(got, lambda x: kernels.poisson(domain, z, x, comp), xs)
+
+
+@pytest.mark.parametrize("domain,w", [
+    (DISC, 0.0j), (DISC, 0.45 + 0.0j), (DISC, 0.2 - 0.6j),
+    (HALF_PLANE, 1.8j), (HALF_PLANE, -0.5 + 0.3j),
+    (STRIP, 1.0j), (STRIP, -1.0 + 1.0j), (STRIP, 0.4 + 1e-6j)],
+    ids=lambda v: str(v))
+def test_h_boundary_on_an_x_array_is_the_scalar_multiplier_bit_for_bit(domain, w):
+    xs = 2.0 * math.pi * np.arange(1024) / 1024 - 1.0 if domain is DISC \
+        else _line_points()
+    for comp in domain.boundary_components():
+        got = kernels.h_boundary(domain, w, comp, xs)
+        _assert_array_is_scalar_bit_for_bit(
+            got, lambda x: kernels.h_boundary(domain, w, comp, x), xs)
+
+
+@pytest.mark.parametrize("domain", [DISC, HALF_PLANE, STRIP],
+                         ids=["disc", "half_plane", "strip"])
+def test_boundary_embed_of_an_array_keeps_every_bit(domain):
+    xs = np.array([-0.0, 0.0, -1.5, 2.5, 1e300])
+    for comp in domain.boundary_components():
+        got = domain.boundary_embed(comp, xs)
+        want = np.array([domain.boundary_embed(comp, x) for x in xs.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_poisson_and_h_boundary_take_one_base_point():
+    with pytest.raises(ParameterOutOfRange):
+        kernels.poisson(DISC, np.array([0.1, 0.2]), 0.3)
+    with pytest.raises(ParameterOutOfRange):
+        kernels.h_boundary(STRIP, np.array([1.0j, 1.5j]), "lower", 0.3)
+
+
+def test_boundary_inner_on_the_circle_calls_each_function_once():
+    calls = []
+
+    def f(comp, t):
+        calls.append((comp, np.shape(t)))
+        return np.exp(2j * t) / (2.0 * math.pi)
+
+    val = kernels.boundary_inner(DISC, f, f, nodes=256)
+    assert abs(val - 1.0 / (2.0 * math.pi)) < 1e-15
+    assert calls == [("circle", (256,))] * 2
+
+
 def test_theta_fixes_its_kernel_section():
     # theta_w applied to the boundary section of Q(., w) returns it unchanged
     w = 0.25 + 0.15j

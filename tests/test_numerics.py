@@ -218,6 +218,27 @@ def test_quad_complex_exponential():
     assert err < 1e-9
 
 
+@pytest.mark.parametrize("a,b,points", [
+    (-np.inf, np.inf, None), (-3.0, 5.0, [0.5]), (0.0, np.inf, [1.0, 2.0])])
+def test_quad_calls_its_integrand_once_per_distinct_x(a, b, points):
+    # the imaginary-part run reuses what the real-part run computed, so the
+    # result is that of two independent runs bit for bit
+    f = lambda x: kernels.h_boundary(Strip(1.0), 0.3 + 0.5j, "lower", x) \
+        / (1.0 + x * x)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    val, err = numerics.quad(counted, a, b, points=points)
+    assert len(seen) == len(set(seen))
+    re, re_err = numerics.quad_real(lambda x: f(x).real, a, b, points=points)
+    im, im_err = numerics.quad_real(lambda x: f(x).imag, a, b, points=points)
+    assert val.real.hex() == re.hex() and val.imag.hex() == im.hex()
+    assert err == re_err + im_err
+
+
 def test_quad_real_raises_when_the_estimate_misses():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -381,10 +402,35 @@ def test_oscillatory_ft_asymmetric_gaussian_phase():
         assert abs(val - want) < 1e-12
 
 
+def test_trapezoid_circle_calls_f_once_on_the_node_array():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(2j * t)
+
+    assert abs(numerics.trapezoid_circle(f, 64)) < 1e-14
+    assert len(calls) == 1
+    assert calls[0].shape == (64,)
+    assert np.array_equal(calls[0], 2.0 * math.pi * np.arange(64) / 64)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1024, 1), (2, 1024)])
+def test_trapezoid_circle_rejects_values_that_do_not_fit_the_nodes(shape):
+    with pytest.raises(ParameterOutOfRange):
+        numerics.trapezoid_circle(lambda t: np.ones(shape))
+
+
+@pytest.mark.parametrize("n_nodes", [0, -3, 2.5])
+def test_trapezoid_circle_rejects_a_node_count_that_is_not_a_positive_integer(n_nodes):
+    with pytest.raises(ParameterOutOfRange):
+        numerics.trapezoid_circle(lambda t: np.ones_like(t), n_nodes)
+
+
 def test_trapezoid_circle_integrates_fourier_modes_exactly():
-    assert abs(numerics.trapezoid_circle(lambda t: cmath.exp(3j * t))) < 1e-13
+    assert abs(numerics.trapezoid_circle(lambda t: np.exp(3j * t))) < 1e-13
     assert abs(numerics.trapezoid_circle(lambda t: 1.0 + 0.0j) - 2.0 * math.pi) < 1e-13
-    val = numerics.trapezoid_circle(lambda t: math.cos(t) ** 2 + 0.0j)
+    val = numerics.trapezoid_circle(lambda t: np.cos(t) ** 2 + 0.0j)
     assert abs(val - math.pi) < 1e-13
 
 

@@ -138,3 +138,15 @@ def test_split_series_tail_bound_regime():
     z, w = 0.4 + 0.8j, 0.1 + 0.7j
     _, _, total = periodize.szego_series_split(beta, z, w, 1)
     assert total.tail_bound == math.inf
+
+
+def test_alternating_signs_equal_the_float_modulo_expression():
+    k = np.arange(1.0, 10_001.0)
+    ref = np.where(k % 2 == 0, 1.0, -1.0)
+    for n in range(1, k.size + 1):
+        assert np.array_equal(periodize._alternating(n), ref[:n])
+    n = np.arange(0.0, 10_000.0)
+    assert np.array_equal(periodize._alternating(n.size, 1),
+                          np.where(np.mod(n, 2) == 0, 1.0, -1.0))
+    assert np.array_equal(periodize._alternating(n.size, -1),
+                          np.where(np.mod(-n - 1.0, 2) == 0, 1.0, -1.0))
