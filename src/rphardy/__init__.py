@@ -11,11 +11,13 @@ from .kernels import (
     boundary_restriction,
     flip_pairing_check,
     h_boundary,
+    h_boundary_at,
     hua_ratio,
     kernel_gram,
     outer_f,
     outer_from_modulus,
     poisson,
+    poisson_at,
     poisson_midline_strip,
     power_kernel,
     szego,

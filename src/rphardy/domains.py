@@ -83,6 +83,11 @@ class Domain:
         scalar embedding bit for bit."""
         raise NotImplementedError
 
+    def embedding(self, component: str):
+        """:meth:`boundary_embed` on one component as a scalar function
+        x -> complex, the component checked once."""
+        raise NotImplementedError
+
     def __repr__(self):
         return self.name
 
@@ -115,6 +120,10 @@ class Disc(Domain):
             return np.exp(1j * np.asarray(x, dtype=float))
         return cmath.exp(1j * x)
 
+    def embedding(self, component):
+        self.boundary_embed(component, 0.0)
+        return lambda x: cmath.exp(1j * x)
+
 
 class HalfPlane(Domain):
     name = "half_plane"
@@ -140,6 +149,10 @@ class HalfPlane(Domain):
         if is_batch(x):
             return _complex(x, 0.0)
         return complex(x)
+
+    def embedding(self, component):
+        self.boundary_embed(component, 0.0)
+        return complex
 
 
 class Strip(Domain):
@@ -170,10 +183,18 @@ class Strip(Domain):
         return ("lower", "upper")
 
     def boundary_embed(self, component, x):
+        y = self._height(component)
+        return _complex(x, y) if is_batch(x) else complex(x, y)
+
+    def embedding(self, component):
+        y = self._height(component)
+        return lambda x: complex(x, y)
+
+    def _height(self, component: str) -> float:
+        """Im z on the boundary line ``component``: 0 or beta."""
         if component not in ("lower", "upper"):
             raise ParameterOutOfRange("strip boundary components are 'lower'/'upper'")
-        y = 0.0 if component == "lower" else self.beta
-        return _complex(x, y) if is_batch(x) else complex(x, y)
+        return 0.0 if component == "lower" else self.beta
 
     def __repr__(self):
         return "strip(beta=%g)" % self.beta

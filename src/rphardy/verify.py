@@ -97,9 +97,8 @@ def check_poisson_mass(cfg: Defaults):
             else:
                 mass = 0.0
                 for comp in domain.boundary_components():
-                    val, _ = numerics.quad_real(
-                        lambda x, c=comp: kernels.poisson(domain, z, x, c),
-                        -np.inf, np.inf, tol=cfg.quad_tol)
+                    val, _ = numerics.quad_real(kernels.poisson_at(domain, z, comp),
+                                                -np.inf, np.inf, tol=cfg.quad_tol)
                     mass += val
             yield ("kernels.poisson-mass.%s" % domain.name,
                    "Integral_boundary P_z(x) dx = 1", 1e-8, abs(mass - 1.0))
@@ -108,10 +107,9 @@ def check_poisson_mass(cfg: Defaults):
 @_check
 def check_poisson_ft(cfg: Defaults):
     for lam in (0.5, 1.0, 2.0):
+        density = kernels.poisson_at(HALF_PLANE, 1j * lam)
         for t in (-1.3, 0.4, 2.0):
-            val = numerics.oscillatory_ft(
-                lambda x: kernels.poisson(HALF_PLANE, 1j * lam, x), t,
-                tol=cfg.quad_tol)
+            val = numerics.oscillatory_ft(density, t, tol=cfg.quad_tol)
             yield ("kernels.poisson-ft.half_plane",
                    "Integral P_{i lam}(x) e^{itx} dx = e^{-lam |t|}", 1e-8,
                    abs(val - math.exp(-lam * abs(t))))
@@ -240,7 +238,7 @@ def check_transfer(cfg: Defaults):
 def check_outer(cfg: Defaults):
     for lam in (0.7, 1.6):
         w = 1j * lam
-        psi = lambda x: kernels.poisson(HALF_PLANE, w, x)
+        psi = kernels.poisson_at(HALF_PLANE, w)
         for z in (0.4 + 0.9j, -1.1 + 0.5j, 2.0 + 2.0j):
             f = kernels.outer_from_modulus(psi, z)
             yield ("kernels.outer-modulus",

@@ -317,6 +317,10 @@ def test_boundary_embed_of_an_array_keeps_every_bit(domain):
         got = domain.boundary_embed(comp, xs)
         want = np.array([domain.boundary_embed(comp, x) for x in xs.tolist()])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        bound = np.array([domain.embedding(comp)(x) for x in xs.tolist()])
+        assert np.array_equal(bound.view(np.int64), want.view(np.int64))
+    with pytest.raises(ParameterOutOfRange):
+        domain.embedding("middle")
 
 
 def test_poisson_and_h_boundary_take_one_base_point():
@@ -324,6 +328,152 @@ def test_poisson_and_h_boundary_take_one_base_point():
         kernels.poisson(DISC, np.array([0.1, 0.2]), 0.3)
     with pytest.raises(ParameterOutOfRange):
         kernels.h_boundary(STRIP, np.array([1.0j, 1.5j]), "lower", 0.3)
+
+
+# --------------------------------------------------------------------------
+# bound forms: poisson_at, h_boundary_at, BoundaryFunction.on
+# --------------------------------------------------------------------------
+
+def _bits(v):
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+@pytest.mark.parametrize("domain,z,comp", [
+    (DISC, 0.3 + 0.2j, None), (DISC, (1.0 - 1e-9) * cmath.exp(0.7j), "circle"),
+    (HALF_PLANE, 0.4 + 0.8j, None), (HALF_PLANE, -2.0 + 1e-9j, "line"),
+    (STRIP, 0.3 + 0.5j, "lower"), (STRIP, 0.3 + 0.5j, "upper"),
+    (STRIP, -1.0 + (2.0 - 1e-9) * 1j, None), (STRIP, 2.0 + 1e-9j, "upper")],
+    ids=lambda v: str(v))
+def test_poisson_at_is_poisson_and_its_array_body_bit_for_bit(domain, z, comp):
+    bound = kernels.poisson_at(domain, z, comp)
+    if domain is DISC:
+        xs = np.concatenate([2.0 * math.pi * np.arange(1024) / 1024,
+                             [cmath.phase(z), -3.0, 9.0]])
+    else:
+        xs = _line_points()
+        past = np.abs(xs - z.real) > kernels._FAR_DX if domain is HALF_PLANE \
+            else np.abs(math.pi * (z.real - xs) / (2.0 * domain.beta)) > kernels._FAR_U
+        assert past.any() and not past.all()
+    _assert_array_is_scalar_bit_for_bit(kernels.poisson(domain, z, xs, comp), bound, xs)
+    for x in xs.tolist():
+        assert _bits(bound(x)) == _bits(kernels.poisson(domain, z, x, comp))
+
+
+@pytest.mark.parametrize("domain,w", [
+    (DISC, 0.0j), (DISC, 0.2 - 0.6j), (HALF_PLANE, 1.8j), (HALF_PLANE, -0.5 + 0.3j),
+    (STRIP, 1.0j), (STRIP, -1.0 + 1.0j), (STRIP, 0.4 + 1e-6j)],
+    ids=lambda v: str(v))
+def test_h_boundary_at_is_h_boundary_and_its_array_body_bit_for_bit(domain, w):
+    xs = 2.0 * math.pi * np.arange(1024) / 1024 - 1.0 if domain is DISC \
+        else _line_points()
+    if domain is STRIP:
+        far = np.abs(math.pi * (xs - w.real) / (2.0 * domain.beta)) > kernels._FAR
+        assert far.any() and not far.all()
+    for comp in domain.boundary_components():
+        bound = kernels.h_boundary_at(domain, w, comp)
+        _assert_array_is_scalar_bit_for_bit(kernels.h_boundary(domain, w, comp, xs),
+                                            bound, xs)
+        for x in xs.tolist():
+            assert _bits(bound(x)) == _bits(kernels.h_boundary(domain, w, comp, x))
+
+
+@pytest.mark.parametrize("domain,w", [
+    (DISC, 0.2 - 0.1j), (HALF_PLANE, -0.3 + 0.7j), (STRIP, 0.4 + 0.9j)],
+    ids=["disc", "half_plane", "strip"])
+def test_boundary_function_on_is_the_function_bit_for_bit(domain, w):
+    f = kernels.boundary_restriction(
+        domain, lambda z: kernels.szego(domain, z, w) * (1.0 + 0.3 * z))
+
+    def plain(comp, x):
+        return math.exp(-x * x) if comp != "upper" else complex(x, 1.0) / (1.0 + x * x)
+
+    theta = kernels.theta_apply(domain, w, f)
+    for g in (f, f.reflected(), theta, theta.reflected(),
+              kernels.theta_apply(domain, w, theta),
+              kernels.BoundaryFunction(domain, plain),
+              kernels.BoundaryFunction(domain, plain).reflected(),
+              kernels.theta_apply(domain, w, plain)):
+        for comp in domain.boundary_components():
+            on = g.on(comp)
+            for x in (-2.5, -0.0, 0.0, 0.3, 1.7, 40.0, 900.0):
+                assert _bits(on(x)) == _bits(g(comp, x))
+
+
+def test_line_boundary_inner_integrates_the_bound_forms():
+    calls = []
+
+    class Spy(kernels.BoundaryFunction):
+        def on(self, component):
+            calls.append(component)
+            return super().on(component)
+
+    f = Spy(STRIP, lambda comp, x: cmath.exp(-x * x + 0.5j * x))
+    val = kernels.boundary_inner(STRIP, f, f)
+    assert calls == ["lower", "lower", "upper", "upper"]
+    assert abs(val - 2.0 * math.sqrt(math.pi / 2.0)) < 1e-12
+
+
+# lhs of flip_pairing_check on the half-plane (no verify id covers it), as
+# the per-node integrands computed it before the bound forms: unchanged bits
+HALF_PLANE_FLIP_LHS = [
+    (0.8j, lambda z: 1.0, ("0x1.976fc893c3aa4p-4", "0x0.0p+0")),
+    (1.3j, lambda z: 1.0 / (z + 1j), ("0x1.7b2d1a1c71bf6p-7", "0x0.0p+0")),
+    (0.45j, lambda z: 2.0 - 1j, ("0x1.c4b517c0a0844p-1", "-0x1.0ad281c315c7cp-56")),
+]
+
+
+@pytest.mark.parametrize("w,F,lhs", HALF_PLANE_FLIP_LHS, ids=["1", "1/(z+i)", "2-i"])
+def test_half_plane_flip_pairing_keeps_its_bits(w, F, lhs):
+    chk = kernels.flip_pairing_check(HALF_PLANE, w, F)
+    assert _bits(chk.lhs) == lhs
+    assert chk.defect < 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: kernels.poisson(DISC, 0.1, x),
+    lambda x: kernels.poisson(HALF_PLANE, 1j, x),
+    lambda x: kernels.poisson(Strip(1.0), 0.5j, x),
+    lambda x: kernels.poisson(Strip(1.0), 0.5j, x, "upper"),
+    lambda x: kernels.h_boundary(DISC, 0.3, "circle", x),
+    lambda x: kernels.h_boundary(HALF_PLANE, 1j, "line", x),
+    lambda x: kernels.h_boundary(Strip(1.0), 0.5j, "lower", x),
+], ids=["poisson-disc", "poisson-half_plane", "poisson-lower", "poisson-upper",
+        "h-disc", "h-half_plane", "h-strip"])
+def test_a_boundary_parameter_that_is_not_finite_raises(call, bad):
+    for x in (bad, np.float64(bad), np.array([0.0, bad, 1.0])):
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            call(x)
+
+
+@pytest.mark.parametrize("bound", [
+    kernels.poisson_at(DISC, 0.1), kernels.poisson_at(HALF_PLANE, 1j),
+    kernels.poisson_at(Strip(1.0), 0.5j, "lower"),
+    kernels.h_boundary_at(DISC, 0.3, "circle"),
+    kernels.h_boundary_at(HALF_PLANE, 1j, "line"),
+    kernels.h_boundary_at(Strip(1.0), 0.5j, "upper")],
+    ids=["poisson-disc", "poisson-half_plane", "poisson-strip",
+         "h-disc", "h-half_plane", "h-strip"])
+def test_a_bound_form_rejects_a_parameter_that_is_not_finite(bound):
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            bound(x)
+
+
+def test_a_bound_form_checks_its_point_and_component_when_bound():
+    with pytest.raises(ParameterOutOfRange):
+        kernels.poisson_at(HALF_PLANE, np.array([1j, 2j]))
+    with pytest.raises(OutsideDomain):
+        kernels.poisson_at(STRIP, 3.0j, "lower")
+    with pytest.raises(ParameterOutOfRange):
+        kernels.poisson_at(STRIP, 1.0j, "middle")
+    with pytest.raises(ParameterOutOfRange):
+        kernels.h_boundary_at(STRIP, np.array([1.0j]), "lower")
+    with pytest.raises(OutsideDomain):
+        kernels.h_boundary_at(DISC, 1.5, "circle")
+    with pytest.raises(ParameterOutOfRange):
+        kernels.h_boundary_at(DISC, 0.5, "line")
 
 
 def test_boundary_inner_on_the_circle_calls_each_function_once():

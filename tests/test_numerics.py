@@ -191,6 +191,104 @@ def test_a_batch_raises_the_exception_of_its_first_failing_row():
         numerics.comp_sum_real(rows[2:])
 
 
+# Directed cases for the early exit: a long row is certified after the first
+# extraction, after the second, or summed by fsum.
+
+def _cancelling_row(n: int, seed: int) -> np.ndarray:
+    """Terms of size 1 summing to about 1e-9: the first extraction leaves a
+    remainder too large for the certificate, the second does not."""
+    row = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    row[-1] = 0.0
+    row[-1] = 1e-9 - math.fsum(row.tolist())
+    return row
+
+
+def _tie_row(n: int) -> np.ndarray:
+    """1 + 2**-53 + 2**-106: the first two terms round to a tie at 1, and only
+    the last one, far below either extraction, breaks it upward."""
+    row = np.zeros(n)
+    row[:3] = 1.0, 2.0 ** -53, 2.0 ** -106
+    return row
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """The verdicts of every rounding certificate ``_fsum_rows`` checks, and
+    the number of math.fsum calls."""
+    seen = {"ok": [], "fsum": 0}
+    certify, fsum = numerics._certify, math.fsum
+
+    def spy_certify(*args):
+        r, ok = certify(*args)
+        seen["ok"].append(ok.tolist())
+        return r, ok
+
+    def spy_fsum(values):
+        seen["fsum"] += 1
+        return fsum(values)
+
+    monkeypatch.setattr(numerics, "_certify", spy_certify)
+    monkeypatch.setattr(math, "fsum", spy_fsum)
+    return seen
+
+
+def _fsum_of_rows(rows: np.ndarray) -> list:
+    return [math.fsum(row.tolist()) for row in rows]
+
+
+def test_a_row_the_first_extraction_leaves_uncertified_is_certified_after_the_second(
+        certificates):
+    row = _cancelling_row(LONG, 3)
+    want = _fsum_of_rows(row[None, :])[0]
+    certificates["fsum"] = 0
+    got = numerics.comp_sum_real(row)
+    assert certificates["ok"] == [[False], [True]]
+    assert certificates["fsum"] == 0
+    assert _same(got, want)
+
+
+def test_a_row_both_certificates_reject_falls_back_to_fsum(certificates):
+    row = _tie_row(LONG)
+    got = numerics.comp_sum_real(row)
+    assert certificates["ok"] == [[False], [False]]
+    assert certificates["fsum"] == 1
+    assert _same(got, 1.0 + 2.0 ** -52)
+
+
+def test_a_batch_mixing_all_three_paths_sums_every_row_exactly(certificates):
+    rng = np.random.default_rng(8)
+    rows = rng.uniform(0.0, 1.0, (6, 2 * LONG))
+    rows[1] = _cancelling_row(2 * LONG, 5)
+    rows[4] = _tie_row(2 * LONG)
+    want = _fsum_of_rows(rows)
+    certificates["fsum"] = 0
+    got = numerics.comp_sum_real(rows)
+    assert certificates["ok"] == [[True, False, True, True, False, True], [True, False]]
+    assert certificates["fsum"] == 1
+    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
+
+
+def test_a_batch_where_every_row_needs_the_second_extraction(certificates):
+    rows = np.stack([_cancelling_row(LONG, 3), _cancelling_row(LONG, 4)])
+    want = _fsum_of_rows(rows)
+    certificates["fsum"] = 0
+    got = numerics.comp_sum_real(rows)
+    assert certificates["ok"] == [[False, False], [True, True]]
+    assert certificates["fsum"] == 0
+    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
+
+
+def test_a_well_conditioned_complex_row_never_reaches_fsum(certificates):
+    rng = np.random.default_rng(10)
+    row = rng.uniform(-1.0, 1.0, 10 ** 4) + 1j * rng.uniform(0.0, 1.0, 10 ** 4)
+    want = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
+    certificates["fsum"] = 0
+    got = numerics.comp_sum(row)
+    assert certificates["ok"] == [[True, True]]
+    assert certificates["fsum"] == 0
+    assert _same(got.real, want.real) and _same(got.imag, want.imag)
+
+
 # --------------------------------------------------------------------------
 # quadrature
 # --------------------------------------------------------------------------

@@ -295,6 +295,15 @@ def test_cli_kernel_outside_domain_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain,z", [("half-plane", "0+1i"), ("strip", "0+0.5i"),
+                                      ("disc", "0.1")])
+def test_cli_kernel_poisson_at_a_nan_boundary_parameter_exits_3(capsys, domain, z):
+    rc = cli.main(["kernel", "--domain", domain, "--kind", "poisson", "--z=" + z,
+                   "--x=nan", "--json"])
+    assert rc == 3
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_kernel_disc_poisson_next_to_the_boundary_exits_0(capsys):
     rc = cli.main(["kernel", "--domain", "disc", "--kind", "poisson",
                    "--z", "0.999999999", "--x", "0", "--json"])
