@@ -11,8 +11,9 @@ modular  modular pair diagnostics for an atomic spectral measure
 
 Complex arguments are written with a trailing ``i``, e.g. ``0.5+0.3i`` (a bare
 ``1.2`` is fine for reals).  Exit codes: 0 success, 1 a verify suite reported
-a failing identity, 2 malformed arguments, 3 a mathematical domain error
-(pole hit, divergent transform, sample outside its cone, ...).
+a failing identity, 2 malformed arguments or a file that cannot be opened, 3
+malformed input values or file contents, or a mathematical domain error (pole
+hit, divergent transform, sample outside its cone, ...).
 """
 
 from __future__ import annotations
@@ -57,10 +58,16 @@ def _domain_of(name: str, beta: float):
 
 
 def _parse_atoms(text: str):
+    """Parse '0.7:1.0,1.3:0.2' into an atomic measure; an entry that is not
+    two numbers joined by ':' raises ParameterOutOfRange."""
     pairs = []
     for chunk in text.split(","):
         loc, _, weight = chunk.partition(":")
-        pairs.append((float(loc), float(weight)))
+        try:
+            pairs.append((float(loc), float(weight)))
+        except ValueError:
+            raise ParameterOutOfRange("--atoms needs loc:weight pairs separated by "
+                                      "commas, got %r" % text)
     return measures.atomic(pairs)
 
 
@@ -350,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OSError) as exc:  # OSError: an unopenable file
         parser.error(str(exc))        # exits with status 2
     except RPHardyError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -261,12 +261,8 @@ def transfer_map(src: Domain, dst: Domain):
                 lambda w: b / (math.pi * complex(w)))
 
     # compositions through the half-plane
-    if isinstance(src, Disc) and isinstance(dst, Strip):
-        mid1, dmid1 = transfer_map(src, HALF_PLANE)
-        mid2, dmid2 = transfer_map(HALF_PLANE, dst)
-        return (lambda z: mid2(mid1(z)),
-                lambda z: dmid2(mid1(z)) * dmid1(z))
-    if isinstance(src, Strip) and isinstance(dst, Disc):
+    if (isinstance(src, Disc) and isinstance(dst, Strip)
+            or isinstance(src, Strip) and isinstance(dst, Disc)):
         mid1, dmid1 = transfer_map(src, HALF_PLANE)
         mid2, dmid2 = transfer_map(HALF_PLANE, dst)
         return (lambda z: mid2(mid1(z)),

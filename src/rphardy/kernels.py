@@ -30,29 +30,28 @@ real coordinate on the lines).
 
 Scalar and array bodies
 -----------------------
-The kernels, :func:`poisson` and :func:`h_boundary` take arrays (chosen by
-:func:`~rphardy.numerics.is_batch`), and each keeps a scalar math/cmath body
-beside its numpy one: a 0-d numpy :func:`szego` call costs 27.7 us against
-1.4 us for the scalar body.  Circle integrals take the array bodies, since
-the trapezoid rule calls its integrand once on all of its nodes.  An array
-value is the scalar value bit for bit wherever the tests say so
-(:func:`poisson`, :func:`h_boundary`): complex products and quotients go
-through :func:`_cmul` and :func:`_cdiv`, which round as CPython does, and
-real functions go through libm's versions.  :func:`hua_ratio` stays a
-separate scalar computation, since the ``kernels.hua.*`` checks compare it
-with :func:`poisson`.
+The kernels :func:`szego`, :func:`power_kernel` and :func:`bergman_strip`
+take arrays (chosen by :func:`~rphardy.numerics.is_batch`), and each keeps a
+scalar math/cmath body beside its numpy one: a 0-d numpy :func:`szego` call
+costs 27.7 us against 1.4 us for the scalar body.  Array values round as the
+scalar ones do: complex products and quotients go through :func:`_cmul` and
+:func:`_cdiv`, which round as CPython does.
 
-The line integrals go through QUADPACK, which calls its integrand one x at a
-time, and there the hot path is a bound form: :func:`poisson_at`,
-:func:`h_boundary_at` and :meth:`BoundaryFunction.on` check the fixed point
-and the component, resolve the embedding and the reflected component, and
-compute every factor that does not depend on x, once; each call then does
-only the per-x arithmetic, with no dispatch, domain check or component
-lookup (a strip Poisson node costs 0.17 us this way against 1.4 us through
-a scalar :func:`poisson` call; timeit, Python 3.11, 2-vCPU Xeon).  The
-scalar bodies of :func:`poisson` and :func:`h_boundary` are these bound
-forms, so each formula is written once for scalars and once for arrays, and
-a bound value is the public scalar value bit for bit.
+The boundary kernels :func:`poisson` and :func:`h_boundary` write each
+formula once, in the form its quadrature calls.  On the circle that is the
+numpy body, since the trapezoid rule calls its integrand once on all of its
+nodes; a scalar disc :func:`poisson` runs the same body on its float.  On the
+lines it is the bound form, since QUADPACK calls its integrand one x at a
+time: :func:`poisson_at`, :func:`h_boundary_at` and
+:meth:`BoundaryFunction.on` check the fixed point and the component, resolve
+the embedding and the reflected component, and compute every factor that
+does not depend on x, once; each call then does only the per-x arithmetic (a
+strip Poisson node costs 0.17 us this way against 1.4 us through a scalar
+:func:`poisson` call; timeit, Python 3.11, 2-vCPU Xeon).  A scalar line call
+is its bound form, and an array x on a line runs the bound form on each
+element (:func:`_each`), so every value is the scalar value bit for bit.
+:func:`hua_ratio` stays a separate scalar computation, since the
+``kernels.hua.*`` checks compare it with :func:`poisson`.
 """
 
 from __future__ import annotations
@@ -234,10 +233,12 @@ def poisson(domain: Domain, z: complex, x: float, component: str = None) -> floa
     component)(x)``.  A boundary parameter that is not finite raises
     :class:`ParameterOutOfRange`.
     """
-    if is_batch(z, x):
-        z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
-        return _poisson_array(domain, z, _finite_parameter(x), component)
-    return poisson_at(domain, z, component)(x)
+    if not is_batch(z, x):
+        return poisson_at(domain, z, component)(x)
+    z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
+    if isinstance(domain, Disc):
+        return _disc_poisson(z, component)(_finite_parameter(x))
+    return _each(poisson_at(domain, z, component), x, float)
 
 
 def poisson_at(domain: Domain, z: complex, component: str = None):
@@ -248,21 +249,12 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
     z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
     isfinite, pi = math.isfinite, math.pi
     if isinstance(domain, Disc):
-        if component not in (None, "circle"):
-            raise ParameterOutOfRange("disc boundary component is 'circle'")
-        # 1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the
-        # sum of squares keeps full relative accuracy as r -> 1 at th = x,
-        # where the expanded form cancels to nothing
-        r = abs(z)
-        d = 1.0 - r
-        num, dd, r4, th, sin = d * (1.0 + r), d * d, 4.0 * r, cmath.phase(z), math.sin
-        two_pi = 2.0 * pi
+        body = _disc_poisson(z, component)
 
         def disc(x):
             if not isfinite(x):
                 raise ParameterOutOfRange(_NOT_FINITE % (x,))
-            half = sin(0.5 * (th - x))
-            return num / (two_pi * (dd + r4 * half * half))
+            return float(body(x))
 
         return disc
     if isinstance(domain, HalfPlane):
@@ -283,7 +275,14 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
         return half_plane
     if isinstance(domain, Strip):
         b = domain.beta
-        trig, num = _strip_poisson_factors(b, z, component)
+        # sin^2 (lower) or cos^2 (upper) of pi Im z / 2 beta
+        if component in (None, "lower"):
+            trig = math.sin(pi * z.imag / (2.0 * b)) ** 2
+        elif component == "upper":
+            trig = math.cos(pi * z.imag / (2.0 * b)) ** 2
+        else:
+            raise ParameterOutOfRange("strip components are 'lower'/'upper'")
+        num = math.sin(pi * z.imag / b)
         a, b2, b4, exp, sinh = z.real, 2.0 * b, 4.0 * b, math.exp, math.sinh
 
         def strip(x):
@@ -326,59 +325,33 @@ _FAR_DX = 1e150
 _FAR_U = 300.0
 
 
-def _strip_poisson_factors(b: float, z: complex, component):
-    """sin^2 (lower) or cos^2 (upper) of pi Im z / 2 beta, and sin(pi Im z / beta)."""
-    if component in (None, "lower"):
-        trig = math.sin(math.pi * z.imag / (2.0 * b)) ** 2
-    elif component == "upper":
-        trig = math.cos(math.pi * z.imag / (2.0 * b)) ** 2
-    else:
-        raise ParameterOutOfRange("strip components are 'lower'/'upper'")
-    return trig, math.sin(math.pi * z.imag / b)
+def _disc_poisson(z: complex, component):
+    """P_z on the circle as a function of an angle or a float array of
+    angles: the one body of the disc kernel, which the trapezoid rule calls
+    on all of its nodes and a scalar call on its float.
+
+    1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the sum of
+    squares keeps full relative accuracy as r -> 1 at th = x, where the
+    expanded form cancels to nothing."""
+    if component not in (None, "circle"):
+        raise ParameterOutOfRange("disc boundary component is 'circle'")
+    r = abs(z)
+    d = 1.0 - r
+    num, dd, r4, th = d * (1.0 + r), d * d, 4.0 * r, cmath.phase(z)
+    two_pi = 2.0 * math.pi
+
+    def disc(x):
+        half = np.sin(0.5 * (th - x))
+        return num / (two_pi * (dd + r4 * half * half))
+
+    return disc
 
 
-def _poisson_array(domain: Domain, z: complex, x: np.ndarray, component) -> np.ndarray:
-    """:func:`poisson` at one interior z over a real array x.  np.sin and
-    np.cos on floats agree with math.sin and math.cos bit for bit; float
-    np.exp and np.sinh may not, so those go through the complex functions
-    (cexp and csinh return libm's exp(u) and sinh(u) at a zero imaginary
-    part), and ``** 2`` is np.float_power, libm's pow as Python's float power
-    (x * x is not always x ** 2)."""
-    if isinstance(domain, Disc):
-        if component not in (None, "circle"):
-            raise ParameterOutOfRange("disc boundary component is 'circle'")
-        r = abs(z)
-        d = 1.0 - r
-        half = np.sin(0.5 * (cmath.phase(z) - x))
-        return d * (1.0 + r) / (2.0 * math.pi * (d * d + 4.0 * r * half * half))
-    if isinstance(domain, HalfPlane):
-        if component not in (None, "line"):
-            raise ParameterOutOfRange("half-plane boundary component is 'line'")
-        dx = x - z.real
-        far = np.abs(dx) > _FAR_DX
-        out = np.empty(x.shape)
-        inv = 1.0 / dx[far]
-        out[far] = z.imag * inv * inv / math.pi
-        near = dx[~far]
-        out[~far] = z.imag / (math.pi * (near * near + z.imag * z.imag))
-        return out
-    if isinstance(domain, Strip):
-        b = domain.beta
-        u = math.pi * (z.real - x) / (2.0 * b)
-        trig, num = _strip_poisson_factors(b, z, component)
-        au = np.abs(u)
-        far = au > _FAR_U
-        out = np.empty(x.shape)
-        out[far] = num * _real_libm(np.exp, -2.0 * au[far]) / b
-        sh = _real_libm(np.sinh, u[~far])
-        out[~far] = num / (4.0 * b * (np.float_power(sh, 2.0) + trig))
-        return out
-    raise UnsupportedPair("no poisson kernel for %r" % (domain,))
-
-
-def _real_libm(fn, x: np.ndarray) -> np.ndarray:
-    """libm's real exp or sinh of a float array, through numpy's complex fn."""
-    return fn(x.astype(complex)).real
+def _each(at, x, dtype) -> np.ndarray:
+    """The bound scalar form ``at`` on every element of the array ``x``, in
+    the shape of ``x``: a line kernel takes an array one x at a time."""
+    x = np.asarray(x, dtype=float)
+    return np.array([at(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
 
 
 def hua_ratio(domain: Domain, z: complex, x: float, component: str = None) -> float:
@@ -517,8 +490,12 @@ def outer_f(domain: Domain, w: complex, z: complex) -> complex:
 def boundary_reflect(domain: Domain, component: str, x: float):
     """Parameter form of the boundary reflection induced by sigma."""
     if isinstance(domain, Disc):
+        if component != "circle":
+            raise ParameterOutOfRange("disc boundary component is 'circle'")
         return ("circle", -x)
     if isinstance(domain, HalfPlane):
+        if component != "line":
+            raise ParameterOutOfRange("half-plane boundary component is 'line'")
         return ("line", -x)
     if isinstance(domain, Strip):
         if component == "lower":
@@ -540,12 +517,12 @@ def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
     if not is_batch(w, x):
         return h_boundary_at(domain, w, component)(x)
     w = _base_point(domain, w, "h_boundary takes one point w; x may be an array")
+    if not isinstance(domain, Disc):
+        return _each(h_boundary_at(domain, w, component), x, complex)
     x = _finite_parameter(x)
     zb = domain.boundary_embed(component, x)
     rcomp, rx = boundary_reflect(domain, component, x)
     zr = domain.boundary_embed(rcomp, rx)
-    if isinstance(domain, Strip):
-        return _h_strip_array(domain.beta, zb, zr, w)
     return _cdiv(szego(domain, zb, w), szego(domain, zr, w))
 
 
@@ -584,21 +561,6 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
         return szego(domain, embed(x), w) / szego(domain, rembed(-x if negate else x), w)
 
     return line_or_circle
-
-
-def _h_strip_array(b: float, zb: np.ndarray, zr: np.ndarray, w: complex) -> np.ndarray:
-    """The strip branch of :func:`h_boundary` on arrays, with the far masks
-    of :func:`_szego_array`."""
-    ab = _strip_arg(b, zb, w)
-    ar = _strip_arg(b, zr, w)
-    out = np.empty(ab.shape, dtype=complex)
-    far = ab.real > _FAR
-    out[far] = np.exp(ar[far] - ab[far])
-    near = ab.real < -_FAR
-    out[near] = np.exp(ab[near] - ar[near])
-    mid = ~(far | near)
-    out[mid] = _cdiv(np.sinh(ar[mid]), np.sinh(ab[mid]))
-    return out
 
 
 def _times(a, b):

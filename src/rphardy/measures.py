@@ -224,15 +224,18 @@ class MeasureOnR:
 
     @staticmethod
     def from_json(text: str) -> "MeasureOnR":
-        obj = json.loads(text)
-        atoms = obj.get("atoms", [])
-        locs = np.array([a[0] for a in atoms], dtype=float)
-        weights = np.array([a[1] for a in atoms], dtype=float)
-        dens = obj.get("density")
-        if dens is None:
-            return MeasureOnR(locs, weights)
-        return MeasureOnR(locs, weights, float(dens["x0"]), float(dens["h"]),
-                          np.asarray(dens["values"], dtype=float))
+        """The measure :meth:`to_json` writes; text that does not hold one
+        raises :class:`ParameterOutOfRange`."""
+        try:
+            obj = json.loads(text)
+            atoms = np.array([(float(loc), float(w)) for loc, w in obj.get("atoms", [])],
+                             dtype=float).reshape(-1, 2)
+            dens = obj.get("density")
+            grid = () if dens is None else (float(dens["x0"]), float(dens["h"]),
+                                            np.asarray(dens["values"], dtype=float))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise ParameterOutOfRange("not a measure JSON: %s" % (exc,)) from exc
+        return MeasureOnR(atoms[:, 0], atoms[:, 1], *grid)
 
 
 def atomic(pairs) -> MeasureOnR:
@@ -486,9 +489,9 @@ def _require_decay(summand: np.ndarray, zs: np.ndarray) -> None:
             "enlarge the grid" % (edge[i] / s[i], complex(zs[i])))
 
 
-def laplace(nu: MeasureOnR, y: float, monitor: bool = True) -> float:
+def laplace(nu: MeasureOnR, y: float) -> float:
     """Laplace transform Integral e^{-y lam} d nu(lam) = nu_hat(i y)."""
-    return fourier(nu, 1j * y, monitor=monitor).real
+    return fourier(nu, 1j * y).real
 
 
 def _worst_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -499,15 +502,13 @@ def _worst_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
 
-def kms_check(nu: MeasureOnR, beta: float, t_grid=None,
-              monitor: bool = True) -> float:
+def kms_check(nu: MeasureOnR, beta: float, t_grid=None) -> float:
     """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over the t grid."""
     _require_beta(beta)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
     t = finite_array(t_grid, "the t grid").ravel()
-    return _worst_gap(fourier(nu, 1j * beta + t, monitor=monitor),
-                      np.conj(fourier(nu, t, monitor=monitor)))
+    return _worst_gap(fourier(nu, 1j * beta + t), np.conj(fourier(nu, t)))
 
 
 def rp_circle_from_measure(mu: MeasureOnR, beta: float):
@@ -521,22 +522,19 @@ def rp_circle_from_measure(mu: MeasureOnR, beta: float):
     return (lambda y: laplace(nu, y), lambda x: fourier(nu, x).real)
 
 
-def kernel_from_measure(nu: MeasureOnR, z: complex, w: complex,
-                        monitor: bool = True) -> complex:
+def kernel_from_measure(nu: MeasureOnR, z: complex, w: complex) -> complex:
     """K(z, w) = nu_hat(z - conj(w)) on the strip."""
-    return fourier(nu, complex(z) - complex(w).conjugate(), monitor=monitor)
+    return fourier(nu, complex(z) - complex(w).conjugate())
 
 
-def theta_involution_check(nu: MeasureOnR, beta: float, pairs,
-                           monitor: bool = True) -> float:
+def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
     """Invariance of K(z, w) = nu_hat(z - conj w) under the strip flip
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
     _require_beta(beta)
     zw = finite_pairs(pairs, "pair points", complex)
     zeta = zw[:, 0] - np.conj(zw[:, 1])
-    return _worst_gap(fourier(nu, 2j * beta - zeta, monitor=monitor),
-                      fourier(nu, zeta, monitor=monitor))
+    return _worst_gap(fourier(nu, 2j * beta - zeta), fourier(nu, zeta))
 
 
 # --------------------------------------------------------------------------

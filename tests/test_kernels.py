@@ -224,6 +224,15 @@ def test_boundary_reflect_is_an_involution(domain):
         assert comp2 == comp and x2 == 0.83
 
 
+@pytest.mark.parametrize("domain,comp", [
+    (DISC, "line"), (DISC, "lower"), (DISC, None), (HALF_PLANE, "circle"),
+    (HALF_PLANE, "upper"), (HALF_PLANE, None), (STRIP, "line"), (STRIP, None)],
+    ids=lambda v: str(v))
+def test_boundary_reflect_rejects_a_component_the_domain_lacks(domain, comp):
+    with pytest.raises(ParameterOutOfRange):
+        kernels.boundary_reflect(domain, comp, 0.3)
+
+
 @pytest.mark.parametrize("domain,w", [
     (DISC, 0.4 + 0.0j), (HALF_PLANE, 0.9j), (STRIP, -0.3 + 1.0j)],
     ids=["disc", "half_plane", "strip"])
@@ -321,6 +330,23 @@ def test_boundary_embed_of_an_array_keeps_every_bit(domain):
         assert np.array_equal(bound.view(np.int64), want.view(np.int64))
     with pytest.raises(ParameterOutOfRange):
         domain.embedding("middle")
+
+
+@pytest.mark.parametrize("domain,z,comp", [
+    (HALF_PLANE, 0.4 + 0.8j, "line"), (STRIP, 0.3 + 0.5j, "lower"),
+    (STRIP, -1.0 + 1.5j, "upper")], ids=lambda v: str(v))
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (12, 20)], ids=str)
+def test_a_line_x_array_of_any_shape_is_the_bound_form_element_by_element(
+        domain, z, comp, shape):
+    xs = _line_points()[:int(np.prod(shape))].reshape(shape)
+    for got, bound, dtype in (
+            (kernels.poisson(domain, z, xs, comp),
+             kernels.poisson_at(domain, z, comp), np.float64),
+            (kernels.h_boundary(domain, z, comp, xs),
+             kernels.h_boundary_at(domain, z, comp), np.complex128)):
+        assert got.shape == shape and got.dtype == dtype
+        want = np.array([bound(x) for x in xs.ravel().tolist()], dtype=dtype)
+        assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
 
 
 def test_poisson_and_h_boundary_take_one_base_point():

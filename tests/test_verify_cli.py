@@ -474,6 +474,45 @@ def test_cli_measure_requires_a_source():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--atoms", "1", "--op", "kms"],
+    ["modular", "--atoms", "0.5"],
+    ["measure", "--atoms", "1:x", "--op", "kms"],
+], ids=["no-weight", "modular-no-weight", "weight-not-a-number"])
+def test_cli_malformed_atoms_exit_3(capsys, argv):
+    rc = cli.main(argv)
+    assert rc == 3
+    assert "--atoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"atoms": [[1.0]]}', "[1, 2]", "not json",
+                                  '{"atoms": [[1, 2, 3]]}',
+                                  '{"atoms": [], "density": {"x0": 0, "h": 1}}'],
+                         ids=["short-atom", "list", "not-json", "long-atom",
+                              "density-without-values"])
+def test_cli_malformed_measure_json_exits_3(tmp_path, capsys, text):
+    path = tmp_path / "mu.json"
+    path.write_text(text)
+    rc = cli.main(["measure", "--op", "kms", "--measure-json", str(path)])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "appendix", "--config", "{missing}"],
+    ["measure", "--op", "kms", "--measure-json", "{missing}"],
+    ["verify", "--suite", "appendix", "--report", "{missing_dir}"],
+], ids=["config", "measure-json", "report"])
+def test_cli_a_file_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
+    paths = {"{missing}": str(tmp_path / "missing.json"),
+             "{missing_dir}": str(tmp_path / "no-such-dir" / "r.json")}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([paths.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "No such file" in err
+
+
 def test_cli_measure_kms_on_gamma_image(tmp_path, capsys):
     mu = measures.atomic([(0.7, 1.0), (1.3, 0.2)])
     nu = measures.Gamma_map(mu, 1.0)
