@@ -19,6 +19,7 @@ hit, divergent transform, sample outside its cone, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -141,9 +142,14 @@ def cmd_verify(args) -> int:
         cfg.beta = args.beta
     if args.seed is not None:
         cfg.rng_seed = args.seed
-    report = verify.run_suite(args.suite, cfg, inject_defect=args.inject_defect)
-    if args.report:
-        with open(args.report, "w") as fh:
+    cfg.validate()
+    # the report is opened before the suite runs, so a path that cannot be
+    # written fails at once; it is opened to append and emptied only once the
+    # suite has run, so a suite that fails leaves an existing report as it was
+    with open(args.report, "a") if args.report else contextlib.nullcontext() as fh:
+        report = verify.run_suite(args.suite, cfg, inject_defect=args.inject_defect)
+        if fh is not None:
+            fh.truncate(0)
             json.dump(report.to_dict(), fh, indent=2)
     if args.json:
         print(json.dumps(report.to_dict()))

@@ -239,10 +239,9 @@ class MeasureOnR:
 
 
 def atomic(pairs) -> MeasureOnR:
-    """Measure sum w_j delta_{lam_j} from (location, weight) pairs."""
-    pairs = list(pairs)
-    locs = np.array([p[0] for p in pairs], dtype=float)
-    weights = np.array([p[1] for p in pairs], dtype=float)
+    """Measure sum w_j delta_{lam_j} from (location, weight) pairs; raises
+    :class:`ParameterOutOfRange` for anything but finite pairs."""
+    locs, weights = finite_pairs(pairs, "atoms").T
     return MeasureOnR(locs, weights)
 
 

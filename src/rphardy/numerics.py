@@ -6,8 +6,11 @@ Summation
 ---------
 :func:`comp_sum` and :func:`comp_sum_real` sum along the last axis, so an
 (m, n) array gives m row sums, and every row sum is bit for bit the float
-``math.fsum`` returns (or fsum's exception).  A row takes one of two paths,
-chosen by its length:
+``math.fsum`` returns (or fsum's exception).  Given ``ends``, a sequence of
+prefix lengths L, they return instead the sums of every prefix ``[..., :L]``,
+each again fsum's float, all read off one extraction of the whole rows: a
+series checked at several truncations builds its terms once, for the
+largest.  A row takes one of two paths, chosen by its length:
 
 * rows of at least ``_VECTOR_MIN_TERMS`` terms go through numpy, a whole
   batch at once: an error-free extraction splits the row into exactly
@@ -16,18 +19,26 @@ chosen by its length:
   Sci. Comput. 31(1), 2008), the pieces are combined with the error-free
   TwoSum of Ogita, Rump and Oishi, "Accurate sum and dot product", SIAM J.
   Sci. Comput. 26(6), 2005, and a rounding certificate checks that the
-  result is the float nearest the exact sum;
-* early exit: a row certified after that first extraction is done, as in
+  result is the float nearest the exact sum.  The reductions over a row
+  stay in numpy; the few operations per row sum after them are Python
+  float arithmetic;
+* a prefix: the extraction works term by term with a sigma chosen for the
+  whole row, which bounds every prefix too, so the first L high parts sum
+  exactly and the certificate holds with n = L (proof at
+  ``_fsum_prefixes``);
+* early exit: a sum certified after that first extraction is done, as in
   AccSum.  The certificate is sound after either extraction, because each
   leaves sum(x) = tau1 + tau2 + sum(p) exactly (tau2 = 0 after the first)
-  and the bound covers every rounding made after that (proof at
-  ``_fsum_rows``).  Only the rows it rejects, 1.3% of the long rows a
-  verify suite sums (390 of 30,260 over rng seeds 7-26), take a second
-  extraction, continued from their remainder, and the certificate again;
-* shorter rows, and every row whose second certificate fails (a near tie at
-  half an ulp, cancellation with sum|x| / |sum x| beyond about 1e17, inf,
-  NaN, terms near overflow or underflow), go to ``math.fsum(row.tolist())``,
-  which on a list is 2-4x faster than on an ndarray.
+  and the bound covers every rounding made after that.  Of the 44,260
+  long-row sums a verify suite takes over rng seeds 7-26, prefixes
+  included, 737 (1.7%) are left uncertified: 340 all-zero rows, which sum
+  to 0, and 397 that take a second extraction, continued from their
+  remainder, and the certificate again (367 certify);
+* shorter rows, rows with an inf, a NaN or terms near overflow or
+  underflow, and every sum whose second certificate fails (a near tie at
+  half an ulp, cancellation with sum|x| / |sum x| beyond about 1e17) go to
+  ``math.fsum(row.tolist())``, which on a list is 2-4x faster than on an
+  ndarray.
 
 Quadrature strategy
 -------------------
@@ -78,10 +89,11 @@ SQRT_TWO_PI = math.sqrt(TWO_PI)
 # --------------------------------------------------------------------------
 
 # Rows shorter than this go straight to math.fsum.  The vectorized path
-# costs about 35 us per call plus 3-12 ns per term against fsum's 30-45 ns
-# per term, so for one complex sum (two rows) the two break even between 512
-# and 768 terms, and a batch of 16 rows wins from 256 (Xeon, 2 vCPUs,
-# numpy 2.4).
+# costs about 25-30 us per call plus 3-12 ns per term against fsum's 35-75 ns
+# per term, so for one complex sum (two rows) the two break even between 320
+# and 448 terms, and a batch of 16 rows wins from 128 (Xeon, 2 vCPUs,
+# numpy 2.4).  A verify suite sums no row of 192 to 959 terms, so a move
+# inside 320-448 would change nothing there; the constant stays at 512.
 _VECTOR_MIN_TERMS = 512
 _EPS = 2.0 ** -53          # unit roundoff of float64
 
@@ -101,27 +113,36 @@ def _extract(x: np.ndarray, sigma: np.ndarray, q: np.ndarray, out=None) -> np.nd
     return np.subtract(x, q, out=out)
 
 
-def _certify(tau1, tau2, p: np.ndarray, buf: np.ndarray, n: int):
+def _certify(tau1, tau2, p_sums, p_abs_sums, n: int):
     """Per row, r = fl(tau1 + tau2 + sum(p)) and whether r is certified to be
-    the float nearest that exact sum (see the proof at :func:`_fsum_rows`);
-    |p| is written into ``buf``."""
-    a, b = _two_sum(tau1, tau2)
-    c = b + p.sum(1)
-    r, g = _two_sum(a, c)
-    bound = abs(g) + (2.0 * _EPS * abs(c) + 2.0 * n * _EPS * np.abs(p, out=buf).sum(1)
-                      + 2.0 ** -1022)
-    ar = abs(r)
-    return r, bound < 0.5 * (ar - np.nextafter(ar, 0.0))
+    the float nearest that exact sum, for a sum of at most ``n`` remainders p
+    (proof at :func:`_fsum_prefixes`).  Takes each row's tau1, tau2, sum(p)
+    and sum|p| as lists of floats and returns the list of r and the list of
+    verdicts: on the few rows of one sum, Python float arithmetic costs less
+    than a numpy call per operation."""
+    r, ok = [], []
+    for t1, t2, s, a in zip(tau1, tau2, p_sums, p_abs_sums):
+        hi, lo = _two_sum(t1, t2)
+        c = lo + s
+        v, g = _two_sum(hi, c)
+        bound = abs(g) + (2.0 * _EPS * abs(c) + 2.0 * n * _EPS * a + 2.0 ** -1022)
+        av = abs(v)
+        r.append(v)
+        ok.append(bound < 0.5 * (av - math.nextafter(av, 0.0)))
+    return r, ok
 
 
-def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each row of the 2-d float array ``x``.
+def _fsum_prefixes(x: np.ndarray, ends) -> np.ndarray:
+    """Exactly rounded sums of the prefixes ``x[:, :L]`` of each row of the
+    2-d float array ``x``, one row of the (len(ends), m) result per L in
+    ``ends`` (0 <= L <= n).
 
-    Long rows take the vectorized path: one error-free extraction and a
-    rounding certificate, then, for the rows left uncertified, a second
-    extraction and the certificate again.  A row that fails both, and every
-    short row, is summed by ``math.fsum``, so each row is the float fsum
-    returns, or fsum's exception is raised.
+    Long rows take the vectorized path: one error-free extraction of the
+    whole row, and per prefix a rounding certificate, then, for the rows left
+    uncertified, a second extraction of that prefix and the certificate
+    again.  A prefix that fails both, and every prefix of a short row, is
+    summed by ``math.fsum``, so each sum is the float fsum returns for
+    ``x[i, :L]``, or fsum's exception is raised.
 
     Proof of the certificate.  Each extraction leaves sum(x) = tau1 + tau2
     + sum(p) exactly, with tau2 = 0 after the first.  a + b = tau1 + tau2 and
@@ -131,10 +152,24 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
     its neighbour (the smaller gap), r is the float nearest the exact sum.
     The first extraction leaves |p| <= eps sigma, too large a remainder for
     a row with heavy cancellation; the second shrinks it by 2**(grow - 53).
+
+    Why one extraction serves every prefix.  The extraction is elementwise:
+    q and p of the first L terms do not depend on the terms after them.
+    sigma, chosen from the whole row, is at least (n + 2) max|x| >= (L + 2)
+    max|x[:L]|, so the first L terms of q are multiples of eps sigma whose
+    partial sums stay below sigma, and sum(q[:L]) is exact in any order; the
+    identity x[:L] = q[:L] + p[:L] holds term by term.  So a prefix of L
+    terms has tau1 = sum(q[:L]) and the remainders p[:L], and the proof
+    above holds with n = L.  The second extraction of a prefix continues
+    from p[:L] with the row's second sigma, which is again at least
+    (L + 2) max|p[:L]|.
     """
     m, n = x.shape
+    out = np.empty((len(ends), m))
     if n < _VECTOR_MIN_TERMS:
-        return np.array([math.fsum(row) for row in x.tolist()], dtype=float)
+        for j, L in enumerate(ends):
+            out[j] = [math.fsum(row) for row in x[:, :L].tolist()]
+        return out
     with np.errstate(all="ignore"):
         q = np.abs(x)
         mu = q.max(1)
@@ -142,29 +177,45 @@ def _fsum_rows(x: np.ndarray) -> np.ndarray:
         # exact, a multiple of eps * sigma, and sum(q) is exact in any order,
         # while p = x - q is exact with |p| <= eps * sigma (the ExtractVector
         # step of Rump, Ogita and Oishi).  max|x| >= 2**-800 keeps both
-        # sigmas normal; sigma <= 2**990 keeps fsum's partials from overflowing
+        # sigmas normal; sigma <= 2**990 keeps fsum's partials from
+        # overflowing; a row with an inf or NaN has no such sigma
         grow = (n + 1).bit_length()
         k = np.frexp(mu)[1] + grow
         sigma = np.ldexp(1.0, k)[:, None]
         p = _extract(x, sigma, q)
-        tau1 = q.sum(1)
-        r, ok = _certify(tau1, 0.0, p, q, n)
-        in_range = (k >= grow - 800) & (k <= 990)
-        ok &= in_range
-        # an all-zero row sums to exactly 0, for which fsum gives +0.0
-        zero = mu == 0.0
-        r[zero] = 0.0
-        rows = (in_range & ~(ok | zero)).nonzero()[0]
-        if rows.size:
-            # the second extraction continues from the p of those rows (no
-            # copy when every row needs it), with the free q as its buffer
-            sel = slice(None) if rows.size == m else rows
-            p, buf = p[sel], q[:rows.size]
-            _extract(p, sigma[sel] * 2.0 ** (grow - 53), buf, out=p)
-            r[rows], ok[rows] = _certify(tau1[sel], buf.sum(1), p, buf, n)
-    for i in (~(ok | zero)).nonzero()[0]:
-        r[i] = math.fsum(x[i].tolist())
-    return r
+        tau1 = [q[:, :L].sum(1).tolist() for L in ends]
+        p_sums = [p[:, :L].sum(1).tolist() for L in ends]
+        p_abs = np.abs(p, out=q)
+        zeros = [0.0] * m
+        first = [_certify(t, zeros, s, p_abs[:, :L].sum(1).tolist(), L)
+                 for t, s, L in zip(tau1, p_sums, ends)]
+        # a row out of range is never certified; of the uncertified rows, one
+        # in range takes the second extraction, an all-zero one sums to
+        # exactly 0 (for which fsum gives +0.0), and the rest go to fsum
+        mus = mu.tolist()
+        in_range = [grow - 800 <= e <= 990 and a < math.inf
+                    for e, a in zip(k.tolist(), mus)]
+        for j, L in enumerate(ends):
+            r, ok = first[j]
+            ok = [good and fine for good, fine in zip(ok, in_range)]
+            rows = [i for i, good in enumerate(ok)
+                    if not good and in_range[i] and mus[i] != 0.0]
+            if rows:
+                # the second extraction continues from the prefix remainders
+                # of those rows (a copy: p serves the other prefixes), with
+                # the free q as its buffer
+                p2, buf = p[rows, :L], q[:len(rows), :L]
+                _extract(p2, sigma[rows] * 2.0 ** (grow - 53), buf, out=p2)
+                second = _certify([tau1[j][i] for i in rows], buf.sum(1).tolist(),
+                                  p2.sum(1).tolist(),
+                                  np.abs(p2, out=buf).sum(1).tolist(), L)
+                for i, v, good in zip(rows, *second):
+                    r[i], ok[i] = v, good
+            for i, good in enumerate(ok):
+                if not good:
+                    r[i] = 0.0 if mus[i] == 0.0 else math.fsum(x[i, :L].tolist())
+            out[j] = r
+    return out
 
 
 def _rows(values, dtype):
@@ -174,33 +225,54 @@ def _rows(values, dtype):
     return arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1]), arr.shape[:-1]
 
 
-def comp_sum_real(values):
+def _prefix_ends(ends, n: int) -> tuple:
+    """The prefix lengths to sum in rows of n terms: ``ends``, or the whole
+    row when it is None."""
+    if ends is None:
+        return (n,)
+    ends = tuple(ends)
+    if not all(isinstance(L, (int, np.integer)) and 0 <= L <= n for L in ends):
+        raise ParameterOutOfRange("prefix ends must be integers in [0, %d], got %r"
+                                  % (n, ends))
+    return ends
+
+
+def comp_sum_real(values, ends=None):
     """Exactly rounded sum of real terms along the last axis.
 
     A 1-d input (or any iterable) gives a float; an (m, n) input gives m row
     sums.  Every sum is bit for bit the float ``math.fsum`` returns for that
     row, and fsum's ``OverflowError`` / ``ValueError`` is raised where it
     would raise.
+
+    Given a sequence ``ends`` of prefix lengths, it returns instead the array
+    of the sums of ``values[..., :L]`` for each L, stacked along a new first
+    axis, all read off one extraction of the whole rows.
     """
     rows, shape = _rows(values, float)
-    sums = _fsum_rows(rows)
-    return float(sums[0]) if shape == () else sums.reshape(shape)
+    sums = _fsum_prefixes(rows, _prefix_ends(ends, rows.shape[1]))
+    if ends is None:
+        return float(sums[0, 0]) if shape == () else sums[0].reshape(shape)
+    return sums.reshape(sums.shape[:1] + shape)
 
 
-def comp_sum(values):
+def comp_sum(values, ends=None):
     """Exactly rounded sum of complex terms along the last axis: the real and
     imaginary parts are each summed as by :func:`comp_sum_real`.
 
     A 1-d input (or any iterable) gives a complex; an (m, n) input gives m
-    row sums.
+    row sums; with ``ends``, the stacked prefix sums as in
+    :func:`comp_sum_real`.
     """
     rows, shape = _rows(values, complex)
-    m = rows.shape[0]
-    parts = _fsum_rows(np.concatenate((rows.real, rows.imag)))
-    sums = np.empty(m, dtype=complex)
-    sums.real = parts[:m]
-    sums.imag = parts[m:]
-    return complex(sums[0]) if shape == () else sums.reshape(shape)
+    m, n = rows.shape
+    parts = _fsum_prefixes(np.concatenate((rows.real, rows.imag)), _prefix_ends(ends, n))
+    sums = np.empty((parts.shape[0], m), dtype=complex)
+    sums.real = parts[:, :m]
+    sums.imag = parts[:, m:]
+    if ends is None:
+        return complex(sums[0, 0]) if shape == () else sums[0].reshape(shape)
+    return sums.reshape(sums.shape[:1] + shape)
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +315,9 @@ def finite_array(values, what: str, dtype=float) -> np.ndarray:
     try:
         arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
                          dtype=dtype)
-    except ValueError:          # ragged, or an entry that is not a number
-        raise ParameterOutOfRange("%s must be a rectangular array of numbers"
-                                  % what) from None
+    except (TypeError, ValueError):     # not iterable, ragged, or an entry
+        raise ParameterOutOfRange(      # that is not a number
+            "%s must be a rectangular array of numbers" % what) from None
     if not np.all(np.isfinite(arr)):
         raise ParameterOutOfRange("%s must be finite" % what)
     return arr

@@ -20,6 +20,14 @@ Every evaluator returns a :class:`SeriesEval` carrying the proven tail bound
 inf) together with the closed-form value and the actual defect, so soundness
 ``defect <= tail_bound`` is a one-line assertion.
 
+Each series has two entry points: ``*_series(..., N)`` at one truncation,
+and ``*_series_at(..., Ns)``, one :class:`SeriesEval` per truncation in the
+sequence ``Ns``.  The second builds the terms once, for the largest N, and
+takes every partial sum as an exactly rounded prefix sum of them
+(:func:`numerics.comp_sum` with ``ends``), so each entry is bit for bit the
+single-N value; ``*_series`` is ``*_series_at`` at ``(N,)``.  A truncation
+must be a positive integer of at most 2**53.
+
 Tail bounds, all elementary alternating/absolute estimates:
 
     cosecant:  8 |z| / (3 N)            for N >= 2 |z|,
@@ -47,6 +55,7 @@ from .measures import _require_beta
 from .numerics import comp_sum
 
 _LATTICE_TOL = 1e-12
+_MAX_TERMS = 2 ** 53
 
 
 @dataclass
@@ -72,45 +81,76 @@ def _alternating(n: int, first: float = -1.0) -> np.ndarray:
     return s
 
 
-def _check_inputs(N: int, *points):
-    """Reject N < 1 and non-finite points: NaN would pass the pole tests and
-    come back as a NaN defect."""
-    if N < 1:
-        raise ParameterOutOfRange("need at least one term")
+def _check_inputs(Ns, *points) -> tuple:
+    """``Ns`` as a tuple of truncations; rejects anything but a non-empty
+    sequence of positive integers of at most 2**53 (beyond it the float
+    indices k are no longer exact), and non-finite points: NaN would pass
+    the pole tests and come back as a NaN defect."""
+    try:
+        Ns = tuple(Ns)
+    except TypeError:
+        Ns = None
+    if not Ns or not all(isinstance(N, (int, np.integer)) and 1 <= N <= _MAX_TERMS
+                         for N in Ns):
+        raise ParameterOutOfRange("truncations must be positive integers of at most "
+                                  "2**53, got %r" % (Ns,))
     if not all(cmath.isfinite(complex(p)) for p in points):
         raise ParameterOutOfRange("series points must be finite, got %r"
                                   % (points,))
+    return Ns
+
+
+def _evals(value_of, sums, closed, Ns, bound_of) -> list:
+    """One :class:`SeriesEval` per truncation N, from the prefix sum of N
+    terms."""
+    out = []
+    for s, N in zip(sums.tolist(), Ns):
+        value = value_of(s)
+        out.append(SeriesEval(value, closed, abs(value - closed), N, bound_of(N)))
+    return out
+
+
+def cosecant_series_at(z: complex, Ns) -> list:
+    """:func:`cosecant_series` at each truncation N in ``Ns``: the terms are
+    built once, for the largest N, and each partial sum is the exactly
+    rounded sum of its first N terms, bit for bit the single-N value."""
+    Ns = _check_inputs(Ns, z)
+    z = complex(z)
+    if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
+        raise PoleOnLattice("z is an integer")
+    k = np.arange(1.0, max(Ns) + 1.0)
+    terms = _alternating(k.size) * 2.0 * z / (z * z - k * k)
+    closed = math.pi / cmath.sin(math.pi * z)
+    return _evals(lambda s: 1.0 / z + s, comp_sum(terms, Ns), closed, Ns,
+                  lambda N: 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf)
 
 
 def cosecant_series(z: complex, N: int) -> SeriesEval:
     """Partial sum of  pi / sin(pi z) = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 - k^2)."""
-    _check_inputs(N, z)
-    z = complex(z)
-    if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
-        raise PoleOnLattice("z is an integer")
-    k = np.arange(1.0, N + 1.0)
-    terms = _alternating(k.size) * 2.0 * z / (z * z - k * k)
-    value = 1.0 / z + comp_sum(terms)
-    closed = math.pi / cmath.sin(math.pi * z)
-    bound = 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf
-    return SeriesEval(value, closed, abs(value - closed), N, bound)
+    return cosecant_series_at(z, (N,))[0]
 
 
-def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
-    """Partial sum of  (pi/2 beta) / sinh(pi z / 2 beta)
-    = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 + 4 k^2 beta^2)."""
-    _check_inputs(N, z)
+def sinh_series_at(beta: float, z: complex, Ns) -> list:
+    """:func:`sinh_series` at each truncation N in ``Ns``, from one term
+    array as in :func:`cosecant_series_at`."""
+    Ns = _check_inputs(Ns, z)
     _require_beta(beta)
     z = complex(z)
     if abs(z.real) <= _LATTICE_TOL and \
             abs(z.imag - 2.0 * beta * round(z.imag / (2.0 * beta))) <= _LATTICE_TOL:
         raise PoleOnLattice("z lies on the lattice 2 i beta Z")
-    k = np.arange(1.0, N + 1.0)
+    k = np.arange(1.0, max(Ns) + 1.0)
     terms = _alternating(k.size) * 2.0 * z / (z * z + 4.0 * beta * beta * k * k)
-    value = 1.0 / z + comp_sum(terms)
     closed = (math.pi / (2.0 * beta)) / cmath.sinh(math.pi * z / (2.0 * beta))
-    bound = 2.0 * abs(z) / (3.0 * beta * beta * N) if N >= abs(z) / beta else math.inf
-    return SeriesEval(value, closed, abs(value - closed), N, bound)
+    return _evals(lambda s: 1.0 / z + s, comp_sum(terms, Ns), closed, Ns,
+                  lambda N: 2.0 * abs(z) / (3.0 * beta * beta * N)
+                  if N >= abs(z) / beta else math.inf)
+
+
+def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
+    """Partial sum of  (pi/2 beta) / sinh(pi z / 2 beta)
+    = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 + 4 k^2 beta^2)."""
+    return sinh_series_at(beta, z, (N,))[0]
 
 
 def _zeta(beta, z, w):
@@ -121,37 +161,49 @@ def _zeta(beta, z, w):
     return zeta
 
 
+def szego_series_at(beta: float, z: complex, w: complex, Ns) -> list:
+    """:func:`szego_series` at each truncation N in ``Ns``, from one term
+    array as in :func:`cosecant_series_at`."""
+    Ns = _check_inputs(Ns, z, w)
+    _require_beta(beta)
+    zeta = _zeta(beta, z, w)
+    k = np.arange(1.0, max(Ns) + 1.0)
+    terms = _alternating(k.size) * 2.0 * zeta \
+        / (zeta * zeta + 4.0 * beta * beta * k * k)
+    closed = szego(Strip(beta), z, w)
+    return _evals(lambda s: (1j / (2.0 * math.pi)) * (1.0 / zeta + s),
+                  comp_sum(terms, Ns), closed, Ns,
+                  lambda N: abs(zeta) / (3.0 * math.pi * beta * beta * N)
+                  if N >= abs(zeta) / beta else math.inf)
+
+
 def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the strip Szego kernel,
     Q(z, w) = (i / 2 pi) sum_n (-1)^n / (z - conj(w) + 2 n beta i)."""
-    _check_inputs(N, z, w)
+    return szego_series_at(beta, z, w, (N,))[0]
+
+
+def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
+    """:func:`bergman_series` at each truncation N in ``Ns``, from one term
+    array as in :func:`cosecant_series_at`."""
+    Ns = _check_inputs(Ns, z, w)
     _require_beta(beta)
     zeta = _zeta(beta, z, w)
-    k = np.arange(1.0, N + 1.0)
-    terms = _alternating(k.size) * 2.0 * zeta \
-        / (zeta * zeta + 4.0 * beta * beta * k * k)
-    value = (1j / (2.0 * math.pi)) * (1.0 / zeta + comp_sum(terms))
-    closed = szego(Strip(beta), z, w)
-    bound = abs(zeta) / (3.0 * math.pi * beta * beta * N) \
-        if N >= abs(zeta) / beta else math.inf
-    return SeriesEval(value, closed, abs(value - closed), N, bound)
+    k = np.arange(1.0, max(Ns) + 1.0)
+    d = 2j * beta * k
+    pair = 1.0 / (zeta + d) ** 2 + 1.0 / (zeta - d) ** 2
+    closed = bergman_strip(beta, z, w)
+    return _evals(lambda s: -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + s),
+                  comp_sum(pair, Ns), closed, Ns,
+                  lambda N: 5.0 / (18.0 * math.pi ** 2 * beta * beta * N)
+                  if N >= abs(zeta) / beta else math.inf)
 
 
 def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the squared kernel,
     Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (z - conj(w) + 2 k i beta)^2,
     absolutely convergent with paired terms ~ -1 / (2 beta^2 k^2)."""
-    _check_inputs(N, z, w)
-    _require_beta(beta)
-    zeta = _zeta(beta, z, w)
-    k = np.arange(1.0, N + 1.0)
-    d = 2j * beta * k
-    pair = 1.0 / (zeta + d) ** 2 + 1.0 / (zeta - d) ** 2
-    value = -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + comp_sum(pair))
-    closed = bergman_strip(beta, z, w)
-    bound = 5.0 / (18.0 * math.pi ** 2 * beta * beta * N) \
-        if N >= abs(zeta) / beta else math.inf
-    return SeriesEval(value, closed, abs(value - closed), N, bound)
+    return bergman_series_at(beta, z, w, (N,))[0]
 
 
 def szego_series_split(beta: float, z: complex, w: complex, N: int):
@@ -166,7 +218,7 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     most 1 / (2 beta j^2) once 2 j beta >= |zeta|, so each half carries a tail
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
-    _check_inputs(N, z, w)
+    (N,) = _check_inputs((N,), z, w)
     _require_beta(beta)
     zeta = _zeta(beta, z, w)
 

@@ -41,6 +41,26 @@ def test_non_finite_input_rejected(bad):
         measures.gridded(0.0, 0.1, [1.0, bad, 1.0])
 
 
+@pytest.mark.parametrize("pairs", [[(1.0,)], [1.0, 2.0], [(1.0, 2.0, 3.0)],
+                                   [(1.0, 2.0), (3.0,)], [(1.0, 2.0), 3.0],
+                                   [("a", 1.0)], 4.0, ["12", "34"]],
+                         ids=["short-pair", "flat", "long-pair", "ragged", "not-a-pair",
+                              "not-a-number", "not-a-sequence", "strings"])
+def test_atomic_rejects_anything_but_pairs(pairs):
+    with pytest.raises(ParameterOutOfRange):
+        measures.atomic(pairs)
+
+
+def test_atomic_takes_pairs_in_any_sequence():
+    want = measures.atomic([(1.9, 0.4), (0.7, 1.0)])
+    for pairs in (iter([(1.9, 0.4), (0.7, 1.0)]), [[1.9, 0.4], np.array([0.7, 1.0])],
+                  np.array([[1.9, 0.4], [0.7, 1.0]])):
+        mu = measures.atomic(pairs)
+        assert mu.atom_locs.tolist() == want.atom_locs.tolist() == [0.7, 1.9]
+        assert mu.atom_weights.tolist() == want.atom_weights.tolist()
+    assert measures.atomic([]).atom_locs.size == 0
+
+
 def test_total_mass_and_integrate():
     mu = measures.atomic([(0.7, 1.0), (1.9, 0.4)])
     assert mu.total_mass() == pytest.approx(1.4)

@@ -213,14 +213,14 @@ def _tie_row(n: int) -> np.ndarray:
 
 @pytest.fixture
 def certificates(monkeypatch):
-    """The verdicts of every rounding certificate ``_fsum_rows`` checks, and
+    """The verdicts of every rounding certificate ``_fsum_prefixes`` checks, and
     the number of math.fsum calls."""
     seen = {"ok": [], "fsum": 0}
     certify, fsum = numerics._certify, math.fsum
 
     def spy_certify(*args):
         r, ok = certify(*args)
-        seen["ok"].append(ok.tolist())
+        seen["ok"].append(list(ok))
         return r, ok
 
     def spy_fsum(values):
@@ -287,6 +287,129 @@ def test_a_well_conditioned_complex_row_never_reaches_fsum(certificates):
     assert certificates["ok"] == [[True, True]]
     assert certificates["fsum"] == 0
     assert _same(got.real, want.real) and _same(got.imag, want.imag)
+
+
+# Prefix sums: comp_sum_real(row, ends) reads every sum of row[:L] off one
+# extraction of the whole row; each must be math.fsum(row[:L]) bit for bit,
+# or the exception of the first prefix (in the order of ends) that fsum
+# refuses.
+
+PREFIX_KINDS = ["random", "tie", "cancel", "zero-head", "tiny-set", "below-2**-800",
+                "near-2**990", "inf-nan"]
+
+
+def _prefix_row(kind: str, rng, n: int) -> np.ndarray:
+    row = rng.standard_normal(n) * 2.0 ** rng.integers(-30, 30, n)
+    if kind == "tie":
+        # a, half an ulp of a, then cancelling pairs (v, -v): every prefix
+        # that ends between pairs sums to an exact tie, or just off it; pairs
+        # far above a make the extraction of the whole row coarse for a
+        a = float(rng.standard_normal() * 2.0 ** rng.integers(-100, 100))
+        half = 0.5 * (math.nextafter(a, math.inf) - a)
+        row[:3] = a, half, rng.choice([0.0, 1.0, -1.0]) * half * 2.0 ** -40
+        pad = rng.standard_normal((n - 3) // 2) * (abs(a) + 1.0) \
+            * 2.0 ** rng.integers(0, 40)
+        row[3:3 + 2 * pad.size:2] = pad
+        row[4:4 + 2 * pad.size:2] = -pad
+    elif kind == "cancel":
+        # two ill-conditioned sums back to back: the prefix that ends
+        # between them cancels heavily too
+        cut = int(rng.integers(2, n))
+        cond = 10.0 ** rng.integers(0, 120)
+        row[:cut] = _gen_sum(rng, cut, cond)
+        if n - cut >= 2:
+            row[cut:] = _gen_sum(rng, n - cut, cond)
+    elif kind == "zero-head":
+        # an all-zero prefix, of both signs, of a nonzero row
+        head = int(rng.integers(1, n))
+        row[:head] = rng.choice([0.0, -0.0], head)
+    elif kind == "tiny-set":
+        row = rng.choice(TINY, n)
+    elif kind == "below-2**-800":
+        row = np.ldexp(rng.standard_normal(n), rng.integers(-1080, -790, n))
+    elif kind == "near-2**990":
+        row = np.ldexp(rng.standard_normal(n), rng.integers(960, 1023, n))
+    elif kind == "inf-nan":
+        specials = rng.choice(SPECIAL, int(rng.integers(1, 4)))
+        row[rng.choice(n, min(n, specials.size), replace=False)] = specials[:n]
+    return row
+
+
+def _assert_prefixes_match_fsum(row: np.ndarray, ends: list) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy RuntimeWarning escapes
+        got = _outcome(lambda r: numerics.comp_sum_real(r, ends), row)
+    want = [_fsum_outcome(row[:L]) for L in ends]
+    refused = [w for w in want if isinstance(w, type)]
+    if refused:
+        assert got is refused[0], (got, want)
+        return
+    assert got.shape == (len(ends),)
+    assert all(_same(g, w) for g, w in zip(got.tolist(), want)), (got, want)
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(PREFIX_KINDS), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(3, LONG - 1), st.integers(LONG, 4 * LONG)),
+       cuts=st.lists(st.integers(0, 4 * LONG), max_size=4))
+def test_prefix_sums_equal_fsum_of_each_prefix(kind, seed, n, cuts):
+    rng = np.random.default_rng(seed)
+    row = _prefix_row(kind, rng, n)
+    # the whole row, a prefix below the vector threshold, a few random ones,
+    # and the short prefixes where the tie row has its (near) ties
+    ends = [n, int(rng.integers(0, min(n, LONG - 1) + 1))]
+    ends += [min(c, n) for c in [2, 3, 5, 7] + cuts]
+    _assert_prefixes_match_fsum(row, ends)
+
+
+def test_prefix_sums_of_a_batch_and_of_complex_rows():
+    rng = np.random.default_rng(12)
+    n = 3 * LONG
+    rows = np.stack([_prefix_row(kind, rng, n) for kind in
+                     ("random", "tie", "cancel", "zero-head", "tiny-set")])
+    rows[4] = 0.0
+    ends = (n, 100, LONG, 3, 0, n - 1)
+    got = numerics.comp_sum_real(rows, ends)
+    assert got.shape == (len(ends), rows.shape[0])
+    for j, L in enumerate(ends):
+        for i, row in enumerate(rows):
+            assert _same(float(got[j, i]), math.fsum(row[:L].tolist()))
+    z = rows + 1j * rows[::-1]
+    got = numerics.comp_sum(z.reshape(5, 1, n), ends)
+    assert got.shape == (len(ends), 5, 1)
+    for j, L in enumerate(ends):
+        for i, row in enumerate(z):
+            assert _same(got[j, i, 0].real, math.fsum(row[:L].real.tolist()))
+            assert _same(got[j, i, 0].imag, math.fsum(row[:L].imag.tolist()))
+
+
+def test_the_one_end_case_is_the_plain_sum():
+    row = np.random.default_rng(13).standard_normal(2 * LONG)
+    assert _same(numerics.comp_sum_real(row, (row.size,))[0], numerics.comp_sum_real(row))
+    z = row + 1j * row[::-1]
+    assert numerics.comp_sum(z, [z.size])[0] == numerics.comp_sum(z)
+    assert numerics.comp_sum([], ()).shape == (0,)
+
+
+@pytest.mark.parametrize("ends", [(2 * LONG + 1,), (-1,), (2.0,), (math.nan,), ("3",)])
+def test_prefix_ends_outside_the_row_are_rejected(ends):
+    with pytest.raises(ParameterOutOfRange):
+        numerics.comp_sum_real(np.ones(2 * LONG), ends)
+
+
+def test_a_prefix_the_first_extraction_leaves_uncertified_takes_the_second(
+        certificates):
+    # the cancelling prefix is uncertified after the extraction of the whole
+    # row and certified after its own second extraction; the whole row is
+    # certified at once
+    row = np.concatenate([_cancelling_row(LONG, 3),
+                          np.random.default_rng(4).uniform(0.0, 1.0, 3 * LONG)])
+    want = [math.fsum(row[:LONG].tolist()), math.fsum(row.tolist())]
+    certificates["fsum"] = 0
+    got = numerics.comp_sum_real(row, (LONG, row.size))
+    assert certificates["ok"] == [[False], [True], [True]]
+    assert certificates["fsum"] == 0
+    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
 
 
 # --------------------------------------------------------------------------

@@ -150,3 +150,66 @@ def test_alternating_signs_equal_the_float_modulo_expression():
                           np.where(np.mod(n, 2) == 0, 1.0, -1.0))
     assert np.array_equal(periodize._alternating(n.size, -1),
                           np.where(np.mod(-n - 1.0, 2) == 0, 1.0, -1.0))
+
+
+def _bits(ev: periodize.SeriesEval) -> tuple:
+    value, closed = complex(ev.value), complex(ev.closed_form)
+    return (value.real.hex(), value.imag.hex(), closed.real.hex(), closed.imag.hex(),
+            float(ev.defect).hex(), ev.n_terms, float(ev.tail_bound).hex())
+
+
+@pytest.mark.parametrize("Ns", [(10_000, 100, 1000), (1, 2, 511, 512, 513, 3, 1),
+                                (600,), (100, 300)])
+def test_each_truncation_of_one_term_array_equals_the_single_truncation_call(Ns):
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        beta = float(rng.uniform(1.5, 3.0))
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
+        w = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
+        zeta = z - w.conjugate()
+        c = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        pairs = [(periodize.cosecant_series_at(c, Ns),
+                  [periodize.cosecant_series(c, N) for N in Ns]),
+                 (periodize.sinh_series_at(beta, zeta, Ns),
+                  [periodize.sinh_series(beta, zeta, N) for N in Ns]),
+                 (periodize.szego_series_at(beta, z, w, Ns),
+                  [periodize.szego_series(beta, z, w, N) for N in Ns]),
+                 (periodize.bergman_series_at(beta, z, w, Ns),
+                  [periodize.bergman_series(beta, z, w, N) for N in Ns])]
+        for many, single in pairs:
+            assert [_bits(ev) for ev in many] == [_bits(ev) for ev in single]
+
+
+# a truncation numpy would refuse at once (or sum wrongly): never one it
+# would try to allocate
+BAD_TERMS = [0, -3, 2.5, math.nan, math.inf, 10 ** 20, "5", None]
+
+
+@pytest.mark.parametrize("N", BAD_TERMS)
+def test_series_reject_a_truncation_that_is_not_a_positive_integer(N):
+    z, w, beta = 0.3 + 0.2j, -0.1 + 0.5j, 2.0
+    calls = [lambda: periodize.cosecant_series(z, N),
+             lambda: periodize.sinh_series(beta, z, N),
+             lambda: periodize.szego_series(beta, z, w, N),
+             lambda: periodize.bergman_series(beta, z, w, N),
+             lambda: periodize.szego_series_split(beta, z, w, N),
+             lambda: periodize.cosecant_series_at(z, (100, N)),
+             lambda: periodize.sinh_series_at(beta, z, (N, 100)),
+             lambda: periodize.szego_series_at(beta, z, w, [N]),
+             lambda: periodize.bergman_series_at(beta, z, w, (100, N, 10))]
+    for call in calls:
+        with pytest.raises(ParameterOutOfRange):
+            call()
+
+
+def test_a_fractional_truncation_no_longer_sums_its_ceiling():
+    # 2.5 used to sum 3 terms and report n_terms=2.5 with the bound for 2.5
+    with pytest.raises(ParameterOutOfRange):
+        periodize.sinh_series(2.0, 0.3 + 0.2j, 2.5)
+    assert periodize.sinh_series(2.0, 0.3 + 0.2j, np.int64(3)).n_terms == 3
+
+
+@pytest.mark.parametrize("Ns", [(), 100, None])
+def test_series_siblings_need_a_sequence_of_truncations(Ns):
+    with pytest.raises(ParameterOutOfRange):
+        periodize.sinh_series_at(2.0, 0.3 + 0.2j, Ns)

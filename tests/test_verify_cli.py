@@ -9,6 +9,7 @@ import pytest
 
 from rphardy import cli, kernels, measures, numerics, verify
 from rphardy.config import Defaults
+from rphardy.errors import ParameterOutOfRange
 
 DISC_SZEGO = 0.14892851817706987 + 0.01985713575694265j  # z=0.3+0.2i, w=0.1-0.4i
 PI_CSC_03PI = 3.8832220774509332                          # pi / sin(0.3 pi)
@@ -511,6 +512,45 @@ def test_cli_a_file_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "No such file" in err
+
+
+def test_cli_verify_opens_its_report_before_running_the_suite(tmp_path, capsys,
+                                                             monkeypatch):
+    def run_suite(*args, **kwargs):
+        raise AssertionError("the suite ran before the report path was opened")
+
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "all", "--report",
+                  str(tmp_path / "no-such-dir" / "r.json")])
+    assert exc.value.code == 2
+    assert "No such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--beta", "-1"], ["--beta", "nan"], []],
+                         ids=["negative-beta", "nan-beta", "suite-error"])
+def test_cli_verify_that_fails_leaves_an_existing_report_as_it_was(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    def run_suite(name, cfg, **kwargs):
+        cfg.validate()
+        raise ParameterOutOfRange("the suite failed")
+
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    path = tmp_path / "r.json"
+    path.write_text('{"suite": "earlier"}')
+    rc = cli.main(["verify", "--suite", "series", "--report", str(path)] + argv)
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+    assert path.read_text() == '{"suite": "earlier"}'
+
+
+def test_cli_verify_replaces_a_longer_existing_report(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("x" * 100_000)
+    rc = cli.main(["verify", "--suite", "appendix", "--report", str(path)])
+    assert rc == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["suite"] == "appendix"
 
 
 def test_cli_measure_kms_on_gamma_image(tmp_path, capsys):
