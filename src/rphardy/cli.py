@@ -179,6 +179,8 @@ def cmd_rp(args) -> int:
         elif args.gram == "rp":
             rep = rpfunc.rp_gram(args.group, args.lam, samples, beta=args.beta)
         else:
+            if not math.isfinite(args.lam):
+                raise ParameterOutOfRange("--lam must be finite, got %r" % (args.lam,))
             pairs = [(t, 1 if t >= 0 else -1) for t in samples]
             rep = rpfunc.param_rp_check(int(args.lam), pairs)
         _print_gram(rep, args.json)
@@ -186,7 +188,7 @@ def cmd_rp(args) -> int:
     if args.at is None:
         raise argparse.ArgumentTypeError("provide --at, --gram or --characterize")
     if args.group == "integers":
-        val = rpfunc.phi_int(args.lam, int(args.at))
+        val = rpfunc.phi_int(args.lam, args.at)
     elif args.group == "line":
         val = rpfunc.phi_line(args.lam, args.at)
     else:

@@ -286,11 +286,13 @@ _BLOCK_TERMS = 1 << 16
 def is_batch(*args) -> bool:
     """Whether any argument is an array (or sequence) with at least one axis.
 
-    A function that takes arrays picks its numpy body when this is true and
-    keeps a scalar math/cmath body for Python and numpy scalars and 0-d
-    arrays: one element through numpy costs about 20x more than the scalar
-    body, and QUADPACK integrands and the series checks make tens of
-    thousands of one-point calls.  Circle integrands take the array body:
+    :func:`~rphardy.kernels.szego`, the line forms of the boundary kernels
+    and the boundary embeddings keep a scalar math/cmath body beside their
+    numpy one and pick it when this is false (Python and numpy scalars and
+    0-d arrays): one element through numpy costs about 20x more, and
+    QUADPACK integrands make thousands of one-point calls.  Functions with
+    one numpy body, such as :func:`~rphardy.kernels.power_kernel`, run it on
+    0-d arrays.  Circle integrands take the array body:
     :func:`trapezoid_circle` calls them once on all of its nodes.
     """
     for a in args:      # a plain loop: any() over a generator costs 3x more

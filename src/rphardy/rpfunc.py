@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
 from .numerics import (GramReport, comp_sum_real, finite_array, finite_pairs,
-                       gram_report, is_batch)
+                       gram_report)
 
 GROUPS = ("integers", "line", "circle")
 
@@ -58,29 +58,40 @@ def _check_group(group: str) -> str:
 # --------------------------------------------------------------------------
 
 def _check_family(group: str, lam: float, beta: float = None) -> None:
-    """The parameter ranges of the three families (NaN is out of range)."""
+    """The parameter ranges of the three families: lam and beta finite (NaN
+    is out of range)."""
     if group == "integers":
         if not -1.0 <= lam <= 1.0:
             raise ParameterOutOfRange("integer family needs lam in [-1, 1]")
         return
-    if group == "circle" and not (beta is not None and beta > 0.0):
-        raise ParameterOutOfRange("circle needs beta > 0")
-    if not lam >= 0.0:
-        raise ParameterOutOfRange("%s family needs lam >= 0" % group)
+    if group == "circle" and not (beta is not None and 0.0 < beta < math.inf):
+        raise ParameterOutOfRange("circle needs a finite beta > 0")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterOutOfRange("%s family needs a finite lam >= 0" % group)
+
+
+def _group_element(g) -> np.ndarray:
+    """A group element (or an array of them) as floats, every one finite."""
+    g = np.asarray(g, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ParameterOutOfRange("group element must be finite, got %r"
+                                  % (float(g[~np.isfinite(g)][0]),))
+    return g
 
 
 def phi_int(lam: float, n):
     """lam^{|n|} on the integers; lam in [-1, 1].  ``n`` may be an array; a
     scalar ``n`` gives a float."""
     _check_family("integers", lam)
-    return _as_float(np.power(lam, np.abs(np.trunc(n))))
+    return _as_float(np.power(lam, np.abs(np.trunc(_group_element(n)))))
 
 
+@np.errstate(over="ignore")     # lam |t| = inf gives e^{-inf} = 0
 def phi_line(lam: float, t):
     """e^{-lam |t|} on the line; lam >= 0.  ``t`` may be an array; a scalar
     ``t`` gives a float."""
     _check_family("line", lam)
-    return _as_float(np.exp(-lam * np.abs(t)))
+    return _as_float(np.exp(-lam * np.abs(_group_element(t))))
 
 
 def _as_float(values):
@@ -88,24 +99,15 @@ def _as_float(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def reduce_mod(y: float, beta: float) -> float:
-    """Canonical representative of y in [0, beta)."""
-    r = math.fmod(y, beta)
-    return r + beta if r < 0.0 else r
-
-
+@np.errstate(over="ignore")     # y lam = inf gives e^{-inf} = 0
 def phi_circle(beta: float, lam: float, y):
     """The circle family at the class [y]; beta > 0, lam >= 0.  ``y`` may be
-    an array."""
+    an array; a scalar ``y`` gives a float."""
     _check_family("circle", lam, beta)
-    if is_batch(y):
-        r = np.fmod(y, beta)
-        y = np.where(r < 0.0, r + beta, r)
-        return ((np.exp(-y * lam) + np.exp(-(beta - y) * lam))
-                / (1.0 + math.exp(-beta * lam)))
-    y = reduce_mod(y, beta)
-    return ((math.exp(-y * lam) + math.exp(-(beta - y) * lam))
-            / (1.0 + math.exp(-beta * lam)))
+    r = np.fmod(_group_element(y), beta)
+    y = np.where(r < 0.0, r + beta, r)
+    return _as_float((np.exp(-y * lam) + np.exp(-(beta - y) * lam))
+                     / (1.0 + math.exp(-beta * lam)))
 
 
 def phi_circle_fourier(beta: float, lam: float, n: int) -> float:
@@ -180,13 +182,14 @@ def rp_gram(group: str, lam: float, samples, beta: float = None,
     return gram_report(_phi_of(group, beta, lam)(xs[:, None] + xs[None, :]), tolerance)
 
 
+@np.errstate(over="ignore")     # n |t_j - t_k| = inf gives e^{-inf} = 0
 def param_rp_check(n: int, samples, tolerance: float = 1e-10) -> GramReport:
     """Gram of the signed power family p_n(t, eps) = eps^n e^{-n |t|} on the
     group R x {+1, -1} with the flip involution: entries
 
         K_{jk} = p_n(g_j g_k^{-1}) = (eps_j eps_k)^n e^{-n |t_j - t_k|}.
     """
-    if n < 0 or int(n) != n:
+    if not 0 <= n < math.inf or int(n) != n:
         raise ParameterOutOfRange("power must be a nonnegative integer")
     t, eps = finite_pairs(samples, "samples").T
     if not np.all((eps == 1.0) | (eps == -1.0)):

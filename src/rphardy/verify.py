@@ -376,7 +376,7 @@ def check_circle_fourier(cfg: Defaults):
     beta, lam = 2.0, 0.7
     nodes = 8192
     ys = beta * np.arange(nodes) / nodes
-    vals = np.array([rpfunc.phi_circle(beta, lam, y) for y in ys])
+    vals = rpfunc.phi_circle(beta, lam, ys)
     for n in (0, 1, 5):
         approx = np.mean(vals * np.exp(-2j * math.pi * n * ys / beta))
         yield ("series.circle-family.coefficients",

@@ -1,11 +1,16 @@
 """Verify-suite plumbing and the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rphardy import cli, kernels, measures, numerics, verify
 from rphardy.config import Defaults
@@ -430,6 +435,92 @@ def test_cli_rp_malformed_samples_exit_3(capsys, samples):
                    "--samples=" + samples])
     assert rc == 3
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", ["disc", "half-plane", "strip"])
+@pytest.mark.parametrize("s", ["inf", "nan", "-inf", "0", "1e300"])
+def test_cli_kernel_power_with_a_bad_or_overflowing_s_exits_3(capsys, domain, s):
+    # |base| > 1 at z = w = 0.01i on all three domains, so s = 1e300 overflows
+    rc = cli.main(["kernel", "--domain", domain, "--kind", "power", "--s=" + s,
+                   "--z=0.01i", "--w=0.01i", "--beta=2"])
+    assert rc == 3
+    assert "power kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["integers", "line", "circle"])
+@pytest.mark.parametrize("argv", [["--at=nan"], ["--at=inf"], ["--at=-inf", "--json"],
+                                  ["--at=0.5", "--lam=nan"], ["--at=0.5", "--beta=inf"]])
+def test_cli_rp_at_a_value_that_is_not_finite_exits_3(capsys, group, argv):
+    lam = [] if "--lam=nan" in argv else ["--lam=0.7"]
+    rc = cli.main(["rp", "--group", group] + lam + argv)
+    if group != "circle" and "--beta=inf" in argv:     # beta is the circle's
+        assert rc == 0
+        return
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rp_integers_truncates_the_element(capsys):
+    assert cli.main(["rp", "--group", "integers", "--lam=0.5", "--at=-2.9"]) == 0
+    assert capsys.readouterr().out.strip() == "0.25"
+
+
+def test_cli_rp_param_gram_with_a_lam_that_is_not_finite_exits_3(capsys):
+    rc = cli.main(["rp", "--gram", "param", "--lam=nan", "--samples=0.1,0.5"])
+    assert rc == 3
+    assert "--lam" in capsys.readouterr().err
+
+
+def _run_quietly(argv):
+    """cli.main on argv with its output captured and every warning an error:
+    (exit status, stdout)."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:   # argparse errors
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+# finite, huge, tiny, NaN and infinite values for the numeric options
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, 0.7, 2.0, -1.5, 1e300, -1e300, 5e-324, 1.7e308,
+                     math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["szego", "poisson", "bergman", "power"]),
+       domain=st.sampled_from(["disc", "half-plane", "strip"]),
+       s=NUMBERS, beta=NUMBERS, x=NUMBERS,
+       z=st.sampled_from(["0.3+0.1i", "0.1+0.5i", "0", "0.4+1e-300i", "1e300+0.5i"]),
+       as_json=st.booleans())
+def test_cli_kernel_fuzz_exits_0_2_or_3(kind, domain, s, beta, x, z, as_json):
+    rc, out = _run_quietly(["kernel", "--domain", domain, "--kind", kind, "--s=%r" % s,
+                            "--beta=%r" % beta, "--x=%r" % x, "--z=" + z,
+                            "--w=0.1+0.5i"] + ["--json"] * as_json)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+@settings(max_examples=300)
+@given(group=st.sampled_from(["integers", "line", "circle"]),
+       lam=NUMBERS, beta=NUMBERS, at=NUMBERS,
+       mode=st.sampled_from(["at", "pd", "rp", "param"]), as_json=st.booleans())
+def test_cli_rp_fuzz_exits_0_2_or_3(group, lam, beta, at, mode, as_json):
+    argv = ["rp", "--group", group, "--lam=%r" % lam, "--beta=%r" % beta]
+    if mode == "at":
+        argv.append("--at=%r" % at)
+    else:
+        argv += ["--gram", mode, "--samples=0.1,0.2,%r" % at]
+    rc, out = _run_quietly(argv + ["--json"] * as_json)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
 def test_cli_rp_needs_a_mode():
