@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +135,18 @@ def szego(domain: Domain, z: complex, w: complex) -> complex:
         return 0.5j / (math.pi * den)
     if isinstance(domain, Strip):
         b = domain.beta
-        arg = math.pi * (z - w.conjugate()) / (2.0 * b)
+        d = z - w.conjugate()
+        arg = math.pi * d / (2.0 * b)
         if arg.real > _FAR:
             # 1/sinh(arg) = 2 e^{-arg} up to relative error e^{-2 Re arg}
             return 0.5j * cmath.exp(-arg) / b
         if arg.real < -_FAR:
             return -0.5j * cmath.exp(arg) / b
-        s = cmath.sinh(arg)
-        if abs(s) <= _POLE_TOL:
+        # the distance of d to the lattice, not |sinh(arg)|: on a wide strip
+        # sinh(arg) is tiny at points far from any pole
+        if math.hypot(d.real, d.imag - 2.0 * b * round(d.imag / (2.0 * b))) <= _POLE_TOL:
             raise PoleAtInput("szego pole: z - conj(w) on the lattice 2 i beta Z")
-        return 0.25j / (b * s)
+        return 0.25j / (b * cmath.sinh(arg))
     raise UnsupportedPair("no szego kernel for %r" % (domain,))
 
 
@@ -168,10 +171,10 @@ def _szego_array(domain: Domain, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         e = np.exp(arg[near])
         out[near] = _complex(0.5 * e.imag / b, -0.5 * e.real / b)
         mid = ~(far | near)
-        s = np.sinh(arg[mid])
-        _require_no_pole(np.abs(s) <= _POLE_TOL,
-                         "szego pole: z - conj(w) on the lattice 2 i beta Z")
-        out[mid] = _cdiv(0.25j, b * s)
+        d = (z - np.conj(w))[mid]
+        _require_no_pole(np.hypot(d.real, d.imag - 2.0 * b * np.round(d.imag / (2.0 * b)))
+                         <= _POLE_TOL, "szego pole: z - conj(w) on the lattice 2 i beta Z")
+        out[mid] = _cdiv(0.25j, b * np.sinh(arg[mid]))
         return out
     raise UnsupportedPair("no szego kernel for %r" % (domain,))
 
@@ -291,10 +294,10 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
             if au > _FAR_U:
                 # sinh(u)^2 + trig = e^{2|u|}/4 up to relative error e^{-2|u|}
                 return num * exp(-2.0 * au) / b
-            den = b4 * (sinh(u) ** 2 + trig)
-            if not den > 0.0:   # both terms underflow: beta near the double range
+            den = sinh(u) ** 2 + trig
+            if not den >= _TINY:    # subnormal or 0: beta near the double range
                 raise ParameterOutOfRange("strip Poisson kernel underflows, beta %r" % (b,))
-            return num / den
+            return num / (b4 * den)
 
         return strip
     raise UnsupportedPair("no poisson kernel for %r" % (domain,))
@@ -321,9 +324,11 @@ def _finite_parameter(x) -> np.ndarray:
 
 # Far branches of the line Poisson kernels: past |dx| = _FAR_DX the
 # half-plane denominator dx^2 would overflow, past |u| = _FAR_U the strip
-# sinh(u)^2 is e^{2|u|}/4 to double precision.
+# sinh(u)^2 is e^{2|u|}/4 to double precision.  A strip denominator
+# sinh(u)^2 + trig below _TINY is subnormal and has lost relative accuracy.
 _FAR_DX = 1e150
 _FAR_U = 300.0
+_TINY = sys.float_info.min
 
 
 def _disc_poisson(z: complex, component):

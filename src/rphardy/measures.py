@@ -34,8 +34,10 @@ monitor: if either 5% tail of the grid still contributes more than 1e-12 of
 the total absolute mass of the summand, :class:`DivergentTransform` is raised
 instead of returning a silently truncated value.
 
-Atoms are kept sorted by location and merged (locations closer than 1e-12
-become one atom).  That invariant is what pairing lam with -lam relies on:
+Atoms are kept sorted by location and merged by a chained rule: atoms whose
+gap to the next atom is at most 1e-12 form one atom, at the lowest location
+of the chain, so the atoms kept lie more than 1e-12 apart.  That invariant is
+what pairing lam with -lam relies on:
 the mirror of every node is found by binary search in one pass
 (:func:`_mirror_index`), which serves the reflection law, the symmetry test
 of :func:`geometric_splitting` and the modular conjugation J alike.
@@ -73,8 +75,10 @@ class MeasureOnR:
     """Finite positive measure: atoms plus an optional gridded density.
 
     ``atom_locs`` / ``atom_weights`` are parallel arrays (finite, sorted,
-    weights > 0, locations closer than 1e-12 merged).  The density part
-    (finite, nonnegative values) lives on the uniform grid
+    weights > 0).  Merging is chained: a run of atoms each within 1e-12 of
+    the next becomes one atom at the run's lowest location carrying the
+    run's total weight, so kept atoms lie more than 1e-12 apart.  The
+    density part (finite, nonnegative values) lives on the uniform grid
     ``grid_x0 + h * arange(len(values))`` and is integrated with trapezoid
     weights (half weight at both ends).
     """
@@ -111,18 +115,12 @@ class MeasureOnR:
                 raise ParameterOutOfRange("density must be nonnegative")
 
     def _merge_atoms(self):
-        if self.atom_locs.size == 0:
-            return
-        locs, weights = [], []
-        for loc, w in zip(self.atom_locs, self.atom_weights):
-            if locs and abs(loc - locs[-1]) <= _MERGE_TOL:
-                weights[-1] += w
-            else:
-                locs.append(float(loc))
-                weights.append(float(w))
-        keep = [j for j, w in enumerate(weights) if w > 0.0]
-        self.atom_locs = np.array([locs[j] for j in keep])
-        self.atom_weights = np.array([weights[j] for j in keep])
+        """The chained merge of the sorted atoms; atoms of weight 0 go."""
+        starts = np.flatnonzero(np.diff(self.atom_locs, prepend=-np.inf) > _MERGE_TOL)
+        weights = np.add.reduceat(self.atom_weights, starts)
+        keep = weights > 0.0
+        self.atom_locs = self.atom_locs[starts][keep]
+        self.atom_weights = weights[keep]
 
     # -- basic geometry ----------------------------------------------------
 
@@ -144,19 +142,11 @@ class MeasureOnR:
         return comp_sum_real(self.atom_weights) + comp_sum_real(self.grid_quad_weights())
 
     def support_bounds(self) -> tuple[float, float]:
-        los, his = [], []
-        if self.atom_locs.size:
-            los.append(float(self.atom_locs[0]))
-            his.append(float(self.atom_locs[-1]))
-        if self.density is not None:
-            nodes = self.grid_nodes()
-            live = np.nonzero(self.density > 0.0)[0]
-            if live.size:
-                los.append(float(nodes[live[0]]))
-                his.append(float(nodes[live[-1]]))
-        if not los:
+        live = self.grid_nodes()[self.density > 0.0] if self.density is not None else ()
+        points = np.concatenate([self.atom_locs, live])
+        if not points.size:
             return (0.0, 0.0)
-        return (min(los), max(his))
+        return (float(np.min(points)), float(np.max(points)))
 
     def require_support(self, lo: float, hi: float):
         a, b = self.support_bounds()
@@ -215,11 +205,10 @@ class MeasureOnR:
     # -- (de)serialization ---------------------------------------------------
 
     def to_json(self) -> str:
-        obj = {"atoms": [[float(l), float(w)] for l, w
-                         in zip(self.atom_locs, self.atom_weights)]}
+        obj = {"atoms": np.column_stack([self.atom_locs, self.atom_weights]).tolist()}
         if self.density is not None:
             obj["density"] = {"x0": self.grid_x0, "h": self.grid_h,
-                              "values": [float(v) for v in self.density]}
+                              "values": self.density.tolist()}
         return json.dumps(obj)
 
     @staticmethod
@@ -228,8 +217,7 @@ class MeasureOnR:
         raises :class:`ParameterOutOfRange`."""
         try:
             obj = json.loads(text)
-            atoms = np.array([(float(loc), float(w)) for loc, w in obj.get("atoms", [])],
-                             dtype=float).reshape(-1, 2)
+            atoms = finite_pairs(obj.get("atoms", []), "atoms")
             dens = obj.get("density")
             grid = () if dens is None else (float(dens["x0"]), float(dens["h"]),
                                             np.asarray(dens["values"], dtype=float))
@@ -273,16 +261,11 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     _require_beta(beta)
     mu.require_support(0.0, math.inf)
 
-    locs = list(mu.atom_locs)
-    weights = list(mu.atom_weights)
-    out_locs, out_weights = [], []
-    for loc, w in zip(locs, weights):
-        if abs(loc) <= _MERGE_TOL:
-            out_locs.append(0.0)
-            out_weights.append(2.0 * w)
-        else:
-            out_locs.extend([loc, -loc])
-            out_weights.extend([w, w * math.exp(-beta * loc)])
+    zero = np.abs(mu.atom_locs) <= _MERGE_TOL
+    locs, weights = mu.atom_locs[~zero], mu.atom_weights[~zero]
+    out_locs = np.concatenate([np.zeros(np.count_nonzero(zero)), locs, -locs])
+    out_weights = np.concatenate([2.0 * mu.atom_weights[zero], weights,
+                                  weights * np.exp(-beta * locs)])
 
     x0 = h = dens = None
     if mu.density is not None:
@@ -294,7 +277,7 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
         dens = np.concatenate([mirror[:-1], mu.density])
         h = mu.grid_h
         x0 = -float(nodes[-1])
-    return MeasureOnR(np.asarray(out_locs), np.asarray(out_weights), x0, h, dens)
+    return MeasureOnR(out_locs, out_weights, x0, h, dens)
 
 
 def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
@@ -302,18 +285,16 @@ def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     _require_beta(beta)
     mu.require_support(0.0, math.inf)
 
-    out_locs, out_weights = [], []
-    for loc, w in zip(mu.atom_locs, mu.atom_weights):
-        if abs(loc) <= _MERGE_TOL:
-            out_locs.append(0.0)
-            out_weights.append(w)       # (w + w) / (1 + 1)
-        else:
-            out_locs.extend([loc, -loc])
-            x = beta * loc
-            # past x ~ 700 e^{x} overflows; w e^{-x} / (1 + e^{-x}) does not
-            mirror = (w / (1.0 + math.exp(x)) if x <= 700.0
-                      else w * math.exp(-x) / (1.0 + math.exp(-x)))
-            out_weights.extend([w / (1.0 + math.exp(-x)), mirror])
+    zero = np.abs(mu.atom_locs) <= _MERGE_TOL
+    locs, w = mu.atom_locs[~zero], mu.atom_weights[~zero]
+    x = beta * locs
+    # past x ~ 700 e^{x} overflows; w e^{-x} / (1 + e^{-x}) does not
+    with np.errstate(over="ignore"):
+        mirror = np.where(x <= 700.0, w / (1.0 + np.exp(x)),
+                          w * np.exp(-x) / (1.0 + np.exp(-x)))
+    out_locs = np.concatenate([np.zeros(np.count_nonzero(zero)), locs, -locs])
+    # an atom at 0 keeps its weight: (w + w) / (1 + 1)
+    out_weights = np.concatenate([mu.atom_weights[zero], w / (1.0 + np.exp(-x)), mirror])
 
     x0 = h = dens = None
     if mu.density is not None:
@@ -326,7 +307,7 @@ def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
         dens = vals / (1.0 + np.exp(-beta * full))
         h = mu.grid_h
         x0 = -float(nodes[-1])
-    return MeasureOnR(np.asarray(out_locs), np.asarray(out_weights), x0, h, dens)
+    return MeasureOnR(out_locs, out_weights, x0, h, dens)
 
 
 def markov_weight(beta: float, lam):
@@ -394,8 +375,7 @@ def _atom_reflection_defect(mu: MeasureOnR, c: float, sources) -> float:
     if np.any(~found & ~sources):
         return math.inf
     mirror = np.where(found, np.take(weights, first, mode="clip"), 0.0)[sources]
-    target = np.array([w * math.exp(-c * loc)
-                       for loc, w in zip(locs[sources], weights[sources])])
+    target = weights[sources] * np.exp(-c * locs[sources])
     if np.any((target == 0.0) != (mirror == 0.0)):
         return math.inf
     live = target != 0.0
@@ -452,13 +432,12 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
     flat = zs.ravel()
     iz = 1j * flat
     total = np.zeros(iz.size, dtype=complex)
-    parts = []
-    if nu.atom_locs.size:
-        parts.append((nu.atom_locs, nu.atom_weights, False))
-    if nu.density is not None:
-        parts.append((nu.grid_nodes(), nu.grid_quad_weights(), monitor))
+    parts = ((nu.atom_locs, nu.atom_weights, False),
+             (nu.grid_nodes(), nu.grid_quad_weights(), monitor))
     with np.errstate(over="ignore", invalid="ignore"):
         for nodes, weights, watch in parts:
+            if not nodes.size:
+                continue
             for rows in row_blocks(iz.size, nodes.size):
                 summand = np.exp(iz[rows, None] * nodes) * weights
                 if watch:
@@ -685,28 +664,16 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
                 "splitting a gridded measure needs a grid without the node 0")
 
     nu = mu.map_density(f)
+    # only the alternating mode gets here with an atom at 0
+    half = 0.5 * nu.atom_weights[np.abs(nu.atom_locs) <= _MERGE_TOL][:1]
+    nodes, qw = nu.grid_nodes(), nu.grid_quad_weights()
 
-    plus_locs = nu.atom_locs > _MERGE_TOL
-    minus_locs = nu.atom_locs < -_MERGE_TOL
-    p_l, p_w = list(nu.atom_locs[plus_locs]), list(nu.atom_weights[plus_locs])
-    m_l, m_w = list(nu.atom_locs[minus_locs]), list(nu.atom_weights[minus_locs])
-    at_zero = nu.atom_weights[~plus_locs & ~minus_locs]
-    if at_zero.size and mode == "alternating":
-        half = 0.5 * at_zero[0]
-        p_l.append(0.0), p_w.append(half)
-        m_l.append(0.0), m_w.append(half)
+    def side(sign):
+        atoms, grid = sign * nu.atom_locs > _MERGE_TOL, sign * nodes > _MERGE_TOL
+        locs = np.concatenate([nu.atom_locs[atoms], np.zeros(half.size), nodes[grid]])
+        return MeasureOnR(locs, np.concatenate([nu.atom_weights[atoms], half, qw[grid]]))
 
-    if nu.density is not None:
-        nodes = nu.grid_nodes()
-        qw = nu.grid_quad_weights()
-        for positive, locs_out, w_out in ((True, p_l, p_w), (False, m_l, m_w)):
-            mask = nodes > _MERGE_TOL if positive else nodes < -_MERGE_TOL
-            locs_out.extend(nodes[mask])
-            w_out.extend(qw[mask])
-
-    nu_plus = MeasureOnR(np.asarray(p_l), np.asarray(p_w))
-    nu_minus = MeasureOnR(np.asarray(m_l), np.asarray(m_w))
-    return nu, nu_plus, nu_minus
+    return nu, side(1.0), side(-1.0)
 
 
 def _symmetry_defect(mu: MeasureOnR) -> float:

@@ -155,7 +155,8 @@ def pd_gram(group: str, lam: float, samples, beta: float = None,
     the circle); PSD verdict certifies positive definiteness on the group."""
     _check_group(group)
     xs = finite_array(samples, "samples").ravel()
-    return gram_report(_phi_of(group, beta, lam)(xs[:, None] - xs[None, :]), tolerance)
+    phi = _phi_of(group, beta, lam)
+    return gram_report(phi(_pairwise(np.subtract, xs, "difference")), tolerance)
 
 
 def rp_gram(group: str, lam: float, samples, beta: float = None,
@@ -179,7 +180,21 @@ def rp_gram(group: str, lam: float, samples, beta: float = None,
     outside = ~inside
     if np.any(outside):
         raise SampleOutsidePositiveCone("%s, got %r" % (cone, float(xs[outside][0])))
-    return gram_report(_phi_of(group, beta, lam)(xs[:, None] + xs[None, :]), tolerance)
+    return gram_report(_phi_of(group, beta, lam)(_pairwise(np.add, xs, "sum")), tolerance)
+
+
+def _pairwise(op, xs: np.ndarray, what: str) -> np.ndarray:
+    """The matrix op(x_j, x_k) of the samples, the pairwise ``what``; an
+    entry that overflows raises :class:`ParameterOutOfRange` naming it."""
+    with np.errstate(over="ignore"):
+        g = op(xs[:, None], xs[None, :])
+    bad = ~np.isfinite(g)
+    if np.any(bad):
+        j, k = np.argwhere(bad)[0]
+        raise ParameterOutOfRange(
+            "the pairwise %s of samples %r and %r overflows"
+            % (what, float(xs[j]), float(xs[k])))
+    return g
 
 
 @np.errstate(over="ignore")     # n |t_j - t_k| = inf gives e^{-inf} = 0

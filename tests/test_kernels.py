@@ -531,6 +531,36 @@ def test_strip_poisson_whose_denominator_underflows_raises(beta):
     assert kernels.poisson(strip, 0.3 + 0.1j, 0.7, "upper") == 0.0
 
 
+def test_wide_strip_szego_is_the_half_plane_limit_not_a_pole():
+    """On Strip(1e13) sinh(pi (z - conj w) / 2 beta) is about 1e-13 at these
+    points, far from any pole; the kernel is i / (2 pi (z - conj w))."""
+    z, w = 0.3 + 0.1j, 0.1 + 0.5j
+    want = 1j / (2.0 * math.pi * (z - w.conjugate()))
+    strip = Strip(1e13)
+    assert abs(kernels.szego(strip, z, w) - want) <= 1e-12 * abs(want)
+    got = kernels.szego(strip, np.array([z, z]), np.array([w, w]))
+    assert np.all(np.abs(got - want) <= 1e-12 * abs(want))
+
+
+def test_strip_szego_still_raises_on_the_lattice():
+    for strip in (Strip(1.0), Strip(1e13)):
+        with pytest.raises(PoleAtInput):
+            kernels.szego(strip, 0.3, 0.3)
+        with pytest.raises(PoleAtInput):
+            kernels.szego(strip, np.array([0.3, 0.5j]), np.array([0.3, 0.5j]))
+    with pytest.raises(PoleAtInput):      # z - conj(w) = 2 i beta
+        kernels.szego(Strip(1.0), 0.3 + 1j, 0.3 + 1j)
+
+
+def test_strip_poisson_with_a_subnormal_denominator_raises():
+    """Past beta ~ 1e154 sinh(u)^2 + sin^2(pi Im z / 2 beta) is subnormal
+    near x = Re z and has lost relative accuracy; at beta = 1e150 it has not."""
+    with pytest.raises(ParameterOutOfRange, match="underflows"):
+        kernels.poisson(Strip(1e160), 0.3 + 0.1j, 0.4)
+    want = 0.1 / (math.pi * ((0.3 - 0.4) ** 2 + 0.1 ** 2))
+    assert kernels.poisson(Strip(1e150), 0.3 + 0.1j, 0.4) == pytest.approx(want, rel=1e-12)
+
+
 def test_a_bound_form_checks_its_point_and_component_when_bound():
     with pytest.raises(ParameterOutOfRange):
         kernels.poisson_at(HALF_PLANE, np.array([1j, 2j]))

@@ -267,6 +267,17 @@ def test_grams_reject_non_finite_samples(build):
         build()
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda: rpfunc.pd_gram("line", 1.0, [1e308, -1e308]), "difference"),
+    (lambda: rpfunc.rp_gram("line", 1.0, [1e308, 1.5e308]), "sum"),
+], ids=["pd_gram", "rp_gram"])
+def test_grams_whose_pairwise_samples_overflow_raise_without_a_warning(build, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match="pairwise %s" % what):
+            build()
+
+
 def test_c_func_frozen_value_and_errors():
     got = rpfunc.c_func(1.0, 0.8, 0.4 + 0.3j)
     want = 0.88931287031504383 + 0.046755120342274631j

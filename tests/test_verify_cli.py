@@ -437,6 +437,15 @@ def test_cli_rp_malformed_samples_exit_3(capsys, samples):
     assert "--samples" in capsys.readouterr().err
 
 
+def test_cli_rp_gram_whose_sample_difference_overflows_exits_3(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["rp", "--group", "line", "--lam", "1", "--gram", "pd",
+                       "--samples", "1e308,-1e308"])
+    assert rc == 3
+    assert "overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("domain", ["disc", "half-plane", "strip"])
 @pytest.mark.parametrize("s", ["inf", "nan", "-inf", "0", "1e300"])
 def test_cli_kernel_power_with_a_bad_or_overflowing_s_exits_3(capsys, domain, s):
