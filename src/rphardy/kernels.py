@@ -23,10 +23,11 @@ principal power (i/(z - conj(w)))^s with no 2 pi factor, the strip version is
 the s-th power of the strip Szego kernel above, and the disc version is
 (1/2 pi) (1 - z conj(w))^{-s}.
 
-Boundary functions are represented as callables ``f(component, x)`` where
-``component`` names a boundary component of the domain ("circle", "line",
-"lower"/"upper") and ``x`` is the boundary parameter (angle on the circle,
-real coordinate on the lines).
+Boundary functions are sampled as ``f(component, x)`` where ``component``
+names a boundary component of the domain ("circle", "line", "lower"/"upper")
+and ``x`` is the boundary parameter (angle on the circle, real coordinate on
+the lines); a plain callable of that signature is accepted wherever a
+:class:`BoundaryFunction` is.
 
 Scalar and array bodies
 -----------------------
@@ -39,21 +40,22 @@ a scalar math/cmath body beside its numpy one (chosen by
 bits: complex products and quotients on arrays go through :func:`_cmul` and
 :func:`_cdiv`, which round as CPython does.
 
-The boundary kernels :func:`poisson` and :func:`h_boundary` write each
-formula once, in the form its quadrature calls.  On the circle that is the
-numpy body, since the trapezoid rule calls its integrand once on all of its
-nodes; a scalar disc :func:`poisson` runs the same body on its float.  On the
-lines it is the bound form, since QUADPACK calls its integrand one x at a
-time: :func:`poisson_at`, :func:`h_boundary_at` and
-:meth:`BoundaryFunction.on` check the fixed point and the component, resolve
-the embedding and the reflected component, and compute every factor that
-does not depend on x, once; each call then does only the per-x arithmetic (a
-strip Poisson node costs 0.17 us this way against 1.4 us through a scalar
-:func:`poisson` call; timeit, Python 3.11, 2-vCPU Xeon).  A scalar line call
-is its bound form, and an array x on a line runs the bound form on each
-element (:func:`_each`), so every value is the scalar value bit for bit.
-:func:`hua_ratio` stays a separate scalar computation, since the
-``kernels.hua.*`` checks compare it with :func:`poisson`.
+Every boundary object has one form per boundary component, the form its
+quadrature calls: :func:`poisson_at`, :func:`h_boundary_at` and
+:attr:`BoundaryFunction.on` return it.  On the circle that is a numpy body,
+since the trapezoid rule calls its integrand once on all of its nodes; it
+takes the node array and a float alike.  On a line it is a bound scalar
+function x -> value, since QUADPACK calls its integrand one x at a time: the
+fixed point and the component are checked, the embedding and the reflected
+component resolved, and every factor that does not depend on x computed,
+once; each call then does only the per-x arithmetic (a strip Poisson node
+costs 0.17 us this way against 1.4 us through a scalar :func:`poisson` call;
+timeit, Python 3.11, 2-vCPU Xeon).  :func:`poisson`, :func:`h_boundary` and
+``f(component, x)`` evaluate that form through :func:`_at_x`: directly on a
+scalar and on the circle, element by element on a line array, so every
+array value is the scalar value bit for bit.  :func:`hua_ratio` stays a
+separate scalar computation, since the ``kernels.hua.*`` checks compare it
+with :func:`poisson`.
 """
 
 from __future__ import annotations
@@ -230,32 +232,35 @@ def poisson(domain: Domain, z: complex, x: float, component: str = None) -> floa
       (Im = beta) component; the two components together have mass one.
 
     ``z`` is one interior point; an array ``x`` gives the array of the
-    scalar values, bit for bit.  A scalar call is ``poisson_at(domain, z,
-    component)(x)``.  A boundary parameter that is not finite raises
-    :class:`ParameterOutOfRange`.
+    scalar values, bit for bit.  The value is that of the form
+    ``poisson_at(domain, z, component)``.  A boundary parameter that is not
+    finite raises :class:`ParameterOutOfRange`.
     """
-    if not is_batch(z, x):
-        return poisson_at(domain, z, component)(x)
-    z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
-    if isinstance(domain, Disc):
-        return _disc_poisson(z, component)(_finite_parameter(x))
-    return _each(poisson_at(domain, z, component), x, float)
+    return _at_x(domain, poisson_at(domain, z, component), x, float)
 
 
 def poisson_at(domain: Domain, z: complex, component: str = None):
-    """P_z on one boundary component as a scalar function x -> float, equal
-    to :func:`poisson` bit for bit.  ``z`` and ``component`` are checked, and
-    every factor that depends only on them computed, once: this is the form
-    QUADPACK integrands call."""
+    """P_z on one boundary component, in the form its quadrature calls: on
+    the circle the numpy body, which takes an array of angles or a float;
+    on a line a scalar function x -> float.  ``z`` and ``component`` are
+    checked, and every factor that depends only on them computed, once."""
     z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
     isfinite, pi = math.isfinite, math.pi
     if isinstance(domain, Disc):
-        body = _disc_poisson(z, component)
+        # 1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the sum
+        # of squares keeps full relative accuracy as r -> 1 at th = x, where
+        # the expanded form cancels to nothing
+        if component not in (None, "circle"):
+            raise ParameterOutOfRange("disc boundary component is 'circle'")
+        r = abs(z)
+        d = 1.0 - r
+        num, dd, r4, th = d * (1.0 + r), d * d, 4.0 * r, cmath.phase(z)
+        two_pi = 2.0 * pi
 
         def disc(x):
-            if not isfinite(x):
-                raise ParameterOutOfRange(_NOT_FINITE % (x,))
-            return float(body(x))
+            half = np.sin(0.5 * (th - _finite_parameter(x)))
+            p = num / (two_pi * (dd + r4 * half * half))
+            return p if p.ndim else float(p)
 
         return disc
     if isinstance(domain, HalfPlane):
@@ -315,7 +320,8 @@ def _base_point(domain: Domain, z, message: str) -> complex:
 
 
 def _finite_parameter(x) -> np.ndarray:
-    """An array of boundary parameters as floats, every one finite."""
+    """Boundary parameters (a float or an array) as a float array, every
+    one finite."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ParameterOutOfRange(_NOT_FINITE % (float(x[~np.isfinite(x)][0]),))
@@ -331,33 +337,17 @@ _FAR_U = 300.0
 _TINY = sys.float_info.min
 
 
-def _disc_poisson(z: complex, component):
-    """P_z on the circle as a function of an angle or a float array of
-    angles: the one body of the disc kernel, which the trapezoid rule calls
-    on all of its nodes and a scalar call on its float.
-
-    1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the sum of
-    squares keeps full relative accuracy as r -> 1 at th = x, where the
-    expanded form cancels to nothing."""
-    if component not in (None, "circle"):
-        raise ParameterOutOfRange("disc boundary component is 'circle'")
-    r = abs(z)
-    d = 1.0 - r
-    num, dd, r4, th = d * (1.0 + r), d * d, 4.0 * r, cmath.phase(z)
-    two_pi = 2.0 * math.pi
-
-    def disc(x):
-        half = np.sin(0.5 * (th - x))
-        return num / (two_pi * (dd + r4 * half * half))
-
-    return disc
-
-
-def _each(at, x, dtype) -> np.ndarray:
-    """The bound scalar form ``at`` on every element of the array ``x``, in
-    the shape of ``x``: a line kernel takes an array one x at a time."""
+def _at_x(domain: Domain, form, x, dtype):
+    """The per-component ``form`` at x, as a ``dtype`` scalar or an array in
+    the shape of ``x``: called directly on a scalar and on the circle (its
+    form is a numpy body), element by element on a line array (its form is
+    a scalar function)."""
+    if not is_batch(x):
+        return dtype(form(x))
+    if isinstance(domain, Disc):
+        return np.asarray(form(x), dtype=dtype)
     x = np.asarray(x, dtype=float)
-    return np.array([at(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
+    return np.array([form(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
 
 
 def hua_ratio(domain: Domain, z: complex, x: float, component: str = None) -> float:
@@ -491,30 +481,29 @@ def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
 
     Unimodular whenever w lies on the fixed set of sigma.  ``w`` is one
     interior point; an array ``x`` gives the array of the scalar values, bit
-    for bit.  A scalar call is ``h_boundary_at(domain, w, component)(x)``.  A
-    boundary parameter that is not finite raises :class:`ParameterOutOfRange`.
+    for bit.  The value is that of the form ``h_boundary_at(domain, w,
+    component)``.  A boundary parameter that is not finite raises
+    :class:`ParameterOutOfRange`.
     """
-    if not is_batch(w, x):
-        return h_boundary_at(domain, w, component)(x)
-    w = _base_point(domain, w, "h_boundary takes one point w; x may be an array")
-    if not isinstance(domain, Disc):
-        return _each(h_boundary_at(domain, w, component), x, complex)
-    x = _finite_parameter(x)
-    zb = domain.boundary_embed(component, x)
-    rcomp, rx = boundary_reflect(domain, component, x)
-    zr = domain.boundary_embed(rcomp, rx)
-    return _cdiv(szego(domain, zb, w), szego(domain, zr, w))
+    return _at_x(domain, h_boundary_at(domain, w, component), x, complex)
 
 
 def h_boundary_at(domain: Domain, w: complex, component: str):
-    """h_w on one boundary component as a scalar function x -> complex, equal
-    to :func:`h_boundary` bit for bit.  ``w``, ``component``, the embedding
-    and the reflected component are checked and resolved once: this is the
-    form QUADPACK integrands call."""
+    """h_w on one boundary component, in the form its quadrature calls: on
+    the circle a numpy body, which takes an array of angles or a float; on a
+    line a scalar function x -> complex.  ``w``, ``component``, the
+    embedding and the reflected component are checked and resolved once."""
     w = _base_point(domain, w, "h_boundary takes one point w; x may be an array")
-    embed = domain.embedding(component)
-    rcomp, negate = _reflection(domain, component)
-    rembed = domain.embedding(rcomp)
+    rcomp, _ = _reflection(domain, component)
+    if isinstance(domain, Disc):
+        def disc(x):
+            x = _finite_parameter(x)
+            zb = domain.boundary_embed(component, x)
+            zr = domain.boundary_embed(rcomp, -x)
+            return _over(szego(domain, zb, w), szego(domain, zr, w))
+
+        return disc
+    embed, rembed = domain.embedding(component), domain.embedding(rcomp)
     isfinite = math.isfinite
     if isinstance(domain, Strip):
         # zb and zr share the same real part, so the ratio of the two sinh
@@ -535,12 +524,12 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
 
         return strip
 
-    def line_or_circle(x):
+    def half_plane(x):
         if not isfinite(x):
             raise ParameterOutOfRange(_NOT_FINITE % (x,))
-        return szego(domain, embed(x), w) / szego(domain, rembed(-x if negate else x), w)
+        return szego(domain, embed(x), w) / szego(domain, rembed(-x), w)
 
-    return line_or_circle
+    return half_plane
 
 
 def _times(a, b):
@@ -548,6 +537,13 @@ def _times(a, b):
     if is_batch(a, b):
         return _cmul(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     return a * b
+
+
+def _over(a, b):
+    """a / b, with array quotients rounded as CPython rounds complex ones."""
+    if is_batch(a, b):
+        return _cdiv(a, np.asarray(b, dtype=complex))
+    return a / b
 
 
 def _reflection(domain: Domain, component: str):
@@ -559,58 +555,43 @@ def _reflection(domain: Domain, component: str):
 
 @dataclass
 class BoundaryFunction:
-    """A function on the boundary of ``domain``, sampled as f(component, x).
+    """A function on the boundary of ``domain``, held as one form per
+    component and sampled as f(component, x).
 
-    ``func`` is called with a float x by line quadratures and with the array
-    of nodes by circle quadratures (:func:`boundary_inner` on the disc), so a
-    function on the disc boundary must accept an array of angles.  ``bind``,
-    when given, maps a component to the scalar function that :meth:`on`
-    returns; it must agree with ``func`` bit for bit.
+    ``on(component)`` returns the form the quadrature of that component
+    calls: on the circle a numpy body that takes the array of nodes (and a
+    float), on a line a scalar function x -> complex.  f(component, x) is
+    that form at x, element by element on a line array.
     """
 
     domain: Domain
-    func: object  # callable (component, x) -> complex
-    bind: object = None  # callable component -> (x -> complex), or None
+    on: object  # callable component -> form
 
     def __call__(self, component: str, x: float) -> complex:
-        if is_batch(x):
-            return np.asarray(self.func(component, x), dtype=complex)
-        return complex(self.func(component, x))
-
-    def on(self, component: str):
-        """f on one component as a scalar function x -> complex, equal to
-        ``f(component, x)`` bit for bit; the line quadratures integrate it."""
-        if self.bind is not None:
-            return self.bind(component)
-        func = self.func
-        return lambda x: complex(func(component, x))
+        return _at_x(self.domain, self.on(component), x, complex)
 
     def reflected(self) -> "BoundaryFunction":
         """f composed with the boundary reflection."""
-        dom = self.domain
+        dom, on = self.domain, self.on
 
-        def rf(component, x):
-            rcomp, rx = boundary_reflect(dom, component, x)
-            return self.func(rcomp, rx)
-
-        def bind(component):
+        def reflected_on(component):
             rcomp, negate = _reflection(dom, component)
-            g = self.on(rcomp)
+            g = on(rcomp)
             return (lambda x: g(-x)) if negate else g
 
-        return BoundaryFunction(dom, rf, bind)
+        return BoundaryFunction(dom, reflected_on)
 
 
 def boundary_restriction(domain: Domain, holo) -> BoundaryFunction:
     """Boundary values of a function given by a closed form on the closure."""
 
-    def bind(component):
+    def on(component):
+        if isinstance(domain, Disc):
+            return lambda t: holo(domain.boundary_embed(component, t))
         embed = domain.embedding(component)
         return lambda x: complex(holo(embed(x)))
 
-    return BoundaryFunction(
-        domain, lambda comp, x: holo(domain.boundary_embed(comp, x)), bind
-    )
+    return BoundaryFunction(domain, on)
 
 
 def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
@@ -620,20 +601,19 @@ def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
     construction) and fixes the boundary kernel Q_w*.
     """
     domain.require_interior(w)
+    f = _boundary_function(domain, f)
 
-    def tf(component, x):
-        rcomp, rx = boundary_reflect(domain, component, x)
-        return _times(h_boundary(domain, w, component, x), f(rcomp, rx))
-
-    def bind(component):
+    def on(component):
         h = h_boundary_at(domain, w, component)
         rcomp, negate = _reflection(domain, component)
         g = f.on(rcomp)
+        if isinstance(domain, Disc):
+            return lambda t: _times(h(t), g(-t))
         if negate:
             return lambda x: h(x) * g(-x)
         return lambda x: h(x) * g(x)
 
-    return BoundaryFunction(domain, tf, bind if isinstance(f, BoundaryFunction) else None)
+    return BoundaryFunction(domain, on)
 
 
 def boundary_inner(domain: Domain, f, g, *, nodes: int = 1024,
@@ -644,24 +624,24 @@ def boundary_inner(domain: Domain, f, g, *, nodes: int = 1024,
     f and g once on the array of nodes; line components use adaptive
     quadrature over R, one x at a time, and must decay.
     """
+    f, g = _boundary_function(domain, f), _boundary_function(domain, g)
     if isinstance(domain, Disc):
-        return numerics.trapezoid_circle(
-            lambda t: _times(np.conj(f("circle", t)), g("circle", t)), nodes
-        )
+        fc, gc = f.on("circle"), g.on("circle")
+        return numerics.trapezoid_circle(lambda t: _times(np.conj(fc(t)), gc(t)), nodes)
     total = 0.0 + 0.0j
     for comp in domain.boundary_components():
-        fc, gc = _on(domain, f, comp), _on(domain, g, comp)
+        fc, gc = f.on(comp), g.on(comp)
         val, _ = numerics.quad(lambda x: fc(x).conjugate() * gc(x),
                                -np.inf, np.inf, tol=tol)
         total += val
     return total
 
 
-def _on(domain: Domain, f, component: str):
-    """``BoundaryFunction.on`` of f, or of a plain callable f(component, x)."""
-    if not isinstance(f, BoundaryFunction):
-        f = BoundaryFunction(domain, f)
-    return f.on(component)
+def _boundary_function(domain: Domain, f) -> BoundaryFunction:
+    """f itself, or a plain callable f(component, x) as a BoundaryFunction."""
+    if isinstance(f, BoundaryFunction):
+        return f
+    return BoundaryFunction(domain, lambda component: lambda x: f(component, x))
 
 
 def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,

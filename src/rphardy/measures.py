@@ -48,6 +48,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,7 +266,7 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     locs, weights = mu.atom_locs[~zero], mu.atom_weights[~zero]
     out_locs = np.concatenate([np.zeros(np.count_nonzero(zero)), locs, -locs])
     out_weights = np.concatenate([2.0 * mu.atom_weights[zero], weights,
-                                  weights * np.exp(-beta * locs)])
+                                  _mirror_weight(weights, beta * locs)])
 
     x0 = h = dens = None
     if mu.density is not None:
@@ -291,7 +292,7 @@ def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     # past x ~ 700 e^{x} overflows; w e^{-x} / (1 + e^{-x}) does not
     with np.errstate(over="ignore"):
         mirror = np.where(x <= 700.0, w / (1.0 + np.exp(x)),
-                          w * np.exp(-x) / (1.0 + np.exp(-x)))
+                          _mirror_weight(w, x) / (1.0 + np.exp(-x)))
     out_locs = np.concatenate([np.zeros(np.count_nonzero(zero)), locs, -locs])
     # an atom at 0 keeps its weight: (w + w) / (1 + 1)
     out_weights = np.concatenate([mu.atom_weights[zero], w / (1.0 + np.exp(-x)), mirror])
@@ -308,6 +309,26 @@ def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
         h = mu.grid_h
         x0 = -float(nodes[-1])
     return MeasureOnR(out_locs, out_weights, x0, h, dens)
+
+
+def _mirror_weight(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w e^{-x}.  Past x = 708.4 e^{-x} is subnormal (0 past 745.2) and has
+    lost relative accuracy, so there it is formed as (w e^{-x/2}) e^{-x/2};
+    everywhere else the value is w * e^{-x} as rounded."""
+    e = np.exp(-x)
+    out = w * e
+    tiny = e < sys.float_info.min
+    half = np.exp(-0.5 * x[tiny])
+    out[tiny] = w[tiny] * half * half
+    return out
+
+
+def _weight_at_zero(m: MeasureOnR) -> np.ndarray:
+    """The total weight of the atoms of m within 1e-12 of 0 (there may be
+    two, on either side of 0), as the one-element array of the atom at 0
+    they stand for; empty when there are none."""
+    w = m.atom_weights[np.abs(m.atom_locs) <= _MERGE_TOL]
+    return w.sum(keepdims=True) if w.size else w
 
 
 def markov_weight(beta: float, lam):
@@ -333,7 +354,7 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     keep = nu.atom_locs > _MERGE_TOL
     locs = nu.atom_locs[keep]
     weights = nu.atom_weights[keep] * (1.0 + np.exp(-beta * locs))
-    w0 = nu.atom_weights[np.abs(nu.atom_locs) <= _MERGE_TOL][:1]
+    w0 = _weight_at_zero(nu)
     locs = np.concatenate([np.zeros(w0.size), locs])
     weights = np.concatenate([w0, weights])
 
@@ -665,7 +686,7 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
 
     nu = mu.map_density(f)
     # only the alternating mode gets here with an atom at 0
-    half = 0.5 * nu.atom_weights[np.abs(nu.atom_locs) <= _MERGE_TOL][:1]
+    half = 0.5 * _weight_at_zero(nu)
     nodes, qw = nu.grid_nodes(), nu.grid_quad_weights()
 
     def side(sign):

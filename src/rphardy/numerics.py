@@ -280,20 +280,25 @@ def comp_sum(values, ends=None):
 # --------------------------------------------------------------------------
 
 _SCALARS = (complex, float, int)       # numpy float64/complex128 subclass these
-_BLOCK_TERMS = 1 << 16
+# 2**13 complex terms are 128 KiB, glibc's default mmap threshold: blocks of
+# up to about 150 KiB are reused from the heap, while (4, 3201) and larger
+# complex blocks are mapped afresh and fault in on every call
+_BLOCK_TERMS = 1 << 13
 
 
 def is_batch(*args) -> bool:
     """Whether any argument is an array (or sequence) with at least one axis.
 
-    :func:`~rphardy.kernels.szego`, the line forms of the boundary kernels
-    and the boundary embeddings keep a scalar math/cmath body beside their
-    numpy one and pick it when this is false (Python and numpy scalars and
-    0-d arrays): one element through numpy costs about 20x more, and
-    QUADPACK integrands make thousands of one-point calls.  Functions with
-    one numpy body, such as :func:`~rphardy.kernels.power_kernel`, run it on
-    0-d arrays.  Circle integrands take the array body:
-    :func:`trapezoid_circle` calls them once on all of its nodes.
+    :func:`~rphardy.kernels.szego` and the boundary embeddings keep a
+    scalar math/cmath body beside their numpy one and pick it when this is
+    false (Python and numpy scalars and 0-d arrays): one element through
+    numpy costs about 20x more, and QUADPACK integrands make thousands of
+    one-point calls.  Functions with one numpy body, such as
+    :func:`~rphardy.kernels.power_kernel`, run it on 0-d arrays.  A boundary
+    kernel or boundary function has one form per component, so it asks
+    this only to tell a line array, which its scalar line form takes one
+    element at a time, from a scalar; on the circle its numpy body takes
+    both, and :func:`trapezoid_circle` calls it once on all of its nodes.
     """
     for a in args:      # a plain loop: any() over a generator costs 3x more
         if not isinstance(a, _SCALARS) and np.ndim(a):
@@ -339,9 +344,10 @@ def finite_pairs(values, what: str, dtype=float) -> np.ndarray:
 
 
 def row_blocks(m: int, n: int) -> list:
-    """Slices covering ``range(m)`` with at most about 2**16 / n rows each, so
-    an (m, n) batch of summands is built and summed one block at a time and
-    peak memory stays near that of a single block."""
+    """Slices covering ``range(m)`` with at most about 2**13 / n rows each
+    (one row at least), so an (m, n) batch of summands is built and summed
+    one block at a time and peak memory stays near that of a single
+    block."""
     step = max(1, _BLOCK_TERMS // max(n, 1))
     return [slice(i, i + step) for i in range(0, m, step)]
 
@@ -375,7 +381,7 @@ def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
     QUADPACK, only breakpoints strictly inside (a, b) are used.  Raises
     :class:`ParameterOutOfRange` for a NaN endpoint or a breakpoint that is
     not finite, and :class:`ToleranceNotReached` when the estimate misses
-    ``tol``.
+    ``tol`` or an infinite end fails :func:`_require_tail_decay`.
     """
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b):
@@ -384,7 +390,7 @@ def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
     if b < a:
         value, err = quad_real(f, b, a, tol=tol, points=points)
         return -value, err
-    pieces = [(a, b, None)]
+    pieces, pts = [(a, b, None)], np.empty(0)
     if points is not None:
         pts = finite_array(points, "quadrature breakpoints").ravel()
         pts = pts[(pts > a) & (pts < b)]
@@ -397,13 +403,38 @@ def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
         elif pts.size:
             pieces = [(a, b, pts)]
     value = err = 0.0
-    for lo, hi, pts in pieces:
+    for lo, hi, piece_pts in pieces:
         if lo < hi:
-            v, e = _quadpack(f, lo, hi, tol, epsrel=1e-12, limit=400, points=pts)
+            v, e = _quadpack(f, lo, hi, tol, epsrel=1e-12, limit=400, points=piece_pts)
             value += v
             err += e
     _tolerance_guard(value, err, tol)
+    if a < b:
+        finite = [v for v in (a, b) if math.isfinite(v)] + pts.tolist()
+        if math.isinf(a):
+            _require_tail_decay(f, min(finite, default=0.0), -1.0)
+        if math.isinf(b):
+            _require_tail_decay(f, max(finite, default=0.0), 1.0)
     return value, err
+
+
+# rungs of the tail ladder of _require_tail_decay, in units of max(1, |c|)
+_TAIL_LADDER = (2.0 ** 8, 2.0 ** 12, 2.0 ** 16, 2.0 ** 20)
+
+
+def _require_tail_decay(f, c: float, sign: float) -> None:
+    """Raise :class:`ToleranceNotReached` unless |f(x)| |x| falls along the
+    ladder x = c + sign max(1, |c|) 16^k, k = 2..5, past the outermost
+    finite point c of an infinite end: its last rung must be 0 or below half
+    the largest of the others.  A tail that decays no faster than 1/|x| has
+    no integral, and QUADPACK can still return a value for it (an odd 1/x
+    tail gives 0 with a zero error estimate)."""
+    s = max(1.0, abs(c))
+    v = [abs(f(x)) * abs(x) for x in (c + sign * s * r for r in _TAIL_LADDER)]
+    if not (v[-1] == 0.0 or v[-1] < 0.5 * max(v[:-1])):
+        raise ToleranceNotReached(
+            "integrand does not decay faster than 1/|x| toward %s: |f(x) x| = %r"
+            % ("+inf" if sign > 0 else "-inf", v))
 
 
 def quad(f, a, b, *, tol: float = 1e-10, points=None):

@@ -445,30 +445,85 @@ def test_boundary_function_on_is_the_function_bit_for_bit(domain, w):
     def plain(comp, x):
         return math.exp(-x * x) if comp != "upper" else complex(x, 1.0) / (1.0 + x * x)
 
+    def by_hand(comp):
+        if comp == "upper":
+            return lambda x: complex(x, 1.0) / (1.0 + x * x)
+        return (lambda t: np.exp(-t * t)) if domain is DISC else (lambda x: math.exp(-x * x))
+
+    hand = kernels.BoundaryFunction(domain, by_hand)
     theta = kernels.theta_apply(domain, w, f)
     for g in (f, f.reflected(), theta, theta.reflected(),
               kernels.theta_apply(domain, w, theta),
-              kernels.BoundaryFunction(domain, plain),
-              kernels.BoundaryFunction(domain, plain).reflected(),
+              hand, hand.reflected(), kernels.theta_apply(domain, w, hand),
               kernels.theta_apply(domain, w, plain)):
         for comp in domain.boundary_components():
             on = g.on(comp)
             for x in (-2.5, -0.0, 0.0, 0.3, 1.7, 40.0, 900.0):
-                assert _bits(on(x)) == _bits(g(comp, x))
+                got = g(comp, x)
+                assert type(got) is complex
+                assert _bits(on(x)) == _bits(got)
+
+
+@pytest.mark.parametrize("domain,w", [
+    (HALF_PLANE, -0.3 + 0.7j), (STRIP, 0.4 + 0.9j)], ids=["half_plane", "strip"])
+@pytest.mark.parametrize("shape", [(0,), (12, 20)], ids=str)
+def test_a_boundary_function_on_a_line_array_is_its_form_element_by_element(
+        domain, w, shape):
+    f = kernels.boundary_restriction(
+        domain, lambda z: kernels.szego(domain, z, w) * (1.0 + 0.3 * z))
+    xs = _line_points()[:int(np.prod(shape))].reshape(shape)
+    for g in (f, f.reflected(), kernels.theta_apply(domain, w, f),
+              kernels.theta_apply(domain, w, lambda comp, x: complex(x, 1.0) / (1.0 + x * x))):
+        for comp in domain.boundary_components():
+            on = g.on(comp)
+            got = g(comp, xs)
+            assert got.shape == shape and got.dtype == np.complex128
+            want = np.array([on(x) for x in xs.ravel().tolist()], dtype=complex)
+            assert np.array_equal(got.ravel().view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.25, -3.0, 9.0, np.float64(0.7), np.array(2.5)],
+                         ids=repr)
+def test_scalar_disc_poisson_and_h_boundary_are_python_scalars_equal_to_the_array_element(x):
+    z = (1.0 - 1e-9) * cmath.exp(0.7j)
+    xs = np.array([-1.0, float(x), 4.0])
+    p = kernels.poisson(DISC, z, x)
+    h = kernels.h_boundary(DISC, z, "circle", x)
+    assert type(p) is float and type(h) is complex
+    assert p.hex() == kernels.poisson(DISC, z, xs)[1].hex()
+    assert _bits(h) == _bits(kernels.h_boundary(DISC, z, "circle", xs)[1])
+    assert type(kernels.poisson_at(DISC, z)(x)) is float
+    assert type(kernels.h_boundary_at(DISC, z, "circle")(x)) is complex
 
 
 def test_line_boundary_inner_integrates_the_bound_forms():
     calls = []
 
-    class Spy(kernels.BoundaryFunction):
-        def on(self, component):
-            calls.append(component)
-            return super().on(component)
+    def on(component):
+        calls.append(component)
+        return lambda x: cmath.exp(-x * x + 0.5j * x)
 
-    f = Spy(STRIP, lambda comp, x: cmath.exp(-x * x + 0.5j * x))
+    f = kernels.BoundaryFunction(STRIP, on)
     val = kernels.boundary_inner(STRIP, f, f)
     assert calls == ["lower", "lower", "upper", "upper"]
     assert abs(val - 2.0 * math.sqrt(math.pi / 2.0)) < 1e-12
+
+
+def test_a_plain_callable_in_theta_apply_on_the_strip_is_one_form_per_component():
+    w = 0.3 + 0.5j * STRIP.beta      # on the fixed set, where theta_w is unitary
+    seen = set()
+
+    def plain(comp, x):
+        seen.add((comp, type(x)))
+        return cmath.exp(-x * x) * (1.0 if comp == "lower" else 0.5j)
+
+    tf = kernels.theta_apply(STRIP, w, plain)
+    forms = []
+    spy = kernels.BoundaryFunction(STRIP, lambda comp: forms.append(comp) or tf.on(comp))
+    val = kernels.boundary_inner(STRIP, spy, spy)
+    assert forms == ["lower", "lower", "upper", "upper"]
+    assert seen == {("lower", float), ("upper", float)}
+    assert abs(val - 1.25 * math.sqrt(math.pi / 2.0)) < 1e-12
 
 
 # lhs of flip_pairing_check on the half-plane (no verify id covers it), as

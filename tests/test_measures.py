@@ -188,10 +188,9 @@ ORACLE_X = np.concatenate([np.geomspace(1e-3, 750.0, 60),
 @pytest.mark.parametrize("beta", [0.5, 1.0, 4.0])
 def test_gamma_and_Gamma_atom_weights_against_a_40_digit_oracle(beta):
     """Every weight within 1e-15 relative of the 40-digit value (worst
-    measured: 2.1e-16), with one exception the double format imposes: past
-    beta lam = 708.4 the factor e^{-beta lam} of a mirror weight is
-    subnormal (0 past 745.2, where the mirror atom drops out), so there the
-    mirror weight is only as good as w times one subnormal unit."""
+    measured: 2.1e-16).  With w = 1e300 every mirror weight w e^{-beta lam}
+    is a normal double, also past beta lam = 708.4, where e^{-beta lam}
+    alone is subnormal, and past 745.2, where it is 0."""
     mpmath = pytest.importorskip("mpmath")
     w = 1e300
     locs = ORACLE_X / beta
@@ -203,14 +202,23 @@ def test_gamma_and_Gamma_atom_weights_against_a_40_digit_oracle(beta):
     with mpmath.workdps(40):
         for lam in locs.tolist():
             e = mpmath.exp(-mpmath.mpf(beta) * mpmath.mpf(lam))
-            for got, ref, mirror in ((g[lam], w, False), (G[lam], w / (1 + e), False),
-                                     (g.get(-lam, 0.0), w * e, True),
-                                     (G.get(-lam, 0.0), w * e / (1 + e), True)):
-                if mirror and e < sys.float_info.min:
-                    assert abs(got - ref) <= w * 2.0 ** -1074 + 2.0 ** -52 * ref
-                else:
-                    worst = max(worst, float(abs(got - ref) / ref))
+            for got, ref in ((g[lam], w), (G[lam], w / (1 + e)),
+                             (g[-lam], w * e), (G[-lam], w * e / (1 + e))):
+                assert ref >= sys.float_info.min
+                worst = max(worst, float(abs(got - ref) / ref))
     assert worst <= 1e-15
+
+
+def test_atoms_on_both_sides_of_zero_keep_their_mass():
+    """Two atoms within 1e-12 of 0 but more than 1e-12 apart stay two atoms;
+    the splitting and the inverse Gamma map both sum them into the atom at 0."""
+    mu = measures.MeasureOnR([-2.0, -0.9e-12, 0.9e-12, 2.0], [1.0, 1.0, 1.0, 1.0])
+    nu, plus, minus = measures.geometric_splitting(mu, 1.0, "alternating")
+    assert nu.atom_weights.sum() == 2.0
+    assert plus.atom_weights.sum() + minus.atom_weights.sum() == pytest.approx(2.0, rel=1e-15)
+    assert plus.atom_weights[0] == minus.atom_weights[-1] == pytest.approx(0.5, rel=1e-12)
+    inv = measures.Gamma_inverse(measures.MeasureOnR([-0.9e-12, 0.9e-12], [1.0, 1.0]), 1.0)
+    assert inv.atom_locs.tolist() == [0.0] and inv.atom_weights.tolist() == [2.0]
 
 
 def test_Gamma_map_keeps_an_atom_at_zero():

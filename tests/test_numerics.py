@@ -485,6 +485,28 @@ def test_quad_real_takes_breakpoints_on_infinite_intervals():
                 == numerics.quad_real(f, a, b))
 
 
+def test_quad_real_rejects_a_tail_that_decays_no_faster_than_one_over_x():
+    # QUADPACK alone returns 0 with a zero error estimate for this odd tail
+    with pytest.raises(ToleranceNotReached, match="decay"):
+        numerics.quad_real(lambda x: x / (1.0 + x * x), -np.inf, np.inf)
+    for a, b in ((1.0, np.inf), (-np.inf, -1.0)):
+        with pytest.raises(ToleranceNotReached):
+            numerics.quad_real(lambda x: 1.0 / (1.0 + abs(x)), a, b)
+    with pytest.raises(ToleranceNotReached, match="decay"):
+        kernels.flip_pairing_check(HALF_PLANE, 1.3j, lambda z: z)
+
+
+@pytest.mark.parametrize("f,a,points,want,tol", [
+    (lambda x: 1.0 / (1.0 + x * x), -np.inf, None, math.pi, 1e-10),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, [1e3], 0.5 * math.pi, 1e-10),
+    (lambda x: math.exp(-abs(x)), -np.inf, [0.0], 2.0, 1e-10),
+    (lambda x: math.cos(x) / (1.0 + x * x), -np.inf, None, math.pi / math.e, 1e-5)],
+    ids=["1/x^2", "1/x^2-half-line", "exp", "cos/x^2"])
+def test_quad_real_still_integrates_decaying_tails(f, a, points, want, tol):
+    val, err = numerics.quad_real(f, a, np.inf, tol=tol, points=points)
+    assert abs(val - want) <= 20.0 * tol
+
+
 def test_quad_real_lets_no_integration_warning_escape():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
