@@ -61,8 +61,8 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import (comp_sum, comp_sum_real, finite_array, finite_pairs, quad,
-                       row_blocks)
+from .numerics import (_require_positive, comp_sum, comp_sum_real, finite_array,
+                       finite_pairs, quad, row_blocks)
 
 _MERGE_TOL = 1e-12
 
@@ -115,10 +115,13 @@ class MeasureOnR:
             if np.any(self.density < 0.0):
                 raise ParameterOutOfRange("density must be nonnegative")
 
+    @np.errstate(over="ignore")     # an inf gap is as far as any
     def _merge_atoms(self):
         """The chained merge of the sorted atoms; atoms of weight 0 go."""
         starts = np.flatnonzero(np.diff(self.atom_locs, prepend=-np.inf) > _MERGE_TOL)
         weights = np.add.reduceat(self.atom_weights, starts)
+        if np.any(weights == math.inf):
+            raise ParameterOutOfRange("a merged atom weight overflows")
         keep = weights > 0.0
         self.atom_locs = self.atom_locs[starts][keep]
         self.atom_weights = weights[keep]
@@ -158,12 +161,8 @@ class MeasureOnR:
 
     def integrate(self, f) -> complex:
         """Integral of a numpy-vectorized function against the measure."""
-        total = 0.0 + 0.0j
-        if self.atom_locs.size:
-            total += comp_sum(np.asarray(f(self.atom_locs)) * self.atom_weights)
-        if self.density is not None:
-            total += comp_sum(np.asarray(f(self.grid_nodes())) * self.grid_quad_weights())
-        return total
+        parts = ((self.atom_locs, self.atom_weights), (self.grid_nodes(), self.grid_quad_weights()))
+        return sum((comp_sum(np.asarray(f(x)) * w) for x, w in parts if x.size), 0j)
 
     def map_density(self, factor) -> "MeasureOnR":
         """New measure with atoms and density multiplied pointwise by
@@ -240,17 +239,11 @@ def gridded(x0: float, h: float, values) -> MeasureOnR:
 
 
 # --------------------------------------------------------------------------
-# the maps gamma, Gamma, M_kappa
+# the maps gamma, Gamma, M_kappa; a weight or density value that overflows
+# in them is caught by MeasureOnR's finiteness check
 # --------------------------------------------------------------------------
 
-def _require_beta(beta: float) -> None:
-    """The guard every beta-taking function here and in :mod:`periodize`
-    shares: NaN and inf fail too, with a message about beta rather than
-    about what it feeds."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ParameterOutOfRange("need finite beta > 0, got %r" % (beta,))
-
-
+@np.errstate(over="ignore")
 def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """gamma(mu) = mu + e_beta mu^vee for mu supported on [0, inf).
 
@@ -259,7 +252,7 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     extends to m(-lam) e^{-beta lam} on the negative axis; at the lone shared
     node lam = 0 the two branches agree (value m(0)), so nothing doubles.
     """
-    _require_beta(beta)
+    _require_positive(beta)
     mu.require_support(0.0, math.inf)
 
     zero = np.abs(mu.atom_locs) <= _MERGE_TOL
@@ -267,48 +260,42 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     out_locs = np.concatenate([np.zeros(np.count_nonzero(zero)), locs, -locs])
     out_weights = np.concatenate([2.0 * mu.atom_weights[zero], weights,
                                   _mirror_weight(weights, beta * locs)])
-
-    x0 = h = dens = None
-    if mu.density is not None:
-        nodes = mu.grid_nodes()
-        if abs(nodes[0]) > _MERGE_TOL:
-            raise ParameterOutOfRange(
-                "density extension needs the grid to start at lam = 0")
-        mirror = (mu.density * np.exp(-beta * nodes))[::-1]
-        dens = np.concatenate([mirror[:-1], mu.density])
-        h = mu.grid_h
-        x0 = -float(nodes[-1])
-    return MeasureOnR(out_locs, out_weights, x0, h, dens)
+    return _extended(mu, out_locs, out_weights, lambda nodes: np.concatenate(
+        [(mu.density * np.exp(-beta * nodes))[::-1][:-1], mu.density]))
 
 
+@np.errstate(over="ignore")
 def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """Gamma(mu) = (mu + mu^vee) / (1 + e^{-beta lam}) for mu on [0, inf)."""
-    _require_beta(beta)
+    _require_positive(beta)
     mu.require_support(0.0, math.inf)
 
     zero = np.abs(mu.atom_locs) <= _MERGE_TOL
     locs, w = mu.atom_locs[~zero], mu.atom_weights[~zero]
     x = beta * locs
     # past x ~ 700 e^{x} overflows; w e^{-x} / (1 + e^{-x}) does not
-    with np.errstate(over="ignore"):
-        mirror = np.where(x <= 700.0, w / (1.0 + np.exp(x)),
-                          _mirror_weight(w, x) / (1.0 + np.exp(-x)))
+    mirror = np.where(x <= 700.0, w / (1.0 + np.exp(x)),
+                      _mirror_weight(w, x) / (1.0 + np.exp(-x)))
     out_locs = np.concatenate([np.zeros(np.count_nonzero(zero)), locs, -locs])
     # an atom at 0 keeps its weight: (w + w) / (1 + 1)
     out_weights = np.concatenate([mu.atom_weights[zero], w / (1.0 + np.exp(-x)), mirror])
 
-    x0 = h = dens = None
-    if mu.density is not None:
-        nodes = mu.grid_nodes()
-        if abs(nodes[0]) > _MERGE_TOL:
-            raise ParameterOutOfRange(
-                "density extension needs the grid to start at lam = 0")
+    def density(nodes):
         full = np.concatenate([nodes[::-1][:-1] * -1.0, nodes])
         vals = np.concatenate([mu.density[::-1][:-1], mu.density])
-        dens = vals / (1.0 + np.exp(-beta * full))
-        h = mu.grid_h
-        x0 = -float(nodes[-1])
-    return MeasureOnR(out_locs, out_weights, x0, h, dens)
+        return vals / (1.0 + np.exp(-beta * full))
+    return _extended(mu, out_locs, out_weights, density)
+
+
+def _extended(mu: MeasureOnR, locs, weights, density_of) -> MeasureOnR:
+    """The atoms (locs, weights) and, when mu has a density on a grid
+    0, h, ..., L, the density ``density_of(grid nodes)`` on -L, ..., L."""
+    if mu.density is None:
+        return MeasureOnR(locs, weights)
+    nodes = mu.grid_nodes()
+    if abs(nodes[0]) > _MERGE_TOL:
+        raise ParameterOutOfRange("density extension needs the grid to start at lam = 0")
+    return MeasureOnR(locs, weights, -float(nodes[-1]), mu.grid_h, density_of(nodes))
 
 
 def _mirror_weight(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -331,6 +318,7 @@ def _weight_at_zero(m: MeasureOnR) -> np.ndarray:
     return w.sum(keepdims=True) if w.size else w
 
 
+@np.errstate(over="ignore")     # e^{-beta lam} = inf gives kappa = 0
 def markov_weight(beta: float, lam):
     """kappa(lam) = 1 / (1 + e^{-beta lam}), the reweighting with
     gamma(M_kappa mu) = Gamma(mu)."""
@@ -338,10 +326,11 @@ def markov_weight(beta: float, lam):
 
 
 def M_kappa(mu: MeasureOnR, beta: float) -> MeasureOnR:
-    _require_beta(beta)
+    _require_positive(beta)
     return mu.map_density(lambda lam: markov_weight(beta, lam))
 
 
+@np.errstate(over="ignore")
 def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     """Recover mu on [0, inf) from nu = Gamma(mu).
 
@@ -350,7 +339,7 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     Densities use the factor (1 + e^{-beta lam}) at every node including 0,
     where its value 2 undoes the halving m(0) -> m(0)/2 that continuity
     forces on the Gamma density at the origin."""
-    _require_beta(beta)
+    _require_positive(beta)
     keep = nu.atom_locs > _MERGE_TOL
     locs = nu.atom_locs[keep]
     weights = nu.atom_weights[keep] * (1.0 + np.exp(-beta * locs))
@@ -358,15 +347,12 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     locs = np.concatenate([np.zeros(w0.size), locs])
     weights = np.concatenate([w0, weights])
 
-    x0 = h = dens = None
-    if nu.density is not None:
-        nodes = nu.grid_nodes()
-        mask = nodes >= -_MERGE_TOL
-        sub_nodes = nodes[mask]
-        dens = nu.density[mask] * (1.0 + np.exp(-beta * sub_nodes))
-        x0 = float(sub_nodes[0])
-        h = nu.grid_h
-    return MeasureOnR(locs, weights, x0, h, dens)
+    if nu.density is None:
+        return MeasureOnR(locs, weights)
+    nodes = nu.grid_nodes()
+    keep = nodes >= -_MERGE_TOL
+    dens = nu.density[keep] * (1.0 + np.exp(-beta * nodes[keep]))
+    return MeasureOnR(locs, weights, float(nodes[keep][0]), nu.grid_h, dens)
 
 
 # --------------------------------------------------------------------------
@@ -385,6 +371,16 @@ def _mirror_index(nodes: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
     return first, last - first
 
 
+def _reflected(weights: np.ndarray, c: float, locs: np.ndarray) -> np.ndarray:
+    """The reflection target weights e^{-c lam}; raises
+    :class:`ParameterOutOfRange` where it is not finite."""
+    target = weights * np.exp(-c * locs)
+    if not np.all(target < math.inf):
+        raise ParameterOutOfRange("the reflected weight e^{-c lam} w is not finite")
+    return target
+
+
+@np.errstate(over="ignore")     # a relative defect past 1e308 is inf
 def _atom_reflection_defect(mu: MeasureOnR, c: float, sources) -> float:
     """Largest relative defect of  mu({-lam}) = e^{-c lam} mu({lam})  over
     the atoms selected by the mask ``sources``; inf when an atom outside
@@ -396,7 +392,7 @@ def _atom_reflection_defect(mu: MeasureOnR, c: float, sources) -> float:
     if np.any(~found & ~sources):
         return math.inf
     mirror = np.where(found, np.take(weights, first, mode="clip"), 0.0)[sources]
-    target = weights[sources] * np.exp(-c * locs[sources])
+    target = _reflected(weights[sources], c, locs[sources])
     if np.any((target == 0.0) != (mirror == 0.0)):
         return math.inf
     live = target != 0.0
@@ -405,13 +401,14 @@ def _atom_reflection_defect(mu: MeasureOnR, c: float, sources) -> float:
     return float(np.max(np.abs(mirror[live] - target[live]) / np.abs(target[live])))
 
 
+@np.errstate(over="ignore")     # a relative defect past 1e308 is inf
 def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     """Largest relative defect in  d nu(-lam) = e^{-factor * beta * lam} d nu(lam).
 
     Returns inf when the support itself is asymmetric (for example a bare
-    delta_lam with no mirror atom).
+    delta_lam with no mirror atom), or the defect exceeds double precision.
     """
-    _require_beta(beta)
+    _require_positive(beta)
     c = factor * beta
     worst = _atom_reflection_defect(nu, c, nu.atom_locs >= -_MERGE_TOL)
 
@@ -424,15 +421,12 @@ def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
         lam = nodes[pos]
         right = vals[pos]
         left = vals[::-1][pos]          # value at -lam
-        target = right * np.exp(-c * lam)
-        both_zero = (target == 0.0) & (left == 0.0)
-        bad = (target == 0.0) & ~both_zero
-        if np.any(bad):
+        target = _reflected(right, c, lam)
+        if np.any((target == 0.0) & (left != 0.0)):
             return math.inf
-        live = ~both_zero
-        if np.any(live):
-            worst = max(worst, float(np.max(
-                np.abs(left[live] - target[live]) / np.abs(target[live]))))
+        live = target != 0.0            # a node where both vanish is exact
+        worst = max(worst, float(np.max(
+            np.abs(left[live] - target[live]) / np.abs(target[live]), initial=0.0)))
     return worst
 
 
@@ -447,14 +441,19 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
     precision (|e^{i z lam}| = e^{-Im z lam} past about 1e308).  A z that is
     not finite raises :class:`ParameterOutOfRange`.
     """
+    return _exp_sum(((nu.atom_locs, nu.atom_weights, False),
+                     (nu.grid_nodes(), nu.grid_quad_weights(), monitor)), z)
+
+
+def _exp_sum(parts, z):
+    """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch) ``parts``: the
+    one body, and contract, of :func:`fourier` and :func:`modular.modular_coefficient`."""
     zs = np.asarray(z, dtype=complex)
     if not np.isfinite(zs).all():
         raise ParameterOutOfRange("the transform needs finite z")
     flat = zs.ravel()
     iz = 1j * flat
     total = np.zeros(iz.size, dtype=complex)
-    parts = ((nu.atom_locs, nu.atom_weights, False),
-             (nu.grid_nodes(), nu.grid_quad_weights(), monitor))
     with np.errstate(over="ignore", invalid="ignore"):
         for nodes, weights, watch in parts:
             if not nodes.size:
@@ -475,7 +474,7 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
 
 
 def _require_decay(summand: np.ndarray, zs: np.ndarray) -> None:
-    """The divergence monitor of :func:`fourier`, one row of ``summand`` per z."""
+    """The divergence monitor of :func:`_exp_sum`, one row of ``summand`` per z."""
     mags = np.abs(summand)
     s = np.sum(mags, axis=1)
     k = max(1, int(math.ceil(0.05 * mags.shape[1])))
@@ -493,17 +492,22 @@ def laplace(nu: MeasureOnR, y: float) -> float:
     return fourier(nu, 1j * y).real
 
 
+@np.errstate(over="ignore")
 def _worst_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """max |lhs - rhs|: NaN if any difference is NaN, 0.0 when empty.  The
-    modulus is np.hypot, which is libm's hypot as in Python's abs(complex);
-    np.abs on complex arrays may differ from it in the last bit."""
+    """max |lhs - rhs|: NaN if any difference is NaN, 0.0 when empty; one
+    that overflows raises :class:`DivergentTransform`.  The modulus is
+    np.hypot, which is libm's hypot as in Python's abs(complex); np.abs on
+    complex arrays may differ from it in the last bit."""
     d = lhs - rhs
-    return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
+    gap = float(np.max(np.hypot(d.real, d.imag), initial=0.0))
+    if gap == math.inf:
+        raise DivergentTransform("the transforms differ by more than 1e308")
+    return gap
 
 
 def kms_check(nu: MeasureOnR, beta: float, t_grid=None) -> float:
     """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over the t grid."""
-    _require_beta(beta)
+    _require_positive(beta)
     if t_grid is None:
         t_grid = np.linspace(-4.0, 4.0, 33)
     t = finite_array(t_grid, "the t grid").ravel()
@@ -530,7 +534,7 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
     """Invariance of K(z, w) = nu_hat(z - conj w) under the strip flip
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
-    _require_beta(beta)
+    _require_positive(beta)
     zw = finite_pairs(pairs, "pair points", complex)
     zeta = zw[:, 0] - np.conj(zw[:, 1])
     return _worst_gap(fourier(nu, 2j * beta - zeta), fourier(nu, zeta))
@@ -544,7 +548,7 @@ def szego_strip_measure(beta: float, halfwidth: float = None,
                         step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/2 pi) / (1 + e^{-2 beta lam}) of the strip Szego
     kernel, sampled on a symmetric grid."""
-    _require_beta(beta)
+    _require_positive(beta)
     if halfwidth is None:
         halfwidth = 64.0 / beta
     n = int(round(halfwidth / step))
@@ -557,7 +561,7 @@ def bergman_strip_measure(beta: float, halfwidth: float = None,
                           step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/4 pi^2) lam / (1 - e^{-2 beta lam}) of the squared
     kernel; the lam = 0 node takes the continuous value 1 / (8 pi^2 beta)."""
-    _require_beta(beta)
+    _require_positive(beta)
     if halfwidth is None:
         halfwidth = 64.0 / beta
     n = int(round(halfwidth / step))
@@ -577,6 +581,7 @@ def bergman_strip_measure(beta: float, halfwidth: float = None,
 def riesz_hat(s: float, z: complex) -> complex:
     """mu_s_hat(z) = (i / z)^s for Im z > 0 (principal power; the base lies
     in the right half-plane there)."""
+    _require_positive(s, "s")
     z = complex(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("closed form needs Im z > 0")
@@ -588,8 +593,7 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     (0, inf), avoiding the O(step^s) first-cell error a uniform grid makes
     for s < 1.  The endpoint singularity is flattened by p = q^m on (0, 1]
     and the tail truncated where e^{-Im z * p} is below roundoff."""
-    if s <= 0.0:
-        raise ParameterOutOfRange("need s > 0")
+    _require_positive(s, "s")
     z = complex(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("transform needs Im z > 0")
@@ -625,9 +629,8 @@ def riesz_kappa_check(s: float, beta: float, t: float,
     measure-theoretic object, which is why the comparison is made at matched
     symmetric truncation rather than through the monitored transforms.)
     """
-    if s <= 0.0:
-        raise ParameterOutOfRange("need s > 0")
-    _require_beta(beta)
+    _require_positive(s, "s")
+    _require_positive(beta)
     from scipy.special import gamma as gamma_function
 
     n = int(round(lam_max / step))
@@ -663,7 +666,7 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
     quadrature level (a standalone half-grid would halve the weight of the
     innermost node and break nu = nu_plus + nu_minus).
     """
-    _require_beta(beta)
+    _require_positive(beta)
     if mode not in ("alternating", "plain"):
         raise ParameterOutOfRange("mode must be 'alternating' or 'plain'")
 

@@ -20,7 +20,9 @@ coefficient function
 
 is positive definite and satisfies the KMS boundary relation
 psi(i beta + t) = conj(psi(t)), inherited from the reflection law of the
-spectral measure |v|^2 d nu.
+spectral measure |v|^2 d nu.  psi is the Fourier transform of that measure,
+and :func:`modular_coefficient` sums it with the body of
+:func:`rphardy.measures.fourier`; this module has no exponential sum of its own.
 
 :func:`psi_hardy_midline` cross-checks the two integral representations of
 the coefficient function of the canonical midline vector over the Szego
@@ -31,13 +33,9 @@ spectral density,
 
 equal exactly (substitute lam -> lam / 2 in the second integral).
 
-:func:`commutation_check` realizes the Weyl pair on a periodic grid:
-U_t = multiplication by e^{i t x} and V_s = translation by s (arguments
-wrapped into the period), so U_t V_s = e^{i t s} V_s U_t holds exactly at
-every node whose translate stays inside the fundamental window, while a
-wrapped node picks up the phase defect |e^{i t L m} - 1| (m the wrap count);
-the check reports both and the defect vanishes when t L is a multiple of
-2 pi.
+:func:`commutation_check` realizes the Weyl pair on a periodic grid, where
+U_t V_s = e^{i t s} V_s U_t holds exactly at the nodes whose translate does
+not wrap, and a wrapped node picks up at most the phase defect |e^{i t L} - 1|.
 """
 
 from __future__ import annotations
@@ -48,8 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
-from .measures import MeasureOnR, _mirror_index, reflection_check
-from .numerics import IdentityCheck, comp_sum, oscillatory_ft, row_blocks
+from .measures import MeasureOnR, _exp_sum, _mirror_index, reflection_check
+from .numerics import IdentityCheck, _require_positive, comp_sum, oscillatory_ft
+
+_REFLECTION_TOL = 1e-10     # the reflection defect build_modular accepts
+_MAX_EXPONENT = 470.0       # keeps e^{3 beta |lam| / 2}, met inside J Delta J, finite
 
 
 # --------------------------------------------------------------------------
@@ -67,17 +68,10 @@ class DiscretizedSpace:
 
     @staticmethod
     def from_measure(nu: MeasureOnR) -> "DiscretizedSpace":
-        nodes_list, weights_list = [], []
-        if nu.atom_locs.size:
-            nodes_list.append(nu.atom_locs)
-            weights_list.append(nu.atom_weights)
-        if nu.density is not None:
-            nodes_list.append(nu.grid_nodes())
-            weights_list.append(nu.grid_quad_weights())
-        if not nodes_list:
+        nodes = np.concatenate([nu.atom_locs, nu.grid_nodes()])
+        weights = np.concatenate([nu.atom_weights, nu.grid_quad_weights()])
+        if not nodes.size:
             raise ParameterOutOfRange("discretization needs atoms or a density")
-        nodes = np.concatenate(nodes_list)
-        weights = np.concatenate(weights_list)
         order = np.argsort(nodes, kind="stable")
         nodes, weights = nodes[order], weights[order]
         if np.any(weights <= 0.0):
@@ -130,57 +124,55 @@ class ModularData:
             * np.conjugate(v[self.space.mirror])
 
 
-def build_modular(nu: MeasureOnR, beta: float,
-                  reflection_tol: float = 1e-10) -> ModularData:
+def build_modular(nu: MeasureOnR, beta: float) -> ModularData:
     """Discretize nu and attach (Delta, J); nu must satisfy the
-    beta-reflection law to within ``reflection_tol`` or
-    :class:`ReflectionViolation` is raised."""
+    beta-reflection law to within 1e-10 or :class:`ReflectionViolation` is
+    raised, and beta |lam| stay below 470 on its support, so that every
+    product of Delta, Delta^{-1} and J is finite, or
+    :class:`ParameterOutOfRange` is."""
     defect = reflection_check(nu, beta)
-    if not defect <= reflection_tol:
+    if not defect <= _REFLECTION_TOL:
         raise ReflectionViolation(
             "measure violates the beta-reflection law (defect %.3g)" % defect)
-    return ModularData(DiscretizedSpace.from_measure(nu), beta)
+    space = DiscretizedSpace.from_measure(nu)
+    if np.max(np.abs(space.nodes)) > _MAX_EXPONENT / beta:
+        raise ParameterOutOfRange("beta |lam| exceeds %g on the support" % _MAX_EXPONENT)
+    return ModularData(space, beta)
 
 
 # --------------------------------------------------------------------------
 # algebraic checks
 # --------------------------------------------------------------------------
 
-def j_involution_defect(md: ModularData, rng, n_vectors: int = 5) -> float:
-    """max relative defect of J^2 = 1 on random vectors."""
-    worst = 0.0
-    for _ in range(n_vectors):
-        v = md.space.random_vector(rng)
-        jjv = md.j_apply(md.j_apply(v))
-        worst = max(worst, float(np.max(np.abs(jjv - v)))
-                    / float(np.max(np.abs(v))))
-    return worst
+def _worst(md: ModularData, rng, n: int, defect) -> float:
+    """The largest ``defect(v)`` over n random vectors v."""
+    return max(defect(md.space.random_vector(rng)) for _ in range(n))
 
 
-def jdj_defect(md: ModularData, rng, n_vectors: int = 5) -> float:
-    """max relative defect of J Delta J = Delta^{-1} on random vectors,
+def j_involution_defect(md: ModularData, rng) -> float:
+    """max relative defect of J^2 = 1 on 5 random vectors."""
+    return _worst(md, rng, 5, lambda v: float(np.max(np.abs(md.j_apply(md.j_apply(v)) - v)))
+                  / float(np.max(np.abs(v))))
+
+
+def jdj_defect(md: ModularData, rng) -> float:
+    """max relative defect of J Delta J = Delta^{-1} on 5 random vectors,
     measured entrywise against the entries of Delta^{-1} v."""
-    worst = 0.0
-    for _ in range(n_vectors):
-        v = md.space.random_vector(rng)
-        lhs = md.j_apply(md.delta_apply(md.j_apply(v)))
+    def defect(v):
         rhs = md.delta_inverse_apply(v)
-        scale = np.abs(rhs)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-    return worst
+        return float(np.max(np.abs(md.j_apply(md.delta_apply(md.j_apply(v))) - rhs)
+                            / np.abs(rhs)))
+    return _worst(md, rng, 5, defect)
 
 
-def flow_unitarity_defect(md: ModularData, rng, t_values=(0.7, -2.3, 11.0),
-                          n_vectors: int = 3) -> float:
-    """max relative defect of ||Delta^{-it/beta} v|| = ||v||."""
-    worst = 0.0
-    for _ in range(n_vectors):
-        v = md.space.random_vector(rng)
+def flow_unitarity_defect(md: ModularData, rng) -> float:
+    """max relative defect of ||Delta^{-it/beta} v|| = ||v|| on 3 random
+    vectors, each at the times 0.7, -2.3 and 11."""
+    def defect(v):
         n0 = md.space.norm(v)
-        for t in t_values:
-            n1 = md.space.norm(md.delta_power_apply(t, v))
-            worst = max(worst, abs(n1 - n0) / n0)
-    return worst
+        return max(abs(md.space.norm(md.delta_power_apply(t, v)) - n0) / n0
+                   for t in (0.7, -2.3, 11.0))
+    return _worst(md, rng, 3, defect)
 
 
 def standard_membership(space: DiscretizedSpace, v) -> float:
@@ -190,27 +182,18 @@ def standard_membership(space: DiscretizedSpace, v) -> float:
 
 
 def modular_coefficient(md: ModularData, v, t):
-    """psi(t) = <v, Delta^{-it/beta} v>, evaluated for complex t as the
-    transform sum |v_j|^2 e^{i t lam_j} w_j (t = i beta gives the KMS dual).
-
-    ``t`` may be an array; the result then has its shape, and each value is
-    the one a scalar call gives.
-    """
-    ts = np.asarray(t, dtype=complex)
-    it = 1j * ts.ravel()
-    amp = np.abs(np.asarray(v)) ** 2
-    nodes = md.space.nodes
-    out = np.empty(it.size, dtype=complex)
-    for rows in row_blocks(it.size, nodes.size):
-        out[rows] = comp_sum(amp * np.exp(it[rows, None] * nodes) * md.space.weights)
-    return complex(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+    """psi(t) = <v, Delta^{-it/beta} v> = sum_j e^{i t lam_j} (|v_j|^2 w_j) for
+    complex t (t = i beta gives the KMS dual), by the body and with the
+    contract of :func:`rphardy.measures.fourier`.  ``t`` may be an array; the
+    result then has its shape, and each value is the one a scalar call gives."""
+    space = md.space
+    return _exp_sum(((space.nodes, np.abs(np.asarray(v)) ** 2 * space.weights, False),), t)
 
 
 def coefficient_measure(md: ModularData, v) -> MeasureOnR:
     """The spectral measure |v|^2 d nu of psi, as an atomic measure; for
     v in the standard subspace it inherits the beta-reflection law."""
-    v = np.asarray(v)
-    return MeasureOnR(md.space.nodes.copy(), np.abs(v) ** 2 * md.space.weights)
+    return MeasureOnR(md.space.nodes.copy(), np.abs(np.asarray(v)) ** 2 * md.space.weights)
 
 
 # --------------------------------------------------------------------------
@@ -220,8 +203,7 @@ def coefficient_measure(md: ModularData, v) -> MeasureOnR:
 def psi_hardy_midline(beta: float, t: float, tol: float = 1e-10) -> IdentityCheck:
     """Two integral forms of the midline coefficient function (equal exactly
     by the substitution lam -> lam / 2 in the second)."""
-    if beta <= 0.0:
-        raise ParameterOutOfRange("need beta > 0")
+    _require_positive(beta)
 
     # e^{-x} (1 + e^{-2x})^{-2} = e^{x} / (2 cosh x)^2; evaluating through
     # log(2 cosh x) = |x| + log1p(e^{-2|x|}) keeps both tails finite.
@@ -252,18 +234,19 @@ class CommutationReport:
     n_wrapped: int
 
 
-def commutation_check(beta_length: float, n_nodes: int, s: float, t: float,
-                      test_width: float = None) -> CommutationReport:
+def commutation_check(beta_length: float, n_nodes: int, s: float,
+                      t: float) -> CommutationReport:
     """Realize U_t (multiplication by e^{itx}) and V_s (translation by s,
     arguments wrapped into [-L/2, L/2)) on the grid of n_nodes points over a
-    period L = beta_length, applied to a periodized Gaussian test function;
-    reports the node-wise defect of V_s U_t = e^{its} U_t V_s."""
+    period L = beta_length, applied to a periodized Gaussian test function of
+    width L / 6; reports the node-wise defect of V_s U_t = e^{its} U_t V_s."""
     L = float(beta_length)
-    if L <= 0.0 or n_nodes < 2:
-        raise ParameterOutOfRange("need a positive period and >= 2 nodes")
+    _require_positive(L, "period")
+    if n_nodes < 2:
+        raise ParameterOutOfRange("need >= 2 nodes")
     h = L / n_nodes
     x = -L / 2.0 + h * np.arange(n_nodes)
-    width = test_width if test_width is not None else L / 6.0
+    width = L / 6.0
 
     def wrap(u):
         return u - L * np.round(u / L)

@@ -330,6 +330,12 @@ def finite_array(values, what: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def _require_positive(value, name: str = "beta") -> None:
+    """Raise :class:`ParameterOutOfRange` naming ``name`` unless ``value`` is finite and > 0."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ParameterOutOfRange("need finite %s > 0, got %r" % (name, value))
+
+
 def finite_pairs(values, what: str, dtype=float) -> np.ndarray:
     """:func:`finite_array` of a sequence of pairs, as an (m, 2) array; raises
     :class:`ParameterOutOfRange` for anything but pairs (a flat list of two
@@ -382,6 +388,9 @@ def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
     :class:`ParameterOutOfRange` for a NaN endpoint or a breakpoint that is
     not finite, and :class:`ToleranceNotReached` when the estimate misses
     ``tol`` or an infinite end fails :func:`_require_tail_decay`.
+    A narrow peak far from 0 needs its location in ``points``, or QAGI may
+    step over it: the half-plane Poisson kernel at 1e5 + 1j integrates to
+    -6.3e-11 (estimated error 2.2e-12), and to 1 with ``points=[1e5]``.
     """
     a, b = float(a), float(b)
     if math.isnan(a) or math.isnan(b):
@@ -433,7 +442,8 @@ def _require_tail_decay(f, c: float, sign: float) -> None:
     v = [abs(f(x)) * abs(x) for x in (c + sign * s * r for r in _TAIL_LADDER)]
     if not (v[-1] == 0.0 or v[-1] < 0.5 * max(v[:-1])):
         raise ToleranceNotReached(
-            "integrand does not decay faster than 1/|x| toward %s: |f(x) x| = %r"
+            "integrand does not decay faster than 1/|x| toward %s: |f(x) x| = %r; "
+            "a narrow peak far from 0 needs its location in points"
             % ("+inf" if sign > 0 else "-inf", v))
 
 
@@ -441,7 +451,8 @@ def quad(f, a, b, *, tol: float = 1e-10, points=None):
     """Integrate a complex-valued scalar function over [a, b].
 
     Infinite endpoints are allowed.  Returns ``(value, error_estimate)`` where
-    the estimate is the sum of the real- and imaginary-part estimates.
+    the estimate is the sum of the real- and imaginary-part estimates.  A
+    narrow peak far from 0 needs ``points``, as in :func:`quad_real`.
 
     The real and imaginary parts are two QUADPACK runs; ``f`` is called once
     per distinct x, because the second run reuses the values the first one
@@ -597,30 +608,39 @@ def poisson_summation_check(beta: float, lam: float, x: float, K: int) -> Identi
     The omitted tail is bounded by 2 s / (pi K): |psi_s(k)| <= s/(pi k^2) and
     sum_{k>K} k^{-2} < 1/K.
     """
-    if beta <= 0 or lam <= 0:
-        raise ParameterOutOfRange("beta and lam must be > 0")
+    _require_positive(beta)
+    _require_positive(lam, "lam")
     if not 0.0 <= x <= beta:
         raise ParameterOutOfRange("x must lie in [0, beta]")
     s = beta * lam / TWO_PI
-    k = np.arange(1, K + 1, dtype=float)
-    terms = 2.0 * lorentzian(s, k) * np.cos(k * TWO_PI * x / beta)
-    lhs = lorentzian(s, 0.0) + comp_sum_real(terms)
+    lhs = _periodized_lorentzian(beta, lam, x, K)
     rhs = (math.exp(-lam * x) + math.exp(-lam * (beta - x))) / (-math.expm1(-lam * beta))
     tail = 2.0 * s / (math.pi * K)
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs), tail_bound=tail)
 
 
-def _sech_pow(u: float, n: int) -> float:
-    """Overflow-free 1 / cosh(u)^n (underflows to 0 in the far tails)."""
-    e = math.exp(-abs(u))
-    return (2.0 * e / (1.0 + e * e)) ** n
+def _periodized_lorentzian(beta: float, lam: float, x: float, K: int) -> float:
+    """sum over |k| <= K of psi_s(k) cos(2 pi k x / beta), s = beta lam / (2 pi),
+    exactly rounded: the one body of this series, which
+    :func:`rphardy.rpfunc.phi_circle_partial_sum` rescales."""
+    s = beta * lam / TWO_PI
+    k = np.arange(1, K + 1, dtype=float)
+    terms = 2.0 * lorentzian(s, k) * np.cos(k * TWO_PI * x / beta)
+    return lorentzian(s, 0.0) + comp_sum_real(terms)
+
+
+def _sech_ft(p: float, n: int, tol: float) -> float:
+    """Integral cos(p u) / cosh(u)^n du over the line, the one integral of the
+    sech checks; 1 / cosh^n is formed overflow-free (0 in the far tails)."""
+    def integrand(u):
+        e = math.exp(-abs(u))
+        return math.cos(p * u) * (2.0 * e / (1.0 + e * e)) ** n
+    return quad_real(integrand, -np.inf, np.inf, tol=tol)[0]
 
 
 def sech_ft_check(xi: float, *, tol: float = 1e-11) -> IdentityCheck:
     """Integral e^{i x xi} / cosh(x) dx  =  pi / cosh(pi xi / 2)."""
-
-    lhs, _ = quad_real(lambda u: math.cos(xi * u) * _sech_pow(u, 1),
-                       -np.inf, np.inf, tol=tol)
+    lhs = _sech_ft(xi, 1, tol)
     rhs = math.pi / math.cosh(math.pi * xi / 2.0)
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
@@ -628,10 +648,7 @@ def sech_ft_check(xi: float, *, tol: float = 1e-11) -> IdentityCheck:
 def sech2_ft_check(lam: float, *, tol: float = 1e-11) -> IdentityCheck:
     """(1/sqrt(2 pi)) Integral e^{i x lam} / cosh(x)^2 dx
     = sqrt(pi/2) * lam / sinh(pi lam / 2),  with limit sqrt(2/pi) at lam = 0."""
-
-    lhs, _ = quad_real(lambda u: math.cos(lam * u) * _sech_pow(u, 2),
-                       -np.inf, np.inf, tol=tol)
-    lhs /= SQRT_TWO_PI
+    lhs = _sech_ft(lam, 2, tol) / SQRT_TWO_PI
     if lam == 0.0:
         rhs = math.sqrt(2.0 / math.pi)
     else:
@@ -647,12 +664,7 @@ def sech_power_recursion_check(n: int, p: float, *, tol: float = 1e-11) -> Ident
     """
     if n < 1:
         raise ParameterOutOfRange("recursion needs n >= 1")
-
-    def integrand(u, k):
-        return math.cos(p * u) * _sech_pow(u, k)
-
-    low, _ = quad_real(lambda u: integrand(u, n), -np.inf, np.inf, tol=tol)
-    high, _ = quad_real(lambda u: integrand(u, n + 2), -np.inf, np.inf, tol=tol)
+    low, high = _sech_ft(p, n, tol), _sech_ft(p, n + 2, tol)
     rhs = (n * n + p * p) / (n * (n + 1.0)) * low
     return IdentityCheck(lhs=high, rhs=rhs, defect=abs(high - rhs))
 
@@ -667,8 +679,7 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
     at -inf, so the transform only exists on the open strip of height 2 beta.
     """
     z = complex(z)
-    if beta <= 0:
-        raise ParameterOutOfRange("beta must be > 0")
+    _require_positive(beta)
     if not 0.0 < z.imag < 2.0 * beta:
         raise ParameterOutOfRange("need 0 < Im z < 2 beta for convergence")
 

@@ -15,18 +15,19 @@ zeta = z - conj(w):
     szego:    Q(z, w)  = (i / 2 pi) sum_n (-1)^n / (zeta + 2 n beta i),
     bergman:  Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (zeta + 2 k i beta)^2.
 
-Every evaluator returns a :class:`SeriesEval` carrying the proven tail bound
-(valid once N exceeds the stated threshold; below it the bound is reported as
-inf) together with the closed-form value and the actual defect, so soundness
-``defect <= tail_bound`` is a one-line assertion.
+The Szego image series is (i / 2 pi) times the sinh series at zeta: both sum
+the terms of :func:`_sinh_terms`, each against its own closed form.  Every
+evaluator returns a :class:`SeriesEval` carrying the proven tail bound (valid
+once N exceeds the stated threshold; below it the bound is reported as inf)
+together with the closed-form value and the actual defect, so soundness
+``defect <= tail_bound`` is a one-line assertion; an overflow raises
+:class:`ParameterOutOfRange`.
 
-Each series has two entry points: ``*_series(..., N)`` at one truncation,
-and ``*_series_at(..., Ns)``, one :class:`SeriesEval` per truncation in the
-sequence ``Ns``.  The second builds the terms once, for the largest N, and
-takes every partial sum as an exactly rounded prefix sum of them
-(:func:`numerics.comp_sum` with ``ends``), so each entry is bit for bit the
-single-N value; ``*_series`` is ``*_series_at`` at ``(N,)``.  A truncation
-must be a positive integer of at most 2**53.
+``*_series(..., N)`` is ``*_series_at(..., (N,))``, which gives one
+:class:`SeriesEval` per truncation in ``Ns`` (positive integers of at most
+2**53): the terms are built once, for the largest N, and every partial sum
+is an exactly rounded prefix sum of them (:func:`numerics.comp_sum` with
+``ends``), bit for bit the single-N value.
 
 Tail bounds, all elementary alternating/absolute estimates:
 
@@ -51,8 +52,7 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .measures import _require_beta
-from .numerics import comp_sum
+from .numerics import _require_positive, comp_sum
 
 _LATTICE_TOL = 1e-12
 _MAX_TERMS = 2 ** 53
@@ -100,14 +100,22 @@ def _check_inputs(Ns, *points) -> tuple:
     return Ns
 
 
-def _evals(value_of, sums, closed, Ns, bound_of) -> list:
-    """One :class:`SeriesEval` per truncation N, from the prefix sum of N
-    terms."""
-    out = []
-    for s, N in zip(sums.tolist(), Ns):
-        value = value_of(s)
-        out.append(SeriesEval(value, closed, abs(value - closed), N, bound_of(N)))
-    return out
+@np.errstate(all="ignore")      # what overflows is caught below
+def _evals(Ns, terms_of, value_of, closed_of, bound_of) -> list:
+    """One :class:`SeriesEval` per truncation N, of ``value_of(s)`` at the
+    exactly rounded sum s of the first N terms ``terms_of(k)``, k = 1..max(Ns),
+    against ``closed_of()``; an overflow raises :class:`ParameterOutOfRange`."""
+    try:
+        terms = terms_of(np.arange(1.0, max(Ns) + 1.0))
+        closed = closed_of()
+        values = [value_of(s) for s in comp_sum(terms, Ns).tolist()]
+        finite = all(cmath.isfinite(v) for v in values + [closed])
+    except (OverflowError, ValueError, ZeroDivisionError):  # cmath, fsum of inf - inf
+        finite = False
+    if not finite:
+        raise ParameterOutOfRange("the series or its closed form overflows double precision")
+    return [SeriesEval(v, closed, abs(v - closed), N, bound_of(N))
+            for v, N in zip(values, Ns)]
 
 
 def cosecant_series_at(z: complex, Ns) -> list:
@@ -118,10 +126,8 @@ def cosecant_series_at(z: complex, Ns) -> list:
     z = complex(z)
     if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
         raise PoleOnLattice("z is an integer")
-    k = np.arange(1.0, max(Ns) + 1.0)
-    terms = _alternating(k.size) * 2.0 * z / (z * z - k * k)
-    closed = math.pi / cmath.sin(math.pi * z)
-    return _evals(lambda s: 1.0 / z + s, comp_sum(terms, Ns), closed, Ns,
+    return _evals(Ns, lambda k: _alternating(k.size) * 2.0 * z / (z * z - k * k),
+                  lambda s: 1.0 / z + s, lambda: math.pi / cmath.sin(math.pi * z),
                   lambda N: 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf)
 
 
@@ -130,19 +136,33 @@ def cosecant_series(z: complex, N: int) -> SeriesEval:
     return cosecant_series_at(z, (N,))[0]
 
 
+def _sinh_terms(beta: float, zeta: complex):
+    """The terms (-1)^k 2 zeta / (zeta^2 + 4 k^2 beta^2) of the sinh series
+    as a function of k: the one term builder of the sinh and Szego series."""
+    return lambda k: _alternating(k.size) * 2.0 * zeta \
+        / (zeta * zeta + 4.0 * beta * beta * k * k)
+
+
+def _zeta(beta, z, w=None) -> complex:
+    """z - conj(w) (z when w is None), off the pole lattice 2 i beta Z."""
+    zeta = complex(z) if w is None else complex(z) - complex(w).conjugate()
+    if not cmath.isfinite(zeta):
+        raise ParameterOutOfRange("z - conj(w) overflows double precision")
+    if abs(zeta.real) <= _LATTICE_TOL and \
+            abs(math.remainder(zeta.imag, 2.0 * beta)) <= _LATTICE_TOL:
+        raise PoleOnLattice("%s lies on the lattice 2 i beta Z"
+                            % ("z" if w is None else "z - conj(w)"))
+    return zeta
+
+
 def sinh_series_at(beta: float, z: complex, Ns) -> list:
     """:func:`sinh_series` at each truncation N in ``Ns``, from one term
     array as in :func:`cosecant_series_at`."""
     Ns = _check_inputs(Ns, z)
-    _require_beta(beta)
-    z = complex(z)
-    if abs(z.real) <= _LATTICE_TOL and \
-            abs(z.imag - 2.0 * beta * round(z.imag / (2.0 * beta))) <= _LATTICE_TOL:
-        raise PoleOnLattice("z lies on the lattice 2 i beta Z")
-    k = np.arange(1.0, max(Ns) + 1.0)
-    terms = _alternating(k.size) * 2.0 * z / (z * z + 4.0 * beta * beta * k * k)
-    closed = (math.pi / (2.0 * beta)) / cmath.sinh(math.pi * z / (2.0 * beta))
-    return _evals(lambda s: 1.0 / z + s, comp_sum(terms, Ns), closed, Ns,
+    _require_positive(beta)
+    z = _zeta(beta, z)
+    return _evals(Ns, _sinh_terms(beta, z), lambda s: 1.0 / z + s,
+                  lambda: (math.pi / (2.0 * beta)) / cmath.sinh(math.pi * z / (2.0 * beta)),
                   lambda N: 2.0 * abs(z) / (3.0 * beta * beta * N)
                   if N >= abs(z) / beta else math.inf)
 
@@ -153,26 +173,15 @@ def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
     return sinh_series_at(beta, z, (N,))[0]
 
 
-def _zeta(beta, z, w):
-    zeta = complex(z) - complex(w).conjugate()
-    if abs(zeta.real) <= _LATTICE_TOL and \
-            abs(zeta.imag - 2.0 * beta * round(zeta.imag / (2.0 * beta))) <= _LATTICE_TOL:
-        raise PoleOnLattice("z - conj(w) lies on the lattice 2 i beta Z")
-    return zeta
-
-
 def szego_series_at(beta: float, z: complex, w: complex, Ns) -> list:
-    """:func:`szego_series` at each truncation N in ``Ns``, from one term
-    array as in :func:`cosecant_series_at`."""
+    """:func:`szego_series` at each truncation N in ``Ns``: (i / 2 pi) times
+    the sinh series at zeta = z - conj(w), from its terms."""
     Ns = _check_inputs(Ns, z, w)
-    _require_beta(beta)
+    _require_positive(beta)
     zeta = _zeta(beta, z, w)
-    k = np.arange(1.0, max(Ns) + 1.0)
-    terms = _alternating(k.size) * 2.0 * zeta \
-        / (zeta * zeta + 4.0 * beta * beta * k * k)
-    closed = szego(Strip(beta), z, w)
-    return _evals(lambda s: (1j / (2.0 * math.pi)) * (1.0 / zeta + s),
-                  comp_sum(terms, Ns), closed, Ns,
+    return _evals(Ns, _sinh_terms(beta, zeta),
+                  lambda s: (1j / (2.0 * math.pi)) * (1.0 / zeta + s),
+                  lambda: szego(Strip(beta), z, w),
                   lambda N: abs(zeta) / (3.0 * math.pi * beta * beta * N)
                   if N >= abs(zeta) / beta else math.inf)
 
@@ -187,14 +196,12 @@ def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     """:func:`bergman_series` at each truncation N in ``Ns``, from one term
     array as in :func:`cosecant_series_at`."""
     Ns = _check_inputs(Ns, z, w)
-    _require_beta(beta)
+    _require_positive(beta)
     zeta = _zeta(beta, z, w)
-    k = np.arange(1.0, max(Ns) + 1.0)
-    d = 2j * beta * k
-    pair = 1.0 / (zeta + d) ** 2 + 1.0 / (zeta - d) ** 2
-    closed = bergman_strip(beta, z, w)
-    return _evals(lambda s: -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + s),
-                  comp_sum(pair, Ns), closed, Ns,
+    return _evals(Ns, lambda k: 1.0 / (zeta + 2j * beta * k) ** 2
+                  + 1.0 / (zeta - 2j * beta * k) ** 2,
+                  lambda s: -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + s),
+                  lambda: bergman_strip(beta, z, w),
                   lambda N: 5.0 / (18.0 * math.pi ** 2 * beta * beta * N)
                   if N >= abs(zeta) / beta else math.inf)
 
@@ -219,16 +226,13 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
     (N,) = _check_inputs((N,), z, w)
-    _require_beta(beta)
+    _require_positive(beta)
     zeta = _zeta(beta, z, w)
 
     def one_sided(sign):
         # n runs over sign * {0, 1, ..., 2N-1} for sign=+1, and
         # sign * {1, ..., 2N} for sign=-1; adjacent pairing keeps it absolute.
-        if sign > 0:
-            n = np.arange(0.0, 2.0 * N)
-        else:
-            n = -np.arange(1.0, 2.0 * N + 1.0)
+        n = np.arange(0.0, 2.0 * N) if sign > 0 else -np.arange(1.0, 2.0 * N + 1.0)
         terms = _alternating(n.size, sign) / (zeta + 2j * beta * n)
         return (1j / (2.0 * math.pi)) * comp_sum(terms)
 
@@ -236,8 +240,6 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     minus = one_sided(-1)
     total = plus + minus
     closed = szego(Strip(beta), z, w)
-    if N >= max(2.0, abs(zeta) / (2.0 * beta) + 1.0):
-        bound = 1.0 / (2.0 * math.pi * beta * (N - 1))
-    else:
-        bound = math.inf
+    bound = 1.0 / (2.0 * math.pi * beta * (N - 1)) \
+        if N >= max(2.0, abs(zeta) / (2.0 * beta) + 1.0) else math.inf
     return plus, minus, SeriesEval(total, closed, abs(total - closed), N, bound)

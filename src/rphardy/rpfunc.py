@@ -14,7 +14,7 @@ The circle family has the explicit Fourier coefficients
     s = beta lam / (2 pi),
 
 all nonnegative, which is the positive-definiteness certificate made concrete;
-``phi_circle_partial_sum`` resums them for convergence tests.
+``phi_circle_partial_sum`` is that ratio times numerics' periodized Lorentzian.
 
 Positivity is checked two ways: ``pd_gram`` builds the group Gram
 phi(g_j - g_k) for samples anywhere on the group, while ``rp_gram`` builds the
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
-from .numerics import (GramReport, comp_sum_real, finite_array, finite_pairs,
-                       gram_report)
+from .numerics import (GramReport, _periodized_lorentzian, _require_positive,
+                       finite_array, finite_pairs, gram_report, lorentzian)
 
 GROUPS = ("integers", "line", "circle")
 
@@ -118,23 +118,22 @@ def phi_circle_fourier(beta: float, lam: float, n: int) -> float:
     _check_family("circle", lam, beta)
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
-    s = beta * lam / (2.0 * math.pi)
-    lorentz = s / (math.pi * (s * s + float(n) ** 2))
-    ratio = -math.expm1(-beta * lam) / (1.0 + math.exp(-beta * lam))
-    return lorentz * ratio
+    return lorentzian(beta * lam / (2.0 * math.pi), float(n)) * _circle_ratio(beta, lam)
+
+
+def _circle_ratio(beta: float, lam: float) -> float:
+    """(1 - e^{-beta lam}) / (1 + e^{-beta lam}) = c_n / psi_s(n)."""
+    return -math.expm1(-beta * lam) / (1.0 + math.exp(-beta * lam))
 
 
 def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
-    """Resummation  sum_{|n| <= N} c_n e^{2 pi i n y / beta}  (real by symmetry)."""
-    n = np.arange(1, N + 1, dtype=float)
+    """Resummation  sum_{|n| <= N} c_n e^{2 pi i n y / beta}  (real by symmetry):
+    the periodized Lorentzian of :func:`numerics.poisson_summation_check`
+    times the ratio c_n / psi_s(n)."""
+    _check_family("circle", lam, beta)
     if lam == 0.0:
         return 1.0
-    s = beta * lam / (2.0 * math.pi)
-    ratio = -math.expm1(-beta * lam) / (1.0 + math.exp(-beta * lam))
-    coeffs = ratio * s / (math.pi * (s * s + n * n))
-    terms = 2.0 * coeffs * np.cos(2.0 * math.pi * n * y / beta)
-    c0 = ratio / (math.pi * s)
-    return c0 + comp_sum_real(terms)
+    return _circle_ratio(beta, lam) * _periodized_lorentzian(beta, lam, y, N)
 
 
 # --------------------------------------------------------------------------
@@ -224,8 +223,8 @@ def c_func(beta: float, t: float, z: complex) -> complex:
     value does; for points far outside the closed strip and large t the value
     genuinely overflows (|c_t| grows like e^{t(2|Im z - beta/2| - beta)}).
     """
-    if beta <= 0.0 or t <= 0.0:
-        raise ParameterOutOfRange("need beta > 0 and t > 0")
+    _require_positive(beta)
+    _require_positive(t, "t")
     z = complex(z)
     a = 1j * t * z            # exponent of the first term
     b = -beta * t - 1j * t * z
@@ -237,9 +236,10 @@ def c_func(beta: float, t: float, z: complex) -> complex:
 def c_log_abs(beta: float, t, z: complex):
     """log |c_t(z)|, overflow-free for any z and t.  ``t`` may be an array; a
     scalar ``t`` gives a float."""
+    _require_positive(beta)
     t = np.asarray(t, dtype=float)
-    if beta <= 0.0 or not np.all(t > 0.0):
-        raise ParameterOutOfRange("need beta > 0 and t > 0")
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ParameterOutOfRange("need finite t > 0")
     a = 1j * t * complex(z)
     b = -beta * t - a
     m = np.maximum(a.real, b.real)
@@ -251,6 +251,7 @@ def c_log_abs(beta: float, t, z: complex):
 
 def g_func(beta: float, t: float, z: complex) -> complex:
     """g_t(z) = e^{t beta/2} e^{itz}; its Hardy norm on the strip is e^{|t| beta/2}."""
+    _require_positive(beta)
     return math.exp(t * beta / 2.0) * cmath.exp(1j * t * complex(z))
 
 
@@ -278,8 +279,7 @@ def strip_membership(beta: float, z: complex, t_grid=None,
     is geometrically outside but for which the grid finds no unimodularity
     witness is reported as "unknown" rather than misclassified.
     """
-    if not 0.0 < beta < math.inf:
-        raise ParameterOutOfRange("need finite beta > 0")
+    _require_positive(beta)
     z = complex(z)
     if not cmath.isfinite(z):
         raise ParameterOutOfRange("need a finite z, got %r" % (z,))

@@ -3,11 +3,14 @@
 import cmath
 import math
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
 from rphardy import measures, modular
-from rphardy.errors import ParameterOutOfRange, ReflectionViolation
+from rphardy.errors import DivergentTransform, ParameterOutOfRange, ReflectionViolation
 
 
 def _setup(beta=1.0):
@@ -119,14 +122,67 @@ def test_modular_coefficient_is_positive_definite_and_kms():
         assert abs(lhs - rhs) < 1e-13
 
 
-def test_coefficient_measure_matches_psi():
+def test_psi_and_its_coefficient_measure_match_a_40_digit_sum():
     md = _setup()
     rng = np.random.default_rng(47)
     v = md.space.random_standard_vector(rng)
     cm = modular.coefficient_measure(md, v)
-    for t in (0.0, 0.7, -2.1):
-        assert abs(measures.fourier(cm, t, monitor=False)
-                   - modular.modular_coefficient(md, v, t)) < 1e-14
+    mass = [mpmath.mpf(float(a)) ** 2 * mpmath.mpf(float(w))
+            for a, w in zip(np.abs(v), md.space.weights)]
+    with mpmath.workdps(40):
+        for t in (0.0, 0.7, -2.1, 0.4 + 0.3j):
+            want = complex(mpmath.fsum(m * mpmath.exp(1j * mpmath.mpc(t) * mpmath.mpf(lam))
+                                       for m, lam in zip(mass, md.space.nodes)))
+            assert abs(modular.modular_coefficient(md, v, t) - want) <= 1e-14
+            assert abs(measures.fourier(cm, t) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, complex(0.3, math.nan)])
+def test_psi_at_a_time_that_is_not_finite_raises(t):
+    md = _setup()
+    v = md.space.random_standard_vector(np.random.default_rng(48))
+    with pytest.raises(ParameterOutOfRange):
+        modular.modular_coefficient(md, v, t)
+    with pytest.raises(ParameterOutOfRange):
+        modular.modular_coefficient(md, v, np.array([0.1, t]))
+
+
+def test_psi_that_overflows_raises_divergent_transform_without_a_warning():
+    md = _setup()
+    v = md.space.random_standard_vector(np.random.default_rng(49))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentTransform):
+            modular.modular_coefficient(md, v, 300j)
+
+
+def _parent_space(pairs):
+    """Nodes, weights and mirror of the weighted nodes ``pairs``, built
+    without numpy: sorted by node, mirror the index of -node."""
+    pairs = sorted(pairs)
+    nodes = [x for x, _ in pairs]
+    return nodes, [w for _, w in pairs], [nodes.index(-x) for x in nodes]
+
+
+@pytest.mark.parametrize("kind", ["atoms", "grid", "mixed"])
+def test_space_from_measure_has_the_nodes_weights_and_mirror_of_its_parts(kind):
+    atoms = [(-0.55, 0.3), (0.55, 0.2), (-1.25, 0.7), (1.25, 0.1)]
+    density = [0.5, 1.0, 2.0, 1.5, 0.25]
+    grid = [(-1.0 + 0.5 * j, 0.5 * d * (0.5 if j in (0, 4) else 1.0))
+            for j, d in enumerate(density)]
+    if kind == "atoms":
+        nu, pairs = measures.atomic(atoms), atoms
+    elif kind == "grid":
+        nu, pairs = measures.gridded(-1.0, 0.5, density), grid
+    else:
+        nu = measures.MeasureOnR([x for x, _ in atoms], [w for _, w in atoms],
+                                 -1.0, 0.5, density)
+        pairs = atoms + grid
+    space = modular.DiscretizedSpace.from_measure(nu)
+    nodes, weights, mirror = _parent_space(pairs)
+    assert space.nodes.tolist() == nodes
+    assert space.weights.tolist() == weights
+    assert space.mirror.tolist() == mirror
 
 
 @pytest.mark.parametrize("beta,t", [(1.0, 0.0), (1.0, 0.7), (2.5, -1.3)])

@@ -821,3 +821,55 @@ def test_hyperbolic_modulus_identities():
         c = numerics.cosh_abs_check(x, y)
         assert s.defect <= 1e-12 * (1.0 + abs(s.lhs))
         assert c.defect <= 1e-12 * (1.0 + abs(c.lhs))
+
+
+def _guarded_calls():
+    """(name, call) of every entry point whose beta, period, lam or exponent
+    goes through the one finite-positive guard."""
+    from rphardy import measures, modular
+    nan, inf = math.nan, math.inf
+    return [
+        ("c_func beta=nan", lambda: rpfunc.c_func(nan, 1.0, 0.5j)),
+        ("c_func t=inf", lambda: rpfunc.c_func(1.0, inf, 0.5j)),
+        ("c_log_abs beta=nan", lambda: rpfunc.c_log_abs(nan, 1.0, 0.5j)),
+        ("c_log_abs t=inf", lambda: rpfunc.c_log_abs(1.0, [1.0, inf], 0.5j)),
+        ("g_func beta=nan", lambda: rpfunc.g_func(nan, 1.0, 0.5j)),
+        ("psi_hardy_midline beta=nan", lambda: modular.psi_hardy_midline(nan, 0.3)),
+        ("psi_hardy_midline beta=inf", lambda: modular.psi_hardy_midline(inf, 0.3)),
+        ("commutation_check L=nan", lambda: modular.commutation_check(nan, 16, 0.1, 0.2)),
+        ("commutation_check L=inf", lambda: modular.commutation_check(inf, 16, 0.1, 0.2)),
+        ("poisson_summation_check lam=nan",
+         lambda: numerics.poisson_summation_check(1.0, nan, 0.2, 10)),
+        ("poisson_summation_check lam=inf",
+         lambda: numerics.poisson_summation_check(1.0, inf, 0.2, 10)),
+        ("ftcosh_check beta=inf", lambda: numerics.ftcosh_check(inf, 0.5j)),
+        ("riesz_hat_quad s=nan", lambda: measures.riesz_hat_quad(nan, 1j)),
+        ("riesz_hat s=nan", lambda: measures.riesz_hat(nan, 1j)),
+        ("riesz_kappa_check s=nan", lambda: measures.riesz_kappa_check(nan, 1.0, 0.3)),
+        ("phi_circle_partial_sum lam=nan",
+         lambda: rpfunc.phi_circle_partial_sum(1.0, nan, 0.2, 10)),
+    ]
+
+
+@pytest.mark.parametrize("name,call", _guarded_calls(), ids=[n for n, _ in _guarded_calls()])
+def test_a_parameter_that_is_not_finite_and_positive_raises_without_a_warning(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange):
+            call()
+
+
+def test_a_narrow_peak_far_from_zero_is_found_through_points():
+    peak = kernels.poisson_at(HALF_PLANE, 1e5 + 1j)
+    value, err = numerics.quad_real(peak, -math.inf, math.inf, points=[1e5])
+    assert abs(value - 1.0) < 1e-10 and err < 1e-10
+
+
+def test_a_peak_beyond_the_tail_ladder_raises_and_names_points():
+    peak = kernels.poisson_at(HALF_PLANE, 1e7 + 1j)
+    with pytest.raises(ToleranceNotReached, match="points"):
+        numerics.quad_real(peak, -math.inf, math.inf)
+    with pytest.raises(ToleranceNotReached, match="points"):
+        numerics.quad(peak, -math.inf, math.inf)
+    value, _ = numerics.quad_real(peak, -math.inf, math.inf, points=[1e7])
+    assert abs(value - 1.0) < 1e-9

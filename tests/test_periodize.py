@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,3 +214,38 @@ def test_a_fractional_truncation_no_longer_sums_its_ceiling():
 def test_series_siblings_need_a_sequence_of_truncations(Ns):
     with pytest.raises(ParameterOutOfRange):
         periodize.sinh_series_at(2.0, 0.3 + 0.2j, Ns)
+
+
+def test_szego_series_is_i_over_2_pi_times_the_sinh_series_bit_for_bit():
+    # the two series share their terms, and each keeps its own closed form
+    rng = np.random.default_rng(42)
+    two_pi = 2.0 * math.pi
+    for _ in range(100):
+        beta = float(rng.uniform(1.5, 3.0))
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
+        w = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
+        Ns = (1000, 100, 1)
+        sinh = periodize.sinh_series_at(beta, z - w.conjugate(), Ns)
+        szego = periodize.szego_series_at(beta, z, w, Ns)
+        for s, q in zip(sinh, szego):
+            assert q.value == (1j / two_pi) * s.value
+            assert q.closed_form == kernels.szego(Strip(beta), z, w)
+            assert s.closed_form != q.closed_form
+
+
+@pytest.mark.parametrize("call", [
+    lambda: periodize.sinh_series(1e-320, 0.5 + 0.5j, 100),
+    lambda: periodize.sinh_series(1.0, 1e300 + 0.5j, 100),
+    lambda: periodize.bergman_series(1.0, 1e300 + 0.5j, 0.1 + 0.2j, 100),
+    lambda: periodize.cosecant_series(1e200 + 1e200j, 100),
+], ids=["sinh-tiny-beta", "sinh-far-z", "bergman-far-z", "cosecant-huge-z"])
+def test_a_series_or_closed_form_that_overflows_raises_without_a_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match="overflows"):
+            call()
+
+
+def test_the_sinh_series_names_its_own_lattice_pole():
+    with pytest.raises(PoleOnLattice, match="z lies"):
+        periodize.sinh_series(1.0, 2j, 100)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -721,3 +722,74 @@ def test_cli_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--kind", "sinh", "--z", "0.5+0.5i", "--beta", "1e-320"],
+    ["series", "--kind", "sinh", "--z", "1e300+0.5i"],
+    ["series", "--kind", "bergman", "--z", "1e300+0.5i", "--w", "0.1+0.2i"],
+    ["modular", "--atoms", "0.6:1", "--t", "nan"],
+])
+def test_cli_overflow_and_non_finite_inputs_exit_3(argv):
+    rc, out = _run_quietly(argv)
+    assert rc == 3 and out == ""
+
+
+def _complex_arg(re: float, im: float) -> str:
+    return "%r%s%ri" % (re, "" if repr(im).startswith("-") else "+", im)
+
+
+def _printed_finite(out: str, allowed=()) -> bool:
+    """No NaN or inf in the output, apart from the fields named in
+    ``allowed`` (a series tail bound is inf below its threshold)."""
+    text = out
+    for name in allowed:
+        text = re.sub(r'"%s": [^,}]*|%s=\S*' % (name, name), "", text)
+    return "nan" not in text.lower() and "inf" not in text.lower()
+
+
+POINTS = st.one_of(
+    st.sampled_from(["0.3+0.1i", "0.5+0.5i", "0", "2i", "1e300+0.5i", "0.4+1e-300i",
+                     "-1.7+1e300i", "1e155+1e155i", "nan+0.5i"]),
+    st.builds(_complex_arg, NUMBERS, NUMBERS))
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["cosecant", "sinh", "szego", "bergman"]),
+       beta=NUMBERS, z=POINTS, w=POINTS, terms=st.integers(-3, 3000),
+       as_json=st.booleans())
+def test_cli_series_fuzz_exits_0_2_or_3(kind, beta, z, w, terms, as_json):
+    rc, out = _run_quietly(["series", "--kind", kind, "--beta=%r" % beta, "--z=" + z,
+                            "--w=" + w, "--terms=%d" % terms] + ["--json"] * as_json)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        assert _printed_finite(out, allowed=("tail_bound",))
+
+
+ATOMS = st.lists(st.tuples(NUMBERS, NUMBERS), min_size=1, max_size=4).map(
+    lambda pairs: ",".join("%r:%r" % pair for pair in pairs))
+
+
+@settings(max_examples=300)
+@given(op=st.sampled_from(["gamma", "Gamma", "inverse", "kappa", "reflect", "kms",
+                           "fourier", "laplace"]),
+       atoms=ATOMS, beta=NUMBERS, at=POINTS, factor=NUMBERS, as_json=st.booleans())
+def test_cli_measure_fuzz_exits_0_2_or_3(op, atoms, beta, at, factor, as_json):
+    rc, out = _run_quietly(["measure", "--op", op, "--atoms=" + atoms, "--beta=%r" % beta,
+                            "--at=" + at, "--factor=%r" % factor] + ["--json"] * as_json)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        # a reflection defect is inf where the support is asymmetric
+        assert "nan" not in out.lower() if op == "reflect" else _printed_finite(out)
+
+
+@settings(max_examples=300)
+@given(atoms=ATOMS, beta=NUMBERS, t=st.one_of(st.none(), NUMBERS), as_json=st.booleans())
+def test_cli_modular_fuzz_exits_0_2_or_3(atoms, beta, t, as_json):
+    argv = ["modular", "--atoms=" + atoms, "--beta=%r" % beta]
+    if t is not None:
+        argv.append("--t=%r" % t)
+    rc, out = _run_quietly(argv + ["--json"] * as_json)
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        assert _printed_finite(out)
