@@ -10,6 +10,10 @@ seed where the worst occurred, the failing seeds, and ``defect.hex()`` per
 seed.  Slack is defect / tol, or the raw defect for the soundness ids whose
 tolerance is 0 (they report defect - tail_bound).
 
+It prints the ids whose defect is exactly 0 at every seed: such a check
+cannot fail, so it is either exact on purpose (tests/test_accuracy_tripwire.py
+pins that set with a reason per id) or compares a value with itself.
+
 Given BASE.json, an earlier output of this script or a BENCH_<n>.json whose
 ``accuracy`` block is one, it prints every id whose defect moved at any seed
 (worst slack before and after) and every id that fails now and did not fail
@@ -62,6 +66,12 @@ def sweep() -> dict:
     }
 
 
+def exact_ids(accuracy: dict) -> list[str]:
+    """The ids of an accuracy block whose defect is 0 at every seed."""
+    return sorted(cid for cid, e in accuracy["ids"].items()
+                  if all(float.fromhex(h) == 0.0 for h in e["defect_hex"].values()))
+
+
 def compare(new: dict, base: dict) -> bool:
     """Print the ids that moved or newly fail; True if one newly fails."""
     moved = []
@@ -91,6 +101,8 @@ def main(argv: list[str]) -> int:
         return 2
     result = sweep()
     Path(argv[0]).write_text(json.dumps(result, indent=1) + "\n")
+    exact = exact_ids(result)
+    print("%d ids with defect exactly 0 at every seed: %s" % (len(exact), ", ".join(exact)))
     if len(argv) == 2:
         base = json.loads(Path(argv[1]).read_text())
         return int(compare(result, base.get("accuracy", base)))

@@ -8,10 +8,10 @@ typo does not silently run with defaults.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterOutOfRange
+from .numerics import _require_positive
 
 
 @dataclass
@@ -25,17 +25,13 @@ class Defaults:
     rng_seed: int = 7051          # seed for the randomized verification draws
 
     def validate(self) -> "Defaults":
-        if not 0 < self.beta < math.inf:
-            raise ParameterOutOfRange("beta must be finite and > 0, got %r"
-                                      % (self.beta,))
+        _require_positive(self.beta)
         if self.series_terms < 1:
             raise ParameterOutOfRange("series_terms must be >= 1")
         if self.boundary_nodes < 4:
             raise ParameterOutOfRange("boundary_nodes must be >= 4")
-        if not all(0 < v < math.inf for v in
-                   (self.quad_tol, self.grid_step, self.grid_halfwidth)):
-            raise ParameterOutOfRange(
-                "tolerances, grid step and width must be finite and > 0")
+        for name in ("quad_tol", "grid_step", "grid_halfwidth"):
+            _require_positive(getattr(self, name), name)
         return self
 
 

@@ -13,6 +13,9 @@ Domains
 Each involution is an antiholomorphic map of the closure onto itself; on the
 boundary it induces the reflection that the boundary-function operators use
 (on the strip it swaps the two boundary components at equal real part).
+Each domain holds that reflection as one table, ``_SIDES``: component ->
+(image component, whether the parameter is negated), in quadrature order; it
+names the components, and ``Domain._side`` is the one check of a name.
 
 Conformal maps
 --------------
@@ -30,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import OutsideDomain, ParameterOutOfRange
-from .numerics import _complex, is_batch
+from .numerics import _complex, _require_positive, is_batch
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
 
@@ -73,9 +76,22 @@ class Domain:
             raise OutsideDomain("%r is not in the open %s" % (z, self.name))
         return z
 
+    # boundary component -> (the component sigma maps it to, whether sigma
+    # negates the parameter), in quadrature order
+    _SIDES: dict = {}
+
     def boundary_components(self):
         """Names of the boundary components, in quadrature order."""
-        raise NotImplementedError
+        return tuple(self._SIDES)
+
+    def _side(self, component: str) -> tuple:
+        """The table entry of ``component``; the one check of a component
+        name, raising :class:`ParameterOutOfRange` for a name the domain lacks."""
+        try:
+            return self._SIDES[component]
+        except (KeyError, TypeError):   # TypeError: a name that is not hashable
+            raise ParameterOutOfRange("%s boundary components are %s, got %r" % (
+                self.name, "/".join(map(repr, self._SIDES)), component)) from None
 
     def boundary_embed(self, component: str, x: float) -> complex:
         """Embed the boundary parameter x of a component into the plane; an
@@ -94,6 +110,7 @@ class Domain:
 
 class Disc(Domain):
     name = "disc"
+    _SIDES = {"circle": ("circle", True)}
 
     def contains(self, z):
         return abs(complex(z)) < 1.0
@@ -109,24 +126,21 @@ class Disc(Domain):
     def sigma(self, z):
         return complex(z).conjugate()
 
-    def boundary_components(self):
-        return ("circle",)
-
     def boundary_embed(self, component, x):
-        if component != "circle":
-            raise ParameterOutOfRange("disc boundary component is 'circle'")
+        self._side(component)
         if is_batch(x):
             # complex np.exp agrees with cmath.exp bit for bit
             return np.exp(1j * np.asarray(x, dtype=float))
         return cmath.exp(1j * x)
 
     def embedding(self, component):
-        self.boundary_embed(component, 0.0)
+        self._side(component)
         return lambda x: cmath.exp(1j * x)
 
 
 class HalfPlane(Domain):
     name = "half_plane"
+    _SIDES = {"line": ("line", True)}
 
     def contains(self, z):
         return complex(z).imag > 0.0
@@ -140,29 +154,26 @@ class HalfPlane(Domain):
     def sigma(self, z):
         return -complex(z).conjugate()
 
-    def boundary_components(self):
-        return ("line",)
-
     def boundary_embed(self, component, x):
-        if component != "line":
-            raise ParameterOutOfRange("half-plane boundary component is 'line'")
+        self._side(component)
         if is_batch(x):
             return _complex(x, 0.0)
         return complex(x)
 
     def embedding(self, component):
-        self.boundary_embed(component, 0.0)
+        self._side(component)
         return complex
 
 
 class Strip(Domain):
     """The horizontal strip 0 < Im z < beta."""
 
+    name = "strip"
+    _SIDES = {"lower": ("upper", False), "upper": ("lower", False)}
+
     def __init__(self, beta: float):
-        if not (beta > 0 and math.isfinite(beta)):
-            raise ParameterOutOfRange("strip height beta must be finite and > 0")
+        _require_positive(beta)
         self.beta = float(beta)
-        self.name = "strip"
 
     def contains(self, z):
         return 0.0 < complex(z).imag < self.beta
@@ -179,9 +190,6 @@ class Strip(Domain):
     def sigma(self, z):
         return self.beta * 1j + complex(z).conjugate()
 
-    def boundary_components(self):
-        return ("lower", "upper")
-
     def boundary_embed(self, component, x):
         y = self._height(component)
         return _complex(x, y) if is_batch(x) else complex(x, y)
@@ -192,8 +200,7 @@ class Strip(Domain):
 
     def _height(self, component: str) -> float:
         """Im z on the boundary line ``component``: 0 or beta."""
-        if component not in ("lower", "upper"):
-            raise ParameterOutOfRange("strip boundary components are 'lower'/'upper'")
+        self._side(component)
         return 0.0 if component == "lower" else self.beta
 
     def __repr__(self):

@@ -24,10 +24,11 @@ the s-th power of the strip Szego kernel above, and the disc version is
 (1/2 pi) (1 - z conj(w))^{-s}.
 
 Boundary functions are sampled as ``f(component, x)`` where ``component``
-names a boundary component of the domain ("circle", "line", "lower"/"upper")
-and ``x`` is the boundary parameter (angle on the circle, real coordinate on
-the lines); a plain callable of that signature is accepted wherever a
-:class:`BoundaryFunction` is.
+names a boundary component of the domain ("circle", "line", "lower"/"upper"),
+read with its reflection from the domain's table by ``Domain._side``, the one
+check of a name, and ``x`` is the boundary parameter (angle on the circle,
+real coordinate on the lines); a plain callable of that signature is accepted
+wherever a :class:`BoundaryFunction` is.
 
 Scalar and array bodies
 -----------------------
@@ -79,7 +80,8 @@ from .errors import (
     ToleranceNotReached,
     UnsupportedPair,
 )
-from .numerics import _SCALARS, GramReport, IdentityCheck, _complex, gram_report, is_batch
+from .numerics import (_SCALARS, GramReport, IdentityCheck, _complex, finite_array,
+                       gram_report, is_batch)
 
 _POLE_TOL = 1e-13
 
@@ -245,27 +247,26 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
     on a line a scalar function x -> float.  ``z`` and ``component`` are
     checked, and every factor that depends only on them computed, once."""
     z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
+    if component is None:
+        component = domain.boundary_components()[0]
+    domain._side(component)
     isfinite, pi = math.isfinite, math.pi
     if isinstance(domain, Disc):
         # 1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the sum
         # of squares keeps full relative accuracy as r -> 1 at th = x, where
         # the expanded form cancels to nothing
-        if component not in (None, "circle"):
-            raise ParameterOutOfRange("disc boundary component is 'circle'")
         r = abs(z)
         d = 1.0 - r
         num, dd, r4, th = d * (1.0 + r), d * d, 4.0 * r, cmath.phase(z)
         two_pi = 2.0 * pi
 
         def disc(x):
-            half = np.sin(0.5 * (th - _finite_parameter(x)))
+            half = np.sin(0.5 * (th - finite_array(x, _PARAMETER)))
             p = num / (two_pi * (dd + r4 * half * half))
             return p if p.ndim else float(p)
 
         return disc
     if isinstance(domain, HalfPlane):
-        if component not in (None, "line"):
-            raise ParameterOutOfRange("half-plane boundary component is 'line'")
         a, y = z.real, z.imag
         yy = y * y
 
@@ -282,12 +283,7 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
     if isinstance(domain, Strip):
         b = domain.beta
         # sin^2 (lower) or cos^2 (upper) of pi Im z / 2 beta
-        if component in (None, "lower"):
-            trig = math.sin(pi * z.imag / (2.0 * b)) ** 2
-        elif component == "upper":
-            trig = math.cos(pi * z.imag / (2.0 * b)) ** 2
-        else:
-            raise ParameterOutOfRange("strip components are 'lower'/'upper'")
+        trig = (math.sin if component == "lower" else math.cos)(pi * z.imag / (2.0 * b)) ** 2
         num = math.sin(pi * z.imag / b)
         a, b2, b4, exp, sinh = z.real, 2.0 * b, 4.0 * b, math.exp, math.sinh
 
@@ -308,7 +304,8 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
     raise UnsupportedPair("no poisson kernel for %r" % (domain,))
 
 
-_NOT_FINITE = "boundary parameter x must be finite, got %r"
+_PARAMETER = "boundary parameter x"
+_NOT_FINITE = _PARAMETER + " must be finite, got %r"
 
 
 def _base_point(domain: Domain, z, message: str) -> complex:
@@ -317,15 +314,6 @@ def _base_point(domain: Domain, z, message: str) -> complex:
     if not isinstance(z, _SCALARS) and np.ndim(z):
         raise ParameterOutOfRange(message)
     return domain.require_interior(complex(z))
-
-
-def _finite_parameter(x) -> np.ndarray:
-    """Boundary parameters (a float or an array) as a float array, every
-    one finite."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ParameterOutOfRange(_NOT_FINITE % (float(x[~np.isfinite(x)][0]),))
-    return x
 
 
 # Far branches of the line Poisson kernels: past |dx| = _FAR_DX the
@@ -385,8 +373,10 @@ def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
     """Power kernel Q_s with the conventions documented in the module header,
     for a finite s > 0; z and w may be arrays.  A value that overflows raises
     :class:`ParameterOutOfRange`; one that underflows is 0."""
-    if not 0.0 < s < math.inf:
-        raise ParameterOutOfRange("power kernel needs a finite s > 0, got %r" % (s,))
+    try:
+        numerics._require_positive(s, "s")
+    except ParameterOutOfRange as exc:      # the CLI error names the kernel
+        raise ParameterOutOfRange("power kernel: %s" % exc) from None
     z, w = _closure_arrays(domain, z, w)
     if isinstance(domain, Disc):
         base = 1.0 - _cmul(z, np.conj(w))
@@ -459,21 +449,8 @@ def outer_f(domain: Domain, w: complex, z: complex) -> complex:
 
 def boundary_reflect(domain: Domain, component: str, x: float):
     """Parameter form of the boundary reflection induced by sigma."""
-    if isinstance(domain, Disc):
-        if component != "circle":
-            raise ParameterOutOfRange("disc boundary component is 'circle'")
-        return ("circle", -x)
-    if isinstance(domain, HalfPlane):
-        if component != "line":
-            raise ParameterOutOfRange("half-plane boundary component is 'line'")
-        return ("line", -x)
-    if isinstance(domain, Strip):
-        if component == "lower":
-            return ("upper", x)
-        if component == "upper":
-            return ("lower", x)
-        raise ParameterOutOfRange("strip components are 'lower'/'upper'")
-    raise UnsupportedPair("no boundary reflection for %r" % (domain,))
+    rcomp, negate = domain._side(component)
+    return rcomp, -x if negate else x
 
 
 def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
@@ -494,10 +471,10 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
     line a scalar function x -> complex.  ``w``, ``component``, the
     embedding and the reflected component are checked and resolved once."""
     w = _base_point(domain, w, "h_boundary takes one point w; x may be an array")
-    rcomp, _ = _reflection(domain, component)
+    rcomp, _ = domain._side(component)
     if isinstance(domain, Disc):
         def disc(x):
-            x = _finite_parameter(x)
+            x = finite_array(x, _PARAMETER)
             zb = domain.boundary_embed(component, x)
             zr = domain.boundary_embed(rcomp, -x)
             return _over(szego(domain, zb, w), szego(domain, zr, w))
@@ -546,13 +523,6 @@ def _over(a, b):
     return a / b
 
 
-def _reflection(domain: Domain, component: str):
-    """:func:`boundary_reflect` on one component: the component sigma maps it
-    to, and whether sigma negates the parameter."""
-    rcomp, rx = boundary_reflect(domain, component, 1.0)
-    return rcomp, rx < 0.0
-
-
 @dataclass
 class BoundaryFunction:
     """A function on the boundary of ``domain``, held as one form per
@@ -575,7 +545,7 @@ class BoundaryFunction:
         dom, on = self.domain, self.on
 
         def reflected_on(component):
-            rcomp, negate = _reflection(dom, component)
+            rcomp, negate = dom._side(component)
             g = on(rcomp)
             return (lambda x: g(-x)) if negate else g
 
@@ -605,7 +575,7 @@ def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
 
     def on(component):
         h = h_boundary_at(domain, w, component)
-        rcomp, negate = _reflection(domain, component)
+        rcomp, negate = domain._side(component)
         g = f.on(rcomp)
         if isinstance(domain, Disc):
             return lambda t: _times(h(t), g(-t))
@@ -664,7 +634,10 @@ def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
 # outer function from a boundary modulus
 # --------------------------------------------------------------------------
 
-def outer_from_modulus(psi, z: complex, *, tol: float = 1e-9) -> complex:
+_OUTER_TOL = 1e-9       # the quadrature tolerance of outer_from_modulus
+
+
+def outer_from_modulus(psi, z: complex) -> complex:
     """Outer function on the half-plane with boundary modulus psi^{1/2}:
 
         F(z) = exp( (1/2 pi i) Int_R [ 1/(p - z) - p/(1 + p^2) ] log psi(p) dp )
@@ -693,7 +666,7 @@ def outer_from_modulus(psi, z: complex, *, tol: float = 1e-9) -> complex:
         for lo, hi, pts in ((-np.inf, a - 2.0, None),
                             (a - 2.0, a + 2.0, [a]),
                             (a + 2.0, np.inf, None)):
-            val, _ = numerics.quad(integrand, lo, hi, tol=tol, points=pts)
+            val, _ = numerics.quad(integrand, lo, hi, tol=_OUTER_TOL, points=pts)
             total += val
     except ToleranceNotReached as exc:
         raise DivergentLogIntegral(str(exc)) from exc
@@ -705,7 +678,7 @@ def outer_from_modulus(psi, z: complex, *, tol: float = 1e-9) -> complex:
 # --------------------------------------------------------------------------
 
 def kernel_gram(domain: Domain, points, kind: str = "szego",
-                s: float = None, tolerance: float = 1e-10) -> GramReport:
+                s: float = None) -> GramReport:
     """PSD report for the Gram matrix K(z_j, z_k) of one of the built-in kernels.
 
     ``kind`` is "szego", "power" (requires ``s``) or "bergman" (strip only).
@@ -723,7 +696,7 @@ def kernel_gram(domain: Domain, points, kind: str = "szego",
         k = lambda a, b: bergman_strip(domain.beta, a, b)
     else:
         raise UnsupportedPair("unknown kernel kind %r" % (kind,))
-    return gram_report(k(pts[:, None], pts[None, :]), tolerance)
+    return gram_report(k(pts[:, None], pts[None, :]))
 
 
 def _safe_sqrt(v: complex) -> complex:

@@ -32,7 +32,8 @@ and the Riesz family d mu_s = p^{s-1} dp / GAMMA(s) on (0, inf) has
 mu_s_hat(z) = (i/z)^s.  All numerical transforms are guarded by a divergence
 monitor: if either 5% tail of the grid still contributes more than 1e-12 of
 the total absolute mass of the summand, :class:`DivergentTransform` is raised
-instead of returning a silently truncated value.
+instead of returning a silently truncated value.  :func:`kms_check` samples t
+on the fixed grid _KMS_T_GRID, 33 points on [-4, 4].
 
 Atoms are kept sorted by location and merged by a chained rule: atoms whose
 gap to the next atom is at most 1e-12 form one atom, at the lowest location
@@ -61,8 +62,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import (_require_positive, comp_sum, comp_sum_real, finite_array,
-                       finite_pairs, quad, row_blocks)
+from .numerics import _require_positive, comp_sum, comp_sum_real, finite_pairs, quad, row_blocks
 
 _MERGE_TOL = 1e-12
 
@@ -351,6 +351,8 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
         return MeasureOnR(locs, weights)
     nodes = nu.grid_nodes()
     keep = nodes >= -_MERGE_TOL
+    if not keep.any():
+        raise ParameterOutOfRange("the density of nu has no node at lam >= 0")
     dens = nu.density[keep] * (1.0 + np.exp(-beta * nodes[keep]))
     return MeasureOnR(locs, weights, float(nodes[keep][0]), nu.grid_h, dens)
 
@@ -505,12 +507,14 @@ def _worst_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return gap
 
 
-def kms_check(nu: MeasureOnR, beta: float, t_grid=None) -> float:
-    """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over the t grid."""
+_KMS_T_GRID = np.linspace(-4.0, 4.0, 33)      # the t grid of kms_check
+_KMS_T_GRID.flags.writeable = False
+
+
+def kms_check(nu: MeasureOnR, beta: float) -> float:
+    """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over t in _KMS_T_GRID."""
     _require_positive(beta)
-    if t_grid is None:
-        t_grid = np.linspace(-4.0, 4.0, 33)
-    t = finite_array(t_grid, "the t grid").ravel()
+    t = _KMS_T_GRID
     return _worst_gap(fourier(nu, 1j * beta + t), np.conj(fourier(nu, t)))
 
 
@@ -544,15 +548,24 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
 # named spectral measures
 # --------------------------------------------------------------------------
 
+def _symmetric_grid(beta: float, halfwidth, step: float) -> np.ndarray:
+    """The nodes step * (-n, ..., n), n = round(halfwidth / step), of a strip
+    measure; halfwidth None is 64 / beta.  beta, halfwidth and step must be
+    finite and > 0."""
+    _require_positive(beta)
+    if halfwidth is None:
+        halfwidth = 64.0 / beta
+    _require_positive(halfwidth, "halfwidth")
+    _require_positive(step, "step")
+    n = int(round(halfwidth / step))
+    return step * np.arange(-n, n + 1)
+
+
 def szego_strip_measure(beta: float, halfwidth: float = None,
                         step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/2 pi) / (1 + e^{-2 beta lam}) of the strip Szego
     kernel, sampled on a symmetric grid."""
-    _require_positive(beta)
-    if halfwidth is None:
-        halfwidth = 64.0 / beta
-    n = int(round(halfwidth / step))
-    nodes = step * np.arange(-n, n + 1)
+    nodes = _symmetric_grid(beta, halfwidth, step)
     dens = (1.0 / (2.0 * math.pi)) / (1.0 + np.exp(-2.0 * beta * nodes))
     return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
 
@@ -561,11 +574,7 @@ def bergman_strip_measure(beta: float, halfwidth: float = None,
                           step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/4 pi^2) lam / (1 - e^{-2 beta lam}) of the squared
     kernel; the lam = 0 node takes the continuous value 1 / (8 pi^2 beta)."""
-    _require_positive(beta)
-    if halfwidth is None:
-        halfwidth = 64.0 / beta
-    n = int(round(halfwidth / step))
-    nodes = step * np.arange(-n, n + 1)
+    nodes = _symmetric_grid(beta, halfwidth, step)
     dens = np.empty(nodes.size)
     nz = nodes != 0.0
     dens[nz] = nodes[nz] / (-np.expm1(-2.0 * beta * nodes[nz]))
@@ -609,8 +618,10 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     return head + tail
 
 
-def riesz_kappa_check(s: float, beta: float, t: float,
-                      lam_max: float = 40.0, step: float = 0.01) -> float:
+_RIESZ_STEP = 0.01      # riesz_kappa_check's nodes p_j = 0.01 (j + 1/2) below 40
+
+
+def riesz_kappa_check(s: float, beta: float, t: float) -> float:
     """Matched-truncation identity for the odd part of the Riesz transforms.
 
     The pointwise density algebra gives, for p > 0,
@@ -618,7 +629,7 @@ def riesz_kappa_check(s: float, beta: float, t: float,
         nu_s(p) - nu_s(-p) = p^{s-1} / GAMMA(s)  =  mu_s density,
 
     so with one positive node set {p_j} (half-offset grid, plain weight
-    ``step`` per node) the antisymmetrized sums
+    _RIESZ_STEP per node) the antisymmetrized sums
 
         A = sum_j v_j [nu_s(p_j) - nu_s(-p_j)] (e^{i t p_j} - e^{-i t p_j}),
         B = sum_j v_j mu_s(p_j) (e^{i t p_j} - e^{-i t p_j})
@@ -633,9 +644,9 @@ def riesz_kappa_check(s: float, beta: float, t: float,
     _require_positive(beta)
     from scipy.special import gamma as gamma_function
 
-    n = int(round(lam_max / step))
-    p = step * (0.5 + np.arange(n))
-    v = np.full(n, step)
+    n = int(round(40.0 / _RIESZ_STEP))
+    p = _RIESZ_STEP * (0.5 + np.arange(n))
+    v = np.full(n, _RIESZ_STEP)
     dens_mu = p ** (s - 1.0) / gamma_function(s)
     dens_plus = p ** (s - 1.0) / (-np.expm1(-2.0 * beta * p)) / gamma_function(s)
     dens_minus = p ** (s - 1.0) / (np.expm1(2.0 * beta * p)) / gamma_function(s)

@@ -60,7 +60,9 @@ importing the package, and every closed-form evaluation, leaves scipy unloaded.
 
 Every routine returns an error estimate together with the value, and raises
 :class:`ToleranceNotReached` instead of silently returning garbage when the
-estimate misses the requested tolerance by a wide margin.
+estimate misses the requested tolerance by a wide margin.  The sech checks
+integrate to _SECH_TOL = 1e-11; every Gram report judges positivity at the
+one relative tolerance _PSD_TOL = 1e-10.
 
 Two Fourier conventions appear in the formulas and are exposed under two
 distinct names so they can never be confused:
@@ -280,6 +282,7 @@ def comp_sum(values, ends=None):
 # --------------------------------------------------------------------------
 
 _SCALARS = (complex, float, int)       # numpy float64/complex128 subclass these
+_ARRAY_LIKE = (np.ndarray, np.generic) + _SCALARS   # np.asarray takes these as they are
 # 2**13 complex terms are 128 KiB, glibc's default mmap threshold: blocks of
 # up to about 150 KiB are reused from the heap, while (4, 3201) and larger
 # complex blocks are mapped afresh and fault in on every call
@@ -316,23 +319,29 @@ def _complex(re, im) -> np.ndarray:
 
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
-    """``values`` (an array or any iterable) as an array; raises
-    :class:`ParameterOutOfRange` naming ``what`` unless it is a rectangular
-    array of numbers, every one finite."""
+    """``values`` (a number, an array or any iterable) as an array, 0-d for a
+    number; raises :class:`ParameterOutOfRange` naming ``what`` unless it is
+    a number or a rectangular array of numbers, every one finite (the
+    message then names the first value that is not)."""
     try:
-        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
+        arr = np.asarray(values if isinstance(values, _ARRAY_LIKE) else list(values),
                          dtype=dtype)
     except (TypeError, ValueError):     # not iterable, ragged, or an entry
         raise ParameterOutOfRange(      # that is not a number
             "%s must be a rectangular array of numbers" % what) from None
-    if not np.all(np.isfinite(arr)):
-        raise ParameterOutOfRange("%s must be finite" % what)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ParameterOutOfRange("%s must be finite, got %r" % (what, arr[~finite][0].item()))
     return arr
 
 
 def _require_positive(value, name: str = "beta") -> None:
-    """Raise :class:`ParameterOutOfRange` naming ``name`` unless ``value`` is finite and > 0."""
-    if not (value > 0.0 and math.isfinite(value)):
+    """Raise :class:`ParameterOutOfRange` naming ``name`` unless ``value`` is a finite number > 0."""
+    try:
+        ok = value > 0.0 and math.isfinite(value)
+    except (TypeError, ValueError):     # not a number, or an array
+        ok = False
+    if not ok:
         raise ParameterOutOfRange("need finite %s > 0, got %r" % (name, value))
 
 
@@ -522,6 +531,9 @@ def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
 # Gram matrices
 # --------------------------------------------------------------------------
 
+_PSD_TOL = 1e-10    # of every PSD verdict, which GramReport.tolerance reports
+
+
 @dataclass
 class GramReport:
     """Result of a positive-semidefiniteness test of a Gram matrix."""
@@ -543,10 +555,10 @@ def hermitian_extremes(G: np.ndarray):
     return float(eigs[0]), float(eigs[-1])
 
 
-def gram_report(G: np.ndarray, tolerance: float = 1e-10) -> GramReport:
+def gram_report(G: np.ndarray) -> GramReport:
     """PSD verdict for a (nominally Hermitian) Gram matrix.
 
-    The verdict is ``min_eig >= -tolerance * max(1, ||G||_2)``; the spectral
+    The verdict is ``min_eig >= -_PSD_TOL * max(1, ||G||_2)``; the spectral
     norm is that of the Hermitian part, which is what the eigenvalue test sees.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
@@ -563,8 +575,8 @@ def gram_report(G: np.ndarray, tolerance: float = 1e-10) -> GramReport:
         min_eigenvalue=lo,
         max_eigenvalue=hi,
         spectral_norm=norm,
-        tolerance=tolerance,
-        verdict=bool(lo >= -tolerance * max(1.0, norm)),
+        tolerance=_PSD_TOL,
+        verdict=bool(lo >= -_PSD_TOL * max(1.0, norm)),
     )
 
 
@@ -572,11 +584,12 @@ def gram_report(G: np.ndarray, tolerance: float = 1e-10) -> GramReport:
 # Fourier conventions
 # --------------------------------------------------------------------------
 
-def ft_unitary(f, x: float, *, tol: float = 1e-10) -> complex:
-    """Unitary-convention Fourier transform (1/sqrt(2 pi)) Int f(p) e^{ixp} dp."""
+def ft_unitary(f, x: float) -> complex:
+    """Unitary-convention Fourier transform (1/sqrt(2 pi)) Int f(p) e^{ixp} dp,
+    to :func:`quad`'s default tolerance."""
 
     val, _ = quad(lambda p: f(p) * complex(math.cos(x * p), math.sin(x * p)),
-                  -np.inf, np.inf, tol=tol)
+                  -np.inf, np.inf)
     return val / SQRT_TWO_PI
 
 
@@ -629,26 +642,29 @@ def _periodized_lorentzian(beta: float, lam: float, x: float, K: int) -> float:
     return lorentzian(s, 0.0) + comp_sum_real(terms)
 
 
-def _sech_ft(p: float, n: int, tol: float) -> float:
+_SECH_TOL = 1e-11   # the quadrature tolerance of the sech checks
+
+
+def _sech_ft(p: float, n: int) -> float:
     """Integral cos(p u) / cosh(u)^n du over the line, the one integral of the
     sech checks; 1 / cosh^n is formed overflow-free (0 in the far tails)."""
     def integrand(u):
         e = math.exp(-abs(u))
         return math.cos(p * u) * (2.0 * e / (1.0 + e * e)) ** n
-    return quad_real(integrand, -np.inf, np.inf, tol=tol)[0]
+    return quad_real(integrand, -np.inf, np.inf, tol=_SECH_TOL)[0]
 
 
-def sech_ft_check(xi: float, *, tol: float = 1e-11) -> IdentityCheck:
+def sech_ft_check(xi: float) -> IdentityCheck:
     """Integral e^{i x xi} / cosh(x) dx  =  pi / cosh(pi xi / 2)."""
-    lhs = _sech_ft(xi, 1, tol)
+    lhs = _sech_ft(xi, 1)
     rhs = math.pi / math.cosh(math.pi * xi / 2.0)
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
-def sech2_ft_check(lam: float, *, tol: float = 1e-11) -> IdentityCheck:
+def sech2_ft_check(lam: float) -> IdentityCheck:
     """(1/sqrt(2 pi)) Integral e^{i x lam} / cosh(x)^2 dx
     = sqrt(pi/2) * lam / sinh(pi lam / 2),  with limit sqrt(2/pi) at lam = 0."""
-    lhs = _sech_ft(lam, 2, tol) / SQRT_TWO_PI
+    lhs = _sech_ft(lam, 2) / SQRT_TWO_PI
     if lam == 0.0:
         rhs = math.sqrt(2.0 / math.pi)
     else:
@@ -656,7 +672,7 @@ def sech2_ft_check(lam: float, *, tol: float = 1e-11) -> IdentityCheck:
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
-def sech_power_recursion_check(n: int, p: float, *, tol: float = 1e-11) -> IdentityCheck:
+def sech_power_recursion_check(n: int, p: float) -> IdentityCheck:
     """Two-quadrature check of the step-two recursion between sech-power transforms:
 
     Integral e^{ixp} cosh(x)^{-n-2} dx
@@ -664,7 +680,7 @@ def sech_power_recursion_check(n: int, p: float, *, tol: float = 1e-11) -> Ident
     """
     if n < 1:
         raise ParameterOutOfRange("recursion needs n >= 1")
-    low, high = _sech_ft(p, n, tol), _sech_ft(p, n + 2, tol)
+    low, high = _sech_ft(p, n), _sech_ft(p, n + 2)
     rhs = (n * n + p * p) / (n * (n + 1.0)) * low
     return IdentityCheck(lhs=high, rhs=rhs, defect=abs(high - rhs))
 

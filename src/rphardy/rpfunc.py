@@ -28,8 +28,9 @@ The strip enters through the functions c_t and g_t:
 
 with sup_strip |c_t| = 1, c_t(0) = 1, and the membership characterization
 ``z interior to the strip  iff  |c_t(z)| < 1 for all t > 0`` implemented by
-:func:`strip_membership` on a logarithmic t-grid (boundary points get an exact
-unimodularity witness t = 2 pi / |Re z|).
+:func:`strip_membership` on the fixed logarithmic t-grid _MEMBERSHIP_T_GRID
+(boundary points, within _BOUNDARY_TOL, get an exact unimodularity witness
+t = 2 pi / |Re z|).
 """
 
 from __future__ import annotations
@@ -64,26 +65,17 @@ def _check_family(group: str, lam: float, beta: float = None) -> None:
         if not -1.0 <= lam <= 1.0:
             raise ParameterOutOfRange("integer family needs lam in [-1, 1]")
         return
-    if group == "circle" and not (beta is not None and 0.0 < beta < math.inf):
-        raise ParameterOutOfRange("circle needs a finite beta > 0")
+    if group == "circle":
+        _require_positive(beta)
     if not 0.0 <= lam < math.inf:
         raise ParameterOutOfRange("%s family needs a finite lam >= 0" % group)
-
-
-def _group_element(g) -> np.ndarray:
-    """A group element (or an array of them) as floats, every one finite."""
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ParameterOutOfRange("group element must be finite, got %r"
-                                  % (float(g[~np.isfinite(g)][0]),))
-    return g
 
 
 def phi_int(lam: float, n):
     """lam^{|n|} on the integers; lam in [-1, 1].  ``n`` may be an array; a
     scalar ``n`` gives a float."""
     _check_family("integers", lam)
-    return _as_float(np.power(lam, np.abs(np.trunc(_group_element(n)))))
+    return _as_float(np.power(lam, np.abs(np.trunc(finite_array(n, "group element")))))
 
 
 @np.errstate(over="ignore")     # lam |t| = inf gives e^{-inf} = 0
@@ -91,7 +83,7 @@ def phi_line(lam: float, t):
     """e^{-lam |t|} on the line; lam >= 0.  ``t`` may be an array; a scalar
     ``t`` gives a float."""
     _check_family("line", lam)
-    return _as_float(np.exp(-lam * np.abs(_group_element(t))))
+    return _as_float(np.exp(-lam * np.abs(finite_array(t, "group element"))))
 
 
 def _as_float(values):
@@ -104,7 +96,7 @@ def phi_circle(beta: float, lam: float, y):
     """The circle family at the class [y]; beta > 0, lam >= 0.  ``y`` may be
     an array; a scalar ``y`` gives a float."""
     _check_family("circle", lam, beta)
-    r = np.fmod(_group_element(y), beta)
+    r = np.fmod(finite_array(y, "group element"), beta)
     y = np.where(r < 0.0, r + beta, r)
     return _as_float((np.exp(-y * lam) + np.exp(-(beta - y) * lam))
                      / (1.0 + math.exp(-beta * lam)))
@@ -148,18 +140,16 @@ def _phi_of(group, beta, lam):
     return lambda g: phi_circle(beta, lam, g)
 
 
-def pd_gram(group: str, lam: float, samples, beta: float = None,
-            tolerance: float = 1e-10) -> GramReport:
+def pd_gram(group: str, lam: float, samples, beta: float = None) -> GramReport:
     """Gram matrix phi(g_j - g_k) over arbitrary group samples (mod beta on
     the circle); PSD verdict certifies positive definiteness on the group."""
     _check_group(group)
     xs = finite_array(samples, "samples").ravel()
     phi = _phi_of(group, beta, lam)
-    return gram_report(phi(_pairwise(np.subtract, xs, "difference")), tolerance)
+    return gram_report(phi(_pairwise(np.subtract, xs, "difference")))
 
 
-def rp_gram(group: str, lam: float, samples, beta: float = None,
-            tolerance: float = 1e-10) -> GramReport:
+def rp_gram(group: str, lam: float, samples, beta: float = None) -> GramReport:
     """Reflected Gram phi(s_j + s_k) over positive-semigroup samples.
 
     The admissible cones: nonnegative integers, the half-line [0, inf), and
@@ -179,7 +169,7 @@ def rp_gram(group: str, lam: float, samples, beta: float = None,
     outside = ~inside
     if np.any(outside):
         raise SampleOutsidePositiveCone("%s, got %r" % (cone, float(xs[outside][0])))
-    return gram_report(_phi_of(group, beta, lam)(_pairwise(np.add, xs, "sum")), tolerance)
+    return gram_report(_phi_of(group, beta, lam)(_pairwise(np.add, xs, "sum")))
 
 
 def _pairwise(op, xs: np.ndarray, what: str) -> np.ndarray:
@@ -197,7 +187,7 @@ def _pairwise(op, xs: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore")     # n |t_j - t_k| = inf gives e^{-inf} = 0
-def param_rp_check(n: int, samples, tolerance: float = 1e-10) -> GramReport:
+def param_rp_check(n: int, samples) -> GramReport:
     """Gram of the signed power family p_n(t, eps) = eps^n e^{-n |t|} on the
     group R x {+1, -1} with the flip involution: entries
 
@@ -209,7 +199,7 @@ def param_rp_check(n: int, samples, tolerance: float = 1e-10) -> GramReport:
     if not np.all((eps == 1.0) | (eps == -1.0)):
         raise ParameterOutOfRange("sign component must be +1 or -1")
     G = (eps[:, None] * eps[None, :]) ** n * np.exp(-n * np.abs(t[:, None] - t[None, :]))
-    return gram_report(G, tolerance)
+    return gram_report(G)
 
 
 # --------------------------------------------------------------------------
@@ -255,9 +245,11 @@ def g_func(beta: float, t: float, z: complex) -> complex:
     return math.exp(t * beta / 2.0) * cmath.exp(1j * t * complex(z))
 
 
-# the default scan grid, built once: np.geomspace costs more than the scan
+# the scan grid, built once: np.geomspace costs more than the scan
 _MEMBERSHIP_T_GRID = np.geomspace(1e-3, 1e3, 60)
 _MEMBERSHIP_T_GRID.flags.writeable = False
+# |Im z| or |Im z - beta| up to this is on the boundary
+_BOUNDARY_TOL = 1e-12
 
 
 @dataclass
@@ -269,10 +261,9 @@ class StripMembership:
     max_log_abs: float    # max of log |c_t(z)| over the scanned grid
 
 
-def strip_membership(beta: float, z: complex, t_grid=None,
-                     boundary_tol: float = 1e-12) -> StripMembership:
-    """Grid scan of the characterization ``z in open strip iff |c_t(z)| < 1
-    for all t > 0``.
+def strip_membership(beta: float, z: complex) -> StripMembership:
+    """Scan of the characterization ``z in open strip iff |c_t(z)| < 1 for
+    all t > 0`` over the 60-point log grid _MEMBERSHIP_T_GRID, 1e-3 to 1e3.
 
     Boundary points are detected exactly: there |c_t| = 1 is attained at
     t = 2 pi / |Re z| (and c_t = 1 identically when Re z = 0).  A point that
@@ -283,20 +274,17 @@ def strip_membership(beta: float, z: complex, t_grid=None,
     z = complex(z)
     if not cmath.isfinite(z):
         raise ParameterOutOfRange("need a finite z, got %r" % (z,))
-    t_grid = _MEMBERSHIP_T_GRID if t_grid is None else np.ravel(t_grid)
-    if t_grid.size == 0:
-        raise ParameterOutOfRange("the t grid is empty")
 
     y = z.imag
-    if abs(y) <= boundary_tol or abs(y - beta) <= boundary_tol:
+    if abs(y) <= _BOUNDARY_TOL or abs(y - beta) <= _BOUNDARY_TOL:
         x = z.real
         witness = 2.0 * math.pi / abs(x) if x != 0.0 else None
         return StripMembership("boundary", witness, 0.0)
 
-    logs = c_log_abs(beta, t_grid, z)
+    logs = c_log_abs(beta, _MEMBERSHIP_T_GRID, z)
     worst = float(np.max(logs))
     if worst >= 0.0:
-        witness = float(t_grid[int(np.argmax(logs >= 0.0))])
+        witness = float(_MEMBERSHIP_T_GRID[int(np.argmax(logs >= 0.0))])
         return StripMembership("exterior", witness, worst)
     if 0.0 < y < beta:
         return StripMembership("interior", None, worst)

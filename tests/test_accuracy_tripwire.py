@@ -1,6 +1,8 @@
 """Accuracy tripwire: the full verify suite reproduces, bit for bit, the
 defect of every check id that the newest committed ``BENCH_<n>.json``
-records in its ``accuracy`` block (written by ``scripts/accuracy_sweep.py``).
+records in its ``accuracy`` block (written by ``scripts/accuracy_sweep.py``),
+and the ids whose recorded defect is exactly 0 at every seed are the ones
+pinned below, each exact for a stated reason.
 
 A change that reorders floating-point work moves some defect by an ulp and
 fails here.  When the move is intended, the change commits a new BENCH file
@@ -23,24 +25,56 @@ from rphardy.verify import run_suite
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 99)
 
+_GRAM = "a PSD deficit max(0, -lambda_min) / max(1, ||G||): 0 for a positive definite Gram"
+_MISSES = "a count of misclassified points: 0 when the scan classifies every one"
+# Every id whose defect is 0 at every seed, with the reason it is exact.  A
+# check that compares a value with a copy of itself reads 0 too and can never
+# fail; such an id turns up here as unexpected.
+EXACT_IDS = {
+    "kernels.bergman-midline": "1 / (16 beta^2) and the kernel are exact at beta = 1",
+    "kernels.rp-gram.line-pd": _GRAM,
+    "kernels.rp-gram.circle-pd": _GRAM,
+    "kernels.power.gram": _GRAM,
+    "kernels.bergman.gram": _GRAM,
+    "kernels.strip-membership.interior": _MISSES,
+    "kernels.strip-membership.exterior": _MISSES,
+    "modular.standard-membership":
+        "v = (u + conj(u(-lam))) / 2 is built symmetric, and conj and / 2 are exact",
+    "modular.coefficient-symmetry":
+        "e^{-i t lam} is conj(e^{i t lam}) bit for bit, and both sums are exactly rounded",
+}
 
-@pytest.fixture(scope="module")
-def recorded():
-    """(file name, per-id accuracy entries) of the newest BENCH file."""
+
+def _newest_bench():
+    """(file name, parsed contents) of the newest BENCH_<n>.json."""
     benches = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
                if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
     if not benches:
         pytest.skip("no BENCH_<n>.json in %s" % ROOT)
     path = max(benches)[1]
-    bench = json.loads(path.read_text())
+    return path.name, json.loads(path.read_text())
+
+
+def test_the_ids_whose_recorded_defect_is_exactly_0_are_the_pinned_ones():
+    name, bench = _newest_bench()
+    exact = {cid for cid, e in bench["accuracy"]["ids"].items()
+             if all(float.fromhex(h) == 0.0 for h in e["defect_hex"].values())}
+    assert exact == EXACT_IDS.keys(), "%s: unexpected %s, no longer exact %s" % (
+        name, sorted(exact - EXACT_IDS.keys()), sorted(EXACT_IDS.keys() - exact))
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """(file name, per-id accuracy entries) of the newest BENCH file."""
+    name, bench = _newest_bench()
     here = {"python": platform.python_version(), "numpy": version("numpy"),
             "scipy": version("scipy")}
     host = bench.get("host", {})
     differ = {k: (host.get(k), v) for k, v in here.items() if host.get(k) != v}
     if differ:
         pytest.skip("%s was recorded with other versions (recorded, here): %s"
-                    % (path.name, differ))
-    return path.name, bench["accuracy"]["ids"]
+                    % (name, differ))
+    return name, bench["accuracy"]["ids"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

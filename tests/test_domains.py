@@ -76,12 +76,9 @@ def test_bad_boundary_component():
 
 
 def test_bad_strip_height():
-    with pytest.raises(ParameterOutOfRange):
-        Strip(0.0)
-    with pytest.raises(ParameterOutOfRange):
-        Strip(-1.0)
-    with pytest.raises(ParameterOutOfRange):
-        Strip(math.inf)
+    for beta in (0.0, -1.0, math.inf, math.nan, None, "1"):
+        with pytest.raises(ParameterOutOfRange, match="finite beta > 0"):
+            Strip(beta)
 
 
 def test_cayley_pair_inverts():

@@ -254,6 +254,13 @@ def test_Gamma_inverse_roundtrip_grid():
     assert np.allclose(back.density, mu.density, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("x0", [-3.0, -1.0])
+def test_Gamma_inverse_of_a_density_below_zero_raises(x0):
+    # grid -3, -2 has no node at lam >= 0, grid -1, 0 only one
+    with pytest.raises(ParameterOutOfRange):
+        measures.Gamma_inverse(measures.gridded(x0, 1.0, [1.0, 2.0]), 1.0)
+
+
 def test_markov_weight_range():
     lam = np.linspace(-5, 5, 41)
     kappa = measures.markov_weight(2.0, lam)
@@ -363,12 +370,10 @@ def test_rp_circle_from_measure_consistency():
     assert abs(phi_R(0.9)) <= phi_R(0.0)
 
 
-def test_kms_and_theta_checks_reject_non_finite_points():
+def test_theta_check_rejects_non_finite_points():
     nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
     with pytest.raises(ParameterOutOfRange):
         measures.theta_involution_check(nu, 1.0, [(complex(math.nan, 0.2), 0.3j)])
-    with pytest.raises(ParameterOutOfRange):
-        measures.kms_check(nu, 1.0, t_grid=[math.nan, 0.5])
 
 
 @pytest.mark.parametrize("pairs", [
@@ -435,6 +440,18 @@ def test_bergman_density_value_at_zero_is_the_limit():
     assert nodes[j] == pytest.approx(0.0)
     assert nu.density[j] == pytest.approx(1.0 / (8.0 * math.pi ** 2 * beta),
                                           rel=1e-14)
+
+
+@pytest.mark.parametrize("build", [measures.szego_strip_measure,
+                                   measures.bergman_strip_measure],
+                         ids=["szego", "bergman"])
+@pytest.mark.parametrize("grid,name", [
+    ({"step": 0.0}, "step"), ({"step": -0.1}, "step"), ({"step": math.nan}, "step"),
+    ({"halfwidth": math.nan}, "halfwidth"), ({"halfwidth": -1.0}, "halfwidth"),
+    ({"halfwidth": math.inf}, "halfwidth")], ids=str)
+def test_strip_measures_reject_a_bad_grid_by_name(build, grid, name):
+    with pytest.raises(ParameterOutOfRange, match=name):
+        build(1.0, **grid)
 
 
 # --------------------------------------------------------------------------
@@ -526,7 +543,7 @@ def test_splitting_grid_halves_carry_trapezoid_weights():
         nu.total_mass(), abs=1e-15)
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, None])
 def test_beta_taking_maps_reject_a_bad_beta_by_name(beta):
     mu = measures.atomic([(0.7, 1.0), (1.3, 0.2)])
     nu = measures.Gamma_map(mu, 1.0)

@@ -700,10 +700,26 @@ def test_gram_report_rejects_an_indefinite_matrix():
 
 
 def test_gram_report_scales_tolerance_with_the_norm():
-    # a tiny negative eigenvalue below tol * norm still passes
-    A = np.diag([1e6, -1e-6]).astype(complex)
-    assert numerics.gram_report(A, tolerance=1e-10).verdict
-    assert not numerics.gram_report(A, tolerance=1e-14).verdict
+    # -1e-6 is within 1e-10 * ||G|| of 0 when ||G|| = 1e6, and not when it is 1
+    big = numerics.gram_report(np.diag([1e6, -1e-6]).astype(complex))
+    assert big.verdict and big.tolerance == 1e-10
+    assert not numerics.gram_report(np.diag([1.0, -1e-6]).astype(complex)).verdict
+
+
+def test_finite_array_takes_a_number_and_names_the_first_value_not_finite():
+    assert numerics.finite_array(2.5, "x").shape == ()
+    assert numerics.finite_array(np.float64(2.5), "x").shape == ()
+    with pytest.raises(ParameterOutOfRange, match="x must be finite, got inf"):
+        numerics.finite_array([1.0, math.inf, math.nan], "x")
+    with pytest.raises(ParameterOutOfRange, match="x must be finite, got nan"):
+        numerics.finite_array(math.nan, "x")
+
+
+@pytest.mark.parametrize("value", [None, "1", 1j, [1.0, 2.0], np.ones(2)],
+                         ids=["None", "str", "complex", "list", "array"])
+def test_require_positive_rejects_a_value_that_is_not_a_number(value):
+    with pytest.raises(ParameterOutOfRange, match="finite beta > 0"):
+        numerics._require_positive(value)
 
 
 def test_gram_report_flags_hermiticity_defect():

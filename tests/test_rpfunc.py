@@ -201,6 +201,7 @@ def test_lam_and_beta_that_are_not_finite_raise(bad):
                  lambda: rpfunc.phi_circle_fourier(bad, 0.7, 1),
                  lambda: rpfunc.pd_gram("line", bad, [0.1, 0.2]),
                  lambda: rpfunc.rp_gram("circle", 0.7, [0.1, 0.2], beta=bad),
+                 lambda: rpfunc.pd_gram("circle", 0.7, [0.1, 0.2]),     # no beta
                  lambda: rpfunc.param_rp_check(bad, [(0.1, 1)])):
         with pytest.raises(ParameterOutOfRange):
             call()
@@ -358,12 +359,6 @@ def test_c_log_abs_on_a_t_array_matches_scalar_calls():
         got = rpfunc.c_log_abs(1.0, t, z)
         want = np.array([rpfunc.c_log_abs(1.0, float(tk), z) for tk in t])
         assert np.array_equal(got, want)        # one body for both
-    with pytest.raises(ParameterOutOfRange):
-        rpfunc.c_log_abs(1.0, np.array([0.5, 0.0]), 0.3j)
-
-
-def test_strip_membership_rejects_an_empty_or_bad_grid():
-    with pytest.raises(ParameterOutOfRange):
-        rpfunc.strip_membership(1.0, 0.3 + 0.4j, t_grid=[])
-    with pytest.raises(ParameterOutOfRange):
-        rpfunc.strip_membership(1.0, 0.3 + 0.4j, t_grid=[0.5, math.nan])
+    for bad in (np.array([0.5, 0.0]), [0.5, math.nan]):
+        with pytest.raises(ParameterOutOfRange):
+            rpfunc.c_log_abs(1.0, bad, 0.3j)

@@ -628,6 +628,13 @@ def test_cli_verify_opens_its_report_before_running_the_suite(tmp_path, capsys,
     assert "No such file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["beta", "quad_tol", "grid_step", "grid_halfwidth"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, None])
+def test_defaults_reject_a_value_that_is_not_finite_and_positive_by_name(key, value):
+    with pytest.raises(ParameterOutOfRange, match="finite %s > 0" % key):
+        Defaults(**{key: value}).validate()
+
+
 @pytest.mark.parametrize("argv", [["--beta", "-1"], ["--beta", "nan"], []],
                          ids=["negative-beta", "nan-beta", "suite-error"])
 def test_cli_verify_that_fails_leaves_an_existing_report_as_it_was(tmp_path, capsys,
