@@ -21,6 +21,7 @@ from .kernels import (
     poisson_midline_strip,
     power_kernel,
     szego,
+    szego_at,
     szego_diag,
     szego_transfer_check,
     theta_apply,

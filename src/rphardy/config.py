@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ParameterOutOfRange
 from .numerics import _require_positive
 
@@ -26,13 +28,18 @@ class Defaults:
 
     def validate(self) -> "Defaults":
         _require_positive(self.beta)
-        if self.series_terms < 1:
-            raise ParameterOutOfRange("series_terms must be >= 1")
-        if self.boundary_nodes < 4:
-            raise ParameterOutOfRange("boundary_nodes must be >= 4")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ParameterOutOfRange("%s must be an integer >= %d, got %r"
+                                          % (name, least, value))
         for name in ("quad_tol", "grid_step", "grid_halfwidth"):
             _require_positive(getattr(self, name), name)
         return self
+
+
+# the least value of each integer field (numpy takes no negative seed)
+_LEAST = {"series_terms": 1, "boundary_nodes": 4, "rng_seed": 0}
 
 
 def load_defaults(path: str | None = None) -> Defaults:

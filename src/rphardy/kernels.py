@@ -35,11 +35,15 @@ Scalar and array bodies
 The kernels :func:`szego`, :func:`power_kernel` and :func:`bergman_strip`
 take arrays.  :func:`power_kernel` has one body, the numpy one; a scalar
 call runs it on 0-d arrays and returns a complex.  :func:`szego` alone keeps
-a scalar math/cmath body beside its numpy one (chosen by
-:func:`~rphardy.numerics.is_batch`), for the reason its docstring gives, and
-:func:`bergman_strip` squares what it returns.  The two bodies give the same
-bits: complex products and quotients on arrays go through :func:`_cmul` and
-:func:`_cdiv`, which round as CPython does.
+a scalar math/cmath body beside its numpy one :func:`_szego_array` (chosen
+by :func:`~rphardy.numerics.is_batch`), for the reason its docstring gives,
+and :func:`bergman_strip` squares what it returns.  The scalar body is the
+bound form :func:`szego_at`, z -> Q(z, w) with w checked once: a scalar
+:func:`szego` call checks z and calls it, and the line integrands of the
+flip pairing and of :func:`h_boundary_at` bind it once per w, since their
+points come from a boundary embedding and need no check.  The two bodies
+give the same bits: complex products and quotients on arrays go through
+:func:`_cmul` and :func:`_cdiv`, which round as CPython does.
 
 Every boundary object has one form per boundary component, the form its
 quadrature calls: :func:`poisson_at`, :func:`h_boundary_at` and
@@ -87,7 +91,16 @@ _POLE_TOL = 1e-13
 
 
 def _require_closure(domain: Domain, z: complex, tol: float = 1e-9) -> complex:
-    z = complex(z)
+    """z as a complex in the closed domain; None, a string or a value that
+    is not finite raises :class:`ParameterOutOfRange`."""
+    if isinstance(z, (str, bytes)):     # complex() reads "1j" as a number
+        raise ParameterOutOfRange(_NOT_A_POINT % (z,))
+    try:
+        z = complex(z)
+    except TypeError:
+        raise ParameterOutOfRange(_NOT_A_POINT % (z,)) from None
+    if not cmath.isfinite(z):
+        raise ParameterOutOfRange(_NOT_A_POINT % (z,))
     if domain.locate(z, tol) == "exterior":
         raise OutsideDomain("%r is outside the closed %s" % (z, domain.name))
     return z
@@ -95,14 +108,30 @@ def _require_closure(domain: Domain, z: complex, tol: float = 1e-9) -> complex:
 
 def _closure_arrays(domain: Domain, *pts, tol: float = 1e-9):
     """The points as broadcast complex arrays, each required to lie in the
-    closed domain (the first one outside raises, as in the scalar call)."""
-    pts = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in pts))
+    closed domain (the first one outside raises, as in the scalar call);
+    anything but finite numbers raises :class:`ParameterOutOfRange`."""
+    pts = np.broadcast_arrays(*map(_points, pts))
     for p in pts:
         inside = domain.in_closure(p, tol)
         if not np.all(inside):
             bad = complex(p[~inside][0])
             raise OutsideDomain("%r is outside the closed %s" % (bad, domain.name))
     return pts
+
+
+_NOT_A_POINT = "a point must be a finite complex number, got %r"
+
+
+def _points(p) -> np.ndarray:
+    """p as a complex array of finite numbers; numpy would read None as NaN
+    and a string such as "1j" as a number, so only numeric dtypes pass."""
+    try:
+        arr = np.asarray(p)
+    except ValueError:      # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "biufc":
+        raise ParameterOutOfRange(_NOT_A_POINT % (p,))
+    return finite_array(arr, "a point", complex)
 
 
 def _require_no_pole(near_pole: np.ndarray, message: str) -> None:
@@ -118,39 +147,61 @@ def szego(domain: Domain, z: complex, w: complex) -> complex:
     """Szego kernel Q(z, w); z and w may lie in the closure as long as the
     kernel stays finite (the boundary-extended evaluation).
 
-    Arrays take the numpy body, a scalar pair a math/cmath body with the same
-    bits: one point through numpy costs 27.7 us against 1.4 us, and a verify
-    suite makes about 8,000 one-point calls (7,300 at the QUADPACK nodes of
-    the flip pairings) and about 20 array calls.
+    Arrays take the numpy body, a scalar pair the math/cmath body of
+    :func:`szego_at` with the same bits: one point through numpy costs
+    27.7 us against 1.4 us.  A verify suite makes about 660 one-point calls
+    here and about 20 array calls; the 7,500 points of the strip flip
+    pairings go to a bound :func:`szego_at` directly.
     """
     if is_batch(z, w):
         return _szego_array(domain, *_closure_arrays(domain, z, w))
     z = _require_closure(domain, z)
+    return szego_at(domain, w)(z)
+
+
+def szego_at(domain: Domain, w: complex):
+    """Q(., w) as a scalar function z -> complex, the one scalar body of the
+    Szego kernel.  ``w`` is checked and the domain resolved once; ``z`` is
+    not checked, so it must lie in the closure (:func:`szego` checks it, a
+    boundary embedding gives such points by construction).  A pole raises
+    :class:`PoleAtInput` at the call."""
     w = _require_closure(domain, w)
+    wc, pi = w.conjugate(), math.pi
     if isinstance(domain, Disc):
-        den = 1.0 - z * w.conjugate()
-        if abs(den) <= _POLE_TOL:
-            raise PoleAtInput("szego pole: z conj(w) = 1")
-        return 1.0 / (2.0 * math.pi * den)
+        def disc(z):
+            den = 1.0 - z * wc
+            if abs(den) <= _POLE_TOL:
+                raise PoleAtInput("szego pole: z conj(w) = 1")
+            return 1.0 / (2.0 * pi * den)
+
+        return disc
     if isinstance(domain, HalfPlane):
-        den = z - w.conjugate()
-        if abs(den) <= _POLE_TOL:
-            raise PoleAtInput("szego pole: z = conj(w)")
-        return 0.5j / (math.pi * den)
+        def half_plane(z):
+            den = z - wc
+            if abs(den) <= _POLE_TOL:
+                raise PoleAtInput("szego pole: z = conj(w)")
+            return 0.5j / (pi * den)
+
+        return half_plane
     if isinstance(domain, Strip):
         b = domain.beta
-        d = z - w.conjugate()
-        arg = math.pi * d / (2.0 * b)
-        if arg.real > _FAR:
-            # 1/sinh(arg) = 2 e^{-arg} up to relative error e^{-2 Re arg}
-            return 0.5j * cmath.exp(-arg) / b
-        if arg.real < -_FAR:
-            return -0.5j * cmath.exp(arg) / b
-        # the distance of d to the lattice, not |sinh(arg)|: on a wide strip
-        # sinh(arg) is tiny at points far from any pole
-        if math.hypot(d.real, d.imag - 2.0 * b * round(d.imag / (2.0 * b))) <= _POLE_TOL:
-            raise PoleAtInput("szego pole: z - conj(w) on the lattice 2 i beta Z")
-        return 0.25j / (b * cmath.sinh(arg))
+        b2, exp, sinh, hypot = 2.0 * b, cmath.exp, cmath.sinh, math.hypot
+
+        def strip(z):
+            d = z - wc
+            arg = pi * d / b2
+            if arg.real > _FAR:
+                # 1/sinh(arg) = 2 e^{-arg} up to relative error e^{-2 Re arg}
+                return 0.5j * exp(-arg) / b
+            if arg.real < -_FAR:
+                return -0.5j * exp(arg) / b
+            # the distance of d to the lattice, not |sinh(arg)|: on a wide
+            # strip sinh(arg) is tiny at points far from any pole
+            if hypot(d.real, d.imag - b2 * round(d.imag / b2)) <= _POLE_TOL:
+                raise PoleAtInput("szego pole: z - conj(w) on the lattice 2 i beta Z")
+            return 0.25j / (b * sinh(arg))
+
+        return strip
     raise UnsupportedPair("no szego kernel for %r" % (domain,))
 
 
@@ -501,10 +552,12 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
 
         return strip
 
+    q = szego_at(domain, w)
+
     def half_plane(x):
         if not isfinite(x):
             raise ParameterOutOfRange(_NOT_FINITE % (x,))
-        return szego(domain, embed(x), w) / szego(domain, rembed(-x), w)
+        return q(embed(x)) / q(rembed(-x))
 
     return half_plane
 
@@ -622,7 +675,13 @@ def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
     kernel factor supplies the decay on unbounded boundaries).
     """
     w = domain.require_interior(complex(w))
-    fstar = boundary_restriction(domain, lambda zb: _times(F(zb), szego(domain, zb, w)))
+    if isinstance(domain, Disc):
+        # one array call on the trapezoid nodes
+        fstar = boundary_restriction(domain, lambda zb: _times(F(zb), szego(domain, zb, w)))
+    else:
+        # one point per QUADPACK node, on the boundary by construction
+        q = szego_at(domain, w)
+        fstar = boundary_restriction(domain, lambda zb: F(zb) * q(zb))
     lhs = boundary_inner(domain, fstar, theta_apply(domain, w, fstar),
                          nodes=nodes, tol=tol)
     fw = F(w) * szego_diag(domain, w)

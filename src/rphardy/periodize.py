@@ -16,7 +16,8 @@ zeta = z - conj(w):
     bergman:  Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (zeta + 2 k i beta)^2.
 
 The Szego image series is (i / 2 pi) times the sinh series at zeta: both sum
-the terms of :func:`_sinh_terms`, each against its own closed form.  Every
+the terms of :func:`_sinh_terms`, each against its own closed form, and
+:func:`sinh_szego_series_at` gives both from one sum.  Every
 evaluator returns a :class:`SeriesEval` carrying the proven tail bound (valid
 once N exceeds the stated threshold; below it the bound is reported as inf)
 together with the closed-form value and the actual defect, so soundness
@@ -100,20 +101,32 @@ def _check_inputs(Ns, *points) -> tuple:
     return Ns
 
 
+_OVERFLOW = "the series or its closed form overflows double precision"
+
+
 @np.errstate(all="ignore")      # what overflows is caught below
-def _evals(Ns, terms_of, value_of, closed_of, bound_of) -> list:
-    """One :class:`SeriesEval` per truncation N, of ``value_of(s)`` at the
-    exactly rounded sum s of the first N terms ``terms_of(k)``, k = 1..max(Ns),
-    against ``closed_of()``; an overflow raises :class:`ParameterOutOfRange`."""
+def _prefix_sums(Ns, terms_of) -> list:
+    """The exactly rounded sum of the first N terms ``terms_of(k)``, k = 1..
+    max(Ns), for each N in ``Ns`` (:func:`numerics.comp_sum` with ``ends``),
+    as Python complexes; an overflow raises :class:`ParameterOutOfRange`."""
     try:
-        terms = terms_of(np.arange(1.0, max(Ns) + 1.0))
+        return comp_sum(terms_of(np.arange(1.0, max(Ns) + 1.0)), Ns).tolist()
+    except (OverflowError, ValueError):     # fsum of inf - inf
+        raise ParameterOutOfRange(_OVERFLOW) from None
+
+
+def _evals(Ns, sums, value_of, closed_of, bound_of) -> list:
+    """One :class:`SeriesEval` per truncation N, of ``value_of(s)`` at the
+    prefix sum s of N terms (from :func:`_prefix_sums`) against
+    ``closed_of()``; an overflow raises :class:`ParameterOutOfRange`."""
+    try:
         closed = closed_of()
-        values = [value_of(s) for s in comp_sum(terms, Ns).tolist()]
+        values = [value_of(s) for s in sums]
         finite = all(cmath.isfinite(v) for v in values + [closed])
-    except (OverflowError, ValueError, ZeroDivisionError):  # cmath, fsum of inf - inf
+    except (OverflowError, ValueError, ZeroDivisionError):  # cmath
         finite = False
     if not finite:
-        raise ParameterOutOfRange("the series or its closed form overflows double precision")
+        raise ParameterOutOfRange(_OVERFLOW)
     return [SeriesEval(v, closed, abs(v - closed), N, bound_of(N))
             for v, N in zip(values, Ns)]
 
@@ -126,8 +139,8 @@ def cosecant_series_at(z: complex, Ns) -> list:
     z = complex(z)
     if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
         raise PoleOnLattice("z is an integer")
-    return _evals(Ns, lambda k: _alternating(k.size) * 2.0 * z / (z * z - k * k),
-                  lambda s: 1.0 / z + s, lambda: math.pi / cmath.sin(math.pi * z),
+    sums = _prefix_sums(Ns, lambda k: _alternating(k.size) * 2.0 * z / (z * z - k * k))
+    return _evals(Ns, sums, lambda s: 1.0 / z + s, lambda: math.pi / cmath.sin(math.pi * z),
                   lambda N: 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf)
 
 
@@ -161,10 +174,7 @@ def sinh_series_at(beta: float, z: complex, Ns) -> list:
     Ns = _check_inputs(Ns, z)
     _require_positive(beta)
     z = _zeta(beta, z)
-    return _evals(Ns, _sinh_terms(beta, z), lambda s: 1.0 / z + s,
-                  lambda: (math.pi / (2.0 * beta)) / cmath.sinh(math.pi * z / (2.0 * beta)),
-                  lambda N: 2.0 * abs(z) / (3.0 * beta * beta * N)
-                  if N >= abs(z) / beta else math.inf)
+    return _sinh_evals(beta, z, Ns, _prefix_sums(Ns, _sinh_terms(beta, z)))
 
 
 def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
@@ -179,8 +189,34 @@ def szego_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     Ns = _check_inputs(Ns, z, w)
     _require_positive(beta)
     zeta = _zeta(beta, z, w)
-    return _evals(Ns, _sinh_terms(beta, zeta),
-                  lambda s: (1j / (2.0 * math.pi)) * (1.0 / zeta + s),
+    return _szego_evals(beta, z, w, zeta, Ns, _prefix_sums(Ns, _sinh_terms(beta, zeta)))
+
+
+def sinh_szego_series_at(beta: float, z: complex, w: complex, Ns) -> tuple:
+    """``(sinh_series_at(beta, zeta, Ns), szego_series_at(beta, z, w, Ns))``
+    at zeta = z - conj(w), bit for bit, from one sum of the sinh terms; it
+    raises wherever either of the two raises."""
+    Ns = _check_inputs(Ns, z, w)
+    _require_positive(beta)
+    zeta = _zeta(beta, z, w)
+    sums = _prefix_sums(Ns, _sinh_terms(beta, zeta))
+    return _sinh_evals(beta, zeta, Ns, sums), _szego_evals(beta, z, w, zeta, Ns, sums)
+
+
+def _sinh_evals(beta: float, z: complex, Ns, sums) -> list:
+    """The sinh series at z from the prefix sums of its terms: 1/z + s
+    against (pi / 2 beta) / sinh(pi z / 2 beta), tail 2|z| / (3 beta^2 N)."""
+    return _evals(Ns, sums, lambda s: 1.0 / z + s,
+                  lambda: (math.pi / (2.0 * beta)) / cmath.sinh(math.pi * z / (2.0 * beta)),
+                  lambda N: 2.0 * abs(z) / (3.0 * beta * beta * N)
+                  if N >= abs(z) / beta else math.inf)
+
+
+def _szego_evals(beta: float, z: complex, w: complex, zeta: complex, Ns, sums) -> list:
+    """The Szego series from the prefix sums of the sinh terms at zeta:
+    (i / 2 pi)(1/zeta + s) against :func:`kernels.szego`, tail
+    |zeta| / (3 pi beta^2 N)."""
+    return _evals(Ns, sums, lambda s: (1j / (2.0 * math.pi)) * (1.0 / zeta + s),
                   lambda: szego(Strip(beta), z, w),
                   lambda N: abs(zeta) / (3.0 * math.pi * beta * beta * N)
                   if N >= abs(zeta) / beta else math.inf)
@@ -198,9 +234,9 @@ def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     Ns = _check_inputs(Ns, z, w)
     _require_positive(beta)
     zeta = _zeta(beta, z, w)
-    return _evals(Ns, lambda k: 1.0 / (zeta + 2j * beta * k) ** 2
-                  + 1.0 / (zeta - 2j * beta * k) ** 2,
-                  lambda s: -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + s),
+    sums = _prefix_sums(Ns, lambda k: 1.0 / (zeta + 2j * beta * k) ** 2
+                        + 1.0 / (zeta - 2j * beta * k) ** 2)
+    return _evals(Ns, sums, lambda s: -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + s),
                   lambda: bergman_strip(beta, z, w),
                   lambda N: 5.0 / (18.0 * math.pi ** 2 * beta * beta * N)
                   if N >= abs(zeta) / beta else math.inf)

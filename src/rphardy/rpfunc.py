@@ -59,16 +59,17 @@ def _check_group(group: str) -> str:
 # --------------------------------------------------------------------------
 
 def _check_family(group: str, lam: float, beta: float = None) -> None:
-    """The parameter ranges of the three families: lam and beta finite (NaN
-    is out of range)."""
-    if group == "integers":
-        if not -1.0 <= lam <= 1.0:
-            raise ParameterOutOfRange("integer family needs lam in [-1, 1]")
-        return
+    """The parameter ranges of the three families: lam and beta finite
+    numbers (NaN, None and strings are out of range)."""
     if group == "circle":
         _require_positive(beta)
-    if not 0.0 <= lam < math.inf:
-        raise ParameterOutOfRange("%s family needs a finite lam >= 0" % group)
+    try:
+        ok = -1.0 <= lam <= 1.0 if group == "integers" else 0.0 <= lam < math.inf
+    except (TypeError, ValueError):     # not a number, or an array
+        ok = False
+    if not ok:
+        raise ParameterOutOfRange("integer family needs lam in [-1, 1]" if group == "integers"
+                                  else "%s family needs a finite lam >= 0" % group)
 
 
 def phi_int(lam: float, n):
@@ -193,7 +194,11 @@ def param_rp_check(n: int, samples) -> GramReport:
 
         K_{jk} = p_n(g_j g_k^{-1}) = (eps_j eps_k)^n e^{-n |t_j - t_k|}.
     """
-    if not 0 <= n < math.inf or int(n) != n:
+    try:
+        ok = 0 <= n < math.inf and int(n) == n
+    except (TypeError, ValueError):     # not a number, or an array
+        ok = False
+    if not ok:
         raise ParameterOutOfRange("power must be a nonnegative integer")
     t, eps = finite_pairs(samples, "samples").T
     if not np.all((eps == 1.0) | (eps == -1.0)):

@@ -328,12 +328,12 @@ def check_series_soundness(cfg: Defaults):
         beta = rng.uniform(1.5, 3.0)
         strip = Strip(beta)
         z, w = sample_interior(strip, rng, 2, margin=0.1)
-        zeta = z - np.conj(w)
         # n_top first, so each soundness id is reported just before its
-        # accuracy id; each series builds its terms once, for n_top
+        # accuracy id; each series builds its terms once, for n_top, and the
+        # sinh series at z - conj(w) and the Szego series share one sum
         ns = (n_top, 100, 1000)
-        evs = {"sinh": periodize.sinh_series_at(beta, zeta, ns),
-               "szego": periodize.szego_series_at(beta, z, w, ns),
+        sinh, szego = periodize.sinh_szego_series_at(beta, z, w, ns)
+        evs = {"sinh": sinh, "szego": szego,
                "bergman": periodize.bergman_series_at(beta, z, w, ns)}
         for j, n in enumerate(ns):
             for name, series in evs.items():

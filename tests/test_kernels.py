@@ -828,3 +828,90 @@ def test_kernel_gram_agrees_with_a_double_loop_reference(kind, s):
     for field in ("min_eigenvalue", "max_eigenvalue", "hermiticity_defect"):
         assert getattr(got, field) == pytest.approx(getattr(ref, field),
                                                     abs=1e-13 * ref.spectral_norm)
+
+
+def _cbits(c) -> tuple:
+    """The bits of a complex, the signs of zero included."""
+    c = complex(c)
+    return c.real.hex(), c.imag.hex()
+
+
+def _szego_at_points(domain):
+    """Interior points and, on the strip, points 300 beta to either side
+    (the far branches, Re arg = +-471) and 500 beta to the right (Re arg
+    = 785, past the underflow of e^{-arg} to a signed zero)."""
+    pts = sample_interior(domain, np.random.default_rng(34), 8)
+    if domain is STRIP:
+        pts = np.concatenate([pts, pts[:3] + 300.0 * STRIP.beta,
+                              pts[3:6] - 300.0 * STRIP.beta, pts[6:] + 500.0 * STRIP.beta])
+    return [complex(p) for p in pts]
+
+
+@pytest.mark.parametrize("domain", [DISC, HALF_PLANE, STRIP],
+                         ids=["disc", "half_plane", "strip"])
+def test_szego_at_is_szego_and_its_array_body_bit_for_bit(domain):
+    pts = _szego_at_points(domain)
+    arr = np.array(pts)
+    grid = kernels._szego_array(domain, arr[:, None], arr[None, :])
+    branches = set()
+    for j, z in enumerate(pts):
+        for k, w in enumerate(pts):
+            got = kernels.szego_at(domain, w)(z)
+            assert type(got) is complex
+            assert _cbits(got) == _cbits(kernels.szego(domain, z, w)) == _cbits(grid[j, k])
+            if domain is STRIP:
+                re_arg = math.pi * (z - w.conjugate()).real / (2.0 * STRIP.beta)
+                branches.add("far" if re_arg > 350.0 else "near" if re_arg < -350.0 else "mid")
+                if re_arg > 745.0:
+                    assert got == 0.0 and math.copysign(1.0, got.imag) in (-1.0, 1.0)
+    assert domain is not STRIP or branches == {"far", "near", "mid"}
+
+
+@pytest.mark.parametrize("domain,z,w", [
+    (DISC, 1.0 + 0.0j, 1.0 + 0.0j),
+    (HALF_PLANE, 0.5 + 0.0j, 0.5 + 0.0j),
+    (STRIP, 0.7 + 0.0j, 0.7 + 0.0j),
+    (STRIP, 0.7 + 2.0j, 0.7 + 2.0j),     # z - conj(w) = 2 i beta
+], ids=["disc", "half_plane", "strip-0", "strip-2i-beta"])
+def test_szego_at_raises_pole_at_input_on_the_lattice(domain, z, w):
+    q = kernels.szego_at(domain, w)
+    with pytest.raises(PoleAtInput):
+        q(z)
+
+
+def test_szego_at_checks_w_when_it_is_bound():
+    with pytest.raises(OutsideDomain):
+        kernels.szego_at(STRIP, 3.0j)
+    with pytest.raises(OutsideDomain):
+        kernels.szego_at(DISC, 1.5)
+    with pytest.raises(ParameterOutOfRange):
+        kernels.szego_at(HALF_PLANE, complex(0.0, math.inf))
+    with pytest.raises(ParameterOutOfRange):
+        kernels.szego_at(STRIP, None)
+
+
+GOOD_POINT = {DISC: 0.2 + 0.1j, HALF_PLANE: 0.3 + 0.5j, STRIP: 0.3 + 0.5j}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", ["scalar", "array"])
+@pytest.mark.parametrize("at", ["z", "w"])
+@pytest.mark.parametrize("bad", [None, "a", math.nan, math.inf, -math.inf],
+                         ids=["None", "str", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("domain", [DISC, HALF_PLANE, STRIP],
+                         ids=["disc", "half_plane", "strip"])
+def test_szego_rejects_a_point_that_is_not_a_finite_number(domain, bad, at, form):
+    """szego never returns NaN: a NaN real part on the line used to pass the
+    closure test of the half-plane and the strip."""
+    good = GOOD_POINT[domain]
+    point = bad if form == "scalar" else [good, bad]
+    z, w = (point, good) if at == "z" else (good, point)
+    with pytest.raises(ParameterOutOfRange):
+        kernels.szego(domain, z, w)
+
+
+def test_szego_names_z_when_both_points_are_bad():
+    with pytest.raises(ParameterOutOfRange, match="'a'"):
+        kernels.szego(STRIP, "a", None)
+    with pytest.raises(OutsideDomain, match=r"^\(1\+3j\) is outside"):
+        kernels.szego(STRIP, 1.0 + 3.0j, 2.0 + 5.0j)

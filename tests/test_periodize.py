@@ -197,6 +197,7 @@ def test_series_reject_a_truncation_that_is_not_a_positive_integer(N):
              lambda: periodize.cosecant_series_at(z, (100, N)),
              lambda: periodize.sinh_series_at(beta, z, (N, 100)),
              lambda: periodize.szego_series_at(beta, z, w, [N]),
+             lambda: periodize.sinh_szego_series_at(beta, z, w, (N, 100)),
              lambda: periodize.bergman_series_at(beta, z, w, (100, N, 10))]
     for call in calls:
         with pytest.raises(ParameterOutOfRange):
@@ -249,3 +250,44 @@ def test_a_series_or_closed_form_that_overflows_raises_without_a_warning(call):
 def test_the_sinh_series_names_its_own_lattice_pole():
     with pytest.raises(PoleOnLattice, match="z lies"):
         periodize.sinh_series(1.0, 2j, 100)
+
+
+def test_sinh_szego_series_at_is_the_two_series_bit_for_bit():
+    # one sum of the shared terms gives both series, each against its own
+    # closed form and with its own tail bound
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        beta = float(rng.uniform(1.5, 3.0))
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
+        w = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
+        Ns = (3000, 100, 1000, 1)
+        sinh, szego = periodize.sinh_szego_series_at(beta, z, w, Ns)
+        assert [_bits(ev) for ev in sinh] == \
+            [_bits(ev) for ev in periodize.sinh_series_at(beta, z - w.conjugate(), Ns)]
+        assert [_bits(ev) for ev in szego] == \
+            [_bits(ev) for ev in periodize.szego_series_at(beta, z, w, Ns)]
+
+
+@pytest.mark.parametrize("z,w", [(0.3 + 0.5j, 0.3 - 0.5j), (0.3 + 0.5j, 0.3 + 1.5j)],
+                         ids=["zeta-0", "zeta-2i-beta"])
+def test_sinh_szego_series_at_raises_the_lattice_pole_of_both(z, w):
+    for call in (lambda: periodize.sinh_series_at(1.0, z - w.conjugate(), (10,)),
+                 lambda: periodize.szego_series_at(1.0, z, w, (10,)),
+                 lambda: periodize.sinh_szego_series_at(1.0, z, w, (10,))):
+        with pytest.raises(PoleOnLattice):
+            call()
+
+
+def test_sinh_szego_series_at_raises_where_the_sinh_closed_form_overflows():
+    # past Re zeta ~ 452 beta the sinh closed form overflows, while the Szego
+    # kernel takes its far branch and its series still returns
+    z, w = 1000.0 + 0.5j, 0.5j
+    assert periodize.szego_series_at(1.0, z, w, (10,))[0].closed_form == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match="overflows"):
+            periodize.sinh_series_at(1.0, z - w.conjugate(), (10,))
+        with pytest.raises(ParameterOutOfRange, match="overflows"):
+            periodize.sinh_szego_series_at(1.0, z, w, (10,))
+        with pytest.raises(ParameterOutOfRange, match="overflows"):
+            periodize.sinh_szego_series_at(1.0, 1e300 + 0.5j, 0.1 + 0.2j, (10,))

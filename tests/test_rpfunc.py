@@ -362,3 +362,15 @@ def test_c_log_abs_on_a_t_array_matches_scalar_calls():
     for bad in (np.array([0.5, 0.0]), [0.5, math.nan]):
         with pytest.raises(ParameterOutOfRange):
             rpfunc.c_log_abs(1.0, bad, 0.3j)
+
+
+@pytest.mark.parametrize("call", [
+    lambda bad: rpfunc.phi_line(bad, 1.0),
+    lambda bad: rpfunc.phi_int(bad, 1),
+    lambda bad: rpfunc.phi_circle(1.0, bad, 0.2),
+    lambda bad: rpfunc.param_rp_check(bad, [(0.1, 1)]),
+], ids=["phi_line", "phi_int", "phi_circle", "param_rp_check"])
+@pytest.mark.parametrize("bad", [None, "a", math.nan], ids=["None", "str", "nan"])
+def test_a_family_parameter_that_is_not_a_number_is_out_of_range(call, bad):
+    with pytest.raises(ParameterOutOfRange):
+        call(bad)

@@ -800,3 +800,24 @@ def test_cli_modular_fuzz_exits_0_2_or_3(atoms, beta, t, as_json):
     assert rc in (0, 2, 3)
     if rc == 0:
         assert _printed_finite(out)
+
+
+@pytest.mark.parametrize("key", ["series_terms", "boundary_nodes", "rng_seed"])
+@pytest.mark.parametrize("value", [None, 1.5, math.nan, "5", -1])
+def test_defaults_reject_an_integer_field_that_is_not_an_integer_by_name(key, value):
+    with pytest.raises(ParameterOutOfRange, match="%s must be an integer" % key):
+        Defaults(**{key: value}).validate()
+
+
+def test_defaults_take_integer_fields_at_their_least_values():
+    Defaults(series_terms=1, boundary_nodes=4, rng_seed=0).validate()
+    Defaults(series_terms=np.int64(10), rng_seed=np.int32(3)).validate()
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    argv = ["kernel", "--domain", "disc", "--z", "0.3+0.2i", "--w", "0.1"]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was rebuilt"))
+    assert cli.main(argv) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
