@@ -10,10 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .errors import ParameterOutOfRange
-from .numerics import _require_positive
+from .numerics import _require_count, _require_positive
 
 
 @dataclass
@@ -29,10 +27,7 @@ class Defaults:
     def validate(self) -> "Defaults":
         _require_positive(self.beta)
         for name, least in _LEAST.items():
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= least):
-                raise ParameterOutOfRange("%s must be an integer >= %d, got %r"
-                                          % (name, least, value))
+            _require_count(getattr(self, name), least, name)
         for name in ("quad_tol", "grid_step", "grid_halfwidth"):
             _require_positive(getattr(self, name), name)
         return self

@@ -33,9 +33,10 @@ import math
 import numpy as np
 
 from .errors import OutsideDomain, ParameterOutOfRange
-from .numerics import _complex, _require_positive, is_batch
+from .numerics import _complex, _require_count, _require_positive, finite_array, finite_point
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
+_PARAMETER = "boundary parameter x"
 
 
 class Domain:
@@ -71,7 +72,7 @@ class Domain:
         raise NotImplementedError
 
     def require_interior(self, z: complex) -> complex:
-        z = complex(z)
+        z = finite_point(z)
         if not self.contains(z):
             raise OutsideDomain("%r is not in the open %s" % (z, self.name))
         return z
@@ -96,7 +97,8 @@ class Domain:
     def boundary_embed(self, component: str, x: float) -> complex:
         """Embed the boundary parameter x of a component into the plane; an
         array x gives the complex array of the same shape, each element the
-        scalar embedding bit for bit."""
+        scalar embedding bit for bit.  An x that is not a finite float goes
+        through :func:`numerics.finite_array`."""
         raise NotImplementedError
 
     def embedding(self, component: str):
@@ -128,10 +130,11 @@ class Disc(Domain):
 
     def boundary_embed(self, component, x):
         self._side(component)
-        if is_batch(x):
-            # complex np.exp agrees with cmath.exp bit for bit
-            return np.exp(1j * np.asarray(x, dtype=float))
-        return cmath.exp(1j * x)
+        if isinstance(x, float) and math.isfinite(x):     # numpy's float64 is one
+            return cmath.exp(1j * x)
+        # complex np.exp agrees with cmath.exp bit for bit
+        z = np.exp(1j * finite_array(x, _PARAMETER))
+        return z if z.ndim else complex(z)
 
     def embedding(self, component):
         self._side(component)
@@ -156,9 +159,10 @@ class HalfPlane(Domain):
 
     def boundary_embed(self, component, x):
         self._side(component)
-        if is_batch(x):
-            return _complex(x, 0.0)
-        return complex(x)
+        if isinstance(x, float) and math.isfinite(x):
+            return complex(x)
+        z = _complex(finite_array(x, _PARAMETER), 0.0)
+        return z if z.ndim else complex(z)
 
     def embedding(self, component):
         self._side(component)
@@ -192,7 +196,10 @@ class Strip(Domain):
 
     def boundary_embed(self, component, x):
         y = self._height(component)
-        return _complex(x, y) if is_batch(x) else complex(x, y)
+        if isinstance(x, float) and math.isfinite(x):
+            return complex(x, y)
+        z = _complex(finite_array(x, _PARAMETER), y)
+        return z if z.ndim else complex(z)
 
     def embedding(self, component):
         y = self._height(component)
@@ -337,6 +344,7 @@ def hardy_transfer(src: Domain, dst: Domain, f):
 def sample_interior(domain: Domain, rng: np.random.Generator, n: int,
                     margin: float = 0.05):
     """n pseudo-random interior points, keeping ``margin`` away from the boundary."""
+    _require_count(n, 0, "n")
     if isinstance(domain, Disc):
         r = (1.0 - margin) * np.sqrt(rng.uniform(0.0, 1.0, n))
         th = rng.uniform(0.0, 2.0 * math.pi, n)

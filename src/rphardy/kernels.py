@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .domains import DISC, HALF_PLANE, Disc, Domain, HalfPlane, Strip, transfer_map
+from .domains import _PARAMETER, HALF_PLANE, Disc, Domain, HalfPlane, Strip, transfer_map
 from .errors import (
     BranchCutViolation,
     DivergentLogIntegral,
@@ -84,23 +84,16 @@ from .errors import (
     ToleranceNotReached,
     UnsupportedPair,
 )
-from .numerics import (_SCALARS, GramReport, IdentityCheck, _complex, finite_array,
+from .numerics import (GramReport, IdentityCheck, _complex, finite_array, finite_point,
                        gram_report, is_batch)
 
 _POLE_TOL = 1e-13
 
 
 def _require_closure(domain: Domain, z: complex, tol: float = 1e-9) -> complex:
-    """z as a complex in the closed domain; None, a string or a value that
-    is not finite raises :class:`ParameterOutOfRange`."""
-    if isinstance(z, (str, bytes)):     # complex() reads "1j" as a number
-        raise ParameterOutOfRange(_NOT_A_POINT % (z,))
-    try:
-        z = complex(z)
-    except TypeError:
-        raise ParameterOutOfRange(_NOT_A_POINT % (z,)) from None
-    if not cmath.isfinite(z):
-        raise ParameterOutOfRange(_NOT_A_POINT % (z,))
+    """z as a complex in the closed domain: :func:`numerics.finite_point`,
+    then :class:`OutsideDomain` for a point outside the closure."""
+    z = finite_point(z)
     if domain.locate(z, tol) == "exterior":
         raise OutsideDomain("%r is outside the closed %s" % (z, domain.name))
     return z
@@ -110,28 +103,13 @@ def _closure_arrays(domain: Domain, *pts, tol: float = 1e-9):
     """The points as broadcast complex arrays, each required to lie in the
     closed domain (the first one outside raises, as in the scalar call);
     anything but finite numbers raises :class:`ParameterOutOfRange`."""
-    pts = np.broadcast_arrays(*map(_points, pts))
+    pts = np.broadcast_arrays(*(finite_array(p, "a point", complex) for p in pts))
     for p in pts:
         inside = domain.in_closure(p, tol)
         if not np.all(inside):
             bad = complex(p[~inside][0])
             raise OutsideDomain("%r is outside the closed %s" % (bad, domain.name))
     return pts
-
-
-_NOT_A_POINT = "a point must be a finite complex number, got %r"
-
-
-def _points(p) -> np.ndarray:
-    """p as a complex array of finite numbers; numpy would read None as NaN
-    and a string such as "1j" as a number, so only numeric dtypes pass."""
-    try:
-        arr = np.asarray(p)
-    except ValueError:      # ragged
-        arr = None
-    if arr is None or arr.dtype.kind not in "biufc":
-        raise ParameterOutOfRange(_NOT_A_POINT % (p,))
-    return finite_array(arr, "a point", complex)
 
 
 def _require_no_pole(near_pole: np.ndarray, message: str) -> None:
@@ -297,7 +275,7 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
     the circle the numpy body, which takes an array of angles or a float;
     on a line a scalar function x -> float.  ``z`` and ``component`` are
     checked, and every factor that depends only on them computed, once."""
-    z = _base_point(domain, z, "poisson takes one base point z; x may be an array")
+    z = domain.require_interior(z)
     if component is None:
         component = domain.boundary_components()[0]
     domain._side(component)
@@ -355,16 +333,7 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
     raise UnsupportedPair("no poisson kernel for %r" % (domain,))
 
 
-_PARAMETER = "boundary parameter x"
 _NOT_FINITE = _PARAMETER + " must be finite, got %r"
-
-
-def _base_point(domain: Domain, z, message: str) -> complex:
-    """The one interior base point of a boundary kernel, as a complex; an
-    array raises :class:`ParameterOutOfRange` with ``message``."""
-    if not isinstance(z, _SCALARS) and np.ndim(z):
-        raise ParameterOutOfRange(message)
-    return domain.require_interior(complex(z))
 
 
 # Far branches of the line Poisson kernels: past |dx| = _FAR_DX the
@@ -380,12 +349,15 @@ def _at_x(domain: Domain, form, x, dtype):
     """The per-component ``form`` at x, as a ``dtype`` scalar or an array in
     the shape of ``x``: called directly on a scalar and on the circle (its
     form is a numpy body), element by element on a line array (its form is
-    a scalar function)."""
-    if not is_batch(x):
+    a scalar function).  A float goes to the form, which checks it; any
+    other x goes through :func:`numerics.finite_array` first."""
+    if isinstance(x, float):        # numpy's float64 is one
         return dtype(form(x))
+    x = finite_array(x, _PARAMETER)
+    if not x.ndim:
+        return dtype(form(float(x)))
     if isinstance(domain, Disc):
         return np.asarray(form(x), dtype=dtype)
-    x = np.asarray(x, dtype=float)
     return np.array([form(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
 
 
@@ -521,7 +493,7 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
     the circle a numpy body, which takes an array of angles or a float; on a
     line a scalar function x -> complex.  ``w``, ``component``, the
     embedding and the reflected component are checked and resolved once."""
-    w = _base_point(domain, w, "h_boundary takes one point w; x may be an array")
+    w = domain.require_interior(w)
     rcomp, _ = domain._side(component)
     if isinstance(domain, Disc):
         def disc(x):
@@ -674,7 +646,7 @@ def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
     F should be holomorphic on the closure with at most polynomial growth (the
     kernel factor supplies the decay on unbounded boundaries).
     """
-    w = domain.require_interior(complex(w))
+    w = domain.require_interior(w)
     if isinstance(domain, Disc):
         # one array call on the trapezoid nodes
         fstar = boundary_restriction(domain, lambda zb: _times(F(zb), szego(domain, zb, w)))
@@ -705,7 +677,7 @@ def outer_from_modulus(psi, z: complex) -> complex:
     (1 + p^2)^{-1}; non-positive samples raise NonPositiveModulus and a
     quadrature failure raises DivergentLogIntegral.
     """
-    z = HALF_PLANE.require_interior(complex(z))
+    z = HALF_PLANE.require_interior(z)
 
     def integrand(p: float) -> complex:
         if abs(p) > 1e100:
@@ -742,7 +714,7 @@ def kernel_gram(domain: Domain, points, kind: str = "szego",
 
     ``kind`` is "szego", "power" (requires ``s``) or "bergman" (strip only).
     """
-    pts = np.asarray(points, dtype=complex).ravel()
+    pts = finite_array(points, "points", complex).ravel()
     if kind == "szego":
         k = lambda a, b: szego(domain, a, b)
     elif kind == "power":
@@ -778,6 +750,7 @@ def szego_transfer_check(src: Domain, dst: Domain, z: complex,
     evaluation points (they do for all strip points and for disc points with
     |z| bounded away from the critical circle through 1).
     """
+    z, w = finite_point(z), finite_point(w)
     phi, dphi = transfer_map(src, dst)
     lhs = szego(src, z, w)
     pref = _safe_sqrt(dphi(z)) * _safe_sqrt(dphi(w)).conjugate()

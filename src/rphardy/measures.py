@@ -62,7 +62,8 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import _require_positive, comp_sum, comp_sum_real, finite_pairs, quad, row_blocks
+from .numerics import (_require_positive, comp_sum, comp_sum_real, finite_array, finite_pairs,
+                       finite_point, quad, row_blocks)
 
 _MERGE_TOL = 1e-12
 
@@ -450,9 +451,7 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
 def _exp_sum(parts, z):
     """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch) ``parts``: the
     one body, and contract, of :func:`fourier` and :func:`modular.modular_coefficient`."""
-    zs = np.asarray(z, dtype=complex)
-    if not np.isfinite(zs).all():
-        raise ParameterOutOfRange("the transform needs finite z")
+    zs = finite_array(z, "the transform's z", complex)
     flat = zs.ravel()
     iz = 1j * flat
     total = np.zeros(iz.size, dtype=complex)
@@ -531,7 +530,7 @@ def rp_circle_from_measure(mu: MeasureOnR, beta: float):
 
 def kernel_from_measure(nu: MeasureOnR, z: complex, w: complex) -> complex:
     """K(z, w) = nu_hat(z - conj(w)) on the strip."""
-    return fourier(nu, complex(z) - complex(w).conjugate())
+    return fourier(nu, finite_point(z) - finite_point(w).conjugate())
 
 
 def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
@@ -591,7 +590,7 @@ def riesz_hat(s: float, z: complex) -> complex:
     """mu_s_hat(z) = (i / z)^s for Im z > 0 (principal power; the base lies
     in the right half-plane there)."""
     _require_positive(s, "s")
-    z = complex(z)
+    z = finite_point(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("closed form needs Im z > 0")
     return (1j / z) ** s
@@ -603,7 +602,7 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     for s < 1.  The endpoint singularity is flattened by p = q^m on (0, 1]
     and the tail truncated where e^{-Im z * p} is below roundoff."""
     _require_positive(s, "s")
-    z = complex(z)
+    z = finite_point(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("transform needs Im z > 0")
     from scipy.special import gamma as gamma_function  # loaded on first use

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
 from .measures import MeasureOnR, _exp_sum, _mirror_index, reflection_check
-from .numerics import IdentityCheck, _require_positive, comp_sum, oscillatory_ft
+from .numerics import IdentityCheck, _require_count, _require_positive, comp_sum, oscillatory_ft
 
 _REFLECTION_TOL = 1e-10     # the reflection defect build_modular accepts
 _MAX_EXPONENT = 470.0       # keeps e^{3 beta |lam| / 2}, met inside J Delta J, finite
@@ -242,8 +242,7 @@ def commutation_check(beta_length: float, n_nodes: int, s: float,
     width L / 6; reports the node-wise defect of V_s U_t = e^{its} U_t V_s."""
     L = float(beta_length)
     _require_positive(L, "period")
-    if n_nodes < 2:
-        raise ParameterOutOfRange("need >= 2 nodes")
+    _require_count(n_nodes, 2, "n_nodes")
     h = L / n_nodes
     x = -L / 2.0 + h * np.arange(n_nodes)
     width = L / 6.0

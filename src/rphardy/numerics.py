@@ -282,7 +282,7 @@ def comp_sum(values, ends=None):
 # --------------------------------------------------------------------------
 
 _SCALARS = (complex, float, int)       # numpy float64/complex128 subclass these
-_ARRAY_LIKE = (np.ndarray, np.generic) + _SCALARS   # np.asarray takes these as they are
+_ARRAY_LIKE = (np.ndarray, np.generic, str, bytes) + _SCALARS   # np.asarray takes these whole
 # 2**13 complex terms are 128 KiB, glibc's default mmap threshold: blocks of
 # up to about 150 KiB are reused from the heap, while (4, 3201) and larger
 # complex blocks are mapped afresh and fault in on every call
@@ -292,19 +292,16 @@ _BLOCK_TERMS = 1 << 13
 def is_batch(*args) -> bool:
     """Whether any argument is an array (or sequence) with at least one axis.
 
-    :func:`~rphardy.kernels.szego` and the boundary embeddings keep a
-    scalar math/cmath body beside their numpy one and pick it when this is
-    false (Python and numpy scalars and 0-d arrays): one element through
-    numpy costs about 20x more, and QUADPACK integrands make thousands of
-    one-point calls.  Functions with one numpy body, such as
-    :func:`~rphardy.kernels.power_kernel`, run it on 0-d arrays.  A boundary
-    kernel or boundary function has one form per component, so it asks
-    this only to tell a line array, which its scalar line form takes one
-    element at a time, from a scalar; on the circle its numpy body takes
-    both, and :func:`trapezoid_circle` calls it once on all of its nodes.
+    :func:`~rphardy.kernels.szego` keeps a scalar math/cmath body beside
+    its numpy one and picks it when this is false (Python and numpy scalars
+    and 0-d arrays): one element through numpy costs about 20x more, and
+    QUADPACK integrands make thousands of one-point calls.  Functions with
+    one numpy body, such as :func:`~rphardy.kernels.power_kernel`, run it on
+    0-d arrays.  A list or tuple is a batch even where numpy cannot shape it
+    (ragged), so that :func:`finite_array` rejects it.
     """
     for a in args:      # a plain loop: any() over a generator costs 3x more
-        if not isinstance(a, _SCALARS) and np.ndim(a):
+        if not isinstance(a, _SCALARS) and (isinstance(a, (list, tuple)) or np.ndim(a)):
             return True
     return False
 
@@ -319,20 +316,38 @@ def _complex(re, im) -> np.ndarray:
 
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
-    """``values`` (a number, an array or any iterable) as an array, 0-d for a
-    number; raises :class:`ParameterOutOfRange` naming ``what`` unless it is
-    a number or a rectangular array of numbers, every one finite (the
-    message then names the first value that is not)."""
+    """``values`` (a number, an array or any iterable) as a ``dtype`` array,
+    0-d for a number; raises :class:`ParameterOutOfRange` naming ``what``
+    unless it is a number or a rectangular array of numbers that ``dtype``
+    holds (not a complex for float, nor None or "1j", which numpy would
+    read as NaN and a number), every one finite (the message then names
+    the first value that is not)."""
     try:
-        arr = np.asarray(values if isinstance(values, _ARRAY_LIKE) else list(values),
-                         dtype=dtype)
-    except (TypeError, ValueError):     # not iterable, ragged, or an entry
-        raise ParameterOutOfRange(      # that is not a number
-            "%s must be a rectangular array of numbers" % what) from None
+        arr = np.asarray(values if isinstance(values, _ARRAY_LIKE) else list(values))
+    except (TypeError, ValueError):     # not iterable, or ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise ParameterOutOfRange("%s must be a rectangular array of numbers" % what)
+    arr = arr.astype(dtype, copy=False)
     finite = np.isfinite(arr)
     if not finite.all():
         raise ParameterOutOfRange("%s must be finite, got %r" % (what, arr[~finite][0].item()))
     return arr
+
+
+def finite_point(z, what: str = "a point") -> complex:
+    """z as a Python complex: the one guard of a single point.  A Python or
+    numpy number costs ``complex()`` and ``cmath.isfinite``; None, a string,
+    an array with an axis, anything ``complex()`` does not take, NaN and
+    +-inf raise :class:`ParameterOutOfRange` naming ``what``."""
+    try:
+        if isinstance(z, _SCALARS) or not (isinstance(z, (str, bytes)) or np.ndim(z)):
+            p = complex(z)      # complex() would read the string "1j" as a number
+            if cmath.isfinite(p):
+                return p
+    except (TypeError, ValueError, OverflowError):  # not a number, ragged, or huge
+        pass
+    raise ParameterOutOfRange("%s must be a finite complex number, got %r" % (what, z))
 
 
 def _require_positive(value, name: str = "beta") -> None:
@@ -343,6 +358,13 @@ def _require_positive(value, name: str = "beta") -> None:
         ok = False
     if not ok:
         raise ParameterOutOfRange("need finite %s > 0, got %r" % (name, value))
+
+
+def _require_count(n, least: int, what: str) -> None:
+    """Raise :class:`ParameterOutOfRange` naming ``what`` unless ``n`` is a
+    Python or numpy integer of at least ``least``: the one guard of a count."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise ParameterOutOfRange("%s must be an integer >= %d, got %r" % (what, least, n))
 
 
 def finite_pairs(values, what: str, dtype=float) -> np.ndarray:
@@ -382,7 +404,8 @@ def _quadpack(f, a, b, tol, **opts):
     """``scipy.integrate.quad`` with the package's tolerances, returning
     ``(value, error_estimate)``.  ``full_output`` keeps QUADPACK's failure
     flags out of the warnings machinery: the error estimate goes through
-    :func:`_tolerance_guard` instead."""
+    :func:`_tolerance_guard` instead.  ``tol`` must be a finite number > 0."""
+    _require_positive(tol, "tol")
     import scipy.integrate  # loaded on the first quadrature only
 
     return scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, **opts)[:2]
@@ -488,8 +511,12 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
 
     Splits into even/odd parts and uses QUADPACK's cosine/sine weights on
     [0, inf), which remain accurate when f decays too slowly (e.g. like 1/x^2)
-    for naive truncation.
+    for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf).
     """
+    t = finite_array(t, "t")
+    if t.ndim:
+        raise ParameterOutOfRange("t must be one number, got shape %r" % (t.shape,))
+    t = float(t)
     if t == 0.0:
         val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
         return complex(val)
@@ -514,9 +541,7 @@ def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
     For smooth 2 pi-periodic integrands the rule converges geometrically, so
     2**10 nodes deliver machine accuracy for every circle integral used here.
     """
-    if not (isinstance(n_nodes, (int, np.integer)) and n_nodes >= 1):
-        raise ParameterOutOfRange("n_nodes must be a positive integer, got %r"
-                                  % (n_nodes,))
+    _require_count(n_nodes, 1, "n_nodes")
     t = TWO_PI * np.arange(n_nodes) / n_nodes
     vals = np.asarray(f(t), dtype=complex)
     try:
@@ -623,6 +648,7 @@ def poisson_summation_check(beta: float, lam: float, x: float, K: int) -> Identi
     """
     _require_positive(beta)
     _require_positive(lam, "lam")
+    _require_count(K, 1, "K")
     if not 0.0 <= x <= beta:
         raise ParameterOutOfRange("x must lie in [0, beta]")
     s = beta * lam / TWO_PI
@@ -694,7 +720,7 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
     The integrand decays like e^{-Im(z) lam} at +inf and e^{-(2 beta - Im z)|lam|}
     at -inf, so the transform only exists on the open strip of height 2 beta.
     """
-    z = complex(z)
+    z = finite_point(z)
     _require_positive(beta)
     if not 0.0 < z.imag < 2.0 * beta:
         raise ParameterOutOfRange("need 0 < Im z < 2 beta for convergence")

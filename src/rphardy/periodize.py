@@ -53,7 +53,7 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .numerics import _require_positive, comp_sum
+from .numerics import _require_positive, comp_sum, finite_point
 
 _LATTICE_TOL = 1e-12
 _MAX_TERMS = 2 ** 53
@@ -83,10 +83,11 @@ def _alternating(n: int, first: float = -1.0) -> np.ndarray:
 
 
 def _check_inputs(Ns, *points) -> tuple:
-    """``Ns`` as a tuple of truncations; rejects anything but a non-empty
+    """``(Ns, *points)``, ``Ns`` as a tuple of truncations and each point as
+    a complex by :func:`numerics.finite_point` (NaN would pass the pole
+    tests and come back as a NaN defect).  Rejects anything but a non-empty
     sequence of positive integers of at most 2**53 (beyond it the float
-    indices k are no longer exact), and non-finite points: NaN would pass
-    the pole tests and come back as a NaN defect."""
+    indices k are no longer exact)."""
     try:
         Ns = tuple(Ns)
     except TypeError:
@@ -95,10 +96,7 @@ def _check_inputs(Ns, *points) -> tuple:
                          for N in Ns):
         raise ParameterOutOfRange("truncations must be positive integers of at most "
                                   "2**53, got %r" % (Ns,))
-    if not all(cmath.isfinite(complex(p)) for p in points):
-        raise ParameterOutOfRange("series points must be finite, got %r"
-                                  % (points,))
-    return Ns
+    return (Ns, *(finite_point(p, "a series point") for p in points))
 
 
 _OVERFLOW = "the series or its closed form overflows double precision"
@@ -135,8 +133,7 @@ def cosecant_series_at(z: complex, Ns) -> list:
     """:func:`cosecant_series` at each truncation N in ``Ns``: the terms are
     built once, for the largest N, and each partial sum is the exactly
     rounded sum of its first N terms, bit for bit the single-N value."""
-    Ns = _check_inputs(Ns, z)
-    z = complex(z)
+    Ns, z = _check_inputs(Ns, z)
     if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
         raise PoleOnLattice("z is an integer")
     sums = _prefix_sums(Ns, lambda k: _alternating(k.size) * 2.0 * z / (z * z - k * k))
@@ -157,8 +154,9 @@ def _sinh_terms(beta: float, zeta: complex):
 
 
 def _zeta(beta, z, w=None) -> complex:
-    """z - conj(w) (z when w is None), off the pole lattice 2 i beta Z."""
-    zeta = complex(z) if w is None else complex(z) - complex(w).conjugate()
+    """z - conj(w) (z when w is None) of complex z and w, off the pole
+    lattice 2 i beta Z."""
+    zeta = z if w is None else z - w.conjugate()
     if not cmath.isfinite(zeta):
         raise ParameterOutOfRange("z - conj(w) overflows double precision")
     if abs(zeta.real) <= _LATTICE_TOL and \
@@ -171,7 +169,7 @@ def _zeta(beta, z, w=None) -> complex:
 def sinh_series_at(beta: float, z: complex, Ns) -> list:
     """:func:`sinh_series` at each truncation N in ``Ns``, from one term
     array as in :func:`cosecant_series_at`."""
-    Ns = _check_inputs(Ns, z)
+    Ns, z = _check_inputs(Ns, z)
     _require_positive(beta)
     z = _zeta(beta, z)
     return _sinh_evals(beta, z, Ns, _prefix_sums(Ns, _sinh_terms(beta, z)))
@@ -186,7 +184,7 @@ def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
 def szego_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     """:func:`szego_series` at each truncation N in ``Ns``: (i / 2 pi) times
     the sinh series at zeta = z - conj(w), from its terms."""
-    Ns = _check_inputs(Ns, z, w)
+    Ns, z, w = _check_inputs(Ns, z, w)
     _require_positive(beta)
     zeta = _zeta(beta, z, w)
     return _szego_evals(beta, z, w, zeta, Ns, _prefix_sums(Ns, _sinh_terms(beta, zeta)))
@@ -196,7 +194,7 @@ def sinh_szego_series_at(beta: float, z: complex, w: complex, Ns) -> tuple:
     """``(sinh_series_at(beta, zeta, Ns), szego_series_at(beta, z, w, Ns))``
     at zeta = z - conj(w), bit for bit, from one sum of the sinh terms; it
     raises wherever either of the two raises."""
-    Ns = _check_inputs(Ns, z, w)
+    Ns, z, w = _check_inputs(Ns, z, w)
     _require_positive(beta)
     zeta = _zeta(beta, z, w)
     sums = _prefix_sums(Ns, _sinh_terms(beta, zeta))
@@ -231,7 +229,7 @@ def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
 def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     """:func:`bergman_series` at each truncation N in ``Ns``, from one term
     array as in :func:`cosecant_series_at`."""
-    Ns = _check_inputs(Ns, z, w)
+    Ns, z, w = _check_inputs(Ns, z, w)
     _require_positive(beta)
     zeta = _zeta(beta, z, w)
     sums = _prefix_sums(Ns, lambda k: 1.0 / (zeta + 2j * beta * k) ** 2
@@ -261,7 +259,7 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     most 1 / (2 beta j^2) once 2 j beta >= |zeta|, so each half carries a tail
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
-    (N,) = _check_inputs((N,), z, w)
+    (N,), z, w = _check_inputs((N,), z, w)
     _require_positive(beta)
     zeta = _zeta(beta, z, w)
 

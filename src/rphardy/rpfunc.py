@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
-from .numerics import (GramReport, _periodized_lorentzian, _require_positive,
-                       finite_array, finite_pairs, gram_report, lorentzian)
+from .numerics import (GramReport, _periodized_lorentzian, _require_count, _require_positive,
+                       finite_array, finite_pairs, finite_point, gram_report, lorentzian)
 
 GROUPS = ("integers", "line", "circle")
 
@@ -124,6 +124,7 @@ def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
     the periodized Lorentzian of :func:`numerics.poisson_summation_check`
     times the ratio c_n / psi_s(n)."""
     _check_family("circle", lam, beta)
+    _require_count(N, 0, "N")
     if lam == 0.0:
         return 1.0
     return _circle_ratio(beta, lam) * _periodized_lorentzian(beta, lam, y, N)
@@ -220,7 +221,7 @@ def c_func(beta: float, t: float, z: complex) -> complex:
     """
     _require_positive(beta)
     _require_positive(t, "t")
-    z = complex(z)
+    z = finite_point(z)
     a = 1j * t * z            # exponent of the first term
     b = -beta * t - 1j * t * z
     m = max(a.real, b.real)
@@ -235,7 +236,7 @@ def c_log_abs(beta: float, t, z: complex):
     t = np.asarray(t, dtype=float)
     if not np.all((t > 0.0) & (t < math.inf)):
         raise ParameterOutOfRange("need finite t > 0")
-    a = 1j * t * complex(z)
+    a = 1j * t * finite_point(z)
     b = -beta * t - a
     m = np.maximum(a.real, b.real)
     s = np.exp(a - m) + np.exp(b - m)
@@ -247,7 +248,7 @@ def c_log_abs(beta: float, t, z: complex):
 def g_func(beta: float, t: float, z: complex) -> complex:
     """g_t(z) = e^{t beta/2} e^{itz}; its Hardy norm on the strip is e^{|t| beta/2}."""
     _require_positive(beta)
-    return math.exp(t * beta / 2.0) * cmath.exp(1j * t * complex(z))
+    return math.exp(t * beta / 2.0) * cmath.exp(1j * t * finite_point(z))
 
 
 # the scan grid, built once: np.geomspace costs more than the scan
@@ -276,10 +277,7 @@ def strip_membership(beta: float, z: complex) -> StripMembership:
     witness is reported as "unknown" rather than misclassified.
     """
     _require_positive(beta)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ParameterOutOfRange("need a finite z, got %r" % (z,))
-
+    z = finite_point(z)
     y = z.imag
     if abs(y) <= _BOUNDARY_TOL or abs(y - beta) <= _BOUNDARY_TOL:
         x = z.real

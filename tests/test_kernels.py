@@ -561,7 +561,8 @@ def test_half_plane_flip_pairing_keeps_its_bits(w, F, lhs):
     assert chk.defect < 1e-15
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, None, "0.3", 0.3j])
 @pytest.mark.parametrize("call", [
     lambda x: kernels.poisson(DISC, 0.1, x),
     lambda x: kernels.poisson(HALF_PLANE, 1j, x),
@@ -570,11 +571,23 @@ def test_half_plane_flip_pairing_keeps_its_bits(w, F, lhs):
     lambda x: kernels.h_boundary(DISC, 0.3, "circle", x),
     lambda x: kernels.h_boundary(HALF_PLANE, 1j, "line", x),
     lambda x: kernels.h_boundary(Strip(1.0), 0.5j, "lower", x),
+    lambda x: kernels.hua_ratio(DISC, 0.1, x),
+    lambda x: kernels.hua_ratio(Strip(1.0), 0.5j, x),
+    lambda x: DISC.boundary_embed("circle", x),
+    lambda x: HALF_PLANE.boundary_embed("line", x),
+    lambda x: Strip(1.0).boundary_embed("upper", x),
 ], ids=["poisson-disc", "poisson-half_plane", "poisson-lower", "poisson-upper",
-        "h-disc", "h-half_plane", "h-strip"])
+        "h-disc", "h-half_plane", "h-strip", "hua-disc", "hua-strip",
+        "embed-disc", "embed-half_plane", "embed-strip"])
 def test_a_boundary_parameter_that_is_not_finite_raises(call, bad):
-    for x in (bad, np.float64(bad), np.array([0.0, bad, 1.0])):
-        with pytest.raises(ParameterOutOfRange, match="finite"):
+    """A float goes to the form, which checks it; None, a string and a
+    complex go through numerics.finite_array, as every array does."""
+    if isinstance(bad, float):
+        cases, match = (bad, np.float64(bad), np.array([0.0, bad, 1.0])), "finite"
+    else:
+        cases, match = (bad, [0.0, bad, 1.0]), "rectangular array of numbers"
+    for x in cases:
+        with pytest.raises(ParameterOutOfRange, match=match):
             call(x)
 
 

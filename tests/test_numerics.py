@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rphardy import kernels, numerics, rpfunc
+from rphardy import kernels, modular, numerics, rpfunc
 from rphardy.domains import DISC, HALF_PLANE, Strip
 from rphardy.errors import ParameterOutOfRange, ToleranceNotReached
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # mpmath oracles (40 digits, rounded to double)
 SECH_FT_AT_07 = 1.8835305904575709       # pi / cosh(0.35 pi)
@@ -664,7 +669,7 @@ def test_trapezoid_circle_rejects_values_that_do_not_fit_the_nodes(shape):
         numerics.trapezoid_circle(lambda t: np.ones(shape))
 
 
-@pytest.mark.parametrize("n_nodes", [0, -3, 2.5])
+@pytest.mark.parametrize("n_nodes", [0, -3, 2.5, None, "8", np.float64(8.0)])
 def test_trapezoid_circle_rejects_a_node_count_that_is_not_a_positive_integer(n_nodes):
     with pytest.raises(ParameterOutOfRange):
         numerics.trapezoid_circle(lambda t: np.ones_like(t), n_nodes)
@@ -713,6 +718,83 @@ def test_finite_array_takes_a_number_and_names_the_first_value_not_finite():
         numerics.finite_array([1.0, math.inf, math.nan], "x")
     with pytest.raises(ParameterOutOfRange, match="x must be finite, got nan"):
         numerics.finite_array(math.nan, "x")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values,dtype", [
+    (None, float), ("1.5", float), (["1.5", "2"], float), (b"15", float),
+    ([1.0, None], float), (1j, float), ([0.5, 1j], float), (np.ones(2, complex), float),
+    ("1j", complex), ([1j, None], complex), ([1.0, [2.0]], complex), (10 ** 400, float),
+], ids=["None", "str", "str-list", "bytes", "None-in-list", "complex", "complex-in-list",
+        "complex-array", "str-complex", "None-complex", "ragged", "huge-int"])
+def test_finite_array_takes_only_numbers_its_dtype_holds(values, dtype):
+    """numpy reads None as NaN, "1.5" as a number and b"15" as [49, 53];
+    the guard passes only numeric dtypes, and no complex for float."""
+    with pytest.raises(ParameterOutOfRange, match="x must be a rectangular array of numbers"):
+        numerics.finite_array(values, "x", dtype)
+
+
+def test_finite_array_keeps_numbers_of_every_numeric_kind():
+    assert numerics.finite_array([True, 2, np.uint8(3), 4.5], "x").tolist() == [1.0, 2.0, 3.0, 4.5]
+    got = numerics.finite_array([1, 2.5, 1j], "x", complex)
+    assert got.dtype == complex and got.tolist() == [1, 2.5, 1j]
+    assert numerics.finite_array((v for v in (1.0, 2.0)), "x").tolist() == [1.0, 2.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_finite_point_is_complex_of_one_finite_number():
+    for z in (1, 2.5, 1j, np.float32(0.5), np.complex128(1 + 2j), np.array(3.0), Fraction(1, 2)):
+        got = numerics.finite_point(z)
+        assert type(got) is complex and got == complex(z)
+    for bad in (None, "1j", b"1", math.nan, complex(math.inf, 0.0), [1.0], np.ones(1),
+                [1, [2]], object(), 10 ** 400):
+        with pytest.raises(ParameterOutOfRange, match="^w must be a finite complex number"):
+            numerics.finite_point(bad, "w")
+
+
+def test_is_batch_counts_a_ragged_sequence_as_a_batch():
+    assert numerics.is_batch(0.5, [1, [2]])
+    assert numerics.is_batch((1.0,))
+    assert not numerics.is_batch(0.5, 1j, np.float64(2.0), np.array(1.0), None)
+
+
+@pytest.mark.parametrize("call", [
+    "numerics.oscillatory_ft(lambda x: 1 / (1 + x * x), float('nan'))",
+    "numerics.oscillatory_ft(lambda x: 1 / (1 + x * x), float('-inf'))",
+    "numerics.ftcosh_check(1.0, complex(float('nan'), 0.5))",
+    "modular.psi_hardy_midline(1.0, float('inf'))",
+], ids=["oscillatory_ft-nan", "oscillatory_ft--inf", "ftcosh_check", "psi_hardy_midline"])
+def test_a_frequency_that_is_not_finite_raises_before_quadpack(call):
+    """QUADPACK's QAWF ends the interpreter with SIGSEGV on a NaN or
+    infinite frequency, so each call runs in a child process: a regression
+    fails this test instead of ending the test run."""
+    code = ("import warnings; warnings.simplefilter('error')\n"
+            "from rphardy import modular, numerics\n"
+            "from rphardy.errors import ParameterOutOfRange\n"
+            "try:\n    %s\nexcept ParameterOutOfRange:\n    print('raised')\n" % call)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "raised"), proc.stderr
+
+
+def test_oscillatory_ft_rejects_an_array_of_frequencies():
+    with pytest.raises(ParameterOutOfRange, match="t must be one number"):
+        numerics.oscillatory_ft(lambda x: 1.0 / (1.0 + x * x), np.array([0.5, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, None])
+@pytest.mark.parametrize("call", [
+    lambda tol: numerics.quad_real(lambda x: x, 0.0, 1.0, tol=tol),
+    lambda tol: numerics.quad(lambda x: 1j * x, 0.0, 1.0, tol=tol),
+    lambda tol: numerics.oscillatory_ft(lambda x: 1.0 / (1.0 + x * x), 0.3, tol=tol),
+    lambda tol: modular.psi_hardy_midline(1.0, 0.3, tol=tol),
+], ids=["quad_real", "quad", "oscillatory_ft", "psi_hardy_midline"])
+def test_a_quadrature_tolerance_that_is_not_a_finite_positive_number_raises(call, tol):
+    with pytest.raises(ParameterOutOfRange, match="finite tol > 0"):
+        call(tol)
 
 
 @pytest.mark.parametrize("value", [None, "1", 1j, [1.0, 2.0], np.ones(2)],

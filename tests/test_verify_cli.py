@@ -589,9 +589,10 @@ def test_cli_malformed_atoms_exit_3(capsys, argv):
 
 @pytest.mark.parametrize("text", ['{"atoms": [[1.0]]}', "[1, 2]", "not json",
                                   '{"atoms": [[1, 2, 3]]}',
-                                  '{"atoms": [], "density": {"x0": 0, "h": 1}}'],
+                                  '{"atoms": [], "density": {"x0": 0, "h": 1}}',
+                                  '{"atoms": [["1", "2"]]}'],
                          ids=["short-atom", "list", "not-json", "long-atom",
-                              "density-without-values"])
+                              "density-without-values", "string-atom"])
 def test_cli_malformed_measure_json_exits_3(tmp_path, capsys, text):
     path = tmp_path / "mu.json"
     path.write_text(text)
