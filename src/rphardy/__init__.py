@@ -1,7 +1,7 @@
 """Reflection-positivity numerics for Hardy-space kernels on the disc, the
 upper half-plane and the horizontal strip."""
 
-from .config import Defaults, load_defaults
+from .config import Defaults
 from .domains import DISC, HALF_PLANE, Disc, Domain, HalfPlane, Strip, \
     hardy_transfer, sample_interior, transfer_map
 from .errors import RPHardyError

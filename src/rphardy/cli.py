@@ -28,11 +28,12 @@ import sys
 import numpy as np
 
 from . import kernels, measures, modular, periodize, rpfunc, verify
-from .config import Defaults, load_defaults
+from .config import Defaults
 from .domains import DISC, HALF_PLANE, Strip
 from .errors import ParameterOutOfRange, RPHardyError
 
 _DOMAINS = ("disc", "half-plane", "strip")
+_SERIES_TERMS = 10_000
 
 
 def parse_complex(text: str) -> complex:
@@ -138,12 +139,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_defaults(args.config) if args.config else Defaults()
-    if args.beta is not None:
-        cfg.beta = args.beta
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
-    cfg.validate()
+    cfg = Defaults(beta=args.beta, rng_seed=args.seed).validate()
     # the report is opened before the suite runs, so a path that cannot be
     # written fails at once; it is opened to append and emptied only once the
     # suite has run, so a suite that fails leaves an existing report as it was
@@ -180,10 +176,11 @@ def cmd_rp(args) -> int:
         elif args.gram == "rp":
             rep = rpfunc.rp_gram(args.group, args.lam, samples, beta=args.beta)
         else:
-            if not math.isfinite(args.lam):
-                raise ParameterOutOfRange("--lam must be finite, got %r" % (args.lam,))
             pairs = [(t, 1 if t >= 0 else -1) for t in samples]
-            rep = rpfunc.param_rp_check(int(args.lam), pairs)
+            try:
+                rep = rpfunc.param_rp_check(args.lam, pairs)
+            except ParameterOutOfRange as exc:  # the samples are checked above
+                raise ParameterOutOfRange("--lam: %s" % exc) from exc
         _print_gram(rep, args.json)
         return 0
     if args.at is None:
@@ -304,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run identity-check suites")
     v.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
-    v.add_argument("--config", help="JSON file overriding the defaults")
-    v.add_argument("--beta", type=float, default=None)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--beta", type=float, default=Defaults.beta)
+    v.add_argument("--seed", type=int, default=Defaults.rng_seed)
     v.add_argument("--report", help="write the JSON report to this path")
     v.add_argument("--json", action="store_true", help="print JSON to stdout")
     v.add_argument("--inject-defect", action="store_true",
@@ -346,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=float, default=1.0)
     s.add_argument("--z", type=parse_complex, required=True)
     s.add_argument("--w", type=parse_complex, default=None)
-    s.add_argument("--terms", type=int, default=Defaults().series_terms)
+    s.add_argument("--terms", type=int, default=_SERIES_TERMS)
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_series)
 

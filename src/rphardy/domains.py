@@ -115,10 +115,10 @@ class Disc(Domain):
     _SIDES = {"circle": ("circle", True)}
 
     def contains(self, z):
-        return abs(complex(z)) < 1.0
+        return abs(finite_point(z)) < 1.0
 
     def on_boundary(self, z, tol=1e-12):
-        return abs(abs(complex(z)) - 1.0) <= tol
+        return abs(abs(finite_point(z)) - 1.0) <= tol
 
     def in_closure(self, z, tol=1e-12):
         # np.hypot is the modulus Python's abs(complex) computes
@@ -126,7 +126,7 @@ class Disc(Domain):
         return (r < 1.0) | (np.abs(r - 1.0) <= tol)
 
     def sigma(self, z):
-        return complex(z).conjugate()
+        return finite_point(z).conjugate()
 
     def boundary_embed(self, component, x):
         self._side(component)
@@ -146,16 +146,16 @@ class HalfPlane(Domain):
     _SIDES = {"line": ("line", True)}
 
     def contains(self, z):
-        return complex(z).imag > 0.0
+        return finite_point(z).imag > 0.0
 
     def on_boundary(self, z, tol=1e-12):
-        return abs(complex(z).imag) <= tol
+        return abs(finite_point(z).imag) <= tol
 
     def in_closure(self, z, tol=1e-12):
         return (z.imag > 0.0) | (np.abs(z.imag) <= tol)
 
     def sigma(self, z):
-        return -complex(z).conjugate()
+        return -finite_point(z).conjugate()
 
     def boundary_embed(self, component, x):
         self._side(component)
@@ -180,10 +180,10 @@ class Strip(Domain):
         self.beta = float(beta)
 
     def contains(self, z):
-        return 0.0 < complex(z).imag < self.beta
+        return 0.0 < finite_point(z).imag < self.beta
 
     def on_boundary(self, z, tol=1e-12):
-        y = complex(z).imag
+        y = finite_point(z).imag
         return abs(y) <= tol or abs(y - self.beta) <= tol
 
     def in_closure(self, z, tol=1e-12):
@@ -192,7 +192,7 @@ class Strip(Domain):
                 | (np.abs(y - self.beta) <= tol))
 
     def sigma(self, z):
-        return self.beta * 1j + complex(z).conjugate()
+        return self.beta * 1j + finite_point(z).conjugate()
 
     def boundary_embed(self, component, x):
         y = self._height(component)
@@ -224,24 +224,26 @@ HALF_PLANE = HalfPlane()
 
 def cayley(z: complex) -> complex:
     """Disc -> half-plane:  z |-> i (1 + z) / (1 - z)."""
-    z = complex(z)
+    z = finite_point(z)
     return 1j * (1.0 + z) / (1.0 - z)
 
 
 def cayley_inv(w: complex) -> complex:
     """Half-plane -> disc:  w |-> (w - i) / (w + i)."""
-    w = complex(w)
+    w = finite_point(w)
     return (w - 1j) / (w + 1j)
 
 
 def strip_exp(beta: float, z: complex) -> complex:
     """Strip -> half-plane:  z |-> exp(pi z / beta)."""
-    return np.exp(math.pi * complex(z) / beta)
+    _require_positive(beta)
+    return np.exp(math.pi * finite_point(z) / beta)
 
 
 def strip_log(beta: float, w: complex) -> complex:
     """Half-plane -> strip:  w |-> (beta/pi) Log w  (principal branch)."""
-    return beta / math.pi * cmath.log(complex(w))
+    _require_positive(beta)
+    return beta / math.pi * cmath.log(finite_point(w))
 
 
 def transfer_map(src: Domain, dst: Domain):
@@ -251,7 +253,7 @@ def transfer_map(src: Domain, dst: Domain):
     three domains are supported (identity included).
     """
     def ident(z):
-        return complex(z)
+        return finite_point(z)
 
     def one(z):
         return 1.0 + 0.0j
@@ -262,9 +264,9 @@ def transfer_map(src: Domain, dst: Domain):
         return ident, one
 
     if isinstance(src, Disc) and isinstance(dst, HalfPlane):
-        return cayley, lambda z: 2j / (1.0 - complex(z)) ** 2
+        return cayley, lambda z: 2j / (1.0 - finite_point(z)) ** 2
     if isinstance(src, HalfPlane) and isinstance(dst, Disc):
-        return cayley_inv, lambda w: 2j / (complex(w) + 1j) ** 2
+        return cayley_inv, lambda w: 2j / (finite_point(w) + 1j) ** 2
     if isinstance(src, Strip) and isinstance(dst, HalfPlane):
         b = src.beta
         return (lambda z: strip_exp(b, z),
@@ -272,7 +274,7 @@ def transfer_map(src: Domain, dst: Domain):
     if isinstance(src, HalfPlane) and isinstance(dst, Strip):
         b = dst.beta
         return (lambda w: strip_log(b, w),
-                lambda w: b / (math.pi * complex(w)))
+                lambda w: b / (math.pi * finite_point(w)))
 
     # compositions through the half-plane
     if (isinstance(src, Disc) and isinstance(dst, Strip)
@@ -290,24 +292,24 @@ def transfer_map(src: Domain, dst: Domain):
 
 def _disc_to_half_plane(f):
     # (G f)(z) = sqrt(2i) / (z + i) * f((z - i)/(z + i)),  z in C_+
-    return lambda z: SQRT_2I / (complex(z) + 1j) * f(cayley_inv(z))
+    return lambda z: SQRT_2I / (finite_point(z) + 1j) * f(cayley_inv(z))
 
 
 def _half_plane_to_disc(f):
     # (G^{-1} f)(z) = sqrt(2i) / (1 - z) * f(i (1 + z)/(1 - z)),  z in D
-    return lambda z: SQRT_2I / (1.0 - complex(z)) * f(cayley(z))
+    return lambda z: SQRT_2I / (1.0 - finite_point(z)) * f(cayley(z))
 
 
 def _half_plane_to_strip(beta, f):
     # (Phi f)(z) = sqrt(pi/beta) e^{pi z / 2 beta} f(e^{pi z / beta}),  z in S_beta
     c = math.sqrt(math.pi / beta)
-    return lambda z: c * np.exp(math.pi * complex(z) / (2 * beta)) * f(strip_exp(beta, z))
+    return lambda z: c * np.exp(math.pi * finite_point(z) / (2 * beta)) * f(strip_exp(beta, z))
 
 
 def _strip_to_half_plane(beta, f):
     # (Phi^{-1} f)(z) = sqrt(beta/pi) z^{-1/2} f((beta/pi) Log z),  z in C_+
     c = math.sqrt(beta / math.pi)
-    return lambda z: c / cmath.sqrt(complex(z)) * f(strip_log(beta, z))
+    return lambda z: c / cmath.sqrt(finite_point(z)) * f(strip_log(beta, z))
 
 
 def hardy_transfer(src: Domain, dst: Domain, f):

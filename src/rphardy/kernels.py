@@ -378,6 +378,9 @@ def poisson_midline_strip(beta: float, lam: float, x: float) -> float:
 
     P_{lam + i beta/2}("lower", x) = (1/2 beta) / cosh(pi (lam - x) / beta).
     """
+    numerics._require_positive(beta)
+    lam = finite_point(finite_array(lam, "lam"), "lam").real
+    x = finite_point(finite_array(x, _PARAMETER), _PARAMETER).real
     return 0.5 / (beta * math.cosh(math.pi * (lam - x) / beta))
 
 

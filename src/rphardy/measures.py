@@ -641,6 +641,7 @@ def riesz_kappa_check(s: float, beta: float, t: float) -> float:
     """
     _require_positive(s, "s")
     _require_positive(beta)
+    t = finite_point(finite_array(t, "t"), "t").real
     from scipy.special import gamma as gamma_function
 
     n = int(round(40.0 / _RIESZ_STEP))

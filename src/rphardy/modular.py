@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
 from .measures import MeasureOnR, _exp_sum, _mirror_index, reflection_check
-from .numerics import IdentityCheck, _require_count, _require_positive, comp_sum, oscillatory_ft
+from .numerics import (IdentityCheck, _require_count, _require_positive, comp_sum, finite_array,
+                       finite_point, oscillatory_ft)
 
 _REFLECTION_TOL = 1e-10     # the reflection defect build_modular accepts
 _MAX_EXPONENT = 470.0       # keeps e^{3 beta |lam| / 2}, met inside J Delta J, finite
@@ -243,6 +244,8 @@ def commutation_check(beta_length: float, n_nodes: int, s: float,
     L = float(beta_length)
     _require_positive(L, "period")
     _require_count(n_nodes, 2, "n_nodes")
+    s = finite_point(finite_array(s, "s"), "s").real
+    t = finite_point(finite_array(t, "t"), "t").real
     h = L / n_nodes
     x = -L / 2.0 + h * np.arange(n_nodes)
     width = L / 6.0

@@ -339,7 +339,9 @@ def finite_point(z, what: str = "a point") -> complex:
     """z as a Python complex: the one guard of a single point.  A Python or
     numpy number costs ``complex()`` and ``cmath.isfinite``; None, a string,
     an array with an axis, anything ``complex()`` does not take, NaN and
-    +-inf raise :class:`ParameterOutOfRange` naming ``what``."""
+    +-inf raise :class:`ParameterOutOfRange` naming ``what``.  One real
+    number r goes through both guards, ``finite_point(finite_array(r, what),
+    what).real``: finite_array refuses a complex, finite_point an array."""
     try:
         if isinstance(z, _SCALARS) or not (isinstance(z, (str, bytes)) or np.ndim(z)):
             p = complex(z)      # complex() would read the string "1j" as a number
@@ -742,6 +744,8 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
 
 def sinh_abs_check(x: float, y: float) -> IdentityCheck:
     """|sinh(x + iy)|^2 = sinh(x)^2 + sin(y)^2."""
+    x = finite_point(finite_array(x, "x"), "x").real
+    y = finite_point(finite_array(y, "y"), "y").real
     lhs = abs(np.sinh(complex(x, y))) ** 2
     rhs = math.sinh(x) ** 2 + math.sin(y) ** 2
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
@@ -749,6 +753,8 @@ def sinh_abs_check(x: float, y: float) -> IdentityCheck:
 
 def cosh_abs_check(x: float, y: float) -> IdentityCheck:
     """|cosh(x + iy)|^2 = sinh(x)^2 + cos(y)^2."""
+    x = finite_point(finite_array(x, "x"), "x").real
+    y = finite_point(finite_array(y, "y"), "y").real
     lhs = abs(np.cosh(complex(x, y))) ** 2
     rhs = math.sinh(x) ** 2 + math.cos(y) ** 2
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))

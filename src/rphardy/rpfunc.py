@@ -109,6 +109,8 @@ def phi_circle_fourier(beta: float, lam: float, n: int) -> float:
     For lam = 0 the family degenerates to the constant 1: c_0 = 1, c_n = 0.
     """
     _check_family("circle", lam, beta)
+    if not isinstance(n, (int, np.integer)):   # n ranges over Z, so it is no count
+        raise ParameterOutOfRange("n must be an integer, got %r" % (n,))
     if lam == 0.0:
         return 1.0 if n == 0 else 0.0
     return lorentzian(beta * lam / (2.0 * math.pi), float(n)) * _circle_ratio(beta, lam)
@@ -124,6 +126,7 @@ def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
     the periodized Lorentzian of :func:`numerics.poisson_summation_check`
     times the ratio c_n / psi_s(n)."""
     _check_family("circle", lam, beta)
+    y = finite_point(finite_array(y, "y"), "y").real
     _require_count(N, 0, "N")
     if lam == 0.0:
         return 1.0
@@ -200,7 +203,7 @@ def param_rp_check(n: int, samples) -> GramReport:
     except (TypeError, ValueError):     # not a number, or an array
         ok = False
     if not ok:
-        raise ParameterOutOfRange("power must be a nonnegative integer")
+        raise ParameterOutOfRange("power must be a nonnegative integer, got %r" % (n,))
     t, eps = finite_pairs(samples, "samples").T
     if not np.all((eps == 1.0) | (eps == -1.0)):
         raise ParameterOutOfRange("sign component must be +1 or -1")
@@ -248,6 +251,7 @@ def c_log_abs(beta: float, t, z: complex):
 def g_func(beta: float, t: float, z: complex) -> complex:
     """g_t(z) = e^{t beta/2} e^{itz}; its Hardy norm on the strip is e^{|t| beta/2}."""
     _require_positive(beta)
+    t = finite_point(finite_array(t, "t"), "t").real
     return math.exp(t * beta / 2.0) * cmath.exp(1j * t * finite_point(z))
 
 

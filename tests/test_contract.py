@@ -2,8 +2,9 @@
 entry that takes a point z or w raises :class:`ParameterOutOfRange` for
 anything but one finite complex number (or, where the entry takes arrays, a
 rectangular array of them): the guards are ``numerics.finite_point`` and
-``numerics.finite_array``.  Every count goes through
-``numerics._require_count``.  One row per entry."""
+``numerics.finite_array``.  A real parameter that is not a point raises it
+for anything but one finite real number, through the same two guards.  Every
+count goes through ``numerics._require_count``.  One row per entry."""
 
 import math
 
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from rphardy import kernels, measures, modular, numerics, periodize, rpfunc
-from rphardy.domains import DISC, HALF_PLANE, Strip, sample_interior
+from rphardy.domains import (DISC, HALF_PLANE, Strip, cayley, cayley_inv, sample_interior,
+                             strip_exp, strip_log)
 from rphardy.errors import ParameterOutOfRange
 
 STRIP = Strip(1.0)
@@ -66,6 +68,14 @@ ENTRIES = [
     ("riesz_hat_quad", lambda p: measures.riesz_hat_quad(1.0, p), False),
     ("modular_coefficient", lambda p: modular.modular_coefficient(MD, V, p), True),
     ("ftcosh_check", lambda p: numerics.ftcosh_check(1.0, p), False),
+    ("contains", lambda p: DISC.contains(p), False),
+    ("on_boundary", lambda p: STRIP.on_boundary(p), False),
+    ("sigma", lambda p: HALF_PLANE.sigma(p), False),
+    ("locate", lambda p: STRIP.locate(p), False),
+    ("cayley", lambda p: cayley(p), False),
+    ("cayley_inv", lambda p: cayley_inv(p), False),
+    ("strip_exp", lambda p: strip_exp(1.0, p), False),
+    ("strip_log", lambda p: strip_log(1.0, p), False),
 ]
 
 BAD = [None, "0.5j", math.nan, complex(0.3, math.nan), math.inf, -math.inf,
@@ -110,3 +120,37 @@ def test_a_count_that_is_not_an_integer_of_at_least_its_least_raises(call, least
     call(least)
     with pytest.raises(ParameterOutOfRange, match="must be an integer >= %d" % least):
         call(least - 1 if bad == "least-1" else bad)
+
+
+# (id, call of the real parameter r)
+REALS = [
+    ("g_func-t", lambda r: rpfunc.g_func(1.0, r, GOOD)),
+    ("phi_circle_partial_sum-y", lambda r: rpfunc.phi_circle_partial_sum(1.0, 1.0, r, 10)),
+    ("phi_circle_fourier-n", lambda r: rpfunc.phi_circle_fourier(1.0, 1.0, r)),
+    ("poisson_midline_strip-lam", lambda r: kernels.poisson_midline_strip(1.0, r, 0.3)),
+    ("poisson_midline_strip-x", lambda r: kernels.poisson_midline_strip(1.0, 0.3, r)),
+    ("riesz_kappa_check-t", lambda r: measures.riesz_kappa_check(0.5, 1.0, r)),
+    ("sinh_abs_check-x", lambda r: numerics.sinh_abs_check(r, 0.3)),
+    ("sinh_abs_check-y", lambda r: numerics.sinh_abs_check(0.3, r)),
+    ("cosh_abs_check-x", lambda r: numerics.cosh_abs_check(r, 0.3)),
+    ("cosh_abs_check-y", lambda r: numerics.cosh_abs_check(0.3, r)),
+    ("commutation_check-s", lambda r: modular.commutation_check(1.0, 8, r, 0.2)),
+    ("commutation_check-t", lambda r: modular.commutation_check(1.0, 8, 0.1, r)),
+]
+
+BAD_REALS = [None, "0.5", math.nan, math.inf, -math.inf, 0.5j, np.array([0.1, 0.2])]
+BAD_REAL_IDS = ["None", "str", "nan", "inf", "-inf", "complex", "array"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", BAD_REALS, ids=BAD_REAL_IDS)
+@pytest.mark.parametrize("call", [e[1] for e in REALS], ids=[e[0] for e in REALS])
+def test_a_real_parameter_that_is_not_one_finite_real_raises(call, bad):
+    call(1)
+    with pytest.raises(ParameterOutOfRange):
+        call(bad)
+
+
+def test_phi_circle_fourier_rejects_an_n_that_is_not_an_integer():
+    with pytest.raises(ParameterOutOfRange, match="n must be an integer, got 2.5"):
+        rpfunc.phi_circle_fourier(1.0, 1.0, 2.5)

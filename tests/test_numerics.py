@@ -924,7 +924,7 @@ def test_hyperbolic_modulus_identities():
 def _guarded_calls():
     """(name, call) of every entry point whose beta, period, lam or exponent
     goes through the one finite-positive guard."""
-    from rphardy import measures, modular
+    from rphardy import domains, measures, modular
     nan, inf = math.nan, math.inf
     return [
         ("c_func beta=nan", lambda: rpfunc.c_func(nan, 1.0, 0.5j)),
@@ -946,6 +946,9 @@ def _guarded_calls():
         ("riesz_kappa_check s=nan", lambda: measures.riesz_kappa_check(nan, 1.0, 0.3)),
         ("phi_circle_partial_sum lam=nan",
          lambda: rpfunc.phi_circle_partial_sum(1.0, nan, 0.2, 10)),
+        ("poisson_midline_strip beta=0", lambda: kernels.poisson_midline_strip(0.0, 0.3, 0.1)),
+        ("strip_exp beta=nan", lambda: domains.strip_exp(nan, 0.5j)),
+        ("strip_log beta=0", lambda: domains.strip_log(0.0, 1j)),
     ]
 
 

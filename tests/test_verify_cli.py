@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -346,28 +347,35 @@ def test_cli_verify_writes_a_report_file(tmp_path, capsys):
     assert payload["failed"] == 0
 
 
-def test_cli_verify_bad_config_exits_3(tmp_path, capsys):
-    bad = tmp_path / "cfg.json"
-    bad.write_text("not json at all")
-    rc = cli.main(["verify", "--suite", "series", "--config", str(bad)])
-    assert rc == 3
-    assert "error:" in capsys.readouterr().err
+def test_cli_verify_has_no_config_file_option(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beta": 2.5}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "series", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
-def test_cli_verify_config_overrides_are_applied(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"beta": 2.5, "rng_seed": 123}))
-    rc = cli.main(["verify", "--suite", "appendix", "--config", str(cfg),
-                   "--json"])
+def test_cli_verify_beta_and_seed_are_applied(capsys, monkeypatch):
+    seen = []
+    real_run_suite = verify.run_suite
+
+    def spy(name, cfg, **kwargs):
+        seen.append(cfg)
+        return real_run_suite(name, cfg, **kwargs)
+
+    monkeypatch.setattr(verify, "run_suite", spy)
+    rc = cli.main(["verify", "--suite", "appendix", "--beta", "2.5",
+                   "--seed", "123", "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["failed"] == 0
+    assert seen == [Defaults(beta=2.5, rng_seed=123)]
 
 
-@pytest.mark.parametrize("quad_tol", [None, 3e-11])
-def test_cli_verify_config_quad_tol_reaches_the_quadratures(tmp_path, capsys,
-                                                            monkeypatch, quad_tol):
-    """Every quadrature of the suite runs at quad_tol, except the checks
-    pinned at 1e-9 (outer modulus, strip flip pairing) and 1e-11 (sech)."""
+def test_cli_verify_quadratures_run_at_their_pinned_tolerances(capsys, monkeypatch):
+    """Every quadrature of the suite runs at the library's 1e-10, except the
+    checks pinned at 1e-9 (outer modulus, strip flip pairing) and 1e-11
+    (sech)."""
     tols = set()
     real_quadpack = numerics._quadpack
 
@@ -376,31 +384,18 @@ def test_cli_verify_config_quad_tol_reaches_the_quadratures(tmp_path, capsys,
         return real_quadpack(f, a, b, tol, **opts)
 
     monkeypatch.setattr(numerics, "_quadpack", spy)
-    argv = ["verify", "--suite", "all", "--json"]
-    if quad_tol is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"quad_tol": quad_tol}))
-        argv += ["--config", str(path)]
-    assert cli.main(argv) == 0
+    assert cli.main(["verify", "--suite", "all", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["failed"] == 0
-    assert tols == {quad_tol or Defaults().quad_tol, 1e-9, 1e-11}
+    assert tols == {1e-10, 1e-9, 1e-11}
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["--beta", "nan"], None),
-    (["--beta", "inf"], None),
-    ([], '{"beta": NaN}'),
-    ([], '{"grid_step": Infinity}'),
-    ([], '{"quad_tol": NaN}'),
-    ([], '{"grid_halfwidth": Infinity}'),
-    ([], '{"beta": "warm"}'),
-    ([], '{"series_terms": NaN}'),
+@pytest.mark.parametrize("argv", [
+    ["--beta", "nan"],
+    ["--beta", "inf"],
+    ["--beta", "0"],
+    ["--seed", "-1"],
 ])
-def test_cli_verify_bad_setting_values_exit_3(tmp_path, capsys, argv, config):
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(config)
-        argv = argv + ["--config", str(path)]
+def test_cli_verify_bad_setting_values_exit_3(capsys, argv):
     rc = cli.main(["verify", "--suite", "series"] + argv)
     assert rc == 3
     assert "error:" in capsys.readouterr().err
@@ -475,8 +470,9 @@ def test_cli_rp_integers_truncates_the_element(capsys):
     assert capsys.readouterr().out.strip() == "0.25"
 
 
-def test_cli_rp_param_gram_with_a_lam_that_is_not_finite_exits_3(capsys):
-    rc = cli.main(["rp", "--gram", "param", "--lam=nan", "--samples=0.1,0.5"])
+@pytest.mark.parametrize("lam", ["nan", "2.5", "-0.5"])
+def test_cli_rp_param_gram_with_a_lam_that_is_not_a_count_exits_3(capsys, lam):
+    rc = cli.main(["rp", "--gram", "param", "--lam=" + lam, "--samples=0.1,0.5"])
     assert rc == 3
     assert "--lam" in capsys.readouterr().err
 
@@ -602,10 +598,9 @@ def test_cli_malformed_measure_json_exits_3(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "appendix", "--config", "{missing}"],
     ["measure", "--op", "kms", "--measure-json", "{missing}"],
     ["verify", "--suite", "appendix", "--report", "{missing_dir}"],
-], ids=["config", "measure-json", "report"])
+], ids=["measure-json", "report"])
 def test_cli_a_file_that_cannot_be_opened_exits_2(tmp_path, capsys, argv):
     paths = {"{missing}": str(tmp_path / "missing.json"),
              "{missing_dir}": str(tmp_path / "no-such-dir" / "r.json")}
@@ -629,11 +624,10 @@ def test_cli_verify_opens_its_report_before_running_the_suite(tmp_path, capsys,
     assert "No such file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["beta", "quad_tol", "grid_step", "grid_halfwidth"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, None])
-def test_defaults_reject_a_value_that_is_not_finite_and_positive_by_name(key, value):
-    with pytest.raises(ParameterOutOfRange, match="finite %s > 0" % key):
-        Defaults(**{key: value}).validate()
+def test_defaults_reject_a_beta_that_is_not_finite_and_positive_by_name(value):
+    with pytest.raises(ParameterOutOfRange, match="finite beta > 0"):
+        Defaults(beta=value).validate()
 
 
 @pytest.mark.parametrize("argv", [["--beta", "-1"], ["--beta", "nan"], []],
@@ -677,6 +671,7 @@ def test_cli_series_cosecant_sound(capsys):
     rc = cli.main(["series", "--kind", "cosecant", "--z", "0.3", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["terms"] == 10_000
     assert payload["sound"] is True
     assert abs(payload["closed_form"][0] - PI_CSC_03PI) < 1e-12
     assert payload["defect"] <= payload["tail_bound"]
@@ -803,16 +798,16 @@ def test_cli_modular_fuzz_exits_0_2_or_3(atoms, beta, t, as_json):
         assert _printed_finite(out)
 
 
-@pytest.mark.parametrize("key", ["series_terms", "boundary_nodes", "rng_seed"])
 @pytest.mark.parametrize("value", [None, 1.5, math.nan, "5", -1])
-def test_defaults_reject_an_integer_field_that_is_not_an_integer_by_name(key, value):
-    with pytest.raises(ParameterOutOfRange, match="%s must be an integer" % key):
-        Defaults(**{key: value}).validate()
+def test_defaults_reject_an_rng_seed_that_is_not_an_integer_by_name(value):
+    with pytest.raises(ParameterOutOfRange, match="rng_seed must be an integer"):
+        Defaults(rng_seed=value).validate()
 
 
-def test_defaults_take_integer_fields_at_their_least_values():
-    Defaults(series_terms=1, boundary_nodes=4, rng_seed=0).validate()
-    Defaults(series_terms=np.int64(10), rng_seed=np.int32(3)).validate()
+def test_defaults_hold_beta_and_rng_seed_only():
+    assert [f.name for f in dataclasses.fields(Defaults)] == ["beta", "rng_seed"]
+    Defaults(rng_seed=0).validate()
+    Defaults(rng_seed=np.int32(3)).validate()
 
 
 def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
