@@ -9,6 +9,9 @@ measure  build / transform spectral measures and their Fourier data
 series   partial-fraction series values with tail bounds
 modular  modular pair diagnostics for an atomic spectral measure
 
+Each subcommand imports only the modules it uses, so a ``kernel`` call loads
+neither the measures nor the verification suites.
+
 Complex arguments are written with a trailing ``i``, e.g. ``0.5+0.3i`` (a bare
 ``1.2`` is fine for reals).  Exit codes: 0 success, 1 a verify suite reported
 a failing identity, 2 malformed arguments or a file that cannot be opened, 3
@@ -25,11 +28,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import kernels, measures, modular, periodize, rpfunc, verify
-from .config import Defaults
-from .domains import DISC, HALF_PLANE, Strip
+from .config import GROUPS, SUITE_NAMES, Defaults
 from .errors import ParameterOutOfRange, RPHardyError
 
 _DOMAINS = ("disc", "half-plane", "strip")
@@ -53,6 +52,7 @@ def fmt_complex(z: complex) -> str:
 
 
 def _domain_of(name: str, beta: float):
+    from .domains import DISC, HALF_PLANE, Strip
     if name == "disc":
         return DISC
     if name == "half-plane":
@@ -63,6 +63,7 @@ def _domain_of(name: str, beta: float):
 def _parse_atoms(text: str):
     """Parse '0.7:1.0,1.3:0.2' into an atomic measure; an entry that is not
     two numbers joined by ':' raises ParameterOutOfRange."""
+    from .measures import atomic
     pairs = []
     for chunk in text.split(","):
         loc, _, weight = chunk.partition(":")
@@ -71,7 +72,7 @@ def _parse_atoms(text: str):
         except ValueError:
             raise ParameterOutOfRange("--atoms needs loc:weight pairs separated by "
                                       "commas, got %r" % text)
-    return measures.atomic(pairs)
+    return atomic(pairs)
 
 
 def _parse_samples(text: str) -> list:
@@ -87,10 +88,11 @@ def _parse_samples(text: str) -> list:
     return samples
 
 
-def _load_measure(args) -> measures.MeasureOnR:
+def _load_measure(args):
     if getattr(args, "measure_json", None):
+        from .measures import MeasureOnR
         with open(args.measure_json) as fh:
-            return measures.MeasureOnR.from_json(fh.read())
+            return MeasureOnR.from_json(fh.read())
     if getattr(args, "atoms", None):
         return _parse_atoms(args.atoms)
     raise argparse.ArgumentTypeError("provide --atoms or --measure-json")
@@ -114,6 +116,7 @@ def _print_gram(rep, as_json: bool):
 # --------------------------------------------------------------------------
 
 def cmd_kernel(args) -> int:
+    from . import kernels
     domain = _domain_of(args.domain, args.beta)
     if args.kind == "poisson":
         if args.x is None:
@@ -139,6 +142,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     cfg = Defaults(beta=args.beta, rng_seed=args.seed).validate()
     # the report is opened before the suite runs, so a path that cannot be
     # written fails at once; it is opened to append and emptied only once the
@@ -161,6 +165,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rp(args) -> int:
+    from . import rpfunc
     if args.characterize:
         res = rpfunc.strip_membership(args.beta, args.z)
         out = {"verdict": res.verdict, "witness_t": res.witness_t,
@@ -196,6 +201,7 @@ def cmd_rp(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from . import measures
     mu = _load_measure(args)
     if args.op in ("gamma", "Gamma", "inverse", "kappa"):
         f = {"gamma": measures.gamma_map, "Gamma": measures.Gamma_map,
@@ -222,6 +228,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from . import periodize
     if args.kind in ("szego", "bergman") and args.w is None:
         raise argparse.ArgumentTypeError("%s series needs --w" % args.kind)
     if args.kind == "cosecant":
@@ -247,6 +254,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_modular(args) -> int:
+    import numpy as np
+
+    from . import measures, modular
     mu = _load_measure(args)
     nu = measures.Gamma_map(mu, args.beta)
     md = modular.build_modular(nu, args.beta)
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_kernel)
 
     v = sub.add_parser("verify", help="run identity-check suites")
-    v.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
+    v.add_argument("--suite", choices=SUITE_NAMES, default="all")
     v.add_argument("--beta", type=float, default=Defaults.beta)
     v.add_argument("--seed", type=int, default=Defaults.rng_seed)
     v.add_argument("--report", help="write the JSON report to this path")
@@ -310,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("rp", help="reflection-positive function families")
-    r.add_argument("--group", choices=rpfunc.GROUPS, default="line")
+    r.add_argument("--group", choices=GROUPS, default="line")
     r.add_argument("--beta", type=float, default=1.0)
     r.add_argument("--lam", type=float, default=1.0)
     r.add_argument("--at", type=float, default=None, help="evaluation point")

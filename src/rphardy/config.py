@@ -2,7 +2,10 @@
 
 The two settings are the ones ``rphardy verify`` takes as ``--beta`` and
 ``--seed``; every other numerical setting of a check is a constant in
-:mod:`rphardy.verify`, because each tolerance there is pinned to it.
+:mod:`rphardy.verify`, because each tolerance there is pinned to it.  The
+suite names and the group names live here too, so that the CLI parser can
+offer them as choices without importing :mod:`rphardy.verify` or
+:mod:`rphardy.rpfunc`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .numerics import _require_count, _require_positive
+
+# the suites of rphardy.verify, "all" first
+SUITE_NAMES = ("all", "kernels", "series", "measures", "modular", "appendix")
+# the groups of the reflection-positive families in rphardy.rpfunc
+GROUPS = ("integers", "line", "circle")
 
 
 @dataclass

@@ -32,11 +32,19 @@ import math
 
 import numpy as np
 
-from .errors import OutsideDomain, ParameterOutOfRange
+from .errors import OutsideDomain, ParameterOutOfRange, PoleAtInput
 from .numerics import _complex, _require_count, _require_positive, finite_array, finite_point
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
 _PARAMETER = "boundary parameter x"
+
+
+def _modulus(z: complex) -> float:
+    """|z|, and inf where it overflows (``abs`` raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 class Domain:
@@ -57,7 +65,7 @@ class Domain:
 
     def on_fixed_set(self, z: complex, tol: float = 1e-12) -> bool:
         """Whether z lies on the fixed-point set of sigma (inside the closure)."""
-        return abs(self.sigma(z) - z) <= tol * (1.0 + abs(z))
+        return _modulus(self.sigma(z) - z) <= tol * (1.0 + _modulus(z))
 
     def locate(self, z: complex, tol: float = 1e-12) -> str:
         if self.contains(z):
@@ -115,10 +123,10 @@ class Disc(Domain):
     _SIDES = {"circle": ("circle", True)}
 
     def contains(self, z):
-        return abs(finite_point(z)) < 1.0
+        return _modulus(finite_point(z)) < 1.0
 
     def on_boundary(self, z, tol=1e-12):
-        return abs(abs(finite_point(z)) - 1.0) <= tol
+        return abs(_modulus(finite_point(z)) - 1.0) <= tol
 
     def in_closure(self, z, tol=1e-12):
         # np.hypot is the modulus Python's abs(complex) computes
@@ -222,28 +230,56 @@ HALF_PLANE = HalfPlane()
 # conformal maps
 # --------------------------------------------------------------------------
 
+def _quotient(num: complex, den: complex, pole: str) -> complex:
+    """num / den, where den vanishes at the pole named by ``pole``: a zero
+    den, or a quotient that overflows next to the pole, raises
+    :class:`PoleAtInput`."""
+    q = num / den if den != 0 else math.inf
+    if not cmath.isfinite(q):
+        raise PoleAtInput("pole of %s" % pole)
+    return q
+
+
+def _over_square(num: complex, d: complex, pole: str) -> complex:
+    """num / d**2, 0 where d**2 overflows (the quotient underflows there)."""
+    try:
+        d2 = d ** 2
+    except OverflowError:
+        return 0j
+    return _quotient(num, d2, pole)
+
+
 def cayley(z: complex) -> complex:
-    """Disc -> half-plane:  z |-> i (1 + z) / (1 - z)."""
+    """Disc -> half-plane:  z |-> i (1 + z) / (1 - z); z = 1 is its pole."""
     z = finite_point(z)
-    return 1j * (1.0 + z) / (1.0 - z)
+    return _quotient(1j * (1.0 + z), 1.0 - z, "cayley at z = 1")
 
 
 def cayley_inv(w: complex) -> complex:
-    """Half-plane -> disc:  w |-> (w - i) / (w + i)."""
+    """Half-plane -> disc:  w |-> (w - i) / (w + i); w = -i is its pole."""
     w = finite_point(w)
-    return (w - 1j) / (w + 1j)
+    return _quotient(w - 1j, w + 1j, "cayley_inv at w = -i")
 
 
+@np.errstate(over="ignore", invalid="ignore")      # a value that overflows raises below
 def strip_exp(beta: float, z: complex) -> complex:
-    """Strip -> half-plane:  z |-> exp(pi z / beta)."""
+    """Strip -> half-plane:  z |-> exp(pi z / beta); a value that overflows
+    raises :class:`ParameterOutOfRange`."""
     _require_positive(beta)
-    return np.exp(math.pi * finite_point(z) / beta)
+    w = np.exp(math.pi * finite_point(z) / beta)
+    if not cmath.isfinite(w):
+        raise ParameterOutOfRange("strip_exp overflows at z = %r" % (z,))
+    return w
 
 
 def strip_log(beta: float, w: complex) -> complex:
-    """Half-plane -> strip:  w |-> (beta/pi) Log w  (principal branch)."""
+    """Half-plane -> strip:  w |-> (beta/pi) Log w  (principal branch); the
+    branch point w = 0 raises :class:`PoleAtInput`."""
     _require_positive(beta)
-    return beta / math.pi * cmath.log(finite_point(w))
+    w = finite_point(w)
+    if w == 0:
+        raise PoleAtInput("pole of strip_log at w = 0")
+    return beta / math.pi * cmath.log(w)
 
 
 def transfer_map(src: Domain, dst: Domain):
@@ -264,9 +300,10 @@ def transfer_map(src: Domain, dst: Domain):
         return ident, one
 
     if isinstance(src, Disc) and isinstance(dst, HalfPlane):
-        return cayley, lambda z: 2j / (1.0 - finite_point(z)) ** 2
+        return cayley, lambda z: _over_square(2j, 1.0 - finite_point(z), "cayley' at z = 1")
     if isinstance(src, HalfPlane) and isinstance(dst, Disc):
-        return cayley_inv, lambda w: 2j / (finite_point(w) + 1j) ** 2
+        return cayley_inv, lambda w: _over_square(2j, finite_point(w) + 1j,
+                                                  "cayley_inv' at w = -i")
     if isinstance(src, Strip) and isinstance(dst, HalfPlane):
         b = src.beta
         return (lambda z: strip_exp(b, z),
@@ -274,7 +311,7 @@ def transfer_map(src: Domain, dst: Domain):
     if isinstance(src, HalfPlane) and isinstance(dst, Strip):
         b = dst.beta
         return (lambda w: strip_log(b, w),
-                lambda w: b / (math.pi * finite_point(w)))
+                lambda w: _quotient(b, math.pi * finite_point(w), "strip_log' at w = 0"))
 
     # compositions through the half-plane
     if (isinstance(src, Disc) and isinstance(dst, Strip)
@@ -292,24 +329,31 @@ def transfer_map(src: Domain, dst: Domain):
 
 def _disc_to_half_plane(f):
     # (G f)(z) = sqrt(2i) / (z + i) * f((z - i)/(z + i)),  z in C_+
-    return lambda z: SQRT_2I / (finite_point(z) + 1j) * f(cayley_inv(z))
+    return lambda z: _quotient(SQRT_2I, finite_point(z) + 1j, "the Cayley unitary at z = -i") \
+        * f(cayley_inv(z))
 
 
 def _half_plane_to_disc(f):
     # (G^{-1} f)(z) = sqrt(2i) / (1 - z) * f(i (1 + z)/(1 - z)),  z in D
-    return lambda z: SQRT_2I / (1.0 - finite_point(z)) * f(cayley(z))
+    return lambda z: _quotient(SQRT_2I, 1.0 - finite_point(z), "the Cayley unitary at z = 1") \
+        * f(cayley(z))
 
 
 def _half_plane_to_strip(beta, f):
     # (Phi f)(z) = sqrt(pi/beta) e^{pi z / 2 beta} f(e^{pi z / beta}),  z in S_beta
     c = math.sqrt(math.pi / beta)
-    return lambda z: c * np.exp(math.pi * finite_point(z) / (2 * beta)) * f(strip_exp(beta, z))
+
+    def phi(z):
+        w = strip_exp(beta, z)          # raises before the half-size exponential overflows
+        return c * np.exp(math.pi * finite_point(z) / (2 * beta)) * f(w)
+    return phi
 
 
 def _strip_to_half_plane(beta, f):
     # (Phi^{-1} f)(z) = sqrt(beta/pi) z^{-1/2} f((beta/pi) Log z),  z in C_+
     c = math.sqrt(beta / math.pi)
-    return lambda z: c / cmath.sqrt(finite_point(z)) * f(strip_log(beta, z))
+    return lambda z: _quotient(c, cmath.sqrt(finite_point(z)), "the log unitary at z = 0") \
+        * f(strip_log(beta, z))
 
 
 def hardy_transfer(src: Domain, dst: Domain, f):

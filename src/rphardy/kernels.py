@@ -377,11 +377,18 @@ def poisson_midline_strip(beta: float, lam: float, x: float) -> float:
     """Closed sech form of the strip Poisson kernel at a midline base point:
 
     P_{lam + i beta/2}("lower", x) = (1/2 beta) / cosh(pi (lam - x) / beta).
+
+    Where cosh overflows the value is e^{-|u|} / beta, u = pi (lam - x) / beta,
+    which underflows to 0 unless beta is tiny.
     """
     numerics._require_positive(beta)
     lam = finite_point(finite_array(lam, "lam"), "lam").real
     x = finite_point(finite_array(x, _PARAMETER), _PARAMETER).real
-    return 0.5 / (beta * math.cosh(math.pi * (lam - x) / beta))
+    u = math.pi * (lam - x) / beta
+    try:
+        return 0.5 / (beta * math.cosh(u))
+    except OverflowError:
+        return math.exp(-abs(u) - math.log(beta))
 
 
 def bergman_strip(beta: float, z: complex, w: complex) -> complex:
@@ -511,19 +518,22 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
     if isinstance(domain, Strip):
         # zb and zr share the same real part, so the ratio of the two sinh
         # factors stays O(1) even where each kernel alone underflows.
+        # Far out the ratio is e^{+-(ar - ab)}, and ar - ab is the same at
+        # every x: formed once, it cannot overflow with ab and ar.
         wc, b2 = w.conjugate(), 2.0 * domain.beta
-        pi, exp, sinh = cmath.pi, cmath.exp, cmath.sinh
+        pi, sinh = cmath.pi, cmath.sinh
+        d = pi * (rembed(0.0) - embed(0.0)) / b2
+        far_right, far_left = cmath.exp(d), cmath.exp(-d)
 
         def strip(x):
             if not isfinite(x):
                 raise ParameterOutOfRange(_NOT_FINITE % (x,))
             ab = pi * (embed(x) - wc) / b2
-            ar = pi * (rembed(x) - wc) / b2
             if ab.real > _FAR:
-                return exp(ar - ab)
+                return far_right
             if ab.real < -_FAR:
-                return exp(ab - ar)
-            return sinh(ar) / sinh(ab)
+                return far_left
+            return sinh(pi * (rembed(x) - wc) / b2) / sinh(ab)
 
         return strip
 

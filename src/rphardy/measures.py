@@ -593,7 +593,13 @@ def riesz_hat(s: float, z: complex) -> complex:
     z = finite_point(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("closed form needs Im z > 0")
-    return (1j / z) ** s
+    try:
+        val = (1j / z) ** s
+    except OverflowError:       # next to 0, where i / z overflows too
+        val = math.inf
+    if not cmath.isfinite(val):
+        raise ParameterOutOfRange("(i/z)^s overflows at z = %r" % (z,))
+    return val
 
 
 def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
@@ -646,6 +652,8 @@ def riesz_kappa_check(s: float, beta: float, t: float) -> float:
 
     n = int(round(40.0 / _RIESZ_STEP))
     p = _RIESZ_STEP * (0.5 + np.arange(n))
+    if not math.isfinite(t * float(p[-1])):
+        raise ParameterOutOfRange("t p overflows at t = %r" % (t,))
     v = np.full(n, _RIESZ_STEP)
     dens_mu = p ** (s - 1.0) / gamma_function(s)
     dens_plus = p ** (s - 1.0) / (-np.expm1(-2.0 * beta * p)) / gamma_function(s)

@@ -257,7 +257,7 @@ def commutation_check(beta_length: float, n_nodes: int, s: float,
 
     shifted = x + s
     wrapped = wrap(shifted)
-    m = np.round((shifted - wrapped) / L).astype(int)
+    m = np.round((shifted - wrapped) / L)     # the periods wrapped over
 
     lhs = np.exp(1j * t * wrapped) * f(shifted)          # (V_s U_t f)(x)
     rhs = np.exp(1j * t * s) * np.exp(1j * t * x) * f(shifted)  # e^{its} (U_t V_s f)(x)

@@ -508,12 +508,20 @@ def quad(f, a, b, *, tol: float = 1e-10, points=None):
     return complex(re, im), re_err + im_err
 
 
+_QAWF_LEAST_T = 1e-2    # the least |t| oscillatory_ft hands to QAWF
+
+
 def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     """Fourier integral  Integral_R f(x) e^{itx} dx  for real-valued decaying f.
 
     Splits into even/odd parts and uses QUADPACK's cosine/sine weights on
     [0, inf), which remain accurate when f decays too slowly (e.g. like 1/x^2)
     for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf).
+
+    Below |t| = _QAWF_LEAST_T the weighted integrand is integrated over the
+    line as it stands, as at t = 0: QAWF's first cycle, [0, pi/|t|], is then
+    so long that its nodes can step over f altogether (it returned 0 for
+    e^{-|x|} at t = 1e-4, and a subnormal t crashed it).
     """
     t = finite_array(t, "t")
     if t.ndim:
@@ -522,6 +530,12 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     if t == 0.0:
         val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
         return complex(val)
+    if abs(t) < _QAWF_LEAST_T:
+        re, re_err = quad_real(lambda x: f(x) * math.cos(t * x), -np.inf, np.inf, tol=tol)
+        im, im_err = quad_real(lambda x: f(x) * math.sin(t * x), -np.inf, np.inf, tol=tol)
+        value = complex(re, im)
+        _tolerance_guard(value, re_err + im_err, tol)
+        return value
     w = abs(t)
     even = lambda x: f(x) + f(-x)
     odd = lambda x: f(x) - f(-x)
@@ -713,6 +727,9 @@ def sech_power_recursion_check(n: int, p: float) -> IdentityCheck:
     return IdentityCheck(lhs=high, rhs=rhs, defect=abs(high - rhs))
 
 
+_FAR_SINH = 350.0   # past |Re u| = 350, 1 / sinh u is 2 e^{-|u|} to double precision
+
+
 def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityCheck:
     """Fourier transform of the Fermi-type density against its sinh closed form:
 
@@ -738,23 +755,37 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
         return math.exp((2.0 * beta - y) * lam) / (1.0 + math.exp(2.0 * beta * lam))
 
     lhs = oscillatory_ft(density, z.real, tol=tol) / TWO_PI
-    rhs = 0.25j / (beta * np.sinh(math.pi * z / (2.0 * beta)))
+    u = math.pi * z / (2.0 * beta)
+    if u.real > _FAR_SINH:      # 1 / sinh u = +-2 e^{-+u}, where sinh u overflows
+        rhs = 0.5j * cmath.exp(-u) / beta
+    elif u.real < -_FAR_SINH:
+        rhs = -0.5j * cmath.exp(u) / beta
+    else:
+        rhs = 0.25j / (beta * np.sinh(u))
+    return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
+
+
+@np.errstate(over="ignore", invalid="ignore")     # a side that overflows raises below
+def _hyperbolic_abs_check(fn, trig, x, y) -> IdentityCheck:
+    """|fn(x + iy)|^2 = sinh(x)^2 + trig(y)^2; raises
+    :class:`ParameterOutOfRange` once a side overflows."""
+    x = finite_point(finite_array(x, "x"), "x").real
+    y = finite_point(finite_array(y, "y"), "y").real
+    lhs = abs(fn(complex(x, y))) ** 2
+    try:
+        rhs = math.sinh(x) ** 2 + trig(y) ** 2
+    except OverflowError:
+        rhs = math.inf
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ParameterOutOfRange("|%s(x + iy)|^2 overflows at x = %r" % (fn.__name__, x))
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
 def sinh_abs_check(x: float, y: float) -> IdentityCheck:
     """|sinh(x + iy)|^2 = sinh(x)^2 + sin(y)^2."""
-    x = finite_point(finite_array(x, "x"), "x").real
-    y = finite_point(finite_array(y, "y"), "y").real
-    lhs = abs(np.sinh(complex(x, y))) ** 2
-    rhs = math.sinh(x) ** 2 + math.sin(y) ** 2
-    return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
+    return _hyperbolic_abs_check(np.sinh, math.sin, x, y)
 
 
 def cosh_abs_check(x: float, y: float) -> IdentityCheck:
     """|cosh(x + iy)|^2 = sinh(x)^2 + cos(y)^2."""
-    x = finite_point(finite_array(x, "x"), "x").real
-    y = finite_point(finite_array(y, "y"), "y").real
-    lhs = abs(np.cosh(complex(x, y))) ** 2
-    rhs = math.sinh(x) ** 2 + math.cos(y) ** 2
-    return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
+    return _hyperbolic_abs_check(np.cosh, math.cos, x, y)

@@ -41,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GROUPS
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
 from .numerics import (GramReport, _periodized_lorentzian, _require_count, _require_positive,
                        finite_array, finite_pairs, finite_point, gram_report, lorentzian)
-
-GROUPS = ("integers", "line", "circle")
 
 
 def _check_group(group: str) -> str:
@@ -126,7 +125,9 @@ def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
     the periodized Lorentzian of :func:`numerics.poisson_summation_check`
     times the ratio c_n / psi_s(n)."""
     _check_family("circle", lam, beta)
-    y = finite_point(finite_array(y, "y"), "y").real
+    # fmod is exact and leaves |y| < beta as it is; far past beta the phases
+    # 2 pi n y / beta would lose every digit of y, and overflow near 1e308
+    y = math.fmod(finite_point(finite_array(y, "y"), "y").real, beta)
     _require_count(N, 0, "N")
     if lam == 0.0:
         return 1.0
@@ -228,31 +229,48 @@ def c_func(beta: float, t: float, z: complex) -> complex:
     a = 1j * t * z            # exponent of the first term
     b = -beta * t - 1j * t * z
     m = max(a.real, b.real)
-    val = cmath.exp(a - m) + cmath.exp(b - m)
-    return cmath.exp(m) * val / (1.0 + math.exp(-beta * t))
+    try:
+        val = cmath.exp(m) * (cmath.exp(a - m) + cmath.exp(b - m)) / (1.0 + math.exp(-beta * t))
+    except (OverflowError, ValueError):     # too large, or an exponent that overflowed
+        val = math.inf
+    if not cmath.isfinite(val):
+        raise ParameterOutOfRange("c_t(z) overflows at t = %r, z = %r" % (t, z))
+    return val
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")   # checked below
 def c_log_abs(beta: float, t, z: complex):
-    """log |c_t(z)|, overflow-free for any z and t.  ``t`` may be an array; a
-    scalar ``t`` gives a float."""
+    """log |c_t(z)|, overflow-free unless t z itself overflows, which raises
+    :class:`ParameterOutOfRange`; |c_t| = 0 gives -inf.  ``t`` may be an
+    array; a scalar ``t`` gives a float."""
     _require_positive(beta)
-    t = np.asarray(t, dtype=float)
-    if not np.all((t > 0.0) & (t < math.inf)):
+    t = finite_array(t, "t")
+    if not (t > 0.0).all():     # the method: np.all costs 4 us more
         raise ParameterOutOfRange("need finite t > 0")
     a = 1j * t * finite_point(z)
     b = -beta * t - a
     m = np.maximum(a.real, b.real)
     s = np.exp(a - m) + np.exp(b - m)
-    with np.errstate(divide="ignore"):     # |c_t| = 0 gives -inf
-        return _as_float(m + np.log(np.hypot(s.real, s.imag))
-                         - np.log1p(np.exp(-beta * t)))
+    logs = m + np.log(np.hypot(s.real, s.imag)) - np.log1p(np.exp(-beta * t))
+    if not logs.max() < math.inf:       # +inf, or NaN from an exponent that overflowed
+        raise ParameterOutOfRange("t z overflows at z = %r" % (z,))
+    return _as_float(logs)
 
 
 def g_func(beta: float, t: float, z: complex) -> complex:
-    """g_t(z) = e^{t beta/2} e^{itz}; its Hardy norm on the strip is e^{|t| beta/2}."""
+    """g_t(z) = e^{t beta/2 + itz}; its Hardy norm on the strip is e^{|t| beta/2}.
+    The exponent is formed once, so the two factors may each overflow while
+    their product does not; a value that overflows raises
+    :class:`ParameterOutOfRange`."""
     _require_positive(beta)
     t = finite_point(finite_array(t, "t"), "t").real
-    return math.exp(t * beta / 2.0) * cmath.exp(1j * t * finite_point(z))
+    try:
+        val = cmath.exp(t * beta / 2.0 + 1j * t * finite_point(z))
+    except (OverflowError, ValueError):     # too large, or an exponent that overflowed
+        val = math.inf
+    if not cmath.isfinite(val):
+        raise ParameterOutOfRange("g_t(z) overflows at t = %r, z = %r" % (t, z))
+    return val
 
 
 # the scan grid, built once: np.geomspace costs more than the scan

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, measures, modular, numerics, periodize, rpfunc
-from .config import Defaults
+from .config import SUITE_NAMES, Defaults
 from .domains import DISC, HALF_PLANE, Strip, sample_interior, transfer_map
 
 
@@ -679,8 +679,6 @@ SUITES = {
     "appendix": [check_poisson_summation, check_sech, check_ftcosh,
                  check_hyperbolic_abs],
 }
-
-SUITE_NAMES = ("all",) + tuple(SUITES)
 
 
 @dataclass

@@ -640,6 +640,14 @@ def test_oscillatory_ft_of_lorentzian_is_two_sided_exponential():
     assert abs(numerics.oscillatory_ft(f, 0.0) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("t", [1e-2 * (1 - 2**-52), 1e-4, -1e-6, 1e-300, 5e-324])
+def test_oscillatory_ft_at_a_tiny_frequency_sees_all_of_f(t):
+    # QAWF's first cycle [0, pi/|t|] stepped over e^{-|x|}: it returned 0 at
+    # t = 1e-4 and crashed the interpreter at a subnormal t
+    val = numerics.oscillatory_ft(lambda x: math.exp(-abs(x)), t)
+    assert abs(val - 2.0 / (1.0 + t * t)) < 1e-10
+
+
 def test_oscillatory_ft_asymmetric_gaussian_phase():
     # int e^{-(x-a)^2} e^{itx} dx = sqrt(pi) e^{ita} e^{-t^2/4}
     a = 0.3
