@@ -508,7 +508,8 @@ def quad(f, a, b, *, tol: float = 1e-10, points=None):
     return complex(re, im), re_err + im_err
 
 
-_QAWF_LEAST_T = 1e-2    # the least |t| oscillatory_ft hands to QAWF
+_QAWF_LEAST_T = 1e-2    # below it oscillatory_ft tries QAGI first
+_QAWF_FLOOR = 1e-200    # below it oscillatory_ft never calls QAWF
 
 
 def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
@@ -518,10 +519,12 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     [0, inf), which remain accurate when f decays too slowly (e.g. like 1/x^2)
     for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf).
 
-    Below |t| = _QAWF_LEAST_T the weighted integrand is integrated over the
-    line as it stands, as at t = 0: QAWF's first cycle, [0, pi/|t|], is then
-    so long that its nodes can step over f altogether (it returned 0 for
-    e^{-|x|} at t = 1e-4, and a subnormal t crashed it).
+    Below |t| = _QAWF_LEAST_T the weighted integrand is first integrated
+    over the line as it stands, as at t = 0: QAWF's first cycle, [0, pi/|t|],
+    is then so long that its nodes can step over f altogether (it returned 0
+    for e^{-|x|} at t = 1e-4).  QAWF takes over only where that misses the
+    tolerance (an f that decays like 1/x^2), and never below |t| =
+    _QAWF_FLOOR, where a cycle near the float range crashed it.
     """
     t = finite_array(t, "t")
     if t.ndim:
@@ -531,11 +534,16 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
         val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
         return complex(val)
     if abs(t) < _QAWF_LEAST_T:
-        re, re_err = quad_real(lambda x: f(x) * math.cos(t * x), -np.inf, np.inf, tol=tol)
-        im, im_err = quad_real(lambda x: f(x) * math.sin(t * x), -np.inf, np.inf, tol=tol)
-        value = complex(re, im)
-        _tolerance_guard(value, re_err + im_err, tol)
-        return value
+        try:
+            re, re_err = quad_real(lambda x: f(x) * math.cos(t * x), -np.inf, np.inf, tol=tol)
+            im, im_err = quad_real(lambda x: f(x) * math.sin(t * x), -np.inf, np.inf, tol=tol)
+        except ToleranceNotReached:
+            if abs(t) < _QAWF_FLOOR:
+                raise
+        else:
+            value = complex(re, im)
+            _tolerance_guard(value, re_err + im_err, tol)
+            return value
     w = abs(t)
     even = lambda x: f(x) + f(-x)
     odd = lambda x: f(x) - f(-x)

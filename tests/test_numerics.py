@@ -648,6 +648,16 @@ def test_oscillatory_ft_at_a_tiny_frequency_sees_all_of_f(t):
     assert abs(val - 2.0 / (1.0 + t * t)) < 1e-10
 
 
+def test_oscillatory_ft_at_a_tiny_frequency_hands_a_slow_tail_to_qawf():
+    lorentzian = lambda x: 1.0 / (1.0 + x * x)
+    # the line quadrature misses its tolerance on the 1/x^2 tail; QAWF meets it
+    val = numerics.oscillatory_ft(lorentzian, 1e-3)
+    assert abs(val - math.pi * math.exp(-1e-3)) < 1e-10
+    # ... except where its cycle pi/|t| nears the float range
+    with pytest.raises(ToleranceNotReached):
+        numerics.oscillatory_ft(lorentzian, 1e-250)
+
+
 def test_oscillatory_ft_asymmetric_gaussian_phase():
     # int e^{-(x-a)^2} e^{itx} dx = sqrt(pi) e^{ita} e^{-t^2/4}
     a = 0.3
