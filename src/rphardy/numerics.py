@@ -43,7 +43,9 @@ largest.  A row takes one of two paths, chosen by its length:
 Quadrature strategy
 -------------------
 Every real integral goes through QUADPACK (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, *QUADPACK*, Springer 1983) via ``scipy.integrate.quad``:
+Ueberhuber and Kahaner, *QUADPACK*, Springer 1983), whose routines
+:func:`_quadpack` calls on scipy's compiled extension as ``scipy.integrate.quad``
+would, bit for bit:
 
 * finite intervals: adaptive Gauss-Kronrod (QAGS), or QAGP with breakpoints;
 * infinite intervals: QAGI, Gauss-Kronrod on the map x = a + (1 - t)/t, which
@@ -55,8 +57,11 @@ QUADPACK's error estimate bounds the true error of the peaked boundary
 integrands used here (Poisson masses near the boundary, flip pairings, the
 outer function), which the test suite checks against mpmath.
 
-``scipy.integrate`` is imported inside the one routine that calls it, so
-importing the package, and every closed-form evaluation, leaves scipy unloaded.
+The first quadrature loads scipy's compiled QUADPACK extension and nothing
+else of scipy's: the ``scipy.integrate`` package, and with it scipy's other
+subpackages, is never imported (the binding was verified on scipy 1.17.1, and
+the tests pin it against ``scipy.integrate.quad``).  Importing the package, and
+every closed-form evaluation, leaves scipy unloaded.
 
 Every routine returns an error estimate together with the value, and raises
 :class:`ToleranceNotReached` instead of silently returning garbage when the
@@ -75,7 +80,11 @@ distinct names so they can never be confused:
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,15 +411,63 @@ def _tolerance_guard(value: complex, err: float, tol: float) -> None:
         )
 
 
-def _quadpack(f, a, b, tol, **opts):
-    """``scipy.integrate.quad`` with the package's tolerances, returning
-    ``(value, error_estimate)``.  ``full_output`` keeps QUADPACK's failure
-    flags out of the warnings machinery: the error estimate goes through
-    :func:`_tolerance_guard` instead.  ``tol`` must be a finite number > 0."""
-    _require_positive(tol, "tol")
-    import scipy.integrate  # loaded on the first quadrature only
+@functools.cache
+def _extension():
+    """scipy's compiled QUADPACK extension, ``scipy/integrate/_quadpack``,
+    loaded by itself on the first quadrature.  Importing it through the
+    ``scipy.integrate`` package would run that package's ``__init__``, which
+    loads some 350 scipy modules (optimize, sparse, linalg, special, ...)."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_quadpack", [os.path.join(d, "integrate") for d in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError("scipy's compiled QUADPACK extension scipy/integrate/_quadpack "
+                          "was not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    return scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, **opts)[:2]
+
+def _quadpack(f, a, b, tol, *, epsrel=1.49e-8, limit=50, points=None,
+              weight=None, wvar=None, limlst=50):
+    """QUADPACK over [a, b], a < b, with the package's tolerances, returning
+    ``(value, error_estimate)``: bit for bit
+    ``scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, ...)[:2]``,
+    whose dispatch (scipy 1.17.1, ``_quad`` and ``_quad_weight``) it repeats
+    for the four routines used here, with scipy's defaults:
+
+    * finite [a, b]: QAGS, or QAGP with the distinct ``points`` inside (a, b);
+    * an infinite end, no ``points``: QAGI on [a, inf), (-inf, b] or the line;
+    * ``weight`` "cos" / "sin" on [a, inf): QAWF at frequency ``wvar``.
+
+    QUADPACK's failure flags do not raise: the error estimate goes through
+    :func:`_tolerance_guard` instead.  Its flag 6, input it refuses, raises
+    :class:`ParameterOutOfRange`, as does a ``tol`` that is not a finite
+    number > 0 or whose quarter underflows to 0.  An exception raised by
+    ``f`` comes out unchanged."""
+    _require_positive(tol, "tol")
+    epsabs = tol / 4
+    if epsabs == 0.0:
+        raise ParameterOutOfRange("tol / 4 underflows to 0 at tol = %r" % (tol,))
+    quadpack = _extension()
+    if weight is not None:
+        code = {"cos": 1, "sin": 2}[weight]
+        out = quadpack._qawfe(f, a, wvar, code, (), 1, epsabs, limlst, limit, 50)
+    elif points is not None:
+        pts = np.unique(points)
+        pts = np.concatenate((pts[(a < pts) & (pts < b)], (0.0, 0.0)))
+        out = quadpack._qagpe(f, a, b, pts, (), 1, epsabs, epsrel, limit)
+    elif math.isinf(a) or math.isinf(b):
+        bound, inf = (b, -1) if math.isinf(a) else (a, 1)
+        if math.isinf(bound):
+            bound, inf = 0.0, 2
+        out = quadpack._qagie(f, bound, inf, (), 1, epsabs, epsrel, limit)
+    else:
+        out = quadpack._qagse(f, a, b, (), 1, epsabs, epsrel, limit)
+    if out[-1] == 6:
+        raise ParameterOutOfRange("QUADPACK refused its input on [%r, %r] at tol = %r"
+                                  % (a, b, tol))
+    return out[:2]
 
 
 def quad_real(f, a, b, *, tol: float = 1e-10, points=None):

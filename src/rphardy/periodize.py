@@ -71,7 +71,9 @@ class SeriesEval:
 
     @property
     def sound(self) -> bool:
-        return self.defect <= self.tail_bound
+        """defect <= tail_bound under a proven bound; false below the
+        threshold, where the bound is inf and proves nothing."""
+        return self.defect <= self.tail_bound < math.inf
 
 
 def _alternating(n: int, first: float = -1.0) -> np.ndarray:

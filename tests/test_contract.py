@@ -304,6 +304,19 @@ FAR = [
     ("riesz_hat-next-to-0", lambda: measures.riesz_hat(1.0, 5e-324j), ParameterOutOfRange),
     ("riesz_kappa_check-far-t", lambda: measures.riesz_kappa_check(0.5, 1.0, 1e308),
      ParameterOutOfRange),
+    # tol / 4 underflows to 0, which QAWF refused with scipy's bare ValueError
+    ("quad_real-tiny-tol", lambda: numerics.quad_real(math.exp, 0.0, 1.0, tol=5e-324),
+     ParameterOutOfRange),
+    ("quad-tiny-tol", lambda: numerics.quad(math.exp, 0.0, 1.0, tol=5e-324),
+     ParameterOutOfRange),
+    ("oscillatory_ft-tiny-tol",
+     lambda: numerics.oscillatory_ft(lambda x: math.exp(-abs(x)), 0.7, tol=5e-324),
+     ParameterOutOfRange),
+    # GAMMA(s) overflows: the power p^(s - 1) overflowed, or the value was NaN
+    ("riesz_hat_quad-huge-s", lambda: measures.riesz_hat_quad(200.0, 1j), ParameterOutOfRange),
+    ("riesz_kappa_check-huge-s", lambda: measures.riesz_kappa_check(200.0, 1.0, 0.3),
+     ParameterOutOfRange),
+    ("riesz_hat_quad-tiny-s", lambda: measures.riesz_hat_quad(5e-324, 1j), ParameterOutOfRange),
 ]
 
 

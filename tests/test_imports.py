@@ -1,7 +1,9 @@
 """Imports are lazy.  ``import rphardy`` loads none of its modules: each
 public name is imported from its home module on first use.  Each closed-form
 CLI subcommand loads only the modules it uses, and never scipy; only a
-quadrature loads scipy.
+quadrature loads scipy, and of scipy only its compiled QUADPACK extension
+(and the few modules that extension imports), never ``scipy.integrate`` and
+the subpackages it pulls in.
 
 Each case runs in a fresh child interpreter, because the test session itself
 has long since imported every module and scipy."""
@@ -181,13 +183,50 @@ def test_python_m_cli_kernel_leaves_the_other_modules_unloaded():
     assert scipy == []
 
 
-def test_a_quadrature_still_loads_scipy_and_integrates():
-    proc, (loaded, _) = _child(
-        "import math\nfrom rphardy import numerics\n"
-        "val, err = numerics.quad_real(lambda x: math.exp(-x * x), "
-        "-math.inf, math.inf)\nprint(repr(val), repr(err))")
+# scipy's subpackages that the scipy.integrate package pulls in; a quadrature
+# loads only scipy's compiled QUADPACK extension, and none of them
+HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse",
+               "scipy.linalg", "scipy.spatial")
+
+
+def _heavy(scipy_modules):
+    """The modules of ``scipy_modules`` that belong to a HEAVY_SCIPY package."""
+    return [m for m in scipy_modules if ".".join(m.split(".")[:2]) in HEAVY_SCIPY]
+
+
+_GAUSS_LINE = ("import math\nfrom rphardy import numerics\n"
+               "val, err = numerics.quad_real(lambda x: math.exp(-x * x), "
+               "-math.inf, math.inf)\nprint(repr(val), repr(err))")
+
+
+def test_a_quadrature_integrates_without_the_scipy_integrate_package():
+    proc, (scipy, _) = _child(_GAUSS_LINE)
     assert proc.returncode == 0, proc.stderr
     val, err = map(float, proc.stdout.splitlines()[0].split())
     assert abs(val - math.sqrt(math.pi)) < 1e-10      # the default tol
     assert err < 1e-10
-    assert "scipy.integrate" in loaded
+    assert _heavy(scipy) == []
+
+
+def test_scipy_integrate_imported_after_a_quadrature_gives_the_same_bits():
+    proc, (scipy, _) = _child(
+        _GAUSS_LINE + "\nimport scipy.integrate\n"
+        "print(*scipy.integrate.quad(lambda x: math.exp(-x * x), -math.inf, math.inf, "
+        "epsabs=1e-10 / 4, epsrel=1e-12, limit=400, full_output=1)[:2])")
+    assert proc.returncode == 0, proc.stderr
+    ours, theirs = proc.stdout.splitlines()[:2]
+    assert ours == theirs
+    assert "scipy.integrate" in scipy
+
+
+@pytest.mark.parametrize("suite", ["appendix", "all"])
+def test_python_m_cli_verify_loads_none_of_scipys_subpackages(suite):
+    proc, (scipy, loaded) = _child(
+        "import runpy, sys\nsys.argv = ['rphardy', 'verify', '--suite', %r, '--json']\n"
+        "try:\n    runpy.run_module('rphardy.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "sys.stdout.flush()" % suite)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.rsplit("\n\n", 1)[0])["failed"] == 0
+    assert "verify" in loaded
+    assert _heavy(scipy) == []

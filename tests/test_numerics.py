@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rphardy import kernels, modular, numerics, rpfunc
 from rphardy.domains import DISC, HALF_PLANE, Strip
-from rphardy.errors import ParameterOutOfRange, ToleranceNotReached
+from rphardy.errors import ParameterOutOfRange, PoleAtInput, ToleranceNotReached
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -532,6 +532,77 @@ def test_quad_real_rejects_nan_endpoints_and_non_finite_breakpoints(a, b, points
         warnings.simplefilter("error")
         with pytest.raises(ParameterOutOfRange):
             numerics.quad_real(lambda x: math.exp(-x * x), a, b, points=points)
+
+
+# --------------------------------------------------------------------------
+# the QUADPACK binding: numerics._quadpack against scipy.integrate.quad
+# --------------------------------------------------------------------------
+
+_PEAK = lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2)
+_GAUSS = lambda x: math.exp(-(x - 0.7) ** 2)
+_LORENTZ = lambda x: 1.0 / (1.0 + x * x)
+
+# (f, a, b, tol, opts): every dispatch _quadpack makes, at the options the
+# package passes and at scipy's defaults; "flags" sets QUADPACK failure flags
+BINDING = {
+    "qags": (lambda x: math.exp(-x * x) * math.cos(3.0 * x), 0.0, 2.0, 1e-10,
+             {"epsrel": 1e-12, "limit": 400}),
+    "qags-defaults": (math.sqrt, 0.0, 1.0, 1e-10, {}),
+    "qags-flags": (lambda x: math.sin(1e7 * x), 0.0, 1.0, 1e-13,
+                   {"epsrel": 1e-12, "limit": 400}),
+    "qagp": (_PEAK, 0.0, 2.0, 1e-10,
+             {"epsrel": 1e-12, "limit": 400, "points": np.array([0.3, 1.5])}),
+    # at a small limit a duplicate breakpoint, kept, would take up a
+    # subinterval and move the bits
+    "qagp-duplicates-and-outside": (_PEAK, 0.0, 2.0, 1e-10,
+                                    {"epsrel": 1e-12, "limit": 10,
+                                     "points": [1.5, 0.3, -1.0, 0.3, 2.0, 3.0, 0.0]}),
+    "qagi-right": (_GAUSS, -0.5, np.inf, 1e-10, {"epsrel": 1e-12, "limit": 400}),
+    "qagi-left": (_GAUSS, -np.inf, 1.25, 1e-9, {"epsrel": 1e-12, "limit": 400}),
+    "qagi-line": (_LORENTZ, -np.inf, np.inf, 1e-10, {"epsrel": 1e-12, "limit": 400}),
+    "qawf-cos": (_LORENTZ, 0, np.inf, 1e-10, {"weight": "cos", "wvar": 0.7, "limlst": 120}),
+    "qawf-sin": (lambda x: x / (1.0 + x * x), 0, np.inf, 1e-10,
+                 {"weight": "sin", "wvar": 0.7, "limlst": 120}),
+}
+
+
+@pytest.mark.parametrize("f,a,b,tol,opts", BINDING.values(), ids=BINDING.keys())
+def test_the_quadpack_binding_gives_scipys_bits(f, a, b, tol, opts):
+    import scipy.integrate
+
+    got = numerics._quadpack(f, a, b, tol, **opts)
+    want = scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, **opts)[:2]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+@pytest.mark.parametrize("a,b,opts", [
+    (0.0, 1.0, {}), (0.0, 1.0, {"points": [0.5]}), (0.0, np.inf, {}),
+    (0, np.inf, {"weight": "cos", "wvar": 0.7})], ids=["qags", "qagp", "qagi", "qawf"])
+def test_an_error_raised_by_the_integrand_comes_out_of_quadpack_unchanged(a, b, opts):
+    error = PoleAtInput("raised inside f")
+
+    def f(x):
+        raise error
+
+    with pytest.raises(PoleAtInput) as info:
+        numerics._quadpack(f, a, b, 1e-10, **opts)
+    assert info.value is error
+
+
+@pytest.mark.parametrize("a,b,opts", [
+    (0.0, 1.0, {"limit": 0}),
+    (0.0, 1.0, {"limit": 2, "points": [0.2, 0.4, 0.6]}),
+    (0, np.inf, {"weight": "cos", "wvar": 0.7, "limlst": 2})],
+    ids=["limit-0", "points-beyond-limit", "limlst-2"])
+def test_input_quadpack_refuses_raises_parameter_out_of_range(a, b, opts):
+    """QUADPACK's flag 6, on which scipy.integrate.quad raises a bare
+    ValueError."""
+    import scipy.integrate
+
+    with pytest.raises(ParameterOutOfRange, match="QUADPACK refused"):
+        numerics._quadpack(math.exp, a, b, 1e-10, **opts)
+    with pytest.raises(ValueError):
+        scipy.integrate.quad(math.exp, a, b, epsabs=1e-10 / 4, full_output=1, **opts)
 
 
 def _near_edge(rng, beta):

@@ -20,6 +20,15 @@ def test_cosecant_series_frozen_value():
     assert ev.sound
 
 
+def test_a_series_below_its_threshold_is_not_sound():
+    # N = 10 < 2|z|: no tail bound is proven (inf), and pi / sin(pi z) has
+    # no digits left at this z, so the defect is of order 1
+    ev = periodize.cosecant_series(1e154 + 0.5j, 10)
+    assert ev.tail_bound == math.inf
+    assert ev.defect > 1.0
+    assert not ev.sound
+
+
 def test_cosecant_series_complex_argument():
     ev = periodize.cosecant_series(0.4 + 0.7j, 5000)
     want = math.pi / cmath.sin(math.pi * (0.4 + 0.7j))

@@ -679,6 +679,15 @@ def test_cli_series_cosecant_sound(capsys):
     assert payload["defect"] <= payload["tail_bound"]
 
 
+def test_cli_series_below_its_threshold_is_unsound(capsys):
+    argv = ["series", "--kind", "cosecant", "--z=1e154+0.5i", "--terms", "10"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("tail_bound=inf UNSOUND")
+    assert cli.main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tail_bound"] == math.inf and payload["sound"] is False
+
+
 def test_cli_series_szego_requires_w():
     with pytest.raises(SystemExit) as exc:
         cli.main(["series", "--kind", "szego", "--z", "0.3+0.5i"])
