@@ -132,7 +132,10 @@ def cmd_kernel(args) -> int:
                 raise argparse.ArgumentTypeError("bergman kernel lives on the strip")
             val = kernels.bergman_strip(args.beta, args.z, args.w)
         else:
-            val = kernels.power_kernel(domain, args.s, args.z, args.w)
+            try:
+                val = kernels.power_kernel(domain, args.s, args.z, args.w)
+            except ParameterOutOfRange as exc:      # the message names s, not the kernel
+                raise ParameterOutOfRange("power kernel: %s" % exc) from None
     if args.json:
         print(json.dumps({"kind": args.kind, "domain": args.domain,
                           "value": [val.real, complex(val).imag]}))

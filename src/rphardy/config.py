@@ -27,5 +27,5 @@ class Defaults:
 
     def validate(self) -> "Defaults":
         _require_positive(self.beta)
-        _require_count(self.rng_seed, 0, "rng_seed")  # numpy takes no negative seed
+        _require_count(self.rng_seed, "rng_seed", 0)  # numpy takes no negative seed
         return self

@@ -33,7 +33,8 @@ import math
 import numpy as np
 
 from .errors import OutsideDomain, ParameterOutOfRange, PoleAtInput
-from .numerics import _complex, _require_count, _require_positive, finite_array, finite_point
+from .numerics import (COUNT, POINT, POSITIVE, REAL, _complex, _require_positive, finite_array,
+                       finite_point, takes)
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
 _PARAMETER = "boundary parameter x"
@@ -249,34 +250,33 @@ def _over_square(num: complex, d: complex, pole: str) -> complex:
     return _quotient(num, d2, pole)
 
 
+@takes(z=POINT)
 def cayley(z: complex) -> complex:
     """Disc -> half-plane:  z |-> i (1 + z) / (1 - z); z = 1 is its pole."""
-    z = finite_point(z)
     return _quotient(1j * (1.0 + z), 1.0 - z, "cayley at z = 1")
 
 
+@takes(w=POINT)
 def cayley_inv(w: complex) -> complex:
     """Half-plane -> disc:  w |-> (w - i) / (w + i); w = -i is its pole."""
-    w = finite_point(w)
     return _quotient(w - 1j, w + 1j, "cayley_inv at w = -i")
 
 
+@takes(beta=POSITIVE, z=POINT)
 @np.errstate(over="ignore", invalid="ignore")      # a value that overflows raises below
 def strip_exp(beta: float, z: complex) -> complex:
     """Strip -> half-plane:  z |-> exp(pi z / beta); a value that overflows
     raises :class:`ParameterOutOfRange`."""
-    _require_positive(beta)
-    w = np.exp(math.pi * finite_point(z) / beta)
+    w = np.exp(math.pi * z / beta)
     if not cmath.isfinite(w):
         raise ParameterOutOfRange("strip_exp overflows at z = %r" % (z,))
     return w
 
 
+@takes(beta=POSITIVE, w=POINT)
 def strip_log(beta: float, w: complex) -> complex:
     """Half-plane -> strip:  w |-> (beta/pi) Log w  (principal branch); the
     branch point w = 0 raises :class:`PoleAtInput`."""
-    _require_positive(beta)
-    w = finite_point(w)
     if w == 0:
         raise PoleAtInput("pole of strip_log at w = 0")
     return beta / math.pi * cmath.log(w)
@@ -387,10 +387,13 @@ def hardy_transfer(src: Domain, dst: Domain, f):
 # sampling helpers (shared by tests and the verification suites)
 # --------------------------------------------------------------------------
 
+@takes(n=COUNT(0), margin=REAL)
 def sample_interior(domain: Domain, rng: np.random.Generator, n: int,
                     margin: float = 0.05):
-    """n pseudo-random interior points, keeping ``margin`` away from the boundary."""
-    _require_count(n, 0, "n")
+    """n pseudo-random interior points, keeping ``margin`` (in [0, 1/2))
+    away from the boundary."""
+    if not 0.0 <= margin < 0.5:
+        raise ParameterOutOfRange("margin must lie in [0, 1/2), got %r" % (margin,))
     if isinstance(domain, Disc):
         r = (1.0 - margin) * np.sqrt(rng.uniform(0.0, 1.0, n))
         th = rng.uniform(0.0, 2.0 * math.pi, n)

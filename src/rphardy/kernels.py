@@ -84,26 +84,23 @@ from .errors import (
     ToleranceNotReached,
     UnsupportedPair,
 )
-from .numerics import (GramReport, IdentityCheck, _complex, finite_array, finite_point,
-                       gram_report, is_batch)
+from .numerics import (POINT, POINTS, POSITIVE, REAL, GramReport, IdentityCheck, _complex,
+                       finite_array, gram_report, is_batch, takes)
 
 _POLE_TOL = 1e-13
 
 
-def _require_closure(domain: Domain, z: complex, tol: float = 1e-9) -> complex:
-    """z as a complex in the closed domain: :func:`numerics.finite_point`,
-    then :class:`OutsideDomain` for a point outside the closure."""
-    z = finite_point(z)
+def _require_closure(domain: Domain, z: complex, tol: float = 1e-9) -> None:
+    """:class:`OutsideDomain` for a (guarded) point outside the closed domain."""
     if domain.locate(z, tol) == "exterior":
         raise OutsideDomain("%r is outside the closed %s" % (z, domain.name))
-    return z
 
 
 def _closure_arrays(domain: Domain, *pts, tol: float = 1e-9):
-    """The points as broadcast complex arrays, each required to lie in the
-    closed domain (the first one outside raises, as in the scalar call);
-    anything but finite numbers raises :class:`ParameterOutOfRange`."""
-    pts = np.broadcast_arrays(*(finite_array(p, "a point", complex) for p in pts))
+    """The (guarded) points as broadcast complex arrays, each required to
+    lie in the closed domain (the first one outside raises, as in the scalar
+    call)."""
+    pts = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in pts))
     for p in pts:
         inside = domain.in_closure(p, tol)
         if not np.all(inside):
@@ -121,6 +118,7 @@ def _require_no_pole(near_pole: np.ndarray, message: str) -> None:
 # Szego / Poisson / Bergman
 # --------------------------------------------------------------------------
 
+@takes(z=POINTS, w=POINTS)
 def szego(domain: Domain, z: complex, w: complex) -> complex:
     """Szego kernel Q(z, w); z and w may lie in the closure as long as the
     kernel stays finite (the boundary-extended evaluation).
@@ -133,17 +131,18 @@ def szego(domain: Domain, z: complex, w: complex) -> complex:
     """
     if is_batch(z, w):
         return _szego_array(domain, *_closure_arrays(domain, z, w))
-    z = _require_closure(domain, z)
-    return szego_at(domain, w)(z)
+    _require_closure(domain, z)
+    return szego_at.__wrapped__(domain, w)(z)
 
 
+@takes(w=POINT)
 def szego_at(domain: Domain, w: complex):
     """Q(., w) as a scalar function z -> complex, the one scalar body of the
     Szego kernel.  ``w`` is checked and the domain resolved once; ``z`` is
     not checked, so it must lie in the closure (:func:`szego` checks it, a
     boundary embedding gives such points by construction).  A pole raises
     :class:`PoleAtInput` at the call."""
-    w = _require_closure(domain, w)
+    _require_closure(domain, w)
     wc, pi = w.conjugate(), math.pi
     if isinstance(domain, Disc):
         def disc(z):
@@ -212,6 +211,7 @@ def _szego_array(domain: Domain, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     raise UnsupportedPair("no szego kernel for %r" % (domain,))
 
 
+@np.errstate(over="ignore")     # an inf real part takes the far branch
 def _strip_arg(b: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """pi (z - conj(w)) / (2 beta) on arrays, rounded as the scalar bodies
     round it.  CPython's complex product and quotient never leave a -0.0
@@ -247,12 +247,14 @@ def _cdiv(a, b: np.ndarray) -> np.ndarray:
                     np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom)
 
 
+@takes(z=POINT)
 def szego_diag(domain: Domain, z: complex) -> float:
     """Q(z, z) for interior z (always real and positive)."""
     domain.require_interior(z)
-    return szego(domain, z, z).real
+    return szego.__wrapped__(domain, z, z).real
 
 
+@takes(z=POINT)
 def poisson(domain: Domain, z: complex, x: float, component: str = None) -> float:
     """Poisson kernel P_z at the boundary point of parameter ``x``.
 
@@ -267,15 +269,16 @@ def poisson(domain: Domain, z: complex, x: float, component: str = None) -> floa
     ``poisson_at(domain, z, component)``.  A boundary parameter that is not
     finite raises :class:`ParameterOutOfRange`.
     """
-    return _at_x(domain, poisson_at(domain, z, component), x, float)
+    return _at_x(domain, poisson_at.__wrapped__(domain, z, component), x, float)
 
 
+@takes(z=POINT)
 def poisson_at(domain: Domain, z: complex, component: str = None):
     """P_z on one boundary component, in the form its quadrature calls: on
     the circle the numpy body, which takes an array of angles or a float;
     on a line a scalar function x -> float.  ``z`` and ``component`` are
     checked, and every factor that depends only on them computed, once."""
-    z = domain.require_interior(z)
+    domain.require_interior(z)
     if component is None:
         component = domain.boundary_components()[0]
     domain._side(component)
@@ -361,6 +364,7 @@ def _at_x(domain: Domain, form, x, dtype):
     return np.array([form(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
 
 
+@takes(z=POINT)
 def hua_ratio(domain: Domain, z: complex, x: float, component: str = None) -> float:
     """|Q(z, x)|^2 / Q(z, z) evaluated from the Szego kernel alone.
 
@@ -369,10 +373,11 @@ def hua_ratio(domain: Domain, z: complex, x: float, component: str = None) -> fl
     """
     comp = component or domain.boundary_components()[0]
     xb = domain.boundary_embed(comp, x)
-    q = szego(domain, xb, z)
-    return abs(q) ** 2 / szego_diag(domain, z)
+    q = szego.__wrapped__(domain, xb, z)
+    return abs(q) ** 2 / szego_diag.__wrapped__(domain, z)
 
 
+@takes(beta=POSITIVE, lam=REAL, x=REAL)
 def poisson_midline_strip(beta: float, lam: float, x: float) -> float:
     """Closed sech form of the strip Poisson kernel at a midline base point:
 
@@ -381,9 +386,6 @@ def poisson_midline_strip(beta: float, lam: float, x: float) -> float:
     Where cosh overflows the value is e^{-|u|} / beta, u = pi (lam - x) / beta,
     which underflows to 0 unless beta is tiny.
     """
-    numerics._require_positive(beta)
-    lam = finite_point(finite_array(lam, "lam"), "lam").real
-    x = finite_point(finite_array(x, _PARAMETER), _PARAMETER).real
     u = math.pi * (lam - x) / beta
     try:
         return 0.5 / (beta * math.cosh(u))
@@ -391,25 +393,23 @@ def poisson_midline_strip(beta: float, lam: float, x: float) -> float:
         return math.exp(-abs(u) - math.log(beta))
 
 
+@takes(z=POINTS, w=POINTS)
 def bergman_strip(beta: float, z: complex, w: complex) -> complex:
     """Bergman kernel of the strip,
 
         K(z, w) = -1 / (4 beta sinh(pi (z - conj(w)) / (2 beta)))^2,
 
     i.e. exactly the square of the strip Szego kernel."""
-    q = szego(Strip(beta), z, w)
+    q = szego.__wrapped__(Strip(beta), z, w)
     return _times(q, q)
 
 
+@takes(s=POSITIVE, z=POINTS, w=POINTS)
 @np.errstate(over="ignore", invalid="ignore")    # a value that overflows raises below
 def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
     """Power kernel Q_s with the conventions documented in the module header,
     for a finite s > 0; z and w may be arrays.  A value that overflows raises
     :class:`ParameterOutOfRange`; one that underflows is 0."""
-    try:
-        numerics._require_positive(s, "s")
-    except ParameterOutOfRange as exc:      # the CLI error names the kernel
-        raise ParameterOutOfRange("power kernel: %s" % exc) from None
     z, w = _closure_arrays(domain, z, w)
     if isinstance(domain, Disc):
         base = 1.0 - _cmul(z, np.conj(w))
@@ -436,7 +436,7 @@ def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
     else:
         raise UnsupportedPair("no power kernel for %r" % (domain,))
     if not np.all(np.isfinite(out)):
-        raise ParameterOutOfRange("power kernel overflows at s = %r" % (s,))
+        raise ParameterOutOfRange("Q_s overflows at s = %r" % (s,))
     return out if out.ndim else complex(out)
 
 
@@ -471,13 +471,14 @@ def _complex_power(base: np.ndarray, s: float) -> np.ndarray:
 # outer functions and the boundary flip
 # --------------------------------------------------------------------------
 
+@takes(w=POINT, z=POINTS)
 def outer_f(domain: Domain, w: complex, z: complex) -> complex:
     """Normalized kernel function F_w(z) = Q(z, w) / sqrt(Q(w, w)).
 
     For w on the fixed set of the reflection, |F_w|^2 on the boundary is the
     Poisson kernel P_w (the outer representative of that modulus).
     """
-    return szego(domain, z, w) / math.sqrt(szego_diag(domain, w))
+    return szego.__wrapped__(domain, z, w) / math.sqrt(szego_diag.__wrapped__(domain, w))
 
 
 def boundary_reflect(domain: Domain, component: str, x: float):
@@ -486,6 +487,7 @@ def boundary_reflect(domain: Domain, component: str, x: float):
     return rcomp, -x if negate else x
 
 
+@takes(w=POINT)
 def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
     """The flip multiplier h_w(x) = Q_w*(x) / Q_w*(sigma(x)) on the boundary.
 
@@ -495,22 +497,23 @@ def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
     component)``.  A boundary parameter that is not finite raises
     :class:`ParameterOutOfRange`.
     """
-    return _at_x(domain, h_boundary_at(domain, w, component), x, complex)
+    return _at_x(domain, h_boundary_at.__wrapped__(domain, w, component), x, complex)
 
 
+@takes(w=POINT)
 def h_boundary_at(domain: Domain, w: complex, component: str):
     """h_w on one boundary component, in the form its quadrature calls: on
     the circle a numpy body, which takes an array of angles or a float; on a
     line a scalar function x -> complex.  ``w``, ``component``, the
     embedding and the reflected component are checked and resolved once."""
-    w = domain.require_interior(w)
+    domain.require_interior(w)
     rcomp, _ = domain._side(component)
     if isinstance(domain, Disc):
         def disc(x):
             x = finite_array(x, _PARAMETER)
             zb = domain.boundary_embed(component, x)
             zr = domain.boundary_embed(rcomp, -x)
-            return _over(szego(domain, zb, w), szego(domain, zr, w))
+            return _over(szego.__wrapped__(domain, zb, w), szego.__wrapped__(domain, zr, w))
 
         return disc
     embed, rembed = domain.embedding(component), domain.embedding(rcomp)
@@ -537,7 +540,7 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
 
         return strip
 
-    q = szego_at(domain, w)
+    q = szego_at.__wrapped__(domain, w)
 
     def half_plane(x):
         if not isfinite(x):
@@ -602,6 +605,7 @@ def boundary_restriction(domain: Domain, holo) -> BoundaryFunction:
     return BoundaryFunction(domain, on)
 
 
+@takes(w=POINT)
 def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
     """The flip operator (theta_w f)(x) = h_w(x) * f(sigma(x)).
 
@@ -612,7 +616,7 @@ def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
     f = _boundary_function(domain, f)
 
     def on(component):
-        h = h_boundary_at(domain, w, component)
+        h = h_boundary_at.__wrapped__(domain, w, component)
         rcomp, negate = domain._side(component)
         g = f.on(rcomp)
         if isinstance(domain, Disc):
@@ -652,6 +656,7 @@ def _boundary_function(domain: Domain, f) -> BoundaryFunction:
     return BoundaryFunction(domain, lambda component: lambda x: f(component, x))
 
 
+@takes(w=POINT)
 def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
                        tol: float = 1e-10) -> IdentityCheck:
     """Quadrature check of  <f*, theta_w f*> = |f(w)|^2 / Q(w, w)  for f = F Q_w.
@@ -659,18 +664,22 @@ def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
     F should be holomorphic on the closure with at most polynomial growth (the
     kernel factor supplies the decay on unbounded boundaries).
     """
-    w = domain.require_interior(w)
+    domain.require_interior(w)
     if isinstance(domain, Disc):
         # one array call on the trapezoid nodes
-        fstar = boundary_restriction(domain, lambda zb: _times(F(zb), szego(domain, zb, w)))
+        fstar = boundary_restriction(
+            domain, lambda zb: _times(F(zb), szego.__wrapped__(domain, zb, w)))
     else:
         # one point per QUADPACK node, on the boundary by construction
-        q = szego_at(domain, w)
+        q = szego_at.__wrapped__(domain, w)
         fstar = boundary_restriction(domain, lambda zb: F(zb) * q(zb))
     lhs = boundary_inner(domain, fstar, theta_apply(domain, w, fstar),
                          nodes=nodes, tol=tol)
-    fw = F(w) * szego_diag(domain, w)
-    rhs = abs(fw) ** 2 / szego_diag(domain, w)
+    fw = F(w) * szego_diag.__wrapped__(domain, w)
+    try:
+        rhs = abs(fw) ** 2 / szego_diag.__wrapped__(domain, w)
+    except OverflowError:
+        raise ParameterOutOfRange("|f(w)|^2 overflows at w = %r" % (w,)) from None
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
@@ -681,6 +690,7 @@ def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
 _OUTER_TOL = 1e-9       # the quadrature tolerance of outer_from_modulus
 
 
+@takes(z=POINT)
 def outer_from_modulus(psi, z: complex) -> complex:
     """Outer function on the half-plane with boundary modulus psi^{1/2}:
 
@@ -690,7 +700,7 @@ def outer_from_modulus(psi, z: complex) -> complex:
     (1 + p^2)^{-1}; non-positive samples raise NonPositiveModulus and a
     quadrature failure raises DivergentLogIntegral.
     """
-    z = HALF_PLANE.require_interior(z)
+    HALF_PLANE.require_interior(z)
 
     def integrand(p: float) -> complex:
         if abs(p) > 1e100:
@@ -721,13 +731,14 @@ def outer_from_modulus(psi, z: complex) -> complex:
 # Gram positivity and the kernel transfer identity
 # --------------------------------------------------------------------------
 
+@takes(points=POINTS)
 def kernel_gram(domain: Domain, points, kind: str = "szego",
                 s: float = None) -> GramReport:
     """PSD report for the Gram matrix K(z_j, z_k) of one of the built-in kernels.
 
     ``kind`` is "szego", "power" (requires ``s``) or "bergman" (strip only).
     """
-    pts = finite_array(points, "points", complex).ravel()
+    pts = np.ravel(points)
     if kind == "szego":
         k = lambda a, b: szego(domain, a, b)
     elif kind == "power":
@@ -752,6 +763,7 @@ def _safe_sqrt(v: complex) -> complex:
     return cmath.sqrt(v)
 
 
+@takes(z=POINT, w=POINT)
 def szego_transfer_check(src: Domain, dst: Domain, z: complex,
                          w: complex) -> IdentityCheck:
     """Pointwise check of the kernel transformation rule under the canonical
@@ -763,9 +775,8 @@ def szego_transfer_check(src: Domain, dst: Domain, z: complex,
     evaluation points (they do for all strip points and for disc points with
     |z| bounded away from the critical circle through 1).
     """
-    z, w = finite_point(z), finite_point(w)
     phi, dphi = transfer_map(src, dst)
-    lhs = szego(src, z, w)
+    lhs = szego.__wrapped__(src, z, w)
     pref = _safe_sqrt(dphi(z)) * _safe_sqrt(dphi(w)).conjugate()
     rhs = pref * szego(dst, phi(z), phi(w))
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))

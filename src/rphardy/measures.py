@@ -62,8 +62,9 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import (_require_positive, comp_sum, comp_sum_real, finite_array, finite_pairs,
-                       finite_point, quad, row_blocks)
+from .numerics import (POINT, POINTS, POSITIVE, REAL, _require_positive, comp_sum,
+                       comp_sum_real, finite_array, finite_pairs, finite_real, quad, row_blocks,
+                       takes)
 
 _MERGE_TOL = 1e-12
 
@@ -92,13 +93,10 @@ class MeasureOnR:
     density: np.ndarray | None = None
 
     def __post_init__(self):
-        self.atom_locs = np.asarray(self.atom_locs, dtype=float)
-        self.atom_weights = np.asarray(self.atom_weights, dtype=float)
+        self.atom_locs = finite_array(self.atom_locs, "atom locations")
+        self.atom_weights = finite_array(self.atom_weights, "atom weights")
         if self.atom_locs.shape != self.atom_weights.shape:
             raise ParameterOutOfRange("atom arrays must be parallel")
-        if not (np.all(np.isfinite(self.atom_locs))
-                and np.all(np.isfinite(self.atom_weights))):
-            raise ParameterOutOfRange("atom locations and weights must be finite")
         if np.any(self.atom_weights < 0.0):
             raise ParameterOutOfRange("atom weights must be nonnegative")
         order = np.argsort(self.atom_locs, kind="stable")
@@ -106,13 +104,11 @@ class MeasureOnR:
         self.atom_weights = self.atom_weights[order]
         self._merge_atoms()
         if self.density is not None:
-            if self.grid_x0 is None or self.grid_h is None or self.grid_h <= 0:
-                raise ParameterOutOfRange("gridded density needs x0 and h > 0")
-            self.density = np.asarray(self.density, dtype=float)
+            self.grid_x0 = finite_real(self.grid_x0, "grid x0")
+            _require_positive(self.grid_h, "grid h")
+            self.density = finite_array(self.density, "density values")
             if self.density.ndim != 1 or self.density.size < 2:
                 raise ParameterOutOfRange("density must be a 1-d array, >= 2 nodes")
-            if not np.all(np.isfinite(self.density)):
-                raise ParameterOutOfRange("density values must be finite")
             if np.any(self.density < 0.0):
                 raise ParameterOutOfRange("density must be nonnegative")
 
@@ -244,6 +240,7 @@ def gridded(x0: float, h: float, values) -> MeasureOnR:
 # in them is caught by MeasureOnR's finiteness check
 # --------------------------------------------------------------------------
 
+@takes(beta=POSITIVE)
 @np.errstate(over="ignore")
 def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """gamma(mu) = mu + e_beta mu^vee for mu supported on [0, inf).
@@ -253,7 +250,6 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     extends to m(-lam) e^{-beta lam} on the negative axis; at the lone shared
     node lam = 0 the two branches agree (value m(0)), so nothing doubles.
     """
-    _require_positive(beta)
     mu.require_support(0.0, math.inf)
 
     zero = np.abs(mu.atom_locs) <= _MERGE_TOL
@@ -265,10 +261,10 @@ def gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
         [(mu.density * np.exp(-beta * nodes))[::-1][:-1], mu.density]))
 
 
+@takes(beta=POSITIVE)
 @np.errstate(over="ignore")
 def Gamma_map(mu: MeasureOnR, beta: float) -> MeasureOnR:
     """Gamma(mu) = (mu + mu^vee) / (1 + e^{-beta lam}) for mu on [0, inf)."""
-    _require_positive(beta)
     mu.require_support(0.0, math.inf)
 
     zero = np.abs(mu.atom_locs) <= _MERGE_TOL
@@ -326,11 +322,12 @@ def markov_weight(beta: float, lam):
     return 1.0 / (1.0 + np.exp(-beta * np.asarray(lam, dtype=float)))
 
 
+@takes(beta=POSITIVE)
 def M_kappa(mu: MeasureOnR, beta: float) -> MeasureOnR:
-    _require_positive(beta)
     return mu.map_density(lambda lam: markov_weight(beta, lam))
 
 
+@takes(beta=POSITIVE)
 @np.errstate(over="ignore")
 def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     """Recover mu on [0, inf) from nu = Gamma(mu).
@@ -340,7 +337,6 @@ def Gamma_inverse(nu: MeasureOnR, beta: float) -> MeasureOnR:
     Densities use the factor (1 + e^{-beta lam}) at every node including 0,
     where its value 2 undoes the halving m(0) -> m(0)/2 that continuity
     forces on the Gamma density at the origin."""
-    _require_positive(beta)
     keep = nu.atom_locs > _MERGE_TOL
     locs = nu.atom_locs[keep]
     weights = nu.atom_weights[keep] * (1.0 + np.exp(-beta * locs))
@@ -404,6 +400,7 @@ def _atom_reflection_defect(mu: MeasureOnR, c: float, sources) -> float:
     return float(np.max(np.abs(mirror[live] - target[live]) / np.abs(target[live])))
 
 
+@takes(beta=POSITIVE, factor=REAL)
 @np.errstate(over="ignore")     # a relative defect past 1e308 is inf
 def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     """Largest relative defect in  d nu(-lam) = e^{-factor * beta * lam} d nu(lam).
@@ -411,7 +408,6 @@ def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     Returns inf when the support itself is asymmetric (for example a bare
     delta_lam with no mirror atom), or the defect exceeds double precision.
     """
-    _require_positive(beta)
     c = factor * beta
     worst = _atom_reflection_defect(nu, c, nu.atom_locs >= -_MERGE_TOL)
 
@@ -433,6 +429,7 @@ def reflection_check(nu: MeasureOnR, beta: float, factor: float = 1.0) -> float:
     return worst
 
 
+@takes(z=POINTS)
 def fourier(nu: MeasureOnR, z, monitor: bool = True):
     """nu_hat(z) = Integral e^{i z lam} d nu(lam).
 
@@ -450,8 +447,9 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
 
 def _exp_sum(parts, z):
     """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch) ``parts``: the
-    one body, and contract, of :func:`fourier` and :func:`modular.modular_coefficient`."""
-    zs = finite_array(z, "the transform's z", complex)
+    one body of :func:`fourier` and :func:`modular.modular_coefficient`, whose
+    declarations guard z."""
+    zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     iz = 1j * flat
     total = np.zeros(iz.size, dtype=complex)
@@ -488,6 +486,7 @@ def _require_decay(summand: np.ndarray, zs: np.ndarray) -> None:
             "enlarge the grid" % (edge[i] / s[i], complex(zs[i])))
 
 
+@takes(y=REAL)
 def laplace(nu: MeasureOnR, y: float) -> float:
     """Laplace transform Integral e^{-y lam} d nu(lam) = nu_hat(i y)."""
     return fourier(nu, 1j * y).real
@@ -510,9 +509,9 @@ _KMS_T_GRID = np.linspace(-4.0, 4.0, 33)      # the t grid of kms_check
 _KMS_T_GRID.flags.writeable = False
 
 
+@takes(beta=POSITIVE)
 def kms_check(nu: MeasureOnR, beta: float) -> float:
     """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over t in _KMS_T_GRID."""
-    _require_positive(beta)
     t = _KMS_T_GRID
     return _worst_gap(fourier(nu, 1j * beta + t), np.conj(fourier(nu, t)))
 
@@ -528,16 +527,17 @@ def rp_circle_from_measure(mu: MeasureOnR, beta: float):
     return (lambda y: laplace(nu, y), lambda x: fourier(nu, x).real)
 
 
+@takes(z=POINT, w=POINT)
 def kernel_from_measure(nu: MeasureOnR, z: complex, w: complex) -> complex:
     """K(z, w) = nu_hat(z - conj(w)) on the strip."""
-    return fourier(nu, finite_point(z) - finite_point(w).conjugate())
+    return fourier(nu, z - w.conjugate())
 
 
+@takes(beta=POSITIVE)
 def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
     """Invariance of K(z, w) = nu_hat(z - conj w) under the strip flip
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
-    _require_positive(beta)
     zw = finite_pairs(pairs, "pair points", complex)
     zeta = zw[:, 0] - np.conj(zw[:, 1])
     return _worst_gap(fourier(nu, 2j * beta - zeta), fourier(nu, zeta))
@@ -547,28 +547,40 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
 # named spectral measures
 # --------------------------------------------------------------------------
 
+# a strip measure grid has at most 2 _MAX_HALF_NODES + 1 nodes (8 MiB of floats)
+_MAX_HALF_NODES = 2 ** 19
+
+
 def _symmetric_grid(beta: float, halfwidth, step: float) -> np.ndarray:
     """The nodes step * (-n, ..., n), n = round(halfwidth / step), of a strip
-    measure; halfwidth None is 64 / beta.  beta, halfwidth and step must be
-    finite and > 0."""
-    _require_positive(beta)
+    measure; halfwidth None is 64 / beta, and must be finite and > 0.  An n
+    above _MAX_HALF_NODES raises :class:`ParameterOutOfRange` before
+    anything is allocated."""
     if halfwidth is None:
         halfwidth = 64.0 / beta
     _require_positive(halfwidth, "halfwidth")
-    _require_positive(step, "step")
+    if not halfwidth / step <= _MAX_HALF_NODES:
+        raise ParameterOutOfRange("a strip measure grid has at most %d nodes; halfwidth %r, "
+                                  "step %r ask for more" % (2 * _MAX_HALF_NODES + 1,
+                                                            halfwidth, step))
     n = int(round(halfwidth / step))
     return step * np.arange(-n, n + 1)
 
 
+@takes(beta=POSITIVE, step=POSITIVE)
+@np.errstate(over="ignore")     # e^{-2 beta lam} = inf gives the density 0
 def szego_strip_measure(beta: float, halfwidth: float = None,
                         step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/2 pi) / (1 + e^{-2 beta lam}) of the strip Szego
     kernel, sampled on a symmetric grid."""
     nodes = _symmetric_grid(beta, halfwidth, step)
-    dens = (1.0 / (2.0 * math.pi)) / (1.0 + np.exp(-2.0 * beta * nodes))
+    # -beta * nodes * 2, not -2 beta * nodes: no 0 * inf at the node 0
+    dens = (1.0 / (2.0 * math.pi)) / (1.0 + np.exp(-beta * nodes * 2.0))
     return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
 
 
+@takes(beta=POSITIVE, step=POSITIVE)
+@np.errstate(over="ignore")     # e^{-2 beta lam} = inf gives the density 0
 def bergman_strip_measure(beta: float, halfwidth: float = None,
                           step: float = 0.02) -> MeasureOnR:
     """Spectral density (1/4 pi^2) lam / (1 - e^{-2 beta lam}) of the squared
@@ -586,11 +598,10 @@ def bergman_strip_measure(beta: float, halfwidth: float = None,
 # Riesz family
 # --------------------------------------------------------------------------
 
+@takes(s=POSITIVE, z=POINT)
 def riesz_hat(s: float, z: complex) -> complex:
     """mu_s_hat(z) = (i / z)^s for Im z > 0 (principal power; the base lies
     in the right half-plane there)."""
-    _require_positive(s, "s")
-    z = finite_point(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("closed form needs Im z > 0")
     try:
@@ -612,6 +623,7 @@ def _gamma(s: float) -> float:
         raise ParameterOutOfRange("GAMMA(s) overflows at s = %r" % (s,)) from None
 
 
+@takes(s=POSITIVE, z=POINT)
 def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     """mu_s_hat(z) by adaptive quadrature of p^{s-1} e^{izp} / GAMMA(s) over
     (0, inf), avoiding the O(step^s) first-cell error a uniform grid makes
@@ -621,11 +633,11 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
     GAMMA(s) is ``math.gamma``, within 8 ulp of the 40-digit value on
     (0.05, 20) and within 3 ulp at the s of the verify suite (tested
     against mpmath); where it overflows, :class:`ParameterOutOfRange`."""
-    _require_positive(s, "s")
-    z = finite_point(z)
     if z.imag <= 0.0:
         raise ParameterOutOfRange("transform needs Im z > 0")
     g = _gamma(s)
+    if not 2.0 / s < 2.0 ** 53:
+        raise ParameterOutOfRange("s = %r is too small for the substitution p = q^m" % (s,))
     m = max(2, math.ceil(2.0 / s))  # makes the q-exponent m*s - 1 >= 1
     head, _ = quad(lambda q: m * q ** (m * s - 1.0)
                    * cmath.exp(1j * z * q ** m) / g, 0.0, 1.0, tol=tol)
@@ -638,6 +650,8 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
 _RIESZ_STEP = 0.01      # riesz_kappa_check's nodes p_j = 0.01 (j + 1/2) below 40
 
 
+@takes(s=POSITIVE, beta=POSITIVE, t=REAL)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")     # checked below
 def riesz_kappa_check(s: float, beta: float, t: float) -> float:
     """Matched-truncation identity for the odd part of the Riesz transforms.
 
@@ -657,10 +671,6 @@ def riesz_kappa_check(s: float, beta: float, t: float) -> float:
     measure-theoretic object, which is why the comparison is made at matched
     symmetric truncation rather than through the monitored transforms.)
     """
-    _require_positive(s, "s")
-    _require_positive(beta)
-    t = finite_point(finite_array(t, "t"), "t").real
-
     n = int(round(40.0 / _RIESZ_STEP))
     p = _RIESZ_STEP * (0.5 + np.arange(n))
     if not math.isfinite(t * float(p[-1])):
@@ -670,6 +680,8 @@ def riesz_kappa_check(s: float, beta: float, t: float) -> float:
     dens_mu = p ** (s - 1.0) / g
     dens_plus = p ** (s - 1.0) / (-np.expm1(-2.0 * beta * p)) / g
     dens_minus = p ** (s - 1.0) / (np.expm1(2.0 * beta * p)) / g
+    if not np.isfinite(dens_plus - dens_minus).all():
+        raise ParameterOutOfRange("nu_s(p) - nu_s(-p) overflows at beta = %r" % (beta,))
     osc = np.exp(1j * t * p) - np.exp(-1j * t * p)
     a = comp_sum(v * (dens_plus - dens_minus) * osc)
     b = comp_sum(v * dens_mu * osc)
@@ -680,6 +692,8 @@ def riesz_kappa_check(s: float, beta: float, t: float) -> float:
 # geometric splitting
 # --------------------------------------------------------------------------
 
+@takes(beta=POSITIVE)
+@np.errstate(over="ignore")     # e^{-2 beta lam} = inf gives the weight 0
 def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
     """Split a symmetric measure mu into a 2 beta-reflected nu and its
     positive / negative halves, nu = nu_plus + nu_minus.
@@ -697,7 +711,6 @@ def geometric_splitting(mu: MeasureOnR, beta: float, mode: str):
     quadrature level (a standalone half-grid would halve the weight of the
     innermost node and break nu = nu_plus + nu_minus).
     """
-    _require_positive(beta)
     if mode not in ("alternating", "plain"):
         raise ParameterOutOfRange("mode must be 'alternating' or 'plain'")
 

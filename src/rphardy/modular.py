@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
 from .measures import MeasureOnR, _exp_sum, _mirror_index, reflection_check
-from .numerics import (IdentityCheck, _require_count, _require_positive, comp_sum, finite_array,
-                       finite_point, oscillatory_ft)
+from .numerics import (COUNT, POINTS, POSITIVE, REAL, IdentityCheck, comp_sum, oscillatory_ft,
+                       takes)
 
 _REFLECTION_TOL = 1e-10     # the reflection defect build_modular accepts
 _MAX_EXPONENT = 470.0       # keeps e^{3 beta |lam| / 2}, met inside J Delta J, finite
@@ -176,19 +176,40 @@ def flow_unitarity_defect(md: ModularData, rng) -> float:
     return _worst(md, rng, 3, defect)
 
 
+def _vector(space: DiscretizedSpace, v) -> np.ndarray:
+    """v as an array of one number per node.  Its values are not checked
+    here (a sum of them that is not finite raises where it is taken)."""
+    try:
+        v = np.asarray(v)
+    except ValueError:      # ragged
+        v = None
+    if v is None or v.shape != (space.dim,) or v.dtype.kind not in "biufc":
+        raise ParameterOutOfRange("v must hold one number per node, %d" % (space.dim,))
+    return v
+
+
+@takes(v=POINTS)
+@np.errstate(over="ignore")     # a defect that overflows raises below
 def standard_membership(space: DiscretizedSpace, v) -> float:
     """Defect of v from the standard subspace: max |v_j - conj(v_{-j})|."""
-    v = np.asarray(v)
-    return float(np.max(np.abs(v - np.conjugate(v[space.mirror]))))
+    v = _vector(space, v)
+    defect = float(np.max(np.abs(v - np.conjugate(v[space.mirror]))))
+    if defect == math.inf:
+        raise ParameterOutOfRange("the defect of v from the standard subspace overflows")
+    return defect
 
 
+@takes(t=POINTS)
+@np.errstate(over="ignore")     # |v|^2 = inf: the sum raises DivergentTransform
 def modular_coefficient(md: ModularData, v, t):
     """psi(t) = <v, Delta^{-it/beta} v> = sum_j e^{i t lam_j} (|v_j|^2 w_j) for
     complex t (t = i beta gives the KMS dual), by the body and with the
     contract of :func:`rphardy.measures.fourier`.  ``t`` may be an array; the
-    result then has its shape, and each value is the one a scalar call gives."""
+    result then has its shape, and each value is the one a scalar call gives.
+    A v that is not finite, or whose |v|^2 overflows, raises
+    :class:`DivergentTransform` from the sum, which tests its result anyway."""
     space = md.space
-    return _exp_sum(((space.nodes, np.abs(np.asarray(v)) ** 2 * space.weights, False),), t)
+    return _exp_sum(((space.nodes, np.abs(_vector(space, v)) ** 2 * space.weights, False),), t)
 
 
 def coefficient_measure(md: ModularData, v) -> MeasureOnR:
@@ -201,10 +222,10 @@ def coefficient_measure(md: ModularData, v) -> MeasureOnR:
 # the midline coefficient function, two ways
 # --------------------------------------------------------------------------
 
+@takes(beta=POSITIVE)
 def psi_hardy_midline(beta: float, t: float, tol: float = 1e-10) -> IdentityCheck:
     """Two integral forms of the midline coefficient function (equal exactly
-    by the substitution lam -> lam / 2 in the second)."""
-    _require_positive(beta)
+    by the substitution lam -> lam / 2 in the second); oscillatory_ft guards t."""
 
     # e^{-x} (1 + e^{-2x})^{-2} = e^{x} / (2 cosh x)^2; evaluating through
     # log(2 cosh x) = |x| + log1p(e^{-2|x|}) keeps both tails finite.
@@ -235,6 +256,7 @@ class CommutationReport:
     n_wrapped: int
 
 
+@takes(beta_length=POSITIVE, n_nodes=COUNT(2), s=REAL, t=REAL)
 def commutation_check(beta_length: float, n_nodes: int, s: float,
                       t: float) -> CommutationReport:
     """Realize U_t (multiplication by e^{itx}) and V_s (translation by s,
@@ -242,10 +264,6 @@ def commutation_check(beta_length: float, n_nodes: int, s: float,
     period L = beta_length, applied to a periodized Gaussian test function of
     width L / 6; reports the node-wise defect of V_s U_t = e^{its} U_t V_s."""
     L = float(beta_length)
-    _require_positive(L, "period")
-    _require_count(n_nodes, 2, "n_nodes")
-    s = finite_point(finite_array(s, "s"), "s").real
-    t = finite_point(finite_array(t, "t"), "t").real
     h = L / n_nodes
     x = -L / 2.0 + h * np.arange(n_nodes)
     width = L / 6.0

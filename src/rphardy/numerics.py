@@ -83,6 +83,7 @@ import cmath
 import functools
 import importlib.machinery
 import importlib.util
+import inspect
 import math
 import os
 from dataclasses import dataclass
@@ -345,12 +346,10 @@ def finite_array(values, what: str, dtype=float) -> np.ndarray:
 
 
 def finite_point(z, what: str = "a point") -> complex:
-    """z as a Python complex: the one guard of a single point.  A Python or
-    numpy number costs ``complex()`` and ``cmath.isfinite``; None, a string,
-    an array with an axis, anything ``complex()`` does not take, NaN and
-    +-inf raise :class:`ParameterOutOfRange` naming ``what``.  One real
-    number r goes through both guards, ``finite_point(finite_array(r, what),
-    what).real``: finite_array refuses a complex, finite_point an array."""
+    """z as a Python complex: the guard of one point, the kind ``POINT``.  A
+    Python or numpy number costs ``complex()`` and ``cmath.isfinite``; None,
+    a string, an array with an axis, anything ``complex()`` does not take,
+    NaN and +-inf raise :class:`ParameterOutOfRange` naming ``what``."""
     try:
         if isinstance(z, _SCALARS) or not (isinstance(z, (str, bytes)) or np.ndim(z)):
             p = complex(z)      # complex() would read the string "1j" as a number
@@ -361,21 +360,86 @@ def finite_point(z, what: str = "a point") -> complex:
     raise ParameterOutOfRange("%s must be a finite complex number, got %r" % (what, z))
 
 
-def _require_positive(value, name: str = "beta") -> None:
-    """Raise :class:`ParameterOutOfRange` naming ``name`` unless ``value`` is a finite number > 0."""
+def finite_points(z, what: str):
+    """One point as :func:`finite_point` gives it, or a batch (see
+    :func:`is_batch`) as the complex array :func:`finite_array` gives: the
+    kind ``POINTS``."""
+    if isinstance(z, _SCALARS) or not is_batch(z):
+        return finite_point(z, what)
+    return finite_array(z, what, complex)
+
+
+def finite_real(r, what: str) -> float:
+    """r as a Python float: the guard of one real number, the kind ``REAL``.
+    It takes what :func:`finite_array` takes as floats (no complex), with no
+    axis."""
+    r = finite_array(r, what)
+    if r.ndim:
+        raise ParameterOutOfRange("%s must be one number, got shape %r" % (what, r.shape))
+    return float(r)
+
+
+def _require_positive(value, name: str = "beta"):
+    """``value`` unchanged if it is a finite number > 0, else
+    :class:`ParameterOutOfRange` naming ``name``: the kind ``POSITIVE``."""
     try:
         ok = value > 0.0 and math.isfinite(value)
     except (TypeError, ValueError):     # not a number, or an array
         ok = False
     if not ok:
         raise ParameterOutOfRange("need finite %s > 0, got %r" % (name, value))
+    return value
 
 
-def _require_count(n, least: int, what: str) -> None:
-    """Raise :class:`ParameterOutOfRange` naming ``what`` unless ``n`` is a
-    Python or numpy integer of at least ``least``: the one guard of a count."""
-    if not (isinstance(n, (int, np.integer)) and n >= least):
-        raise ParameterOutOfRange("%s must be an integer >= %d, got %r" % (what, least, n))
+def _require_count(n, what: str, least=None):
+    """``n`` unchanged if it is a Python or numpy integer, of at least
+    ``least`` unless that is None, else :class:`ParameterOutOfRange` naming
+    ``what``: the kind ``COUNT(least)``."""
+    if not (isinstance(n, (int, np.integer)) and (least is None or n >= least)):
+        raise ParameterOutOfRange("%s must be an integer%s, got %r" % (
+            what, "" if least is None else " >= %d" % least, n))
+    return n
+
+
+POINT, POINTS, REAL, POSITIVE = finite_point, finite_points, finite_real, _require_positive
+
+
+def COUNT(least):
+    """The kind of an integer of at least ``least`` (of any integer, None)."""
+    return functools.partial(_require_count, least=least)
+
+
+# public function -> its declaration {parameter: kind}, in the order declared
+CONTRACTS: dict = {}
+
+
+def takes(**kinds):
+    """Declare the numeric parameters of a public function by kind, as in
+    ``@takes(z=POINT, beta=POSITIVE, N=COUNT(1))``, its one argument
+    contract: each call passes every declared argument it is given (not a
+    default) through the kind's guard ``(value, name) -> value``, in the
+    order declared, and calls the function with what the guards return.  The
+    declaration goes into :data:`CONTRACTS`, which the contract tests read.
+    A declared function passes arguments it has guarded to another one's
+    ``__wrapped__`` body."""
+    def declare(f):
+        code = inspect.unwrap(f).__code__   # np.errstate's wrapper shows *args
+        names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        guards = [(names.index(name), name, kind) for name, kind in kinds.items()]
+
+        @functools.wraps(f)
+        def guarded(*args, **kwargs):
+            args = list(args)
+            for i, name, kind in guards:
+                if i < len(args):
+                    args[i] = kind(args[i], name)
+                elif name in kwargs:
+                    kwargs[name] = kind(kwargs[name], name)
+            return f(*args, **kwargs)
+
+        CONTRACTS[guarded] = kinds
+        return guarded
+    return declare
 
 
 def finite_pairs(values, what: str, dtype=float) -> np.ndarray:
@@ -569,6 +633,7 @@ _QAWF_LEAST_T = 1e-2    # below it oscillatory_ft tries QAGI first
 _QAWF_FLOOR = 1e-200    # below it oscillatory_ft never calls QAWF
 
 
+@takes(t=REAL)
 def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     """Fourier integral  Integral_R f(x) e^{itx} dx  for real-valued decaying f.
 
@@ -583,10 +648,6 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     tolerance (an f that decays like 1/x^2), and never below |t| =
     _QAWF_FLOOR, where a cycle near the float range crashed it.
     """
-    t = finite_array(t, "t")
-    if t.ndim:
-        raise ParameterOutOfRange("t must be one number, got shape %r" % (t.shape,))
-    t = float(t)
     if t == 0.0:
         val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
         return complex(val)
@@ -611,6 +672,7 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     return value
 
 
+@takes(n_nodes=COUNT(1))
 def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
     """Integral_0^{2 pi} f(t) dt by the n-node trapezoid rule.
 
@@ -622,7 +684,6 @@ def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
     For smooth 2 pi-periodic integrands the rule converges geometrically, so
     2**10 nodes deliver machine accuracy for every circle integral used here.
     """
-    _require_count(n_nodes, 1, "n_nodes")
     t = TWO_PI * np.arange(n_nodes) / n_nodes
     vals = np.asarray(f(t), dtype=complex)
     try:
@@ -653,28 +714,28 @@ class GramReport:
     verdict: bool
 
 
-def hermitian_extremes(G: np.ndarray):
-    """Smallest and largest eigenvalue of the Hermitian part of ``G``."""
-    G = np.asarray(G)
-    H = 0.5 * (G + G.conj().T)
-    eigs = np.linalg.eigvalsh(H)
-    return float(eigs[0]), float(eigs[-1])
-
-
+@takes(G=POINTS)
 def gram_report(G: np.ndarray) -> GramReport:
     """PSD verdict for a (nominally Hermitian) Gram matrix.
 
     The verdict is ``min_eig >= -_PSD_TOL * max(1, ||G||_2)``; the spectral
     norm is that of the Hermitian part, which is what the eigenvalue test sees.
+    A defect or an eigenvalue that overflows raises :class:`ParameterOutOfRange`.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
     if G.shape[0] != G.shape[1]:
         raise ParameterOutOfRange("Gram matrix must be square, got %r" % (G.shape,))
     if G.size == 0:
         raise ParameterOutOfRange("Gram matrix is empty: no sample points")
-    herm_defect = float(np.max(np.abs(G - G.conj().T)))
-    lo, hi = hermitian_extremes(G)
+    # G / 2 + G^H / 2, the Hermitian part, and G / 2 - G^H / 2 do not overflow
+    half = 0.5 * G
+    half_h = half.conj().T
+    herm_defect = 2.0 * float(np.max(np.abs(half - half_h)))
+    eigs = np.linalg.eigvalsh(half + half_h)
+    lo, hi = float(eigs[0]), float(eigs[-1])
     norm = max(abs(lo), abs(hi))
+    if not math.isfinite(herm_defect + norm):
+        raise ParameterOutOfRange("the Gram matrix's defect or spectrum overflows")
     return GramReport(
         size=G.shape[0],
         hermiticity_defect=herm_defect,
@@ -718,6 +779,7 @@ def lorentzian(s: float, x) -> float:
     return s / (math.pi * (s * s + x * x))
 
 
+@takes(beta=POSITIVE, lam=POSITIVE, x=REAL, K=COUNT(1))
 def poisson_summation_check(beta: float, lam: float, x: float, K: int) -> IdentityCheck:
     """Periodization of the Lorentzian against its closed geometric form.
 
@@ -727,11 +789,10 @@ def poisson_summation_check(beta: float, lam: float, x: float, K: int) -> Identi
     The omitted tail is bounded by 2 s / (pi K): |psi_s(k)| <= s/(pi k^2) and
     sum_{k>K} k^{-2} < 1/K.
     """
-    _require_positive(beta)
-    _require_positive(lam, "lam")
-    _require_count(K, 1, "K")
     if not 0.0 <= x <= beta:
         raise ParameterOutOfRange("x must lie in [0, beta]")
+    if not beta * lam >= 1e-150:    # psi_s(0) = 1 / (pi s) overflows
+        raise ParameterOutOfRange("beta lam must be at least 1e-150, got %r" % (beta * lam,))
     s = beta * lam / TWO_PI
     lhs = _periodized_lorentzian(beta, lam, x, K)
     rhs = (math.exp(-lam * x) + math.exp(-lam * (beta - x))) / (-math.expm1(-lam * beta))
@@ -795,6 +856,7 @@ def sech_power_recursion_check(n: int, p: float) -> IdentityCheck:
 _FAR_SINH = 350.0   # past |Re u| = 350, 1 / sinh u is 2 e^{-|u|} to double precision
 
 
+@takes(beta=POSITIVE, z=POINT)
 def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityCheck:
     """Fourier transform of the Fermi-type density against its sinh closed form:
 
@@ -804,8 +866,6 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
     The integrand decays like e^{-Im(z) lam} at +inf and e^{-(2 beta - Im z)|lam|}
     at -inf, so the transform only exists on the open strip of height 2 beta.
     """
-    z = finite_point(z)
-    _require_positive(beta)
     if not 0.0 < z.imag < 2.0 * beta:
         raise ParameterOutOfRange("need 0 < Im z < 2 beta for convergence")
 
@@ -834,8 +894,6 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
 def _hyperbolic_abs_check(fn, trig, x, y) -> IdentityCheck:
     """|fn(x + iy)|^2 = sinh(x)^2 + trig(y)^2; raises
     :class:`ParameterOutOfRange` once a side overflows."""
-    x = finite_point(finite_array(x, "x"), "x").real
-    y = finite_point(finite_array(y, "y"), "y").real
     lhs = abs(fn(complex(x, y))) ** 2
     try:
         rhs = math.sinh(x) ** 2 + trig(y) ** 2
@@ -846,11 +904,13 @@ def _hyperbolic_abs_check(fn, trig, x, y) -> IdentityCheck:
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 
+@takes(x=REAL, y=REAL)
 def sinh_abs_check(x: float, y: float) -> IdentityCheck:
     """|sinh(x + iy)|^2 = sinh(x)^2 + sin(y)^2."""
     return _hyperbolic_abs_check(np.sinh, math.sin, x, y)
 
 
+@takes(x=REAL, y=REAL)
 def cosh_abs_check(x: float, y: float) -> IdentityCheck:
     """|cosh(x + iy)|^2 = sinh(x)^2 + cos(y)^2."""
     return _hyperbolic_abs_check(np.cosh, math.cos, x, y)

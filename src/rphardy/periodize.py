@@ -53,7 +53,7 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .numerics import _require_positive, comp_sum, finite_point
+from .numerics import POINT, POSITIVE, comp_sum, takes
 
 _LATTICE_TOL = 1e-12
 _MAX_TERMS = 2 ** 53
@@ -84,10 +84,8 @@ def _alternating(n: int, first: float = -1.0) -> np.ndarray:
     return s
 
 
-def _check_inputs(Ns, *points) -> tuple:
-    """``(Ns, *points)``, ``Ns`` as a tuple of truncations and each point as
-    a complex by :func:`numerics.finite_point` (NaN would pass the pole
-    tests and come back as a NaN defect).  Rejects anything but a non-empty
+def _truncations(Ns) -> tuple:
+    """``Ns`` as a tuple of truncations; rejects anything but a non-empty
     sequence of positive integers of at most 2**53 (beyond it the float
     indices k are no longer exact)."""
     try:
@@ -98,7 +96,7 @@ def _check_inputs(Ns, *points) -> tuple:
                          for N in Ns):
         raise ParameterOutOfRange("truncations must be positive integers of at most "
                                   "2**53, got %r" % (Ns,))
-    return (Ns, *(finite_point(p, "a series point") for p in points))
+    return Ns
 
 
 _OVERFLOW = "the series or its closed form overflows double precision"
@@ -131,11 +129,12 @@ def _evals(Ns, sums, value_of, closed_of, bound_of) -> list:
             for v, N in zip(values, Ns)]
 
 
+@takes(z=POINT)
 def cosecant_series_at(z: complex, Ns) -> list:
     """:func:`cosecant_series` at each truncation N in ``Ns``: the terms are
     built once, for the largest N, and each partial sum is the exactly
     rounded sum of its first N terms, bit for bit the single-N value."""
-    Ns, z = _check_inputs(Ns, z)
+    Ns = _truncations(Ns)
     if abs(z - round(z.real)) <= _LATTICE_TOL and abs(z.imag) <= _LATTICE_TOL:
         raise PoleOnLattice("z is an integer")
     sums = _prefix_sums(Ns, lambda k: _alternating(k.size) * 2.0 * z / (z * z - k * k))
@@ -143,9 +142,10 @@ def cosecant_series_at(z: complex, Ns) -> list:
                   lambda N: 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf)
 
 
+@takes(z=POINT)
 def cosecant_series(z: complex, N: int) -> SeriesEval:
     """Partial sum of  pi / sin(pi z) = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 - k^2)."""
-    return cosecant_series_at(z, (N,))[0]
+    return cosecant_series_at.__wrapped__(z, (N,))[0]
 
 
 def _sinh_terms(beta: float, zeta: complex):
@@ -168,36 +168,37 @@ def _zeta(beta, z, w=None) -> complex:
     return zeta
 
 
+@takes(beta=POSITIVE, z=POINT)
 def sinh_series_at(beta: float, z: complex, Ns) -> list:
     """:func:`sinh_series` at each truncation N in ``Ns``, from one term
     array as in :func:`cosecant_series_at`."""
-    Ns, z = _check_inputs(Ns, z)
-    _require_positive(beta)
+    Ns = _truncations(Ns)
     z = _zeta(beta, z)
     return _sinh_evals(beta, z, Ns, _prefix_sums(Ns, _sinh_terms(beta, z)))
 
 
+@takes(beta=POSITIVE, z=POINT)
 def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
     """Partial sum of  (pi/2 beta) / sinh(pi z / 2 beta)
     = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 + 4 k^2 beta^2)."""
-    return sinh_series_at(beta, z, (N,))[0]
+    return sinh_series_at.__wrapped__(beta, z, (N,))[0]
 
 
+@takes(beta=POSITIVE, z=POINT, w=POINT)
 def szego_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     """:func:`szego_series` at each truncation N in ``Ns``: (i / 2 pi) times
     the sinh series at zeta = z - conj(w), from its terms."""
-    Ns, z, w = _check_inputs(Ns, z, w)
-    _require_positive(beta)
+    Ns = _truncations(Ns)
     zeta = _zeta(beta, z, w)
     return _szego_evals(beta, z, w, zeta, Ns, _prefix_sums(Ns, _sinh_terms(beta, zeta)))
 
 
+@takes(beta=POSITIVE, z=POINT, w=POINT)
 def sinh_szego_series_at(beta: float, z: complex, w: complex, Ns) -> tuple:
     """``(sinh_series_at(beta, zeta, Ns), szego_series_at(beta, z, w, Ns))``
     at zeta = z - conj(w), bit for bit, from one sum of the sinh terms; it
     raises wherever either of the two raises."""
-    Ns, z, w = _check_inputs(Ns, z, w)
-    _require_positive(beta)
+    Ns = _truncations(Ns)
     zeta = _zeta(beta, z, w)
     sums = _prefix_sums(Ns, _sinh_terms(beta, zeta))
     return _sinh_evals(beta, zeta, Ns, sums), _szego_evals(beta, z, w, zeta, Ns, sums)
@@ -217,38 +218,42 @@ def _szego_evals(beta: float, z: complex, w: complex, zeta: complex, Ns, sums) -
     (i / 2 pi)(1/zeta + s) against :func:`kernels.szego`, tail
     |zeta| / (3 pi beta^2 N)."""
     return _evals(Ns, sums, lambda s: (1j / (2.0 * math.pi)) * (1.0 / zeta + s),
-                  lambda: szego(Strip(beta), z, w),
+                  lambda: szego.__wrapped__(Strip(beta), z, w),
                   lambda N: abs(zeta) / (3.0 * math.pi * beta * beta * N)
                   if N >= abs(zeta) / beta else math.inf)
 
 
+@takes(beta=POSITIVE, z=POINT, w=POINT)
 def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the strip Szego kernel,
     Q(z, w) = (i / 2 pi) sum_n (-1)^n / (z - conj(w) + 2 n beta i)."""
-    return szego_series_at(beta, z, w, (N,))[0]
+    return szego_series_at.__wrapped__(beta, z, w, (N,))[0]
 
 
+@takes(beta=POSITIVE, z=POINT, w=POINT)
 def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
     """:func:`bergman_series` at each truncation N in ``Ns``, from one term
     array as in :func:`cosecant_series_at`."""
-    Ns, z, w = _check_inputs(Ns, z, w)
-    _require_positive(beta)
+    Ns = _truncations(Ns)
     zeta = _zeta(beta, z, w)
     sums = _prefix_sums(Ns, lambda k: 1.0 / (zeta + 2j * beta * k) ** 2
                         + 1.0 / (zeta - 2j * beta * k) ** 2)
     return _evals(Ns, sums, lambda s: -(1.0 / (4.0 * math.pi ** 2)) * (1.0 / zeta ** 2 + s),
-                  lambda: bergman_strip(beta, z, w),
+                  lambda: bergman_strip.__wrapped__(beta, z, w),
                   lambda N: 5.0 / (18.0 * math.pi ** 2 * beta * beta * N)
                   if N >= abs(zeta) / beta else math.inf)
 
 
+@takes(beta=POSITIVE, z=POINT, w=POINT)
 def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the squared kernel,
     Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (z - conj(w) + 2 k i beta)^2,
     absolutely convergent with paired terms ~ -1 / (2 beta^2 k^2)."""
-    return bergman_series_at(beta, z, w, (N,))[0]
+    return bergman_series_at.__wrapped__(beta, z, w, (N,))[0]
 
 
+@takes(beta=POSITIVE, z=POINT, w=POINT)
+@np.errstate(over="ignore")     # numpy's 1 / zeta past 1e308 rounds to 0
 def szego_series_split(beta: float, z: complex, w: complex, N: int):
     """One-sided halves of the Szego image series:
 
@@ -261,8 +266,7 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     most 1 / (2 beta j^2) once 2 j beta >= |zeta|, so each half carries a tail
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
-    (N,), z, w = _check_inputs((N,), z, w)
-    _require_positive(beta)
+    (N,) = _truncations((N,))
     zeta = _zeta(beta, z, w)
 
     def one_sided(sign):
@@ -275,7 +279,7 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     plus = one_sided(+1)
     minus = one_sided(-1)
     total = plus + minus
-    closed = szego(Strip(beta), z, w)
+    closed = szego.__wrapped__(Strip(beta), z, w)
     bound = 1.0 / (2.0 * math.pi * beta * (N - 1)) \
         if N >= max(2.0, abs(zeta) / (2.0 * beta) + 1.0) else math.inf
     return plus, minus, SeriesEval(total, closed, abs(total - closed), N, bound)

@@ -43,8 +43,8 @@ import numpy as np
 
 from .config import GROUPS
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
-from .numerics import (GramReport, _periodized_lorentzian, _require_count, _require_positive,
-                       finite_array, finite_pairs, finite_point, gram_report, lorentzian)
+from .numerics import (COUNT, POINT, POSITIVE, REAL, GramReport, _periodized_lorentzian,
+                       finite_array, finite_pairs, gram_report, lorentzian, takes)
 
 
 def _check_group(group: str) -> str:
@@ -57,20 +57,14 @@ def _check_group(group: str) -> str:
 # the three families
 # --------------------------------------------------------------------------
 
-def _check_family(group: str, lam: float, beta: float = None) -> None:
-    """The parameter ranges of the three families: lam and beta finite
-    numbers (NaN, None and strings are out of range)."""
-    if group == "circle":
-        _require_positive(beta)
-    try:
-        ok = -1.0 <= lam <= 1.0 if group == "integers" else 0.0 <= lam < math.inf
-    except (TypeError, ValueError):     # not a number, or an array
-        ok = False
-    if not ok:
+def _check_family(group: str, lam: float) -> None:
+    """The range of the (guarded) lam of each family."""
+    if not (-1.0 <= lam <= 1.0 if group == "integers" else lam >= 0.0):
         raise ParameterOutOfRange("integer family needs lam in [-1, 1]" if group == "integers"
                                   else "%s family needs a finite lam >= 0" % group)
 
 
+@takes(lam=REAL)
 def phi_int(lam: float, n):
     """lam^{|n|} on the integers; lam in [-1, 1].  ``n`` may be an array; a
     scalar ``n`` gives a float."""
@@ -78,6 +72,7 @@ def phi_int(lam: float, n):
     return _as_float(np.power(lam, np.abs(np.trunc(finite_array(n, "group element")))))
 
 
+@takes(lam=REAL)
 @np.errstate(over="ignore")     # lam |t| = inf gives e^{-inf} = 0
 def phi_line(lam: float, t):
     """e^{-lam |t|} on the line; lam >= 0.  ``t`` may be an array; a scalar
@@ -91,28 +86,36 @@ def _as_float(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+@takes(beta=POSITIVE, lam=REAL)
 @np.errstate(over="ignore")     # y lam = inf gives e^{-inf} = 0
 def phi_circle(beta: float, lam: float, y):
     """The circle family at the class [y]; beta > 0, lam >= 0.  ``y`` may be
     an array; a scalar ``y`` gives a float."""
-    _check_family("circle", lam, beta)
+    _check_family("circle", lam)
     r = np.fmod(finite_array(y, "group element"), beta)
     y = np.where(r < 0.0, r + beta, r)
     return _as_float((np.exp(-y * lam) + np.exp(-(beta - y) * lam))
                      / (1.0 + math.exp(-beta * lam)))
 
 
+@takes(beta=POSITIVE, lam=REAL, n=COUNT(None))
 def phi_circle_fourier(beta: float, lam: float, n: int) -> float:
     """Fourier coefficient c_n of the circle family (all nonnegative).
 
     For lam = 0 the family degenerates to the constant 1: c_0 = 1, c_n = 0.
     """
-    _check_family("circle", lam, beta)
-    if not isinstance(n, (int, np.integer)):   # n ranges over Z, so it is no count
-        raise ParameterOutOfRange("n must be an integer, got %r" % (n,))
-    if lam == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return lorentzian(beta * lam / (2.0 * math.pi), float(n)) * _circle_ratio(beta, lam)
+    _check_family("circle", lam)
+    if n == 0 and beta * lam < _TINY_BETA_LAM:
+        return 1.0
+    # c_n underflows to 0 long before float(n) would overflow
+    return lorentzian(beta * lam / (2.0 * math.pi), float(min(abs(n), 1e300))) \
+        * _circle_ratio(beta, lam)
+
+
+# below it the family is 1 to double precision: c_0 = tanh(u) / u, u = beta
+# lam / 2, is 1 and the other c_n are O(u^2); the Lorentzian 1 / (pi s) of
+# c_0 alone may overflow
+_TINY_BETA_LAM = 1e-100
 
 
 def _circle_ratio(beta: float, lam: float) -> float:
@@ -120,16 +123,16 @@ def _circle_ratio(beta: float, lam: float) -> float:
     return -math.expm1(-beta * lam) / (1.0 + math.exp(-beta * lam))
 
 
+@takes(beta=POSITIVE, lam=REAL, y=REAL, N=COUNT(0))
 def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
     """Resummation  sum_{|n| <= N} c_n e^{2 pi i n y / beta}  (real by symmetry):
     the periodized Lorentzian of :func:`numerics.poisson_summation_check`
     times the ratio c_n / psi_s(n)."""
-    _check_family("circle", lam, beta)
+    _check_family("circle", lam)
     # fmod is exact and leaves |y| < beta as it is; far past beta the phases
     # 2 pi n y / beta would lose every digit of y, and overflow near 1e308
-    y = math.fmod(finite_point(finite_array(y, "y"), "y").real, beta)
-    _require_count(N, 0, "N")
-    if lam == 0.0:
+    y = math.fmod(y, beta)
+    if beta * lam < _TINY_BETA_LAM:
         return 1.0
     return _circle_ratio(beta, lam) * _periodized_lorentzian(beta, lam, y, N)
 
@@ -160,11 +163,11 @@ def rp_gram(group: str, lam: float, samples, beta: float = None) -> GramReport:
 
     The admissible cones: nonnegative integers, the half-line [0, inf), and
     the open arc (0, beta/2) on the circle; anything else raises
-    :class:`SampleOutsidePositiveCone`.
+    :class:`SampleOutsidePositiveCone`.  The family guards lam and beta.
     """
     _check_group(group)
-    _check_family(group, lam, beta)
     xs = finite_array(samples, "samples").ravel()
+    G = _phi_of(group, beta, lam)(_pairwise(np.add, xs, "sum"))
     if group == "integers":
         cone, inside = "integer cone is n >= 0", (np.trunc(xs) == xs) & (xs >= 0.0)
     elif group == "line":
@@ -175,7 +178,7 @@ def rp_gram(group: str, lam: float, samples, beta: float = None) -> GramReport:
     outside = ~inside
     if np.any(outside):
         raise SampleOutsidePositiveCone("%s, got %r" % (cone, float(xs[outside][0])))
-    return gram_report(_phi_of(group, beta, lam)(_pairwise(np.add, xs, "sum")))
+    return gram_report(G)
 
 
 def _pairwise(op, xs: np.ndarray, what: str) -> np.ndarray:
@@ -216,6 +219,7 @@ def param_rp_check(n: int, samples) -> GramReport:
 # the strip functions c_t and g_t
 # --------------------------------------------------------------------------
 
+@takes(beta=POSITIVE, t=POSITIVE, z=POINT)
 def c_func(beta: float, t: float, z: complex) -> complex:
     """c_t(z) = (e^{itz} + e^{-beta t} e^{-itz}) / (1 + e^{-beta t}),  t > 0.
 
@@ -223,9 +227,6 @@ def c_func(beta: float, t: float, z: complex) -> complex:
     value does; for points far outside the closed strip and large t the value
     genuinely overflows (|c_t| grows like e^{t(2|Im z - beta/2| - beta)}).
     """
-    _require_positive(beta)
-    _require_positive(t, "t")
-    z = finite_point(z)
     a = 1j * t * z            # exponent of the first term
     b = -beta * t - 1j * t * z
     m = max(a.real, b.real)
@@ -238,16 +239,16 @@ def c_func(beta: float, t: float, z: complex) -> complex:
     return val
 
 
+@takes(beta=POSITIVE, z=POINT)
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")   # checked below
 def c_log_abs(beta: float, t, z: complex):
     """log |c_t(z)|, overflow-free unless t z itself overflows, which raises
     :class:`ParameterOutOfRange`; |c_t| = 0 gives -inf.  ``t`` may be an
     array; a scalar ``t`` gives a float."""
-    _require_positive(beta)
     t = finite_array(t, "t")
     if not (t > 0.0).all():     # the method: np.all costs 4 us more
         raise ParameterOutOfRange("need finite t > 0")
-    a = 1j * t * finite_point(z)
+    a = 1j * t * z
     b = -beta * t - a
     m = np.maximum(a.real, b.real)
     s = np.exp(a - m) + np.exp(b - m)
@@ -257,15 +258,14 @@ def c_log_abs(beta: float, t, z: complex):
     return _as_float(logs)
 
 
+@takes(beta=POSITIVE, t=REAL, z=POINT)
 def g_func(beta: float, t: float, z: complex) -> complex:
     """g_t(z) = e^{t beta/2 + itz}; its Hardy norm on the strip is e^{|t| beta/2}.
     The exponent is formed once, so the two factors may each overflow while
     their product does not; a value that overflows raises
     :class:`ParameterOutOfRange`."""
-    _require_positive(beta)
-    t = finite_point(finite_array(t, "t"), "t").real
     try:
-        val = cmath.exp(t * beta / 2.0 + 1j * t * finite_point(z))
+        val = cmath.exp(t * beta / 2.0 + 1j * t * z)
     except (OverflowError, ValueError):     # too large, or an exponent that overflowed
         val = math.inf
     if not cmath.isfinite(val):
@@ -289,6 +289,7 @@ class StripMembership:
     max_log_abs: float    # max of log |c_t(z)| over the scanned grid
 
 
+@takes(beta=POSITIVE, z=POINT)
 def strip_membership(beta: float, z: complex) -> StripMembership:
     """Scan of the characterization ``z in open strip iff |c_t(z)| < 1 for
     all t > 0`` over the 60-point log grid _MEMBERSHIP_T_GRID, 1e-3 to 1e3.
@@ -298,15 +299,14 @@ def strip_membership(beta: float, z: complex) -> StripMembership:
     is geometrically outside but for which the grid finds no unimodularity
     witness is reported as "unknown" rather than misclassified.
     """
-    _require_positive(beta)
-    z = finite_point(z)
     y = z.imag
     if abs(y) <= _BOUNDARY_TOL or abs(y - beta) <= _BOUNDARY_TOL:
         x = z.real
-        witness = 2.0 * math.pi / abs(x) if x != 0.0 else None
+        witness = 2.0 * math.pi / abs(x) if x != 0.0 else math.inf
+        witness = witness if witness < math.inf else None     # none a float holds
         return StripMembership("boundary", witness, 0.0)
 
-    logs = c_log_abs(beta, _MEMBERSHIP_T_GRID, z)
+    logs = c_log_abs.__wrapped__(beta, _MEMBERSHIP_T_GRID, z)
     worst = float(np.max(logs))
     if worst >= 0.0:
         witness = float(_MEMBERSHIP_T_GRID[int(np.argmax(logs >= 0.0))])

@@ -1,17 +1,35 @@
-"""The argument contract, with every warning made an error.  Every public
-entry that takes a point z or w raises :class:`ParameterOutOfRange` for
-anything but one finite complex number (or, where the entry takes arrays, a
-rectangular array of them): the guards are ``numerics.finite_point`` and
-``numerics.finite_array``.  A real parameter that is not a point raises it
-for anything but one finite real number, through the same two guards.  Every
-count goes through ``numerics._require_count``.  One row per entry.
+"""The argument contract, with every warning made an error.
 
-A map evaluated on its pole raises :class:`PoleAtInput`.  Hypothesis fuzzes
-every entry of the three tables with finite numbers up to +-1e308 and with
-negative counts: each call gives a finite value or raises an
-:class:`RPHardyError`, and warns of nothing."""
+Every public function declares its numeric parameters once, by kind, with
+``numerics.takes``, and the declarations are collected in
+``numerics.CONTRACTS``.  The rows of this file are generated from that
+registry, one per declared parameter of each good call in ``CALLS``:
+
+* ``POINT``: anything but one finite complex number raises
+  :class:`ParameterOutOfRange`; so does an array of two good points;
+* ``POINTS``: the same, except that a rectangular array of finite complex
+  numbers is taken (and one bad value inside an array raises);
+* ``REAL``: anything but one finite real number raises it;
+* ``POSITIVE``: anything but a finite number > 0 raises it;
+* ``COUNT(least)``: anything but a Python or numpy integer of at least
+  ``least`` raises it.
+
+Hypothesis fuzzes every generated row with finite numbers up to +-1e308 (and
+counts from -10): each call gives a finite value or raises an
+:class:`RPHardyError`, and warns of nothing.
+
+A test fails when a function of ``rphardy.__all__`` is neither declared nor
+in ``EXEMPT`` (each exemption gives its reason), or when a declared function
+has no good call, so a new public function is fuzzed by construction.  The
+``Domain`` methods and the maps ``transfer_map`` and ``hardy_transfer``
+return are not module-level functions: their guards stay inline, and their
+rows are written by hand in ``FORMS``.  A map evaluated on its pole raises
+:class:`PoleAtInput`."""
 
 import dataclasses
+import functools
+import importlib
+import inspect
 import math
 import warnings
 
@@ -20,78 +38,205 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rphardy
 from rphardy import kernels, measures, modular, numerics, periodize, rpfunc
 from rphardy.domains import (DISC, HALF_PLANE, Strip, cayley, cayley_inv, hardy_transfer,
                              sample_interior, strip_exp, strip_log, transfer_map)
-from rphardy.errors import ParameterOutOfRange, PoleAtInput, RPHardyError
+from rphardy.errors import DivergentTransform, ParameterOutOfRange, PoleAtInput, RPHardyError
+
+for _module in rphardy._EXPORTS:     # every declaration is made on import
+    importlib.import_module("rphardy." + _module)
 
 STRIP = Strip(1.0)
 GOOD = 0.3 + 0.5j
 NU = measures.atomic([(0.5, 1.0), (-0.5, 1.0)])
-MD = modular.build_modular(measures.Gamma_map(measures.atomic([(0.5, 1.0)]), 1.0), 1.0)
+MU = measures.atomic([(0.5, 1.0)])
+MD = modular.build_modular(measures.Gamma_map(MU, 1.0), 1.0)
 V = np.ones(MD.space.dim)
 
-# (id, call of the bad point p, whether the entry takes an array of points)
-ENTRIES = [
-    ("szego-z", lambda p: kernels.szego(STRIP, p, GOOD), True),
-    ("szego-w", lambda p: kernels.szego(STRIP, GOOD, p), True),
-    ("szego_at", lambda p: kernels.szego_at(STRIP, p), False),
-    ("szego_diag", lambda p: kernels.szego_diag(STRIP, p), False),
-    ("require_interior", lambda p: STRIP.require_interior(p), False),
-    ("poisson", lambda p: kernels.poisson(STRIP, p, 0.3), False),
-    ("poisson_at", lambda p: kernels.poisson_at(STRIP, p), False),
-    ("poisson-disc", lambda p: kernels.poisson(DISC, p, 0.3), False),
-    ("h_boundary", lambda p: kernels.h_boundary(STRIP, p, "lower", 0.3), False),
-    ("h_boundary_at", lambda p: kernels.h_boundary_at(HALF_PLANE, p, "line"), False),
-    ("hua_ratio", lambda p: kernels.hua_ratio(STRIP, p, 0.3), False),
-    ("power_kernel-z", lambda p: kernels.power_kernel(STRIP, 1.5, p, GOOD), True),
-    ("power_kernel-w", lambda p: kernels.power_kernel(STRIP, 1.5, GOOD, p), True),
-    ("bergman_strip", lambda p: kernels.bergman_strip(1.0, p, GOOD), True),
-    ("kernel_gram", lambda p: kernels.kernel_gram(STRIP, p), True),
-    ("outer_f-w", lambda p: kernels.outer_f(STRIP, p, GOOD), False),
-    ("outer_f-z", lambda p: kernels.outer_f(STRIP, GOOD, p), True),
-    ("flip_pairing_check", lambda p: kernels.flip_pairing_check(STRIP, p, lambda z: z),
-     False),
-    ("theta_apply", lambda p: kernels.theta_apply(STRIP, p, lambda c, x: 1.0), False),
-    ("outer_from_modulus", lambda p: kernels.outer_from_modulus(lambda x: 1.0, p), False),
-    ("szego_transfer_check-z",
-     lambda p: kernels.szego_transfer_check(DISC, HALF_PLANE, p, 0.1), False),
-    ("szego_transfer_check-w",
-     lambda p: kernels.szego_transfer_check(DISC, HALF_PLANE, 0.1, p), False),
-    ("cosecant_series", lambda p: periodize.cosecant_series(p, 10), False),
-    ("sinh_series", lambda p: periodize.sinh_series(1.0, p, 10), False),
-    ("szego_series-z", lambda p: periodize.szego_series(1.0, p, GOOD, 10), False),
-    ("szego_series-w", lambda p: periodize.szego_series(1.0, GOOD, p, 10), False),
-    ("bergman_series", lambda p: periodize.bergman_series(1.0, GOOD, p, 10), False),
-    ("szego_series_split", lambda p: periodize.szego_series_split(1.0, p, GOOD, 10), False),
-    ("sinh_szego_series_at",
-     lambda p: periodize.sinh_szego_series_at(1.0, GOOD, p, (10,)), False),
-    ("strip_membership", lambda p: rpfunc.strip_membership(1.0, p), False),
-    ("c_func", lambda p: rpfunc.c_func(1.0, 0.5, p), False),
-    ("c_log_abs", lambda p: rpfunc.c_log_abs(1.0, 0.5, p), False),
-    ("g_func", lambda p: rpfunc.g_func(1.0, 0.5, p), False),
-    ("fourier", lambda p: measures.fourier(NU, p), True),
-    ("kernel_from_measure-z", lambda p: measures.kernel_from_measure(NU, p, GOOD), False),
-    ("kernel_from_measure-w", lambda p: measures.kernel_from_measure(NU, GOOD, p), False),
-    ("riesz_hat", lambda p: measures.riesz_hat(1.0, p), False),
-    ("riesz_hat_quad", lambda p: measures.riesz_hat_quad(1.0, p), False),
-    ("modular_coefficient", lambda p: modular.modular_coefficient(MD, V, p), True),
-    ("ftcosh_check", lambda p: numerics.ftcosh_check(1.0, p), False),
-    ("contains", lambda p: DISC.contains(p), False),
-    ("on_boundary", lambda p: STRIP.on_boundary(p), False),
-    ("sigma", lambda p: HALF_PLANE.sigma(p), False),
-    ("locate", lambda p: STRIP.locate(p), False),
-    ("cayley", lambda p: cayley(p), False),
-    ("cayley_inv", lambda p: cayley_inv(p), False),
-    ("strip_exp", lambda p: strip_exp(1.0, p), False),
-    ("strip_log", lambda p: strip_log(1.0, p), False),
-    ("transfer_map-disc-strip", lambda p: transfer_map(DISC, STRIP)[0](p), False),
-    ("transfer_map-disc-strip-derivative", lambda p: transfer_map(DISC, STRIP)[1](p), False),
-    ("transfer_map-strip-disc", lambda p: transfer_map(STRIP, DISC)[0](p), False),
-    ("transfer_map-strip-disc-derivative", lambda p: transfer_map(STRIP, DISC)[1](p), False),
-    ("hardy_transfer-disc-strip", lambda p: hardy_transfer(DISC, STRIP, np.exp)(p), False),
-    ("hardy_transfer-strip-disc", lambda p: hardy_transfer(STRIP, DISC, np.exp)(p), False),
+# (id, function, the arguments of a good call); a declared parameter past
+# the arguments given is passed by keyword
+CALLS = [
+    ("oscillatory_ft", numerics.oscillatory_ft, (lambda x: 1.0 / (1.0 + x * x), 0.7)),
+    ("trapezoid_circle", numerics.trapezoid_circle, (np.ones_like, 8)),
+    ("gram_report", numerics.gram_report, (np.eye(2),)),
+    ("poisson_summation_check", numerics.poisson_summation_check, (1.0, 1.0, 0.3, 10)),
+    ("ftcosh_check", numerics.ftcosh_check, (1.0, GOOD)),
+    ("sinh_abs_check", numerics.sinh_abs_check, (0.3, 0.3)),
+    ("cosh_abs_check", numerics.cosh_abs_check, (0.3, 0.3)),
+    ("cayley", cayley, (GOOD,)),
+    ("cayley_inv", cayley_inv, (GOOD,)),
+    ("strip_exp", strip_exp, (1.0, GOOD)),
+    ("strip_log", strip_log, (1.0, GOOD)),
+    ("sample_interior", sample_interior, (STRIP, np.random.default_rng(0), 3)),
+    ("szego", kernels.szego, (STRIP, GOOD, GOOD)),
+    ("szego_at", kernels.szego_at, (STRIP, GOOD)),
+    ("szego_diag", kernels.szego_diag, (STRIP, GOOD)),
+    ("poisson", kernels.poisson, (STRIP, GOOD, 0.3)),
+    ("poisson-disc", kernels.poisson, (DISC, GOOD, 0.3)),
+    ("poisson_at", kernels.poisson_at, (STRIP, GOOD)),
+    ("hua_ratio", kernels.hua_ratio, (STRIP, GOOD, 0.3)),
+    ("poisson_midline_strip", kernels.poisson_midline_strip, (1.0, 0.3, 0.3)),
+    ("bergman_strip", kernels.bergman_strip, (1.0, GOOD, GOOD)),
+    ("power_kernel", kernels.power_kernel, (STRIP, 1.5, GOOD, GOOD)),
+    ("outer_f", kernels.outer_f, (STRIP, GOOD, GOOD)),
+    ("h_boundary", kernels.h_boundary, (STRIP, GOOD, "lower", 0.3)),
+    ("h_boundary_at", kernels.h_boundary_at, (HALF_PLANE, GOOD, "line")),
+    ("theta_apply", kernels.theta_apply, (STRIP, GOOD, lambda c, x: 1.0)),
+    ("flip_pairing_check", kernels.flip_pairing_check, (STRIP, GOOD, lambda z: z)),
+    ("outer_from_modulus", kernels.outer_from_modulus, (lambda x: 1.0, GOOD)),
+    ("kernel_gram", kernels.kernel_gram, (STRIP, [GOOD])),
+    ("szego_transfer_check", kernels.szego_transfer_check, (DISC, HALF_PLANE, 0.1, 0.1)),
+    ("gamma_map", measures.gamma_map, (MU, 1.0)),
+    ("Gamma_map", measures.Gamma_map, (MU, 1.0)),
+    ("M_kappa", measures.M_kappa, (MU, 1.0)),
+    ("Gamma_inverse", measures.Gamma_inverse, (NU, 1.0)),
+    ("reflection_check", measures.reflection_check, (NU, 1.0)),
+    ("fourier", measures.fourier, (NU, GOOD)),
+    ("laplace", measures.laplace, (NU, 0.3)),
+    ("kms_check", measures.kms_check, (NU, 1.0)),
+    ("kernel_from_measure", measures.kernel_from_measure, (NU, GOOD, GOOD)),
+    ("theta_involution_check", measures.theta_involution_check, (NU, 1.0, [(GOOD, GOOD)])),
+    ("szego_strip_measure", measures.szego_strip_measure, (1.0, 4.0, 0.5)),
+    ("bergman_strip_measure", measures.bergman_strip_measure, (1.0, 4.0, 0.5)),
+    ("riesz_hat", measures.riesz_hat, (1.0, 1j)),
+    ("riesz_hat_quad", measures.riesz_hat_quad, (1.0, 1j)),
+    ("riesz_kappa_check", measures.riesz_kappa_check, (0.5, 1.0, 0.3)),
+    ("geometric_splitting", measures.geometric_splitting, (NU, 1.0, "alternating")),
+    ("standard_membership", modular.standard_membership, (MD.space, V)),
+    ("modular_coefficient", modular.modular_coefficient, (MD, V, GOOD)),
+    ("psi_hardy_midline", modular.psi_hardy_midline, (1.0, 0.3)),
+    ("commutation_check", modular.commutation_check, (1.0, 8, 0.1, 0.2)),
+    ("cosecant_series_at", periodize.cosecant_series_at, (GOOD, (10,))),
+    ("cosecant_series", periodize.cosecant_series, (GOOD, 10)),
+    ("sinh_series_at", periodize.sinh_series_at, (1.0, GOOD, (10,))),
+    ("sinh_series", periodize.sinh_series, (1.0, GOOD, 10)),
+    ("szego_series_at", periodize.szego_series_at, (1.0, GOOD, GOOD, (10,))),
+    ("sinh_szego_series_at", periodize.sinh_szego_series_at, (1.0, GOOD, GOOD, (10,))),
+    ("szego_series", periodize.szego_series, (1.0, GOOD, GOOD, 10)),
+    ("bergman_series_at", periodize.bergman_series_at, (1.0, GOOD, GOOD, (10,))),
+    ("bergman_series", periodize.bergman_series, (1.0, GOOD, GOOD, 10)),
+    ("szego_series_split", periodize.szego_series_split, (1.0, GOOD, GOOD, 10)),
+    ("phi_int", rpfunc.phi_int, (0.5, 2)),
+    ("phi_line", rpfunc.phi_line, (0.5, 1.0)),
+    ("phi_circle", rpfunc.phi_circle, (1.0, 0.5, 0.3)),
+    ("phi_circle_fourier", rpfunc.phi_circle_fourier, (1.0, 0.5, 2)),
+    ("phi_circle_partial_sum", rpfunc.phi_circle_partial_sum, (1.0, 1.0, 0.3, 10)),
+    ("c_func", rpfunc.c_func, (1.0, 0.5, GOOD)),
+    ("c_log_abs", rpfunc.c_log_abs, (1.0, 0.5, GOOD)),
+    ("g_func", rpfunc.g_func, (1.0, 0.5, GOOD)),
+    ("strip_membership", rpfunc.strip_membership, (1.0, GOOD)),
 ]
+
+# the public functions that declare nothing, and why
+EXEMPT = {
+    "run_suite": "its suite name is a key: an unknown one raises KeyError "
+                 "(pinned in tests/test_verify_cli.py)",
+    "atomic": "its pairs are a sequence of (location, weight), which finite_pairs guards",
+    "gridded": "x0 and h are guarded in MeasureOnR, where every measure lands (FAR rows)",
+    "boundary_restriction": "it takes a domain and a callable, and no number",
+    "boundary_inner": "nodes and tol go to trapezoid_circle and quad, which guard them",
+    "transfer_map": "it takes two domains; the maps it returns are FORMS rows",
+    "hardy_transfer": "it takes two domains and a callable; the maps it returns are FORMS rows",
+    "rp_circle_from_measure": "beta goes to Gamma_map",
+    "build_modular": "beta goes to reflection_check, which it calls first",
+    "pd_gram": "lam and beta go to the family phi_int / phi_line / phi_circle it "
+               "evaluates, the samples (group elements) to finite_array",
+    "rp_gram": "as pd_gram",
+    "param_rp_check": "its power n is a nonnegative integral number, an int or a float, "
+                      "which no kind is; that one guard stays inline",
+}
+
+
+# the functions whose value is inf by definition somewhere, and where
+INFINITE = {
+    measures.reflection_check: "a support with no mirror, or a relative defect past 1e308",
+}
+
+
+@dataclasses.dataclass
+class Row:
+    """One declared parameter of one good call, or one FORMS row: ``call(v)``
+    is the call with that argument replaced by v."""
+
+    id: str
+    call: object
+    kind: str           # point, points, real, positive or count
+    param: str = "p"
+    least: int = None   # of a count
+    fn: object = None
+    good: object = None  # the argument of the good call
+
+
+def _kind(kind) -> str:
+    if isinstance(kind, functools.partial):
+        return "count"
+    return {numerics.POINT: "point", numerics.POINTS: "points", numerics.REAL: "real",
+            numerics.POSITIVE: "positive"}[kind]
+
+
+def _declared_rows(name, fn, args):
+    """A row per declared parameter of the good call ``fn(*args)``: its call
+    takes the argument passed where the good call passes it (by keyword past
+    the arguments given)."""
+    parameters = inspect.signature(fn).parameters
+    for param, kind in numerics.CONTRACTS.get(fn, {}).items():
+        i = list(parameters).index(param)
+        if i < len(args):
+            call, good = (lambda v, i=i: fn(*args[:i], v, *args[i + 1:])), args[i]
+        else:
+            call, good = (lambda v, p=param: fn(*args, **{p: v})), parameters[param].default
+        yield Row("%s-%s" % (name, param), call, _kind(kind), param,
+                  getattr(kind, "keywords", {}).get("least"), fn, good)
+
+
+ROWS = [row for name, fn, args in CALLS for row in _declared_rows(name, fn, args)]
+
+
+def test_every_public_function_is_declared_or_exempt():
+    functions = {name: getattr(rphardy, name) for name in rphardy.__all__
+                 if inspect.isfunction(getattr(rphardy, name))}
+    undeclared = {name for name, fn in functions.items() if fn not in numerics.CONTRACTS}
+    assert undeclared == set(EXEMPT)
+
+
+def test_every_declared_function_has_a_good_call():
+    called = {fn for _, fn, _ in CALLS}
+    missing = [fn.__qualname__ for fn in numerics.CONTRACTS if fn not in called]
+    assert not missing
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn,args", [c[1:] for c in CALLS], ids=[c[0] for c in CALLS])
+def test_a_good_call_returns(fn, args):
+    fn(*args)
+
+
+# --------------------------------------------------------------------------
+# the generated rows, one bad value at a time
+# --------------------------------------------------------------------------
+
+# (id, call of the bad point p) of the forms that are not module-level
+# functions, each of one point
+FORMS = [
+    ("require_interior", lambda p: STRIP.require_interior(p)),
+    ("contains", lambda p: DISC.contains(p)),
+    ("on_boundary", lambda p: STRIP.on_boundary(p)),
+    ("sigma", lambda p: HALF_PLANE.sigma(p)),
+    ("locate", lambda p: STRIP.locate(p)),
+    ("transfer_map-disc-strip", lambda p: transfer_map(DISC, STRIP)[0](p)),
+    ("transfer_map-disc-strip-derivative", lambda p: transfer_map(DISC, STRIP)[1](p)),
+    ("transfer_map-strip-disc", lambda p: transfer_map(STRIP, DISC)[0](p)),
+    ("transfer_map-strip-disc-derivative", lambda p: transfer_map(STRIP, DISC)[1](p)),
+    ("hardy_transfer-disc-strip", lambda p: hardy_transfer(DISC, STRIP, np.exp)(p)),
+    ("hardy_transfer-strip-disc", lambda p: hardy_transfer(STRIP, DISC, np.exp)(p)),
+]
+ROWS += [Row(name, call, "point") for name, call in FORMS]
+
+
+def _rows(*kinds):
+    return [pytest.param(row, id=row.id) for row in ROWS if row.kind in kinds]
+
 
 BAD = [None, "0.5j", math.nan, complex(0.3, math.nan), math.inf, -math.inf,
        [GOOD, [GOOD]]]
@@ -100,58 +245,45 @@ BAD_IDS = ["None", "str", "nan", "nan-imag", "inf", "-inf", "ragged"]
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
-@pytest.mark.parametrize("call,takes_array", [e[1:] for e in ENTRIES],
-                         ids=[e[0] for e in ENTRIES])
-def test_a_point_that_is_not_a_finite_number_raises(call, takes_array, bad):
+@pytest.mark.parametrize("row", _rows("point", "points"))
+def test_a_point_that_is_not_a_finite_number_raises(row, bad):
     with pytest.raises(ParameterOutOfRange):
-        call(bad)
-    if takes_array:     # the bad value inside an array of good points
+        row.call(bad)
+    if row.kind == "points":    # the bad value inside an array of good points
         with pytest.raises(ParameterOutOfRange):
-            call([GOOD, bad])
+            row.call([GOOD, bad])
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call", [e[1] for e in ENTRIES if not e[2]],
-                         ids=[e[0] for e in ENTRIES if not e[2]])
-def test_an_entry_of_one_point_rejects_an_array_of_two(call):
+@pytest.mark.parametrize("row", _rows("point"))
+def test_an_entry_of_one_point_rejects_an_array_of_two(row):
     with pytest.raises(ParameterOutOfRange):
-        call(np.array([GOOD, GOOD]))
+        row.call(np.array([GOOD, GOOD]))
 
 
-# (id, call of the count n, the least count the entry takes)
-COUNTS = [
-    ("sample_interior", lambda n: sample_interior(STRIP, np.random.default_rng(0), n), 0),
-    ("poisson_summation_check", lambda n: numerics.poisson_summation_check(1.0, 1.0, 0.3, n), 1),
-    ("phi_circle_partial_sum", lambda n: rpfunc.phi_circle_partial_sum(1.0, 1.0, 0.3, n), 0),
-    ("commutation_check", lambda n: modular.commutation_check(1.0, n, 0.1, 0.2), 2),
-    ("trapezoid_circle", lambda n: numerics.trapezoid_circle(np.ones_like, n), 1),
-]
+BAD_COUNTS = [None, 2.5, np.float64(3.0), "3", math.nan, math.inf, 0.5j, np.array([1, 2])]
+BAD_COUNT_IDS = ["None", "2.5", "float64", "str", "nan", "inf", "complex", "array"]
+
+
+def _count_cases():
+    """(row, bad) for every count row: the bad values above and, below a
+    least that is not None, -1 and least - 1."""
+    for row in ROWS:
+        if row.kind == "count":
+            below = [] if row.least is None else [("-1", -1), ("least-1", row.least - 1)]
+            for bad_id, bad in list(zip(BAD_COUNT_IDS, BAD_COUNTS)) + below:
+                yield pytest.param(row, bad, id="%s-%s" % (row.id, bad_id))
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [None, 2.5, np.float64(3.0), "3", math.nan, -1, "least-1"])
-@pytest.mark.parametrize("call,least", [e[1:] for e in COUNTS], ids=[e[0] for e in COUNTS])
-def test_a_count_that_is_not_an_integer_of_at_least_its_least_raises(call, least, bad):
-    call(least)
-    with pytest.raises(ParameterOutOfRange, match="must be an integer >= %d" % least):
-        call(least - 1 if bad == "least-1" else bad)
+@pytest.mark.parametrize("row,bad", _count_cases())
+def test_a_count_that_is_not_an_integer_of_at_least_its_least_raises(row, bad):
+    """A count whose least is None ranges over every integer."""
+    row.call(0 if row.least is None else row.least)
+    with pytest.raises(ParameterOutOfRange, match="%s must be an integer%s" % (
+            row.param, "" if row.least is None else " >= %d" % row.least)):
+        row.call(bad)
 
-
-# (id, call of the real parameter r)
-REALS = [
-    ("g_func-t", lambda r: rpfunc.g_func(1.0, r, GOOD)),
-    ("phi_circle_partial_sum-y", lambda r: rpfunc.phi_circle_partial_sum(1.0, 1.0, r, 10)),
-    ("phi_circle_fourier-n", lambda r: rpfunc.phi_circle_fourier(1.0, 1.0, r)),
-    ("poisson_midline_strip-lam", lambda r: kernels.poisson_midline_strip(1.0, r, 0.3)),
-    ("poisson_midline_strip-x", lambda r: kernels.poisson_midline_strip(1.0, 0.3, r)),
-    ("riesz_kappa_check-t", lambda r: measures.riesz_kappa_check(0.5, 1.0, r)),
-    ("sinh_abs_check-x", lambda r: numerics.sinh_abs_check(r, 0.3)),
-    ("sinh_abs_check-y", lambda r: numerics.sinh_abs_check(0.3, r)),
-    ("cosh_abs_check-x", lambda r: numerics.cosh_abs_check(r, 0.3)),
-    ("cosh_abs_check-y", lambda r: numerics.cosh_abs_check(0.3, r)),
-    ("commutation_check-s", lambda r: modular.commutation_check(1.0, 8, r, 0.2)),
-    ("commutation_check-t", lambda r: modular.commutation_check(1.0, 8, 0.1, r)),
-]
 
 BAD_REALS = [None, "0.5", math.nan, math.inf, -math.inf, 0.5j, np.array([0.1, 0.2])]
 BAD_REAL_IDS = ["None", "str", "nan", "inf", "-inf", "complex", "array"]
@@ -159,11 +291,24 @@ BAD_REAL_IDS = ["None", "str", "nan", "inf", "-inf", "complex", "array"]
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", BAD_REALS, ids=BAD_REAL_IDS)
-@pytest.mark.parametrize("call", [e[1] for e in REALS], ids=[e[0] for e in REALS])
-def test_a_real_parameter_that_is_not_one_finite_real_raises(call, bad):
-    call(1)
-    with pytest.raises(ParameterOutOfRange):
-        call(bad)
+@pytest.mark.parametrize("row", _rows("real"))
+def test_a_real_parameter_that_is_not_one_finite_real_raises(row, bad):
+    row.call(int(row.good))     # an int is a real
+    with pytest.raises(ParameterOutOfRange, match=row.param):
+        row.call(bad)
+
+
+BAD_POSITIVES = [None, "1", math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5j,
+                 np.array([1.0, 2.0])]
+BAD_POSITIVE_IDS = ["None", "str", "nan", "inf", "-inf", "0", "-1", "complex", "array"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", BAD_POSITIVES, ids=BAD_POSITIVE_IDS)
+@pytest.mark.parametrize("row", _rows("positive"))
+def test_a_positive_parameter_that_is_not_a_finite_number_above_0_raises(row, bad):
+    with pytest.raises(ParameterOutOfRange, match="need finite %s > 0" % row.param):
+        row.call(bad)
 
 
 def test_phi_circle_fourier_rejects_an_n_that_is_not_an_integer():
@@ -251,38 +396,44 @@ def _finite(value) -> bool:
     return bool(np.all(np.isfinite(value)))
 
 
-def _keeps_the_contract(call, arg):
+def _keeps_the_contract(row, arg):
     # warnings are made errors here, not by a mark: Hypothesis itself may warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            value = call(arg)
+            value = row.call(arg)
         except RPHardyError:
             return
-    assert _finite(value), (arg, value)
+    assert _finite(value) or row.fn in INFINITE and value == math.inf, (arg, value)
 
 
-@pytest.mark.parametrize("call,takes_array", [e[1:] for e in ENTRIES],
-                         ids=[e[0] for e in ENTRIES])
+@pytest.mark.parametrize("row", _rows("point", "points"))
 @settings(max_examples=40)
 @given(data=st.data())
-def test_a_point_entry_gives_a_finite_value_or_an_rphardy_error(call, takes_array, data):
-    points = st.lists(_POINTS, min_size=1, max_size=3) if takes_array else st.nothing()
-    _keeps_the_contract(call, data.draw(st.one_of(_POINTS, points)))
+def test_a_point_entry_gives_a_finite_value_or_an_rphardy_error(row, data):
+    points = st.lists(_POINTS, min_size=1, max_size=3) if row.kind == "points" else st.nothing()
+    _keeps_the_contract(row, data.draw(st.one_of(_POINTS, points)))
 
 
-@pytest.mark.parametrize("call", [e[1] for e in REALS], ids=[e[0] for e in REALS])
+@pytest.mark.parametrize("row", _rows("real"))
 @settings(max_examples=40)
 @given(r=_REALS)
-def test_a_real_parameter_entry_gives_a_finite_value_or_an_rphardy_error(call, r):
-    _keeps_the_contract(call, r)
+def test_a_real_parameter_entry_gives_a_finite_value_or_an_rphardy_error(row, r):
+    _keeps_the_contract(row, r)
 
 
-@pytest.mark.parametrize("call", [e[1] for e in COUNTS], ids=[e[0] for e in COUNTS])
+@pytest.mark.parametrize("row", _rows("count"))
 @settings(max_examples=20)
 @given(n=st.integers(-10, 64))
-def test_a_count_entry_gives_a_finite_value_or_an_rphardy_error(call, n):
-    _keeps_the_contract(call, n)
+def test_a_count_entry_gives_a_finite_value_or_an_rphardy_error(row, n):
+    _keeps_the_contract(row, n)
+
+
+@pytest.mark.parametrize("row", _rows("positive"))
+@settings(max_examples=10)
+@given(r=_REALS)
+def test_a_positive_parameter_entry_gives_a_finite_value_or_an_rphardy_error(row, r):
+    _keeps_the_contract(row, r)
 
 
 # --------------------------------------------------------------------------
@@ -317,6 +468,41 @@ FAR = [
     ("riesz_kappa_check-huge-s", lambda: measures.riesz_kappa_check(200.0, 1.0, 0.3),
      ParameterOutOfRange),
     ("riesz_hat_quad-tiny-s", lambda: measures.riesz_hat_quad(5e-324, 1j), ParameterOutOfRange),
+    # a Gram matrix of NaN gave a report of NaN; G + G^H overflowed
+    ("gram_report-nan", lambda: numerics.gram_report(np.array([[math.nan]])),
+     ParameterOutOfRange),
+    ("gram_report-huge", lambda: numerics.gram_report(np.full((2, 2), 1e308)),
+     ParameterOutOfRange),
+    ("gram_report-huge-defect",
+     lambda: numerics.gram_report(np.array([[0.0, 1e308], [-1e308, 0.0]])), ParameterOutOfRange),
+    # modular_coefficient's v: its values go unchecked into the sum, which raises
+    ("modular_coefficient-str-v", lambda: modular.modular_coefficient(MD, "ab", 0.3),
+     ParameterOutOfRange),
+    ("modular_coefficient-ragged-v", lambda: modular.modular_coefficient(MD, [1.0, [2.0]], 0.3),
+     ParameterOutOfRange),
+    ("modular_coefficient-nan-v", lambda: modular.modular_coefficient(MD, [math.nan, 1.0], 0.3),
+     DivergentTransform),
+    ("modular_coefficient-huge-v",
+     lambda: modular.modular_coefficient(MD, [1e200, 1e200], 0.3), DivergentTransform),
+    # a grid that is not finite made a measure
+    ("gridded-nan-h", lambda: measures.gridded(0.0, math.nan, [1.0, 1.0]), ParameterOutOfRange),
+    ("gridded-inf-x0", lambda: measures.gridded(math.inf, 0.1, [1.0, 1.0]),
+     ParameterOutOfRange),
+    ("gridded-str-x0", lambda: measures.gridded("a", 0.1, [1.0, 1.0]), ParameterOutOfRange),
+    ("from_json-nan-h", lambda: measures.MeasureOnR.from_json(
+        '{"density": {"x0": 0.0, "h": NaN, "values": [1.0, 1.0]}}'), ParameterOutOfRange),
+    # a grid of 6.4e9 nodes (47.7 GiB) raised MemoryError, one past numpy's
+    # limit a bare ValueError: refused before anything is allocated
+    ("szego_strip_measure-tiny-beta", lambda: measures.szego_strip_measure(1e-6),
+     ParameterOutOfRange),
+    ("szego_strip_measure-tinier-beta", lambda: measures.szego_strip_measure(1e-300),
+     ParameterOutOfRange),
+    ("bergman_strip_measure-tiny-beta", lambda: measures.bergman_strip_measure(1e-6),
+     ParameterOutOfRange),
+    ("bergman_strip_measure-tiny-step",
+     lambda: measures.bergman_strip_measure(1.0, 40.0, 1e-300), ParameterOutOfRange),
+    ("szego_strip_measure-one-past-the-cap",
+     lambda: measures.szego_strip_measure(1.0, (2 ** 19 + 1) * 0.5, 0.5), ParameterOutOfRange),
 ]
 
 
@@ -339,3 +525,12 @@ def test_far_arguments_of_the_checks_warn_of_nothing():
     chk = numerics.ftcosh_check(1.0, 710.0 + 0.5j)
     assert chk.rhs == pytest.approx(0.5j * np.exp(-math.pi * (710.0 + 0.5j) / 2.0), rel=1e-13)
     assert chk.defect < 1e-12
+    # a Gram report next to the float range: the Hermitian part is formed
+    # as G / 2 + G^H / 2
+    rep = numerics.gram_report(np.full((2, 2), 5e307))
+    assert rep.max_eigenvalue == 1e308 and rep.hermiticity_defect == 0.0 and rep.verdict
+
+
+def test_a_strip_measure_grid_at_the_cap_is_taken():
+    nu = measures.szego_strip_measure(1.0, 2 ** 19 * 0.5, 0.5)
+    assert nu.density.size == 2 ** 20 + 1

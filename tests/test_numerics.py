@@ -915,9 +915,9 @@ def test_an_empty_gram_is_rejected(build):
         build()
 
 
-def test_hermitian_extremes_on_a_diagonal_matrix():
-    lo, hi = numerics.hermitian_extremes(np.diag([-2.0, 0.5, 7.0]))
-    assert lo == -2.0 and hi == 7.0
+def test_gram_report_extremes_on_a_diagonal_matrix():
+    rep = numerics.gram_report(np.diag([-2.0, 0.5, 7.0]))
+    assert rep.min_eigenvalue == -2.0 and rep.max_eigenvalue == 7.0
 
 
 # --------------------------------------------------------------------------
