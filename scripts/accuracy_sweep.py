@@ -16,8 +16,9 @@ pins that set with a reason per id) or compares a value with itself.
 
 Given BASE.json, an earlier output of this script or a BENCH_<n>.json whose
 ``accuracy`` block is one, it prints every id whose defect moved at any seed
-(worst slack before and after) and every id that fails now and did not fail
-in BASE, and exits with status 1 if there is one.
+(worst slack before and after), every id that fails now and did not fail
+in BASE, and every id of BASE that is gone, and exits with status 1 if there
+is a newly failing or a gone id.  A new id only prints.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def exact_ids(accuracy: dict) -> list[str]:
 
 
 def compare(new: dict, base: dict) -> bool:
-    """Print the ids that moved or newly fail; True if one newly fails."""
+    """Print the ids that are new, moved, gone or newly fail; True if one
+    newly fails or is gone."""
     moved = []
     for cid, e in new["ids"].items():
         old = base["ids"].get(cid)
@@ -83,16 +85,16 @@ def compare(new: dict, base: dict) -> bool:
             moved.append(cid)
             print("moved       %-40s worst slack %.4e -> %.4e"
                   % (cid, old["worst_slack"], e["worst_slack"]))
-    for cid in base["ids"]:
-        if cid not in new["ids"]:
-            print("gone id     %s" % cid)
+    gone = [cid for cid in base["ids"] if cid not in new["ids"]]
+    for cid in gone:
+        print("gone id     %s" % cid)
     newly = [cid for cid, seeds in new["failing_ids"].items()
              if set(seeds) - set(base["failing_ids"].get(cid, []))]
     for cid in newly:
         print("newly fails %-40s at seeds %s" % (cid, new["failing_ids"][cid]))
-    print("%d of %d ids bit-identical at every seed, %d newly failing"
-          % (len(new["ids"]) - len(moved), len(new["ids"]), len(newly)))
-    return bool(newly)
+    print("%d of %d ids bit-identical at every seed, %d newly failing, %d gone"
+          % (len(new["ids"]) - len(moved), len(new["ids"]), len(newly), len(gone)))
+    return bool(newly or gone)
 
 
 def main(argv: list[str]) -> int:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import _require_count, _require_positive
-
 # the suites of rphardy.verify, "all" first
 SUITE_NAMES = ("all", "kernels", "series", "measures", "modular", "appendix")
 # the groups of the reflection-positive families in rphardy.rpfunc
@@ -26,6 +24,8 @@ class Defaults:
     rng_seed: int = 7051          # seed for the randomized verification draws
 
     def validate(self) -> "Defaults":
+        # here, not at the top: ``rphardy --help`` then loads no numpy
+        from .numerics import _require_count, _require_positive
         _require_positive(self.beta)
         _require_count(self.rng_seed, "rng_seed", 0)  # numpy takes no negative seed
         return self

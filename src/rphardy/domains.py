@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import OutsideDomain, ParameterOutOfRange, PoleAtInput
-from .numerics import (COUNT, POINT, POSITIVE, REAL, _complex, _require_positive, finite_array,
+from .numerics import (POINT, POSITIVE, REAL, SIZE, _complex, _require_positive, finite_array,
                        finite_point, takes)
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
@@ -387,7 +387,7 @@ def hardy_transfer(src: Domain, dst: Domain, f):
 # sampling helpers (shared by tests and the verification suites)
 # --------------------------------------------------------------------------
 
-@takes(n=COUNT(0), margin=REAL)
+@takes(n=SIZE(0), margin=REAL)
 def sample_interior(domain: Domain, rng: np.random.Generator, n: int,
                     margin: float = 0.05):
     """n pseudo-random interior points, keeping ``margin`` (in [0, 1/2))

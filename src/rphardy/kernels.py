@@ -481,12 +481,6 @@ def outer_f(domain: Domain, w: complex, z: complex) -> complex:
     return szego.__wrapped__(domain, z, w) / math.sqrt(szego_diag.__wrapped__(domain, w))
 
 
-def boundary_reflect(domain: Domain, component: str, x: float):
-    """Parameter form of the boundary reflection induced by sigma."""
-    rcomp, negate = domain._side(component)
-    return rcomp, -x if negate else x
-
-
 @takes(w=POINT)
 def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
     """The flip multiplier h_w(x) = Q_w*(x) / Q_w*(sigma(x)) on the boundary.
@@ -613,33 +607,29 @@ def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
     construction) and fixes the boundary kernel Q_w*.
     """
     domain.require_interior(w)
-    f = _boundary_function(domain, f)
+    fr = _boundary_function(domain, f).reflected()
 
     def on(component):
         h = h_boundary_at.__wrapped__(domain, w, component)
-        rcomp, negate = domain._side(component)
-        g = f.on(rcomp)
+        g = fr.on(component)
         if isinstance(domain, Disc):
-            return lambda t: _times(h(t), g(-t))
-        if negate:
-            return lambda x: h(x) * g(-x)
+            return lambda t: _times(h(t), g(t))
         return lambda x: h(x) * g(x)
 
     return BoundaryFunction(domain, on)
 
 
-def boundary_inner(domain: Domain, f, g, *, nodes: int = 1024,
-                   tol: float = 1e-10) -> complex:
+def boundary_inner(domain: Domain, f, g, *, tol: float = 1e-10) -> complex:
     """L^2 inner product <f, g> over the boundary (conjugate-linear in f).
 
-    Circle integrals use the spectrally accurate trapezoid rule, which calls
-    f and g once on the array of nodes; line components use adaptive
+    Circle integrals use the trapezoid rule on 1024 nodes, which calls f
+    and g once on the array of nodes; line components use adaptive
     quadrature over R, one x at a time, and must decay.
     """
     f, g = _boundary_function(domain, f), _boundary_function(domain, g)
     if isinstance(domain, Disc):
         fc, gc = f.on("circle"), g.on("circle")
-        return numerics.trapezoid_circle(lambda t: _times(np.conj(fc(t)), gc(t)), nodes)
+        return numerics.trapezoid_circle(lambda t: _times(np.conj(fc(t)), gc(t)))
     total = 0.0 + 0.0j
     for comp in domain.boundary_components():
         fc, gc = f.on(comp), g.on(comp)
@@ -657,7 +647,7 @@ def _boundary_function(domain: Domain, f) -> BoundaryFunction:
 
 
 @takes(w=POINT)
-def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
+def flip_pairing_check(domain: Domain, w: complex, F, *,
                        tol: float = 1e-10) -> IdentityCheck:
     """Quadrature check of  <f*, theta_w f*> = |f(w)|^2 / Q(w, w)  for f = F Q_w.
 
@@ -673,8 +663,7 @@ def flip_pairing_check(domain: Domain, w: complex, F, *, nodes: int = 1024,
         # one point per QUADPACK node, on the boundary by construction
         q = szego_at.__wrapped__(domain, w)
         fstar = boundary_restriction(domain, lambda zb: F(zb) * q(zb))
-    lhs = boundary_inner(domain, fstar, theta_apply(domain, w, fstar),
-                         nodes=nodes, tol=tol)
+    lhs = boundary_inner(domain, fstar, theta_apply(domain, w, fstar), tol=tol)
     fw = F(w) * szego_diag.__wrapped__(domain, w)
     try:
         rhs = abs(fw) ** 2 / szego_diag.__wrapped__(domain, w)
@@ -715,13 +704,9 @@ def outer_from_modulus(psi, z: complex) -> complex:
         return (1.0 / (p - z) - p / (1.0 + p * p)) * math.log(v)
 
     a = z.real
-    total = 0.0 + 0.0j
     try:
-        for lo, hi, pts in ((-np.inf, a - 2.0, None),
-                            (a - 2.0, a + 2.0, [a]),
-                            (a + 2.0, np.inf, None)):
-            val, _ = numerics.quad(integrand, lo, hi, tol=_OUTER_TOL, points=pts)
-            total += val
+        total, _ = numerics.quad(integrand, -np.inf, np.inf, tol=_OUTER_TOL,
+                                 points=[a - 2.0, a, a + 2.0])
     except ToleranceNotReached as exc:
         raise DivergentLogIntegral(str(exc)) from exc
     return cmath.exp(total / (2j * math.pi))

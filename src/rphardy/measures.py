@@ -62,7 +62,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDenominator,
 )
-from .numerics import (POINT, POINTS, POSITIVE, REAL, _require_positive, comp_sum,
+from .numerics import (_MAX_SIZE, POINT, POINTS, POSITIVE, REAL, _require_positive, comp_sum,
                        comp_sum_real, finite_array, finite_pairs, finite_real, quad, row_blocks,
                        takes)
 
@@ -547,51 +547,49 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
 # named spectral measures
 # --------------------------------------------------------------------------
 
-# a strip measure grid has at most 2 _MAX_HALF_NODES + 1 nodes (8 MiB of floats)
-_MAX_HALF_NODES = 2 ** 19
+# a strip measure grid has 2 n + 1 <= _MAX_SIZE nodes, spaced _STRIP_STEP apart
+_MAX_HALF_NODES = _MAX_SIZE // 2
+_STRIP_STEP = 0.02
 
 
-def _symmetric_grid(beta: float, halfwidth, step: float) -> np.ndarray:
-    """The nodes step * (-n, ..., n), n = round(halfwidth / step), of a strip
-    measure; halfwidth None is 64 / beta, and must be finite and > 0.  An n
-    above _MAX_HALF_NODES raises :class:`ParameterOutOfRange` before
-    anything is allocated."""
+def _symmetric_grid(beta: float, halfwidth) -> np.ndarray:
+    """The nodes _STRIP_STEP * (-n, ..., n), n = round(halfwidth /
+    _STRIP_STEP), of a strip measure; halfwidth None is 64 / beta, and must
+    be finite and > 0.  An n above _MAX_HALF_NODES raises
+    :class:`ParameterOutOfRange` before anything is allocated."""
     if halfwidth is None:
         halfwidth = 64.0 / beta
     _require_positive(halfwidth, "halfwidth")
-    if not halfwidth / step <= _MAX_HALF_NODES:
-        raise ParameterOutOfRange("a strip measure grid has at most %d nodes; halfwidth %r, "
-                                  "step %r ask for more" % (2 * _MAX_HALF_NODES + 1,
-                                                            halfwidth, step))
-    n = int(round(halfwidth / step))
-    return step * np.arange(-n, n + 1)
+    if not halfwidth / _STRIP_STEP <= _MAX_HALF_NODES:
+        raise ParameterOutOfRange("a strip measure grid has at most %d nodes; halfwidth %r "
+                                  "asks for more" % (_MAX_SIZE, halfwidth))
+    n = int(round(halfwidth / _STRIP_STEP))
+    return _STRIP_STEP * np.arange(-n, n + 1)
 
 
-@takes(beta=POSITIVE, step=POSITIVE)
+@takes(beta=POSITIVE)
 @np.errstate(over="ignore")     # e^{-2 beta lam} = inf gives the density 0
-def szego_strip_measure(beta: float, halfwidth: float = None,
-                        step: float = 0.02) -> MeasureOnR:
+def szego_strip_measure(beta: float, halfwidth: float = None) -> MeasureOnR:
     """Spectral density (1/2 pi) / (1 + e^{-2 beta lam}) of the strip Szego
     kernel, sampled on a symmetric grid."""
-    nodes = _symmetric_grid(beta, halfwidth, step)
+    nodes = _symmetric_grid(beta, halfwidth)
     # -beta * nodes * 2, not -2 beta * nodes: no 0 * inf at the node 0
     dens = (1.0 / (2.0 * math.pi)) / (1.0 + np.exp(-beta * nodes * 2.0))
-    return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
+    return MeasureOnR(grid_x0=float(nodes[0]), grid_h=_STRIP_STEP, density=dens)
 
 
-@takes(beta=POSITIVE, step=POSITIVE)
+@takes(beta=POSITIVE)
 @np.errstate(over="ignore")     # e^{-2 beta lam} = inf gives the density 0
-def bergman_strip_measure(beta: float, halfwidth: float = None,
-                          step: float = 0.02) -> MeasureOnR:
+def bergman_strip_measure(beta: float, halfwidth: float = None) -> MeasureOnR:
     """Spectral density (1/4 pi^2) lam / (1 - e^{-2 beta lam}) of the squared
     kernel; the lam = 0 node takes the continuous value 1 / (8 pi^2 beta)."""
-    nodes = _symmetric_grid(beta, halfwidth, step)
+    nodes = _symmetric_grid(beta, halfwidth)
     dens = np.empty(nodes.size)
     nz = nodes != 0.0
     dens[nz] = nodes[nz] / (-np.expm1(-2.0 * beta * nodes[nz]))
     dens[~nz] = 1.0 / (2.0 * beta)
     dens /= 4.0 * math.pi ** 2
-    return MeasureOnR(grid_x0=float(nodes[0]), grid_h=step, density=dens)
+    return MeasureOnR(grid_x0=float(nodes[0]), grid_h=_STRIP_STEP, density=dens)
 
 
 # --------------------------------------------------------------------------
@@ -624,7 +622,7 @@ def _gamma(s: float) -> float:
 
 
 @takes(s=POSITIVE, z=POINT)
-def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
+def riesz_hat_quad(s: float, z: complex) -> complex:
     """mu_s_hat(z) by adaptive quadrature of p^{s-1} e^{izp} / GAMMA(s) over
     (0, inf), avoiding the O(step^s) first-cell error a uniform grid makes
     for s < 1.  The endpoint singularity is flattened by p = q^m on (0, 1]
@@ -640,10 +638,10 @@ def riesz_hat_quad(s: float, z: complex, tol: float = 1e-10) -> complex:
         raise ParameterOutOfRange("s = %r is too small for the substitution p = q^m" % (s,))
     m = max(2, math.ceil(2.0 / s))  # makes the q-exponent m*s - 1 >= 1
     head, _ = quad(lambda q: m * q ** (m * s - 1.0)
-                   * cmath.exp(1j * z * q ** m) / g, 0.0, 1.0, tol=tol)
+                   * cmath.exp(1j * z * q ** m) / g, 0.0, 1.0)
     upper = 1.0 + 60.0 / z.imag
     tail, _ = quad(lambda p: p ** (s - 1.0) * cmath.exp(1j * z * p) / g,
-                   1.0, upper, tol=tol)
+                   1.0, upper)
     return head + tail
 
 

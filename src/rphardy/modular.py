@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
 from .measures import MeasureOnR, _exp_sum, _mirror_index, reflection_check
-from .numerics import (COUNT, POINTS, POSITIVE, REAL, IdentityCheck, comp_sum, oscillatory_ft,
+from .numerics import (POINTS, POSITIVE, REAL, SIZE, IdentityCheck, comp_sum, oscillatory_ft,
                        takes)
 
 _REFLECTION_TOL = 1e-10     # the reflection defect build_modular accepts
@@ -223,19 +223,20 @@ def coefficient_measure(md: ModularData, v) -> MeasureOnR:
 # --------------------------------------------------------------------------
 
 @takes(beta=POSITIVE)
-def psi_hardy_midline(beta: float, t: float, tol: float = 1e-10) -> IdentityCheck:
+def psi_hardy_midline(beta: float, t: float) -> IdentityCheck:
     """Two integral forms of the midline coefficient function (equal exactly
     by the substitution lam -> lam / 2 in the second); oscillatory_ft guards t."""
 
     # e^{-x} (1 + e^{-2x})^{-2} = e^{x} / (2 cosh x)^2; evaluating through
     # log(2 cosh x) = |x| + log1p(e^{-2|x|}) keeps both tails finite.
+    # x is inf at a finite lam when beta is near 1e308: a NaN there crashed QAWF
     def envelope(x):
         if not math.isfinite(x):
             return 0.0
         return math.exp(x - 2.0 * (abs(x) + math.log1p(math.exp(-2.0 * abs(x)))))
 
-    a = oscillatory_ft(lambda lam: envelope(0.5 * beta * lam), t, tol=tol)
-    b = oscillatory_ft(lambda lam: envelope(beta * lam), 2.0 * t, tol=tol)
+    a = oscillatory_ft(lambda lam: envelope(0.5 * beta * lam), t)
+    b = oscillatory_ft(lambda lam: envelope(beta * lam), 2.0 * t)
     a /= 4.0 * math.pi
     b /= 2.0 * math.pi
     return IdentityCheck(a, b, abs(a - b))
@@ -256,7 +257,7 @@ class CommutationReport:
     n_wrapped: int
 
 
-@takes(beta_length=POSITIVE, n_nodes=COUNT(2), s=REAL, t=REAL)
+@takes(beta_length=POSITIVE, n_nodes=SIZE(2), s=REAL, t=REAL)
 def commutation_check(beta_length: float, n_nodes: int, s: float,
                       t: float) -> CommutationReport:
     """Realize U_t (multiplication by e^{itx}) and V_s (translation by s,

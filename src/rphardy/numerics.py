@@ -391,13 +391,15 @@ def _require_positive(value, name: str = "beta"):
     return value
 
 
-def _require_count(n, what: str, least=None):
-    """``n`` unchanged if it is a Python or numpy integer, of at least
-    ``least`` unless that is None, else :class:`ParameterOutOfRange` naming
-    ``what``: the kind ``COUNT(least)``."""
-    if not (isinstance(n, (int, np.integer)) and (least is None or n >= least)):
-        raise ParameterOutOfRange("%s must be an integer%s, got %r" % (
-            what, "" if least is None else " >= %d" % least, n))
+def _require_count(n, what: str, least=None, most=None):
+    """``n`` unchanged if it is a Python or numpy integer in [least, most]
+    (an end that is None is open), else :class:`ParameterOutOfRange` naming
+    ``what``: the kinds ``COUNT(least)`` and ``SIZE(least)``."""
+    if not (isinstance(n, (int, np.integer)) and (least is None or n >= least)
+            and (most is None or n <= most)):
+        raise ParameterOutOfRange("%s must be an integer%s%s, got %r" % (
+            what, "" if least is None else " >= %d" % least,
+            "" if most is None else " and <= %d" % most, n))
     return n
 
 
@@ -407,6 +409,15 @@ POINT, POINTS, REAL, POSITIVE = finite_point, finite_points, finite_real, _requi
 def COUNT(least):
     """The kind of an integer of at least ``least`` (of any integer, None)."""
     return functools.partial(_require_count, least=least)
+
+
+# the most terms, nodes or points a SIZE takes (16 MiB of complex)
+_MAX_SIZE = 2 ** 20 + 1
+
+
+def SIZE(least):
+    """The kind of a count that sizes an array: COUNT(least), at most _MAX_SIZE."""
+    return functools.partial(_require_count, least=least, most=_MAX_SIZE)
 
 
 # public function -> its declaration {parameter: kind}, in the order declared
@@ -641,16 +652,13 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     [0, inf), which remain accurate when f decays too slowly (e.g. like 1/x^2)
     for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf).
 
-    Below |t| = _QAWF_LEAST_T the weighted integrand is first integrated
-    over the line as it stands, as at t = 0: QAWF's first cycle, [0, pi/|t|],
+    Below |t| = _QAWF_LEAST_T, t = 0 included, the weighted integrand is
+    first integrated over the line as it stands: QAWF's first cycle, [0, pi/|t|],
     is then so long that its nodes can step over f altogether (it returned 0
     for e^{-|x|} at t = 1e-4).  QAWF takes over only where that misses the
     tolerance (an f that decays like 1/x^2), and never below |t| =
     _QAWF_FLOOR, where a cycle near the float range crashed it.
     """
-    if t == 0.0:
-        val, _ = quad_real(f, -np.inf, np.inf, tol=tol)
-        return complex(val)
     if abs(t) < _QAWF_LEAST_T:
         try:
             re, re_err = quad_real(lambda x: f(x) * math.cos(t * x), -np.inf, np.inf, tol=tol)
@@ -672,7 +680,7 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     return value
 
 
-@takes(n_nodes=COUNT(1))
+@takes(n_nodes=SIZE(1))
 def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
     """Integral_0^{2 pi} f(t) dt by the n-node trapezoid rule.
 
@@ -779,7 +787,7 @@ def lorentzian(s: float, x) -> float:
     return s / (math.pi * (s * s + x * x))
 
 
-@takes(beta=POSITIVE, lam=POSITIVE, x=REAL, K=COUNT(1))
+@takes(beta=POSITIVE, lam=POSITIVE, x=REAL, K=SIZE(1))
 def poisson_summation_check(beta: float, lam: float, x: float, K: int) -> IdentityCheck:
     """Periodization of the Lorentzian against its closed geometric form.
 
@@ -857,7 +865,7 @@ _FAR_SINH = 350.0   # past |Re u| = 350, 1 / sinh u is 2 e^{-|u|} to double prec
 
 
 @takes(beta=POSITIVE, z=POINT)
-def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityCheck:
+def ftcosh_check(beta: float, z: complex) -> IdentityCheck:
     """Fourier transform of the Fermi-type density against its sinh closed form:
 
     (1/2 pi) Integral e^{i z lam} / (1 + e^{-2 beta lam}) d lam
@@ -879,7 +887,7 @@ def ftcosh_check(beta: float, z: complex, *, tol: float = 1e-10) -> IdentityChec
             return math.exp(-y * lam) / (1.0 + math.exp(-2.0 * beta * lam))
         return math.exp((2.0 * beta - y) * lam) / (1.0 + math.exp(2.0 * beta * lam))
 
-    lhs = oscillatory_ft(density, z.real, tol=tol) / TWO_PI
+    lhs = oscillatory_ft(density, z.real) / TWO_PI
     u = math.pi * z / (2.0 * beta)
     if u.real > _FAR_SINH:      # 1 / sinh u = +-2 e^{-+u}, where sinh u overflows
         rhs = 0.5j * cmath.exp(-u) / beta

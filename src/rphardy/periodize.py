@@ -24,11 +24,11 @@ together with the closed-form value and the actual defect, so soundness
 ``defect <= tail_bound`` is a one-line assertion; an overflow raises
 :class:`ParameterOutOfRange`.
 
-``*_series(..., N)`` is ``*_series_at(..., (N,))``, which gives one
-:class:`SeriesEval` per truncation in ``Ns`` (positive integers of at most
-2**53): the terms are built once, for the largest N, and every partial sum
-is an exactly rounded prefix sum of them (:func:`numerics.comp_sum` with
-``ends``), bit for bit the single-N value.
+``cosecant_series_at``, ``bergman_series_at`` and ``sinh_szego_series_at``
+give one :class:`SeriesEval` per truncation in ``Ns`` (positive integers of
+at most 2**20 + 1): the terms are built once, for the largest N, and every
+partial sum is an exactly rounded prefix sum of them
+(:func:`numerics.comp_sum` with ``ends``), bit for bit the single-N value.
 
 Tail bounds, all elementary alternating/absolute estimates:
 
@@ -53,10 +53,9 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .numerics import POINT, POSITIVE, comp_sum, takes
+from .numerics import _MAX_SIZE, POINT, POSITIVE, comp_sum, takes
 
 _LATTICE_TOL = 1e-12
-_MAX_TERMS = 2 ** 53
 
 
 @dataclass
@@ -86,16 +85,16 @@ def _alternating(n: int, first: float = -1.0) -> np.ndarray:
 
 def _truncations(Ns) -> tuple:
     """``Ns`` as a tuple of truncations; rejects anything but a non-empty
-    sequence of positive integers of at most 2**53 (beyond it the float
-    indices k are no longer exact)."""
+    sequence of positive integers of at most ``numerics._MAX_SIZE``, the
+    cap of every count that sizes an array, before anything is allocated."""
     try:
         Ns = tuple(Ns)
     except TypeError:
         Ns = None
-    if not Ns or not all(isinstance(N, (int, np.integer)) and 1 <= N <= _MAX_TERMS
+    if not Ns or not all(isinstance(N, (int, np.integer)) and 1 <= N <= _MAX_SIZE
                          for N in Ns):
         raise ParameterOutOfRange("truncations must be positive integers of at most "
-                                  "2**53, got %r" % (Ns,))
+                                  "%d, got %r" % (_MAX_SIZE, Ns))
     return Ns
 
 
@@ -169,35 +168,19 @@ def _zeta(beta, z, w=None) -> complex:
 
 
 @takes(beta=POSITIVE, z=POINT)
-def sinh_series_at(beta: float, z: complex, Ns) -> list:
-    """:func:`sinh_series` at each truncation N in ``Ns``, from one term
-    array as in :func:`cosecant_series_at`."""
-    Ns = _truncations(Ns)
-    z = _zeta(beta, z)
-    return _sinh_evals(beta, z, Ns, _prefix_sums(Ns, _sinh_terms(beta, z)))
-
-
-@takes(beta=POSITIVE, z=POINT)
 def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
     """Partial sum of  (pi/2 beta) / sinh(pi z / 2 beta)
     = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 + 4 k^2 beta^2)."""
-    return sinh_series_at.__wrapped__(beta, z, (N,))[0]
-
-
-@takes(beta=POSITIVE, z=POINT, w=POINT)
-def szego_series_at(beta: float, z: complex, w: complex, Ns) -> list:
-    """:func:`szego_series` at each truncation N in ``Ns``: (i / 2 pi) times
-    the sinh series at zeta = z - conj(w), from its terms."""
-    Ns = _truncations(Ns)
-    zeta = _zeta(beta, z, w)
-    return _szego_evals(beta, z, w, zeta, Ns, _prefix_sums(Ns, _sinh_terms(beta, zeta)))
+    Ns = _truncations((N,))
+    z = _zeta(beta, z)
+    return _sinh_evals(beta, z, Ns, _prefix_sums(Ns, _sinh_terms(beta, z)))[0]
 
 
 @takes(beta=POSITIVE, z=POINT, w=POINT)
 def sinh_szego_series_at(beta: float, z: complex, w: complex, Ns) -> tuple:
-    """``(sinh_series_at(beta, zeta, Ns), szego_series_at(beta, z, w, Ns))``
-    at zeta = z - conj(w), bit for bit, from one sum of the sinh terms; it
-    raises wherever either of the two raises."""
+    """The lists of ``sinh_series(beta, zeta, N)`` and ``szego_series(beta,
+    z, w, N)`` for N in ``Ns``, at zeta = z - conj(w), bit for bit, from one
+    sum of the sinh terms; it raises wherever either of the two raises."""
     Ns = _truncations(Ns)
     zeta = _zeta(beta, z, w)
     sums = _prefix_sums(Ns, _sinh_terms(beta, zeta))
@@ -227,7 +210,9 @@ def _szego_evals(beta: float, z: complex, w: complex, zeta: complex, Ns, sums) -
 def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the strip Szego kernel,
     Q(z, w) = (i / 2 pi) sum_n (-1)^n / (z - conj(w) + 2 n beta i)."""
-    return szego_series_at.__wrapped__(beta, z, w, (N,))[0]
+    Ns = _truncations((N,))
+    zeta = _zeta(beta, z, w)
+    return _szego_evals(beta, z, w, zeta, Ns, _prefix_sums(Ns, _sinh_terms(beta, zeta)))[0]
 
 
 @takes(beta=POSITIVE, z=POINT, w=POINT)

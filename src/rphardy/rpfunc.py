@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import GROUPS
 from .errors import ParameterOutOfRange, SampleOutsidePositiveCone
-from .numerics import (COUNT, POINT, POSITIVE, REAL, GramReport, _periodized_lorentzian,
+from .numerics import (COUNT, POINT, POSITIVE, REAL, SIZE, GramReport, _periodized_lorentzian,
                        finite_array, finite_pairs, gram_report, lorentzian, takes)
 
 
@@ -123,7 +123,7 @@ def _circle_ratio(beta: float, lam: float) -> float:
     return -math.expm1(-beta * lam) / (1.0 + math.exp(-beta * lam))
 
 
-@takes(beta=POSITIVE, lam=REAL, y=REAL, N=COUNT(0))
+@takes(beta=POSITIVE, lam=REAL, y=REAL, N=SIZE(0))
 def phi_circle_partial_sum(beta: float, lam: float, y: float, N: int) -> float:
     """Resummation  sum_{|n| <= N} c_n e^{2 pi i n y / beta}  (real by symmetry):
     the periodized Lorentzian of :func:`numerics.poisson_summation_check`

@@ -8,9 +8,11 @@ A change that reorders floating-point work moves some defect by an ulp and
 fails here.  When the move is intended, the change commits a new BENCH file
 with the new sweep.  The bits depend on the interpreter and the numeric
 libraries, so the test skips unless Python, numpy and scipy are the versions
-in that file's ``host`` block.
+in that file's ``host`` block.  The last test pins that the sweep's
+comparison fails when an id of the earlier sweep is gone.
 """
 
+import importlib.util
 import json
 import platform
 import re
@@ -86,3 +88,17 @@ def test_every_verify_defect_has_the_bits_the_newest_bench_file_records(recorded
              if want.get(cid) != got.get(cid)}
     assert not moved, "defects differ from %s at rng seed %d (recorded, now): %s" % (
         name, seed, dict(sorted(moved.items())))
+
+
+def test_the_sweep_comparison_fails_on_a_gone_id_and_not_on_a_new_one(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "accuracy_sweep", ROOT / "scripts" / "accuracy_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    entry = {"defect_hex": {"0": (0.0).hex()}, "worst_slack": 0.0}
+    one = {"ids": {"a": entry}, "failing_ids": {}}
+    two = {"ids": {"a": entry, "b": entry}, "failing_ids": {}}
+    assert not sweep.compare(two, one)      # a new id only prints
+    assert "new id      b" in capsys.readouterr().out
+    assert sweep.compare(one, two)
+    assert "gone id     b" in capsys.readouterr().out

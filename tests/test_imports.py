@@ -134,25 +134,38 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 
 
 # what the CLI module itself loads: the parser reads its choices from config
-CLI = ["cli", "config", "errors", "numerics"]
+CLI = ["cli", "config", "errors"]
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["verify", "--suite", "nope"], 2)],
+                         ids=["help", "bad-choice"])
+def test_python_m_cli_help_and_argument_errors_load_no_numpy(argv, code):
+    proc, (scipy, loaded) = _child(
+        "import runpy, sys\nsys.argv = %r\n"
+        "try:\n    runpy.run_module('rphardy.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == %d, exc.code\n"
+        "assert 'numpy' not in sys.modules" % (["rphardy"] + argv, code))
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == ["config", "errors"] and scipy == []
+
 
 # one call of each kind the one-shot CLI benchmark makes, and the rphardy
 # modules it loads besides those of CLI
 CLOSED_FORM_CALLS = [
     (["kernel", "--domain", "strip", "--kind", "poisson", "--beta", "1.5",
       "--z=0.3+0.5i", "--x=0.2", "--component", "upper", "--json"],
-     ["domains", "kernels"]),
+     ["domains", "kernels", "numerics"]),
     (["series", "--kind", "bergman", "--beta", "2.0", "--z=0.4+0.7i",
       "--w=-0.2+1.1i", "--terms", "2000", "--json"],
-     ["domains", "kernels", "periodize"]),
+     ["domains", "kernels", "numerics", "periodize"]),
     (["measure", "--op", "kms", "--atoms", "0.8:0.69,-0.8:0.31", "--beta", "1.0",
       "--json"],
-     ["measures"]),
+     ["measures", "numerics"]),
     (["rp", "--characterize", "--beta", "1.0", "--z=0.3+0.4i", "--json"],
-     ["rpfunc"]),
+     ["numerics", "rpfunc"]),
     (["modular", "--atoms", "0.5:1.0,1.5:0.3", "--beta", "1.2", "--t=0.7",
       "--json"],
-     ["measures", "modular"]),
+     ["measures", "modular", "numerics"]),
 ]
 
 

@@ -246,12 +246,20 @@ def test_power_kernel_overflow_raises_and_underflow_is_zero(domain, big, small):
                 kernels.power_kernel(STRIP, 100.0, 1e-6j, 1e-6j)
 
 
+def _reflection(domain, comp, x):
+    """(component, parameter) of the reflection of the boundary point
+    (comp, x), read off a reflected boundary function that returns its
+    arguments."""
+    probe = kernels.BoundaryFunction(domain, lambda c: lambda t: (c, t))
+    return probe.reflected().on(comp)(x)
+
+
 @pytest.mark.parametrize("domain", [DISC, HALF_PLANE, STRIP],
                          ids=["disc", "half_plane", "strip"])
-def test_boundary_reflect_is_an_involution(domain):
+def test_the_boundary_reflection_is_an_involution(domain):
     for comp in domain.boundary_components():
-        rcomp, rx = kernels.boundary_reflect(domain, comp, 0.83)
-        comp2, x2 = kernels.boundary_reflect(domain, rcomp, rx)
+        rcomp, rx = _reflection(domain, comp, 0.83)
+        comp2, x2 = _reflection(domain, rcomp, rx)
         assert comp2 == comp and x2 == 0.83
 
 
@@ -259,9 +267,9 @@ def test_boundary_reflect_is_an_involution(domain):
     (DISC, "line"), (DISC, "lower"), (DISC, None), (HALF_PLANE, "circle"),
     (HALF_PLANE, "upper"), (HALF_PLANE, None), (STRIP, "line"), (STRIP, None)],
     ids=lambda v: str(v))
-def test_boundary_reflect_rejects_a_component_the_domain_lacks(domain, comp):
+def test_the_boundary_reflection_rejects_a_component_the_domain_lacks(domain, comp):
     with pytest.raises(ParameterOutOfRange):
-        kernels.boundary_reflect(domain, comp, 0.3)
+        _reflection(domain, comp, 0.3)
 
 
 @pytest.mark.parametrize("domain,z", [
@@ -272,7 +280,7 @@ def test_every_component_entry_point_rejects_a_name_the_domain_lacks_alike(domai
     calls = [
         lambda: domain.boundary_embed(comp, 0.3),
         lambda: domain.embedding(comp),
-        lambda: kernels.boundary_reflect(domain, comp, 0.3),
+        lambda: _reflection(domain, comp, 0.3),
         lambda: kernels.poisson_at(domain, z, comp),
         lambda: kernels.poisson(domain, z, 0.3, comp),
         lambda: kernels.hua_ratio(domain, z, 0.3, comp),
@@ -299,7 +307,7 @@ def test_flip_multiplier_cocycle():
     w = 0.3 + 0.6j
     for comp in STRIP.boundary_components():
         x = 0.45
-        rcomp, rx = kernels.boundary_reflect(STRIP, comp, x)
+        rcomp, rx = _reflection(STRIP, comp, x)
         prod = kernels.h_boundary(STRIP, w, comp, x) \
             * kernels.h_boundary(STRIP, w, rcomp, rx)
         assert abs(prod - 1.0) < 1e-14
@@ -670,9 +678,9 @@ def test_boundary_inner_on_the_circle_calls_each_function_once():
         calls.append((comp, np.shape(t)))
         return np.exp(2j * t) / (2.0 * math.pi)
 
-    val = kernels.boundary_inner(DISC, f, f, nodes=256)
+    val = kernels.boundary_inner(DISC, f, f)
     assert abs(val - 1.0 / (2.0 * math.pi)) < 1e-15
-    assert calls == [("circle", (256,))] * 2
+    assert calls == [("circle", (1024,))] * 2
 
 
 def test_theta_fixes_its_kernel_section():

@@ -434,7 +434,7 @@ def test_bergman_strip_measure_recovers_kernel():
 
 def test_bergman_density_value_at_zero_is_the_limit():
     beta = 2.0
-    nu = measures.bergman_strip_measure(beta, halfwidth=1.0, step=0.5)
+    nu = measures.bergman_strip_measure(beta, halfwidth=1.0)
     nodes = nu.grid_nodes()
     j = int(np.argmin(np.abs(nodes)))
     assert nodes[j] == pytest.approx(0.0)
@@ -446,7 +446,6 @@ def test_bergman_density_value_at_zero_is_the_limit():
                                    measures.bergman_strip_measure],
                          ids=["szego", "bergman"])
 @pytest.mark.parametrize("grid,name", [
-    ({"step": 0.0}, "step"), ({"step": -0.1}, "step"), ({"step": math.nan}, "step"),
     ({"halfwidth": math.nan}, "halfwidth"), ({"halfwidth": -1.0}, "halfwidth"),
     ({"halfwidth": math.inf}, "halfwidth")], ids=str)
 def test_strip_measures_reject_a_bad_grid_by_name(build, grid, name):

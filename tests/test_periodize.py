@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rphardy import kernels, periodize
+from rphardy import kernels, numerics, periodize
 from rphardy.domains import Strip
 from rphardy.errors import ParameterOutOfRange, PoleOnLattice
 
@@ -178,21 +178,20 @@ def test_each_truncation_of_one_term_array_equals_the_single_truncation_call(Ns)
         w = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
         zeta = z - w.conjugate()
         c = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        sinh, szego = periodize.sinh_szego_series_at(beta, z, w, Ns)
         pairs = [(periodize.cosecant_series_at(c, Ns),
                   [periodize.cosecant_series(c, N) for N in Ns]),
-                 (periodize.sinh_series_at(beta, zeta, Ns),
-                  [periodize.sinh_series(beta, zeta, N) for N in Ns]),
-                 (periodize.szego_series_at(beta, z, w, Ns),
-                  [periodize.szego_series(beta, z, w, N) for N in Ns]),
+                 (sinh, [periodize.sinh_series(beta, zeta, N) for N in Ns]),
+                 (szego, [periodize.szego_series(beta, z, w, N) for N in Ns]),
                  (periodize.bergman_series_at(beta, z, w, Ns),
                   [periodize.bergman_series(beta, z, w, N) for N in Ns])]
         for many, single in pairs:
             assert [_bits(ev) for ev in many] == [_bits(ev) for ev in single]
 
 
-# a truncation numpy would refuse at once (or sum wrongly): never one it
-# would try to allocate
-BAD_TERMS = [0, -3, 2.5, math.nan, math.inf, 10 ** 20, "5", None]
+# a truncation numpy would refuse at once (or sum wrongly), or one past the
+# cap of every count that sizes an array: never one it would try to allocate
+BAD_TERMS = [0, -3, 2.5, math.nan, math.inf, 10 ** 20, numerics._MAX_SIZE + 1, "5", None]
 
 
 @pytest.mark.parametrize("N", BAD_TERMS)
@@ -204,9 +203,8 @@ def test_series_reject_a_truncation_that_is_not_a_positive_integer(N):
              lambda: periodize.bergman_series(beta, z, w, N),
              lambda: periodize.szego_series_split(beta, z, w, N),
              lambda: periodize.cosecant_series_at(z, (100, N)),
-             lambda: periodize.sinh_series_at(beta, z, (N, 100)),
-             lambda: periodize.szego_series_at(beta, z, w, [N]),
              lambda: periodize.sinh_szego_series_at(beta, z, w, (N, 100)),
+             lambda: periodize.sinh_szego_series_at(beta, z, w, [N]),
              lambda: periodize.bergman_series_at(beta, z, w, (100, N, 10))]
     for call in calls:
         with pytest.raises(ParameterOutOfRange):
@@ -223,7 +221,12 @@ def test_a_fractional_truncation_no_longer_sums_its_ceiling():
 @pytest.mark.parametrize("Ns", [(), 100, None])
 def test_series_siblings_need_a_sequence_of_truncations(Ns):
     with pytest.raises(ParameterOutOfRange):
-        periodize.sinh_series_at(2.0, 0.3 + 0.2j, Ns)
+        periodize.sinh_szego_series_at(2.0, 0.3 + 0.2j, -0.1 + 0.5j, Ns)
+
+
+def test_a_truncation_at_the_cap_is_taken():
+    ev = periodize.cosecant_series(0.3 + 0.5j, numerics._MAX_SIZE)
+    assert ev.n_terms == numerics._MAX_SIZE and ev.sound
 
 
 def test_szego_series_is_i_over_2_pi_times_the_sinh_series_bit_for_bit():
@@ -235,8 +238,7 @@ def test_szego_series_is_i_over_2_pi_times_the_sinh_series_bit_for_bit():
         z = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
         w = complex(rng.uniform(-2, 2), rng.uniform(0.1, 0.9) * beta)
         Ns = (1000, 100, 1)
-        sinh = periodize.sinh_series_at(beta, z - w.conjugate(), Ns)
-        szego = periodize.szego_series_at(beta, z, w, Ns)
+        sinh, szego = periodize.sinh_szego_series_at(beta, z, w, Ns)
         for s, q in zip(sinh, szego):
             assert q.value == (1j / two_pi) * s.value
             assert q.closed_form == kernels.szego(Strip(beta), z, w)
@@ -263,7 +265,7 @@ def test_the_sinh_series_names_its_own_lattice_pole():
 
 def test_sinh_szego_series_at_is_the_two_series_bit_for_bit():
     # one sum of the shared terms gives both series, each against its own
-    # closed form and with its own tail bound
+    # closed form and with its own tail bound, each entry the single-N call
     rng = np.random.default_rng(43)
     for _ in range(20):
         beta = float(rng.uniform(1.5, 3.0))
@@ -272,16 +274,16 @@ def test_sinh_szego_series_at_is_the_two_series_bit_for_bit():
         Ns = (3000, 100, 1000, 1)
         sinh, szego = periodize.sinh_szego_series_at(beta, z, w, Ns)
         assert [_bits(ev) for ev in sinh] == \
-            [_bits(ev) for ev in periodize.sinh_series_at(beta, z - w.conjugate(), Ns)]
+            [_bits(periodize.sinh_series(beta, z - w.conjugate(), N)) for N in Ns]
         assert [_bits(ev) for ev in szego] == \
-            [_bits(ev) for ev in periodize.szego_series_at(beta, z, w, Ns)]
+            [_bits(periodize.szego_series(beta, z, w, N)) for N in Ns]
 
 
 @pytest.mark.parametrize("z,w", [(0.3 + 0.5j, 0.3 - 0.5j), (0.3 + 0.5j, 0.3 + 1.5j)],
                          ids=["zeta-0", "zeta-2i-beta"])
 def test_sinh_szego_series_at_raises_the_lattice_pole_of_both(z, w):
-    for call in (lambda: periodize.sinh_series_at(1.0, z - w.conjugate(), (10,)),
-                 lambda: periodize.szego_series_at(1.0, z, w, (10,)),
+    for call in (lambda: periodize.sinh_series(1.0, z - w.conjugate(), 10),
+                 lambda: periodize.szego_series(1.0, z, w, 10),
                  lambda: periodize.sinh_szego_series_at(1.0, z, w, (10,))):
         with pytest.raises(PoleOnLattice):
             call()
@@ -291,11 +293,11 @@ def test_sinh_szego_series_at_raises_where_the_sinh_closed_form_overflows():
     # past Re zeta ~ 452 beta the sinh closed form overflows, while the Szego
     # kernel takes its far branch and its series still returns
     z, w = 1000.0 + 0.5j, 0.5j
-    assert periodize.szego_series_at(1.0, z, w, (10,))[0].closed_form == 0.0
+    assert periodize.szego_series(1.0, z, w, 10).closed_form == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterOutOfRange, match="overflows"):
-            periodize.sinh_series_at(1.0, z - w.conjugate(), (10,))
+            periodize.sinh_series(1.0, z - w.conjugate(), 10)
         with pytest.raises(ParameterOutOfRange, match="overflows"):
             periodize.sinh_szego_series_at(1.0, z, w, (10,))
         with pytest.raises(ParameterOutOfRange, match="overflows"):
