@@ -53,7 +53,7 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .numerics import _MAX_SIZE, POINT, POSITIVE, comp_sum, takes
+from .numerics import _MAX_SIZE, POINT, POSITIVE, SIZE, comp_sum, takes
 
 _LATTICE_TOL = 1e-12
 
@@ -141,7 +141,7 @@ def cosecant_series_at(z: complex, Ns) -> list:
                   lambda N: 8.0 * abs(z) / (3.0 * N) if N >= 2.0 * abs(z) else math.inf)
 
 
-@takes(z=POINT)
+@takes(z=POINT, N=SIZE(1))
 def cosecant_series(z: complex, N: int) -> SeriesEval:
     """Partial sum of  pi / sin(pi z) = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 - k^2)."""
     return cosecant_series_at.__wrapped__(z, (N,))[0]
@@ -167,11 +167,11 @@ def _zeta(beta, z, w=None) -> complex:
     return zeta
 
 
-@takes(beta=POSITIVE, z=POINT)
+@takes(beta=POSITIVE, z=POINT, N=SIZE(1))
 def sinh_series(beta: float, z: complex, N: int) -> SeriesEval:
     """Partial sum of  (pi/2 beta) / sinh(pi z / 2 beta)
     = 1/z + sum_{k>=1} (-1)^k 2z / (z^2 + 4 k^2 beta^2)."""
-    Ns = _truncations((N,))
+    Ns = (N,)
     z = _zeta(beta, z)
     return _sinh_evals(beta, z, Ns, _prefix_sums(Ns, _sinh_terms(beta, z)))[0]
 
@@ -206,11 +206,11 @@ def _szego_evals(beta: float, z: complex, w: complex, zeta: complex, Ns, sums) -
                   if N >= abs(zeta) / beta else math.inf)
 
 
-@takes(beta=POSITIVE, z=POINT, w=POINT)
+@takes(beta=POSITIVE, z=POINT, w=POINT, N=SIZE(1))
 def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the strip Szego kernel,
     Q(z, w) = (i / 2 pi) sum_n (-1)^n / (z - conj(w) + 2 n beta i)."""
-    Ns = _truncations((N,))
+    Ns = (N,)
     zeta = _zeta(beta, z, w)
     return _szego_evals(beta, z, w, zeta, Ns, _prefix_sums(Ns, _sinh_terms(beta, zeta)))[0]
 
@@ -229,7 +229,7 @@ def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
                   if N >= abs(zeta) / beta else math.inf)
 
 
-@takes(beta=POSITIVE, z=POINT, w=POINT)
+@takes(beta=POSITIVE, z=POINT, w=POINT, N=SIZE(1))
 def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the squared kernel,
     Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (z - conj(w) + 2 k i beta)^2,
@@ -237,7 +237,7 @@ def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     return bergman_series_at.__wrapped__(beta, z, w, (N,))[0]
 
 
-@takes(beta=POSITIVE, z=POINT, w=POINT)
+@takes(beta=POSITIVE, z=POINT, w=POINT, N=SIZE(1))
 @np.errstate(over="ignore")     # numpy's 1 / zeta past 1e308 rounds to 0
 def szego_series_split(beta: float, z: complex, w: complex, N: int):
     """One-sided halves of the Szego image series:
@@ -251,7 +251,6 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     most 1 / (2 beta j^2) once 2 j beta >= |zeta|, so each half carries a tail
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
-    (N,) = _truncations((N,))
     zeta = _zeta(beta, z, w)
 
     def one_sided(sign):

@@ -269,11 +269,13 @@ BAD_COUNT_IDS = ["None", "2.5", "float64", "str", "nan", "inf", "complex", "arra
 
 def _count_cases():
     """(row, bad) for every count row: the bad values above, -1 and least - 1
-    below a least that is not None, and the cap + 1 of a size."""
+    below a least that is not None, and the cap + 1 of a size, as a Python
+    and as a numpy integer."""
     for row in ROWS:
         if row.kind == "count":
             below = [] if row.least is None else [("-1", -1), ("least-1", row.least - 1)]
-            above = [] if row.most is None else [("cap+1", row.most + 1)]
+            above = [] if row.most is None else [("cap+1", row.most + 1),
+                                                 ("int64-cap+1", np.int64(row.most + 1))]
             for bad_id, bad in list(zip(BAD_COUNT_IDS, BAD_COUNTS)) + below + above:
                 yield pytest.param(row, bad, id="%s-%s" % (row.id, bad_id))
 

@@ -137,8 +137,18 @@ def test_importing_the_package_and_cli_loads_no_scipy():
 CLI = ["cli", "config", "errors"]
 
 
-@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["verify", "--suite", "nope"], 2)],
-                         ids=["help", "bad-choice"])
+# each subcommand's help, and an argument argparse refuses: a bad choice, a
+# missing required option, and a value its type does not parse
+HELP_AND_ARGUMENT_ERRORS = [(["--help"], 0)] + [
+    ([cmd, "--help"], 0) for cmd in ("kernel", "verify", "rp", "measure", "series", "modular")
+] + [(["verify", "--suite", "nope"], 2), (["series", "--kind", "sinh"], 2),
+     (["series", "--kind", "sinh", "--z=0.3+0.2i", "--terms", "2.5"], 2)]
+
+
+@pytest.mark.parametrize("argv,code", HELP_AND_ARGUMENT_ERRORS,
+                         ids=["help"] + ["%s-help" % cmd for cmd in (
+                             "kernel", "verify", "rp", "measure", "series", "modular")]
+                         + ["bad-choice", "missing-option", "bad-int"])
 def test_python_m_cli_help_and_argument_errors_load_no_numpy(argv, code):
     proc, (scipy, loaded) = _child(
         "import runpy, sys\nsys.argv = %r\n"

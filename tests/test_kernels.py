@@ -256,7 +256,7 @@ def _reflection(domain, comp, x):
 
 @pytest.mark.parametrize("domain", [DISC, HALF_PLANE, STRIP],
                          ids=["disc", "half_plane", "strip"])
-def test_the_boundary_reflection_is_an_involution(domain):
+def test_boundary_reflect_is_an_involution(domain):
     for comp in domain.boundary_components():
         rcomp, rx = _reflection(domain, comp, 0.83)
         comp2, x2 = _reflection(domain, rcomp, rx)
@@ -267,7 +267,7 @@ def test_the_boundary_reflection_is_an_involution(domain):
     (DISC, "line"), (DISC, "lower"), (DISC, None), (HALF_PLANE, "circle"),
     (HALF_PLANE, "upper"), (HALF_PLANE, None), (STRIP, "line"), (STRIP, None)],
     ids=lambda v: str(v))
-def test_the_boundary_reflection_rejects_a_component_the_domain_lacks(domain, comp):
+def test_boundary_reflect_rejects_a_component_the_domain_lacks(domain, comp):
     with pytest.raises(ParameterOutOfRange):
         _reflection(domain, comp, 0.3)
 

@@ -190,8 +190,10 @@ def test_each_truncation_of_one_term_array_equals_the_single_truncation_call(Ns)
 
 
 # a truncation numpy would refuse at once (or sum wrongly), or one past the
-# cap of every count that sizes an array: never one it would try to allocate
-BAD_TERMS = [0, -3, 2.5, math.nan, math.inf, 10 ** 20, numerics._MAX_SIZE + 1, "5", None]
+# cap of every count that sizes an array, as a Python or numpy integer (2**40
+# terms would be 8 TiB): never one it would try to allocate
+BAD_TERMS = [0, -3, 2.5, math.nan, math.inf, 10 ** 20, numerics._MAX_SIZE + 1,
+             np.int64(numerics._MAX_SIZE + 1), 2 ** 40, "5", None]
 
 
 @pytest.mark.parametrize("N", BAD_TERMS)
