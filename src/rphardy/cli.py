@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     # written fails at once; it is opened to append and emptied only once the
     # suite has run, so a suite that fails leaves an existing report as it was
     with open(args.report, "a") if args.report else contextlib.nullcontext() as fh:
-        report = verify.run_suite(args.suite, cfg, inject_defect=args.inject_defect)
+        report = verify.run_suite(args.suite, cfg)
         if fh is not None:
             fh.truncate(0)
             json.dump(report.to_dict(), fh, indent=2)
@@ -318,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=Defaults.rng_seed)
     v.add_argument("--report", help="write the JSON report to this path")
     v.add_argument("--json", action="store_true", help="print JSON to stdout")
-    v.add_argument("--inject-defect", action="store_true",
-                   help="force one check to fail (reporting self-test)")
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("rp", help="reflection-positive function families")

@@ -129,6 +129,7 @@ class Disc(Domain):
     def on_boundary(self, z, tol=1e-12):
         return abs(_modulus(finite_point(z)) - 1.0) <= tol
 
+    @np.errstate(over="ignore")     # a modulus that overflows is outside
     def in_closure(self, z, tol=1e-12):
         # np.hypot is the modulus Python's abs(complex) computes
         r = np.hypot(z.real, z.imag)
@@ -282,45 +283,54 @@ def strip_log(beta: float, w: complex) -> complex:
     return beta / math.pi * cmath.log(w)
 
 
+def _same(src: Domain, dst: Domain) -> bool:
+    """Whether src and dst are one domain; strips of two heights raise."""
+    if type(src) is not type(dst):
+        return False
+    if isinstance(src, Strip) and src.beta != dst.beta:
+        raise ParameterOutOfRange("strip heights differ: %g vs %g" % (src.beta, dst.beta))
+    return True
+
+
+def _onto_half_plane(src: Domain):
+    """The canonical map of the disc or a strip onto the half-plane, its
+    derivative, and the unitary of the Hardy spaces as a function of f."""
+    if isinstance(src, Disc):
+        return (cayley, lambda z: _over_square(2j, 1.0 - finite_point(z), "cayley' at z = 1"),
+                _disc_to_half_plane)
+    b = src.beta
+    return (lambda z: strip_exp(b, z), lambda z: math.pi / b * strip_exp(b, z),
+            lambda f: _strip_to_half_plane(b, f))
+
+
+def _off_half_plane(dst: Domain):
+    """The canonical map of the half-plane onto the disc or a strip, its
+    derivative, and the unitary of the Hardy spaces as a function of f."""
+    if isinstance(dst, Disc):
+        return (cayley_inv,
+                lambda w: _over_square(2j, finite_point(w) + 1j, "cayley_inv' at w = -i"),
+                _half_plane_to_disc)
+    b = dst.beta
+    return (lambda w: strip_log(b, w),
+            lambda w: _quotient(b, math.pi * finite_point(w), "strip_log' at w = 0"),
+            lambda f: _half_plane_to_strip(b, f))
+
+
 def transfer_map(src: Domain, dst: Domain):
     """The canonical biholomorphism src -> dst and its derivative.
 
     Returns a pair of callables ``(phi, dphi)``.  All six ordered pairs of the
     three domains are supported (identity included).
     """
-    def ident(z):
-        return finite_point(z)
-
-    def one(z):
-        return 1.0 + 0.0j
-
-    if src.name == dst.name and not isinstance(src, Strip):
-        return ident, one
-    if isinstance(src, Strip) and isinstance(dst, Strip) and src.beta == dst.beta:
-        return ident, one
-
-    if isinstance(src, Disc) and isinstance(dst, HalfPlane):
-        return cayley, lambda z: _over_square(2j, 1.0 - finite_point(z), "cayley' at z = 1")
-    if isinstance(src, HalfPlane) and isinstance(dst, Disc):
-        return cayley_inv, lambda w: _over_square(2j, finite_point(w) + 1j,
-                                                  "cayley_inv' at w = -i")
-    if isinstance(src, Strip) and isinstance(dst, HalfPlane):
-        b = src.beta
-        return (lambda z: strip_exp(b, z),
-                lambda z: math.pi / b * strip_exp(b, z))
-    if isinstance(src, HalfPlane) and isinstance(dst, Strip):
-        b = dst.beta
-        return (lambda w: strip_log(b, w),
-                lambda w: _quotient(b, math.pi * finite_point(w), "strip_log' at w = 0"))
-
-    # compositions through the half-plane
-    if (isinstance(src, Disc) and isinstance(dst, Strip)
-            or isinstance(src, Strip) and isinstance(dst, Disc)):
-        mid1, dmid1 = transfer_map(src, HALF_PLANE)
-        mid2, dmid2 = transfer_map(HALF_PLANE, dst)
-        return (lambda z: mid2(mid1(z)),
-                lambda z: dmid2(mid1(z)) * dmid1(z))
-    raise ParameterOutOfRange("unsupported domain pair %r -> %r" % (src, dst))
+    if _same(src, dst):
+        return finite_point, lambda z: 1.0 + 0.0j
+    if isinstance(src, HalfPlane):
+        return _off_half_plane(dst)[:2]
+    phi, dphi, _ = _onto_half_plane(src)
+    if isinstance(dst, HalfPlane):
+        return phi, dphi
+    psi, dpsi, _ = _off_half_plane(dst)
+    return (lambda z: psi(phi(z))), (lambda z: dpsi(phi(z)) * dphi(z))
 
 
 # --------------------------------------------------------------------------
@@ -363,24 +373,13 @@ def hardy_transfer(src: Domain, dst: Domain, f):
     no square root of a composed derivative is ever taken, so there is no
     branch tracking to do.  Disc <-> strip goes through the half-plane.
     """
-    if isinstance(src, Disc) and isinstance(dst, HalfPlane):
-        return _disc_to_half_plane(f)
-    if isinstance(src, HalfPlane) and isinstance(dst, Disc):
-        return _half_plane_to_disc(f)
-    if isinstance(src, HalfPlane) and isinstance(dst, Strip):
-        return _half_plane_to_strip(dst.beta, f)
-    if isinstance(src, Strip) and isinstance(dst, HalfPlane):
-        return _strip_to_half_plane(src.beta, f)
-    if isinstance(src, Disc) and isinstance(dst, Strip):
-        return _half_plane_to_strip(dst.beta, _disc_to_half_plane(f))
-    if isinstance(src, Strip) and isinstance(dst, Disc):
-        return _half_plane_to_disc(_strip_to_half_plane(src.beta, f))
-    if type(src) is type(dst):
-        if isinstance(src, Strip) and src.beta != dst.beta:
-            raise ParameterOutOfRange("strip heights differ: %g vs %g"
-                                      % (src.beta, dst.beta))
+    if _same(src, dst):
         return f
-    raise ParameterOutOfRange("unsupported transfer %r -> %r" % (src, dst))
+    if not isinstance(src, HalfPlane):
+        f = _onto_half_plane(src)[2](f)
+    if not isinstance(dst, HalfPlane):
+        f = _off_half_plane(dst)[2](f)
+    return f
 
 
 # --------------------------------------------------------------------------

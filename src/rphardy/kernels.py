@@ -153,8 +153,12 @@ def szego_at(domain: Domain, w: complex):
 
         return disc
     if isinstance(domain, HalfPlane):
+        hr, hi, scaled = 0.125 * wc.real, 0.125 * wc.imag, 0.0625j / pi
+
         def half_plane(z):
             den = z - wc
+            if abs(den.real) > _FAR_LINE or abs(den.imag) > _FAR_LINE:
+                return scaled / complex(0.125 * z.real - hr, 0.125 * z.imag - hi)
             if abs(den) <= _POLE_TOL:
                 raise PoleAtInput("szego pole: z = conj(w)")
             return 0.5j / (pi * den)
@@ -189,9 +193,18 @@ def _szego_array(domain: Domain, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         _require_no_pole(np.abs(den) <= _POLE_TOL, "szego pole: z conj(w) = 1")
         return _cdiv(1.0, 2.0 * math.pi * den)
     if isinstance(domain, HalfPlane):
-        den = z - np.conj(w)
+        z, wc = np.broadcast_arrays(z, np.conj(w))
+        with np.errstate(over="ignore"):    # an inf part takes the far branch
+            den = z - wc
+        far = (np.abs(den.real) > _FAR_LINE) | (np.abs(den.imag) > _FAR_LINE)
+        out = np.empty(den.shape, dtype=complex)
+        z, wc = z[far], wc[far]
+        out[far] = _cdiv(0.0625j / math.pi, _complex(0.125 * z.real - 0.125 * wc.real,
+                                                     0.125 * z.imag - 0.125 * wc.imag))
+        den = den[~far]
         _require_no_pole(np.abs(den) <= _POLE_TOL, "szego pole: z = conj(w)")
-        return _cdiv(0.5j, math.pi * den)
+        out[~far] = _cdiv(0.5j, math.pi * den)
+        return out
     if isinstance(domain, Strip):
         b = domain.beta
         arg = _strip_arg(b, z, w)
@@ -219,6 +232,12 @@ def _strip_arg(b: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     d = z - np.conj(w)
     return _complex(math.pi * d.real / (2.0 * b) + 0.0, math.pi * d.imag / (2.0 * b))
 
+
+# Past |Re d| or |Im d| = _FAR_LINE, d = z - conj(w), pi d may overflow (and
+# d itself), so the half-plane Szego kernel is (i / 16 pi) / (z/8 - conj(w)/8):
+# each part of that difference is at most a quarter of the float range, and
+# the denominator of its Smith quotient at most half of it.
+_FAR_LINE = 1e307
 
 # Past |Re arg| = _FAR, arg = pi (z - conj(w)) / (2 beta), the strip Szego
 # kernel is (i / 2 beta) e^{-arg} (or its mirror -(i / 2 beta) e^{arg}) to

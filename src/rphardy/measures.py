@@ -156,11 +156,6 @@ class MeasureOnR:
                 "support [%g, %g] escapes the required interval [%g, %g]"
                 % (a, b, lo, hi))
 
-    def integrate(self, f) -> complex:
-        """Integral of a numpy-vectorized function against the measure."""
-        parts = ((self.atom_locs, self.atom_weights), (self.grid_nodes(), self.grid_quad_weights()))
-        return sum((comp_sum(np.asarray(f(x)) * w) for x, w in parts if x.size), 0j)
-
     def map_density(self, factor) -> "MeasureOnR":
         """New measure with atoms and density multiplied pointwise by
         ``factor(lam)`` (vectorized, must be nonnegative on the support)."""
@@ -171,17 +166,6 @@ class MeasureOnR:
             dens = self.density * np.asarray(factor(self.grid_nodes()), dtype=float)
         return MeasureOnR(self.atom_locs.copy(), atoms_w,
                           self.grid_x0, self.grid_h, dens)
-
-    def reflected(self) -> "MeasureOnR":
-        """Pushforward under lam -> -lam."""
-        dens = None
-        x0 = h = None
-        if self.density is not None:
-            dens = self.density[::-1].copy()
-            h = self.grid_h
-            x0 = -(self.grid_x0 + self.grid_h * (self.density.size - 1))
-        return MeasureOnR(-self.atom_locs[::-1], self.atom_weights[::-1].copy(),
-                          x0, h, dens)
 
     def plus(self, other: "MeasureOnR") -> "MeasureOnR":
         """Sum of measures; gridded parts must share the same grid."""

@@ -68,13 +68,6 @@ Every routine returns an error estimate together with the value, and raises
 estimate misses the requested tolerance by a wide margin.  The sech checks
 integrate to _SECH_TOL = 1e-11; every Gram report judges positivity at the
 one relative tolerance _PSD_TOL = 1e-10.
-
-Two Fourier conventions appear in the formulas and are exposed under two
-distinct names so they can never be confused:
-
-* ``ft_unitary(f, x)``  = (1/sqrt(2 pi)) * Integral f(p) e^{ixp} dp
-* ``ft_measure`` (in :mod:`rphardy.measures`) = Integral e^{ixp} dmu(p),
-  no prefactor.
 """
 
 from __future__ import annotations
@@ -650,7 +643,9 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
 
     Splits into even/odd parts and uses QUADPACK's cosine/sine weights on
     [0, inf), which remain accurate when f decays too slowly (e.g. like 1/x^2)
-    for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf).
+    for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf),
+    and a value of f that is not finite raises :class:`ToleranceNotReached`
+    before QAWF sees it, as it would crash QAWF too.
 
     Below |t| = _QAWF_LEAST_T, t = 0 included, the weighted integrand is
     first integrated over the line as it stands: QAWF's first cycle, [0, pi/|t|],
@@ -671,10 +666,17 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
             _tolerance_guard(value, re_err + im_err, tol)
             return value
     w = abs(t)
-    even = lambda x: f(x) + f(-x)
-    odd = lambda x: f(x) - f(-x)
-    re, re_err = _quadpack(even, 0, np.inf, tol, weight="cos", wvar=w, limlst=120)
-    im, im_err = _quadpack(odd, 0, np.inf, tol, weight="sin", wvar=w, limlst=120)
+
+    def part(sign):     # the even (sign 1) or odd (sign -1) part of f
+        def g(x):
+            v = f(x) + sign * f(-x)
+            if not math.isfinite(v):
+                raise ToleranceNotReached("the integrand is %r at x = %r" % (v, x))
+            return v
+        return g
+
+    re, re_err = _quadpack(part(1.0), 0, np.inf, tol, weight="cos", wvar=w, limlst=120)
+    im, im_err = _quadpack(part(-1.0), 0, np.inf, tol, weight="sin", wvar=w, limlst=120)
     value = complex(re, math.copysign(1.0, t) * im)
     _tolerance_guard(value, re_err + im_err, tol)
     return value
@@ -753,19 +755,6 @@ def gram_report(G: np.ndarray) -> GramReport:
         tolerance=_PSD_TOL,
         verdict=bool(lo >= -_PSD_TOL * max(1.0, norm)),
     )
-
-
-# --------------------------------------------------------------------------
-# Fourier conventions
-# --------------------------------------------------------------------------
-
-def ft_unitary(f, x: float) -> complex:
-    """Unitary-convention Fourier transform (1/sqrt(2 pi)) Int f(p) e^{ixp} dp,
-    to :func:`quad`'s default tolerance."""
-
-    val, _ = quad(lambda p: f(p) * complex(math.cos(x * p), math.sin(x * p)),
-                  -np.inf, np.inf)
-    return val / SQRT_TWO_PI
 
 
 # --------------------------------------------------------------------------

@@ -710,11 +710,8 @@ class SuiteReport:
         }
 
 
-def run_suite(name: str, cfg: Defaults = None,
-              inject_defect: bool = False) -> SuiteReport:
-    """Run one suite (or "all"); ``inject_defect`` flips the tolerance of the
-    first nonzero-defect result to 0 so the reporting path can be exercised on
-    a guaranteed failure."""
+def run_suite(name: str, cfg: Defaults = None) -> SuiteReport:
+    """Run one suite (or "all")."""
     if name not in SUITE_NAMES:
         raise KeyError("unknown suite %r; pick one of %r" % (name, SUITE_NAMES))
     cfg = cfg or Defaults()
@@ -730,15 +727,4 @@ def run_suite(name: str, cfg: Defaults = None,
     for check in checks:
         results.extend(check(cfg))
     seconds = time.perf_counter() - start
-    label = name
-    if inject_defect:
-        label = name + " (defect injected)"
-        for j, r in enumerate(results):
-            if r.defect > 0.0:
-                results[j] = _res(r.id, r.anchor, r.defect, 0.0)
-                break
-        else:
-            if results:
-                r = results[0]
-                results[0] = CheckResult(r.id, r.anchor, r.defect, -1.0, False)
-    return SuiteReport(label, results, seconds)
+    return SuiteReport(name, results, seconds)

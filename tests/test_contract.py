@@ -21,8 +21,10 @@ counts from -10): each call gives a finite value or raises an
 :class:`RPHardyError`, and warns of nothing.
 
 A test fails when a function of ``rphardy.__all__`` is neither declared nor
-in ``EXEMPT`` (each exemption gives its reason), or when a declared function
-has no good call, so a new public function is fuzzed by construction.  The
+in ``EXEMPT`` (each exemption gives its reason), when a declared function
+has no good call, or when one that takes a domain lacks a good call on the
+disc, the half-plane or a strip, so a new public function is fuzzed by
+construction, on every domain it takes.  The
 ``Domain`` methods and the maps ``transfer_map`` and ``hardy_transfer``
 return are not module-level functions: their guards stay inline, and their
 rows are written by hand in ``FORMS``.  A map evaluated on its pole raises
@@ -44,7 +46,8 @@ import rphardy
 from rphardy import kernels, measures, modular, numerics, periodize, rpfunc
 from rphardy.domains import (DISC, HALF_PLANE, Strip, cayley, cayley_inv, hardy_transfer,
                              sample_interior, strip_exp, strip_log, transfer_map)
-from rphardy.errors import DivergentTransform, ParameterOutOfRange, PoleAtInput, RPHardyError
+from rphardy.errors import (DivergentTransform, OutsideDomain, ParameterOutOfRange, PoleAtInput,
+                            RPHardyError)
 
 for _module in rphardy._EXPORTS:     # every declaration is made on import
     importlib.import_module("rphardy." + _module)
@@ -55,6 +58,16 @@ NU = measures.atomic([(0.5, 1.0), (-0.5, 1.0)])
 MU = measures.atomic([(0.5, 1.0)])
 MD = modular.build_modular(measures.Gamma_map(MU, 1.0), 1.0)
 V = np.ones(MD.space.dim)
+COMPONENT = object()    # stands for the first boundary component of the domain
+
+
+def _on_each_domain(name, fn, *args):
+    """A good call ``fn(domain, *args)`` on each of the three domains: ids
+    ``name-disc``, ``name-half_plane`` and, on the strip, ``name``."""
+    for domain, suffix in ((DISC, "-disc"), (HALF_PLANE, "-half_plane"), (STRIP, "")):
+        first = domain.boundary_components()[0]
+        yield name + suffix, fn, (domain, *(first if a is COMPONENT else a for a in args))
+
 
 # (id, function, the arguments of a good call); a declared parameter past
 # the arguments given is passed by keyword
@@ -70,24 +83,24 @@ CALLS = [
     ("cayley_inv", cayley_inv, (GOOD,)),
     ("strip_exp", strip_exp, (1.0, GOOD)),
     ("strip_log", strip_log, (1.0, GOOD)),
-    ("sample_interior", sample_interior, (STRIP, np.random.default_rng(0), 3)),
-    ("szego", kernels.szego, (STRIP, GOOD, GOOD)),
-    ("szego_at", kernels.szego_at, (STRIP, GOOD)),
-    ("szego_diag", kernels.szego_diag, (STRIP, GOOD)),
-    ("poisson", kernels.poisson, (STRIP, GOOD, 0.3)),
-    ("poisson-disc", kernels.poisson, (DISC, GOOD, 0.3)),
-    ("poisson_at", kernels.poisson_at, (STRIP, GOOD)),
-    ("hua_ratio", kernels.hua_ratio, (STRIP, GOOD, 0.3)),
+    *_on_each_domain("sample_interior", sample_interior, np.random.default_rng(0), 3),
+    *_on_each_domain("szego", kernels.szego, GOOD, GOOD),
+    *_on_each_domain("szego_at", kernels.szego_at, GOOD),
+    *_on_each_domain("szego_diag", kernels.szego_diag, GOOD),
+    *_on_each_domain("poisson", kernels.poisson, GOOD, 0.3),
+    *_on_each_domain("poisson_at", kernels.poisson_at, GOOD),
+    *_on_each_domain("hua_ratio", kernels.hua_ratio, GOOD, 0.3),
     ("poisson_midline_strip", kernels.poisson_midline_strip, (1.0, 0.3, 0.3)),
     ("bergman_strip", kernels.bergman_strip, (1.0, GOOD, GOOD)),
-    ("power_kernel", kernels.power_kernel, (STRIP, 1.5, GOOD, GOOD)),
-    ("outer_f", kernels.outer_f, (STRIP, GOOD, GOOD)),
-    ("h_boundary", kernels.h_boundary, (STRIP, GOOD, "lower", 0.3)),
-    ("h_boundary_at", kernels.h_boundary_at, (HALF_PLANE, GOOD, "line")),
-    ("theta_apply", kernels.theta_apply, (STRIP, GOOD, lambda c, x: 1.0)),
-    ("flip_pairing_check", kernels.flip_pairing_check, (STRIP, GOOD, lambda z: z)),
+    *_on_each_domain("power_kernel", kernels.power_kernel, 1.5, GOOD, GOOD),
+    *_on_each_domain("outer_f", kernels.outer_f, GOOD, GOOD),
+    *_on_each_domain("h_boundary", kernels.h_boundary, GOOD, COMPONENT, 0.3),
+    *_on_each_domain("h_boundary_at", kernels.h_boundary_at, GOOD, COMPONENT),
+    *_on_each_domain("theta_apply", kernels.theta_apply, GOOD, lambda c, x: 1.0),
+    # F Q_w must be integrable on the line, so F is bounded there
+    *_on_each_domain("flip_pairing_check", kernels.flip_pairing_check, GOOD, lambda z: 1.0),
     ("outer_from_modulus", kernels.outer_from_modulus, (lambda x: 1.0, GOOD)),
-    ("kernel_gram", kernels.kernel_gram, (STRIP, [GOOD])),
+    *_on_each_domain("kernel_gram", kernels.kernel_gram, [GOOD]),
     ("szego_transfer_check", kernels.szego_transfer_check, (DISC, HALF_PLANE, 0.1, 0.1)),
     ("gamma_map", measures.gamma_map, (MU, 1.0)),
     ("Gamma_map", measures.Gamma_map, (MU, 1.0)),
@@ -206,6 +219,17 @@ def test_every_declared_function_has_a_good_call():
     called = {fn for _, fn, _ in CALLS}
     missing = [fn.__qualname__ for fn in numerics.CONTRACTS if fn not in called]
     assert not missing
+
+
+def test_every_declared_function_that_takes_a_domain_has_a_good_call_on_each():
+    called = {}
+    for _, fn, args in CALLS:
+        if "domain" in inspect.signature(fn).parameters:
+            called.setdefault(fn, set()).add(type(args[0]))
+    taking = [fn for fn in numerics.CONTRACTS if "domain" in inspect.signature(fn).parameters]
+    missing = [fn.__qualname__ for fn in taking
+               if called.get(fn) != {type(DISC), type(HALF_PLANE), Strip}]
+    assert taking and not missing
 
 
 @pytest.mark.filterwarnings("error")
@@ -453,7 +477,36 @@ def test_a_positive_parameter_entry_gives_a_finite_value_or_an_rphardy_error(row
 FAR = [
     ("h_boundary-far-w", lambda: kernels.h_boundary(STRIP, 1e308 + 0.5j, "lower", 0.3), -1j),
     ("h_boundary-far-x", lambda: kernels.h_boundary(STRIP, GOOD, "lower", 1e308), 1j),
+    # on the half-plane pi (z - conj(w)) overflowed: NaN, OverflowError, a
+    # RuntimeWarning, or a kernel of 0 in a denominator (ZeroDivisionError)
+    ("szego-half_plane-far-z", lambda: kernels.szego(HALF_PLANE, 1e308 + 1e308j, GOOD),
+     (1 + 1j) * 0.25 / math.pi / 1e308),
+    ("szego-half_plane-far-apart",
+     lambda: kernels.szego(HALF_PLANE, -1e308 + 1j, 1e308 + 1j), -0.25j / math.pi / 1e308),
+    ("szego-half_plane-farther-z", lambda: kernels.szego(HALF_PLANE, 1.7e308 + 1.7e308j, GOOD),
+     (1 + 1j) * 0.25 / math.pi / 1.7e308),
+    ("szego-half_plane-far-w-array",
+     lambda: kernels.szego(HALF_PLANE, [GOOD], [5.722234971514057e307j]),
+     [0.5 / math.pi / 5.722234971514057e307]),
+    ("szego_diag-half_plane-far", lambda: kernels.szego_diag(HALF_PLANE, 1e308 + 1e308j),
+     0.25 / math.pi / 1e308),
+    ("hua_ratio-half_plane-far",
+     lambda: kernels.hua_ratio(HALF_PLANE, 1.7e308 + 1.7e308j, 0.3), 0.5 / math.pi / 1.7e308),
+    ("outer_f-half_plane-far-w", lambda: kernels.outer_f(HALF_PLANE, 1e308 + 1e308j, GOOD),
+     1j * math.sqrt(1e308 / math.pi) / (GOOD - (1e308 - 1e308j))),
+    # h_w(x) = (-x - conj(w)) / (x - conj(w)) on the line
+    ("h_boundary-half_plane-far-w",
+     lambda: kernels.h_boundary(HALF_PLANE, 1e308 + 1j, "line", 0.3),
+     (-0.3 - (1e308 - 1j)) / (0.3 - (1e308 - 1j))),
+    ("h_boundary-half_plane-high-w",
+     lambda: kernels.h_boundary(HALF_PLANE, 0.3 + 6e307j, "line", 0.3), 1.0),
+    ("flip_pairing_check-half_plane-high-w",
+     lambda: kernels.flip_pairing_check(HALF_PLANE, 0.3 + 6e307j, lambda z: 1.0).rhs,
+     0.25 / math.pi / 6e307),
     ("disc-contains-huge", lambda: DISC.contains(1e308 + 1.5e308j), False),
+    # the modulus of the array closure test overflowed with a RuntimeWarning
+    ("szego-disc-huge-array", lambda: kernels.szego(DISC, [1e308 + 1e308j], GOOD),
+     OutsideDomain),
     ("phi_circle_partial_sum-far-y",
      lambda: rpfunc.phi_circle_partial_sum(1.0, 1.0, 1e308, 10),
      rpfunc.phi_circle_partial_sum(1.0, 1.0, math.fmod(1e308, 1.0), 10)),

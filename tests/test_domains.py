@@ -138,8 +138,13 @@ def test_hardy_transfer_reproducing_property(src, dst):
 
 
 def test_hardy_transfer_rejects_mismatched_strips():
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(ParameterOutOfRange, match="strip heights differ: 1 vs 2"):
         hardy_transfer(Strip(1.0), Strip(2.0), lambda z: 1.0)
+
+
+def test_transfer_map_rejects_mismatched_strips():
+    with pytest.raises(ParameterOutOfRange, match="strip heights differ: 2 vs 1"):
+        transfer_map(Strip(2.0), Strip(1.0))
 
 
 def test_sample_interior_respects_margin():

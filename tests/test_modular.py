@@ -1,8 +1,6 @@
 """Modular pair (Delta, J): algebra, standard vectors, coefficient functions."""
 
-import cmath
 import math
-
 import warnings
 
 import mpmath
@@ -135,16 +133,6 @@ def test_psi_and_its_coefficient_measure_match_a_40_digit_sum():
                                        for m, lam in zip(mass, md.space.nodes)))
             assert abs(modular.modular_coefficient(md, v, t) - want) <= 1e-14
             assert abs(measures.fourier(cm, t) - want) <= 1e-14
-
-
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, complex(0.3, math.nan)])
-def test_psi_at_a_time_that_is_not_finite_raises(t):
-    md = _setup()
-    v = md.space.random_standard_vector(np.random.default_rng(48))
-    with pytest.raises(ParameterOutOfRange):
-        modular.modular_coefficient(md, v, t)
-    with pytest.raises(ParameterOutOfRange):
-        modular.modular_coefficient(md, v, np.array([0.1, t]))
 
 
 def test_psi_that_overflows_raises_divergent_transform_without_a_warning():

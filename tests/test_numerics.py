@@ -23,7 +23,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 SECH_FT_AT_07 = 1.8835305904575709       # pi / cosh(0.35 pi)
 SECH2_FT_AT_13 = 0.43009452950455228     # sqrt(pi/2) * 1.3 / sinh(0.65 pi)
 EXP_M18 = 0.16529888822158654            # e^{-1.8}
-GAUSS_FT_AT_08 = 0.72614903707369092     # e^{-0.32}
 PSUM_RHS = 0.74582106433381893           # beta=2, lam=1.3, x=0.45
 FTCOSH_RHS = 0.16895814227056924 + 0.019705207075393896j  # beta=1, z=0.6+0.9i
 
@@ -758,12 +757,6 @@ def test_trapezoid_circle_rejects_values_that_do_not_fit_the_nodes(shape):
         numerics.trapezoid_circle(lambda t: np.ones(shape))
 
 
-@pytest.mark.parametrize("n_nodes", [0, -3, 2.5, None, "8", np.float64(8.0)])
-def test_trapezoid_circle_rejects_a_node_count_that_is_not_a_positive_integer(n_nodes):
-    with pytest.raises(ParameterOutOfRange):
-        numerics.trapezoid_circle(lambda t: np.ones_like(t), n_nodes)
-
-
 def test_trapezoid_circle_integrates_fourier_modes_exactly():
     assert abs(numerics.trapezoid_circle(lambda t: np.exp(3j * t))) < 1e-13
     assert abs(numerics.trapezoid_circle(lambda t: 1.0 + 0.0j) - 2.0 * math.pi) < 1e-13
@@ -872,6 +865,19 @@ def test_psi_hardy_midline_where_beta_lam_overflows_gives_0():
     assert (proc.returncode, proc.stdout.strip()) == (0, "0.0"), proc.stderr
 
 
+@pytest.mark.parametrize("t", [0.3, 0.003])
+def test_an_integrand_that_is_nan_at_a_finite_x_raises_before_qawf(t):
+    """A NaN value of f crashed QAWF with SIGSEGV, at t = 0.003 after the
+    QAGI try failed on it; hence the child process."""
+    proc = _child("import math\n"
+                  "from rphardy import numerics\n"
+                  "from rphardy.errors import ToleranceNotReached\n"
+                  "f = lambda x: math.nan if abs(x) > 5 else math.exp(-x * x)\n"
+                  "try:\n    numerics.oscillatory_ft(f, %r)\n"
+                  "except ToleranceNotReached:\n    print('raised')\n" % t)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "raised"), proc.stderr
+
+
 def _child(code: str):
     """Run ``code`` in a fresh interpreter on this source tree."""
     env = dict(os.environ)
@@ -932,14 +938,8 @@ def test_gram_report_extremes_on_a_diagonal_matrix():
 
 
 # --------------------------------------------------------------------------
-# Fourier conventions and closed-form identities
+# closed-form identities
 # --------------------------------------------------------------------------
-
-def test_ft_unitary_gaussian_fixed_point():
-    f = lambda p: math.exp(-0.5 * p * p)
-    val = numerics.ft_unitary(f, 0.8)
-    assert abs(val - GAUSS_FT_AT_08) < 1e-11
-
 
 def test_lorentzian_normalization():
     val, _ = numerics.quad_real(lambda x: numerics.lorentzian(0.37, x),
@@ -1021,43 +1021,12 @@ def test_hyperbolic_modulus_identities():
         assert c.defect <= 1e-12 * (1.0 + abs(c.lhs))
 
 
-def _guarded_calls():
-    """(name, call) of every entry point whose beta, period, lam or exponent
-    goes through the one finite-positive guard."""
-    from rphardy import domains, measures, modular
-    nan, inf = math.nan, math.inf
-    return [
-        ("c_func beta=nan", lambda: rpfunc.c_func(nan, 1.0, 0.5j)),
-        ("c_func t=inf", lambda: rpfunc.c_func(1.0, inf, 0.5j)),
-        ("c_log_abs beta=nan", lambda: rpfunc.c_log_abs(nan, 1.0, 0.5j)),
-        ("c_log_abs t=inf", lambda: rpfunc.c_log_abs(1.0, [1.0, inf], 0.5j)),
-        ("g_func beta=nan", lambda: rpfunc.g_func(nan, 1.0, 0.5j)),
-        ("psi_hardy_midline beta=nan", lambda: modular.psi_hardy_midline(nan, 0.3)),
-        ("psi_hardy_midline beta=inf", lambda: modular.psi_hardy_midline(inf, 0.3)),
-        ("commutation_check L=nan", lambda: modular.commutation_check(nan, 16, 0.1, 0.2)),
-        ("commutation_check L=inf", lambda: modular.commutation_check(inf, 16, 0.1, 0.2)),
-        ("poisson_summation_check lam=nan",
-         lambda: numerics.poisson_summation_check(1.0, nan, 0.2, 10)),
-        ("poisson_summation_check lam=inf",
-         lambda: numerics.poisson_summation_check(1.0, inf, 0.2, 10)),
-        ("ftcosh_check beta=inf", lambda: numerics.ftcosh_check(inf, 0.5j)),
-        ("riesz_hat_quad s=nan", lambda: measures.riesz_hat_quad(nan, 1j)),
-        ("riesz_hat s=nan", lambda: measures.riesz_hat(nan, 1j)),
-        ("riesz_kappa_check s=nan", lambda: measures.riesz_kappa_check(nan, 1.0, 0.3)),
-        ("phi_circle_partial_sum lam=nan",
-         lambda: rpfunc.phi_circle_partial_sum(1.0, nan, 0.2, 10)),
-        ("poisson_midline_strip beta=0", lambda: kernels.poisson_midline_strip(0.0, 0.3, 0.1)),
-        ("strip_exp beta=nan", lambda: domains.strip_exp(nan, 0.5j)),
-        ("strip_log beta=0", lambda: domains.strip_log(0.0, 1j)),
-    ]
-
-
-@pytest.mark.parametrize("name,call", _guarded_calls(), ids=[n for n, _ in _guarded_calls()])
-def test_a_parameter_that_is_not_finite_and_positive_raises_without_a_warning(name, call):
+def test_a_c_log_abs_t_that_is_not_finite_raises_without_a_warning():
+    # t is the one parameter of c_log_abs that no kind declares
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterOutOfRange):
-            call()
+            rpfunc.c_log_abs(1.0, [1.0, math.inf], 0.5j)
 
 
 def test_a_narrow_peak_far_from_zero_is_found_through_points():

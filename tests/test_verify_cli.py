@@ -181,11 +181,12 @@ def test_run_suite_is_deterministic():
     assert [r.defect for r in a.results] == [r.defect for r in b.results]
 
 
-def test_inject_defect_flips_exactly_one_result():
-    rep = verify.run_suite("appendix", inject_defect=True)
-    assert not rep.ok
-    assert rep.n_failed == 1
-    assert "defect injected" in rep.suite
+def test_a_failing_check_fails_its_suite(monkeypatch):
+    monkeypatch.setattr(kernels, "hua_ratio", lambda *args: math.nan)
+    rep = verify.run_suite("kernels")
+    assert not rep.ok and rep.suite == "kernels"
+    assert [r.id for r in rep.results if not r.passed] == [
+        "kernels.hua.disc", "kernels.hua.half_plane", "kernels.hua.strip"]
 
 
 def test_suite_report_to_dict_schema():
@@ -332,11 +333,18 @@ def test_cli_verify_appendix_json(capsys):
     assert payload["passed"] == len(payload["results"]) > 0
 
 
-def test_cli_verify_inject_defect_exits_1(capsys):
-    rc = cli.main(["verify", "--suite", "appendix", "--inject-defect"])
+def test_cli_verify_a_failing_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(kernels, "hua_ratio", lambda *args: math.nan)
+    rc = cli.main(["verify", "--suite", "kernels"])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "FAIL  kernels.hua.strip" in out and "3 failed" in out
+
+
+def test_cli_verify_has_no_inject_defect_option():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "appendix", "--inject-defect"])
+    assert exc.value.code == 2
 
 
 def test_cli_verify_writes_a_report_file(tmp_path, capsys):
