@@ -293,27 +293,23 @@ def _same(src: Domain, dst: Domain) -> bool:
 
 
 def _onto_half_plane(src: Domain):
-    """The canonical map of the disc or a strip onto the half-plane, its
-    derivative, and the unitary of the Hardy spaces as a function of f."""
+    """The canonical map of the disc or a strip onto the half-plane and its
+    derivative."""
     if isinstance(src, Disc):
-        return (cayley, lambda z: _over_square(2j, 1.0 - finite_point(z), "cayley' at z = 1"),
-                _disc_to_half_plane)
+        return cayley, lambda z: _over_square(2j, 1.0 - finite_point(z), "cayley' at z = 1")
     b = src.beta
-    return (lambda z: strip_exp(b, z), lambda z: math.pi / b * strip_exp(b, z),
-            lambda f: _strip_to_half_plane(b, f))
+    return (lambda z: strip_exp(b, z)), (lambda z: math.pi / b * strip_exp(b, z))
 
 
 def _off_half_plane(dst: Domain):
-    """The canonical map of the half-plane onto the disc or a strip, its
-    derivative, and the unitary of the Hardy spaces as a function of f."""
+    """The canonical map of the half-plane onto the disc or a strip and its
+    derivative."""
     if isinstance(dst, Disc):
-        return (cayley_inv,
-                lambda w: _over_square(2j, finite_point(w) + 1j, "cayley_inv' at w = -i"),
-                _half_plane_to_disc)
+        return cayley_inv, lambda w: _over_square(2j, finite_point(w) + 1j,
+                                                  "cayley_inv' at w = -i")
     b = dst.beta
     return (lambda w: strip_log(b, w),
-            lambda w: _quotient(b, math.pi * finite_point(w), "strip_log' at w = 0"),
-            lambda f: _half_plane_to_strip(b, f))
+            lambda w: _quotient(b, math.pi * finite_point(w), "strip_log' at w = 0"))
 
 
 def transfer_map(src: Domain, dst: Domain):
@@ -325,11 +321,11 @@ def transfer_map(src: Domain, dst: Domain):
     if _same(src, dst):
         return finite_point, lambda z: 1.0 + 0.0j
     if isinstance(src, HalfPlane):
-        return _off_half_plane(dst)[:2]
-    phi, dphi, _ = _onto_half_plane(src)
+        return _off_half_plane(dst)
+    phi, dphi = _onto_half_plane(src)
     if isinstance(dst, HalfPlane):
         return phi, dphi
-    psi, dpsi, _ = _off_half_plane(dst)
+    psi, dpsi = _off_half_plane(dst)
     return (lambda z: psi(phi(z))), (lambda z: dpsi(phi(z)) * dphi(z))
 
 
@@ -375,10 +371,14 @@ def hardy_transfer(src: Domain, dst: Domain, f):
     """
     if _same(src, dst):
         return f
-    if not isinstance(src, HalfPlane):
-        f = _onto_half_plane(src)[2](f)
-    if not isinstance(dst, HalfPlane):
-        f = _off_half_plane(dst)[2](f)
+    if isinstance(src, Disc):
+        f = _disc_to_half_plane(f)
+    elif isinstance(src, Strip):
+        f = _strip_to_half_plane(src.beta, f)
+    if isinstance(dst, Disc):
+        f = _half_plane_to_disc(f)
+    elif isinstance(dst, Strip):
+        f = _half_plane_to_strip(dst.beta, f)
     return f
 
 

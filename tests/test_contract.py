@@ -97,8 +97,12 @@ CALLS = [
     *_on_each_domain("h_boundary", kernels.h_boundary, GOOD, COMPONENT, 0.3),
     *_on_each_domain("h_boundary_at", kernels.h_boundary_at, GOOD, COMPONENT),
     *_on_each_domain("theta_apply", kernels.theta_apply, GOOD, lambda c, x: 1.0),
-    # F Q_w must be integrable on the line, so F is bounded there
-    *_on_each_domain("flip_pairing_check", kernels.flip_pairing_check, GOOD, lambda z: 1.0),
+    # F Q_w must be integrable on the line, so F is bounded there; elsewhere
+    # F grows, so a far w drives |f(w)|^2 past the float range
+    ("flip_pairing_check-disc", kernels.flip_pairing_check, (DISC, GOOD, lambda z: z)),
+    ("flip_pairing_check-half_plane", kernels.flip_pairing_check,
+     (HALF_PLANE, GOOD, lambda z: 1.0)),
+    ("flip_pairing_check", kernels.flip_pairing_check, (STRIP, GOOD, lambda z: z)),
     ("outer_from_modulus", kernels.outer_from_modulus, (lambda x: 1.0, GOOD)),
     *_on_each_domain("kernel_gram", kernels.kernel_gram, [GOOD]),
     ("szego_transfer_check", kernels.szego_transfer_check, (DISC, HALF_PLANE, 0.1, 0.1)),
@@ -477,6 +481,10 @@ def test_a_positive_parameter_entry_gives_a_finite_value_or_an_rphardy_error(row
 FAR = [
     ("h_boundary-far-w", lambda: kernels.h_boundary(STRIP, 1e308 + 0.5j, "lower", 0.3), -1j),
     ("h_boundary-far-x", lambda: kernels.h_boundary(STRIP, GOOD, "lower", 1e308), 1j),
+    # |f(w)|^2 = |w Q(w, w)|^2 overflowed with OverflowError
+    ("flip_pairing_check-far-w",
+     lambda: kernels.flip_pairing_check(STRIP, 1e154 + 0.03125j, lambda z: z),
+     ParameterOutOfRange),
     # on the half-plane pi (z - conj(w)) overflowed: NaN, OverflowError, a
     # RuntimeWarning, or a kernel of 0 in a denominator (ZeroDivisionError)
     ("szego-half_plane-far-z", lambda: kernels.szego(HALF_PLANE, 1e308 + 1e308j, GOOD),
