@@ -193,12 +193,7 @@ def cmd_rp(args) -> int:
         return 0
     if args.at is None:
         raise argparse.ArgumentTypeError("provide --at, --gram or --characterize")
-    if args.group == "integers":
-        val = rpfunc.phi_int(args.lam, args.at)
-    elif args.group == "line":
-        val = rpfunc.phi_line(args.lam, args.at)
-    else:
-        val = rpfunc.phi_circle(args.beta, args.lam, args.at)
+    val = rpfunc._phi_of(args.group, args.beta, args.lam)(args.at)
     print(json.dumps({"value": val}) if args.json else "%.15g" % val)
     return 0
 

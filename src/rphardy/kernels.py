@@ -84,25 +84,26 @@ from .errors import (
     ToleranceNotReached,
     UnsupportedPair,
 )
-from .numerics import (POINT, POINTS, POSITIVE, REAL, GramReport, IdentityCheck, _complex,
-                       finite_array, gram_report, is_batch, takes)
+from .numerics import (_FAR, POINT, POINTS, POSITIVE, REAL, GramReport, IdentityCheck,
+                       _complex, finite_array, gram_report, is_batch, takes)
 
 _POLE_TOL = 1e-13
+_CLOSURE_TOL = 1e-9     # how far outside the closed domain a point may lie
 
 
-def _require_closure(domain: Domain, z: complex, tol: float = 1e-9) -> None:
+def _require_closure(domain: Domain, z: complex) -> None:
     """:class:`OutsideDomain` for a (guarded) point outside the closed domain."""
-    if domain.locate(z, tol) == "exterior":
+    if domain.locate(z, _CLOSURE_TOL) == "exterior":
         raise OutsideDomain("%r is outside the closed %s" % (z, domain.name))
 
 
-def _closure_arrays(domain: Domain, *pts, tol: float = 1e-9):
+def _closure_arrays(domain: Domain, *pts):
     """The (guarded) points as broadcast complex arrays, each required to
     lie in the closed domain (the first one outside raises, as in the scalar
     call)."""
     pts = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in pts))
     for p in pts:
-        inside = domain.in_closure(p, tol)
+        inside = domain.in_closure(p, _CLOSURE_TOL)
         if not np.all(inside):
             bad = complex(p[~inside][0])
             raise OutsideDomain("%r is outside the closed %s" % (bad, domain.name))
@@ -238,11 +239,6 @@ def _strip_arg(b: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
 # each part of that difference is at most a quarter of the float range, and
 # the denominator of its Smith quotient at most half of it.
 _FAR_LINE = 1e307
-
-# Past |Re arg| = _FAR, arg = pi (z - conj(w)) / (2 beta), the strip Szego
-# kernel is (i / 2 beta) e^{-arg} (or its mirror -(i / 2 beta) e^{arg}) to
-# double precision; it underflows to a signed zero near |Re arg| = 745.
-_FAR = 350.0
 
 
 # Complex products and quotients on arrays, computed as CPython computes them
@@ -407,9 +403,12 @@ def poisson_midline_strip(beta: float, lam: float, x: float) -> float:
     """
     u = math.pi * (lam - x) / beta
     try:
-        return 0.5 / (beta * math.cosh(u))
+        value = 0.5 / (beta * math.cosh(u))
     except OverflowError:
         return math.exp(-abs(u) - math.log(beta))
+    if value == math.inf:       # 1 / (2 beta) at a subnormal beta
+        raise ParameterOutOfRange("the midline Poisson kernel overflows at beta = %r" % (beta,))
+    return value
 
 
 @takes(z=POINTS, w=POINTS)
@@ -745,9 +744,7 @@ def kernel_gram(domain: Domain, points, kind: str = "szego",
     pts = np.ravel(points)
     if kind == "szego":
         k = lambda a, b: szego(domain, a, b)
-    elif kind == "power":
-        if s is None:
-            raise ParameterOutOfRange("power kernel needs the exponent s")
+    elif kind == "power":     # power_kernel's guard refuses a missing s
         k = lambda a, b: power_kernel(domain, s, a, b)
     elif kind == "bergman":
         if not isinstance(domain, Strip):

@@ -212,10 +212,11 @@ def modular_coefficient(md: ModularData, v, t):
     return _exp_sum(((space.nodes, np.abs(_vector(space, v)) ** 2 * space.weights, False),), t)
 
 
+@np.errstate(over="ignore")     # |v|^2 = inf: MeasureOnR refuses the weight
 def coefficient_measure(md: ModularData, v) -> MeasureOnR:
     """The spectral measure |v|^2 d nu of psi, as an atomic measure; for
     v in the standard subspace it inherits the beta-reflection law."""
-    return MeasureOnR(md.space.nodes.copy(), np.abs(np.asarray(v)) ** 2 * md.space.weights)
+    return MeasureOnR(md.space.nodes.copy(), np.abs(_vector(md.space, v)) ** 2 * md.space.weights)
 
 
 # --------------------------------------------------------------------------
@@ -265,6 +266,8 @@ def commutation_check(beta_length: float, n_nodes: int, s: float,
     period L = beta_length, applied to a periodized Gaussian test function of
     width L / 6; reports the node-wise defect of V_s U_t = e^{its} U_t V_s."""
     L = float(beta_length)
+    if not abs(s) / L < math.inf:   # every u / L below is at most |s| / L + 1
+        raise ParameterOutOfRange("s / beta_length overflows at beta_length = %r" % (L,))
     h = L / n_nodes
     x = -L / 2.0 + h * np.arange(n_nodes)
     width = L / 6.0

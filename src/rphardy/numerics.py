@@ -635,10 +635,11 @@ def quad(f, a, b, *, tol: float = 1e-10, points=None):
 
 _QAWF_LEAST_T = 1e-2    # below it oscillatory_ft tries QAGI first
 _QAWF_FLOOR = 1e-200    # below it oscillatory_ft never calls QAWF
+_FT_TOL = 1e-10         # the quadrature tolerance of oscillatory_ft
 
 
 @takes(t=REAL)
-def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
+def oscillatory_ft(f, t: float) -> complex:
     """Fourier integral  Integral_R f(x) e^{itx} dx  for real-valued decaying f.
 
     Splits into even/odd parts and uses QUADPACK's cosine/sine weights on
@@ -647,24 +648,24 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
     and a value of f that is not finite raises :class:`ToleranceNotReached`
     before QAWF sees it, as it would crash QAWF too.
 
-    Below |t| = _QAWF_LEAST_T, t = 0 included, the weighted integrand is
-    first integrated over the line as it stands: QAWF's first cycle, [0, pi/|t|],
-    is then so long that its nodes can step over f altogether (it returned 0
-    for e^{-|x|} at t = 1e-4).  QAWF takes over only where that misses the
-    tolerance (an f that decays like 1/x^2), and never below |t| =
-    _QAWF_FLOOR, where a cycle near the float range crashed it.
+    Below |t| = _QAWF_LEAST_T, t = 0 included, f(x) e^{itx} is first
+    integrated over the line by :func:`quad`, one call of f per node: QAWF's
+    first cycle, [0, pi/|t|], is then so long that its nodes can step over f
+    altogether (it returned 0 for e^{-|x|} at t = 1e-4).  QAWF takes over only
+    where that misses the tolerance (an f that decays like 1/x^2), and never
+    below |t| = _QAWF_FLOOR, where a cycle near the float range crashed it.
     """
     if abs(t) < _QAWF_LEAST_T:
+        def weighted(x):
+            v = f(x)
+            return complex(v * math.cos(t * x), v * math.sin(t * x))
         try:
-            re, re_err = quad_real(lambda x: f(x) * math.cos(t * x), -np.inf, np.inf, tol=tol)
-            im, im_err = quad_real(lambda x: f(x) * math.sin(t * x), -np.inf, np.inf, tol=tol)
+            value, err = quad(weighted, -np.inf, np.inf, tol=_FT_TOL)
+            _tolerance_guard(value, err, _FT_TOL)
+            return value
         except ToleranceNotReached:
             if abs(t) < _QAWF_FLOOR:
                 raise
-        else:
-            value = complex(re, im)
-            _tolerance_guard(value, re_err + im_err, tol)
-            return value
     w = abs(t)
 
     def part(sign):     # the even (sign 1) or odd (sign -1) part of f
@@ -675,10 +676,10 @@ def oscillatory_ft(f, t: float, *, tol: float = 1e-10) -> complex:
             return v
         return g
 
-    re, re_err = _quadpack(part(1.0), 0, np.inf, tol, weight="cos", wvar=w, limlst=120)
-    im, im_err = _quadpack(part(-1.0), 0, np.inf, tol, weight="sin", wvar=w, limlst=120)
+    re, re_err = _quadpack(part(1.0), 0, np.inf, _FT_TOL, weight="cos", wvar=w, limlst=120)
+    im, im_err = _quadpack(part(-1.0), 0, np.inf, _FT_TOL, weight="sin", wvar=w, limlst=120)
     value = complex(re, math.copysign(1.0, t) * im)
-    _tolerance_guard(value, re_err + im_err, tol)
+    _tolerance_guard(value, re_err + im_err, _FT_TOL)
     return value
 
 
@@ -720,16 +721,17 @@ class GramReport:
     min_eigenvalue: float
     max_eigenvalue: float
     spectral_norm: float
+    deficit: float       # max(0, -min_eigenvalue) / max(1, spectral_norm)
     tolerance: float
-    verdict: bool
+    verdict: bool        # deficit <= tolerance
 
 
 @takes(G=POINTS)
 def gram_report(G: np.ndarray) -> GramReport:
     """PSD verdict for a (nominally Hermitian) Gram matrix.
 
-    The verdict is ``min_eig >= -_PSD_TOL * max(1, ||G||_2)``; the spectral
-    norm is that of the Hermitian part, which is what the eigenvalue test sees.
+    The verdict is ``deficit <= _PSD_TOL``; the spectral norm in the deficit
+    is that of the Hermitian part, which is what the eigenvalue test sees.
     A defect or an eigenvalue that overflows raises :class:`ParameterOutOfRange`.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
@@ -746,14 +748,16 @@ def gram_report(G: np.ndarray) -> GramReport:
     norm = max(abs(lo), abs(hi))
     if not math.isfinite(herm_defect + norm):
         raise ParameterOutOfRange("the Gram matrix's defect or spectrum overflows")
+    deficit = max(0.0, -lo) / max(1.0, norm)
     return GramReport(
         size=G.shape[0],
         hermiticity_defect=herm_defect,
         min_eigenvalue=lo,
         max_eigenvalue=hi,
         spectral_norm=norm,
+        deficit=deficit,
         tolerance=_PSD_TOL,
-        verdict=bool(lo >= -_PSD_TOL * max(1.0, norm)),
+        verdict=deficit <= _PSD_TOL,
     )
 
 
@@ -850,7 +854,9 @@ def sech_power_recursion_check(n: int, p: float) -> IdentityCheck:
     return IdentityCheck(lhs=high, rhs=rhs, defect=abs(high - rhs))
 
 
-_FAR_SINH = 350.0   # past |Re u| = 350, 1 / sinh u is 2 e^{-|u|} to double precision
+# past |Re u| = _FAR, 1 / sinh u is +-2 e^{-+u} to double precision (sinh u
+# overflows past 710): the far form of ftcosh_check and of the strip kernels
+_FAR = 350.0
 
 
 @takes(beta=POSITIVE, z=POINT)
@@ -863,8 +869,8 @@ def ftcosh_check(beta: float, z: complex) -> IdentityCheck:
     The integrand decays like e^{-Im(z) lam} at +inf and e^{-(2 beta - Im z)|lam|}
     at -inf, so the transform only exists on the open strip of height 2 beta.
     """
-    if not 0.0 < z.imag < 2.0 * beta:
-        raise ParameterOutOfRange("need 0 < Im z < 2 beta for convergence")
+    if not 0.0 < z.imag < 2.0 * beta < math.inf:
+        raise ParameterOutOfRange("need 0 < Im z < 2 beta < inf for convergence")
 
     y = z.imag
 
@@ -878,9 +884,9 @@ def ftcosh_check(beta: float, z: complex) -> IdentityCheck:
 
     lhs = oscillatory_ft(density, z.real) / TWO_PI
     u = math.pi * z / (2.0 * beta)
-    if u.real > _FAR_SINH:      # 1 / sinh u = +-2 e^{-+u}, where sinh u overflows
+    if u.real > _FAR:     # 1 / sinh u = +-2 e^{-+u}, where sinh u overflows
         rhs = 0.5j * cmath.exp(-u) / beta
-    elif u.real < -_FAR_SINH:
+    elif u.real < -_FAR:
         rhs = -0.5j * cmath.exp(u) / beta
     else:
         rhs = 0.25j / (beta * np.sinh(u))

@@ -238,7 +238,6 @@ def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
 
 
 @takes(beta=POSITIVE, z=POINT, w=POINT, N=SIZE(1))
-@np.errstate(over="ignore")     # numpy's 1 / zeta past 1e308 rounds to 0
 def szego_series_split(beta: float, z: complex, w: complex, N: int):
     """One-sided halves of the Szego image series:
 
@@ -252,18 +251,13 @@ def szego_series_split(beta: float, z: complex, w: complex, N: int):
     of at most 1 / (4 pi beta (N - 1)) and the recombined bound is
     1 / (2 pi beta (N - 1)), valid for N >= max(2, |zeta| / (2 beta) + 1)."""
     zeta = _zeta(beta, z, w)
-
-    def one_sided(sign):
-        # n runs over sign * {0, 1, ..., 2N-1} for sign=+1, and
-        # sign * {1, ..., 2N} for sign=-1; adjacent pairing keeps it absolute.
-        n = np.arange(0.0, 2.0 * N) if sign > 0 else -np.arange(1.0, 2.0 * N + 1.0)
-        terms = _alternating(n.size, sign) / (zeta + 2j * beta * n)
-        return (1j / (2.0 * math.pi)) * comp_sum(terms)
-
-    plus = one_sided(+1)
-    minus = one_sided(-1)
-    total = plus + minus
-    closed = szego.__wrapped__(Strip(beta), z, w)
-    bound = 1.0 / (2.0 * math.pi * beta * (N - 1)) \
-        if N >= max(2.0, abs(zeta) / (2.0 * beta) + 1.0) else math.inf
-    return plus, minus, SeriesEval(total, closed, abs(total - closed), N, bound)
+    # k = 1..2N stands for n = k - 1 in the plus half and for n = -k in the
+    # minus half; adjacent pairing keeps each absolutely convergent
+    plus, minus = ((1j / (2.0 * math.pi)) * _prefix_sums(
+        (2 * N,), lambda k: _alternating(k.size, sign) / (zeta + 2j * beta * n_of(k)))[0]
+        for sign, n_of in ((1.0, lambda k: k - 1.0), (-1.0, lambda k: -k)))
+    return plus, minus, _evals((N,), [plus + minus], lambda s: s,
+                               lambda: szego.__wrapped__(Strip(beta), z, w),
+                               lambda N: 1.0 / (2.0 * math.pi * beta * (N - 1))
+                               if N >= max(2.0, abs(zeta) / (2.0 * beta) + 1.0)
+                               else math.inf)[0]

@@ -59,8 +59,9 @@ def _check(stream):
     return check
 
 
-def _gram_defect(rep: numerics.GramReport) -> float:
-    return max(0.0, -rep.min_eigenvalue) / max(1.0, rep.spectral_norm)
+def _gram(cid: str, anchor: str, rep: numerics.GramReport) -> tuple:
+    """The sample of a Gram positivity id: its PSD deficit and tolerance."""
+    return cid, anchor, rep.tolerance, rep.deficit
 
 
 def _rng(cfg: Defaults, salt: int) -> np.random.Generator:
@@ -146,46 +147,42 @@ def check_midline(cfg: Defaults):
 @_check
 def check_rp_grams(cfg: Defaults):
     rng = _rng(cfg, 13)
-
-    def gram(cid, anchor, rep):
-        return cid, anchor, rep.tolerance, _gram_defect(rep)
-
     for lam in rng.uniform(-1.0, 1.0, size=4):
         pts = rng.integers(-20, 21, size=25)
-        yield gram("kernels.rp-gram.integers-pd",
-                   "[lam^{|n_j - n_k|}] is PSD",
-                   rpfunc.pd_gram("integers", float(lam), pts))
-        yield gram("kernels.rp-gram.integers-rp",
-                   "[lam^{n_j + n_k}] is PSD on n >= 0",
-                   rpfunc.rp_gram("integers", float(lam),
-                                  rng.integers(0, 16, size=25)))
+        yield _gram("kernels.rp-gram.integers-pd",
+                    "[lam^{|n_j - n_k|}] is PSD",
+                    rpfunc.pd_gram("integers", float(lam), pts))
+        yield _gram("kernels.rp-gram.integers-rp",
+                    "[lam^{n_j + n_k}] is PSD on n >= 0",
+                    rpfunc.rp_gram("integers", float(lam),
+                                   rng.integers(0, 16, size=25)))
     for lam in rng.uniform(0.0, 4.0, size=4):
-        yield gram("kernels.rp-gram.line-pd",
-                   "[e^{-lam |t_j - t_k|}] is PSD",
-                   rpfunc.pd_gram("line", float(lam),
-                                  rng.uniform(-8.0, 8.0, size=25)))
-        yield gram("kernels.rp-gram.line-rp",
-                   "[e^{-lam (t_j + t_k)}] is PSD on t >= 0",
-                   rpfunc.rp_gram("line", float(lam),
-                                  rng.uniform(0.0, 8.0, size=25)))
+        yield _gram("kernels.rp-gram.line-pd",
+                    "[e^{-lam |t_j - t_k|}] is PSD",
+                    rpfunc.pd_gram("line", float(lam),
+                                   rng.uniform(-8.0, 8.0, size=25)))
+        yield _gram("kernels.rp-gram.line-rp",
+                    "[e^{-lam (t_j + t_k)}] is PSD on t >= 0",
+                    rpfunc.rp_gram("line", float(lam),
+                                   rng.uniform(0.0, 8.0, size=25)))
     for beta in (0.7, 2.0):
         for lam in rng.uniform(0.0, 5.0, size=3):
-            yield gram("kernels.rp-gram.circle-pd",
-                       "[phi_lam([y_j - y_k])] is PSD",
-                       rpfunc.pd_gram("circle", float(lam),
-                                      rng.uniform(0.0, beta, size=25), beta=beta))
-            yield gram("kernels.rp-gram.circle-rp",
-                       "[phi_lam([y_j + y_k])] is PSD on (0, beta/2)",
-                       rpfunc.rp_gram("circle", float(lam),
-                                      rng.uniform(0.01 * beta, 0.49 * beta, size=25),
-                                      beta=beta))
+            yield _gram("kernels.rp-gram.circle-pd",
+                        "[phi_lam([y_j - y_k])] is PSD",
+                        rpfunc.pd_gram("circle", float(lam),
+                                       rng.uniform(0.0, beta, size=25), beta=beta))
+            yield _gram("kernels.rp-gram.circle-rp",
+                        "[phi_lam([y_j + y_k])] is PSD on (0, beta/2)",
+                        rpfunc.rp_gram("circle", float(lam),
+                                       rng.uniform(0.01 * beta, 0.49 * beta, size=25),
+                                       beta=beta))
     for n in (0, 1, 2, 3):
         pairs = [(float(t), int(e)) for t, e in
                  zip(rng.uniform(-3.0, 3.0, size=20),
                      rng.choice([-1, 1], size=20))]
-        yield gram("kernels.rp-gram.signed-power",
-                   "[(eps_j eps_k)^n e^{-n |t_j - t_k|}] is PSD",
-                   rpfunc.param_rp_check(n, pairs))
+        yield _gram("kernels.rp-gram.signed-power",
+                    "[(eps_j eps_k)^n e^{-n |t_j - t_k|}] is PSD",
+                    rpfunc.param_rp_check(n, pairs))
 
 
 @_check
@@ -211,13 +208,11 @@ def check_power_kernels(cfg: Defaults):
     for domain in (DISC, HALF_PLANE, strip):
         pts = sample_interior(domain, rng, 10)
         for s in (0.5, 1.7):
-            rep = kernels.kernel_gram(domain, pts, kind="power", s=s)
-            yield ("kernels.power.gram", "[Q_s(z_j, z_k)] is PSD for s > 0",
-                   1e-10, _gram_defect(rep))
-    rep = kernels.kernel_gram(strip, sample_interior(strip, rng, 10),
-                              kind="bergman")
-    yield ("kernels.bergman.gram", "[Q^2(z_j, z_k)] is PSD", 1e-10,
-           _gram_defect(rep))
+            yield _gram("kernels.power.gram", "[Q_s(z_j, z_k)] is PSD for s > 0",
+                        kernels.kernel_gram(domain, pts, kind="power", s=s))
+    yield _gram("kernels.bergman.gram", "[Q^2(z_j, z_k)] is PSD",
+                kernels.kernel_gram(strip, sample_interior(strip, rng, 10),
+                                    kind="bergman"))
 
 
 @_check
@@ -390,10 +385,10 @@ def check_circle_fourier(cfg: Defaults):
     for beta, lam in ((1.0, 0.5), (1.0, 2.0), (2.0, 1.0)):
         for y in (0.0, 0.3 * beta, 0.8 * beta):
             chk = numerics.poisson_summation_check(beta, lam, y, 1000)
-            ratio = -math.expm1(-lam * beta) / (1.0 + math.exp(-lam * beta))
             yield ("series.circle-family.geometric-form",
                    "phi_lam([y]) matches the two-sided geometric sum", 1e-13,
-                   abs(rpfunc.phi_circle(beta, lam, y) - ratio * chk.rhs))
+                   abs(rpfunc.phi_circle(beta, lam, y)
+                       - rpfunc._circle_ratio(beta, lam) * chk.rhs))
 
 
 # --------------------------------------------------------------------------
@@ -578,9 +573,9 @@ def check_modular_dynamics(cfg: Defaults):
            modular.standard_membership(md.space, v))
     ts = np.linspace(-3.0, 3.0, 15)
     G = modular.modular_coefficient(md, v, ts[:, None] - ts[None, :])
-    yield ("modular.coefficient-pd",
-           "psi(t) = <v, Delta^{-it/beta} v> is positive definite", 1e-10,
-           _gram_defect(numerics.gram_report(G)))
+    yield _gram("modular.coefficient-pd",
+                "psi(t) = <v, Delta^{-it/beta} v> is positive definite",
+                numerics.gram_report(G))
     yield ("modular.coefficient-kms", "psi(i beta + t) = conj(psi(t))", 1e-8,
            measures.kms_check(modular.coefficient_measure(md, v), beta))
     for t in (0.3, 1.1, 2.7):

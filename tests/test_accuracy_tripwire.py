@@ -47,6 +47,15 @@ EXACT_IDS = {
 }
 
 
+def _sweep():
+    """scripts/accuracy_sweep.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "accuracy_sweep", ROOT / "scripts" / "accuracy_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
 def _newest_bench():
     """(file name, parsed contents) of the newest BENCH_<n>.json."""
     benches = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
@@ -59,8 +68,7 @@ def _newest_bench():
 
 def test_the_ids_whose_recorded_defect_is_exactly_0_are_the_pinned_ones():
     name, bench = _newest_bench()
-    exact = {cid for cid, e in bench["accuracy"]["ids"].items()
-             if all(float.fromhex(h) == 0.0 for h in e["defect_hex"].values())}
+    exact = set(_sweep().exact_ids(bench["accuracy"]))
     assert exact == EXACT_IDS.keys(), "%s: unexpected %s, no longer exact %s" % (
         name, sorted(exact - EXACT_IDS.keys()), sorted(EXACT_IDS.keys() - exact))
 
@@ -91,10 +99,7 @@ def test_every_verify_defect_has_the_bits_the_newest_bench_file_records(recorded
 
 
 def test_the_sweep_comparison_fails_on_a_gone_id_and_not_on_a_new_one(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "accuracy_sweep", ROOT / "scripts" / "accuracy_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _sweep()
     entry = {"defect_hex": {"0": (0.0).hex()}, "worst_slack": 0.0}
     one = {"ids": {"a": entry}, "failing_ids": {}}
     two = {"ids": {"a": entry, "b": entry}, "failing_ids": {}}

@@ -39,7 +39,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rphardy
@@ -47,7 +47,7 @@ from rphardy import kernels, measures, modular, numerics, periodize, rpfunc
 from rphardy.domains import (DISC, HALF_PLANE, Strip, cayley, cayley_inv, hardy_transfer,
                              sample_interior, strip_exp, strip_log, transfer_map)
 from rphardy.errors import (DivergentTransform, OutsideDomain, ParameterOutOfRange, PoleAtInput,
-                            RPHardyError)
+                            RPHardyError, ToleranceNotReached)
 
 for _module in rphardy._EXPORTS:     # every declaration is made on import
     importlib.import_module("rphardy." + _module)
@@ -417,6 +417,14 @@ _REALS = st.one_of(st.sampled_from(_EXTREMES), st.floats(-4.0, 4.0),
 _POINTS = st.builds(complex, _REALS, _REALS)
 
 
+def _each_extreme(test):
+    """Run a real or positive fuzz test at every value of _EXTREMES too, so
+    the derandomized draws never leave out 5e-324 or 1e308."""
+    for r in _EXTREMES:
+        test = example(r=r)(test)
+    return test
+
+
 def _finite(value) -> bool:
     """Whether every number in ``value`` (a number, an array, or a tuple,
     list or result record of them) is finite; a bound form (a callable) is checked
@@ -454,6 +462,7 @@ def test_a_point_entry_gives_a_finite_value_or_an_rphardy_error(row, data):
 @pytest.mark.parametrize("row", _rows("real"))
 @settings(max_examples=40)
 @given(r=_REALS)
+@_each_extreme
 def test_a_real_parameter_entry_gives_a_finite_value_or_an_rphardy_error(row, r):
     _keeps_the_contract(row, r)
 
@@ -468,6 +477,7 @@ def test_a_count_entry_gives_a_finite_value_or_an_rphardy_error(row, n):
 @pytest.mark.parametrize("row", _rows("positive"))
 @settings(max_examples=10)
 @given(r=_REALS)
+@_each_extreme
 def test_a_positive_parameter_entry_gives_a_finite_value_or_an_rphardy_error(row, r):
     _keeps_the_contract(row, r)
 
@@ -529,9 +539,6 @@ FAR = [
      ParameterOutOfRange),
     ("quad-tiny-tol", lambda: numerics.quad(math.exp, 0.0, 1.0, tol=5e-324),
      ParameterOutOfRange),
-    ("oscillatory_ft-tiny-tol",
-     lambda: numerics.oscillatory_ft(lambda x: math.exp(-abs(x)), 0.7, tol=5e-324),
-     ParameterOutOfRange),
     # GAMMA(s) overflows: the power p^(s - 1) overflowed, or the value was NaN
     ("riesz_hat_quad-huge-s", lambda: measures.riesz_hat_quad(200.0, 1j), ParameterOutOfRange),
     ("riesz_kappa_check-huge-s", lambda: measures.riesz_kappa_check(200.0, 1.0, 0.3),
@@ -570,6 +577,25 @@ FAR = [
      ParameterOutOfRange),
     ("szego_strip_measure-one-past-the-cap",
      lambda: measures.szego_strip_measure(1.0, (2 ** 19 + 1) * 0.02), ParameterOutOfRange),
+    # a subnormal beta: 1 / (2 beta) overflowed to inf, or u / L warned of overflow
+    ("poisson_midline_strip-subnormal-beta",
+     lambda: kernels.poisson_midline_strip(5e-324, 0.3, 0.3), ParameterOutOfRange),
+    ("commutation_check-subnormal-length", lambda: modular.commutation_check(5e-324, 8, 0.1, 0.2),
+     ParameterOutOfRange),
+    ("bergman_strip_measure-subnormal-beta", lambda: measures.bergman_strip_measure(5e-324),
+     ParameterOutOfRange),
+    ("bergman_strip_measure-subnormal-beta-halfwidth",
+     lambda: measures.bergman_strip_measure(5e-324, 4.0), ParameterOutOfRange),
+    # a huge beta: 2 beta overflowed, so 1 / sinh(0) divided by zero, or
+    # 2 i beta n gave inf * 0 in a term of the split series
+    ("ftcosh_check-huge-beta", lambda: numerics.ftcosh_check(1e308, 0.3 + 0.5j),
+     ParameterOutOfRange),
+    ("szego_series_split-huge-beta",
+     lambda: periodize.szego_series_split(1e308, GOOD, GOOD, 10), ParameterOutOfRange),
+    # the tail past p = 1 + 60 / Im z is not below the tolerance: at s = 20 the
+    # value was off by 3.2e-10, at s = 60 it read 0.568 for 1
+    ("riesz_hat_quad-s-20", lambda: measures.riesz_hat_quad(20.0, 1j), ToleranceNotReached),
+    ("riesz_hat_quad-s-60", lambda: measures.riesz_hat_quad(60.0, 1j), ToleranceNotReached),
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from rphardy import kernels, numerics
 from rphardy.domains import DISC, HALF_PLANE, Strip, sample_interior
 from rphardy.errors import (
-    NonPositiveModulus, OutsideDomain, ParameterOutOfRange, PoleAtInput,
+    NonPositiveModulus, OutsideDomain, ParameterOutOfRange, PoleAtInput, UnsupportedPair,
 )
 
 STRIP = Strip(2.0)
@@ -727,6 +727,17 @@ def test_kernel_gram_psd():
     assert rep.verdict
     rep = kernels.kernel_gram(STRIP, pts, kind="bergman")
     assert rep.verdict
+
+
+@pytest.mark.parametrize("domain,kind,s,error", [
+    (DISC, "power", None, ParameterOutOfRange),
+    (DISC, "bergman", None, UnsupportedPair),
+    (HALF_PLANE, "bergman", None, UnsupportedPair),
+    (STRIP, "cauchy", 1.0, UnsupportedPair)],
+    ids=["power-without-s", "bergman-on-the-disc", "bergman-on-the-half-plane", "unknown-kind"])
+def test_kernel_gram_refuses_a_missing_exponent_and_a_kernel_it_lacks(domain, kind, s, error):
+    with pytest.raises(error):
+        kernels.kernel_gram(domain, [0.3 + 0.5j, 0.1 + 0.2j], kind=kind, s=s)
 
 
 def test_szego_transfer_check_exact():

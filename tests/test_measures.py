@@ -11,7 +11,7 @@ from rphardy import kernels, measures
 from rphardy.domains import Strip
 from rphardy.errors import (
     AsymmetricInput, AtomAtZero, DivergentTransform, NegativeSupport,
-    ParameterOutOfRange, ZeroDenominator,
+    ParameterOutOfRange, ToleranceNotReached, ZeroDenominator,
 )
 
 
@@ -103,6 +103,18 @@ def test_support_bounds_and_require_support():
 def test_plus_rejects_mixed_representations():
     with pytest.raises(ParameterOutOfRange):
         measures.atomic([(0.7, 1.0)]).plus(measures.gridded(1.0, 0.5, [1, 1, 1]))
+
+
+def test_plus_adds_the_densities_on_one_grid_and_refuses_two_grids():
+    mu = measures.gridded(-1.0, 0.5, [1.0, 2.0, 3.0])
+    total = mu.plus(measures.gridded(-1.0, 0.5, [0.5, 0.25, 0.125]))
+    assert (total.grid_x0, total.grid_h) == (-1.0, 0.5)
+    assert total.density.tolist() == [1.5, 2.25, 3.125]
+    for other in (measures.gridded(-0.5, 0.5, [1.0, 1.0, 1.0]),
+                  measures.gridded(-1.0, 0.25, [1.0, 1.0, 1.0]),
+                  measures.gridded(-1.0, 0.5, [1.0, 1.0])):
+        with pytest.raises(ParameterOutOfRange, match="grids must match"):
+            mu.plus(other)
 
 
 def test_json_roundtrip():
@@ -269,6 +281,13 @@ def test_reflection_check_gamma_image():
     assert measures.reflection_check(sym, 1.0) > 0.4
     # and one-sided support has no mirror at all
     assert measures.reflection_check(mu, 1.0) == math.inf
+    # nor has a grid that is not symmetric about 0
+    assert measures.reflection_check(measures.gridded(-1.0, 0.5, [1.0] * 6), 1.0) == math.inf
+
+
+def test_a_density_off_a_grid_from_0_is_not_extended():
+    with pytest.raises(ParameterOutOfRange, match="grid to start at lam = 0"):
+        measures.Gamma_map(measures.gridded(0.5, 0.1, [1.0, 1.0]), 1.0)
 
 
 def test_fourier_frozen_value():
@@ -452,6 +471,18 @@ def test_riesz_hat_quad_matches_closed_form(s):
     for z in (0.3 + 1.1j, -1.0 + 0.8j):
         got = measures.riesz_hat_quad(s, z)
         assert abs(got - measures.riesz_hat(s, z)) < 1e-9
+
+
+@pytest.mark.parametrize("s", [3.0, 10.0, 17.0, 18.0])
+def test_riesz_hat_quad_returns_a_value_only_where_its_tail_bound_holds(s):
+    """At z = i the tail dropped past p = 61 is provably below 2.5e-11 up to
+    s = 17, and the value is within 1e-10 of (i/z)^s; from s = 18 it is not,
+    and the call raises."""
+    if s > 17.0:
+        with pytest.raises(ToleranceNotReached, match="may exceed 2.5e-11"):
+            measures.riesz_hat_quad(s, 1j)
+    else:
+        assert abs(measures.riesz_hat_quad(s, 1j) - 1.0) < 1e-10
 
 
 def _gamma_ulps(mpmath, s):

@@ -53,6 +53,16 @@ def test_build_modular_requires_reflected_measure():
         modular.build_modular(raw, 1.0)
 
 
+@pytest.mark.parametrize("beta,lam", [(1.0, 480.0), (2.0, 240.0)])
+def test_build_modular_refuses_a_support_past_beta_lam_470(beta, lam):
+    nu = measures.Gamma_map(measures.atomic([(lam, 1.0)]), beta)
+    with pytest.raises(ParameterOutOfRange, match="exceeds 470"):
+        modular.build_modular(nu, beta)
+    md = modular.build_modular(measures.Gamma_map(measures.atomic([(469.0 / beta, 1.0)]), beta),
+                               beta)
+    assert md.space.dim == 2
+
+
 def test_delta_and_j_algebra():
     md = _setup()
     rng = np.random.default_rng(42)
@@ -142,6 +152,20 @@ def test_psi_that_overflows_raises_divergent_transform_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(DivergentTransform):
             modular.modular_coefficient(md, v, 300j)
+
+
+@pytest.mark.parametrize("v,message", [
+    ([1.0, 2.0], "one number per node"), (None, "one number per node"),
+    ("x", "one number per node"), ([1e200] * 4, "atom weights must be finite")],
+    ids=["short", "None", "str", "overflowing"])
+def test_coefficient_measure_refuses_a_malformed_v_without_a_warning(v, message):
+    md = modular.build_modular(
+        measures.Gamma_map(measures.atomic([(0.5, 1.0), (1.5, 1.0)]), 1.0), 1.0)
+    assert md.space.dim == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match=message):
+            modular.coefficient_measure(md, v)
 
 
 def _parent_space(pairs):

@@ -293,6 +293,12 @@ def test_cli_kernel_poisson_requires_x():
     assert exc.value.code == 2
 
 
+def test_cli_kernel_requires_w():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kernel", "--domain", "disc", "--z", "0.3"])
+    assert exc.value.code == 2
+
+
 def test_cli_kernel_bergman_rejects_non_strip_domains():
     with pytest.raises(SystemExit) as exc:
         cli.main(["kernel", "--domain", "disc", "--kind", "bergman",
@@ -539,6 +545,16 @@ def test_cli_rp_fuzz_exits_0_2_or_3(group, lam, beta, at, mode, as_json):
         assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
+@pytest.mark.parametrize("group,want", [
+    ("integers", 0.25), ("line", math.exp(-1.0)),
+    ("circle", 2.0 * math.exp(-1.0) / (1.0 + math.exp(-2.0)))],
+    ids=["integers", "line", "circle"])
+def test_cli_rp_at_prints_the_family_of_its_group(capsys, group, want):
+    argv = ["rp", "--group", group, "--lam=0.5", "--at=2", "--beta=4", "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(want, rel=1e-15)
+
+
 def test_cli_rp_needs_a_mode():
     with pytest.raises(SystemExit) as exc:
         cli.main(["rp", "--group", "line"])
@@ -574,6 +590,14 @@ def test_cli_measure_nan_beta_names_beta(capsys):
     rc = cli.main(["measure", "--op", "Gamma", "--beta", "nan", "--atoms", "1:1"])
     assert rc == 3
     assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("atoms,want", [
+    ("0.7:1.0,-0.7:%r" % math.exp(-0.7), "0"), ("0.7:1.0", "inf")],
+    ids=["reflected", "no-mirror"])
+def test_cli_measure_reflect_prints_the_reflection_defect(capsys, atoms, want):
+    assert cli.main(["measure", "--op", "reflect", "--beta=1", "--atoms=" + atoms]) == 0
+    assert capsys.readouterr().out.strip() == want
 
 
 def test_cli_measure_requires_a_source():
