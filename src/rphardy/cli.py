@@ -10,7 +10,8 @@ series   partial-fraction series values with tail bounds
 modular  modular pair diagnostics for an atomic spectral measure
 
 Each subcommand imports only the modules it uses, so a ``kernel`` call loads
-neither the measures nor the verification suites.
+neither the measures nor the verification suites.  :func:`main` prints what a
+handler returns: its payload as JSON under ``--json``, its text otherwise.
 
 Complex arguments are written with a trailing ``i``, e.g. ``0.5+0.3i`` (a bare
 ``1.2`` is fine for reals).  Exit codes: 0 success, 1 a verify suite reported
@@ -89,33 +90,30 @@ def _parse_samples(text: str) -> list:
 
 
 def _load_measure(args):
-    if getattr(args, "measure_json", None):
+    if args.measure_json:
         from .measures import MeasureOnR
         with open(args.measure_json) as fh:
             return MeasureOnR.from_json(fh.read())
-    if getattr(args, "atoms", None):
+    if args.atoms:
         return _parse_atoms(args.atoms)
     raise argparse.ArgumentTypeError("provide --atoms or --measure-json")
 
 
-def _print_gram(rep, as_json: bool):
-    if as_json:
-        print(json.dumps({
-            "size": rep.size, "min_eigenvalue": rep.min_eigenvalue,
-            "max_eigenvalue": rep.max_eigenvalue,
-            "hermiticity_defect": rep.hermiticity_defect,
-            "tolerance": rep.tolerance, "psd": rep.verdict}))
-    else:
-        print("gram %dx%d  min_eig=%.6g  max_eig=%.6g  herm_defect=%.3g  %s"
-              % (rep.size, rep.size, rep.min_eigenvalue, rep.max_eigenvalue,
-                 rep.hermiticity_defect, "PSD" if rep.verdict else "NOT PSD"))
+def _gram(rep):
+    return ({"size": rep.size, "min_eigenvalue": rep.min_eigenvalue,
+             "max_eigenvalue": rep.max_eigenvalue,
+             "hermiticity_defect": rep.hermiticity_defect,
+             "tolerance": rep.tolerance, "psd": rep.verdict},
+            "gram %dx%d  min_eig=%.6g  max_eig=%.6g  herm_defect=%.3g  %s"
+            % (rep.size, rep.size, rep.min_eigenvalue, rep.max_eigenvalue,
+               rep.hermiticity_defect, "PSD" if rep.verdict else "NOT PSD"))
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, text, exit status)
 # --------------------------------------------------------------------------
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args):
     from . import kernels
     domain = _domain_of(args.domain, args.beta)
     if args.kind == "poisson":
@@ -136,15 +134,11 @@ def cmd_kernel(args) -> int:
                 val = kernels.power_kernel(domain, args.s, args.z, args.w)
             except ParameterOutOfRange as exc:      # the message names s, not the kernel
                 raise ParameterOutOfRange("power kernel: %s" % exc) from None
-    if args.json:
-        print(json.dumps({"kind": args.kind, "domain": args.domain,
-                          "value": [val.real, complex(val).imag]}))
-    else:
-        print(fmt_complex(val))
-    return 0
+    return ({"kind": args.kind, "domain": args.domain,
+             "value": [val.real, complex(val).imag]}, fmt_complex(val), 0)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from . import verify
     cfg = Defaults(beta=args.beta, rng_seed=args.seed).validate()
     # the report is opened before the suite runs, so a path that cannot be
@@ -152,31 +146,26 @@ def cmd_verify(args) -> int:
     # suite has run, so a suite that fails leaves an existing report as it was
     with open(args.report, "a") if args.report else contextlib.nullcontext() as fh:
         report = verify.run_suite(args.suite, cfg)
+        payload = report.to_dict()
         if fh is not None:
             fh.truncate(0)
-            json.dump(report.to_dict(), fh, indent=2)
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        for r in report.results:
-            print("%s  %-45s defect=%.3e  tol=%.1e  %s"
-                  % ("PASS" if r.passed else "FAIL", r.id, r.defect, r.tol,
-                     r.anchor))
-        print("suite %s: %d passed, %d failed (%.1fs)"
-              % (report.suite, report.n_passed, report.n_failed, report.seconds))
-    return 0 if report.ok else 1
+            json.dump(payload, fh, indent=2)
+    lines = ["%s  %-45s defect=%.3e  tol=%.1e  %s"
+             % ("PASS" if r.passed else "FAIL", r.id, r.defect, r.tol, r.anchor)
+             for r in report.results]
+    lines.append("suite %s: %d passed, %d failed (%.1fs)"
+                 % (report.suite, report.n_passed, report.n_failed, report.seconds))
+    return payload, "\n".join(lines), 0 if report.ok else 1
 
 
-def cmd_rp(args) -> int:
+def cmd_rp(args):
     from . import rpfunc
     if args.characterize:
         res = rpfunc.strip_membership(args.beta, args.z)
-        out = {"verdict": res.verdict, "witness_t": res.witness_t,
-               "max_log_abs_c": res.max_log_abs}
-        print(json.dumps(out) if args.json else
-              "verdict=%s witness_t=%s max log|c_t|=%.6g"
-              % (res.verdict, res.witness_t, res.max_log_abs))
-        return 0
+        return ({"verdict": res.verdict, "witness_t": res.witness_t,
+                 "max_log_abs_c": res.max_log_abs},
+                "verdict=%s witness_t=%s max log|c_t|=%.6g"
+                % (res.verdict, res.witness_t, res.max_log_abs), 0)
     if args.gram:
         samples = _parse_samples(args.samples)
         if args.gram == "pd":
@@ -189,43 +178,36 @@ def cmd_rp(args) -> int:
                 rep = rpfunc.param_rp_check(args.lam, pairs)
             except ParameterOutOfRange as exc:  # the samples are checked above
                 raise ParameterOutOfRange("--lam: %s" % exc) from exc
-        _print_gram(rep, args.json)
-        return 0
+        return (*_gram(rep), 0)
     if args.at is None:
         raise argparse.ArgumentTypeError("provide --at, --gram or --characterize")
     val = rpfunc._phi_of(args.group, args.beta, args.lam)(args.at)
-    print(json.dumps({"value": val}) if args.json else "%.15g" % val)
-    return 0
+    return {"value": val}, "%.15g" % val, 0
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args):
     from . import measures
     mu = _load_measure(args)
     if args.op in ("gamma", "Gamma", "inverse", "kappa"):
         f = {"gamma": measures.gamma_map, "Gamma": measures.Gamma_map,
              "inverse": measures.Gamma_inverse, "kappa": measures.M_kappa}[args.op]
-        print(f(mu, args.beta).to_json())
-        return 0
-    if args.op == "reflect":
-        defect = measures.reflection_check(mu, args.beta, factor=args.factor)
-        print(json.dumps({"defect": defect}) if args.json else "%.6g" % defect)
-        return 0
-    if args.op == "kms":
-        defect = measures.kms_check(mu, args.beta)
-        print(json.dumps({"defect": defect}) if args.json else "%.6g" % defect)
-        return 0
+        text = f(mu, args.beta).to_json()      # a measure prints its JSON either way
+        return json.loads(text), text, 0
+    if args.op in ("reflect", "kms"):
+        defect = (measures.reflection_check(mu, args.beta, factor=args.factor)
+                  if args.op == "reflect" else measures.kms_check(mu, args.beta))
+        return {"defect": defect}, "%.6g" % defect, 0
     if args.op == "fourier":
         val = measures.fourier(mu, args.at)
-        print(json.dumps({"value": [val.real, val.imag]}) if args.json
-              else fmt_complex(val))
-        return 0
-    # laplace
+        return {"value": [val.real, val.imag]}, fmt_complex(val), 0
+    if args.at.imag:                            # laplace: e^{-y lam} at a real y
+        raise ParameterOutOfRange("--at must be real for --op laplace, got %s"
+                                  % fmt_complex(args.at))
     val = measures.laplace(mu, args.at.real)
-    print(json.dumps({"value": val}) if args.json else "%.15g" % val)
-    return 0
+    return {"value": val}, "%.15g" % val, 0
 
 
-def cmd_series(args) -> int:
+def cmd_series(args):
     from . import periodize
     if args.kind in ("szego", "bergman") and args.w is None:
         raise argparse.ArgumentTypeError("%s series needs --w" % args.kind)
@@ -237,21 +219,17 @@ def cmd_series(args) -> int:
         ev = periodize.szego_series(args.beta, args.z, args.w, args.terms)
     else:
         ev = periodize.bergman_series(args.beta, args.z, args.w, args.terms)
-    payload = {"value": [ev.value.real, complex(ev.value).imag],
-               "closed_form": [complex(ev.closed_form).real,
-                               complex(ev.closed_form).imag],
-               "defect": ev.defect, "tail_bound": ev.tail_bound,
-               "terms": ev.n_terms, "sound": ev.sound}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print("value=%s closed=%s defect=%.3e tail_bound=%.3e %s"
-              % (fmt_complex(ev.value), fmt_complex(ev.closed_form), ev.defect,
-                 ev.tail_bound, "SOUND" if ev.sound else "UNSOUND"))
-    return 0
+    return ({"value": [ev.value.real, complex(ev.value).imag],
+             "closed_form": [complex(ev.closed_form).real,
+                             complex(ev.closed_form).imag],
+             "defect": ev.defect, "tail_bound": ev.tail_bound,
+             "terms": ev.n_terms, "sound": ev.sound},
+            "value=%s closed=%s defect=%.3e tail_bound=%.3e %s"
+            % (fmt_complex(ev.value), fmt_complex(ev.closed_form), ev.defect,
+               ev.tail_bound, "SOUND" if ev.sound else "UNSOUND"), 0)
 
 
-def cmd_modular(args) -> int:
+def cmd_modular(args):
     import numpy as np
 
     from . import measures, modular
@@ -268,18 +246,13 @@ def cmd_modular(args) -> int:
         "kms_defect": measures.kms_check(modular.coefficient_measure(md, v),
                                          args.beta),
     }
+    text = ("dim=%(dim)d  JdJ=%(jdj_defect).3e  J^2=%(j_involution_defect).3e  "
+            "kms=%(kms_defect).3e" % payload)
     if args.t is not None:
         psi = modular.modular_coefficient(md, v, args.t)
         payload["psi_at_t"] = [psi.real, psi.imag]
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print("dim=%d  JdJ=%.3e  J^2=%.3e  kms=%.3e"
-              % (payload["dim"], payload["jdj_defect"],
-                 payload["j_involution_defect"], payload["kms_defect"]))
-        if payload["psi_at_t"] is not None:
-            print("psi(%g) = %s" % (args.t, fmt_complex(complex(*payload["psi_at_t"]))))
-    return 0
+        text += "\npsi(%g) = %s" % (args.t, fmt_complex(psi))
+    return payload, text, 0
 
 
 # --------------------------------------------------------------------------
@@ -287,37 +260,41 @@ def cmd_modular(args) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = argparse.ArgumentParser(add_help=False)     # every subcommand's
+    shared.add_argument("--beta", type=float, default=Defaults.beta)
+    shared.add_argument("--json", action="store_true", help="print the payload as JSON")
+    source = argparse.ArgumentParser(add_help=False)     # measure's and modular's
+    source.add_argument("--atoms", help="atoms as loc:weight,loc:weight,...")
+    source.add_argument("--measure-json", help="path to a measure JSON file")
     p = argparse.ArgumentParser(
         prog="rphardy",
         description="Reflection-positivity numerics on the disc, half-plane "
                     "and strip.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    k = sub.add_parser("kernel", help="evaluate a kernel")
+    def command(name, func, summary, parents=()):
+        sp = sub.add_parser(name, help=summary, parents=[shared, *parents])
+        sp.set_defaults(func=func)
+        return sp
+
+    k = command("kernel", cmd_kernel, "evaluate a kernel")
     k.add_argument("--domain", choices=_DOMAINS, required=True)
     k.add_argument("--kind", choices=("szego", "poisson", "bergman", "power"),
                    default="szego")
-    k.add_argument("--beta", type=float, default=1.0)
     k.add_argument("--s", type=float, default=1.0, help="power-kernel exponent")
     k.add_argument("--z", type=parse_complex, required=True)
     k.add_argument("--w", type=parse_complex)
     k.add_argument("--x", type=float, help="boundary parameter (poisson)")
     k.add_argument("--component", default=None,
                    help="boundary component for the strip (lower/upper)")
-    k.add_argument("--json", action="store_true")
-    k.set_defaults(func=cmd_kernel)
 
-    v = sub.add_parser("verify", help="run identity-check suites")
+    v = command("verify", cmd_verify, "run identity-check suites")
     v.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    v.add_argument("--beta", type=float, default=Defaults.beta)
     v.add_argument("--seed", type=int, default=Defaults.rng_seed)
     v.add_argument("--report", help="write the JSON report to this path")
-    v.add_argument("--json", action="store_true", help="print JSON to stdout")
-    v.set_defaults(func=cmd_verify)
 
-    r = sub.add_parser("rp", help="reflection-positive function families")
+    r = command("rp", cmd_rp, "reflection-positive function families")
     r.add_argument("--group", choices=GROUPS, default="line")
-    r.add_argument("--beta", type=float, default=1.0)
     r.add_argument("--lam", type=float, default=1.0)
     r.add_argument("--at", type=float, default=None, help="evaluation point")
     r.add_argument("--gram", choices=("pd", "rp", "param"), default=None)
@@ -325,40 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--characterize", action="store_true",
                    help="strip membership scan of --z")
     r.add_argument("--z", type=parse_complex, default=0.5 + 0.5j)
-    r.add_argument("--json", action="store_true")
-    r.set_defaults(func=cmd_rp)
 
-    m = sub.add_parser("measure", help="spectral-measure transforms")
-    m.add_argument("--atoms", help="atoms as loc:weight,loc:weight,...")
-    m.add_argument("--measure-json", help="path to a measure JSON file")
-    m.add_argument("--beta", type=float, default=1.0)
+    m = command("measure", cmd_measure, "spectral-measure transforms", [source])
     m.add_argument("--op", choices=("gamma", "Gamma", "inverse", "kappa",
                                     "reflect", "kms", "fourier", "laplace"),
                    required=True)
     m.add_argument("--at", type=parse_complex, default=0j,
-                   help="transform argument")
+                   help="transform argument (real for laplace)")
     m.add_argument("--factor", type=float, default=1.0,
                    help="reflection factor c in e^{-c beta lam}")
-    m.add_argument("--json", action="store_true")
-    m.set_defaults(func=cmd_measure)
 
-    s = sub.add_parser("series", help="partial-fraction series")
+    s = command("series", cmd_series, "partial-fraction series")
     s.add_argument("--kind", choices=("cosecant", "sinh", "szego", "bergman"),
                    required=True)
-    s.add_argument("--beta", type=float, default=1.0)
     s.add_argument("--z", type=parse_complex, required=True)
     s.add_argument("--w", type=parse_complex, default=None)
     s.add_argument("--terms", type=int, default=_SERIES_TERMS)
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_series)
 
-    d = sub.add_parser("modular", help="modular pair diagnostics")
-    d.add_argument("--atoms", help="atoms of mu as loc:weight,...")
-    d.add_argument("--measure-json")
-    d.add_argument("--beta", type=float, default=1.0)
+    d = command("modular", cmd_modular, "modular pair diagnostics", [source])
     d.add_argument("--t", type=float, default=None)
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(func=cmd_modular)
 
     return p
 
@@ -374,7 +336,9 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, status = args.func(args)
+        print(json.dumps(payload) if args.json else text)
+        return status
     except (argparse.ArgumentTypeError, OSError) as exc:  # OSError: an unopenable file
         parser.error(str(exc))        # exits with status 2
     except RPHardyError as exc:

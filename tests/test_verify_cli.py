@@ -860,3 +860,99 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
     assert cli.main(argv) == 0
     first, second = capsys.readouterr().out.splitlines()
     assert first == second
+
+
+# --------------------------------------------------------------------------
+# one payload per subcommand: --json prints it, the text is derived from it
+# --------------------------------------------------------------------------
+
+GRAM_KEYS = {"size", "min_eigenvalue", "max_eigenvalue", "hermiticity_defect",
+             "tolerance", "psd"}
+MODULAR_KEYS = {"dim", "jdj_defect", "j_involution_defect", "psi_at_t", "kms_defect"}
+SYMMETRIC_ATOMS = "--atoms=0.7:1.0,-0.7:%r" % math.exp(-0.7)
+
+# one call per subcommand and mode, and the keys of its --json payload
+PAYLOADS = [
+    (["kernel", "--domain", "disc", "--z", "0.3+0.2i", "--w", "0.1-0.4i"],
+     {"kind", "domain", "value"}),
+    (["verify", "--suite", "appendix", "--report", "{report}"],
+     {"suite", "seconds", "results", "passed", "failed"}),
+    (["rp", "--characterize", "--z", "0.4+0.9i"],
+     {"verdict", "witness_t", "max_log_abs_c"}),
+    (["rp", "--gram", "pd", "--samples", "0.1,0.5,2"], GRAM_KEYS),
+    (["rp", "--group", "circle", "--lam", "2", "--at", "0.3"], {"value"}),
+    (["measure", "--op", "Gamma", "--atoms", "0.7:1.0,1.9:0.4"], {"atoms"}),
+    (["measure", "--op", "reflect", SYMMETRIC_ATOMS], {"defect"}),
+    (["measure", "--op", "kms", SYMMETRIC_ATOMS], {"defect"}),
+    (["measure", "--op", "fourier", "--at", "0.3+0.2i", "--atoms", "0.7:1.0"], {"value"}),
+    (["measure", "--op", "laplace", "--at", "0.3", "--atoms", "0.7:1.0"], {"value"}),
+    (["series", "--kind", "sinh", "--z", "0.3+0.5i"],
+     {"value", "closed_form", "defect", "tail_bound", "terms", "sound"}),
+    (["modular", "--atoms", "0.6:1.0,1.7:0.4"], MODULAR_KEYS),
+    (["modular", "--atoms", "0.6:1.0,1.7:0.4", "--t", "0.8"], MODULAR_KEYS),
+]
+
+
+@pytest.mark.parametrize("argv,keys", PAYLOADS, ids=[
+    "kernel", "verify", "rp-characterize", "rp-gram", "rp-at", "measure-Gamma",
+    "measure-reflect", "measure-kms", "measure-fourier", "measure-laplace", "series",
+    "modular", "modular-t"])
+def test_cli_json_prints_the_payload_whose_text_the_plain_run_prints(tmp_path, capsys,
+                                                                     argv, keys):
+    report = tmp_path / "report.json"
+    argv = [str(report) if a == "{report}" else a for a in argv]
+    rc_text = cli.main(argv)
+    text = capsys.readouterr().out
+    rc_json = cli.main(argv + ["--json"])
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert rc_text == rc_json == 0
+    assert set(payload) == keys
+    if "--report" in argv:
+        assert json.loads(report.read_text()) == payload
+    if keys == {"atoms"}:                   # a measure prints its JSON either way
+        assert text == out
+    else:
+        assert text.strip() and not text.startswith("{")
+
+
+# each subcommand's option strings and their defaults
+OPTIONS = {
+    "kernel": {"--beta": 1.0, "--json": False, "--domain": None, "--kind": "szego",
+               "--s": 1.0, "--z": None, "--w": None, "--x": None, "--component": None},
+    "verify": {"--beta": 1.0, "--json": False, "--suite": "all", "--seed": 7051,
+               "--report": None},
+    "rp": {"--beta": 1.0, "--json": False, "--group": "line", "--lam": 1.0,
+           "--at": None, "--gram": None, "--samples": "", "--characterize": False,
+           "--z": 0.5 + 0.5j},
+    "measure": {"--beta": 1.0, "--json": False, "--atoms": None,
+                "--measure-json": None, "--op": None, "--at": 0j, "--factor": 1.0},
+    "series": {"--beta": 1.0, "--json": False, "--kind": None, "--z": None,
+               "--w": None, "--terms": 10_000},
+    "modular": {"--beta": 1.0, "--json": False, "--atoms": None,
+                "--measure-json": None, "--t": None},
+}
+
+
+def test_each_subcommand_keeps_its_options_and_their_defaults():
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {opt: action.default for action in parser._actions
+                  for opt in action.option_strings if action.dest != "help"}
+           for name, parser in sub.choices.items()}
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("at", ["0.3", "0.3+0i", "0.3-0i"])
+def test_cli_measure_laplace_at_a_real_point_prints_its_value(capsys, at):
+    assert cli.main(["measure", "--op", "laplace", "--atoms", "0.7:1.0",
+                     "--at=" + at]) == 0
+    assert capsys.readouterr().out == "0.810584245970187\n"     # e^{-0.21}
+
+
+@pytest.mark.parametrize("at", ["0.3+5i", "0.3-1e-300i", "nan+nani"])
+def test_cli_measure_laplace_at_a_point_off_the_real_line_exits_3(capsys, at):
+    rc = cli.main(["measure", "--op", "laplace", "--atoms", "0.7:1.0", "--at=" + at])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: --at" in captured.err
