@@ -364,8 +364,11 @@ def finite_points(z, what: str):
 
 def finite_real(r, what: str) -> float:
     """r as a Python float: the guard of one real number, the kind ``REAL``.
-    It takes what :func:`finite_array` takes as floats (no complex), with no
-    axis."""
+    It takes what :func:`finite_array` takes as floats, with no axis; one
+    complex number, whatever its imaginary part, is refused as not real."""
+    if isinstance(r, (complex, np.complexfloating)) or \
+            (isinstance(r, np.ndarray) and r.dtype.kind == "c" and not r.ndim):
+        raise ParameterOutOfRange("%s must be real, got %r" % (what, r))
     r = finite_array(r, what)
     if r.ndim:
         raise ParameterOutOfRange("%s must be one number, got shape %r" % (what, r.shape))

@@ -324,12 +324,11 @@ def check_series_soundness(cfg: Defaults):
         strip = Strip(beta)
         z, w = sample_interior(strip, rng, 2, margin=0.1)
         # n_top first, so each soundness id is reported just before its
-        # accuracy id; each series builds its terms once, for n_top, and the
-        # sinh series at z - conj(w) and the Szego series share one sum
+        # accuracy id; the terms of the three series are built once, for
+        # n_top, and summed by one call
         ns = (n_top, 100, 1000)
-        sinh, szego = periodize.sinh_szego_series_at(beta, z, w, ns)
-        evs = {"sinh": sinh, "szego": szego,
-               "bergman": periodize.bergman_series_at(beta, z, w, ns)}
+        evs = dict(zip(("sinh", "szego", "bergman"),
+                       periodize.strip_series_at(beta, z, w, ns)))
         for j, n in enumerate(ns):
             for name, series in evs.items():
                 ev = series[j]

@@ -129,7 +129,7 @@ CALLS = [
     ("cosecant_series_at", periodize.cosecant_series_at, (GOOD, (10,))),
     ("cosecant_series", periodize.cosecant_series, (GOOD, 10)),
     ("sinh_series", periodize.sinh_series, (1.0, GOOD, 10)),
-    ("sinh_szego_series_at", periodize.sinh_szego_series_at, (1.0, GOOD, GOOD, (10,))),
+    ("strip_series_at", periodize.strip_series_at, (1.0, GOOD, GOOD, (10,))),
     ("szego_series", periodize.szego_series, (1.0, GOOD, GOOD, 10)),
     ("bergman_series_at", periodize.bergman_series_at, (1.0, GOOD, GOOD, (10,))),
     ("bergman_series", periodize.bergman_series, (1.0, GOOD, GOOD, 10)),
@@ -331,6 +331,16 @@ BAD_REAL_IDS = ["None", "str", "nan", "inf", "-inf", "complex", "array"]
 def test_a_real_parameter_that_is_not_one_finite_real_raises(row, bad):
     row.call(int(row.good))     # an int is a real
     with pytest.raises(ParameterOutOfRange, match=row.param):
+        row.call(bad)
+
+
+@pytest.mark.parametrize("bad", [0.3 + 5j, np.complex128(0.3 + 5j), np.array(0.3 + 0j)],
+                         ids=["complex", "numpy-complex", "0-d-complex"])
+@pytest.mark.parametrize("row", _rows("real"))
+def test_a_real_parameter_given_one_complex_number_says_it_must_be_real(row, bad):
+    # not "a rectangular array of numbers": the value is one number, whose
+    # fault is that it is complex (even with a zero imaginary part)
+    with pytest.raises(ParameterOutOfRange, match="%s must be real, got" % row.param):
         row.call(bad)
 
 
