@@ -29,13 +29,20 @@ largest.  A row takes one of two paths, chosen by its length:
 * early exit: a sum certified after that first extraction is done, as in
   AccSum.  The certificate is sound after either extraction, because each
   leaves sum(x) = tau1 + tau2 + sum(p) exactly (tau2 = 0 after the first)
-  and the bound covers every rounding made after that.  Of the 44,260
-  long-row sums a verify suite takes over rng seeds 7-26, prefixes
-  included, 737 (1.7%) are left uncertified: 340 all-zero rows, which sum
-  to 0, and 397 that take a second extraction, continued from their
-  remainder, and the certificate again (367 certify);
+  and the bound covers every rounding made after that.  It is tried first
+  with the proven bound sum|p| <= n eps sigma, which reads no remainder;
+  only the sums that bound refuses measure sum|p|, and only those that
+  still fail take a second extraction, continued from their remainder,
+  and the certificate again.  Of the 32,260 long-row sums a verify suite
+  takes over rng seeds 7-26, prefixes included, the bound certifies 31,518
+  (97.7%); of the other 742, 340 are all-zero rows, which sum to 0, 7
+  certify on the measured sum|p| and 395 take the second extraction (365
+  certify).  An ``array-eval`` operation of the benchmark takes 850 such
+  sums; the bound refuses 21, 19 all-zero and the two N = 10^5 strip
+  series rows, which the measured sum certifies: it spares each of them a
+  second extraction, a copy and four passes over 10^5 terms;
 * shorter rows, rows with an inf, a NaN or terms near overflow or
-  underflow, and every sum whose second certificate fails (a near tie at
+  underflow, and every sum all three certificates refuse (a near tie at
   half an ulp, cancellation with sum|x| / |sum x| beyond about 1e17) go to
   ``math.fsum(row.tolist())``, which on a list is 2-4x faster than on an
   ndarray.
@@ -94,11 +101,12 @@ SQRT_TWO_PI = math.sqrt(TWO_PI)
 # --------------------------------------------------------------------------
 
 # Rows shorter than this go straight to math.fsum.  The vectorized path
-# costs about 25-30 us per call plus 3-12 ns per term against fsum's 35-75 ns
-# per term, so for one complex sum (two rows) the two break even between 320
-# and 448 terms, and a batch of 16 rows wins from 128 (Xeon, 2 vCPUs,
-# numpy 2.4).  A verify suite sums no row of 192 to 959 terms, so a move
-# inside 320-448 would change nothing there; the constant stays at 512.
+# costs about 20-25 us per call plus about 3 ns per term against fsum's
+# 35-45 ns per term, so for one complex sum (two rows) the two break even
+# between 256 and 448 terms, and a batch of 16 rows wins from 128 (timeit,
+# min of 15 runs, on a shared Xeon with 2 vCPUs, numpy 2.4).  A verify suite
+# sums no row of 192 to 959 terms, so a move inside 256-448 would change
+# nothing there; the constant stays at 512.
 _VECTOR_MIN_TERMS = 512
 _EPS = 2.0 ** -53          # unit roundoff of float64
 
@@ -143,11 +151,15 @@ def _fsum_prefixes(x: np.ndarray, ends) -> np.ndarray:
     ``ends`` (0 <= L <= n).
 
     Long rows take the vectorized path: one error-free extraction of the
-    whole row, and per prefix a rounding certificate, then, for the rows left
-    uncertified, a second extraction of that prefix and the certificate
-    again.  A prefix that fails both, and every prefix of a short row, is
-    summed by ``math.fsum``, so each sum is the float fsum returns for
-    ``x[i, :L]``, or fsum's exception is raised.
+    whole rows in one scratch block (|x|, then q, then p overwrite it), and
+    per prefix three certificates in turn, each tried only on the prefixes
+    the one before refused: first with the bound sum|p[:L]| <= L eps sigma,
+    which needs no pass over p; then with the measured sum|p[:L]|, for which
+    |p| overwrites p in place on those rows; then after a second extraction
+    of those prefixes (:func:`_second_extraction`).  A prefix that fails all
+    three, and every prefix of a short row, is summed by ``math.fsum``, so
+    each sum is the float fsum returns for ``x[i, :L]``, or fsum's exception
+    is raised.
 
     Proof of the certificate.  Each extraction leaves sum(x) = tau1 + tau2
     + sum(p) exactly, with tau2 = 0 after the first.  a + b = tau1 + tau2 and
@@ -155,8 +167,11 @@ def _fsum_prefixes(x: np.ndarray, ends) -> np.ndarray:
     <= |g| + eps |c| + n eps sum|p|; the bound doubles both rounding terms
     and adds 2**-1022 for underflow.  Below half the gap from |r| down to
     its neighbour (the smaller gap), r is the float nearest the exact sum.
-    The first extraction leaves |p| <= eps sigma, too large a remainder for
-    a row with heavy cancellation; the second shrinks it by 2**(grow - 53).
+    The first extraction leaves |p| <= eps sigma term by term, so n eps sigma
+    may stand for sum|p| there, and the measured sum is needed only where
+    that is too coarse; both leave too large a remainder for a row with
+    heavy cancellation, which the second extraction shrinks by
+    2**(grow - 53).
 
     Why one extraction serves every prefix.  The extraction is elementwise:
     q and p of the first L terms do not depend on the terms after them.
@@ -176,8 +191,8 @@ def _fsum_prefixes(x: np.ndarray, ends) -> np.ndarray:
             out[j] = [math.fsum(row) for row in x[:, :L].tolist()]
         return out
     with np.errstate(all="ignore"):
-        q = np.abs(x)
-        mu = q.max(1)
+        p = np.abs(x)
+        mu = p.max(1)
         # sigma = 2**k >= (n + 2) max|x|: then q = (sigma + x) - sigma is
         # exact, a multiple of eps * sigma, and sum(q) is exact in any order,
         # while p = x - q is exact with |p| <= eps * sigma (the ExtractVector
@@ -187,40 +202,61 @@ def _fsum_prefixes(x: np.ndarray, ends) -> np.ndarray:
         grow = (n + 1).bit_length()
         k = np.frexp(mu)[1] + grow
         sigma = np.ldexp(1.0, k)[:, None]
-        p = _extract(x, sigma, q)
-        tau1 = [q[:, :L].sum(1).tolist() for L in ends]
+        np.add(x, sigma, out=p)
+        p -= sigma
+        tau1 = [p[:, :L].sum(1).tolist() for L in ends]
+        np.subtract(x, p, out=p)
         p_sums = [p[:, :L].sum(1).tolist() for L in ends]
-        p_abs = np.abs(p, out=q)
-        zeros = [0.0] * m
-        first = [_certify(t, zeros, s, p_abs[:, :L].sum(1).tolist(), L)
-                 for t, s, L in zip(tau1, p_sums, ends)]
-        # a row out of range is never certified; of the uncertified rows, one
-        # in range takes the second extraction, an all-zero one sums to
+        # a row out of range is never certified; of the refused rows, one in
+        # range goes on to the next certificate, an all-zero one sums to
         # exactly 0 (for which fsum gives +0.0), and the rest go to fsum
-        mus = mu.tolist()
+        mus, sigmas = mu.tolist(), sigma.ravel().tolist()
         in_range = [grow - 800 <= e <= 990 and a < math.inf
                     for e, a in zip(k.tolist(), mus)]
+        zeros = [0.0] * m
+        first = [_certify(t, zeros, s, [L * _EPS * v for v in sigmas], L)
+                 for t, s, L in zip(tau1, p_sums, ends)]
+        refused = [[i for i, good in enumerate(ok) if not good and in_range[i] and mus[i] != 0.0]
+                   for _, ok in first]
+        # every signed sum of p is taken: |p| overwrites the rows refused
+        for i in {i for rows in refused for i in rows}:
+            np.abs(p[i], out=p[i])
         for j, L in enumerate(ends):
             r, ok = first[j]
             ok = [good and fine for good, fine in zip(ok, in_range)]
-            rows = [i for i, good in enumerate(ok)
-                    if not good and in_range[i] and mus[i] != 0.0]
+            rows = refused[j]
             if rows:
-                # the second extraction continues from the prefix remainders
-                # of those rows (a copy: p serves the other prefixes), with
-                # the free q as its buffer
-                p2, buf = p[rows, :L], q[:len(rows), :L]
-                _extract(p2, sigma[rows] * 2.0 ** (grow - 53), buf, out=p2)
-                second = _certify([tau1[j][i] for i in rows], buf.sum(1).tolist(),
-                                  p2.sum(1).tolist(),
-                                  np.abs(p2, out=buf).sum(1).tolist(), L)
-                for i, v, good in zip(rows, *second):
+                measured = _certify([tau1[j][i] for i in rows], zeros,
+                                    [p_sums[j][i] for i in rows],
+                                    [float(p[i, :L].sum()) for i in rows], L)
+                for i, v, good in zip(rows, *measured):
                     r[i], ok[i] = v, good
+                again = [i for i in rows if not ok[i]]
+                if again:
+                    second = _second_extraction(x, sigma, grow, again, L,
+                                                [tau1[j][i] for i in again])
+                    for i, v, good in zip(again, *second):
+                        r[i], ok[i] = v, good
             for i, good in enumerate(ok):
                 if not good:
                     r[i] = 0.0 if mus[i] == 0.0 else math.fsum(x[i, :L].tolist())
             out[j] = r
     return out
+
+
+def _second_extraction(x: np.ndarray, sigma: np.ndarray, grow: int, rows: list, L: int,
+                       tau1: list):
+    """r and the verdicts, as :func:`_certify` gives them, for the prefixes
+    ``x[rows, :L]`` after a second extraction: their first remainders p are
+    formed again (the same bits; the scratch block holds |p| by now), and
+    the second extraction continues from them with sigma * 2**(grow - 53)."""
+    p = x[rows, :L]                     # a copy, which p overwrites
+    q = np.empty_like(p)
+    s = sigma[rows]
+    _extract(p, s, q, out=p)
+    _extract(p, s * 2.0 ** (grow - 53), q, out=p)
+    return _certify(tau1, q.sum(1).tolist(), p.sum(1).tolist(),
+                    np.abs(p, out=q).sum(1).tolist(), L)
 
 
 def _rows(values, dtype):
@@ -646,8 +682,12 @@ def oscillatory_ft(f, t: float) -> complex:
     """Fourier integral  Integral_R f(x) e^{itx} dx  for real-valued decaying f.
 
     Splits into even/odd parts and uses QUADPACK's cosine/sine weights on
-    [0, inf), which remain accurate when f decays too slowly (e.g. like 1/x^2)
-    for naive truncation.  t must be one finite real (QAWF crashes on NaN or inf),
+    [0, inf).  Two kinds of f are known to come back wrong without an error
+    (ROADMAP item 3 is their mend): an f much narrower than QAWF's first
+    cycle, as e^{-|x|/0.01} at t = 0.02, which returns 2.6e-29 against 0.02,
+    and a slowly decaying f at small |t|, as 1/(1 + x^2), whose transform
+    pi e^{-|t|} comes back off by 3.1e-4 at t = 1e-4 and as -3.1e-6 at
+    t = 1e-6.  t must be one finite real (QAWF crashes on NaN or inf),
     and a value of f that is not finite raises :class:`ToleranceNotReached`
     before QAWF sees it, as it would crash QAWF too.
 
@@ -735,6 +775,8 @@ def gram_report(G: np.ndarray) -> GramReport:
 
     The verdict is ``deficit <= _PSD_TOL``; the spectral norm in the deficit
     is that of the Hermitian part, which is what the eigenvalue test sees.
+    A matrix whose imaginary part is identically zero is solved as the real
+    symmetric matrix it is, at about a third of the complex solver's cost.
     A defect or an eigenvalue that overflows raises :class:`ParameterOutOfRange`.
     """
     G = np.atleast_2d(np.asarray(G, dtype=complex))
@@ -742,6 +784,8 @@ def gram_report(G: np.ndarray) -> GramReport:
         raise ParameterOutOfRange("Gram matrix must be square, got %r" % (G.shape,))
     if G.size == 0:
         raise ParameterOutOfRange("Gram matrix is empty: no sample points")
+    if not G.imag.any():
+        G = G.real
     # G / 2 + G^H / 2, the Hermitian part, and G / 2 - G^H / 2 do not overflow
     half = 0.5 * G
     half_h = half.conj().T

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rphardy import kernels, modular, numerics, rpfunc
+from rphardy import kernels, modular, numerics, periodize, rpfunc
 from rphardy.domains import DISC, HALF_PLANE, Strip
 from rphardy.errors import ParameterOutOfRange, PoleAtInput, ToleranceNotReached
 
@@ -195,15 +195,27 @@ def test_a_batch_raises_the_exception_of_its_first_failing_row():
         numerics.comp_sum_real(rows[2:])
 
 
-# Directed cases for the early exit: a long row is certified after the first
-# extraction, after the second, or summed by fsum.
+# Directed cases for the certificate order: a long row is certified by the
+# bound sum|p| <= n eps sigma, by the measured sum|p|, after the second
+# extraction, or summed by fsum; each later path sees only the rows the one
+# before refused.
 
 def _cancelling_row(n: int, seed: int) -> np.ndarray:
     """Terms of size 1 summing to about 1e-9: the first extraction leaves a
-    remainder too large for the certificate, the second does not."""
+    remainder too large for either first certificate, the second does not."""
     row = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
     row[-1] = 0.0
     row[-1] = 1e-9 - math.fsum(row.tolist())
+    return row
+
+
+def _gridded_row(n: int, seed: int) -> np.ndarray:
+    """Multiples of 2**-20 of size 1 summing to exactly 2**-27: the first
+    extraction leaves every remainder 0, so the measured sum|p| certifies the
+    small sum, while the bound n eps sigma is too coarse for it."""
+    row = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, n) * 2.0 ** 20) * 2.0 ** -20
+    row[-1] = 0.0
+    row[-1] = 2.0 ** -27 - math.fsum(row.tolist())
     return row
 
 
@@ -217,8 +229,10 @@ def _tie_row(n: int) -> np.ndarray:
 
 @pytest.fixture
 def certificates(monkeypatch):
-    """The verdicts of every rounding certificate ``_fsum_prefixes`` checks, and
-    the number of math.fsum calls."""
+    """The verdicts of every rounding certificate ``_fsum_prefixes`` checks,
+    in the order it checks them (the bound for every prefix, then per prefix
+    the measured sum and the second extraction), and the number of math.fsum
+    calls."""
     seen = {"ok": [], "fsum": 0}
     certify, fsum = numerics._certify, math.fsum
 
@@ -240,46 +254,72 @@ def _fsum_of_rows(rows: np.ndarray) -> list:
     return [math.fsum(row.tolist()) for row in rows]
 
 
-def test_a_row_the_first_extraction_leaves_uncertified_is_certified_after_the_second(
-        certificates):
-    row = _cancelling_row(LONG, 3)
-    want = _fsum_of_rows(row[None, :])[0]
+def _assert_rows_match_fsum(rows: np.ndarray, certificates) -> None:
+    want = _fsum_of_rows(rows)
     certificates["fsum"] = 0
-    got = numerics.comp_sum_real(row)
+    got = numerics.comp_sum_real(rows)
+    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
+
+
+def test_a_row_the_bound_certifies_needs_no_other_certificate(certificates):
+    _assert_rows_match_fsum(np.random.default_rng(2).uniform(-1.0, 1.0, (1, LONG)),
+                            certificates)
+    assert certificates["ok"] == [[True]]
+    assert certificates["fsum"] == 0
+
+
+def test_a_row_the_bound_refuses_is_certified_by_the_measured_sum(certificates):
+    _assert_rows_match_fsum(_gridded_row(LONG, 3)[None, :], certificates)
     assert certificates["ok"] == [[False], [True]]
     assert certificates["fsum"] == 0
-    assert _same(got, want)
 
 
-def test_a_row_both_certificates_reject_falls_back_to_fsum(certificates):
+def test_a_row_both_first_certificates_refuse_is_certified_after_the_second_extraction(
+        certificates):
+    _assert_rows_match_fsum(_cancelling_row(LONG, 3)[None, :], certificates)
+    assert certificates["ok"] == [[False], [False], [True]]
+    assert certificates["fsum"] == 0
+
+
+def test_a_row_every_certificate_refuses_falls_back_to_fsum(certificates):
     row = _tie_row(LONG)
     got = numerics.comp_sum_real(row)
-    assert certificates["ok"] == [[False], [False]]
+    assert certificates["ok"] == [[False], [False], [False]]
     assert certificates["fsum"] == 1
     assert _same(got, 1.0 + 2.0 ** -52)
 
 
-def test_a_batch_mixing_all_three_paths_sums_every_row_exactly(certificates):
+def test_a_batch_mixing_all_four_paths_sums_every_row_exactly(certificates):
     rng = np.random.default_rng(8)
     rows = rng.uniform(0.0, 1.0, (6, 2 * LONG))
     rows[1] = _cancelling_row(2 * LONG, 5)
+    rows[3] = _gridded_row(2 * LONG, 6)
     rows[4] = _tie_row(2 * LONG)
-    want = _fsum_of_rows(rows)
-    certificates["fsum"] = 0
-    got = numerics.comp_sum_real(rows)
-    assert certificates["ok"] == [[True, False, True, True, False, True], [True, False]]
+    _assert_rows_match_fsum(rows, certificates)
+    # the bound, then the measured sum on rows 1, 3 and 4, then the second
+    # extraction on rows 1 and 4, then fsum on row 4
+    assert certificates["ok"] == [[True, False, True, False, False, True],
+                                  [False, True, False], [True, False]]
     assert certificates["fsum"] == 1
-    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
 
 
 def test_a_batch_where_every_row_needs_the_second_extraction(certificates):
     rows = np.stack([_cancelling_row(LONG, 3), _cancelling_row(LONG, 4)])
-    want = _fsum_of_rows(rows)
-    certificates["fsum"] = 0
-    got = numerics.comp_sum_real(rows)
-    assert certificates["ok"] == [[False, False], [True, True]]
+    _assert_rows_match_fsum(rows, certificates)
+    assert certificates["ok"] == [[False, False], [False, False], [True, True]]
     assert certificates["fsum"] == 0
-    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
+
+
+def test_all_zero_and_non_finite_rows_take_no_certificate_beyond_the_bound(certificates):
+    rows = np.random.default_rng(9).uniform(0.0, 1.0, (4, LONG))
+    rows[0] = 0.0
+    rows[1] = -0.0
+    rows[2, 7] = math.inf
+    rows[3, 5] = math.nan
+    _assert_rows_match_fsum(rows, certificates)
+    # all-zero rows sum to +0.0 and the others go to fsum, with no second try
+    assert certificates["ok"] == [[False, False, False, False]]
+    assert certificates["fsum"] == 2
 
 
 def test_a_well_conditioned_complex_row_never_reaches_fsum(certificates):
@@ -291,6 +331,37 @@ def test_a_well_conditioned_complex_row_never_reaches_fsum(certificates):
     assert certificates["ok"] == [[True, True]]
     assert certificates["fsum"] == 0
     assert _same(got.real, want.real) and _same(got.imag, want.imag)
+
+
+def _array_eval_rows():
+    """Rows of the shapes the array batch sums, built as it builds them: the
+    Fourier summands e^{i t lam} w of an 8001- and a 3201-node grid, the
+    4001-node modular coefficient, and the four N = 10^5 strip series rows
+    with the truncations a series check reads."""
+    rng = np.random.default_rng(11)
+    lam = np.linspace(-40.0, 40.0, 8001)
+    w = np.exp(-0.5 * lam * lam) * 0.01
+    yield np.exp(1j * rng.uniform(-3.0, 3.0, (2, 1)) * lam) * w, None
+    lam = np.linspace(0.0, 32.0, 3201)
+    yield np.exp(1j * (rng.uniform(-5.0, 5.0, (4, 1)) + 0.3j) * lam) * np.exp(-lam), None
+    lam = np.linspace(-20.0, 20.0, 4001)
+    yield np.exp(1j * rng.uniform(-2.0, 2.0, (2, 1)) * lam) * (1.0 / np.cosh(lam)), None
+    rows = periodize._strip_rows(2.0, 0.3 - 1.1j, 10 ** 5, sinh=True, bergman=True)
+    yield rows, (10 ** 5, 100, 1000)
+
+
+@pytest.mark.parametrize("rows, ends", list(_array_eval_rows()),
+                         ids=["2x8001", "4x3201", "2x4001", "series-1e5"])
+def test_the_array_batch_shapes_sum_to_fsum_bit_for_bit(rows, ends):
+    if rows.dtype.kind == "c":
+        got = numerics.comp_sum(rows, ends)
+        parts = [(got.real, rows.real), (got.imag, rows.imag)]
+    else:
+        parts = [(numerics.comp_sum_real(rows, ends), rows)]
+    for sums, terms in parts:
+        for L, row_sums in zip(ends or (terms.shape[1],), sums.reshape(-1, terms.shape[0])):
+            for s, row in zip(row_sums.tolist(), terms):
+                assert _same(s, math.fsum(row[:L].tolist()))
 
 
 # Prefix sums: comp_sum_real(row, ends) reads every sum of row[:L] off one
@@ -401,13 +472,26 @@ def test_prefix_ends_outside_the_row_are_rejected(ends):
         numerics.comp_sum_real(np.ones(2 * LONG), ends)
 
 
-def test_a_prefix_the_first_extraction_leaves_uncertified_takes_the_second(
+def test_a_prefix_the_bound_refuses_takes_the_measured_sum_then_the_second_extraction(
         certificates):
-    # the cancelling prefix is uncertified after the extraction of the whole
-    # row and certified after its own second extraction; the whole row is
-    # certified at once
+    # the cancelling prefix is refused by the bound and the measured sum
+    # after the extraction of the whole row and certified after its own
+    # second extraction; the whole row is certified by the bound at once
     row = np.concatenate([_cancelling_row(LONG, 3),
                           np.random.default_rng(4).uniform(0.0, 1.0, 3 * LONG)])
+    want = [math.fsum(row[:LONG].tolist()), math.fsum(row.tolist())]
+    certificates["fsum"] = 0
+    got = numerics.comp_sum_real(row, (LONG, row.size))
+    assert certificates["ok"] == [[False], [True], [False], [True]]
+    assert certificates["fsum"] == 0
+    assert all(_same(g, w) for g, w in zip(got.tolist(), want))
+
+
+def test_a_prefix_the_measured_sum_certifies_leaves_the_others_on_the_bound(certificates):
+    # the measured sum certifies the gridded prefix; the whole row, which
+    # the bound certifies, never reads the |p| written over its head
+    row = np.concatenate([_gridded_row(LONG, 5),
+                          np.random.default_rng(6).uniform(0.0, 1.0, 3 * LONG)])
     want = [math.fsum(row[:LONG].tolist()), math.fsum(row.tolist())]
     certificates["fsum"] = 0
     got = numerics.comp_sum_real(row, (LONG, row.size))
@@ -799,6 +883,56 @@ def test_gram_report_deficit_is_the_eigenvalue_deficit_its_verdict_reads(diagona
     rep = numerics.gram_report(np.diag(diagonal).astype(complex))
     assert rep.deficit == pytest.approx(deficit, rel=1e-15)
     assert rep.verdict == (rep.deficit <= rep.tolerance)
+
+
+def _line_gram(n: int, seed: int) -> np.ndarray:
+    """A real PSD Gram, e^{-|x_j - x_k|} on random samples, with a rounding-
+    level asymmetry so its hermiticity defect is not 0."""
+    x = np.random.default_rng(seed).uniform(0.0, 5.0, n)
+    G = np.exp(-np.abs(x[:, None] - x[None, :]))
+    G[0, 1] += 2.0 ** -52
+    return G
+
+
+@pytest.fixture
+def eigvalsh_dtypes(monkeypatch):
+    """The dtype of every matrix ``gram_report`` hands the eigensolver."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_real_gram_takes_the_real_solver_and_agrees_with_the_complex_one(
+        seed, eigvalsh_dtypes):
+    G = _line_gram(60, seed)
+    rep = numerics.gram_report(G)
+    # the same matrix as complex numbers with imaginary part 0 is the same
+    # real matrix, and takes the same path
+    assert numerics.gram_report(G.astype(complex)) == rep
+    assert eigvalsh_dtypes == [np.float64, np.float64]
+    half = 0.5 * G.astype(complex)
+    assert rep.hermiticity_defect == 2.0 * float(np.max(np.abs(half - half.conj().T)))
+    eigs = np.linalg.eigvalsh(half + half.conj().T)
+    slack = G.shape[0] * numerics._EPS * rep.spectral_norm
+    assert abs(rep.min_eigenvalue - eigs[0]) <= slack
+    assert abs(rep.max_eigenvalue - eigs[-1]) <= slack
+    assert rep.verdict and rep.deficit <= rep.tolerance
+
+
+@pytest.mark.parametrize("im", [1e-300, -5e-324, 0.25])
+def test_a_gram_with_any_nonzero_imaginary_part_keeps_the_complex_solver(
+        im, eigvalsh_dtypes):
+    G = _line_gram(8, 3).astype(complex)
+    G[2, 5] += im * 1j
+    G[5, 2] -= im * 1j
+    numerics.gram_report(G)
+    assert eigvalsh_dtypes == [np.complex128]
 
 
 def test_finite_array_takes_a_number_and_names_the_first_value_not_finite():
