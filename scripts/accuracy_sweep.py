@@ -18,7 +18,8 @@ Given BASE.json, an earlier output of this script or a BENCH_<n>.json whose
 ``accuracy`` block is one, it prints every id whose defect moved at any seed
 (worst slack before and after), every id that fails now and did not fail
 in BASE, and every id of BASE that is gone, and exits with status 1 if there
-is a newly failing or a gone id.  A new id only prints.
+is a moved, a newly failing or a gone id: where bits move, a new BENCH file
+records the new sweep.  A new id only prints.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def exact_ids(accuracy: dict) -> list[str]:
 
 def compare(new: dict, base: dict) -> bool:
     """Print the ids that are new, moved, gone or newly fail; True if one
-    newly fails or is gone."""
+    moved, newly fails or is gone."""
     moved = []
     for cid, e in new["ids"].items():
         old = base["ids"].get(cid)
@@ -94,7 +95,7 @@ def compare(new: dict, base: dict) -> bool:
         print("newly fails %-40s at seeds %s" % (cid, new["failing_ids"][cid]))
     print("%d of %d ids bit-identical at every seed, %d newly failing, %d gone"
           % (len(new["ids"]) - len(moved), len(new["ids"]), len(newly), len(gone)))
-    return bool(newly or gone)
+    return bool(moved or newly or gone)
 
 
 def main(argv: list[str]) -> int:

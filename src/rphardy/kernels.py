@@ -21,7 +21,8 @@ against it.
 Power kernels follow the convention that the half-plane version is the bare
 principal power (i/(z - conj(w)))^s with no 2 pi factor, the strip version is
 the s-th power of the strip Szego kernel above, and the disc version is
-(1/2 pi) (1 - z conj(w))^{-s}.
+(1/2 pi) (1 - z conj(w))^{-s}.  The power is numpy's principal complex power,
+``np.power(base, s)``.
 
 Boundary functions are sampled as ``f(component, x)`` where ``component``
 names a boundary component of the domain ("circle", "line", "lower"/"upper"),
@@ -423,7 +424,8 @@ def bergman_strip(beta: float, z: complex, w: complex) -> complex:
 
 
 @takes(s=POSITIVE, z=POINTS, w=POINTS)
-@np.errstate(over="ignore", invalid="ignore")    # a value that overflows raises below
+# a value that overflows raises below; the reciprocal of an underflowed power is a 1/0
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
     """Power kernel Q_s with the conventions documented in the module header,
     for a finite s > 0; z and w may be arrays.  A value that overflows raises
@@ -432,7 +434,7 @@ def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
     if isinstance(domain, Disc):
         base = 1.0 - _cmul(z, np.conj(w))
         _require_no_pole(np.abs(base) <= _POLE_TOL, "power kernel pole on the disc")
-        p = _complex_power(base, -s)
+        p = np.power(base, -s)
         out = _complex(p.real / (2.0 * math.pi), p.imag / (2.0 * math.pi))
     elif isinstance(domain, HalfPlane):
         den = z - np.conj(w)
@@ -461,28 +463,7 @@ def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
 def _power_of_base(base: np.ndarray, s: float) -> np.ndarray:
     if np.any((base.real <= 0.0) & (base.imag == 0.0)):
         raise BranchCutViolation("power kernel base on the negative real axis")
-    return _complex_power(base, s)
-
-
-def _complex_power(base: np.ndarray, s: float) -> np.ndarray:
-    """Principal base ** s by the rule Python's complex power follows: for
-    an integer exponent up to 100, binary powering by repeated squaring (and
-    one reciprocal for s < 0), the polar form |base|^s e^{i s arg(base)}
-    otherwise.  np.float_power and the imaginary part of the complex np.log
-    are libm's pow and atan2, as in CPython; np.power and np.arctan2 on
-    floats (and numpy's complex **) may not be."""
-    if s == math.floor(s) and abs(s) <= 100.0:
-        n, p, r = int(abs(s)), base, None
-        while True:
-            if n & 1:
-                r = p if r is None else _cmul(r, p)
-            n >>= 1
-            if not n:
-                return r if s > 0 else _cdiv(1.0, r)
-            p = _cmul(p, p)
-    r = np.float_power(np.hypot(base.real, base.imag), s)
-    phase = np.log(base).imag * s
-    return _complex(r * np.cos(phase), r * np.sin(phase))
+    return np.power(base, s)
 
 
 # --------------------------------------------------------------------------

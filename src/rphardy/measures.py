@@ -64,8 +64,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .numerics import (_MAX_SIZE, POINT, POINTS, POSITIVE, REAL, _require_positive, comp_sum,
-                       comp_sum_real, finite_array, finite_pairs, finite_real, quad, row_blocks,
-                       takes)
+                       finite_array, finite_pairs, finite_real, quad, row_blocks, takes)
 
 _MERGE_TOL = 1e-12
 
@@ -141,7 +140,7 @@ class MeasureOnR:
         return w * self.density
 
     def total_mass(self) -> float:
-        return comp_sum_real(self.atom_weights) + comp_sum_real(self.grid_quad_weights())
+        return comp_sum(self.atom_weights) + comp_sum(self.grid_quad_weights())
 
     def support_bounds(self) -> tuple[float, float]:
         live = self.grid_nodes()[self.density > 0.0] if self.density is not None else ()

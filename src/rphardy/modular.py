@@ -88,7 +88,7 @@ class DiscretizedSpace:
 
     def inner(self, v, u) -> complex:
         """<v, u> = sum conj(v_j) u_j w_j."""
-        return comp_sum(np.conjugate(np.asarray(v)) * np.asarray(u) * self.weights)
+        return complex(comp_sum(np.conjugate(np.asarray(v)) * np.asarray(u) * self.weights))
 
     def norm(self, v) -> float:
         return math.sqrt(max(0.0, self.inner(v, v).real))

@@ -4,13 +4,14 @@ by the higher-level modules.
 
 Summation
 ---------
-:func:`comp_sum` and :func:`comp_sum_real` sum along the last axis, so an
-(m, n) array gives m row sums, and every row sum is bit for bit the float
-``math.fsum`` returns (or fsum's exception).  Given ``ends``, a sequence of
-prefix lengths L, they return instead the sums of every prefix ``[..., :L]``,
-each again fsum's float, all read off one extraction of the whole rows: a
-series checked at several truncations builds its terms once, for the
-largest.  A row takes one of two paths, chosen by its length:
+:func:`comp_sum` sums real or complex terms along the last axis, so an
+(m, n) array gives m row sums, and every real row sum (each part of a
+complex one) is bit for bit the float ``math.fsum`` returns (or fsum's
+exception).  Given ``ends``, a sequence of prefix lengths L, it returns
+instead the sums of every prefix ``[..., :L]``, each again fsum's float, all
+read off one extraction of the whole rows: a series checked at several
+truncations builds its terms once, for the largest.  A row takes one of two
+paths, chosen by its length:
 
 * rows of at least ``_VECTOR_MIN_TERMS`` terms go through numpy, a whole
   batch at once: an error-free extraction splits the row into exactly
@@ -259,10 +260,12 @@ def _second_extraction(x: np.ndarray, sigma: np.ndarray, grow: int, rows: list, 
                     np.abs(p, out=q).sum(1).tolist(), L)
 
 
-def _rows(values, dtype):
-    """``values`` as a 2-d array of rows, plus the shape of the row sums."""
+def _rows(values):
+    """``values`` as a 2-d array of rows, complex if it holds a complex
+    number and float otherwise, plus the shape of the row sums."""
     arr = np.atleast_1d(np.asarray(
-        values if isinstance(values, np.ndarray) else list(values), dtype=dtype))
+        values if isinstance(values, np.ndarray) else list(values)))
+    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
     return arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1]), arr.shape[:-1]
 
 
@@ -271,48 +274,32 @@ def _prefix_ends(ends, n: int) -> tuple:
     row when it is None."""
     if ends is None:
         return (n,)
-    ends = tuple(ends)
-    if not all(isinstance(L, (int, np.integer)) and 0 <= L <= n for L in ends):
-        raise ParameterOutOfRange("prefix ends must be integers in [0, %d], got %r"
-                                  % (n, ends))
-    return ends
+    return tuple(_require_count(L, "a prefix end", 0, n) for L in ends)
 
 
-def comp_sum_real(values, ends=None):
-    """Exactly rounded sum of real terms along the last axis.
+def comp_sum(values, ends=None):
+    """Exactly rounded sum of real or complex terms along the last axis.
 
-    A 1-d input (or any iterable) gives a float; an (m, n) input gives m row
-    sums.  Every sum is bit for bit the float ``math.fsum`` returns for that
-    row, and fsum's ``OverflowError`` / ``ValueError`` is raised where it
-    would raise.
+    A 1-d input (or any iterable) gives one sum, an (m, n) input m row
+    sums.  Real terms give floats, and every sum is bit for bit the float
+    ``math.fsum`` returns for that row (fsum's ``OverflowError`` /
+    ``ValueError`` is raised where it would raise); complex terms give
+    complex sums, whose real and imaginary parts are each summed so.
 
     Given a sequence ``ends`` of prefix lengths, it returns instead the array
     of the sums of ``values[..., :L]`` for each L, stacked along a new first
     axis, all read off one extraction of the whole rows.
     """
-    rows, shape = _rows(values, float)
-    sums = _fsum_prefixes(rows, _prefix_ends(ends, rows.shape[1]))
-    if ends is None:
-        return float(sums[0, 0]) if shape == () else sums[0].reshape(shape)
-    return sums.reshape(sums.shape[:1] + shape)
-
-
-def comp_sum(values, ends=None):
-    """Exactly rounded sum of complex terms along the last axis: the real and
-    imaginary parts are each summed as by :func:`comp_sum_real`.
-
-    A 1-d input (or any iterable) gives a complex; an (m, n) input gives m
-    row sums; with ``ends``, the stacked prefix sums as in
-    :func:`comp_sum_real`.
-    """
-    rows, shape = _rows(values, complex)
+    rows, shape = _rows(values)
     m, n = rows.shape
-    parts = _fsum_prefixes(np.concatenate((rows.real, rows.imag)), _prefix_ends(ends, n))
-    sums = np.empty((parts.shape[0], m), dtype=complex)
-    sums.real = parts[:, :m]
-    sums.imag = parts[:, m:]
+    prefixes = _prefix_ends(ends, n)
+    if rows.dtype.kind == "c":
+        parts = _fsum_prefixes(np.concatenate((rows.real, rows.imag)), prefixes)
+        sums = _complex(parts[:, :m], parts[:, m:])
+    else:
+        sums = _fsum_prefixes(rows, prefixes)
     if ends is None:
-        return complex(sums[0, 0]) if shape == () else sums[0].reshape(shape)
+        return sums[0, 0].item() if shape == () else sums[0].reshape(shape)
     return sums.reshape(sums.shape[:1] + shape)
 
 
@@ -355,19 +342,21 @@ def _complex(re, im) -> np.ndarray:
 
 
 def finite_array(values, what: str, dtype=float) -> np.ndarray:
-    """``values`` (a number, an array or any iterable) as a ``dtype`` array,
-    0-d for a number; raises :class:`ParameterOutOfRange` naming ``what``
-    unless it is a number or a rectangular array of numbers that ``dtype``
-    holds (not a complex for float, nor None or "1j", which numpy would
-    read as NaN and a number), every one finite (the message then names
-    the first value that is not)."""
+    """``values`` (a number, an array or any iterable) as a float array, 0-d
+    for a number, or with ``dtype`` complex as a complex array if it holds a
+    complex number (a real one stays real); raises
+    :class:`ParameterOutOfRange` naming ``what`` unless it is a number or a
+    rectangular array of numbers that ``dtype`` holds (not a complex for
+    float, nor None or "1j", which numpy would read as NaN and a number),
+    every one finite (the message then names the first value that is
+    not)."""
     try:
         arr = np.asarray(values if isinstance(values, _ARRAY_LIKE) else list(values))
     except (TypeError, ValueError):     # not iterable, or ragged
         arr = None
     if arr is None or arr.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
         raise ParameterOutOfRange("%s must be a rectangular array of numbers" % what)
-    arr = arr.astype(dtype, copy=False)
+    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
     finite = np.isfinite(arr)
     if not finite.all():
         raise ParameterOutOfRange("%s must be finite, got %r" % (what, arr[~finite][0].item()))
@@ -391,8 +380,8 @@ def finite_point(z, what: str = "a point") -> complex:
 
 def finite_points(z, what: str):
     """One point as :func:`finite_point` gives it, or a batch (see
-    :func:`is_batch`) as the complex array :func:`finite_array` gives: the
-    kind ``POINTS``."""
+    :func:`is_batch`) as :func:`finite_array` gives it with ``complex``, a
+    real batch as a float array: the kind ``POINTS``."""
     if isinstance(z, _SCALARS) or not is_batch(z):
         return finite_point(z, what)
     return finite_array(z, what, complex)
@@ -775,16 +764,17 @@ def gram_report(G: np.ndarray) -> GramReport:
 
     The verdict is ``deficit <= _PSD_TOL``; the spectral norm in the deficit
     is that of the Hermitian part, which is what the eigenvalue test sees.
-    A matrix whose imaginary part is identically zero is solved as the real
-    symmetric matrix it is, at about a third of the complex solver's cost.
-    A defect or an eigenvalue that overflows raises :class:`ParameterOutOfRange`.
+    A real matrix, or a complex one whose imaginary part is identically
+    zero, is solved as the real symmetric matrix it is, at about a third of
+    the complex solver's cost.  A defect or an eigenvalue that overflows
+    raises :class:`ParameterOutOfRange`.
     """
-    G = np.atleast_2d(np.asarray(G, dtype=complex))
+    G = np.atleast_2d(G)
     if G.shape[0] != G.shape[1]:
         raise ParameterOutOfRange("Gram matrix must be square, got %r" % (G.shape,))
     if G.size == 0:
         raise ParameterOutOfRange("Gram matrix is empty: no sample points")
-    if not G.imag.any():
+    if G.dtype.kind == "c" and not G.imag.any():
         G = G.real
     # G / 2 + G^H / 2, the Hermitian part, and G / 2 - G^H / 2 do not overflow
     half = 0.5 * G
@@ -855,7 +845,7 @@ def _periodized_lorentzian(beta: float, lam: float, x: float, K: int) -> float:
     s = beta * lam / TWO_PI
     k = np.arange(1, K + 1, dtype=float)
     terms = 2.0 * lorentzian(s, k) * np.cos(k * TWO_PI * x / beta)
-    return lorentzian(s, 0.0) + comp_sum_real(terms)
+    return lorentzian(s, 0.0) + comp_sum(terms)
 
 
 _SECH_TOL = 1e-11   # the quadrature tolerance of the sech checks

@@ -32,7 +32,7 @@ zeta = a + i b, the paired sinh term and the paired Bergman term are
 
 since 1/(zeta + iy) + 1/(zeta - iy) = 2 zeta / D and their product is 1/D.
 :func:`_strip_rows` builds each real and imaginary part as one float row,
-with no complex division, and one :func:`numerics.comp_sum_real` call sums
+with no complex division, and one :func:`numerics.comp_sum` call sums
 the rows (the cosecant terms are i times the sinh terms at beta = 1/2 and
 i z; the one-sided Szego halves are (-1)^n (a - i v) / (a^2 + v^2), v = b +
 2 beta n).  |D|^2 overflows where |D| passes 1e154, so zeta and beta are
@@ -43,13 +43,14 @@ depends on beta and zeta alone, and a power of two scales without rounding
 (away from subnormals), so a term has the same bits at every truncation.
 
 ``strip_series_at`` gives the sinh, Szego and Bergman series at one zeta,
-and ``cosecant_series_at`` and ``bergman_series_at`` one series each, as one
-:class:`SeriesEval` per truncation in ``Ns`` (positive integers of at most
-2**20 + 1): the rows are built once, for the largest N, and every partial
-sum is an exactly rounded prefix sum of them (:func:`numerics.comp_sum_real`
-with ``ends``), bit for bit the single-N value.  An exactly rounded sum does
-not depend on which rows are summed with it, so the three series of
-``strip_series_at`` are bit for bit the single-series calls.
+and ``cosecant_series_at`` the cosecant series, as one :class:`SeriesEval`
+per truncation in ``Ns`` (positive integers of at most 2**20 + 1): the rows
+are built once, for the largest N, and every partial sum is an exactly
+rounded prefix sum of them (:func:`numerics.comp_sum` with ``ends``), bit
+for bit the single-N value.  An exactly rounded sum does not depend on which
+rows are summed with it, so the three series of ``strip_series_at`` are bit
+for bit the single-series calls, and ``bergman_series`` sums only the two
+Bergman rows of the same build.
 
 Tail bounds, all elementary alternating/absolute estimates:
 
@@ -74,7 +75,7 @@ import numpy as np
 from .domains import Strip
 from .errors import ParameterOutOfRange, PoleOnLattice
 from .kernels import bergman_strip, szego
-from .numerics import _MAX_SIZE, POINT, POSITIVE, SIZE, comp_sum_real, takes
+from .numerics import _MAX_SIZE, POINT, POSITIVE, SIZE, comp_sum, takes
 
 _LATTICE_TOL = 1e-12
 
@@ -105,18 +106,17 @@ def _alternate(rows: np.ndarray, first: float = -1.0) -> None:
 
 
 def _truncations(Ns) -> tuple:
-    """``Ns`` as a tuple of truncations; rejects anything but a non-empty
-    sequence of positive integers of at most ``numerics._MAX_SIZE``, the
-    cap of every count that sizes an array, before anything is allocated."""
+    """``Ns`` as a tuple of truncations, each of the kind ``SIZE(1)``;
+    rejects anything but a non-empty sequence of them before anything is
+    allocated."""
     try:
         Ns = tuple(Ns)
     except TypeError:
         Ns = None
-    if not Ns or not all(isinstance(N, (int, np.integer)) and 1 <= N <= _MAX_SIZE
-                         for N in Ns):
-        raise ParameterOutOfRange("truncations must be positive integers of at most "
-                                  "%d, got %r" % (_MAX_SIZE, Ns))
-    return Ns
+    if not Ns:
+        raise ParameterOutOfRange("truncations must be a non-empty sequence, got %r" % (Ns,))
+    size = SIZE(1)
+    return tuple(size(N, "a truncation") for N in Ns)
 
 
 _OVERFLOW = "the series or its closed form overflows double precision"
@@ -126,10 +126,10 @@ _OVERFLOW = "the series or its closed form overflows double precision"
 def _row_sums(Ns, rows_of) -> list:
     """Per truncation N in ``Ns``, the exactly rounded sums of the first N
     entries of each row of ``rows_of(max(Ns))`` (one
-    :func:`numerics.comp_sum_real` call with ``ends``), as a list of lists
+    :func:`numerics.comp_sum` call with ``ends``), as a list of lists
     of floats; an overflow raises :class:`ParameterOutOfRange`."""
     try:
-        return comp_sum_real(rows_of(max(Ns)), Ns).tolist()
+        return comp_sum(rows_of(max(Ns)), Ns).tolist()
     except (OverflowError, ValueError):     # fsum of inf - inf
         raise ParameterOutOfRange(_OVERFLOW) from None
 
@@ -174,18 +174,16 @@ def _scale(beta: float, zeta: complex) -> tuple:
     return math.ldexp(zeta.real, -m), math.ldexp(zeta.imag, -m), math.ldexp(beta, -m), m
 
 
-def _strip_rows(beta: float, zeta: complex, K: int, sinh: bool = True,
-                bergman: bool = False) -> np.ndarray:
+def _strip_rows(beta: float, zeta: complex, K: int, bergman: bool = False) -> np.ndarray:
     """The rows Re t_k, Im t_k of the sinh terms t_k = (-1)^k 2 zeta / D_k,
-    k = 1..K, if ``sinh``, followed if ``bergman`` by Re and Im of the paired
-    Bergman terms t_k^2 - 2 / D_k (module docstring); the Bergman rows alone
-    build t in a scratch pair of rows, freed before the sum.  Every array
-    holds zeta and y over 2**m (:func:`_scale`): g = 2 / |D|^2 there,
-    t = zeta conj(D) g / 4**m and 2 / D = conj(D) g / 4**m, so 4**-m goes
-    into the coefficients."""
+    k = 1..K, followed if ``bergman`` by Re and Im of the paired Bergman
+    terms t_k^2 - 2 / D_k (module docstring).  Every array holds zeta and y
+    over 2**m (:func:`_scale`): g = 2 / |D|^2 there, t = zeta conj(D) g /
+    4**m and 2 / D = conj(D) g / 4**m, so 4**-m goes into the
+    coefficients."""
     a, b, h, m = _scale(beta, zeta)
     r2 = a * a + b * b
-    rows = np.empty((2 * (sinh + bergman), K))
+    rows = np.empty((4 if bergman else 2, K))
     u = np.arange(1.0, K + 1.0)
     u *= u                                  # k^2, exact
     u *= 4.0 * h * h                        # y^2
@@ -193,7 +191,7 @@ def _strip_rows(beta: float, zeta: complex, K: int, sinh: bool = True,
     g = x * x
     g += (2.0 * a * b) ** 2                 # |D|^2 <= 2**502
     np.divide(2.0, g, out=g)
-    t_re, t_im = rows[:2] if sinh else np.empty((2, K))
+    t_re, t_im = rows[:2]
     np.add(u, r2, out=t_re)
     t_re *= g
     t_re *= math.ldexp(zeta.real, -2 * m)
@@ -210,8 +208,7 @@ def _strip_rows(beta: float, zeta: complex, K: int, sinh: bool = True,
         np.multiply(t_re, t_im, out=s_im)
         s_im *= 2.0
         s_im += np.multiply(g, 2.0 * a * b * q, out=u)
-    if sinh:
-        _alternate(rows[:2])    # the Bergman rows do not depend on the sign
+    _alternate(rows[:2])        # the Bergman rows do not depend on the sign
     return rows
 
 
@@ -312,23 +309,15 @@ def szego_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     return _szego_evals(beta, z, w, zeta, Ns, _pairs(sums, 0))[0]
 
 
-@takes(beta=POSITIVE, z=POINT, w=POINT)
-def bergman_series_at(beta: float, z: complex, w: complex, Ns) -> list:
-    """:func:`bergman_series` at each truncation N in ``Ns``, from one build
-    of the rows as in :func:`cosecant_series_at`; only the two Bergman rows
-    are summed."""
-    Ns = _truncations(Ns)
-    zeta = _zeta(beta, z, w)
-    sums = _row_sums(Ns, lambda K: _strip_rows(beta, zeta, K, sinh=False, bergman=True))
-    return _bergman_evals(beta, z, w, zeta, Ns, _pairs(sums, 0))
-
-
 @takes(beta=POSITIVE, z=POINT, w=POINT, N=SIZE(1))
 def bergman_series(beta: float, z: complex, w: complex, N: int) -> SeriesEval:
     """Image-charge series of the squared kernel,
     Q(z, w)^2 = -(1 / 4 pi^2) sum_k 1 / (z - conj(w) + 2 k i beta)^2,
     absolutely convergent with paired terms ~ -1 / (2 beta^2 k^2)."""
-    return bergman_series_at.__wrapped__(beta, z, w, (N,))[0]
+    Ns = (N,)
+    zeta = _zeta(beta, z, w)
+    sums = _row_sums(Ns, lambda K: _strip_rows(beta, zeta, K, bergman=True)[2:])
+    return _bergman_evals(beta, z, w, zeta, Ns, _pairs(sums, 0))[0]
 
 
 def _split_rows(beta: float, zeta: complex, K: int) -> np.ndarray:

@@ -9,7 +9,7 @@ fails here.  When the move is intended, the change commits a new BENCH file
 with the new sweep.  The bits depend on the interpreter and the numeric
 libraries, so the test skips unless Python, numpy and scipy are the versions
 in that file's ``host`` block.  The last test pins that the sweep's
-comparison fails when an id of the earlier sweep is gone.
+comparison fails when an id of the earlier sweep is gone or its bits moved.
 """
 
 import importlib.util
@@ -107,3 +107,7 @@ def test_the_sweep_comparison_fails_on_a_gone_id_and_not_on_a_new_one(capsys):
     assert "new id      b" in capsys.readouterr().out
     assert sweep.compare(one, two)
     assert "gone id     b" in capsys.readouterr().out
+    # one ulp more at one seed is a moved id, which needs a new BENCH file
+    nudged = {"defect_hex": {"0": (5e-324).hex()}, "worst_slack": 5e-324}
+    assert sweep.compare({"ids": {"a": nudged}, "failing_ids": {}}, one)
+    assert "moved       a" in capsys.readouterr().out

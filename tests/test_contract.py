@@ -131,7 +131,6 @@ CALLS = [
     ("sinh_series", periodize.sinh_series, (1.0, GOOD, 10)),
     ("strip_series_at", periodize.strip_series_at, (1.0, GOOD, GOOD, (10,))),
     ("szego_series", periodize.szego_series, (1.0, GOOD, GOOD, 10)),
-    ("bergman_series_at", periodize.bergman_series_at, (1.0, GOOD, GOOD, (10,))),
     ("bergman_series", periodize.bergman_series, (1.0, GOOD, GOOD, 10)),
     ("szego_series_split", periodize.szego_series_split, (1.0, GOOD, GOOD, 10)),
     ("phi_int", rpfunc.phi_int, (0.5, 2)),
@@ -289,6 +288,38 @@ def test_a_point_that_is_not_a_finite_number_raises(row, bad):
 def test_an_entry_of_one_point_rejects_an_array_of_two(row):
     with pytest.raises(ParameterOutOfRange):
         row.call(np.array([GOOD, GOOD]))
+
+
+def _outcome(call, v):
+    """The value of ``call(v)``, or the type of the RPHardyError it raises."""
+    try:
+        return call(v)
+    except RPHardyError as exc:
+        return type(exc)
+
+
+def _equal(a, b) -> bool:
+    """Whether two outcomes are the same error type or equal values (a
+    number, an array, or a tuple, list or result record of them)."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", _rows("points"))
+def test_a_real_batch_gives_what_its_complex_form_gives(row):
+    """The guard hands a real batch on as a float array, so every consumer
+    converts for itself: the batch of the real parts of the good argument
+    gives the same value, or the same error, in either dtype."""
+    real = np.atleast_1d(np.real(np.asarray(row.good, dtype=complex)))
+    got = _outcome(row.call, real)
+    assert _equal(got, _outcome(row.call, real.astype(complex)))
+    assert _equal(got, _outcome(row.call, real.tolist()))
 
 
 BAD_COUNTS = [None, 2.5, np.float64(3.0), "3", math.nan, math.inf, 0.5j, np.array([1, 2])]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -31,15 +32,16 @@ FTCOSH_RHS = 0.16895814227056924 + 0.019705207075393896j  # beta=1, z=0.6+0.9i
 # compensated summation
 # --------------------------------------------------------------------------
 
-def test_comp_sum_real_is_exactly_rounded():
+def test_comp_sum_is_exactly_rounded():
     vals = [1e16, 1.0, -1e16]
     assert sum(vals) == 0.0          # the naive sum loses the small term
-    assert numerics.comp_sum_real(vals) == 1.0
+    assert numerics.comp_sum(vals) == 1.0
 
 
 def test_comp_sum_complex_parts_and_empty():
     vals = [1e16 + 1e16j, 1.0 + 2.0j, -1e16 - 1e16j]
     assert numerics.comp_sum(vals) == 1.0 + 2.0j
+    assert numerics.comp_sum(np.array([1 + 2j, 3 + 4j])) == 4 + 6j
     assert numerics.comp_sum([]) == 0.0 + 0.0j
     assert numerics.comp_sum(np.zeros((0,), dtype=complex)) == 0.0 + 0.0j
 
@@ -73,7 +75,7 @@ def _same(a, b) -> bool:
 def _assert_matches_fsum(row: np.ndarray) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # no numpy RuntimeWarning escapes
-        got = _outcome(numerics.comp_sum_real, row)
+        got = _outcome(numerics.comp_sum, row)
     want = _fsum_outcome(row)
     assert _same(got, want), (got, want)
 
@@ -98,10 +100,36 @@ def _gen_sum(rng, n: int, cond: float) -> np.ndarray:
     return row
 
 
+@pytest.mark.parametrize("n", [2, 7, LONG, 3 * LONG])
+def test_complex_terms_keep_their_imaginary_parts(n):
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n) + 1j * _gen_sum(rng, n, 1e20)
+    got = numerics.comp_sum(z)
+    assert type(got) is complex
+    assert _same(got.real, math.fsum(z.real.tolist()))
+    assert _same(got.imag, math.fsum(z.imag.tolist()))
+
+
+def test_a_list_mixing_real_and_complex_numbers_sums_as_complex():
+    got = numerics.comp_sum([1e16, 1.0 + 2.0j, -1e16, 3])
+    assert type(got) is complex and got == 4.0 + 2.0j
+    got = numerics.comp_sum([[0.5, 1j], [2, 3.0]])
+    assert got.dtype == complex and got.tolist() == [0.5 + 1j, 5.0 + 0j]
+
+
+def test_real_terms_give_floats():
+    assert type(numerics.comp_sum([1, 2, 3.5])) is float
+    assert type(numerics.comp_sum(np.arange(3.0 * LONG))) is float
+    got = numerics.comp_sum(np.ones((2, 3, LONG)))
+    assert got.dtype == float and got.shape == (2, 3)
+    got = numerics.comp_sum(np.ones(LONG), (1, LONG))
+    assert got.dtype == float and got.tolist() == [1.0, float(LONG)]
+
+
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(LONG, 3 * LONG),
        log_cond=st.integers(0, 120))
-def test_comp_sum_real_matches_fsum_on_ill_conditioned_sums(seed, n, log_cond):
+def test_comp_sum_matches_fsum_on_ill_conditioned_sums(seed, n, log_cond):
     row = _gen_sum(np.random.default_rng(seed), n, 10.0 ** log_cond)
     _assert_matches_fsum(row)
 
@@ -109,7 +137,7 @@ def test_comp_sum_real_matches_fsum_on_ill_conditioned_sums(seed, n, log_cond):
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3 * LONG),
        lo=st.integers(-1100, 890), span=st.integers(0, 130), one_signed=st.booleans())
-def test_comp_sum_real_matches_fsum_on_random_magnitudes(seed, n, lo, span, one_signed):
+def test_comp_sum_matches_fsum_on_random_magnitudes(seed, n, lo, span, one_signed):
     rng = np.random.default_rng(seed)
     row = np.ldexp(rng.standard_normal(n), rng.integers(lo, lo + span + 1, n))
     _assert_matches_fsum(np.abs(row) if one_signed else row)
@@ -118,7 +146,7 @@ def test_comp_sum_real_matches_fsum_on_random_magnitudes(seed, n, lo, span, one_
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(LONG, 16 * LONG),
        decay=st.floats(0.0, 50.0))
-def test_comp_sum_real_matches_fsum_on_positive_quadrature_like_rows(seed, n, decay):
+def test_comp_sum_matches_fsum_on_positive_quadrature_like_rows(seed, n, decay):
     # all terms of one sign: the partial sums grow to n times the largest
     # term, the case that sizes the extraction constant
     rng = np.random.default_rng(seed)
@@ -130,7 +158,7 @@ def test_comp_sum_real_matches_fsum_on_positive_quadrature_like_rows(seed, n, de
 @given(a=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
                    max_value=1e300),
        nudge=st.sampled_from([0.0, 1.0, -1.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_comp_sum_real_matches_fsum_at_and_next_to_half_ulp_ties(a, nudge, seed):
+def test_comp_sum_matches_fsum_at_and_next_to_half_ulp_ties(a, nudge, seed):
     # a + half an ulp of a, exactly a tie (or just off it), padded to the
     # tree length with pairs that cancel exactly
     half = 0.5 * (math.nextafter(a, math.inf) - a)
@@ -147,7 +175,7 @@ TINY = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 @given(picks=st.lists(st.sampled_from(TINY), min_size=1, max_size=8),
        n=st.sampled_from([3, LONG, 2 * LONG + 1]), seed=st.integers(0, 2 ** 32 - 1))
-def test_comp_sum_real_matches_fsum_on_signed_zeros_and_subnormals(picks, n, seed):
+def test_comp_sum_matches_fsum_on_signed_zeros_and_subnormals(picks, n, seed):
     row = np.random.default_rng(seed).choice(picks, n)
     _assert_matches_fsum(row)
 
@@ -157,7 +185,7 @@ SPECIAL = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 1e308]
 
 @given(specials=st.lists(st.sampled_from(SPECIAL), min_size=1, max_size=4),
        n=st.sampled_from([5, LONG, 2 * LONG]), seed=st.integers(0, 2 ** 32 - 1))
-def test_comp_sum_real_matches_fsum_on_inf_nan_and_overflow(specials, n, seed):
+def test_comp_sum_matches_fsum_on_inf_nan_and_overflow(specials, n, seed):
     rng = np.random.default_rng(seed)
     row = rng.standard_normal(n) * 1e300
     row[rng.choice(n, len(specials), replace=False)] = specials
@@ -173,10 +201,10 @@ def test_a_batch_of_rows_equals_separate_calls(seed, m, n):
     if m and n:
         rows[rng.integers(m)] = 0.0
         rows[rng.integers(m)] *= -0.0
-    got = numerics.comp_sum_real(rows)
+    got = numerics.comp_sum(rows)
     assert got.shape == (m,)
     for row, s in zip(rows, got):
-        assert _same(float(s), numerics.comp_sum_real(row))
+        assert _same(float(s), numerics.comp_sum(row))
     z = rows + 1j * rng.standard_normal((m, n))
     got = numerics.comp_sum(z.reshape(1, m, n))
     assert got.shape == (1, m)
@@ -190,9 +218,9 @@ def test_a_batch_raises_the_exception_of_its_first_failing_row():
     rows[1, :2] = math.inf, -math.inf          # fsum: ValueError
     rows[2, :2] = 1e308, 1e308                 # fsum: OverflowError
     with pytest.raises(ValueError):
-        numerics.comp_sum_real(rows)
+        numerics.comp_sum(rows)
     with pytest.raises(OverflowError):
-        numerics.comp_sum_real(rows[2:])
+        numerics.comp_sum(rows[2:])
 
 
 # Directed cases for the certificate order: a long row is certified by the
@@ -257,7 +285,7 @@ def _fsum_of_rows(rows: np.ndarray) -> list:
 def _assert_rows_match_fsum(rows: np.ndarray, certificates) -> None:
     want = _fsum_of_rows(rows)
     certificates["fsum"] = 0
-    got = numerics.comp_sum_real(rows)
+    got = numerics.comp_sum(rows)
     assert all(_same(g, w) for g, w in zip(got.tolist(), want))
 
 
@@ -283,7 +311,7 @@ def test_a_row_both_first_certificates_refuse_is_certified_after_the_second_extr
 
 def test_a_row_every_certificate_refuses_falls_back_to_fsum(certificates):
     row = _tie_row(LONG)
-    got = numerics.comp_sum_real(row)
+    got = numerics.comp_sum(row)
     assert certificates["ok"] == [[False], [False], [False]]
     assert certificates["fsum"] == 1
     assert _same(got, 1.0 + 2.0 ** -52)
@@ -346,7 +374,7 @@ def _array_eval_rows():
     yield np.exp(1j * (rng.uniform(-5.0, 5.0, (4, 1)) + 0.3j) * lam) * np.exp(-lam), None
     lam = np.linspace(-20.0, 20.0, 4001)
     yield np.exp(1j * rng.uniform(-2.0, 2.0, (2, 1)) * lam) * (1.0 / np.cosh(lam)), None
-    rows = periodize._strip_rows(2.0, 0.3 - 1.1j, 10 ** 5, sinh=True, bergman=True)
+    rows = periodize._strip_rows(2.0, 0.3 - 1.1j, 10 ** 5, bergman=True)
     yield rows, (10 ** 5, 100, 1000)
 
 
@@ -357,14 +385,14 @@ def test_the_array_batch_shapes_sum_to_fsum_bit_for_bit(rows, ends):
         got = numerics.comp_sum(rows, ends)
         parts = [(got.real, rows.real), (got.imag, rows.imag)]
     else:
-        parts = [(numerics.comp_sum_real(rows, ends), rows)]
+        parts = [(numerics.comp_sum(rows, ends), rows)]
     for sums, terms in parts:
         for L, row_sums in zip(ends or (terms.shape[1],), sums.reshape(-1, terms.shape[0])):
             for s, row in zip(row_sums.tolist(), terms):
                 assert _same(s, math.fsum(row[:L].tolist()))
 
 
-# Prefix sums: comp_sum_real(row, ends) reads every sum of row[:L] off one
+# Prefix sums: comp_sum(row, ends) reads every sum of row[:L] off one
 # extraction of the whole row; each must be math.fsum(row[:L]) bit for bit,
 # or the exception of the first prefix (in the order of ends) that fsum
 # refuses.
@@ -413,7 +441,7 @@ def _prefix_row(kind: str, rng, n: int) -> np.ndarray:
 def _assert_prefixes_match_fsum(row: np.ndarray, ends: list) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # no numpy RuntimeWarning escapes
-        got = _outcome(lambda r: numerics.comp_sum_real(r, ends), row)
+        got = _outcome(lambda r: numerics.comp_sum(r, ends), row)
     want = [_fsum_outcome(row[:L]) for L in ends]
     refused = [w for w in want if isinstance(w, type)]
     if refused:
@@ -444,7 +472,7 @@ def test_prefix_sums_of_a_batch_and_of_complex_rows():
                      ("random", "tie", "cancel", "zero-head", "tiny-set")])
     rows[4] = 0.0
     ends = (n, 100, LONG, 3, 0, n - 1)
-    got = numerics.comp_sum_real(rows, ends)
+    got = numerics.comp_sum(rows, ends)
     assert got.shape == (len(ends), rows.shape[0])
     for j, L in enumerate(ends):
         for i, row in enumerate(rows):
@@ -460,7 +488,7 @@ def test_prefix_sums_of_a_batch_and_of_complex_rows():
 
 def test_the_one_end_case_is_the_plain_sum():
     row = np.random.default_rng(13).standard_normal(2 * LONG)
-    assert _same(numerics.comp_sum_real(row, (row.size,))[0], numerics.comp_sum_real(row))
+    assert _same(numerics.comp_sum(row, (row.size,))[0], numerics.comp_sum(row))
     z = row + 1j * row[::-1]
     assert numerics.comp_sum(z, [z.size])[0] == numerics.comp_sum(z)
     assert numerics.comp_sum([], ()).shape == (0,)
@@ -469,7 +497,7 @@ def test_the_one_end_case_is_the_plain_sum():
 @pytest.mark.parametrize("ends", [(2 * LONG + 1,), (-1,), (2.0,), (math.nan,), ("3",)])
 def test_prefix_ends_outside_the_row_are_rejected(ends):
     with pytest.raises(ParameterOutOfRange):
-        numerics.comp_sum_real(np.ones(2 * LONG), ends)
+        numerics.comp_sum(np.ones(2 * LONG), ends)
 
 
 def test_a_prefix_the_bound_refuses_takes_the_measured_sum_then_the_second_extraction(
@@ -481,7 +509,7 @@ def test_a_prefix_the_bound_refuses_takes_the_measured_sum_then_the_second_extra
                           np.random.default_rng(4).uniform(0.0, 1.0, 3 * LONG)])
     want = [math.fsum(row[:LONG].tolist()), math.fsum(row.tolist())]
     certificates["fsum"] = 0
-    got = numerics.comp_sum_real(row, (LONG, row.size))
+    got = numerics.comp_sum(row, (LONG, row.size))
     assert certificates["ok"] == [[False], [True], [False], [True]]
     assert certificates["fsum"] == 0
     assert all(_same(g, w) for g, w in zip(got.tolist(), want))
@@ -494,7 +522,7 @@ def test_a_prefix_the_measured_sum_certifies_leaves_the_others_on_the_bound(cert
                           np.random.default_rng(6).uniform(0.0, 1.0, 3 * LONG)])
     want = [math.fsum(row[:LONG].tolist()), math.fsum(row.tolist())]
     certificates["fsum"] = 0
-    got = numerics.comp_sum_real(row, (LONG, row.size))
+    got = numerics.comp_sum(row, (LONG, row.size))
     assert certificates["ok"] == [[False], [True], [True]]
     assert certificates["fsum"] == 0
     assert all(_same(g, w) for g, w in zip(got.tolist(), want))
@@ -923,6 +951,28 @@ def test_a_real_gram_takes_the_real_solver_and_agrees_with_the_complex_one(
     assert abs(rep.min_eigenvalue - eigs[0]) <= slack
     assert abs(rep.max_eigenvalue - eigs[-1]) <= slack
     assert rep.verdict and rep.deficit <= rep.tolerance
+
+
+def test_the_points_guard_passes_a_real_gram_on_uncopied(eigvalsh_dtypes):
+    # a complex copy of this Gram would be 640 KB; the guard's isfinite
+    # mask is 40 KB
+    G = _line_gram(200, 1)
+    tracemalloc.start()
+    try:
+        assert numerics.finite_points(G, "G") is G
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    numerics.gram_report(G)
+    assert eigvalsh_dtypes == [np.float64]
+
+
+def test_points_keep_a_real_batch_real():
+    assert numerics.finite_points([1, 2], "z").dtype == float
+    assert numerics.finite_points(np.float32([0.5]), "z").dtype == float
+    assert numerics.finite_points([1, 2j], "z").dtype == complex
+    assert type(numerics.finite_points(1.0, "z")) is complex   # one point
 
 
 @pytest.mark.parametrize("im", [1e-300, -5e-324, 0.25])

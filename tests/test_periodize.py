@@ -165,9 +165,7 @@ def test_each_truncation_of_one_term_array_equals_the_single_truncation_call(Ns)
                   [periodize.cosecant_series(c, N) for N in Ns]),
                  (sinh, [periodize.sinh_series(beta, zeta, N) for N in Ns]),
                  (szego, [periodize.szego_series(beta, z, w, N) for N in Ns]),
-                 (bergman, [periodize.bergman_series(beta, z, w, N) for N in Ns]),
-                 (periodize.bergman_series_at(beta, z, w, Ns),
-                  [periodize.bergman_series(beta, z, w, N) for N in Ns])]
+                 (bergman, [periodize.bergman_series(beta, z, w, N) for N in Ns])]
         for many, single in pairs:
             assert [_bits(ev) for ev in many] == [_bits(ev) for ev in single]
 
@@ -187,7 +185,7 @@ def test_series_reject_a_truncation_that_is_not_a_positive_integer(N):
     calls = [lambda: periodize.cosecant_series_at(z, (100, N)),
              lambda: periodize.strip_series_at(beta, z, w, (N, 100)),
              lambda: periodize.strip_series_at(beta, z, w, [N]),
-             lambda: periodize.bergman_series_at(beta, z, w, (100, N, 10))]
+             lambda: periodize.strip_series_at(beta, z, w, (100, N, 10))]
     for call in calls:
         with pytest.raises(ParameterOutOfRange):
             call()
@@ -366,5 +364,5 @@ def test_a_series_whose_squared_denominator_overflows_keeps_its_value():
     sinh, _, bergman = periodize.strip_series_at(beta, z, w, (1000, 10))
     assert bergman[0].value.real == pytest.approx(3.0322734095217233e-201, rel=1e-14)
     assert sinh[0].value.real == pytest.approx(2.1333254492557685e-200, rel=1e-14)
-    assert _bits(periodize.bergman_series_at(beta, z, w, (1000, 10))[0]) == _bits(bergman[0])
+    assert _bits(periodize.bergman_series(beta, z, w, 1000)) == _bits(bergman[0])
     assert _bits(periodize.sinh_series(beta, z - w.conjugate(), 1000)) == _bits(sinh[0])
