@@ -16,10 +16,11 @@ pins that set with a reason per id) or compares a value with itself.
 
 Given BASE.json, an earlier output of this script or a BENCH_<n>.json whose
 ``accuracy`` block is one, it prints every id whose defect moved at any seed
-(worst slack before and after), every id that fails now and did not fail
-in BASE, and every id of BASE that is gone, and exits with status 1 if there
-is a moved, a newly failing or a gone id: where bits move, a new BENCH file
-records the new sweep.  A new id only prints.
+of the new sweep (worst slack before and after, and those seeds), every id
+that fails now and did not fail in BASE, and every id of BASE that is gone,
+and exits with status 1 if there is a moved, a newly failing or a gone id:
+where bits move, a new BENCH file records the new sweep.  A new id only
+prints.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ def _slack(defect: float, tol: float) -> float:
     return defect / tol if tol > 0.0 else defect
 
 
-def sweep() -> dict:
+def sweep(seeds) -> dict:
+    """The accuracy block of ``run_suite("all")`` at each of ``seeds``."""
     ids: dict[str, dict] = {}
-    for seed in SEEDS:
+    for seed in seeds:
         for r in run_suite("all", Defaults(rng_seed=seed)).results:
             entry = ids.setdefault(r.id, {"tol": r.tol, "worst_defect": None,
                                           "worst_slack": None, "at_seed": None,
@@ -56,12 +58,11 @@ def sweep() -> dict:
             if entry["worst_slack"] is None or not slack <= entry["worst_slack"]:
                 entry.update(worst_defect=r.defect, worst_slack=slack, at_seed=seed)
     return {
-        "method": "verify.run_suite('all', Defaults(rng_seed=s)) for s in 0..39 and "
-                  "99; per check id the worst defect and slack (defect/tol, raw "
-                  "defect for tol 0), its seed, the failing seeds and defect.hex() "
-                  "per seed",
+        "method": "verify.run_suite('all', Defaults(rng_seed=s)) for s in seeds; per "
+                  "check id the worst defect and slack (defect/tol, raw defect for tol "
+                  "0), its seed, the failing seeds and defect.hex() per seed",
         "rphardy": __version__,
-        "seeds": SEEDS,
+        "seeds": list(seeds),
         "failing_ids": {cid: e["failing_seeds"] for cid, e in ids.items()
                         if e["failing_seeds"]},
         "ids": ids,
@@ -76,16 +77,20 @@ def exact_ids(accuracy: dict) -> list[str]:
 
 def compare(new: dict, base: dict) -> bool:
     """Print the ids that are new, moved, gone or newly fail; True if one
-    moved, newly fails or is gone."""
+    moved, newly fails or is gone.  An id moved if its defect differs at a
+    seed of ``new``, or BASE lacks that seed; seeds only BASE ran are not
+    compared."""
     moved = []
     for cid, e in new["ids"].items():
         old = base["ids"].get(cid)
         if old is None:
             print("new id      %s" % cid)
-        elif old["defect_hex"] != e["defect_hex"]:
+            continue
+        seeds = [seed for seed, h in e["defect_hex"].items() if old["defect_hex"].get(seed) != h]
+        if seeds:
             moved.append(cid)
-            print("moved       %-40s worst slack %.4e -> %.4e"
-                  % (cid, old["worst_slack"], e["worst_slack"]))
+            print("moved       %-40s worst slack %.4e -> %.4e at seeds %s"
+                  % (cid, old["worst_slack"], e["worst_slack"], ",".join(seeds)))
     gone = [cid for cid in base["ids"] if cid not in new["ids"]]
     for cid in gone:
         print("gone id     %s" % cid)
@@ -102,7 +107,7 @@ def main(argv: list[str]) -> int:
     if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    result = sweep()
+    result = sweep(SEEDS)
     Path(argv[0]).write_text(json.dumps(result, indent=1) + "\n")
     exact = exact_ids(result)
     print("%d ids with defect exactly 0 at every seed: %s" % (len(exact), ", ".join(exact)))

@@ -38,6 +38,7 @@ from .numerics import (POINT, POSITIVE, REAL, SIZE, _complex, _require_positive,
 
 SQRT_2I = cmath.sqrt(2j)  # = (1 + i), principal branch
 _PARAMETER = "boundary parameter x"
+_CLOSURE_TOL = 1e-9     # how far outside the closed domain a kernel argument may lie
 
 
 def _modulus(z: complex) -> float:
@@ -64,9 +65,9 @@ class Domain:
         """The antiholomorphic involution of the closed domain."""
         raise NotImplementedError
 
-    def on_fixed_set(self, z: complex, tol: float = 1e-12) -> bool:
+    def on_fixed_set(self, z: complex) -> bool:
         """Whether z lies on the fixed-point set of sigma (inside the closure)."""
-        return _modulus(self.sigma(z) - z) <= tol * (1.0 + _modulus(z))
+        return _modulus(self.sigma(z) - z) <= 1e-12 * (1.0 + _modulus(z))
 
     def locate(self, z: complex, tol: float = 1e-12) -> str:
         if self.contains(z):
@@ -75,9 +76,8 @@ class Domain:
             return "boundary"
         return "exterior"
 
-    def in_closure(self, z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Elementwise ``locate(z, tol) != "exterior"`` for a complex array
-        (False for NaN)."""
+    def in_closure(self, z: np.ndarray) -> np.ndarray:
+        """Elementwise ``locate(z, _CLOSURE_TOL) != "exterior"`` (False for NaN)."""
         raise NotImplementedError
 
     def require_interior(self, z: complex) -> complex:
@@ -130,10 +130,10 @@ class Disc(Domain):
         return abs(_modulus(finite_point(z)) - 1.0) <= tol
 
     @np.errstate(over="ignore")     # a modulus that overflows is outside
-    def in_closure(self, z, tol=1e-12):
+    def in_closure(self, z):
         # np.hypot is the modulus Python's abs(complex) computes
         r = np.hypot(z.real, z.imag)
-        return (r < 1.0) | (np.abs(r - 1.0) <= tol)
+        return (r < 1.0) | (np.abs(r - 1.0) <= _CLOSURE_TOL)
 
     def sigma(self, z):
         return finite_point(z).conjugate()
@@ -161,8 +161,8 @@ class HalfPlane(Domain):
     def on_boundary(self, z, tol=1e-12):
         return abs(finite_point(z).imag) <= tol
 
-    def in_closure(self, z, tol=1e-12):
-        return (z.imag > 0.0) | (np.abs(z.imag) <= tol)
+    def in_closure(self, z):
+        return (z.imag > 0.0) | (np.abs(z.imag) <= _CLOSURE_TOL)
 
     def sigma(self, z):
         return -finite_point(z).conjugate()
@@ -196,10 +196,10 @@ class Strip(Domain):
         y = finite_point(z).imag
         return abs(y) <= tol or abs(y - self.beta) <= tol
 
-    def in_closure(self, z, tol=1e-12):
+    def in_closure(self, z):
         y = z.imag
-        return (((0.0 < y) & (y < self.beta)) | (np.abs(y) <= tol)
-                | (np.abs(y - self.beta) <= tol))
+        return (((0.0 < y) & (y < self.beta)) | (np.abs(y) <= _CLOSURE_TOL)
+                | (np.abs(y - self.beta) <= _CLOSURE_TOL))
 
     def sigma(self, z):
         return self.beta * 1j + finite_point(z).conjugate()

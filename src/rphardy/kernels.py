@@ -74,7 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .domains import _PARAMETER, HALF_PLANE, Disc, Domain, HalfPlane, Strip, transfer_map
+from .domains import (_CLOSURE_TOL, _PARAMETER, HALF_PLANE, Disc, Domain, HalfPlane, Strip,
+                      transfer_map)
 from .errors import (
     BranchCutViolation,
     DivergentLogIntegral,
@@ -89,7 +90,6 @@ from .numerics import (_FAR, POINT, POINTS, POSITIVE, REAL, GramReport, Identity
                        _complex, finite_array, gram_report, is_batch, takes)
 
 _POLE_TOL = 1e-13
-_CLOSURE_TOL = 1e-9     # how far outside the closed domain a point may lie
 
 
 def _require_closure(domain: Domain, z: complex) -> None:
@@ -104,7 +104,7 @@ def _closure_arrays(domain: Domain, *pts):
     call)."""
     pts = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in pts))
     for p in pts:
-        inside = domain.in_closure(p, _CLOSURE_TOL)
+        inside = domain.in_closure(p)
         if not np.all(inside):
             bad = complex(p[~inside][0])
             raise OutsideDomain("%r is outside the closed %s" % (bad, domain.name))

@@ -119,12 +119,12 @@ def _two_sum(a, b):
     return s, (a - (s - bv)) + (b - bv)
 
 
-def _extract(x: np.ndarray, sigma: np.ndarray, q: np.ndarray, out=None) -> np.ndarray:
+def _extract(x: np.ndarray, sigma: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
     """One ExtractVector step: q = (x + sigma) - sigma into the buffer ``q``,
-    and the remainder p = x - q returned (into ``out`` if given)."""
+    and the remainder p = x - q into the buffer ``out``."""
     np.add(x, sigma, out=q)
     q -= sigma
-    return np.subtract(x, q, out=out)
+    np.subtract(x, q, out=out)
 
 
 def _certify(tau1, tau2, p_sums, p_abs_sums, n: int):
@@ -254,8 +254,8 @@ def _second_extraction(x: np.ndarray, sigma: np.ndarray, grow: int, rows: list, 
     p = x[rows, :L]                     # a copy, which p overwrites
     q = np.empty_like(p)
     s = sigma[rows]
-    _extract(p, s, q, out=p)
-    _extract(p, s * 2.0 ** (grow - 53), q, out=p)
+    _extract(p, s, q, p)
+    _extract(p, s * 2.0 ** (grow - 53), q, p)
     return _certify(tau1, q.sum(1).tolist(), p.sum(1).tolist(),
                     np.abs(p, out=q).sum(1).tolist(), L)
 
@@ -405,7 +405,7 @@ def _require_positive(value, name: str = "beta"):
     :class:`ParameterOutOfRange` naming ``name``: the kind ``POSITIVE``."""
     try:
         ok = value > 0.0 and math.isfinite(value)
-    except (TypeError, ValueError):     # not a number, or an array
+    except (TypeError, ValueError, OverflowError):  # not a number, an array, or an int past float
         ok = False
     if not ok:
         raise ParameterOutOfRange("need finite %s > 0, got %r" % (name, value))
@@ -524,13 +524,11 @@ def _extension():
     return module
 
 
-def _quadpack(f, a, b, tol, *, epsrel=1.49e-8, limit=50, points=None,
-              weight=None, wvar=None, limlst=50):
-    """QUADPACK over [a, b], a < b, with the package's tolerances, returning
-    ``(value, error_estimate)``: bit for bit
-    ``scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, ...)[:2]``,
-    whose dispatch (scipy 1.17.1, ``_quad`` and ``_quad_weight``) it repeats
-    for the four routines used here, with scipy's defaults:
+def _quadpack(f, a, b, tol, *, limit=50, points=None, weight=None, wvar=None):
+    """QUADPACK over [a, b], a < b, returning ``(value, error_estimate)``: bit
+    for bit ``scipy.integrate.quad(f, a, b, epsabs=tol / 4, epsrel=1e-12,
+    limlst=120, full_output=1, ...)[:2]``, whose dispatch (scipy 1.17.1,
+    ``_quad`` and ``_quad_weight``) it repeats for the four routines used here:
 
     * finite [a, b]: QAGS, or QAGP with the distinct ``points`` inside (a, b);
     * an infinite end, no ``points``: QAGI on [a, inf), (-inf, b] or the line;
@@ -548,18 +546,18 @@ def _quadpack(f, a, b, tol, *, epsrel=1.49e-8, limit=50, points=None,
     quadpack = _extension()
     if weight is not None:
         code = {"cos": 1, "sin": 2}[weight]
-        out = quadpack._qawfe(f, a, wvar, code, (), 1, epsabs, limlst, limit, 50)
+        out = quadpack._qawfe(f, a, wvar, code, (), 1, epsabs, _QAWF_CYCLES, limit, 50)
     elif points is not None:
         pts = np.unique(points)
         pts = np.concatenate((pts[(a < pts) & (pts < b)], (0.0, 0.0)))
-        out = quadpack._qagpe(f, a, b, pts, (), 1, epsabs, epsrel, limit)
+        out = quadpack._qagpe(f, a, b, pts, (), 1, epsabs, _QUAD_EPSREL, limit)
     elif math.isinf(a) or math.isinf(b):
         bound, inf = (b, -1) if math.isinf(a) else (a, 1)
         if math.isinf(bound):
             bound, inf = 0.0, 2
-        out = quadpack._qagie(f, bound, inf, (), 1, epsabs, epsrel, limit)
+        out = quadpack._qagie(f, bound, inf, (), 1, epsabs, _QUAD_EPSREL, limit)
     else:
-        out = quadpack._qagse(f, a, b, (), 1, epsabs, epsrel, limit)
+        out = quadpack._qagse(f, a, b, (), 1, epsabs, _QUAD_EPSREL, limit)
     if out[-1] == 6:
         raise ParameterOutOfRange("QUADPACK refused its input on [%r, %r] at tol = %r"
                                   % (a, b, tol))
@@ -601,7 +599,7 @@ def quad_real(f, a, b, *, tol: float = 1e-10, points=None):
     value = err = 0.0
     for lo, hi, piece_pts in pieces:
         if lo < hi:
-            v, e = _quadpack(f, lo, hi, tol, epsrel=1e-12, limit=400, points=piece_pts)
+            v, e = _quadpack(f, lo, hi, tol, limit=400, points=piece_pts)
             value += v
             err += e
     _tolerance_guard(value, err, tol)
@@ -664,6 +662,8 @@ def quad(f, a, b, *, tol: float = 1e-10, points=None):
 _QAWF_LEAST_T = 1e-2    # below it oscillatory_ft tries QAGI first
 _QAWF_FLOOR = 1e-200    # below it oscillatory_ft never calls QAWF
 _FT_TOL = 1e-10         # the quadrature tolerance of oscillatory_ft
+_QAWF_CYCLES = 120      # the most cycles QAWF sums (its limlst)
+_QUAD_EPSREL = 1e-12    # the relative tolerance of QAGS, QAGP and QAGI
 
 
 @takes(t=REAL)
@@ -708,8 +708,8 @@ def oscillatory_ft(f, t: float) -> complex:
             return v
         return g
 
-    re, re_err = _quadpack(part(1.0), 0, np.inf, _FT_TOL, weight="cos", wvar=w, limlst=120)
-    im, im_err = _quadpack(part(-1.0), 0, np.inf, _FT_TOL, weight="sin", wvar=w, limlst=120)
+    re, re_err = _quadpack(part(1.0), 0, np.inf, _FT_TOL, weight="cos", wvar=w)
+    im, im_err = _quadpack(part(-1.0), 0, np.inf, _FT_TOL, weight="sin", wvar=w)
     value = complex(re, math.copysign(1.0, t) * im)
     _tolerance_guard(value, re_err + im_err, _FT_TOL)
     return value

@@ -21,9 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from rphardy.config import Defaults
-from rphardy.verify import run_suite
-
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 99)
 
@@ -73,9 +70,7 @@ def test_the_ids_whose_recorded_defect_is_exactly_0_are_the_pinned_ones():
         name, sorted(exact - EXACT_IDS.keys()), sorted(EXACT_IDS.keys() - exact))
 
 
-@pytest.fixture(scope="module")
-def recorded():
-    """(file name, per-id accuracy entries) of the newest BENCH file."""
+def test_every_verify_defect_has_the_bits_the_newest_bench_file_records(capsys):
     name, bench = _newest_bench()
     here = {"python": platform.python_version(), "numpy": version("numpy"),
             "scipy": version("scipy")}
@@ -84,18 +79,13 @@ def recorded():
     if differ:
         pytest.skip("%s was recorded with other versions (recorded, here): %s"
                     % (name, differ))
-    return name, bench["accuracy"]["ids"]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_every_verify_defect_has_the_bits_the_newest_bench_file_records(recorded, seed):
-    name, ids = recorded
-    got = {r.id: r.defect.hex() for r in run_suite("all", Defaults(rng_seed=seed)).results}
-    want = {cid: entry["defect_hex"][str(seed)] for cid, entry in ids.items()}
-    moved = {cid: (want.get(cid), got.get(cid)) for cid in want.keys() | got.keys()
-             if want.get(cid) != got.get(cid)}
-    assert not moved, "defects differ from %s at rng seed %d (recorded, now): %s" % (
-        name, seed, dict(sorted(moved.items())))
+    sweep = _sweep()
+    now = sweep.sweep(SEEDS)
+    # stricter than the sweep's comparison: an id the BENCH file lacks fails
+    failed = sweep.compare(now, bench["accuracy"]) \
+        or not now["ids"].keys() <= bench["accuracy"]["ids"].keys()
+    assert not failed, "against %s at rng seeds %s:\n%s" % (
+        name, SEEDS, capsys.readouterr().out)
 
 
 def test_the_sweep_comparison_fails_on_a_gone_id_and_not_on_a_new_one(capsys):
@@ -111,3 +101,13 @@ def test_the_sweep_comparison_fails_on_a_gone_id_and_not_on_a_new_one(capsys):
     nudged = {"defect_hex": {"0": (5e-324).hex()}, "worst_slack": 5e-324}
     assert sweep.compare({"ids": {"a": nudged}, "failing_ids": {}}, one)
     assert "moved       a" in capsys.readouterr().out
+    # a 1-seed sweep is compared on its seed alone, which the base must have
+    both = {"ids": {"a": {"defect_hex": {"0": (0.0).hex(), "99": (5e-324).hex()},
+                          "worst_slack": 5e-324}}, "failing_ids": {}}
+    assert not sweep.compare(one, both)
+    assert "1 of 1 ids bit-identical" in capsys.readouterr().out
+    assert sweep.compare({"ids": {"a": nudged}, "failing_ids": {}}, both)
+    assert "at seeds 0\n" in capsys.readouterr().out
+    only_99 = {"defect_hex": {"99": (0.0).hex()}, "worst_slack": 0.0}
+    assert sweep.compare({"ids": {"a": only_99}, "failing_ids": {}}, one)
+    assert "at seeds 99\n" in capsys.readouterr().out

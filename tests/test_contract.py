@@ -376,8 +376,9 @@ def test_a_real_parameter_given_one_complex_number_says_it_must_be_real(row, bad
 
 
 BAD_POSITIVES = [None, "1", math.nan, math.inf, -math.inf, 0.0, -1.0, 0.5j,
-                 np.array([1.0, 2.0])]
-BAD_POSITIVE_IDS = ["None", "str", "nan", "inf", "-inf", "0", "-1", "complex", "array"]
+                 np.array([1.0, 2.0]), 10 ** 400]
+BAD_POSITIVE_IDS = ["None", "str", "nan", "inf", "-inf", "0", "-1", "complex", "array",
+                    "int-past-float"]
 
 
 @pytest.mark.filterwarnings("error")

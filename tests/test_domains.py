@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rphardy.domains import (
-    DISC, HALF_PLANE, Strip, cayley, cayley_inv, hardy_transfer,
+    DISC, HALF_PLANE, Domain, Strip, cayley, cayley_inv, hardy_transfer,
     sample_interior, strip_exp, strip_log, transfer_map,
 )
 from rphardy.errors import OutsideDomain, ParameterOutOfRange
@@ -154,3 +154,8 @@ def test_sample_interior_respects_margin():
     pts = sample_interior(STRIP, rng, 200, margin=0.1)
     assert np.min(pts.imag) >= 0.1 * STRIP.beta - 1e-12
     assert np.max(pts.imag) <= 0.9 * STRIP.beta + 1e-12
+
+
+def test_sample_interior_refuses_a_domain_it_does_not_know():
+    with pytest.raises(ParameterOutOfRange, match="unknown domain"):
+        sample_interior(Domain(), np.random.default_rng(0), 3)

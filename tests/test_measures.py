@@ -44,6 +44,11 @@ def test_no_atom_left_after_merging_lies_within_the_merge_tolerance_of_another()
     assert mu.total_mass() == math.fsum(weights)
 
 
+def test_atom_arrays_of_two_lengths_are_rejected():
+    with pytest.raises(ParameterOutOfRange, match="must be parallel"):
+        measures.MeasureOnR(np.array([1.0, 2.0]), np.array([1.0]))
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ParameterOutOfRange):
         measures.atomic([(0.7, -1.0)])
@@ -283,6 +288,9 @@ def test_reflection_check_gamma_image():
     assert measures.reflection_check(mu, 1.0) == math.inf
     # nor has a grid that is not symmetric about 0
     assert measures.reflection_check(measures.gridded(-1.0, 0.5, [1.0] * 6), 1.0) == math.inf
+    # e^{-800} underflows: the reflected density is 0 where its mirror is 1
+    assert measures.reflection_check(measures.gridded(-800.0, 800.0, [1.0, 0.0, 1.0]),
+                                     1.0) == math.inf
 
 
 def test_a_density_off_a_grid_from_0_is_not_extended():
@@ -337,6 +345,10 @@ def test_kms_check_raises_when_a_transform_overflows():
         warnings.simplefilter("error")
         with pytest.raises(DivergentTransform):
             measures.kms_check(nu, 2.0)
+        # finite transforms whose difference overflows: +-1e308 i at t = 4
+        big = measures.MeasureOnR(np.array([math.pi / 8]), np.array([1e308]))
+        with pytest.raises(DivergentTransform, match="differ by more than 1e308"):
+            measures.kms_check(big, 1e-300)
 
 
 def test_laplace_value():
@@ -519,6 +531,9 @@ def test_splitting_rejects_asymmetric_input():
     with pytest.raises(AsymmetricInput):
         measures.geometric_splitting(measures.atomic([(0.7, 1.0)]), 1.0,
                                      "alternating")
+    # a grid that is not symmetric about 0
+    with pytest.raises(AsymmetricInput):
+        measures.geometric_splitting(measures.gridded(-1.0, 0.5, [1.0] * 6), 1.0, "plain")
 
 
 def test_splitting_plain_rejects_atom_at_zero():

@@ -37,6 +37,12 @@ def test_space_rejects_an_empty_measure():
         modular.DiscretizedSpace.from_measure(measures.MeasureOnR())
 
 
+def test_space_rejects_a_zero_weight():
+    # the density vanishes at both ends of its grid, and so do their weights
+    with pytest.raises(ParameterOutOfRange, match="strictly positive weights"):
+        modular.DiscretizedSpace.from_measure(measures.gridded(-1.0, 0.5, [0, 1, 1, 1, 0]))
+
+
 def test_inner_is_positive_definite():
     md = _setup()
     rng = np.random.default_rng(41)
@@ -99,6 +105,14 @@ def test_standard_vectors_are_j_fixed():
         # J Delta^{1/2} fixes the standard cone's real subspace members:
         # J Delta^{1/2} v = v for v(lam) = conj(v(-lam))
         assert np.max(np.abs(w - v)) < 1e-13
+
+
+def test_a_standard_membership_defect_that_overflows_raises():
+    space = modular.DiscretizedSpace.from_measure(measures.atomic([(-1.0, 1.0), (1.0, 1.0)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterOutOfRange, match="overflows"):
+            modular.standard_membership(space, [1e308, -1e308])
 
 
 def test_modular_coefficient_of_an_array_matches_scalar_calls_bit_for_bit():

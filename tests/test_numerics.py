@@ -653,26 +653,23 @@ _GAUSS = lambda x: math.exp(-(x - 0.7) ** 2)
 _LORENTZ = lambda x: 1.0 / (1.0 + x * x)
 
 # (f, a, b, tol, opts): every dispatch _quadpack makes, at the options the
-# package passes and at scipy's defaults; "flags" sets QUADPACK failure flags
+# package passes; "flags" sets QUADPACK failure flags
 BINDING = {
     "qags": (lambda x: math.exp(-x * x) * math.cos(3.0 * x), 0.0, 2.0, 1e-10,
-             {"epsrel": 1e-12, "limit": 400}),
-    "qags-defaults": (math.sqrt, 0.0, 1.0, 1e-10, {}),
-    "qags-flags": (lambda x: math.sin(1e7 * x), 0.0, 1.0, 1e-13,
-                   {"epsrel": 1e-12, "limit": 400}),
-    "qagp": (_PEAK, 0.0, 2.0, 1e-10,
-             {"epsrel": 1e-12, "limit": 400, "points": np.array([0.3, 1.5])}),
+             {"limit": 400}),
+    "qags-flags": (lambda x: math.sin(1e7 * x), 0.0, 1.0, 1e-13, {"limit": 400}),
+    "qagp": (_PEAK, 0.0, 2.0, 1e-10, {"limit": 400, "points": np.array([0.3, 1.5])}),
     # at a small limit a duplicate breakpoint, kept, would take up a
     # subinterval and move the bits
     "qagp-duplicates-and-outside": (_PEAK, 0.0, 2.0, 1e-10,
-                                    {"epsrel": 1e-12, "limit": 10,
+                                    {"limit": 10,
                                      "points": [1.5, 0.3, -1.0, 0.3, 2.0, 3.0, 0.0]}),
-    "qagi-right": (_GAUSS, -0.5, np.inf, 1e-10, {"epsrel": 1e-12, "limit": 400}),
-    "qagi-left": (_GAUSS, -np.inf, 1.25, 1e-9, {"epsrel": 1e-12, "limit": 400}),
-    "qagi-line": (_LORENTZ, -np.inf, np.inf, 1e-10, {"epsrel": 1e-12, "limit": 400}),
-    "qawf-cos": (_LORENTZ, 0, np.inf, 1e-10, {"weight": "cos", "wvar": 0.7, "limlst": 120}),
+    "qagi-right": (_GAUSS, -0.5, np.inf, 1e-10, {"limit": 400}),
+    "qagi-left": (_GAUSS, -np.inf, 1.25, 1e-9, {"limit": 400}),
+    "qagi-line": (_LORENTZ, -np.inf, np.inf, 1e-10, {"limit": 400}),
+    "qawf-cos": (_LORENTZ, 0, np.inf, 1e-10, {"weight": "cos", "wvar": 0.7}),
     "qawf-sin": (lambda x: x / (1.0 + x * x), 0, np.inf, 1e-10,
-                 {"weight": "sin", "wvar": 0.7, "limlst": 120}),
+                 {"weight": "sin", "wvar": 0.7}),
 }
 
 
@@ -681,7 +678,8 @@ def test_the_quadpack_binding_gives_scipys_bits(f, a, b, tol, opts):
     import scipy.integrate
 
     got = numerics._quadpack(f, a, b, tol, **opts)
-    want = scipy.integrate.quad(f, a, b, epsabs=tol / 4, full_output=1, **opts)[:2]
+    want = scipy.integrate.quad(f, a, b, epsabs=tol / 4, epsrel=1e-12, limlst=120,
+                                full_output=1, **opts)[:2]
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
@@ -701,9 +699,8 @@ def test_an_error_raised_by_the_integrand_comes_out_of_quadpack_unchanged(a, b, 
 
 @pytest.mark.parametrize("a,b,opts", [
     (0.0, 1.0, {"limit": 0}),
-    (0.0, 1.0, {"limit": 2, "points": [0.2, 0.4, 0.6]}),
-    (0, np.inf, {"weight": "cos", "wvar": 0.7, "limlst": 2})],
-    ids=["limit-0", "points-beyond-limit", "limlst-2"])
+    (0.0, 1.0, {"limit": 2, "points": [0.2, 0.4, 0.6]})],
+    ids=["limit-0", "points-beyond-limit"])
 def test_input_quadpack_refuses_raises_parameter_out_of_range(a, b, opts):
     """QUADPACK's flag 6, on which scipy.integrate.quad raises a bare
     ValueError."""
@@ -1057,16 +1054,16 @@ def test_psi_hardy_midline_where_beta_lam_overflows_gives_0():
     assert (proc.returncode, proc.stdout.strip()) == (0, "0.0"), proc.stderr
 
 
-@pytest.mark.parametrize("t", [0.3, 0.003])
-def test_an_integrand_that_is_nan_at_a_finite_x_raises_before_qawf(t):
+@pytest.mark.parametrize("bad,t", [("nan", 0.3), ("nan", 0.003), ("inf", 0.5)])
+def test_an_integrand_that_is_nan_at_a_finite_x_raises_before_qawf(bad, t):
     """A NaN value of f crashed QAWF with SIGSEGV, at t = 0.003 after the
-    QAGI try failed on it; hence the child process."""
+    QAGI try failed on it, and so does an inf; hence the child process."""
     proc = _child("import math\n"
                   "from rphardy import numerics\n"
                   "from rphardy.errors import ToleranceNotReached\n"
-                  "f = lambda x: math.nan if abs(x) > 5 else math.exp(-x * x)\n"
+                  "f = lambda x: math.%s if abs(x) > 5 else math.exp(-x * x)\n"
                   "try:\n    numerics.oscillatory_ft(f, %r)\n"
-                  "except ToleranceNotReached:\n    print('raised')\n" % t)
+                  "except ToleranceNotReached:\n    print('raised')\n" % (bad, t))
     assert (proc.returncode, proc.stdout.strip()) == (0, "raised"), proc.stderr
 
 
@@ -1190,6 +1187,16 @@ def test_sech_power_recursion_rejects_n_below_one():
 def test_ftcosh_matches_the_sinh_closed_form():
     chk = numerics.ftcosh_check(1.0, 0.6 + 0.9j)
     assert abs(chk.rhs - FTCOSH_RHS) < 5e-16
+    assert chk.defect < 1e-10
+
+
+@pytest.mark.parametrize("z", [300.0 + 0.5j, -300.0 + 0.5j], ids=["far-right", "far-left"])
+def test_ftcosh_past_far_takes_the_exponential_form_of_1_over_sinh(mp, z):
+    # |Re u| = 471 > _FAR: sinh u overflows there, 1 / sinh u = +-2 e^{-+u};
+    # the rounding of u = pi z / 2 costs e^u up to |u| eps ~ 1e-13 relative
+    chk = numerics.ftcosh_check(1.0, z)
+    want = complex(0.25j / mp.sinh(mp.pi * mp.mpc(z) / 2))
+    assert abs(chk.rhs - want) <= 1e-13 * abs(want)
     assert chk.defect < 1e-10
 
 

@@ -329,6 +329,14 @@ def test_strip_membership_boundary_witness_is_exact():
         assert abs(rpfunc.c_log_abs(2.0, res.witness_t, z)) < 1e-12
 
 
+def test_strip_membership_outside_with_no_witness_on_the_grid_is_unknown():
+    # 1e-9 below a strip of height 0.01: no t of the grid makes |c_t| >= 1
+    res = rpfunc.strip_membership(0.01, 1.0 - 1e-9j)
+    assert res.verdict == "unknown"
+    assert res.witness_t is None
+    assert res.max_log_abs < 0.0
+
+
 def test_strip_membership_purely_imaginary_boundary():
     res = rpfunc.strip_membership(2.0, 0.0j)
     assert res.verdict == "boundary"
