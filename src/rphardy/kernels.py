@@ -44,7 +44,12 @@ bound form :func:`szego_at`, z -> Q(z, w) with w checked once: a scalar
 flip pairing and of :func:`h_boundary_at` bind it once per w, since their
 points come from a boundary embedding and need no check.  The two bodies
 give the same bits: complex products and quotients on arrays go through
-:func:`_cmul` and :func:`_cdiv`, which round as CPython does.
+:func:`_cmul` and :func:`_cdiv`, which round as CPython does, and both strip
+bodies form the argument pi d / (2 beta), d = z - conj(w), from the real and
+imaginary parts of d (:func:`_strip_arg` on arrays), so a d whose real part
+overflows to +-inf takes the far form and gives 0, not a NaN.  The array
+body takes the mid form on every entry and overwrites the far and near ones
+where there are any.
 
 Every boundary object has one form per boundary component, the form its
 quadrature calls: :func:`poisson_at`, :func:`h_boundary_at` and
@@ -101,14 +106,15 @@ def _require_closure(domain: Domain, z: complex) -> None:
 def _closure_arrays(domain: Domain, *pts):
     """The (guarded) points as broadcast complex arrays, each required to
     lie in the closed domain (the first one outside raises, as in the scalar
-    call)."""
-    pts = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in pts))
+    call).  Each is checked before it is broadcast: the first point outside
+    is the same, and a Gram's n points are checked once, not n times."""
+    pts = [np.asarray(p, dtype=complex) for p in pts]
     for p in pts:
         inside = domain.in_closure(p)
         if not np.all(inside):
             bad = complex(p[~inside][0])
             raise OutsideDomain("%r is outside the closed %s" % (bad, domain.name))
-    return pts
+    return np.broadcast_arrays(*pts)
 
 
 def _require_no_pole(near_pole: np.ndarray, message: str) -> None:
@@ -172,7 +178,9 @@ def szego_at(domain: Domain, w: complex):
 
         def strip(z):
             d = z - wc
-            arg = pi * d / b2
+            # from the parts of d, as _strip_arg forms it: pi * d would
+            # multiply 0 by an inf real part of d into a NaN
+            arg = complex(pi * d.real / b2 + 0.0, pi * d.imag / b2)
             if arg.real > _FAR:
                 # 1/sinh(arg) = 2 e^{-arg} up to relative error e^{-2 Re arg}
                 return 0.5j * exp(-arg) / b
@@ -209,29 +217,33 @@ def _szego_array(domain: Domain, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         return out
     if isinstance(domain, Strip):
         b = domain.beta
-        arg = _strip_arg(b, z, w)
-        out = np.empty(arg.shape, dtype=complex)
-        far = arg.real > _FAR
-        e = np.exp(-arg[far])
-        out[far] = _complex(-0.5 * e.imag / b, 0.5 * e.real / b)
-        near = arg.real < -_FAR
-        e = np.exp(arg[near])
-        out[near] = _complex(0.5 * e.imag / b, -0.5 * e.real / b)
-        mid = ~(far | near)
-        d = (z - np.conj(w))[mid]
-        _require_no_pole(np.hypot(d.real, d.imag - 2.0 * b * np.round(d.imag / (2.0 * b)))
-                         <= _POLE_TOL, "szego pole: z - conj(w) on the lattice 2 i beta Z")
-        out[mid] = _cdiv(0.25j, b * np.sinh(arg[mid]))
+        # every entry takes the mid form, and the far and near ones, where
+        # sinh may overflow (and d itself), are then overwritten; only a mid
+        # entry can be a pole (on a strip of width 1e-300 a far d may be tiny)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = z - np.conj(w)
+            arg = _strip_arg(b, d)
+            far, near = arg.real > _FAR, arg.real < -_FAR
+            pole = np.hypot(d.real, d.imag - 2.0 * b * np.round(d.imag / (2.0 * b))) <= _POLE_TOL
+            _require_no_pole(pole & ~(far | near),
+                             "szego pole: z - conj(w) on the lattice 2 i beta Z")
+            out = _cdiv(0.25j, b * np.sinh(arg))
+        if far.any():
+            e = np.exp(-arg[far])
+            out[far] = _complex(-0.5 * e.imag / b, 0.5 * e.real / b)
+        if near.any():
+            e = np.exp(arg[near])
+            out[near] = _complex(0.5 * e.imag / b, -0.5 * e.real / b)
         return out
     raise UnsupportedPair("no szego kernel for %r" % (domain,))
 
 
-@np.errstate(over="ignore")     # an inf real part takes the far branch
-def _strip_arg(b: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """pi (z - conj(w)) / (2 beta) on arrays, rounded as the scalar bodies
-    round it.  CPython's complex product and quotient never leave a -0.0
-    real part here, hence the + 0.0."""
-    d = z - np.conj(w)
+def _strip_arg(b: float, d: np.ndarray) -> np.ndarray:
+    """pi d / (2 beta), d = z - conj(w), on arrays, formed from the parts of
+    d as the scalar body forms it.  For a finite d those are the bits of
+    CPython's complex product and quotient, which never leave a -0.0 real
+    part here, hence the + 0.0; an inf real part of d stays an inf real
+    part, which takes the far branch."""
     return _complex(math.pi * d.real / (2.0 * b) + 0.0, math.pi * d.imag / (2.0 * b))
 
 
@@ -442,7 +454,7 @@ def power_kernel(domain: Domain, s: float, z: complex, w: complex) -> complex:
         out = _power_of_base(_cdiv(1j, den), s)
     elif isinstance(domain, Strip):
         b = domain.beta
-        arg = _strip_arg(b, z, w)
+        arg = _strip_arg(b, z - np.conj(w))
         out = np.empty(arg.shape, dtype=complex)
         for sign in (1.0, -1.0):
             # past _FAR, Q^s = exp(s (log(1/2 beta) + sign i pi/2 - sign arg)),

@@ -35,6 +35,14 @@ the total absolute mass of the summand, :class:`DivergentTransform` is raised
 instead of returning a silently truncated value.  :func:`kms_check` samples t
 on the fixed grid _KMS_T_GRID, 33 points on [-4, 4].
 
+Every transform is one exponential sum, :func:`_exp_sum`.  For real z its
+phases e^{i z lam} are cos(z lam) + i sin(z lam), the bits np.exp gives
+there; complex z take np.exp.  :func:`kms_check` reads nu_hat(t) and
+nu_hat(i beta + t) off one table of phases, the second as e^{-beta lam}
+times them, while every |beta lam| <= 700 (_SHARED_PHASE_BOUND), where
+libm's complex exp is exp(x) (cos y, sin y); past that each transform forms
+its own phases.  Both ways give the bits of two :func:`fourier` calls.
+
 Atoms are kept sorted by location and merged by a chained rule: atoms whose
 gap to the next atom is at most 1e-12 form one atom, at the lowest location
 of the chain, so the atoms kept lie more than 1e-12 apart.  That invariant is
@@ -424,36 +432,86 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
     is raised.  So is a transform whose terms or sum overflow double
     precision (|e^{i z lam}| = e^{-Im z lam} past about 1e308).  A z that is
     not finite raises :class:`ParameterOutOfRange`.
+
+    The phases e^{i z lam} of a block of real z are cos(z lam) + i sin(z lam),
+    the bits np.exp gives for them without its complex exponential; a block
+    with a complex z takes np.exp.
     """
-    return _exp_sum(((nu.atom_locs, nu.atom_weights, False),
-                     (nu.grid_nodes(), nu.grid_quad_weights(), monitor)), z)
+    return _exp_sum(_parts(nu, monitor), z)
 
 
-def _exp_sum(parts, z):
+def _parts(nu: MeasureOnR, monitor: bool) -> tuple:
+    """The (nodes, weights, watch) parts of nu that :func:`_exp_sum` sums."""
+    return ((nu.atom_locs, nu.atom_weights, False),
+            (nu.grid_nodes(), nu.grid_quad_weights(), monitor))
+
+
+# While x = -beta lam stays in [-700, 700], libm's cexp forms e^{x + i y} as
+# exp(x) (cos y, sin y), with exp(x) the real exp(x + 0j); past 709 it
+# rescales, so _exp_sum shares one phase table between the two transforms of
+# kms_check only while every |beta lam| is at most this
+_SHARED_PHASE_BOUND = 700.0
+
+
+def _exp_sum(parts, z, beta=None):
     """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch) ``parts``: the
-    one body of :func:`fourier` and :func:`modular.modular_coefficient`, whose
-    declarations guard z."""
+    one body of :func:`fourier`, :func:`kms_check` and
+    :func:`modular.modular_coefficient`, whose declarations guard z.
+
+    Given ``beta`` (z then real), it returns the pair of sums at i beta + z
+    and at z.  While every |beta lam| <= _SHARED_PHASE_BOUND they come from
+    one phase table: the summand at i beta + z is (e^{-beta lam} cos z lam,
+    e^{-beta lam} sin z lam) w, with e^{-beta lam} = exp(-beta lam + 0j).real,
+    the bits np.exp gives there; past the bound both are sums over their own
+    z, each as a call without ``beta`` gives it."""
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    iz = 1j * flat
-    total = np.zeros(iz.size, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        shared = beta is not None and all(np.all(np.abs(beta * nodes) <= _SHARED_PHASE_BOUND)
+                                          for nodes, _, _ in parts)
+        if beta is not None and not shared:
+            flat = np.concatenate((1j * beta + flat, flat))
+        # the z of every sum, one row per table: those at i beta + z first
+        zrows = np.stack((1j * beta + flat, flat)) if shared else flat[None]
+        total = np.zeros(zrows.shape, dtype=complex)
         for nodes, weights, watch in parts:
             if not nodes.size:
                 continue
-            for rows in row_blocks(iz.size, nodes.size):
-                summand = np.exp(iz[rows, None] * nodes) * weights
+            decay = np.exp(-beta * nodes + 0j).real if shared else None
+            for rows in row_blocks(flat.size, len(zrows) * nodes.size):
+                summand = _summands(flat[rows], nodes, weights, decay)
                 if watch:
-                    _require_decay(summand, flat[rows])
+                    _require_decay(summand.reshape(-1, nodes.size), zrows[:, rows].ravel())
                 try:
-                    total[rows] += comp_sum(summand)
+                    total[:, rows] += comp_sum(summand)
                 except (OverflowError, ValueError):     # fsum: inf - inf, overflow
-                    total[rows] = np.nan
+                    total[:, rows] = np.nan
     finite = np.isfinite(total)
     if not finite.all():
         raise DivergentTransform("the transform overflows at z = %s"
-                                 % complex(flat[np.argmin(finite)]))
-    return complex(total[0]) if zs.ndim == 0 else total.reshape(zs.shape)
+                                 % complex(zrows.flat[np.argmin(finite)]))
+    if beta is not None:
+        return tuple(total.reshape((2,) + zs.shape))
+    return complex(total[0, 0]) if zs.ndim == 0 else total.reshape(zs.shape)
+
+
+def _summands(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray, decay) -> np.ndarray:
+    """The block e^{i z lam} w, one row per z, as a (1, len(z), len(nodes))
+    table; given the node factors ``decay`` (z then real), the block
+    (decay cos z lam, decay sin z lam) w stacked before it."""
+    out = np.empty((1 if decay is None else 2, z.size, nodes.size), dtype=complex)
+    phases = out[-1]
+    if np.all(z.imag == 0.0):
+        # np.exp(i y) is (exp(+-0) cos y, exp(+-0) sin y): the same bits
+        y = np.multiply.outer(z.real, nodes)
+        np.cos(y, out=phases.real)
+        np.sin(y, out=phases.imag)
+    else:
+        np.exp(np.multiply.outer(1j * z, nodes), out=phases)
+    if decay is not None:
+        np.multiply(phases, decay, out=out[0])
+    out *= weights
+    return out
 
 
 def _require_decay(summand: np.ndarray, zs: np.ndarray) -> None:
@@ -495,9 +553,14 @@ _KMS_T_GRID.flags.writeable = False
 
 @takes(beta=POSITIVE)
 def kms_check(nu: MeasureOnR, beta: float) -> float:
-    """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over t in _KMS_T_GRID."""
-    t = _KMS_T_GRID
-    return _worst_gap(fourier(nu, 1j * beta + t), np.conj(fourier(nu, t)))
+    """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over t in _KMS_T_GRID.
+
+    Both transforms are :func:`fourier`'s, bit for bit, with its monitor on.
+    While every |beta lam| <= _SHARED_PHASE_BOUND = 700 they share one table
+    of phases e^{i t lam}, and nu_hat(i beta + t) sums them times
+    e^{-beta lam}; past it each transform forms its own."""
+    shifted, plain = _exp_sum(_parts(nu, True), _KMS_T_GRID, beta)
+    return _worst_gap(shifted, np.conj(plain))
 
 
 def rp_circle_from_measure(mu: MeasureOnR, beta: float):

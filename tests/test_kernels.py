@@ -886,6 +886,51 @@ def test_szego_at_is_szego_and_its_array_body_bit_for_bit(domain):
                         STRIP: {"far", "near", "mid", "zero"}}[domain]
 
 
+@pytest.mark.parametrize("z,w,side", [
+    (1e308 + 0.5j, -1e308 + 0.5j, "far"),
+    (-1e308 + 0.5j, 1e308 + 0.5j, "near"),
+])
+@pytest.mark.filterwarnings("error")
+def test_strip_szego_is_zero_where_z_minus_conj_w_overflows(z, w, side):
+    """z - conj(w) = +-inf: both bodies form pi d / (2 beta) from the parts
+    of d, so the far and near forms give 0 (pi * d as a complex product
+    multiplies 0 by inf into a NaN).  The Bergman kernel squares it."""
+    scalar = kernels.szego(STRIP, z, w)
+    array = kernels.szego(STRIP, np.array([z, 0.3 + 0.5j]), np.array([w, 0.1 + 1.2j]))
+    assert scalar == 0.0 and _bits(scalar) == _bits(array[0])
+    assert _bits(array[1]) == _bits(kernels.szego(STRIP, 0.3 + 0.5j, 0.1 + 1.2j))
+    assert _bits(kernels.szego_at(STRIP, w)(z)) == _bits(scalar)
+    bergman = kernels.bergman_strip(STRIP.beta, z, w)
+    assert bergman == 0.0
+    assert _bits(bergman) == _bits(kernels.bergman_strip(STRIP.beta, np.array([z]), w)[0])
+    re_arg = math.pi * (z.real - w.real) / (2.0 * STRIP.beta)
+    assert math.isinf(re_arg) and (re_arg > 0) == (side == "far")
+
+
+def test_a_far_entry_on_a_thin_strip_is_no_pole():
+    """On Strip(1e-300) d = 1e-200 is within the pole tolerance of the
+    lattice, but pi d / (2 beta) = 1.6e100 takes the far form, 0, in both
+    bodies: the pole check applies to mid entries alone."""
+    thin = Strip(1e-300)
+    assert kernels.szego(thin, 1e-200 + 0j, 0j) == 0.0
+    got = kernels.szego(thin, np.array([1e-200 + 0j, 0j]), np.array([0j, 1e-200 + 0j]))
+    assert got.tolist() == [0.0, 0.0]
+
+
+def test_strip_szego_args_from_the_parts_of_d_are_the_complex_product_bits():
+    """For a finite d the scalar argument pi d / (2 beta) formed from the
+    parts of d, and _strip_arg's array, round as CPython's complex product
+    and quotient do."""
+    rng = np.random.default_rng(36)
+    b = 2.0
+    d = rng.uniform(-50.0, 50.0, 2000) + 1j * rng.uniform(-2.0 * b, 2.0 * b, 2000)
+    d[:3] = [0.0, -0.0 + 1.0j, 1e300 - 1.5j]
+    arr = kernels._strip_arg(b, d)
+    for v, a in zip(d.tolist(), arr.tolist()):
+        assert _bits(complex(math.pi * v.real / (2.0 * b) + 0.0, math.pi * v.imag / (2.0 * b))) \
+            == _bits(math.pi * v / (2.0 * b)) == _bits(a)
+
+
 @pytest.mark.parametrize("domain,z,w", [
     (DISC, 1.0 + 0.0j, 1.0 + 0.0j),
     (HALF_PLANE, 0.5 + 0.0j, 0.5 + 0.0j),

@@ -13,6 +13,7 @@ from rphardy.errors import (
     AsymmetricInput, AtomAtZero, DivergentTransform, NegativeSupport,
     ParameterOutOfRange, ToleranceNotReached, ZeroDenominator,
 )
+from rphardy.numerics import comp_sum
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +370,75 @@ def test_kms_fails_for_raw_measure():
     assert measures.kms_check(mu, 1.0) > 0.1
 
 
+def _np_exp_transform(nu, z):
+    """nu_hat at the z array with every phase from np.exp: the body
+    measures._exp_sum had before it formed real-z phases as cos + i sin."""
+    iz = 1j * np.asarray(z, dtype=complex)[:, None]
+    return sum(comp_sum(np.exp(iz * nodes) * weights)
+               for nodes, weights in ((nu.atom_locs, nu.atom_weights),
+                                      (nu.grid_nodes(), nu.grid_quad_weights()))
+               if nodes.size)
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in np.asarray(values).tolist()]
+
+
+def _gridded_gamma_image(beta):
+    """A Gamma image of the kind array workloads check: a smooth density on
+    a 4001-node grid of step 0.01, so 8001 nodes on [-40, 40]."""
+    lam = 0.01 * np.arange(4001)
+    density = sum(a * np.exp(-0.5 * ((lam - c) / w) ** 2)
+                  for c, w, a in ((0.8, 2.5, 1.0), (2.9, 3.1, 0.4), (1.7, 2.2, 0.7)))
+    return measures.Gamma_map(measures.gridded(0.0, 0.01, density), beta)
+
+
+@pytest.mark.parametrize("nu,beta,shared", [
+    (_gridded_gamma_image(1.37), 1.37, True),
+    (measures.atomic([(0.7, 1.0), (1.9, 0.4), (-2.3, 0.25), (0.0, 0.3)]), 0.8, True),
+    # beta lam = +-705 at the atoms +-352.5: past the bound, two tables
+    (measures.Gamma_map(measures.atomic([(352.5, 1.0), (0.7, 0.5)]), 2.0), 2.0, False),
+], ids=["gridded-gamma-image", "atomic", "past-the-bound"])
+def test_kms_check_is_the_two_fourier_transforms_bit_for_bit(nu, beta, shared):
+    t = measures._KMS_T_GRID
+    nodes = np.concatenate([nu.atom_locs, nu.grid_nodes()])
+    assert bool(np.max(np.abs(beta * nodes)) <= measures._SHARED_PHASE_BOUND) is shared
+    shifted, plain = measures.fourier(nu, 1j * beta + t), measures.fourier(nu, t)
+    want = measures._worst_gap(shifted, np.conj(plain))
+    assert measures.kms_check(nu, beta).hex() == want.hex()
+    got = measures._exp_sum(measures._parts(nu, True), t, beta)
+    assert _bits(got[0]) == _bits(shifted) and _bits(got[1]) == _bits(plain)
+    # and both are the sums whose phases np.exp forms
+    assert _bits(shifted) == _bits(_np_exp_transform(nu, 1j * beta + t))
+    assert _bits(plain) == _bits(_np_exp_transform(nu, t))
+
+
+def test_libm_identities_behind_the_real_phases():
+    """The bits measures._exp_sum relies on (libm's cexp, numpy's complex
+    exp): e^{i y} is (cos y, sin y), and e^{x + i y} is (E cos y, E sin y)
+    with E = exp(x + 0j).real, on |x| <= 700 (past about 709 cexp
+    rescales).  np.cos and np.sin give those bits written into the parts of
+    a complex block as well.  A zero may differ in sign, which no exactly
+    rounded sum sees, so the comparison is by value.  numpy's exp of a real
+    array is its own SIMD code, not libm's: it differs from E in the last
+    bit for some x, so it must not stand in for E."""
+    rng = np.random.default_rng(30)
+    y = rng.uniform(-1e4, 1e4, 300_000)
+    phases = np.exp(1j * y)
+    assert np.array_equal(phases.real, np.cos(y))
+    assert np.array_equal(phases.imag, np.sin(y))
+    block = np.empty((3, y.size // 3), dtype=complex)
+    np.cos(y.reshape(block.shape), out=block.real)
+    np.sin(y.reshape(block.shape), out=block.imag)
+    assert np.array_equal(block, phases.reshape(block.shape))
+    x = rng.uniform(-700.0, 700.0, y.size)
+    e = np.exp(x + 0j).real
+    shifted = np.exp(x + 1j * y)
+    assert np.array_equal(shifted.real, e * np.cos(y))
+    assert np.array_equal(shifted.imag, e * np.sin(y))
+    assert np.any(np.exp(x) != e)
+
+
 def test_rp_circle_from_measure_consistency():
     mu = measures.atomic([(0.4, 0.7), (1.2, 0.3)])
     beta = 2.0
@@ -401,13 +471,15 @@ def test_theta_involution_check_needs_a_sequence_of_pairs(pairs):
 
 
 def test_kms_and_theta_checks_read_nan_when_a_transform_is_nan(monkeypatch):
-    def fourier_with_one_nan(nu, z, monitor=True):
+    # the one exponential sum under fourier and kms_check, with beta the
+    # pair of transforms at i beta + t and at t
+    def exp_sum_with_one_nan(parts, z, beta=None):
         out = np.zeros(np.shape(z), dtype=complex)
         out[-1] = complex(math.nan, 0.0)
-        return out
+        return out if beta is None else (out, np.zeros_like(out))
 
     nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
-    monkeypatch.setattr(measures, "fourier", fourier_with_one_nan)
+    monkeypatch.setattr(measures, "_exp_sum", exp_sum_with_one_nan)
     assert math.isnan(measures.kms_check(nu, 1.0))
     assert math.isnan(measures.theta_involution_check(
         nu, 1.0, [(0.3 + 0.4j, 0.1 + 0.6j), (-0.5 + 0.7j, 0.2 + 0.2j)]))
