@@ -110,11 +110,6 @@ class Domain:
         through :func:`numerics.finite_array`."""
         raise NotImplementedError
 
-    def embedding(self, component: str):
-        """:meth:`boundary_embed` on one component as a scalar function
-        x -> complex, the component checked once."""
-        raise NotImplementedError
-
     def __repr__(self):
         return self.name
 
@@ -146,10 +141,6 @@ class Disc(Domain):
         z = np.exp(1j * finite_array(x, _PARAMETER))
         return z if z.ndim else complex(z)
 
-    def embedding(self, component):
-        self._side(component)
-        return lambda x: cmath.exp(1j * x)
-
 
 class HalfPlane(Domain):
     name = "half_plane"
@@ -173,10 +164,6 @@ class HalfPlane(Domain):
             return complex(x)
         z = _complex(finite_array(x, _PARAMETER), 0.0)
         return z if z.ndim else complex(z)
-
-    def embedding(self, component):
-        self._side(component)
-        return complex
 
 
 class Strip(Domain):
@@ -210,10 +197,6 @@ class Strip(Domain):
             return complex(x, y)
         z = _complex(finite_array(x, _PARAMETER), y)
         return z if z.ndim else complex(z)
-
-    def embedding(self, component):
-        y = self._height(component)
-        return lambda x: complex(x, y)
 
     def _height(self, component: str) -> float:
         """Im z on the boundary line ``component``: 0 or beta."""

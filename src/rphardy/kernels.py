@@ -39,11 +39,9 @@ call runs it on 0-d arrays and returns a complex.  :func:`szego` alone keeps
 a scalar math/cmath body beside its numpy one :func:`_szego_array` (chosen
 by :func:`~rphardy.numerics.is_batch`), for the reason its docstring gives,
 and :func:`bergman_strip` squares what it returns.  The scalar body is the
-bound form :func:`szego_at`, z -> Q(z, w) with w checked once: a scalar
-:func:`szego` call checks z and calls it, and the line integrands of the
-flip pairing and of :func:`h_boundary_at` bind it once per w, since their
-points come from a boundary embedding and need no check.  The two bodies
-give the same bits: complex products and quotients on arrays go through
+bound form :func:`szego_at`, z -> Q(z, w) with w checked once, which a
+scalar :func:`szego` call runs after checking z.  The two bodies give the
+same bits: complex products and quotients on arrays go through
 :func:`_cmul` and :func:`_cdiv`, which round as CPython does, and both strip
 bodies form the argument pi d / (2 beta), d = z - conj(w), from the real and
 imaginary parts of d (:func:`_strip_arg` on arrays), so a d whose real part
@@ -51,22 +49,19 @@ overflows to +-inf takes the far form and gives 0, not a NaN.  The array
 body takes the mid form on every entry and overwrites the far and near ones
 where there are any.
 
-Every boundary object has one form per boundary component, the form its
-quadrature calls: :func:`poisson_at`, :func:`h_boundary_at` and
-:attr:`BoundaryFunction.on` return it.  On the circle that is a numpy body,
-since the trapezoid rule calls its integrand once on all of its nodes; it
-takes the node array and a float alike.  On a line it is a bound scalar
-function x -> value, since QUADPACK calls its integrand one x at a time: the
-fixed point and the component are checked, the embedding and the reflected
-component resolved, and every factor that does not depend on x computed,
-once; each call then does only the per-x arithmetic (a strip Poisson node
-costs 0.17 us this way against 1.4 us through a scalar :func:`poisson` call;
-timeit, Python 3.11, 2-vCPU Xeon).  :func:`poisson`, :func:`h_boundary` and
-``f(component, x)`` evaluate that form through :func:`_at_x`: directly on a
-scalar and on the circle, element by element on a line array, so every
-array value is the scalar value bit for bit.  :func:`hua_ratio` stays a
-separate scalar computation, since the ``kernels.hua.*`` checks compare it
-with :func:`poisson`.
+Every boundary object has one form per boundary component, the integrand
+its quadrature calls: :func:`poisson_at`, :func:`h_boundary_at` and
+:attr:`BoundaryFunction.on` return it.  It is one numpy body on every
+component, since both boundary rules call it once per level on an array
+of nodes (:func:`~rphardy.numerics.trapezoid_circle`,
+:func:`~rphardy.numerics.trapezoid_line`); a float gives the bits of the
+matching array element.  The half-plane Poisson body is float arithmetic
+that floats and arrays share, so QUADPACK, which calls it one x at a time
+in the outer-function and Fourier checks, pays 0.1 us a node.
+:func:`poisson`, :func:`h_boundary` and ``f(component, x)`` check x and
+evaluate the form (:func:`_at_x`).  :func:`hua_ratio` stays a separate
+scalar computation, since the ``kernels.hua.*`` checks compare it with
+:func:`poisson`.
 """
 
 from __future__ import annotations
@@ -134,8 +129,7 @@ def szego(domain: Domain, z: complex, w: complex) -> complex:
     Arrays take the numpy body, a scalar pair the math/cmath body of
     :func:`szego_at` with the same bits: one point through numpy costs
     27.7 us against 1.4 us.  A verify suite makes about 660 one-point calls
-    here and about 20 array calls; the 7,500 points of the strip flip
-    pairings go to a bound :func:`szego_at` directly.
+    here; the boundary nodes of the flip pairings come as arrays.
     """
     if is_batch(z, w):
         return _szego_array(domain, *_closure_arrays(domain, z, w))
@@ -147,9 +141,8 @@ def szego(domain: Domain, z: complex, w: complex) -> complex:
 def szego_at(domain: Domain, w: complex):
     """Q(., w) as a scalar function z -> complex, the one scalar body of the
     Szego kernel.  ``w`` is checked and the domain resolved once; ``z`` is
-    not checked, so it must lie in the closure (:func:`szego` checks it, a
-    boundary embedding gives such points by construction).  A pole raises
-    :class:`PoleAtInput` at the call."""
+    not checked, so it must lie in the closure (:func:`szego` checks it).
+    A pole raises :class:`PoleAtInput` at the call."""
     _require_closure(domain, w)
     wc, pi = w.conjugate(), math.pi
     if isinstance(domain, Disc):
@@ -297,20 +290,21 @@ def poisson(domain: Domain, z: complex, x: float, component: str = None) -> floa
     ``poisson_at(domain, z, component)``.  A boundary parameter that is not
     finite raises :class:`ParameterOutOfRange`.
     """
-    return _at_x(domain, poisson_at.__wrapped__(domain, z, component), x, float)
+    return _at_x(poisson_at.__wrapped__(domain, z, component), x, float)
 
 
 @takes(z=POINT)
 def poisson_at(domain: Domain, z: complex, component: str = None):
-    """P_z on one boundary component, in the form its quadrature calls: on
-    the circle the numpy body, which takes an array of angles or a float;
-    on a line a scalar function x -> float.  ``z`` and ``component`` are
-    checked, and every factor that depends only on them computed, once."""
+    """P_z on one boundary component as a numpy body x -> P_z(x), which takes
+    an array of boundary parameters or a float; ``z`` and ``component`` are
+    checked, and every factor that depends only on them computed, once.  The
+    line bodies do not check x (:func:`poisson` does): at +-inf they give 0,
+    the kernel's limit."""
     domain.require_interior(z)
     if component is None:
         component = domain.boundary_components()[0]
     domain._side(component)
-    isfinite, pi = math.isfinite, math.pi
+    pi = math.pi
     if isinstance(domain, Disc):
         # 1 - 2r cos(th - x) + r^2 = (1 - r)^2 + 4r sin^2((th - x)/2): the sum
         # of squares keeps full relative accuracy as r -> 1 at th = x, where
@@ -327,69 +321,54 @@ def poisson_at(domain: Domain, z: complex, component: str = None):
 
         return disc
     if isinstance(domain, HalfPlane):
-        a, y = z.real, z.imag
-        yy = y * y
+        a, y, inv_pi = z.real, z.imag, 1.0 / pi
 
         def half_plane(x):
-            if not isfinite(x):
-                raise ParameterOutOfRange(_NOT_FINITE % (x,))
+            # y / (pi (dx^2 + y^2)), where dx (dx / y) overflows only once
+            # the kernel is below 1 / (pi * 1.8e308)
             dx = x - a
-            if abs(dx) > _FAR_DX:
-                inv = 1.0 / dx
-                return y * inv * inv / pi
-            return y / (pi * (dx * dx + yy))
+            return inv_pi / (y + dx * (dx / y))
 
         return half_plane
     if isinstance(domain, Strip):
-        b = domain.beta
-        # sin^2 (lower) or cos^2 (upper) of pi Im z / 2 beta
-        trig = (math.sin if component == "lower" else math.cos)(pi * z.imag / (2.0 * b)) ** 2
-        num = math.sin(pi * z.imag / b)
-        a, b2, b4, exp, sinh = z.real, 2.0 * b, 4.0 * b, math.exp, math.sinh
+        b, y = domain.beta, z.imag
+        # sin^2 (lower) or cos^2 (upper) of pi y / 2 beta and sin(pi y / beta)
+        # as sines of the distance to a line, exact where it is beta - y: a
+        # sine near pi or a cosine near pi/2 would lose a small mass's digits
+        trig = math.sin(0.5 * pi * ((y if component == "lower" else b - y) / b)) ** 2
+        # the bracket below is at least min(2 trig, 1); subnormal, it has
+        # lost its relative accuracy (beta near the double range)
+        if not 2.0 * trig >= _TINY:
+            raise ParameterOutOfRange("strip Poisson kernel underflows, beta %r" % (b,))
+        num, a, b2 = math.sin(pi * (min(y, b - y) / b)), z.real, 2.0 * b
 
         def strip(x):
-            if not isfinite(x):
-                raise ParameterOutOfRange(_NOT_FINITE % (x,))
-            u = pi * (a - x) / b2
-            au = abs(u)
-            if au > _FAR_U:
-                # sinh(u)^2 + trig = e^{2|u|}/4 up to relative error e^{-2|u|}
-                return num * exp(-2.0 * au) / b
-            den = sinh(u) ** 2 + trig
-            if not den >= _TINY:    # subnormal or 0: beta near the double range
-                raise ParameterOutOfRange("strip Poisson kernel underflows, beta %r" % (b,))
-            return num / (b4 * den)
+            # num / (4 beta (sinh(u)^2 + trig)) = num E / (beta ((1 - E)^2 +
+            # 4 trig E)), E = e^{-2|u|}: no overflow, and 1 - E from expm1
+            t = -2.0 * np.abs(pi * (a - x) / b2)
+            e, em = np.exp(t), -np.expm1(t)
+            p = num * e / b / (em * em + 4.0 * trig * e)
+            return p if p.ndim else float(p)
 
         return strip
     raise UnsupportedPair("no poisson kernel for %r" % (domain,))
 
 
-_NOT_FINITE = _PARAMETER + " must be finite, got %r"
-
-
-# Far branches of the line Poisson kernels: past |dx| = _FAR_DX the
-# half-plane denominator dx^2 would overflow, past |u| = _FAR_U the strip
-# sinh(u)^2 is e^{2|u|}/4 to double precision.  A strip denominator
-# sinh(u)^2 + trig below _TINY is subnormal and has lost relative accuracy.
-_FAR_DX = 1e150
-_FAR_U = 300.0
 _TINY = sys.float_info.min
 
 
-def _at_x(domain: Domain, form, x, dtype):
-    """The per-component ``form`` at x, as a ``dtype`` scalar or an array in
-    the shape of ``x``: called directly on a scalar and on the circle (its
-    form is a numpy body), element by element on a line array (its form is
-    a scalar function).  A float goes to the form, which checks it; any
-    other x goes through :func:`numerics.finite_array` first."""
-    if isinstance(x, float):        # numpy's float64 is one
+def _at_x(form, x, dtype):
+    """The per-component ``form`` at the checked x: a ``dtype`` scalar for one
+    number, an array of the shape of an array x, evaluated with numpy's
+    overflow warnings off (far out an intermediate may overflow where the
+    value is finite, as dx (dx / y) of the half-plane Poisson body)."""
+    if isinstance(x, float) and math.isfinite(x):     # numpy's float64 is one
         return dtype(form(x))
     x = finite_array(x, _PARAMETER)
     if not x.ndim:
         return dtype(form(float(x)))
-    if isinstance(domain, Disc):
+    with np.errstate(over="ignore"):
         return np.asarray(form(x), dtype=dtype)
-    return np.array([form(v) for v in x.ravel().tolist()], dtype=dtype).reshape(x.shape)
 
 
 @takes(z=POINT)
@@ -502,57 +481,39 @@ def h_boundary(domain: Domain, w: complex, component: str, x: float) -> complex:
     component)``.  A boundary parameter that is not finite raises
     :class:`ParameterOutOfRange`.
     """
-    return _at_x(domain, h_boundary_at.__wrapped__(domain, w, component), x, complex)
+    return _at_x(h_boundary_at.__wrapped__(domain, w, component), x, complex)
 
 
 @takes(w=POINT)
 def h_boundary_at(domain: Domain, w: complex, component: str):
-    """h_w on one boundary component, in the form its quadrature calls: on
-    the circle a numpy body, which takes an array of angles or a float; on a
-    line a scalar function x -> complex.  ``w``, ``component``, the
-    embedding and the reflected component are checked and resolved once."""
+    """h_w on one boundary component as a numpy body x -> h_w(x), which takes
+    an array of boundary parameters or a float; ``w`` and ``component`` are
+    checked and resolved once, x at each call."""
     domain.require_interior(w)
     rcomp, _ = domain._side(component)
-    if isinstance(domain, Disc):
-        def disc(x):
-            x = finite_array(x, _PARAMETER)
-            zb = domain.boundary_embed(component, x)
-            zr = domain.boundary_embed(rcomp, -x)
-            return _over(szego.__wrapped__(domain, zb, w), szego.__wrapped__(domain, zr, w))
-
-        return disc
-    embed, rembed = domain.embedding(component), domain.embedding(rcomp)
-    isfinite = math.isfinite
     if isinstance(domain, Strip):
-        # zb and zr share the same real part, so the ratio of the two sinh
-        # factors stays O(1) even where each kernel alone underflows.
-        # Far out the ratio is e^{+-(ar - ab)}, and ar - ab is the same at
-        # every x: formed once, it cannot overflow with ab and ar.
-        wc, b2 = w.conjugate(), 2.0 * domain.beta
-        pi, sinh = cmath.pi, cmath.sinh
-        d = pi * (rembed(0.0) - embed(0.0)) / b2
-        far_right, far_left = cmath.exp(d), cmath.exp(-d)
+        b, wc = domain.beta, w.conjugate()
+        # the sinh factors of the ratio are sinh(arg) and sinh(arg + i pi/2)
+        # = i cosh(arg), arg = pi (x - conj(w)) / 2 beta: h is i coth(arg) on
+        # the lower line and -i tanh(arg) on the upper, O(1) where each kernel
+        # underflows, and arg never holds beta + Im w, whose rounding would
+        # swamp beta - Im w
+        lower = component == "lower"
 
         def strip(x):
-            if not isfinite(x):
-                raise ParameterOutOfRange(_NOT_FINITE % (x,))
-            ab = pi * (embed(x) - wc) / b2
-            if ab.real > _FAR:
-                return far_right
-            if ab.real < -_FAR:
-                return far_left
-            return sinh(pi * (rembed(x) - wc) / b2) / sinh(ab)
+            with np.errstate(over="ignore"):    # an inf real part: tanh is +-1 there
+                t = np.tanh(_strip_arg(b, domain.boundary_embed("lower", x) - wc))
+            h = _cdiv(1j, t) if lower else _complex(t.imag, -t.real)
+            return h if h.ndim else complex(h)
 
         return strip
 
-    q = szego_at.__wrapped__(domain, w)
+    def circle_or_line(x):      # sigma negates the parameter on both
+        zb = domain.boundary_embed(component, x)
+        zr = domain.boundary_embed(rcomp, np.negative(x))
+        return _over(szego.__wrapped__(domain, zb, w), szego.__wrapped__(domain, zr, w))
 
-    def half_plane(x):
-        if not isfinite(x):
-            raise ParameterOutOfRange(_NOT_FINITE % (x,))
-        return q(embed(x)) / q(rembed(-x))
-
-    return half_plane
+    return circle_or_line
 
 
 def _times(a, b):
@@ -575,16 +536,15 @@ class BoundaryFunction:
     component and sampled as f(component, x).
 
     ``on(component)`` returns the form the quadrature of that component
-    calls: on the circle a numpy body that takes the array of nodes (and a
-    float), on a line a scalar function x -> complex.  f(component, x) is
-    that form at x, element by element on a line array.
+    calls, a numpy body that takes the array of nodes (and a float);
+    f(component, x) is that form at the checked x.
     """
 
     domain: Domain
     on: object  # callable component -> form
 
     def __call__(self, component: str, x: float) -> complex:
-        return _at_x(self.domain, self.on(component), x, complex)
+        return _at_x(self.on(component), x, complex)
 
     def reflected(self) -> "BoundaryFunction":
         """f composed with the boundary reflection."""
@@ -599,15 +559,10 @@ class BoundaryFunction:
 
 
 def boundary_restriction(domain: Domain, holo) -> BoundaryFunction:
-    """Boundary values of a function given by a closed form on the closure."""
-
-    def on(component):
-        if isinstance(domain, Disc):
-            return lambda t: holo(domain.boundary_embed(component, t))
-        embed = domain.embedding(component)
-        return lambda x: complex(holo(embed(x)))
-
-    return BoundaryFunction(domain, on)
+    """Boundary values of a function given by a closed form on the closure,
+    which is called on the array of embedded boundary points."""
+    return BoundaryFunction(
+        domain, lambda component: lambda x: holo(domain.boundary_embed(component, x)))
 
 
 @takes(w=POINT)
@@ -623,9 +578,7 @@ def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
     def on(component):
         h = h_boundary_at.__wrapped__(domain, w, component)
         g = fr.on(component)
-        if isinstance(domain, Disc):
-            return lambda t: _times(h(t), g(t))
-        return lambda x: h(x) * g(x)
+        return lambda x: _times(h(x), g(x))
 
     return BoundaryFunction(domain, on)
 
@@ -633,20 +586,31 @@ def theta_apply(domain: Domain, w: complex, f) -> BoundaryFunction:
 def boundary_inner(domain: Domain, f, g, *, tol: float = 1e-10) -> complex:
     """L^2 inner product <f, g> over the boundary (conjugate-linear in f).
 
-    Circle integrals use the trapezoid rule on 1024 nodes, which calls f
-    and g once on the array of nodes; line components use adaptive
-    quadrature over R, one x at a time, and must decay.
+    f and g are called on the arrays of nodes: of the trapezoid rule on 1024
+    nodes on the circle, of :func:`~rphardy.numerics.trapezoid_line` about 0
+    at the domain's scale (1, or beta / 2 on the strip) to ``tol`` on a
+    line.  Line functions must decay; a peak far from 0 may raise
+    :class:`ToleranceNotReached`.
     """
+    scale = 0.5 * domain.beta if isinstance(domain, Strip) else 1.0
+    return _boundary_inner(domain, f, g, tol, 0.0, scale)
+
+
+def _boundary_inner(domain: Domain, f, g, tol: float, centre: float, dist: float) -> complex:
+    """:func:`boundary_inner` with the line rule about ``centre`` at the pole
+    distance ``dist`` (the circle rule takes neither)."""
     f, g = _boundary_function(domain, f), _boundary_function(domain, g)
-    if isinstance(domain, Disc):
-        fc, gc = f.on("circle"), g.on("circle")
-        return numerics.trapezoid_circle(lambda t: _times(np.conj(fc(t)), gc(t)))
     total = 0.0 + 0.0j
     for comp in domain.boundary_components():
         fc, gc = f.on(comp), g.on(comp)
-        val, _ = numerics.quad(lambda x: fc(x).conjugate() * gc(x),
-                               -np.inf, np.inf, tol=tol)
-        total += val
+
+        def integrand(x):
+            return _times(np.conj(fc(x)), gc(x))
+
+        if isinstance(domain, Disc):
+            total += numerics.trapezoid_circle(integrand)
+        else:
+            total += numerics.trapezoid_line(integrand, centre, dist, tol)[0]
     return total
 
 
@@ -663,23 +627,20 @@ def flip_pairing_check(domain: Domain, w: complex, F, *,
     """Quadrature check of  <f*, theta_w f*> = |f(w)|^2 / Q(w, w)  for f = F Q_w.
 
     F should be holomorphic on the closure with at most polynomial growth (the
-    kernel factor supplies the decay on unbounded boundaries).
+    kernel factor supplies the decay on unbounded boundaries); it is called
+    on arrays of boundary points.  A line rule is centred at Re w, at the
+    distance of w to the nearest line.
     """
     domain.require_interior(w)
-    if isinstance(domain, Disc):
-        # one array call on the trapezoid nodes
-        fstar = boundary_restriction(
-            domain, lambda zb: _times(F(zb), szego.__wrapped__(domain, zb, w)))
-    else:
-        # one point per QUADPACK node, on the boundary by construction
-        q = szego_at.__wrapped__(domain, w)
-        fstar = boundary_restriction(domain, lambda zb: F(zb) * q(zb))
-    lhs = boundary_inner(domain, fstar, theta_apply(domain, w, fstar), tol=tol)
     fw = F(w) * szego_diag.__wrapped__(domain, w)
     try:
         rhs = abs(fw) ** 2 / szego_diag.__wrapped__(domain, w)
     except OverflowError:
         raise ParameterOutOfRange("|f(w)|^2 overflows at w = %r" % (w,)) from None
+    fstar = boundary_restriction(
+        domain, lambda zb: _times(F(zb), szego.__wrapped__(domain, zb, w)))
+    dist = min(w.imag, domain.beta - w.imag) if isinstance(domain, Strip) else w.imag
+    lhs = _boundary_inner(domain, fstar, theta_apply(domain, w, fstar), tol, w.real, dist)
     return IdentityCheck(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
 
 

@@ -577,7 +577,7 @@ def rp_circle_from_measure(mu: MeasureOnR, beta: float):
 @takes(z=POINT, w=POINT)
 def kernel_from_measure(nu: MeasureOnR, z: complex, w: complex) -> complex:
     """K(z, w) = nu_hat(z - conj(w)) on the strip."""
-    return fourier(nu, z - w.conjugate())
+    return fourier(nu, _zeta(np.array([z]), np.array([w]))[0])
 
 
 @takes(beta=POSITIVE)
@@ -586,8 +586,19 @@ def theta_involution_check(nu: MeasureOnR, beta: float, pairs) -> float:
     z -> beta i + conj(z) for a 2 beta-reflected nu:  checks
     |nu_hat(2 beta i - zeta) - nu_hat(zeta)| over zeta = z - conj(w)."""
     zw = finite_pairs(pairs, "pair points", complex)
-    zeta = zw[:, 0] - np.conj(zw[:, 1])
+    zeta = _zeta(zw[:, 0], zw[:, 1])
     return _worst_gap(fourier(nu, 2j * beta - zeta), fourier(nu, zeta))
+
+
+def _zeta(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z - conj(w); :class:`ParameterOutOfRange` names a pair where it overflows."""
+    with np.errstate(over="ignore"):
+        zeta = z - np.conj(w)
+    bad = ~np.isfinite(zeta)
+    if bad.any():
+        raise ParameterOutOfRange("z - conj(w) overflows at the pair (%r, %r)"
+                                  % (complex(z[bad][0]), complex(w[bad][0])))
+    return zeta
 
 
 # --------------------------------------------------------------------------

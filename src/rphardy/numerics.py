@@ -50,10 +50,13 @@ paths, chosen by its length:
 
 Quadrature strategy
 -------------------
-Every real integral goes through QUADPACK (Piessens, de Doncker-Kapenga,
-Ueberhuber and Kahaner, *QUADPACK*, Springer 1983), whose routines
-:func:`_quadpack` calls on scipy's compiled extension as ``scipy.integrate.quad``
-would, bit for bit:
+The library's own boundary integrands go to array rules that call them
+once per level on an array of nodes: :func:`trapezoid_circle` and, centred
+where the caller knows them peaked, :func:`trapezoid_line`.  The others (an
+outer function's modulus, the Riesz, sech and Fourier transforms) go to
+QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, *QUADPACK*,
+Springer 1983), one node at a time, whose routines :func:`_quadpack` calls
+on scipy's compiled extension as ``scipy.integrate.quad`` would, bit for bit:
 
 * finite intervals: adaptive Gauss-Kronrod (QAGS), or QAGP with breakpoints;
 * infinite intervals: QAGI, Gauss-Kronrod on the map x = a + (1 - t)/t, which
@@ -61,11 +64,11 @@ would, bit for bit:
   line into two QAGI tails and one QAGP piece between the outermost points;
 * oscillatory Fourier integrals on the line: QAWF cosine/sine weights.
 
-QUADPACK's error estimate bounds the true error of the peaked boundary
+The line rules' error estimates bound the true error of the peaked boundary
 integrands used here (Poisson masses near the boundary, flip pairings, the
 outer function), which the test suite checks against mpmath.
 
-The first quadrature loads scipy's compiled QUADPACK extension and nothing
+The first QUADPACK quadrature loads scipy's compiled extension and nothing
 else of scipy's: the ``scipy.integrate`` package, and with it scipy's other
 subpackages, is never imported (the binding was verified on scipy 1.17.1, and
 the tests pin it against ``scipy.integrate.quad``).  Importing the package, and
@@ -87,6 +90,7 @@ import importlib.util
 import inspect
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,8 +324,8 @@ def is_batch(*args) -> bool:
 
     :func:`~rphardy.kernels.szego` keeps a scalar math/cmath body beside
     its numpy one and picks it when this is false (Python and numpy scalars
-    and 0-d arrays): one element through numpy costs about 20x more, and
-    QUADPACK integrands make thousands of one-point calls.  Functions with
+    and 0-d arrays): one element through numpy costs about 20x more, and a
+    verify suite makes some 660 one-point calls.  Functions with
     one numpy body, such as :func:`~rphardy.kernels.power_kernel`, run it on
     0-d arrays.  A list or tuple is a batch even where numpy cannot shape it
     (ragged), so that :func:`finite_array` rejects it.
@@ -500,11 +504,10 @@ def row_blocks(m: int, n: int) -> list:
 # quadrature
 # --------------------------------------------------------------------------
 
-def _tolerance_guard(value: complex, err: float, tol: float) -> None:
+def _tolerance_guard(value: complex, err: float, tol: float,
+                     what: str = "quadrature error estimate") -> None:
     if not np.isfinite(err) or err > 50.0 * tol * (1.0 + abs(value)):
-        raise ToleranceNotReached(
-            "quadrature error estimate %.3e misses target %.3e" % (err, tol)
-        )
+        raise ToleranceNotReached("%s %.3e misses target %.3e" % (what, err, tol))
 
 
 @functools.cache
@@ -671,12 +674,12 @@ def oscillatory_ft(f, t: float) -> complex:
     """Fourier integral  Integral_R f(x) e^{itx} dx  for real-valued decaying f.
 
     Splits into even/odd parts and uses QUADPACK's cosine/sine weights on
-    [0, inf).  Two kinds of f are known to come back wrong without an error
-    (ROADMAP item 3 is their mend): an f much narrower than QAWF's first
-    cycle, as e^{-|x|/0.01} at t = 0.02, which returns 2.6e-29 against 0.02,
-    and a slowly decaying f at small |t|, as 1/(1 + x^2), whose transform
-    pi e^{-|t|} comes back off by 3.1e-4 at t = 1e-4 and as -3.1e-6 at
-    t = 1e-6.  t must be one finite real (QAWF crashes on NaN or inf),
+    [0, inf).  Two kinds of f are known to come back wrong without an
+    error: an f much narrower than QAWF's first cycle, as e^{-|x|/0.01} at
+    t = 0.02, which returns 2.6e-29 against 0.02, and a slowly decaying f
+    at small |t|, as 1/(1 + x^2), whose transform pi e^{-|t|} comes back off
+    by 3.1e-4 at t = 1e-4 and as -3.1e-6 at t = 1e-6.  t must be one finite
+    real (QAWF crashes on NaN or inf),
     and a value of f that is not finite raises :class:`ToleranceNotReached`
     before QAWF sees it, as it would crash QAWF too.
 
@@ -735,6 +738,94 @@ def trapezoid_circle(f, n_nodes: int = 1024) -> complex:
         raise ParameterOutOfRange("circle integrand gave shape %r on %d nodes"
                                   % (vals.shape, n_nodes)) from None
     return complex(TWO_PI / n_nodes * comp_sum(vals))
+
+
+# trapezoid_line's widest window, |s| <= 48 (a 1/x^2 tail is e^{-|s|} in s),
+# and first step, whose error by a pole pi/2 off the axis is e^{-pi^2/h} = 3e-9
+_LINE_REACH = 48
+_LINE_STEP = 0.5
+_FLOAT_MAX = sys.float_info.max
+
+
+@takes(centre=REAL, dist=POSITIVE, tol=POSITIVE)
+def trapezoid_line(f, centre: float, dist: float, tol: float = 1e-10):
+    """Integral_R f(x) dx by the trapezoid rule in s on x = centre + dist
+    sinh(s), returning ``(value, error_estimate)`` (a float for a real f).
+
+    For f analytic about the line and decaying at least like 1/x^2 the rule
+    converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014;
+    it is the sinh-sinh rule of Takahasi and Mori, 1974) when ``centre`` is
+    where f peaks and ``dist`` the distance of its nearest pole, which then
+    lies about pi/2 from the real s-axis; a peak narrower than the step far
+    from the centre may be stepped over.  ``f`` is called once per level on
+    the array of that level's new nodes.  The first level, at step
+    _LINE_STEP over |s| <= _LINE_REACH (less where x would overflow), keeps
+    the window outside which each term f(x) dist cosh(s) is below 2**-53 of
+    their sum, and a node on each side; each further level halves the step
+    in it.  The value is accepted once two levels agree within tol or within
+    the rounding floor.  The estimate adds the terms outside the window, the
+    two outermost ones (for the tails) and the floor eps h sum_k (100 |term_k|
+    + 2 |f_k| (|x_k| + |centre|)): the 50 machine epsilons a term under
+    QUADPACK's estimates, and f next to a double pole at arguments rounded by
+    eps (|x| + |centre|).  A tail that does not decay, a level past _MAX_SIZE
+    nodes, a missed tol and a value of f that is not finite raise
+    :class:`ToleranceNotReached`.
+    """
+    reach = int(min(_LINE_REACH, math.asinh(0.5 * (_FLOAT_MAX - abs(centre)) / float(dist))))
+    if reach == 0:
+        raise ToleranceNotReached("the line about %r at scale %r leaves the float range"
+                                  % (centre, dist))
+    h = _LINE_STEP
+    s = h * np.arange(-reach / h, reach / h + 1.0)
+    g, floor_terms = _line_terms(f, centre, dist, s)
+    size = np.abs(g)
+    big = np.flatnonzero(size > _EPS * size.sum())
+    if not big.size:
+        return comp_sum(g), 0.0
+    lo, hi = max(big[0] - 1, 0), min(big[-1] + 1, s.size - 1)
+    parts = [comp_sum(g[lo:hi + 1])]
+    value = h * parts[0]
+    tail = float(h * (size[:lo].sum() + size[hi + 1:].sum()) + size[0] + size[-1])
+    _tolerance_guard(value, tail, tol, "the line integrand does not decay: its tail")
+    floor_sum, steps = floor_terms[lo:hi + 1].sum(), hi - lo
+    while True:
+        h *= 0.5
+        if 2 * steps + 1 > _MAX_SIZE:
+            raise ToleranceNotReached("the line rule took %d nodes and did not converge to %.3e"
+                                      % (steps + 1, tol))
+        g, floor_terms = _line_terms(f, centre, dist, s[lo] + h * np.arange(1, 2 * steps, 2))
+        parts.append(comp_sum(g))
+        floor_sum += floor_terms.sum()
+        steps *= 2
+        new, floor = h * comp_sum(parts), _EPS * h * float(floor_sum)
+        diff, value = abs(new - value), new
+        if diff <= max(tol, floor):
+            break
+    err = diff + floor + tail
+    _tolerance_guard(value, err, tol)
+    return value, err
+
+
+def _line_terms(f, centre: float, dist: float, s: np.ndarray):
+    """The terms f(x) dist cosh(s) at x = centre + dist sinh(s), and those of
+    the rounding floor; f runs with numpy's warnings off (a far node may
+    overflow an intermediate of a finite value), and a value that is not
+    finite raises :class:`ToleranceNotReached`."""
+    x = centre + dist * np.sinh(s)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.asarray(f(x))
+        try:
+            g = v * (dist * np.cosh(s))
+        except ValueError:
+            raise ParameterOutOfRange("line integrand gave shape %r on %d nodes"
+                                      % (v.shape, x.size)) from None
+        floor_terms = 100.0 * np.abs(g) + 2.0 * np.abs(v) * (np.abs(x) + abs(centre))
+        total = floor_terms.sum()
+    if not math.isfinite(total):
+        bad = float(x[np.argmax(~np.isfinite(floor_terms))])
+        raise ToleranceNotReached("the line integrand is not finite, or too large to sum, "
+                                  "near x = %r" % (bad,))
+    return g, floor_terms
 
 
 # --------------------------------------------------------------------------

@@ -74,6 +74,7 @@ def _on_each_domain(name, fn, *args):
 CALLS = [
     ("oscillatory_ft", numerics.oscillatory_ft, (lambda x: 1.0 / (1.0 + x * x), 0.7)),
     ("trapezoid_circle", numerics.trapezoid_circle, (np.ones_like, 8)),
+    ("trapezoid_line", numerics.trapezoid_line, (lambda x: 1.0 / np.cosh(x), 0.3, 1.0)),
     ("gram_report", numerics.gram_report, (np.eye(2),)),
     ("poisson_summation_check", numerics.poisson_summation_check, (1.0, 1.0, 0.3, 10)),
     ("ftcosh_check", numerics.ftcosh_check, (1.0, GOOD)),
@@ -151,7 +152,7 @@ EXEMPT = {
     "atomic": "its pairs are a sequence of (location, weight), which finite_pairs guards",
     "gridded": "x0 and h are guarded in MeasureOnR, where every measure lands (FAR rows)",
     "boundary_restriction": "it takes a domain and a callable, and no number",
-    "boundary_inner": "tol goes to quad, which guards it",
+    "boundary_inner": "tol goes to trapezoid_line, which guards it",
     "transfer_map": "it takes two domains; the maps it returns are FORMS rows",
     "hardy_transfer": "it takes two domains and a callable; the maps it returns are FORMS rows",
     "rp_circle_from_measure": "beta goes to Gamma_map",

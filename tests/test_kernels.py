@@ -272,7 +272,6 @@ def test_boundary_reflect_rejects_a_component_the_domain_lacks(domain, comp):
 def test_every_component_entry_point_rejects_a_name_the_domain_lacks_alike(domain, z, comp):
     calls = [
         lambda: domain.boundary_embed(comp, 0.3),
-        lambda: domain.embedding(comp),
         lambda: _reflection(domain, comp, 0.3),
         lambda: kernels.poisson_at(domain, z, comp),
         lambda: kernels.poisson(domain, z, 0.3, comp),
@@ -313,6 +312,17 @@ def test_strip_flip_multiplier_far_tail_stays_finite():
     assert abs(abs(h) - 1.0) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("comp", ["lower", "upper"])
+def test_strip_flip_multiplier_where_x_minus_conj_w_overflows_is_unimodular(comp):
+    # x - conj(w) = 3e308 overflows; the argument formed as a complex product
+    # multiplied 0 by inf, and h was NaN
+    w = -1.5e308 + 1j       # on the midline of Strip(2.0)
+    for x in (1.5e308, np.array([1.5e308, -1.7e308, 0.3])):
+        h = np.asarray(kernels.h_boundary(STRIP, w, comp, x))
+        assert np.all(np.isfinite(h)) and np.all(np.abs(np.abs(h) - 1.0) < 1e-15)
+
+
 @pytest.mark.parametrize("domain,w", [
     (DISC, 0.2 - 0.1j), (STRIP, 0.4 + 0.9j)], ids=["disc", "strip"])
 def test_theta_apply_is_an_involution(domain, w):
@@ -325,9 +335,9 @@ def test_theta_apply_is_an_involution(domain, w):
 
 
 def _line_points():
-    """Parameters inside both switch points of the line Poisson kernels and
-    past them: |x| > 1e150 on the half-plane, |u| > 300 on the strip (and
-    past the Re arg = 350 of the strip flip multiplier)."""
+    """Parameters near the peaks of the line kernels and far out, where
+    their terms overflow or underflow: |pi (x - Re z) / 2 beta| past 350 on
+    the strip, |x - Re z| past 1e154 on the half-plane."""
     rng = np.random.default_rng(41)
     return np.concatenate([rng.uniform(-6.0, 6.0, 200), [0.0, -0.0],
                            rng.uniform(380.0, 2000.0, 20), -rng.uniform(380.0, 2000.0, 20),
@@ -348,10 +358,8 @@ def test_boundary_embed_of_an_array_keeps_every_bit(domain):
         got = domain.boundary_embed(comp, xs)
         want = np.array([domain.boundary_embed(comp, x) for x in xs.tolist()])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        bound = np.array([domain.embedding(comp)(x) for x in xs.tolist()])
-        assert np.array_equal(bound.view(np.int64), want.view(np.int64))
     with pytest.raises(ParameterOutOfRange):
-        domain.embedding("middle")
+        domain.boundary_embed("middle", xs)
 
 
 @pytest.mark.parametrize("domain,z,comp", [
@@ -401,9 +409,6 @@ def test_poisson_at_is_poisson_and_its_array_body_bit_for_bit(domain, z, comp):
                              [cmath.phase(z), -3.0, 9.0]])
     else:
         xs = _line_points()
-        past = np.abs(xs - z.real) > kernels._FAR_DX if domain is HALF_PLANE \
-            else np.abs(math.pi * (z.real - xs) / (2.0 * domain.beta)) > kernels._FAR_U
-        assert past.any() and not past.all()
     _assert_array_is_scalar_bit_for_bit(kernels.poisson(domain, z, xs, comp), bound, xs)
     for x in xs.tolist():
         assert _bits(bound(x)) == _bits(kernels.poisson(domain, z, x, comp))
@@ -416,9 +421,6 @@ def test_poisson_at_is_poisson_and_its_array_body_bit_for_bit(domain, z, comp):
 def test_h_boundary_at_is_h_boundary_and_its_array_body_bit_for_bit(domain, w):
     xs = 2.0 * math.pi * np.arange(1024) / 1024 - 1.0 if domain is DISC \
         else _line_points()
-    if domain is STRIP:
-        far = np.abs(math.pi * (xs - w.real) / (2.0 * domain.beta)) > kernels._FAR
-        assert far.any() and not far.all()
     for comp in domain.boundary_components():
         bound = kernels.h_boundary_at(domain, w, comp)
         _assert_array_is_scalar_bit_for_bit(kernels.h_boundary(domain, w, comp, xs),
@@ -461,11 +463,15 @@ def test_boundary_function_on_is_the_function_bit_for_bit(domain, w):
 @pytest.mark.parametrize("shape", [(0,), (12, 20)], ids=str)
 def test_a_boundary_function_on_a_line_array_is_its_form_element_by_element(
         domain, w, shape):
+    """Bit for bit where the arithmetic is the library's: a closed form or a
+    plain callable is called once on the array, so its own complex products
+    are numpy's, which may round differently from CPython's (_times rounds
+    as CPython does)."""
     f = kernels.boundary_restriction(
-        domain, lambda z: kernels.szego(domain, z, w) * (1.0 + 0.3 * z))
+        domain, lambda z: kernels._times(kernels.szego(domain, z, w), 1.0 + 0.3 * z))
     xs = _line_points()[:int(np.prod(shape))].reshape(shape)
     for g in (f, f.reflected(), kernels.theta_apply(domain, w, f),
-              kernels.theta_apply(domain, w, lambda comp, x: complex(x, 1.0) / (1.0 + x * x))):
+              kernels.theta_apply(domain, w, lambda comp, x: np.exp(-np.abs(x)) + 0.5j)):
         for comp in domain.boundary_components():
             on = g.on(comp)
             got = g(comp, xs)
@@ -489,16 +495,23 @@ def test_scalar_disc_poisson_and_h_boundary_are_python_scalars_equal_to_the_arra
 
 
 def test_line_boundary_inner_integrates_the_bound_forms():
-    calls = []
+    calls, nodes = [], []
 
     def on(component):
         calls.append(component)
-        return lambda x: cmath.exp(-x * x + 0.5j * x)
+
+        def form(x):
+            nodes.append(x)
+            return np.exp(-x * x + 0.5j * x)
+        return form
 
     f = kernels.BoundaryFunction(STRIP, on)
     val = kernels.boundary_inner(STRIP, f, f)
     assert calls == ["lower", "lower", "upper", "upper"]
     assert abs(val - 2.0 * math.sqrt(math.pi / 2.0)) < 1e-12
+    # each form is called on arrays of nodes only, one call per level
+    assert all(isinstance(x, np.ndarray) and x.ndim == 1 for x in nodes)
+    assert len(nodes) < 20
 
 
 def test_a_plain_callable_in_theta_apply_on_the_strip_is_one_form_per_component():
@@ -507,19 +520,19 @@ def test_a_plain_callable_in_theta_apply_on_the_strip_is_one_form_per_component(
 
     def plain(comp, x):
         seen.add((comp, type(x)))
-        return cmath.exp(-x * x) * (1.0 if comp == "lower" else 0.5j)
+        return np.exp(-x * x) * (1.0 if comp == "lower" else 0.5j)
 
     tf = kernels.theta_apply(STRIP, w, plain)
     forms = []
     spy = kernels.BoundaryFunction(STRIP, lambda comp: forms.append(comp) or tf.on(comp))
     val = kernels.boundary_inner(STRIP, spy, spy)
     assert forms == ["lower", "lower", "upper", "upper"]
-    assert seen == {("lower", float), ("upper", float)}
+    assert seen == {("lower", np.ndarray), ("upper", np.ndarray)}
     assert abs(val - 1.25 * math.sqrt(math.pi / 2.0)) < 1e-12
 
 
 # lhs of flip_pairing_check on the half-plane (no verify id covers it), as
-# the per-node integrands computed it before the bound forms: unchanged bits
+# QUADPACK computed it, one node at a time, before the line rule
 HALF_PLANE_FLIP_LHS = [
     (0.8j, lambda z: 1.0, ("0x1.976fc893c3aa4p-4", "0x0.0p+0")),
     (1.3j, lambda z: 1.0 / (z + 1j), ("0x1.7b2d1a1c71bf6p-7", "0x0.0p+0")),
@@ -528,9 +541,9 @@ HALF_PLANE_FLIP_LHS = [
 
 
 @pytest.mark.parametrize("w,F,lhs", HALF_PLANE_FLIP_LHS, ids=["1", "1/(z+i)", "2-i"])
-def test_half_plane_flip_pairing_keeps_its_bits(w, F, lhs):
+def test_half_plane_flip_pairing_meets_its_closed_form_and_quadpack(w, F, lhs):
     chk = kernels.flip_pairing_check(HALF_PLANE, w, F)
-    assert _bits(chk.lhs) == lhs
+    assert abs(chk.lhs - complex(*map(float.fromhex, lhs))) < 1e-15
     assert chk.defect < 1e-15
 
 
@@ -565,17 +578,29 @@ def test_a_boundary_parameter_that_is_not_finite_raises(call, bad):
 
 
 @pytest.mark.parametrize("bound", [
-    kernels.poisson_at(DISC, 0.1), kernels.poisson_at(HALF_PLANE, 1j),
-    kernels.poisson_at(Strip(1.0), 0.5j, "lower"),
+    kernels.poisson_at(DISC, 0.1),
     kernels.h_boundary_at(DISC, 0.3, "circle"),
     kernels.h_boundary_at(HALF_PLANE, 1j, "line"),
     kernels.h_boundary_at(Strip(1.0), 0.5j, "upper")],
-    ids=["poisson-disc", "poisson-half_plane", "poisson-strip",
-         "h-disc", "h-half_plane", "h-strip"])
+    ids=["poisson-disc", "h-disc", "h-half_plane", "h-strip"])
 def test_a_bound_form_rejects_a_parameter_that_is_not_finite(bound):
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ParameterOutOfRange, match="finite"):
             bound(x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bound", [
+    kernels.poisson_at(HALF_PLANE, 1j), kernels.poisson_at(HALF_PLANE, 1e300 + 1e-300j),
+    kernels.poisson_at(Strip(1.0), 0.5j, "lower"),
+    kernels.poisson_at(Strip(1e-300), -1e300 + 1e-301j, "upper")],
+    ids=["half_plane", "half_plane-far", "strip", "strip-far"])
+def test_a_line_poisson_form_is_unchecked_arithmetic_that_gives_0_at_infinity(bound):
+    """QUADPACK calls the half-plane form one float at a time: it checks
+    nothing, and poisson() checks x.  At +-inf both line forms give the
+    kernel's limit 0, on a float without a warning."""
+    for x in (math.inf, -math.inf):
+        assert bound(x) == 0.0 and type(bound(x)) is float
 
 
 @pytest.mark.parametrize("beta", [1e300, 1.7e308])

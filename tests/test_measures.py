@@ -459,6 +459,20 @@ def test_theta_check_rejects_non_finite_points():
         measures.theta_involution_check(nu, 1.0, [(complex(math.nan, 0.2), 0.3j)])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda nu, z, w: measures.theta_involution_check(nu, 1.0, [(0.3 + 0.5j, 0.2j), (z, w)]),
+    lambda nu, z, w: measures.kernel_from_measure(nu, z, w)],
+    ids=["theta_involution_check", "kernel_from_measure"])
+def test_a_pair_whose_difference_overflows_is_named_without_a_warning(call):
+    # z - conj(w) = 2e308 overflowed with a RuntimeWarning, and fourier's
+    # guard then named an inf the caller never passed
+    nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
+    with pytest.raises(ParameterOutOfRange, match=r"overflows at the pair \(\(1e\+308\+0\.5j\), "
+                                                   r"\(-1e\+308\+0\.5j\)\)"):
+        call(nu, 1e308 + 0.5j, -1e308 + 0.5j)
+
+
 @pytest.mark.parametrize("pairs", [
     [0.3 + 0.4j, 0.1 + 0.6j],                       # flat: not the pair (z, w)
     [(0.3 + 0.4j, 0.1 + 0.6j), (0.2j,)],            # ragged

@@ -734,7 +734,9 @@ def mp():
 
 def test_quadrature_error_estimates_bound_the_true_error_near_the_boundary(mp):
     """About 300 seeded near-boundary line integrals against exact or
-    30-digit values: the reported error estimate must cover the true error."""
+    30-digit values, each by QUADPACK and by the line rule centred at the
+    peak with the pole distance: every reported error estimate must cover
+    the true error."""
     rng = np.random.default_rng(20261018)
     misses = []
 
@@ -747,17 +749,20 @@ def test_quadrature_error_estimates_bound_the_true_error_near_the_boundary(mp):
         beta = rng.uniform(0.5, 2.0)
         strip = Strip(beta)
         z = complex(rng.uniform(-3.0, 3.0), _near_edge(rng, beta))
-        for comp, truth in (("lower", 1 - mp.mpf(z.imag) / beta),
-                            ("upper", mp.mpf(z.imag) / beta)):
-            val, err = numerics.quad_real(
-                lambda x: kernels.poisson(strip, z, x, comp), -np.inf, np.inf)
-            expect(("strip", beta, z, comp), val, err, truth)
+        for comp, truth, dist in (("lower", 1 - mp.mpf(z.imag) / beta, z.imag),
+                                  ("upper", mp.mpf(z.imag) / beta, beta - z.imag)):
+            form = kernels.poisson_at(strip, z, comp)
+            expect(("strip", beta, z, comp), *numerics.quad_real(form, -np.inf, np.inf),
+                   truth)
+            expect(("strip-line-rule", beta, z, comp),
+                   *numerics.trapezoid_line(form, z.real, dist), truth)
     # half-plane Poisson masses: 1
     for _ in range(100):
         z = complex(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, math.log10(0.3)))
-        val, err = numerics.quad_real(lambda x: kernels.poisson(HALF_PLANE, z, x),
-                                      -np.inf, np.inf)
-        expect(("half-plane", z), val, err, mp.mpf(1))
+        form = kernels.poisson_at(HALF_PLANE, z)
+        expect(("half-plane", z), *numerics.quad_real(form, -np.inf, np.inf), mp.mpf(1))
+        expect(("half-plane-line-rule", z), *numerics.trapezoid_line(form, z.real, z.imag),
+               mp.mpf(1))
     # strip flip pairing <f*, theta_w f*> for f = F Q_w; the closed form
     # Q(w, w) conj(F(w)) F(sigma w), sigma w = i beta + conj(w), is
     # |F(w)|^2 Q(w, w) on the midline and holds for every interior w
@@ -769,16 +774,23 @@ def test_quadrature_error_estimates_bound_the_true_error_near_the_boundary(mp):
         fstar = kernels.boundary_restriction(
             strip, lambda zb: F(zb) * kernels.szego(strip, zb, w))
         tfstar = kernels.theta_apply(strip, w, fstar)
-        val, err = 0.0j, 0.0
+        dist = min(w.imag, beta - w.imag)
+        val, err, line_val, line_err = 0.0j, 0.0, 0.0j, 0.0
         for comp in strip.boundary_components():
             v, e = numerics.quad(lambda x: fstar(comp, x).conjugate() * tfstar(comp, x),
                                  -np.inf, np.inf, tol=1e-9)
             val += v
             err += e
+            v, e = numerics.trapezoid_line(
+                lambda x: np.conj(fstar(comp, x)) * tfstar(comp, x), w.real, dist, tol=1e-9)
+            line_val += v
+            line_err += e
         wm = mp.mpc(w.real, w.imag)
         truth = (mp.conj(F_mp(wm)) * F_mp(mp.mpc(w.real, beta - w.imag))
                  / (4 * beta * mp.sin(mp.pi * w.imag / beta)))
         expect(("flip-pairing", beta, w, k % len(ORACLE_FUNCS)), val, err, truth)
+        expect(("flip-pairing-line-rule", beta, w, k % len(ORACLE_FUNCS)), line_val, line_err,
+               truth)
     assert misses == []
 
 
@@ -867,6 +879,80 @@ def test_trapezoid_circle_rejects_values_that_do_not_fit_the_nodes(shape):
 
 def test_trapezoid_circle_integrates_fourier_modes_exactly():
     assert abs(numerics.trapezoid_circle(lambda t: np.exp(3j * t))) < 1e-13
+
+
+# --------------------------------------------------------------------------
+# the line rule
+# --------------------------------------------------------------------------
+
+def test_trapezoid_line_calls_f_once_per_level_on_new_nodes_only():
+    calls = []
+
+    def sech(x):
+        calls.append(x.copy())
+        return 1.0 / np.cosh(x)
+
+    value, err = numerics.trapezoid_line(sech, 0.0, 1.0)
+    assert abs(value - math.pi) <= err <= 1e-12 and type(value) is float
+    assert 3 <= len(calls) <= 5 and all(x.ndim == 1 for x in calls)
+    # no node twice, and with the first level's nodes in their window the
+    # later ones make one uniform grid in s = asinh(x)
+    assert np.unique(np.concatenate(calls)).size == sum(x.size for x in calls)
+    later = np.arcsinh(np.concatenate(calls[1:]))
+    step = 2.0 ** -len(calls[1:]) * 0.5
+    s = np.sort(np.arcsinh(np.concatenate(calls)))
+    s = s[(s > later.min() - 1.5 * step) & (s < later.max() + 1.5 * step)]
+    assert np.allclose(np.diff(s), step, rtol=0.0, atol=1e-12)
+
+
+def test_trapezoid_line_integrates_a_complex_integrand_to_a_complex():
+    value, err = numerics.trapezoid_line(lambda x: np.exp(-(x - 0.3) ** 2 + 2j * x), 0.3, 1.0)
+    want = math.sqrt(math.pi) * cmath.exp(0.6j - 1.0)
+    assert type(value) is complex and abs(value - want) <= err <= 1e-12
+
+
+@pytest.mark.parametrize("peak", [1e3, 1e5])
+def test_an_off_centre_peak_raises_or_is_right(peak):
+    poisson = kernels.poisson_at(HALF_PLANE, peak + 1j)
+    try:
+        value, err = numerics.trapezoid_line(poisson, 0.0, 1.0)
+    except ToleranceNotReached:
+        return
+    assert abs(value - 1.0) <= err
+    # centred at the peak, as the callers pass it
+    value, err = numerics.trapezoid_line(poisson, peak, 1.0)
+    assert abs(value - 1.0) <= max(err, 1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (1.0 + np.abs(x)), lambda x: x / (1.0 + x * x),
+                               lambda x: np.ones_like(x), lambda x: 2.0],
+                         ids=["1/|x|", "odd-1/x", "ones", "constant"])
+def test_a_tail_that_decays_no_faster_than_one_over_x_raises(f):
+    with pytest.raises(ToleranceNotReached, match="decay"):
+        numerics.trapezoid_line(f, 0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_line_integrand_that_is_not_finite_or_does_not_fit_raises():
+    with pytest.raises(ToleranceNotReached, match="not finite.* near x = 0.0"):
+        numerics.trapezoid_line(lambda x: np.where(x == 0.0, math.nan, 1.0 / np.cosh(x)), 0.0, 1.0)
+    with pytest.raises(ToleranceNotReached, match="not finite"):
+        numerics.trapezoid_line(lambda x: np.exp(x * x), 0.0, 1.0)
+    with pytest.raises(ParameterOutOfRange, match="shape"):
+        numerics.trapezoid_line(lambda x: np.ones(3), 0.0, 1.0)
+    with pytest.raises(ToleranceNotReached, match="float range"):
+        numerics.trapezoid_line(lambda x: 1.0 / np.cosh(x), 0.0, 1.7e308)
+
+
+@pytest.mark.filterwarnings("error")
+def test_trapezoid_line_reports_the_rounding_floor_of_nodes_next_to_the_centre():
+    """At pole distance 1e-6 from a centre near 3 the nodes are rounded by
+    about 1e-10 of the distance: the levels agree to the last bit while the
+    value is off by some 1e-12, which the estimate must cover."""
+    a, y = 2.9, 1e-6
+    value, err = numerics.trapezoid_line(kernels.poisson_at(HALF_PLANE, complex(a, y)), a, y)
+    assert abs(value - 1.0) <= err <= 1e-8
     assert abs(numerics.trapezoid_circle(lambda t: 1.0 + 0.0j) - 2.0 * math.pi) < 1e-13
     val = numerics.trapezoid_circle(lambda t: np.cos(t) ** 2 + 0.0j)
     assert abs(val - math.pi) < 1e-13
