@@ -209,7 +209,10 @@ def modular_coefficient(md: ModularData, v, t):
     A v that is not finite, or whose |v|^2 overflows, raises
     :class:`DivergentTransform` from the sum, which tests its result anyway."""
     space = md.space
-    return _exp_sum(((space.nodes, np.abs(_vector(space, v)) ** 2 * space.weights, False),), t)
+    weights = np.abs(_vector(space, v)).astype(float, copy=False)
+    weights *= weights
+    weights *= space.weights
+    return _exp_sum(((space.nodes, weights, False),), t)
 
 
 @np.errstate(over="ignore")     # |v|^2 = inf: MeasureOnR refuses the weight

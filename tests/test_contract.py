@@ -608,6 +608,18 @@ FAR = [
     ("gridded-inf-x0", lambda: measures.gridded(math.inf, 0.1, [1.0, 1.0]),
      ParameterOutOfRange),
     ("gridded-str-x0", lambda: measures.gridded("a", 0.1, [1.0, 1.0]), ParameterOutOfRange),
+    # the nodes are h k only for x0 = h k0 with |k0| + n < 2**53: where x0 / h
+    # overflows, or passes 2**53, they stay x0 + h j and nothing raises
+    ("gridded-x0-over-h-overflows",
+     lambda: measures.gridded(1e300, 1e-300, [1.0, 1.0]).grid_nodes()[1], 1e300),
+    ("gridded-numpy-x0-over-h-overflows",
+     lambda: measures.gridded(np.float64(1e300), np.float64(1e-300), [1.0, 1.0]).grid_nodes()[1],
+     1e300),
+    ("gridded-x0-over-h-past-2-53",
+     lambda: measures.gridded(-2.0 ** 60, 1.0, [1.0, 1.0]).grid_nodes()[1], -2.0 ** 60),
+    ("fourier-x0-over-h-overflows",
+     lambda: measures.fourier(measures.gridded(1e300, 1e-300, [1.0, 1.0]), 0.3, monitor=False),
+     0.0),
     ("from_json-nan-h", lambda: measures.MeasureOnR.from_json(
         '{"density": {"x0": 0.0, "h": NaN, "values": [1.0, 1.0]}}'), ParameterOutOfRange),
     # a grid of 6.4e9 nodes (47.7 GiB) raised MemoryError, one past numpy's

@@ -1,6 +1,7 @@
 """Measures on R: transforms gamma/Gamma/kappa, reflection, KMS, splittings."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -141,6 +142,62 @@ def test_json_roundtrip():
 def test_from_json_reads_atoms_as_atomic_does(text):
     with pytest.raises(ParameterOutOfRange):
         measures.MeasureOnR.from_json(text)
+
+
+def _same_bits(a, b):
+    """Equal arrays of floats, the sign of every zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("m", [3, 40])
+@pytest.mark.parametrize("h", [0.01, 0.02, 0.05, 0.1, 0.3, 1.0 / 3.0, 0.7])
+@pytest.mark.parametrize("image", [measures.gamma_map, measures.Gamma_map])
+def test_an_image_grid_is_mu_grid_and_its_exact_mirror(h, m, image):
+    """A gamma or Gamma image of a density on 0, h, ..., L = h m lives on the
+    nodes h k, k = -m, ..., m: at lam >= 0 the nodes of mu bit for bit, where
+    its density values were formed, and each negative node the exact
+    negation of its mirror.  With h = 0.1 and m = 3, L / h is
+    3.0000000000000004, so k0 must be rounded, not tested for being whole."""
+    mu = measures.gridded(0.0, h, np.exp(-h * np.arange(m + 1)))
+    nodes = image(mu, 1.3).grid_nodes()
+    assert nodes.size == 2 * m + 1
+    assert _same_bits(nodes[m:], mu.grid_nodes())
+    assert _same_bits(nodes[:m], -nodes[:-m - 1:-1])
+    assert measures._mirrored(nodes) == m
+
+
+@pytest.mark.parametrize("build", [measures.szego_strip_measure,
+                                   measures.bergman_strip_measure], ids=["szego", "bergman"])
+@pytest.mark.parametrize("beta,halfwidth", [(2.0, None), (2.0, 40.0), (0.7, 3.3), (5.0, 0.05)])
+def test_a_strip_measure_lives_on_its_symmetric_grid_bit_for_bit(build, beta, halfwidth):
+    nu = build(beta, halfwidth)
+    assert _same_bits(nu.grid_nodes(), measures._symmetric_grid(beta, halfwidth))
+
+
+@pytest.mark.parametrize("h", [0.01, 0.05, 0.1, 1.0 / 3.0, 2.5, 1e-300, 1e300])
+def test_a_grid_from_0_keeps_the_nodes_x0_plus_h_j(h):
+    nu = measures.gridded(0.0, h, np.ones(101))
+    assert _same_bits(nu.grid_nodes(), 0.0 + h * np.arange(101))
+    assert _same_bits(measures.gridded(-0.0, h, np.ones(3)).grid_nodes(), [0.0, h, 2.0 * h])
+
+
+@pytest.mark.parametrize("x0,h", [
+    (-3.975, 0.05),             # a half-offset grid: x0 / h = -79.5
+    (0.5, 0.3), (-1.0, 0.7), (1e-17, 0.1),
+    (1e300, 1e-300),            # x0 / h overflows to inf
+    (2.0 ** 53, 1.0),           # x0 = h k0, but |k0| + n >= 2**53
+    (-3.0 * 2.0 ** 60, 4.0),
+    (5e-324, 5e-324),           # x0 = h k0 with k0 = 1: the exact path
+], ids=str)
+def test_a_grid_off_the_multiples_of_h_or_past_2_53_keeps_x0_plus_h_j(x0, h):
+    nu = measures.gridded(x0, h, np.ones(7))
+    q = x0 / h
+    exact = abs(q) + 7 < 2.0 ** 53 and h * round(q) == x0
+    want = h * np.arange(round(q), round(q) + 7) if exact else x0 + h * np.arange(7)
+    assert exact == ((x0, h) == (5e-324, 5e-324))
+    assert _same_bits(nu.grid_nodes(), want)
+    assert nu.grid_nodes()[0] == x0
 
 
 # --------------------------------------------------------------------------
@@ -437,6 +494,148 @@ def test_libm_identities_behind_the_real_phases():
     assert np.array_equal(shifted.real, e * np.cos(y))
     assert np.array_equal(shifted.imag, e * np.sin(y))
     assert np.any(np.exp(x) != e)
+
+
+def test_parity_identities_behind_the_folded_phases():
+    """The bits the fold of measures._summands relies on: t (-lam) is
+    -(t lam), cos(-y) is cos(y) and sin(-y) is -sin(y), bit for bit and the
+    sign of a zero too, over arguments from subnormal to 1e308."""
+    rng = np.random.default_rng(32)
+    y = np.concatenate([rng.uniform(0.0, 1e4, 200_000),
+                        rng.uniform(1.0, 2.0, 20_000) * 2.0 ** rng.integers(-1074, 1023, 20_000),
+                        [0.0, 5e-324, math.pi / 2, math.pi, 1e22, 1.7e308]])
+    for neg in (-y, np.negative(y[::-1])[::-1]):
+        assert _same_bits(np.cos(neg), np.cos(y))
+        assert _same_bits(np.sin(neg), -np.sin(y))
+    t = rng.uniform(-4.0, 4.0, y.size) * 10.0 ** rng.integers(-5, 5, y.size)
+    t[:3] = (0.0, -0.0, 5e-324)
+    lam = rng.uniform(0.0, 40.0, y.size)
+    lam[-3:] = (0.0, 5e-324, 40.0)
+    assert _same_bits(t * -lam, -(t * lam))
+
+
+def _symmetric_measures():
+    """Measures whose nodes are exactly symmetric: odd and even counts, an
+    atom at 0, a grid, and atoms beside a grid."""
+    density = np.exp(-0.5 * (0.05 * np.arange(301) - 1.0) ** 2)
+    grid = measures.Gamma_map(measures.gridded(0.0, 0.05, density), 1.1)
+    atoms = measures.Gamma_map(measures.atomic([(0.7, 1.0), (1.9, 0.4), (3.25, 0.2)]), 0.8)
+    with_zero = measures.Gamma_map(measures.atomic([(0.0, 0.3), (0.7, 1.0), (1.9, 0.4)]), 0.8)
+    both = measures.MeasureOnR(np.array([-0.71, 0.71]), np.array([0.2, 0.2 * math.exp(-1.1 * 0.71)]),
+                               grid.grid_x0, grid.grid_h, grid.density)
+    return {"grid-odd": grid, "atoms-even": atoms, "atom-at-0-odd": with_zero,
+            "atoms-and-grid": both}
+
+
+_SYMMETRIC = _symmetric_measures()
+_REAL_T = [0.37, -2.5, 0.0, np.array([-4.0, -0.0, 0.0, 0.11, 1.5, 3.999]),
+           np.linspace(-3.0, 3.0, 40).reshape(5, 8)]
+
+
+@pytest.fixture(params=["default", "always"])
+def fold(request, monkeypatch):
+    """The fold as measures uses it, and the fold taken at every size: these
+    measures are small, and most of their sums fall below _FOLD_MIN_PHASES."""
+    if request.param == "always":
+        monkeypatch.setattr(measures, "_FOLD_MIN_PHASES", 0)
+
+
+@pytest.mark.parametrize("name", list(_SYMMETRIC))
+def test_the_folded_table_is_the_table_taken_node_by_node(name):
+    nu = _SYMMETRIC[name]
+    t = np.linspace(-4.0, 4.0, 33)
+    for nodes, weights in ((nu.atom_locs, nu.atom_weights),
+                           (nu.grid_nodes(), nu.grid_quad_weights())):
+        if not nodes.size:
+            continue
+        half = measures._mirrored(nodes)
+        assert half == nodes.size // 2 > 0
+        decay = np.exp(-1.1 * nodes + 0j).real
+        for d in (None, decay):
+            folded = measures._summands(t, nodes, weights, d, half)
+            full = measures._summands(t, nodes, weights, d)
+            assert _same_bits(folded.view(float), full.view(float))
+
+
+@pytest.mark.parametrize("t", _REAL_T, ids=["scalar", "negative", "zero", "array", "2d"])
+@pytest.mark.parametrize("name", list(_SYMMETRIC))
+def test_fourier_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t, fold):
+    nu = _SYMMETRIC[name]
+    got = measures.fourier(nu, t)
+    want = _np_exp_transform(nu, np.ravel(t))
+    assert np.shape(got) == np.shape(t)
+    assert _bits(np.ravel(got)) == _bits(want)
+
+
+@pytest.mark.parametrize("name", list(_SYMMETRIC))
+def test_kms_check_on_a_symmetric_grid_is_the_np_exp_pair_bit_for_bit(name, fold):
+    nu, t = _SYMMETRIC[name], measures._KMS_T_GRID
+    for beta in (0.8, 1.1):
+        want = measures._worst_gap(_np_exp_transform(nu, 1j * beta + t),
+                                   np.conj(_np_exp_transform(nu, t)))
+        assert measures.kms_check(nu, beta).hex() == want.hex()
+
+
+@pytest.mark.parametrize("t", _REAL_T, ids=["scalar", "negative", "zero", "array", "2d"])
+@pytest.mark.parametrize("name", ["grid-odd", "atoms-even", "atom-at-0-odd"])
+def test_modular_coefficient_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t, fold):
+    from rphardy import modular
+    beta = 1.1 if name == "grid-odd" else 0.8
+    md = modular.build_modular(_SYMMETRIC[name], beta)
+    assert measures._mirrored(md.space.nodes) == md.space.dim // 2
+    v = md.space.random_standard_vector(np.random.default_rng(32))
+    weights = np.abs(v) ** 2 * md.space.weights
+    want = [comp_sum(np.exp(1j * tk * md.space.nodes) * weights)
+            for tk in np.ravel(t).tolist()]
+    got = modular.modular_coefficient(md, v, t)
+    assert np.shape(got) == np.shape(t)
+    assert _bits(np.ravel(got)) == _bits(want)
+
+
+def _first_divergent(nu, zs):
+    """The z the divergence monitor named when it read |summand| row by row:
+    the first z, in order, whose heavier 5% grid tail carries more than
+    1e-12 of the absolute mass."""
+    nodes, weights = nu.grid_nodes(), nu.grid_quad_weights()
+    k = max(1, math.ceil(0.05 * nodes.size))
+    for z in zs:
+        mags = np.abs(np.exp(1j * z * nodes) * weights)
+        s = np.sum(mags)
+        if s > 0.0 and max(np.sum(mags[:k]), np.sum(mags[-k:])) > 1e-12 * s:
+            return complex(z)
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_monitor_names_the_first_divergent_z_across_row_blocks():
+    """1001 nodes take 8 rows a block, so the 60 z span 8 blocks; those with
+    Im z = 25 or -25 see e^{25 |lam|} beat the density e^{-lam^2} at the
+    tails of [-10, 10], and the monitor names the first of them in order."""
+    lam = 0.02 * np.arange(-500, 501)
+    nu = measures.gridded(-10.0, 0.02, np.exp(-lam ** 2))
+    rng = np.random.default_rng(32)
+    zs = rng.uniform(-3.0, 3.0, 60) + 1j * rng.uniform(-2.0, 2.0, 60)
+    for bad in ([43, 51], [20, 9], [59]):
+        z = zs.copy()
+        z[bad] += np.array([25j, -25j])[:len(bad)]
+        want = _first_divergent(nu, z)
+        assert want == z[min(bad)]
+        with pytest.raises(DivergentTransform, match=r"at z = %s;" % re.escape(str(want))):
+            measures.fourier(nu, z)
+        with pytest.raises(DivergentTransform, match=r"at z = %s;" % re.escape(str(want))):
+            measures.fourier(nu, z.reshape(6, 10))
+    assert measures.fourier(nu, zs).shape == (60,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kms_check_names_the_first_divergent_z_of_the_shifted_row():
+    # not reflected: e^{-beta lam} grows into the flat left tail, so the
+    # transform at i beta + t first fails at the first t of the grid
+    nu = measures.gridded(-20.0, 0.01, np.exp(-0.01 * np.abs(np.arange(-2000, 2001))))
+    t = measures._KMS_T_GRID
+    assert _first_divergent(nu, 1j * 2.0 + t) == complex(-4.0, 2.0)
+    with pytest.raises(DivergentTransform, match=re.escape("at z = (-4+2j);")):
+        measures.kms_check(nu, 2.0)
 
 
 def test_rp_circle_from_measure_consistency():

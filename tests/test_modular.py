@@ -128,6 +128,20 @@ def test_modular_coefficient_of_an_array_matches_scalar_calls_bit_for_bit():
     assert type(modular.modular_coefficient(md, v, 0.4)) is complex
 
 
+@pytest.mark.filterwarnings("error")
+def test_modular_coefficient_weighs_an_integer_or_boolean_v_as_its_floats():
+    # |v|^2 w is formed in place, in floats whatever the kind of v
+    md = modular.build_modular(measures.Gamma_map(measures.atomic([(0.5, 1.0), (1.5, 0.3)]),
+                                                  1.0), 1.0)
+    ts = np.array([0.0, 0.7, -2.1 + 0.4j])
+    for v in (np.array([3, -2, 2, 3]), np.array([True, False, False, True])):
+        want = modular.modular_coefficient(md, v.astype(float), ts)
+        assert np.array_equal(modular.modular_coefficient(md, v, ts), want)
+    huge = np.full(md.space.dim, 1e200)
+    with pytest.raises(DivergentTransform):
+        modular.modular_coefficient(md, huge, 0.3)
+
+
 def test_modular_coefficient_is_positive_definite_and_kms():
     md = _setup()
     rng = np.random.default_rng(46)
