@@ -503,7 +503,7 @@ def h_boundary_at(domain: Domain, w: complex, component: str):
         def strip(x):
             with np.errstate(over="ignore"):    # an inf real part: tanh is +-1 there
                 t = np.tanh(_strip_arg(b, domain.boundary_embed("lower", x) - wc))
-            h = _cdiv(1j, t) if lower else _complex(t.imag, -t.real)
+            h = 1j / t if lower else _complex(t.imag, -t.real)
             return h if h.ndim else complex(h)
 
         return strip
@@ -632,9 +632,10 @@ def flip_pairing_check(domain: Domain, w: complex, F, *,
     distance of w to the nearest line.
     """
     domain.require_interior(w)
-    fw = F(w) * szego_diag.__wrapped__(domain, w)
+    q = szego_diag.__wrapped__(domain, w)
+    fw = F(w) * q
     try:
-        rhs = abs(fw) ** 2 / szego_diag.__wrapped__(domain, w)
+        rhs = abs(fw) ** 2 / q
     except OverflowError:
         raise ParameterOutOfRange("|f(w)|^2 overflows at w = %r" % (w,)) from None
     fstar = boundary_restriction(

@@ -37,16 +37,15 @@ instead of returning a silently truncated value.  That mass, e^{-Im z lam}
 :func:`kms_check` samples t on the fixed grid _KMS_T_GRID, 33 points on
 [-4, 4].
 
-Every transform is one exponential sum, :func:`_exp_sum`.  For real z its
-phases e^{i z lam} are cos(z lam) + i sin(z lam), the bits np.exp gives
-there; complex z take np.exp.  :func:`kms_check` reads nu_hat(t) and
-nu_hat(i beta + t) off one table of phases, the second as e^{-beta lam}
-times them, while every |beta lam| <= 700 (_SHARED_PHASE_BOUND), where
-libm's complex exp is exp(x) (cos y, sin y); past that each transform forms
-its own phases.  Both ways give the bits of two :func:`fourier` calls.
-Nodes symmetric bit for bit (gamma and Gamma images, the strip measures, the
-modular spaces built on them) take cos and sin at lam >= 0 only: cos is even
-and sin odd, so the mirrored half of the table is its conjugate, the same bits.
+Every transform is one exponential sum, :func:`_exp_sum`, over one table of
+phases e^{i z lam}.  For real z they are cos(z lam) + i sin(z lam), the bits
+np.exp gives there; complex z take np.exp.  A part may carry a stack of
+weight rows, each summed over the same table: :func:`kms_check` reads
+nu_hat(t) and nu_hat(i beta + t), the transform at t of e^{-beta lam} d nu,
+off one table of phases at real t.  Nodes symmetric bit for bit (gamma and
+Gamma images, the strip measures, the modular spaces built on them) take cos
+and sin at lam >= 0 only, for real z: cos is even and sin odd, so the
+mirrored half of the table is its conjugate, the same bits.
 
 Atoms are kept sorted by location and merged by a chained rule: atoms whose
 gap to the next atom is at most 1e-12 form one atom, at the lowest location
@@ -461,67 +460,41 @@ def _parts(nu: MeasureOnR, monitor: bool) -> tuple:
             (nu.grid_nodes(), nu.grid_quad_weights(), monitor))
 
 
-# While x = -beta lam stays in [-700, 700], libm's cexp forms e^{x + i y} as
-# exp(x) (cos y, sin y), with exp(x) the real exp(x + 0j); past 709 it
-# rescales, so _exp_sum shares one phase table between the two transforms of
-# kms_check only while every |beta lam| is at most this
-_SHARED_PHASE_BOUND = 700.0
-
-# the fold's crossover, timed on _summands of symmetric grids with the mirror
-# test against the full table (timeit, min of 9, 2-vCPU Xeon, numpy 2.4.6):
-# 3-7 us slower below 600 phases, from 1.2 us slower to 6 us faster at
-# 1000-1550 phases, and 1.6-21 us faster at 2050-2150 in every shape tried
-_FOLD_MIN_PHASES = 2048
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _exp_sum(parts, z, beta=None):
+def _exp_sum(parts, z):
     """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch) ``parts``: the
     one body of :func:`fourier`, :func:`kms_check` and
     :func:`modular.modular_coefficient`, whose declarations guard z.
 
-    Given ``beta`` (z then real), it returns the pair of sums at i beta + z
-    and at z.  While every |beta lam| <= _SHARED_PHASE_BOUND they come from
-    one phase table: the summand at i beta + z is (e^{-beta lam} cos z lam,
-    e^{-beta lam} sin z lam) w, with e^{-beta lam} = exp(-beta lam + 0j).real,
-    the bits np.exp gives there; past the bound both are sums over their own
-    z, each as a call without ``beta`` gives it.
-
-    A call whose z are all real, on at least _FOLD_MIN_PHASES phases of a
-    part, folds that part's table where its nodes are symmetric bit for bit
-    (:func:`_mirrored`, :func:`_summands`).  A watched part goes to the
-    monitor, :func:`_require_decay`, one block of z at a time."""
+    Each part's weights are one row of n, or, in every part alike, a (k, n)
+    stack of rows: each z then gets k sums, all over one table of phases,
+    returned with a leading axis of k.  Real z fold a part's table where its nodes
+    are symmetric bit for bit (:func:`_mirrored`, :func:`_summands`).  A
+    watched part, of one weight row, goes to the monitor,
+    :func:`_require_decay`, one block of z at a time."""
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    shared = beta is not None and all(np.all(np.abs(beta * nodes) <= _SHARED_PHASE_BOUND)
-                                      for nodes, _, _ in parts)
-    if beta is not None and not shared:
-        flat = np.concatenate((1j * beta + flat, flat))
-    # the z of every sum, one row per table: those at i beta + z first
-    zrows = np.stack((1j * beta + flat, flat)) if shared else flat[None]
-    total = np.zeros(zrows.shape, dtype=complex)
+    lead = parts[0][1].shape[:-1]
+    total = np.zeros(lead + flat.shape, dtype=complex)
+    real = not flat.imag.any()
     for nodes, weights, watch in parts:
         if not nodes.size:
             continue
-        decay = np.exp(-beta * nodes + 0j).real if shared else None
-        fold = flat.size * nodes.size >= _FOLD_MIN_PHASES and not flat.imag.any()
-        half = _mirrored(nodes) if fold else 0
+        half = _mirrored(nodes) if real else 0
         magnitudes, shares = np.abs(weights) if watch else None, {}
-        for rows in row_blocks(flat.size, len(zrows) * nodes.size):
+        for rows in row_blocks(flat.size, weights.size):
             if watch:
-                _require_decay(nodes, magnitudes, zrows[:, rows].ravel(), shares)
-            summand = _summands(flat[rows], nodes, weights, decay, half)
+                _require_decay(nodes, magnitudes, flat[rows], shares)
+            summand = _summands(flat[rows], nodes, weights, half)
             try:
-                total[:, rows] += comp_sum(summand)
+                total[..., rows] += comp_sum(summand)
             except (OverflowError, ValueError):     # fsum: inf - inf, overflow
-                total[:, rows] = np.nan
+                total[..., rows] = np.nan
     finite = np.isfinite(total)
     if not finite.all():
         raise DivergentTransform("the transform overflows at z = %s"
-                                 % complex(zrows.flat[np.argmin(finite)]))
-    if beta is not None:
-        return tuple(total.reshape((2,) + zs.shape))
-    return complex(total[0, 0]) if zs.ndim == 0 else total.reshape(zs.shape)
+                                 % complex(flat[np.argmin(finite) % flat.size]))
+    return complex(total[0]) if zs.ndim == 0 and not lead else total.reshape(lead + zs.shape)
 
 
 def _mirrored(nodes: np.ndarray) -> int:
@@ -534,16 +507,17 @@ def _mirrored(nodes: np.ndarray) -> int:
     return half if np.array_equal(head.view(np.int64), np.negative(tail).view(np.int64)) else 0
 
 
-def _summands(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray, decay,
+def _summands(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
               half: int = 0) -> np.ndarray:
-    """The block e^{i z lam} w, one row per z, as a (1, len(z), len(nodes))
-    table; given the node factors ``decay`` (z then real), the block
-    (decay cos z lam, decay sin z lam) w stacked before it.  For real z and
-    nodes whose first ``half`` mirror their last (:func:`_mirrored`), cos and
-    sin are taken on the rest alone: z (-lam) = -(z lam), cos is even and sin
-    odd, so the first ``half`` phases are the conjugates of the last, and
-    the table is bit for bit the one taken node by node."""
-    out = np.empty((1 if decay is None else 2, z.size, nodes.size), dtype=complex)
+    """The block e^{i z lam} w, one row per z, as a (len(z), len(nodes))
+    table, or for a (k, n) stack of weight rows the k tables stacked, all
+    from one table of phases.  For real z and nodes whose first ``half``
+    mirror their last (:func:`_mirrored`), cos and sin are taken on the rest
+    alone: z (-lam) = -(z lam), cos is even and sin odd, so the first
+    ``half`` phases are the conjugates of the last, and the table is bit for
+    bit the one taken node by node."""
+    rows = weights.reshape(-1, nodes.size)
+    out = np.empty((len(rows), z.size, nodes.size), dtype=complex)
     phases = out[-1]
     if not z.imag.any():
         # np.exp(i y) is (exp(+-0) cos y, exp(+-0) sin y): the same bits
@@ -554,10 +528,9 @@ def _summands(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray, decay,
             np.conjugate(phases[:, :-half - 1:-1], out=phases[:, :half])
     else:
         np.exp(np.multiply.outer(1j * z, nodes), out=phases)
-    if decay is not None:
-        np.multiply(phases, decay, out=out[0])
-    out *= weights
-    return out
+    np.multiply(phases, rows[:-1, None], out=out[:-1])
+    phases *= rows[-1]
+    return out.reshape(weights.shape[:-1] + phases.shape)
 
 
 def _require_decay(nodes: np.ndarray, magnitudes: np.ndarray, zs: np.ndarray,
@@ -608,14 +581,27 @@ _KMS_T_GRID.flags.writeable = False
 
 
 @takes(beta=POSITIVE)
+@np.errstate(over="ignore", invalid="ignore")   # e^{-beta lam} w = inf (or 0 inf): the sum raises
 def kms_check(nu: MeasureOnR, beta: float) -> float:
     """max_t |nu_hat(i beta + t) - conj(nu_hat(t))| over t in _KMS_T_GRID.
 
-    Both transforms are :func:`fourier`'s, bit for bit, with its monitor on.
-    While every |beta lam| <= _SHARED_PHASE_BOUND = 700 they share one table
-    of phases e^{i t lam}, and nu_hat(i beta + t) sums them times
-    e^{-beta lam}; past it each transform forms its own."""
-    shifted, plain = _exp_sum(_parts(nu, True), _KMS_T_GRID, beta)
+    nu_hat(i beta + t) is the transform at t of e^{-beta lam} d nu, so every
+    part of nu is summed as the two weight rows (e^{-beta lam} w, w) over one
+    table of phases e^{i t lam} (:func:`_exp_sum`, :func:`_mirror_weight`).
+    The monitor reads the grid as :func:`fourier` does at i beta + t and at
+    t, e^{-beta lam} |w| and |w|, and names the first point that diverges; a
+    sum that overflows is named as fourier names it, at i beta + t for the
+    shifted one."""
+    t, parts = _KMS_T_GRID, []
+    for nodes, weights, watch in _parts(nu, True):
+        if watch and nodes.size:
+            _require_decay(nodes, np.abs(weights), np.array([1j * beta + t[0], t[0]]), {})
+        parts.append((nodes, np.stack((_mirror_weight(weights, beta * nodes), weights)), False))
+    try:
+        shifted, plain = _exp_sum(parts, t)
+    except DivergentTransform:
+        fourier(nu, 1j * beta + t, monitor=False)     # raises where the shifted sum overflows
+        raise
     return _worst_gap(shifted, np.conj(plain))
 
 

@@ -401,8 +401,15 @@ def test_kms_check_raises_when_a_transform_overflows():
     nu = measures.atomic([(-800.0, 1.0), (-801.0, 1.0), (3.0, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergentTransform):
+        # e^{-beta lam} w overflows at the atoms: the transform at i beta + t
+        with pytest.raises(DivergentTransform, match=re.escape("overflows at z = (-4+2j)")):
             measures.kms_check(nu, 2.0)
+        # only nu_hat(t) overflows, and kms_check names it as fourier does
+        heavy = measures.atomic([(1.0, 1e308), (1.0 + 1e-9, 1e308)])
+        with pytest.raises(DivergentTransform) as plain:
+            measures.fourier(heavy, measures._KMS_T_GRID)
+        with pytest.raises(DivergentTransform, match=re.escape(str(plain.value))):
+            measures.kms_check(heavy, 1.0)
         # finite transforms whose difference overflows: +-1e308 i at t = 4
         big = measures.MeasureOnR(np.array([math.pi / 8]), np.array([1e308]))
         with pytest.raises(DivergentTransform, match="differ by more than 1e308"):
@@ -427,14 +434,34 @@ def test_kms_fails_for_raw_measure():
     assert measures.kms_check(mu, 1.0) > 0.1
 
 
-def _np_exp_transform(nu, z):
-    """nu_hat at the z array with every phase from np.exp: the body
-    measures._exp_sum had before it formed real-z phases as cos + i sin."""
+def _np_exp_sum(parts, z):
+    """sum_j e^{i z lam_j} w_j over the (nodes, weights) ``parts`` at the z
+    array with every phase from np.exp: the body measures._exp_sum had
+    before it formed real-z phases as cos + i sin."""
     iz = 1j * np.asarray(z, dtype=complex)[:, None]
-    return sum(comp_sum(np.exp(iz * nodes) * weights)
-               for nodes, weights in ((nu.atom_locs, nu.atom_weights),
-                                      (nu.grid_nodes(), nu.grid_quad_weights()))
-               if nodes.size)
+    return sum(comp_sum(np.exp(iz * nodes) * weights) for nodes, weights in parts if nodes.size)
+
+
+def _measure_parts(nu):
+    return ((nu.atom_locs, nu.atom_weights), (nu.grid_nodes(), nu.grid_quad_weights()))
+
+
+def _np_exp_transform(nu, z):
+    """nu_hat at the z array, every phase from np.exp."""
+    return _np_exp_sum(_measure_parts(nu), z)
+
+
+def _reweighted_parts(nu, beta):
+    """The parts of e^{-beta lam} d nu, each weight w e^{-beta lam} as
+    measures._mirror_weight forms it."""
+    return [(nodes, measures._mirror_weight(weights, beta * nodes))
+            for nodes, weights in _measure_parts(nu)]
+
+
+def _np_exp_shifted(nu, beta, t):
+    """nu_hat(i beta + t) as kms_check promises it, bit for bit: the np.exp
+    sum at the real t over the reweighted parts."""
+    return _np_exp_sum(_reweighted_parts(nu, beta), t)
 
 
 def _bits(values):
@@ -450,24 +477,33 @@ def _gridded_gamma_image(beta):
     return measures.Gamma_map(measures.gridded(0.0, 0.01, density), beta)
 
 
-@pytest.mark.parametrize("nu,beta,shared", [
-    (_gridded_gamma_image(1.37), 1.37, True),
-    (measures.atomic([(0.7, 1.0), (1.9, 0.4), (-2.3, 0.25), (0.0, 0.3)]), 0.8, True),
-    # beta lam = +-705 at the atoms +-352.5: past the bound, two tables
-    (measures.Gamma_map(measures.atomic([(352.5, 1.0), (0.7, 0.5)]), 2.0), 2.0, False),
-], ids=["gridded-gamma-image", "atomic", "past-the-bound"])
-def test_kms_check_is_the_two_fourier_transforms_bit_for_bit(nu, beta, shared):
+@pytest.mark.parametrize("nu,beta", [
+    (_gridded_gamma_image(1.37), 1.37),
+    (measures.atomic([(0.7, 1.0), (1.9, 0.4), (-2.3, 0.25), (0.0, 0.3)]), 0.8),
+    # beta lam = +-705 at the atoms +-352.5: e^{-beta lam} near the end of the float range
+    (measures.Gamma_map(measures.atomic([(352.5, 1.0), (0.7, 0.5)]), 2.0), 2.0),
+], ids=["gridded-gamma-image", "atomic", "far-atoms"])
+def test_kms_check_is_the_np_exp_sum_over_the_reweighted_row_bit_for_bit(nu, beta):
+    """nu_hat(i beta + t) is the transform at t of e^{-beta lam} d nu:
+    kms_check sums the weight rows (e^{-beta lam} w, w) over one table of
+    phases at the real t, each row bit for bit its own np.exp sum, and the
+    shifted row agrees with fourier at i beta + t to a few ulps of its
+    absolute mass."""
     t = measures._KMS_T_GRID
-    nodes = np.concatenate([nu.atom_locs, nu.grid_nodes()])
-    assert bool(np.max(np.abs(beta * nodes)) <= measures._SHARED_PHASE_BOUND) is shared
-    shifted, plain = measures.fourier(nu, 1j * beta + t), measures.fourier(nu, t)
+    shifted, plain = _np_exp_shifted(nu, beta, t), _np_exp_transform(nu, t)
+    assert _bits(plain) == _bits(measures.fourier(nu, t))
     want = measures._worst_gap(shifted, np.conj(plain))
     assert measures.kms_check(nu, beta).hex() == want.hex()
-    got = measures._exp_sum(measures._parts(nu, True), t, beta)
+    rows = [(nodes, np.stack((shifted_w, w)), False) for (nodes, w), (_, shifted_w)
+            in zip(_measure_parts(nu), _reweighted_parts(nu, beta))]
+    got = measures._exp_sum(rows, t)
+    assert got.shape == (2, t.size)
     assert _bits(got[0]) == _bits(shifted) and _bits(got[1]) == _bits(plain)
-    # and both are the sums whose phases np.exp forms
-    assert _bits(shifted) == _bits(_np_exp_transform(nu, 1j * beta + t))
-    assert _bits(plain) == _bits(_np_exp_transform(nu, t))
+    # fourier at i beta + t takes its phases from np.exp
+    direct = measures.fourier(nu, 1j * beta + t)
+    assert _bits(direct) == _bits(_np_exp_transform(nu, 1j * beta + t))
+    mass = sum(comp_sum(np.abs(w)) for _, w in _reweighted_parts(nu, beta))
+    assert np.max(np.abs(shifted - direct)) <= 4.0 * sys.float_info.epsilon * mass
 
 
 def test_libm_identities_behind_the_real_phases():
@@ -532,34 +568,51 @@ _REAL_T = [0.37, -2.5, 0.0, np.array([-4.0, -0.0, 0.0, 0.11, 1.5, 3.999]),
            np.linspace(-3.0, 3.0, 40).reshape(5, 8)]
 
 
-@pytest.fixture(params=["default", "always"])
-def fold(request, monkeypatch):
-    """The fold as measures uses it, and the fold taken at every size: these
-    measures are small, and most of their sums fall below _FOLD_MIN_PHASES."""
-    if request.param == "always":
-        monkeypatch.setattr(measures, "_FOLD_MIN_PHASES", 0)
-
-
 @pytest.mark.parametrize("name", list(_SYMMETRIC))
 def test_the_folded_table_is_the_table_taken_node_by_node(name):
+    """For one weight row and for a stack of two, each row of the stack
+    being the table of that row alone."""
     nu = _SYMMETRIC[name]
     t = np.linspace(-4.0, 4.0, 33)
-    for nodes, weights in ((nu.atom_locs, nu.atom_weights),
-                           (nu.grid_nodes(), nu.grid_quad_weights())):
+    for nodes, weights in _measure_parts(nu):
         if not nodes.size:
             continue
         half = measures._mirrored(nodes)
         assert half == nodes.size // 2 > 0
-        decay = np.exp(-1.1 * nodes + 0j).real
-        for d in (None, decay):
-            folded = measures._summands(t, nodes, weights, d, half)
-            full = measures._summands(t, nodes, weights, d)
+        rows = np.stack((measures._mirror_weight(weights, 1.1 * nodes), weights))
+        for w in (weights, rows):
+            folded = measures._summands(t, nodes, w, half)
+            full = measures._summands(t, nodes, w)
             assert _same_bits(folded.view(float), full.view(float))
+        stacked = measures._summands(t, nodes, rows, half)
+        for k in range(2):
+            assert _same_bits(stacked[k].view(float),
+                              measures._summands(t, nodes, rows[k], half).view(float))
+
+
+@pytest.mark.parametrize("name", list(_SYMMETRIC))
+def test_real_z_fold_the_table_at_every_size(name, monkeypatch):
+    """A scalar t on a few atoms folds as a long grid does: every part whose
+    nodes mirror reaches _summands with half its nodes."""
+    nu, halves = _SYMMETRIC[name], []
+    summands = measures._summands
+
+    def spy(z, nodes, weights, half=0):
+        halves.append((nodes.size, half))
+        return summands(z, nodes, weights, half)
+
+    monkeypatch.setattr(measures, "_summands", spy)
+    measures.fourier(nu, 0.37)
+    measures.kms_check(nu, 0.8)
+    assert halves and all(half == n // 2 for n, half in halves)
+    halves.clear()
+    measures.fourier(nu, 0.37 + 0.1j)       # complex z take np.exp on every node
+    assert halves and all(half == 0 for _, half in halves)
 
 
 @pytest.mark.parametrize("t", _REAL_T, ids=["scalar", "negative", "zero", "array", "2d"])
 @pytest.mark.parametrize("name", list(_SYMMETRIC))
-def test_fourier_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t, fold):
+def test_fourier_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t):
     nu = _SYMMETRIC[name]
     got = measures.fourier(nu, t)
     want = _np_exp_transform(nu, np.ravel(t))
@@ -568,17 +621,17 @@ def test_fourier_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t, fold
 
 
 @pytest.mark.parametrize("name", list(_SYMMETRIC))
-def test_kms_check_on_a_symmetric_grid_is_the_np_exp_pair_bit_for_bit(name, fold):
+def test_kms_check_on_a_symmetric_grid_is_the_np_exp_pair_bit_for_bit(name):
     nu, t = _SYMMETRIC[name], measures._KMS_T_GRID
     for beta in (0.8, 1.1):
-        want = measures._worst_gap(_np_exp_transform(nu, 1j * beta + t),
+        want = measures._worst_gap(_np_exp_shifted(nu, beta, t),
                                    np.conj(_np_exp_transform(nu, t)))
         assert measures.kms_check(nu, beta).hex() == want.hex()
 
 
 @pytest.mark.parametrize("t", _REAL_T, ids=["scalar", "negative", "zero", "array", "2d"])
 @pytest.mark.parametrize("name", ["grid-odd", "atoms-even", "atom-at-0-odd"])
-def test_modular_coefficient_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t, fold):
+def test_modular_coefficient_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t):
     from rphardy import modular
     beta = 1.1 if name == "grid-odd" else 0.8
     md = modular.build_modular(_SYMMETRIC[name], beta)
@@ -638,6 +691,19 @@ def test_kms_check_names_the_first_divergent_z_of_the_shifted_row():
         measures.kms_check(nu, 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_kms_check_names_t_when_only_the_plain_transform_diverges():
+    # flat on the right, where e^{-beta lam} makes the shifted transform
+    # decay: only nu_hat(t) diverges, first at the first t of the grid
+    lam = 0.01 * np.arange(-2000, 2001)
+    nu = measures.gridded(-20.0, 0.01, np.where(lam < 0.0, np.exp(-lam ** 2), 1.0))
+    t = measures._KMS_T_GRID
+    assert _first_divergent(nu, 2j + t) is None
+    assert _first_divergent(nu, t) == complex(-4.0, 0.0)
+    with pytest.raises(DivergentTransform, match=re.escape("at z = (-4+0j);")):
+        measures.kms_check(nu, 2.0)
+
+
 def test_rp_circle_from_measure_consistency():
     mu = measures.atomic([(0.4, 0.7), (1.2, 0.3)])
     beta = 2.0
@@ -684,12 +750,13 @@ def test_theta_involution_check_needs_a_sequence_of_pairs(pairs):
 
 
 def test_kms_and_theta_checks_read_nan_when_a_transform_is_nan(monkeypatch):
-    # the one exponential sum under fourier and kms_check, with beta the
-    # pair of transforms at i beta + t and at t
-    def exp_sum_with_one_nan(parts, z, beta=None):
-        out = np.zeros(np.shape(z), dtype=complex)
-        out[-1] = complex(math.nan, 0.0)
-        return out if beta is None else (out, np.zeros_like(out))
+    # the one exponential sum under fourier and kms_check, whose weight rows
+    # (e^{-beta lam} w, w) give the pair of transforms at i beta + t and at t:
+    # a NaN at the last z of the first row
+    def exp_sum_with_one_nan(parts, z):
+        out = np.zeros(np.shape(parts[0][1])[:-1] + np.shape(z), dtype=complex)
+        out.flat[np.size(z) - 1] = complex(math.nan, 0.0)
+        return out
 
     nu = measures.Gamma_map(measures.atomic([(0.7, 1.0)]), 1.0)
     monkeypatch.setattr(measures, "_exp_sum", exp_sum_with_one_nan)

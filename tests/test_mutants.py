@@ -1,17 +1,17 @@
 """Every rewritten line id can still fail: a table of mutants.
 
 Each mutant scales one raw body, on one domain or one boundary component,
-by 1 + 1e-6, and names the verify ids it must fail at the default seed.  The
-test runs only the checks that own those ids and asserts that exactly those
-ids fail.  Internal callers reach a declared function through its
-``__wrapped__`` body, so a mutant replaces the module attribute by a function
-that carries its own mutated ``__wrapped__``; patching the attribute alone
-would change nothing.
+or one weight row of a sum, by 1 + 1e-6, and names the verify ids it must
+fail at the default seed.  The test runs only the checks that own those ids
+and asserts that exactly those ids fail.  Internal callers reach a declared
+function through its ``__wrapped__`` body, so a mutant replaces the module
+attribute by a function that carries its own mutated ``__wrapped__``;
+patching the attribute alone would change nothing.
 """
 
 import pytest
 
-from rphardy import kernels, numerics, verify
+from rphardy import kernels, measures, numerics, verify
 from rphardy.config import Defaults
 from rphardy.domains import HalfPlane, Strip
 
@@ -61,6 +61,17 @@ def _line_rule_step(monkeypatch):
     _patch(monkeypatch, numerics, "trapezoid_line", mutant)
 
 
+def _kms_shifted_row(monkeypatch):
+    """kms_check's weight row e^{-beta lam} w, the first of each stacked
+    part, scaled: nu_hat(i beta + t) scales, nu_hat(t) does not."""
+    exp_sum = measures._exp_sum
+
+    def mutant(parts, z):
+        return exp_sum([(nodes, weights * [[SCALE], [1.0]] if weights.ndim == 2 else weights,
+                         watch) for nodes, weights, watch in parts], z)
+    monkeypatch.setattr(measures, "_exp_sum", mutant)
+
+
 # name -> (mutation, the checks that own its ids, the ids that must fail)
 MUTANTS = {
     "strip-poisson": (
@@ -81,6 +92,10 @@ MUTANTS = {
         _line_rule_step,
         (verify.check_poisson_mass,),
         {"kernels.poisson-mass.half_plane", "kernels.poisson-mass.strip"}),
+    "kms-shifted-row": (
+        _kms_shifted_row,
+        (verify.check_markov_semigroup, verify.check_modular_dynamics),
+        {"measures.kms", "modular.coefficient-kms"}),
 }
 
 
