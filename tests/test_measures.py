@@ -629,6 +629,46 @@ def test_kms_check_on_a_symmetric_grid_is_the_np_exp_pair_bit_for_bit(name):
         assert measures.kms_check(nu, beta).hex() == want.hex()
 
 
+_NEXT = math.nextafter(0.7, 1.0)
+
+
+@pytest.mark.parametrize("locs,half", [
+    ([0.7], 0),                             # one node: nothing to mirror
+    ([-0.7, 0.3, _NEXT], 0),                # the ends one ulp apart
+    ([-1.9, -_NEXT, 0.7, 1.9], 0),          # an inner pair one ulp apart
+    ([-1.9, -0.7, 0.2, 0.7, 1.9], 2),       # a centre off 0 is taken on its own
+    ([-1.9, -0.7, 0.7, 1.9, 3.25], 0),      # mirrored but for one node past the end
+], ids=["one-node", "ends-off", "inner-off", "centre-off-0", "one-past"])
+def test_real_z_fold_exactly_where_the_nodes_mirror(locs, half):
+    """_mirrored folds a table only where its nodes mirror bit for bit, and
+    on these near misses fourier and kms_check are still the np.exp sums."""
+    nu = measures.atomic([(x, 1.0 + 0.1 * k) for k, x in enumerate(locs)])
+    assert measures._mirrored(nu.atom_locs) == half
+    for t in _REAL_T:
+        got = measures.fourier(nu, t)
+        assert _bits(np.ravel(got)) == _bits(_np_exp_transform(nu, np.ravel(t)))
+    t = measures._KMS_T_GRID
+    want = measures._worst_gap(_np_exp_shifted(nu, 0.8, t), np.conj(_np_exp_transform(nu, t)))
+    assert measures.kms_check(nu, 0.8).hex() == want.hex()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta_lam", [-700.0, 708.0, 708.5, 720.0, 744.0, 745.5, 800.0])
+def test_kms_check_across_the_subnormal_range_of_the_shifted_row(beta_lam):
+    """e^{-beta lam} near the ends of the float range, subnormal past 708.4
+    and 0 past 745.2: the shifted row warns nothing, is bit for bit the
+    np.exp sum over _mirror_weight's row, and agrees with fourier at
+    i beta + t to a few ulps of its absolute mass."""
+    beta, t = 1.25, measures._KMS_T_GRID
+    nu = measures.atomic([(beta_lam / beta, 1.0), (0.7, 0.5)])
+    shifted = _np_exp_shifted(nu, beta, t)
+    want = measures._worst_gap(shifted, np.conj(_np_exp_transform(nu, t)))
+    assert measures.kms_check(nu, beta).hex() == want.hex()
+    mass = sum(comp_sum(np.abs(w)) for _, w in _reweighted_parts(nu, beta))
+    direct = measures.fourier(nu, 1j * beta + t)
+    assert np.max(np.abs(shifted - direct)) <= 4.0 * sys.float_info.epsilon * mass
+
+
 @pytest.mark.parametrize("t", _REAL_T, ids=["scalar", "negative", "zero", "array", "2d"])
 @pytest.mark.parametrize("name", ["grid-odd", "atoms-even", "atom-at-0-odd"])
 def test_modular_coefficient_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(name, t):
