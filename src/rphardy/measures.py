@@ -38,14 +38,17 @@ instead of returning a silently truncated value.  That mass, e^{-Im z lam}
 [-4, 4].
 
 Every transform is one exponential sum, :func:`_exp_sum`, over one table of
-phases e^{i z lam}.  For real z they are cos(z lam) + i sin(z lam), the bits
-np.exp gives there; complex z take np.exp.  A part may carry a stack of
-weight rows, each summed over the same table: :func:`kms_check` reads
-nu_hat(t) and nu_hat(i beta + t), the transform at t of e^{-beta lam} d nu,
-off one table of phases at real t.  Nodes symmetric bit for bit (gamma and
-Gamma images, the strip measures, the modular spaces built on them) take cos
-and sin at lam >= 0 only, for real z: cos is even and sin odd, so the
-mirrored half of the table is its conjugate, the same bits.
+phases e^{i z lam}, whose weighted terms are one float block of real rows
+over imaginary rows, summed as reals.  For real z the phases are cos(z lam)
+and sin(z lam), the bits np.exp gives there, written straight into the
+block; complex z take np.exp, whose parts are weighted into it.  A part may
+carry a stack of weight rows, each summed over the same table:
+:func:`kms_check` reads nu_hat(t) and nu_hat(i beta + t), the transform at t
+of e^{-beta lam} d nu, off one table of phases at real t.  Nodes symmetric
+bit for bit (gamma and Gamma images, the strip measures, the modular spaces
+built on them) take cos and sin at lam >= 0 only, for real z: cos is even
+and sin odd, so the mirrored half of the table is its conjugate, the same
+bits.  A modular space tests its nodes for that once, when it is built.
 
 Atoms are kept sorted by location and merged by a chained rule: atoms whose
 gap to the next atom is at most 1e-12 form one atom, at the lowest location
@@ -59,6 +62,7 @@ of :func:`geometric_splitting` and the modular conjugation J alike.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -75,8 +79,8 @@ from .errors import (
     ToleranceNotReached,
     ZeroDenominator,
 )
-from .numerics import (_MAX_SIZE, POINT, POINTS, POSITIVE, REAL, _require_positive, comp_sum,
-                       finite_array, finite_pairs, finite_real, quad, row_blocks, takes)
+from .numerics import (_MAX_SIZE, POINT, POINTS, POSITIVE, REAL, _complex, _require_positive,
+                       comp_sum, finite_array, finite_pairs, finite_real, quad, row_blocks, takes)
 
 _MERGE_TOL = 1e-12
 
@@ -447,54 +451,66 @@ def fourier(nu: MeasureOnR, z, monitor: bool = True):
     precision (|e^{i z lam}| = e^{-Im z lam} past about 1e308).  A z that is
     not finite raises :class:`ParameterOutOfRange`.
 
-    The phases e^{i z lam} of a block of real z are cos(z lam) + i sin(z lam),
-    the bits np.exp gives for them without its complex exponential; a block
-    with a complex z takes np.exp.
+    The phases e^{i z lam} of real z are cos(z lam) + i sin(z lam), the bits
+    np.exp gives for them without its complex exponential; a call with a
+    complex z takes np.exp.
     """
     return _exp_sum(_parts(nu, monitor), z)
 
 
 def _parts(nu: MeasureOnR, monitor: bool) -> tuple:
-    """The (nodes, weights, watch) parts of nu that :func:`_exp_sum` sums."""
-    return ((nu.atom_locs, nu.atom_weights, False),
-            (nu.grid_nodes(), nu.grid_quad_weights(), monitor))
+    """The (nodes, weights, watch, fold) parts of nu that :func:`_exp_sum`
+    sums; their fold is left to it."""
+    return ((nu.atom_locs, nu.atom_weights, False, None),
+            (nu.grid_nodes(), nu.grid_quad_weights(), monitor, None))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _exp_sum(parts, z):
-    """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch) ``parts``: the
-    one body of :func:`fourier`, :func:`kms_check` and
+    """sum_j e^{i z lam_j} w_j over the (nodes, weights, watch, fold)
+    ``parts``: the one body of :func:`fourier`, :func:`kms_check` and
     :func:`modular.modular_coefficient`, whose declarations guard z.
 
     Each part's weights are one row of n, or, in every part alike, a (k, n)
     stack of rows: each z then gets k sums, all over one table of phases,
-    returned with a leading axis of k.  Real z fold a part's table where its nodes
-    are symmetric bit for bit (:func:`_mirrored`, :func:`_summands`).  A
-    watched part, of one weight row, goes to the monitor,
-    :func:`_require_decay`, one block of z at a time."""
+    returned with a leading axis of k.  Real z fold a part's table by its
+    ``fold``, the n // 2 or 0 of :func:`_mirrored`, or by that test here
+    where ``fold`` is None (:func:`_summands`).  A watched part, of one
+    weight row, goes to the monitor, :func:`_require_decay`, one block of z
+    at a time.  The summands are real and imaginary rows of one float
+    block, summed by :func:`comp_sum` as reals into two float totals that
+    become the complex result at the end.  A block whose sum overflows is
+    summed again one z at a time, so only the z that overflow read NaN and
+    the first of them is named."""
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     lead = parts[0][1].shape[:-1]
-    total = np.zeros(lead + flat.shape, dtype=complex)
+    total = np.zeros((2,) + lead + flat.shape)
     real = not flat.imag.any()
-    for nodes, weights, watch in parts:
+    table_z = flat.real if real else flat
+    for nodes, weights, watch, fold in parts:
         if not nodes.size:
             continue
-        half = _mirrored(nodes) if real else 0
+        half = (_mirrored(nodes) if fold is None else fold) if real else 0
         magnitudes, shares = np.abs(weights) if watch else None, {}
         for rows in row_blocks(flat.size, weights.size):
             if watch:
                 _require_decay(nodes, magnitudes, flat[rows], shares)
-            summand = _summands(flat[rows], nodes, weights, half)
+            summand = _summands(table_z[rows], nodes, weights, half)
             try:
-                total[..., rows] += comp_sum(summand)
+                sums = comp_sum(summand)
             except (OverflowError, ValueError):     # fsum: inf - inf, overflow
-                total[..., rows] = np.nan
-    finite = np.isfinite(total)
+                sums = np.full(summand.shape[:-1], np.nan)
+                for j in range(sums.shape[-1]):
+                    with contextlib.suppress(OverflowError, ValueError):
+                        sums[..., j] = comp_sum(summand[..., j, :])
+            total[..., rows] += sums
+    out = _complex(total[0], total[1])
+    finite = np.isfinite(out)
     if not finite.all():
         raise DivergentTransform("the transform overflows at z = %s"
                                  % complex(flat[np.argmin(finite) % flat.size]))
-    return complex(total[0]) if zs.ndim == 0 and not lead else total.reshape(lead + zs.shape)
+    return complex(out[0]) if zs.ndim == 0 and not lead else out.reshape(lead + zs.shape)
 
 
 def _mirrored(nodes: np.ndarray) -> int:
@@ -509,28 +525,34 @@ def _mirrored(nodes: np.ndarray) -> int:
 
 def _summands(z: np.ndarray, nodes: np.ndarray, weights: np.ndarray,
               half: int = 0) -> np.ndarray:
-    """The block e^{i z lam} w, one row per z, as a (len(z), len(nodes))
-    table, or for a (k, n) stack of weight rows the k tables stacked, all
-    from one table of phases.  For real z and nodes whose first ``half``
-    mirror their last (:func:`_mirrored`), cos and sin are taken on the rest
-    alone: z (-lam) = -(z lam), cos is even and sin odd, so the first
-    ``half`` phases are the conjugates of the last, and the table is bit for
-    bit the one taken node by node."""
+    """The block e^{i z lam} w as one float array, its real rows over its
+    imaginary rows: (2, len(z), len(nodes)), or for a (k, n) stack of weight
+    rows (2, k, len(z), len(nodes)), all from one table of phases.  A float
+    z takes cos and sin, the bits np.exp gives at real z, written into the
+    block; a complex z takes np.exp, whose parts the weights multiply into
+    it.  For float z and nodes whose first ``half`` mirror their last
+    (:func:`_mirrored`), cos and sin are taken on the rest alone:
+    z (-lam) = -(z lam), cos is even and sin odd, so the first ``half``
+    phases are the conjugates of the last, and the block is bit for bit the
+    one taken node by node."""
     rows = weights.reshape(-1, nodes.size)
-    out = np.empty((len(rows), z.size, nodes.size), dtype=complex)
-    phases = out[-1]
-    if not z.imag.any():
-        # np.exp(i y) is (exp(+-0) cos y, exp(+-0) sin y): the same bits
-        y = np.multiply.outer(z.real, nodes[half:])
-        np.cos(y, out=phases.real[:, half:])
-        np.sin(y, out=phases.imag[:, half:])
-        if half:
-            np.conjugate(phases[:, :-half - 1:-1], out=phases[:, :half])
+    out = np.empty((2, len(rows), z.size, nodes.size))
+    if z.dtype.kind == "c":
+        phases = np.multiply.outer(1j * z, nodes)
+        np.exp(phases, out=phases)
+        np.multiply(phases.real, rows[:, None], out=out[0])
+        np.multiply(phases.imag, rows[:, None], out=out[1])
     else:
-        np.exp(np.multiply.outer(1j * z, nodes), out=phases)
-    np.multiply(phases, rows[:-1, None], out=out[:-1])
-    phases *= rows[-1]
-    return out.reshape(weights.shape[:-1] + phases.shape)
+        re, im = out[:, -1]         # the phases, in the last row's place
+        y = np.multiply.outer(z, nodes[half:])
+        np.cos(y, out=re[:, half:])
+        np.sin(y, out=im[:, half:])
+        if half:
+            re[:, :half] = re[:, :-half - 1:-1]
+            np.negative(im[:, :-half - 1:-1], out=im[:, :half])
+        np.multiply(out[:, -1:], rows[:-1, None], out=out[:, :-1])
+        out[:, -1] *= rows[-1]
+    return out.reshape((2,) + weights.shape[:-1] + (z.size, nodes.size))
 
 
 def _require_decay(nodes: np.ndarray, magnitudes: np.ndarray, zs: np.ndarray,
@@ -593,10 +615,13 @@ def kms_check(nu: MeasureOnR, beta: float) -> float:
     sum that overflows is named as fourier names it, at i beta + t for the
     shifted one."""
     t, parts = _KMS_T_GRID, []
-    for nodes, weights, watch in _parts(nu, True):
-        if watch and nodes.size:
-            _require_decay(nodes, np.abs(weights), np.array([1j * beta + t[0], t[0]]), {})
-        parts.append((nodes, np.stack((_mirror_weight(weights, beta * nodes), weights)), False))
+    for nodes, weights, watch, fold in _parts(nu, True):
+        rows = np.empty((2, 0))         # an empty part keeps the leading axis
+        if nodes.size:
+            if watch:
+                _require_decay(nodes, np.abs(weights), np.array([1j * beta + t[0], t[0]]), {})
+            rows = np.stack((_mirror_weight(weights, beta * nodes), weights))
+        parts.append((nodes, rows, False, fold))
     try:
         shifted, plain = _exp_sum(parts, t)
     except DivergentTransform:

@@ -41,12 +41,12 @@ not wrap, and a wrapped node picks up at most the phase defect |e^{i t L} - 1|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterOutOfRange, ReflectionViolation
-from .measures import MeasureOnR, _exp_sum, _mirror_index, reflection_check
+from .measures import MeasureOnR, _exp_sum, _mirror_index, _mirrored, reflection_check
 from .numerics import (POINTS, POSITIVE, REAL, SIZE, IdentityCheck, comp_sum, oscillatory_ft,
                        takes)
 
@@ -61,11 +61,18 @@ _MAX_EXPONENT = 470.0       # keeps e^{3 beta |lam| / 2}, met inside J Delta J, 
 @dataclass
 class DiscretizedSpace:
     """Weighted nodes (lam_j, w_j), w_j > 0, with the node set symmetric
-    under lam -> -lam; ``mirror[j]`` is the index of -lam_j."""
+    under lam -> -lam; ``mirror[j]`` is the index of -lam_j.  ``fold`` is
+    the nodes' :func:`~rphardy.measures._mirrored` when the space is built:
+    n // 2 where they mirror bit for bit, so that the transforms at real t
+    take cos and sin on half the nodes, else 0."""
 
     nodes: np.ndarray
     weights: np.ndarray
     mirror: np.ndarray
+    fold: int = field(init=False)
+
+    def __post_init__(self):
+        self.fold = _mirrored(self.nodes)
 
     @staticmethod
     def from_measure(nu: MeasureOnR) -> "DiscretizedSpace":
@@ -212,7 +219,7 @@ def modular_coefficient(md: ModularData, v, t):
     weights = np.abs(_vector(space, v)).astype(float, copy=False)
     weights *= weights
     weights *= space.weights
-    return _exp_sum(((space.nodes, weights, False),), t)
+    return _exp_sum(((space.nodes, weights, False, space.fold),), t)
 
 
 @np.errstate(over="ignore")     # |v|^2 = inf: MeasureOnR refuses the weight

@@ -494,7 +494,7 @@ def test_kms_check_is_the_np_exp_sum_over_the_reweighted_row_bit_for_bit(nu, bet
     assert _bits(plain) == _bits(measures.fourier(nu, t))
     want = measures._worst_gap(shifted, np.conj(plain))
     assert measures.kms_check(nu, beta).hex() == want.hex()
-    rows = [(nodes, np.stack((shifted_w, w)), False) for (nodes, w), (_, shifted_w)
+    rows = [(nodes, np.stack((shifted_w, w)), False, None) for (nodes, w), (_, shifted_w)
             in zip(_measure_parts(nu), _reweighted_parts(nu, beta))]
     got = measures._exp_sum(rows, t)
     assert got.shape == (2, t.size)
@@ -570,8 +570,10 @@ _REAL_T = [0.37, -2.5, 0.0, np.array([-4.0, -0.0, 0.0, 0.11, 1.5, 3.999]),
 
 @pytest.mark.parametrize("name", list(_SYMMETRIC))
 def test_the_folded_table_is_the_table_taken_node_by_node(name):
-    """For one weight row and for a stack of two, each row of the stack
-    being the table of that row alone."""
+    """The float block of _summands, real rows over imaginary rows, for one
+    weight row and for a stack of two: folded it is bit for bit the block
+    taken node by node, each row of the stack is bit for bit the block of
+    that row alone, and its values are those of the np.exp table."""
     nu = _SYMMETRIC[name]
     t = np.linspace(-4.0, 4.0, 33)
     for nodes, weights in _measure_parts(nu):
@@ -582,12 +584,15 @@ def test_the_folded_table_is_the_table_taken_node_by_node(name):
         rows = np.stack((measures._mirror_weight(weights, 1.1 * nodes), weights))
         for w in (weights, rows):
             folded = measures._summands(t, nodes, w, half)
-            full = measures._summands(t, nodes, w)
-            assert _same_bits(folded.view(float), full.view(float))
+            assert folded.dtype == float
+            assert folded.shape == (2,) + w.shape[:-1] + (t.size, nodes.size)
+            assert _same_bits(folded, measures._summands(t, nodes, w))
         stacked = measures._summands(t, nodes, rows, half)
         for k in range(2):
-            assert _same_bits(stacked[k].view(float),
-                              measures._summands(t, nodes, rows[k], half).view(float))
+            assert _same_bits(stacked[:, k], measures._summands(t, nodes, rows[k], half))
+            want = np.exp(1j * t[:, None] * nodes) * rows[k]
+            assert np.array_equal(stacked[0, k], want.real)
+            assert np.array_equal(stacked[1, k], want.imag)
 
 
 @pytest.mark.parametrize("name", list(_SYMMETRIC))
@@ -627,6 +632,25 @@ def test_kms_check_on_a_symmetric_grid_is_the_np_exp_pair_bit_for_bit(name):
         want = measures._worst_gap(_np_exp_shifted(nu, beta, t),
                                    np.conj(_np_exp_transform(nu, t)))
         assert measures.kms_check(nu, beta).hex() == want.hex()
+
+
+def test_kms_check_reweights_only_the_parts_with_nodes(monkeypatch):
+    """kms_check forms e^{-beta lam} w for the parts that have nodes only,
+    and a measure with no nodes at all still reads 0."""
+    sizes, mirror_weight = [], measures._mirror_weight
+
+    def spy(w, x):
+        sizes.append(w.size)
+        return mirror_weight(w, x)
+
+    monkeypatch.setattr(measures, "_mirror_weight", spy)
+    grid, atoms = _SYMMETRIC["grid-odd"], _SYMMETRIC["atoms-even"]
+    for nu, want in ((grid, [grid.density.size]), (atoms, [atoms.atom_locs.size]),
+                     (measures.MeasureOnR(), [])):
+        sizes.clear()
+        assert measures.kms_check(nu, 0.8) >= 0.0
+        assert sizes == want
+    assert measures.kms_check(measures.MeasureOnR(), 0.8) == 0.0
 
 
 _NEXT = math.nextafter(0.7, 1.0)
@@ -683,6 +707,81 @@ def test_modular_coefficient_on_a_symmetric_grid_is_the_np_exp_sum_bit_for_bit(n
     got = modular.modular_coefficient(md, v, t)
     assert np.shape(got) == np.shape(t)
     assert _bits(np.ravel(got)) == _bits(want)
+
+
+@pytest.mark.parametrize("z", [0.37, np.array([0.37, -1.2]), 0.37 + 0.1j, np.array([0.37, 0.1j])],
+                         ids=["real", "real-array", "complex", "complex-array"])
+def test_exp_sum_hands_comp_sum_a_float_block(z, monkeypatch):
+    """Real and complex z alike, the summands reach comp_sum as one float
+    block of real rows over imaginary rows, one block per part."""
+    from rphardy import modular
+    blocks, comp = [], measures.comp_sum
+
+    def spy(values, ends=None):
+        blocks.append(values.dtype)
+        return comp(values, ends)
+
+    monkeypatch.setattr(measures, "comp_sum", spy)
+    measures.fourier(_SYMMETRIC["atoms-and-grid"], z)
+    assert blocks == [np.dtype(float)] * 2
+    md = modular.build_modular(_SYMMETRIC["atoms-even"], 0.8)
+    blocks.clear()
+    modular.modular_coefficient(md, md.space.random_standard_vector(np.random.default_rng(3)), z)
+    assert blocks == [np.dtype(float)]
+
+
+def _space(name):
+    """The space of a Gamma image, gridded or atomic, or one built by hand
+    whose inner pair is one ulp off its mirror, so that its nodes do not
+    mirror bit for bit."""
+    from rphardy import modular
+    if name == "direct-unmirrored":
+        nodes = np.array([-1.9, -_NEXT, 0.7, 1.9])
+        return modular.DiscretizedSpace(nodes, np.array([0.1, 0.4, 0.7, 0.2]), np.arange(4)[::-1])
+    nu, beta = ((_gridded_gamma_image(1.37), 1.37) if name == "gridded-gamma-image"
+                else (_SYMMETRIC["atoms-even"], 0.8))
+    return modular.build_modular(nu, beta).space
+
+
+@pytest.mark.parametrize("name", ["gridded-gamma-image", "atomic-image", "direct-unmirrored"])
+def test_a_space_records_the_fold_of_its_nodes(name, monkeypatch):
+    """A space tests its mirror once, when it is built: its fold is
+    _mirrored of its nodes, modular_coefficient hands that fold to
+    _summands at real t, and the sums stay the np.exp sums bit for bit."""
+    from rphardy import modular
+    space = _space(name)
+    assert space.fold == measures._mirrored(space.nodes)
+    assert space.fold == (0 if name == "direct-unmirrored" else space.dim // 2)
+    halves, summands = [], measures._summands
+
+    def spy(z, nodes, weights, half=0):
+        halves.append(half)
+        return summands(z, nodes, weights, half)
+
+    monkeypatch.setattr(measures, "_summands", spy)
+    monkeypatch.setattr(measures, "_mirrored", lambda nodes: pytest.fail("tested again"))
+    md = modular.ModularData(space, 0.8)
+    v = np.random.default_rng(34).uniform(0.5, 1.5, space.dim)
+    t = np.array([-2.5, 0.0, 0.37, 3.999])
+    got = modular.modular_coefficient(md, v, t)
+    assert halves and set(halves) == {space.fold}
+    weights = np.abs(v) ** 2 * space.weights
+    assert _bits(got) == _bits(_np_exp_sum([(space.nodes, weights)], t))
+
+
+def test_an_overflowing_block_names_its_own_z():
+    """A block of z whose sum overflows somewhere is summed again one z at a
+    time: the z before the first that overflows are finite, and the error
+    names that first one, not the first z of the block."""
+    nu = measures.atomic([(1.0, 1e308), (1.0 + 1e-9, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (-4.0, -3.75):
+            assert np.isfinite(measures.fourier(nu, t))
+        with pytest.raises(DivergentTransform, match=re.escape("overflows at z = (-3.5+0j)")):
+            measures.fourier(nu, measures._KMS_T_GRID)
+        with pytest.raises(DivergentTransform, match=re.escape("overflows at z = (-3.5+0j)")):
+            measures.kms_check(nu, 1.0)
 
 
 def _first_divergent(nu, zs):

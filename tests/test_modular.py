@@ -1,6 +1,7 @@
 """Modular pair (Delta, J): algebra, standard vectors, coefficient functions."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -156,6 +157,26 @@ def test_modular_coefficient_is_positive_definite_and_kms():
         lhs = modular.modular_coefficient(md, v, 1j * md.beta + t)
         rhs = modular.modular_coefficient(md, v, t).conjugate()
         assert abs(lhs - rhs) < 1e-13
+
+
+def test_a_real_t_psi_call_stays_inside_its_memory_budget():
+    """One scalar real-t psi on a 4001-node space peaks at no more than
+    8 float rows of n in traced bytes: the float block of its cos and sin
+    rows, the weights and comp_sum's scratch, with no complex table or
+    complex copy beside them (9.1 rows with them)."""
+    density = np.exp(-0.5 * (0.01 * np.arange(2001) - 1.5) ** 2)
+    md = modular.build_modular(measures.Gamma_map(measures.gridded(0.0, 0.01, density), 1.3), 1.3)
+    n = md.space.dim
+    assert n == 4001
+    v = md.space.random_standard_vector(np.random.default_rng(34))
+    modular.modular_coefficient(md, v, 0.37)
+    tracemalloc.start()
+    try:
+        modular.modular_coefficient(md, v, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * n)
 
 
 def test_psi_and_its_coefficient_measure_match_a_40_digit_sum():

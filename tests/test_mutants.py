@@ -68,7 +68,7 @@ def _kms_shifted_row(monkeypatch):
 
     def mutant(parts, z):
         return exp_sum([(nodes, weights * [[SCALE], [1.0]] if weights.ndim == 2 else weights,
-                         watch) for nodes, weights, watch in parts], z)
+                         watch, fold) for nodes, weights, watch, fold in parts], z)
     monkeypatch.setattr(measures, "_exp_sum", mutant)
 
 
